@@ -4,25 +4,24 @@ The envelope at p is the largest value achievable by averaging the function
 over a Bayes-plausible lottery on grid points with barycenter p. On the
 two-state simplex this is a one-dimensional upper hull (monotone chain);
 in higher dimension it is read off the upper facets of the lifted point set.
+Both are built once per function by `_Envelope`, which every query reads.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .belief import GridFn, Split
+from .belief import GridFn, Split, validate_belief
 from .errors import SingularSystem
 
 # Relative slack for "this atom already sits on the envelope" decisions.
 _DEG_RTOL = 1e-11
 # Slack when matching candidate facets against the envelope value.
 _FACET_RTOL = 1e-9
-
-_scaffold_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -48,52 +47,75 @@ def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=np.int64)
 
 
-class _Scaffold:
-    """Chart projection and floor padding reused across envelope calls."""
+class _Envelope:
+    """The envelope of one grid function: an upper hull for k <= 2, upper facets above.
 
-    def __init__(self, grid) -> None:
-        k = grid.k
-        self.charts = np.ascontiguousarray(grid.points[:, : k - 1])
-        corners = np.zeros((k, k - 1))
-        for ell in range(k - 1):
-            corners[ell, ell] = 1.0
-        self.corners = corners
+    `values` holds the envelope at every grid point. Beliefs are queried in
+    chart coordinates, their first k - 1 entries (the first entry for k <= 2).
+    """
 
+    def __init__(self, f: GridFn) -> None:
+        grid, v = f.grid, f.values
+        self.grid, self.v = grid, v
+        self.dim = max(grid.k - 1, 1)
+        charts = np.ascontiguousarray(grid.points[:, : self.dim])
+        if grid.k <= 2:
+            self.hull = _upper_hull_indices(charts[:, 0], v)
+        else:
+            vmin, vmax = float(v.min()), float(v.max())
+            floor = vmin - 1.0 - (vmax - vmin)
+            lifted = np.column_stack([charts, v])
+            # padding below the simplex corners closes the hull without touching its top
+            padding = np.column_stack([np.eye(grid.k, grid.k - 1), np.full(grid.k, floor)])
+            hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
+            eq = hull.equations
+            up = eq[:, -2] > 1e-9
+            self.normals = eq[up, :-2]
+            self.vert_norm = eq[up, -2]
+            self.offsets = eq[up, -1]
+            self.simplices = hull.simplices[up]
+        self.values = np.maximum(self.at(charts), v)
 
-def _scaffold(grid) -> _Scaffold:
-    sc = _scaffold_cache.get(grid)
-    if sc is None:
-        sc = _Scaffold(grid)
-        _scaffold_cache[grid] = sc
-    return sc
+    @cached_property
+    def slack(self) -> float:
+        """Absolute slack for deciding that the function attains the envelope."""
+        return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
-
-class _UpperFacets:
-    """Upper facet planes of the lifted grid values, as affine majorants."""
-
-    def __init__(self, grid, values: np.ndarray) -> None:
-        sc = _scaffold(grid)
-        vmin, vmax = float(values.min()), float(values.max())
-        floor = vmin - 1.0 - (vmax - vmin)
-        lifted = np.column_stack([sc.charts, values])
-        padding = np.column_stack([sc.corners, np.full(grid.k, floor)])
-        hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
-        eq = hull.equations
-        up = eq[:, -2] > 1e-9
-        self.normals = eq[up, :-2]
-        self.vert_norm = eq[up, -2]
-        self.offsets = eq[up, -1]
-        self.simplices = hull.simplices[up]
-        self.n_real = grid.n
-        self.grid = grid
-        self.values = values
-
-    def evaluate(self, charts: np.ndarray) -> np.ndarray:
-        """Envelope values at chart coordinates: pointwise min of the planes."""
+    def at(self, charts: np.ndarray) -> np.ndarray:
+        """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,))."""
+        if self.grid.k <= 2:
+            s = self.grid.points[:, 0]
+            return np.interp(charts[:, 0], s[self.hull], self.v[self.hull])
         planes = -(self.offsets + charts @ self.normals.T) / self.vert_norm
-        return planes.min(axis=1) if planes.ndim == 2 else planes.min()
+        return planes.min(axis=1)
 
-    def split_at(self, chart: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, chart: np.ndarray, value: float) -> Split:
+        """Optimal grid-supported split at a point strictly below the envelope."""
+        if self.grid.k <= 2:
+            idx, w = self._split_1d(float(chart[0]))
+        else:
+            idx, w = self._split_facets(chart, value)
+        return Split(self.grid.points[idx].copy(), w)
+
+    def _split_1d(self, s_q: float) -> tuple[np.ndarray, np.ndarray]:
+        """Lex-smallest grid pair whose chord attains the envelope at s_q."""
+        s = self.grid.points[:, 0]
+        s_hull = s[self.hull]
+        j = int(np.searchsorted(s_hull, s_q, side="right"))
+        j = min(max(j, 1), s_hull.size - 1)
+        # the left end of the maximal flat segment through s_q is a hull vertex
+        a = int(self.hull[j - 1])
+        b = -1
+        for m in range(int(np.searchsorted(s, s_q, side="right")), s.size):
+            if self.v[m] >= self.values[m] - self.slack and s[m] > s_q:
+                b = m
+                break
+        if b < 0:
+            raise SingularSystem("no right atom found for envelope split extraction")
+        wa = (s[b] - s_q) / (s[b] - s[a])
+        return np.array([a, b]), np.array([wa, 1.0 - wa])
+
+    def _split_facets(self, chart: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
         """Atoms (grid indices) and weights of a facet split attaining target.
 
         Among facets matching the envelope value the lexicographically
@@ -104,9 +126,9 @@ class _UpperFacets:
         best: tuple | None = None
         for fi in np.nonzero(vals <= target + tol)[0]:
             verts = self.simplices[fi]
-            if np.any(verts >= self.n_real):
+            if np.any(verts >= self.grid.n):
                 continue  # floor padding can only border degenerate planes
-            A = np.vstack([self.grid.points[verts, : self.grid.k - 1].T, np.ones(verts.size)])
+            A = np.vstack([self.grid.points[verts, : self.dim].T, np.ones(verts.size)])
             rhs = np.append(chart, 1.0)
             try:
                 w = np.linalg.solve(A, rhs)
@@ -126,35 +148,7 @@ class _UpperFacets:
 
 def cav_values(f: GridFn) -> np.ndarray:
     """Envelope values at every grid point (fast path, no split extraction)."""
-    grid, v = f.grid, f.values
-    if grid.k == 1 or grid.n == 1:
-        return v.copy()
-    if grid.k == 2:
-        s = grid.points[:, 0]
-        hull = _upper_hull_indices(s, v)
-        return np.maximum(np.interp(s, s[hull], v[hull]), v)
-    facets = _UpperFacets(grid, v)
-    return np.maximum(facets.evaluate(_scaffold(grid).charts), v)
-
-
-def _split_1d(grid, v, cavv, hull, s_q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lex-smallest grid pair whose chord attains the envelope at s_q."""
-    s = grid.points[:, 0]
-    s_hull = s[hull]
-    j = int(np.searchsorted(s_hull, s_q, side="right"))
-    j = min(max(j, 1), s_hull.size - 1)
-    # the left end of the maximal flat segment through s_q is a hull vertex
-    a = int(hull[j - 1])
-    scale = 1.0 + float(np.abs(v).max())
-    b = -1
-    for m in range(int(np.searchsorted(s, s_q, side="right")), s.size):
-        if v[m] >= cavv[m] - _DEG_RTOL * scale and s[m] > s_q:
-            b = m
-            break
-    if b < 0:
-        raise SingularSystem("no right atom found for envelope split extraction")
-    wa = (s[b] - s_q) / (s[b] - s[a])
-    return np.array([a, b]), np.array([wa, 1.0 - wa])
+    return _Envelope(f).values
 
 
 def cav_grid(f: GridFn) -> CavResult:
@@ -164,31 +158,15 @@ def cav_grid(f: GridFn) -> CavResult:
     split atoms are grid points, at most k of them, averaging back to the
     point with value equal to the envelope.
     """
-    grid, v = f.grid, f.values
-    scale = 1.0 + float(np.abs(v).max())
-    if grid.k == 2 and grid.n > 1:
-        s = grid.points[:, 0]
-        hull = _upper_hull_indices(s, v)
-        cavv = np.maximum(np.interp(s, s[hull], v[hull]), v)
-        facets = None
-    elif grid.k >= 3:
-        facets = _UpperFacets(grid, v)
-        cavv = np.maximum(facets.evaluate(_scaffold(grid).charts), v)
-    else:
-        facets = None
-        cavv = v.copy()
-
-    generator: list[Split] = []
-    for i in range(grid.n):
-        if v[i] >= cavv[i] - _DEG_RTOL * scale:
-            generator.append(Split(grid.points[i : i + 1].copy(), np.array([1.0])))
-        elif grid.k == 2:
-            idx, w = _split_1d(grid, v, cavv, hull, s[i])
-            generator.append(Split(grid.points[idx].copy(), w))
-        else:
-            idx, w = facets.split_at(_scaffold(grid).charts[i], cavv[i])
-            generator.append(Split(grid.points[idx].copy(), w))
-    return CavResult(cav=GridFn(grid, cavv), generator=generator)
+    env = _Envelope(f)
+    points, cavv = f.grid.points, env.values
+    on = f.values >= cavv - env.slack
+    generator = [
+        Split(points[i : i + 1].copy(), np.array([1.0])) if on[i]
+        else env.split(points[i, : env.dim], cavv[i])
+        for i in range(f.grid.n)
+    ]
+    return CavResult(cav=GridFn(f.grid, cavv), generator=generator)
 
 
 def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
@@ -197,34 +175,13 @@ def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
     When the interpolated function already attains the envelope the split is
     the enclosing-cell lottery (degenerate at q when q is a grid point).
     """
-    from .belief import validate_belief
-
-    grid, v = f.grid, f.values
-    q = validate_belief(q, grid.k)
-    scale = 1.0 + float(np.abs(v).max())
-    idx_cell, w_cell = grid.locate(q)
-    fq = float(w_cell @ v[idx_cell])
-
-    if grid.k == 1 or grid.n == 1:
-        return v[0], Split(grid.points[[0]].copy(), np.array([1.0]))
-
-    if grid.k == 2:
-        s = grid.points[:, 0]
-        hull = _upper_hull_indices(s, v)
-        cavv = np.maximum(np.interp(s, s[hull], v[hull]), v)
-        value = float(np.interp(q[0], s[hull], v[hull]))
-        value = max(value, fq)
-        if fq >= value - _DEG_RTOL * scale:
-            keep = w_cell > 0.0
-            return value, Split(grid.points[idx_cell[keep]].copy(), w_cell[keep])
-        idx, w = _split_1d(grid, v, cavv, hull, float(q[0]))
-        return value, Split(grid.points[idx].copy(), w)
-
-    facets = _UpperFacets(grid, v)
-    chart = q[: grid.k - 1]
-    value = max(float(facets.evaluate(chart[None, :])), fq)
-    if fq >= value - _DEG_RTOL * scale:
+    env = _Envelope(f)
+    q = validate_belief(q, f.grid.k)
+    idx_cell, w_cell = f.grid.locate(q)
+    fq = float(w_cell @ f.values[idx_cell])
+    chart = q[: env.dim]
+    value = max(float(env.at(chart[None, :])[0]), fq)
+    if fq >= value - env.slack:
         keep = w_cell > 0.0
-        return value, Split(grid.points[idx_cell[keep]].copy(), w_cell[keep])
-    idx, w = facets.split_at(chart, value)
-    return value, Split(grid.points[idx].copy(), w)
+        return value, Split(f.grid.points[idx_cell[keep]].copy(), w_cell[keep])
+    return value, env.split(chart, value)

@@ -219,18 +219,25 @@ def asymptotic_value(rate: float, sc: Scenario) -> float:
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
-    res = solve(replace(sc, discount=1.0 - rate), "no_reveal")
-    return float(sc.chain.pi @ res.row_values)
+    return row_average_value(1.0 - rate, sc)
 
 
 def row_average_value(discount: float, sc: Scenario) -> float:
     """Stationary-weighted no-revelation value at the transition rows.
 
-    Equals asymptotic_value(1 - discount, sc) by construction; kept as its
-    own entry point because it is the natural monotone-in-discount curve.
+    asymptotic_value(rate, sc) is this curve read at discount 1 - rate.
     """
     res = solve(replace(sc, discount=discount), "no_reveal")
     return float(sc.chain.pi @ res.row_values)
+
+
+def reveal_stage_target(sc: Scenario, solved: SolverResult) -> GridFn:
+    """Reveal-mode one-stage objective at a solved value, before concavification.
+
+    Its envelope is the stage optimum at each belief; its value at a grid
+    point is what revealing nothing earns there.
+    """
+    return GridFn(sc.grid, _target(solved.value.values, sc, _Dynamics(sc), reveal=True))
 
 
 def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None = None) -> bool:
@@ -249,8 +256,7 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None 
             f"stage payoff misses its envelope by {abs(u_at_p - cav_at_p):.3e} at this belief"
         )
     res = solve(sc, "reveal") if solved is None else solved
-    dyn = _Dynamics(sc)
-    g = GridFn(sc.grid, _target(res.value.values, sc, dyn, reveal=True))
+    g = reveal_stage_target(sc, res)
     degenerate = (1.0 - sc.discount) * u_at_p + sc.discount * (1.0 - sc.reveal_rate) * interpolate(
         res.value, p @ sc.chain.M
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persuasionlab import cli
+from persuasionlab import check_no_info_at_concave_point, cli, solve
 from persuasionlab.errors import ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -255,6 +255,25 @@ def test_verify_obs1_passes(tmp_path):
     assert header == ["mode", "signals_small", "signals_large", "max_abs_diff"]
     assert len(rows) == 2
     assert max(r[3] for r in rows) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3"])
+@pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
+def test_verify_lemma1_on_bundled_scenarios(tmp_path, name):
+    path = ROOT / "scenarios" / f"{name}.json"
+    out = tmp_path / "lemma1.csv"
+    code = cli.main(["verify", "--scenario", str(path), "--which", "lemma1", "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    meta, header, rows = parse_csv(out)
+    assert meta["verdict"] == "pass"
+    assert header[-3:] == ["stage_payoff", "envelope", "no_info_optimal"]
+    assert len(rows) == int(meta["eligible_points"]) > 0
+    if name == "tent":
+        # the per-point library check stays the reference for the table
+        sc = cli.scenario_from_config(cli.effective_config(json.loads(path.read_text(encoding="utf-8"))))
+        solved = solve(sc, "reveal")
+        for row in rows[::10]:
+            assert row[-1] == check_no_info_at_concave_point(sc, row[: sc.chain.k], solved=solved)
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -124,20 +124,26 @@ def test_degenerate_generator_where_touching(tent, grid2):
         assert split.posteriors[0] == pytest.approx(grid2.points[i], abs=1e-12)
 
 
-def test_split_at_off_grid_points():
-    grid = make_grid(2, 10)
-    f = random_fn(grid, 30)
+@pytest.mark.parametrize("k,resolution,seed", [(2, 10, 30), (3, 4, 40), (3, 6, 50), (4, 3, 60)])
+def test_split_at_off_grid_points(k, resolution, seed):
+    grid = make_grid(k, resolution)
+    f = random_fn(grid, seed)
     cavv = cav_values(f)
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        q = rng.dirichlet([1.0, 1.0])
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(25 if k == 2 else 8):
+        q = rng.dirichlet(np.ones(k))
         value, split = cav_split_at(f, q)
         validate_split(q, split)
-        # the envelope is affine between grid points, so interpolation is exact
-        j = np.searchsorted(grid.points[:, 0], q[0])
-        lo, hi = grid.points[j - 1, 0], grid.points[j, 0]
-        t = (q[0] - lo) / (hi - lo)
-        assert value == pytest.approx((1 - t) * cavv[j - 1] + t * cavv[j], abs=1e-9)
+        atoms = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
+        assert float(split.weights @ f.values[atoms]) == pytest.approx(value, abs=1e-9)
+        if k == 2:
+            # the envelope is affine between grid points, so interpolation is exact
+            j = np.searchsorted(grid.points[:, 0], q[0])
+            lo, hi = grid.points[j - 1, 0], grid.points[j, 0]
+            t = (q[0] - lo) / (hi - lo)
+            assert value == pytest.approx((1 - t) * cavv[j - 1] + t * cavv[j], abs=1e-9)
+        else:
+            assert value == pytest.approx(cav_oracle_at(grid.points, f.values, q), abs=1e-9)
 
 
 def test_split_at_grid_point_agrees(grid2, parabola):

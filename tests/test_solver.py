@@ -207,7 +207,7 @@ def test_asymptotic_value_canonical_half(scenario):
 
 def test_row_average_matches_asymptotic(scenario):
     sc = scenario("tent")
-    assert row_average_value(0.5, sc) == pytest.approx(asymptotic_value(0.5, sc), abs=1e-12)
+    assert row_average_value(0.5, sc) == asymptotic_value(0.5, sc)
 
 
 def test_asymptotic_value_rejects_bad_rate(scenario):
@@ -250,6 +250,22 @@ def test_no_info_requires_envelope_contact(scenario):
     sc = scenario("parabola", discount=0.9, reveal_rate=0.5)
     with pytest.raises(PreconditionFailed):
         check_no_info_at_concave_point(sc, [0.5, 0.5])
+
+
+def test_no_info_holds_where_k3_payoff_touches_envelope():
+    M = np.array([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6]])
+    grid = make_grid(3, 6)
+    q = grid.points
+    u = GridFn(grid, np.abs(q[:, 2] - 0.5) + 0.25 * q[:, 0])
+    sc = Scenario(chain=validate_chain(M), u=u, discount=0.9, reveal_rate=0.5)
+    touching = np.nonzero(cav_values(u) - u.values <= 1e-9)[0]
+    assert 0 < touching.size < grid.n
+    res = solve(sc, "reveal")
+    for i in touching:
+        assert check_no_info_at_concave_point(sc, q[i], solved=res)
+    below = np.setdiff1d(np.arange(grid.n), touching)[0]
+    with pytest.raises(PreconditionFailed):
+        check_no_info_at_concave_point(sc, q[below], solved=res)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,10 @@ from .sim import (
     renewal_stats,
     run_policy,
     strategy_couple_down,
+    strategy_full,
+    strategy_null,
     strategy_optimal,
+    strategy_policy,
     strategy_renewal_optimal,
 )
 from .solver import (
@@ -101,7 +104,10 @@ __all__ = [
     "split_from_kernel",
     "stationary",
     "strategy_couple_down",
+    "strategy_full",
+    "strategy_null",
     "strategy_optimal",
+    "strategy_policy",
     "strategy_renewal_optimal",
     "validate_belief",
     "validate_chain",

@@ -15,7 +15,7 @@ bit-for-bit. Numbers are printed with 17 significant digits so a reread is
 lossless.
 
 Exit codes: 0 pass, 1 a verification verdict failed (the table is still
-written), 2 bad input, 3 numeric failure.
+written), 2 bad input, 3 numeric failure, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 # everything else raised by the library is an input problem
 _NUMERIC_FAILURES = (NoConvergence, SingularSystem, AllRejected, DegenerateTail)
@@ -194,11 +195,14 @@ def _payoff_config(value) -> dict:
 def effective_config(doc: dict, overrides: dict | None = None) -> dict:
     """Validate a raw scenario document and resolve every default.
 
-    The result is a plain-types dict with a stable key set, suitable for
-    canonical serialization and hashing. Unknown fields raise ParseError.
+    Overrides that are not None replace document fields before any check,
+    so they are validated like the file. The result is a plain-types dict
+    with a stable key set, suitable for canonical serialization and
+    hashing. Unknown fields raise ParseError.
     """
     if not isinstance(doc, dict):
         raise ParseError("scenario file must contain a JSON object")
+    doc = {**doc, **{key: value for key, value in (overrides or {}).items() if value is not None}}
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise ParseError(f"unknown scenario fields: {sorted(unknown)}")
@@ -231,10 +235,6 @@ def effective_config(doc: dict, overrides: dict | None = None) -> dict:
         raise ParseError(f"'tolerance' must be positive, got {cfg['tolerance']}")
     if cfg["seed"] >= 2**64:
         raise ParseError(f"'seed' must fit in 64 bits, got {cfg['seed']}")
-
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
 
     if not 0.0 <= cfg["lambda"] < 1.0:
         raise ParseError(f"'lambda' must lie in [0, 1), got {cfg['lambda']}")
@@ -388,7 +388,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     for x in rates:
         inner_sc = replace(sc, discount=1.0 - x)
         res = solve(inner_sc, "no_reveal")
-        strat = sim.PolicyStrategy(res.policy, inner_sc)
+        strat = sim.strategy_policy(res.policy, inner_sc)
         est = sim.random_duration_value_mc(inner_sc, p, x, strat)
         target = interpolate(res.value, p) / x
         err = abs(est.mean - target)
@@ -483,7 +483,7 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
     x = sc.reveal_rate
     if 0.0 < x < 1.0:
         horizon = 1_000_000
-        trace = sim.run_policy(sc, sim.NullStrategy(sc), horizon)
+        trace = sim.run_policy(sc, sim.strategy_null(sc), horizon)
         stats = sim.renewal_stats(trace.reveals)
 
         freq = stats.revelations / horizon
@@ -548,9 +548,9 @@ def cmd_verify(args) -> int:
 def _resolve_strategy(token: str, sc: Scenario) -> tuple[sim.Strategy, bool]:
     """Build the strategy for a CLI token; True means renewal-average scoring."""
     if token == "null":
-        return sim.NullStrategy(sc), False
+        return sim.strategy_null(sc), False
     if token == "full":
-        return sim.FullRevealStrategy(sc), False
+        return sim.strategy_full(sc), False
     if token == "optimal":
         return sim.strategy_optimal(sc), False
     if token in ("sigma_star", "renewal"):
@@ -663,6 +663,9 @@ def main(argv=None) -> int:
     except (PersuasionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

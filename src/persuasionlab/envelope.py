@@ -24,12 +24,18 @@ _DEG_RTOL = 1e-11
 _FACET_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CavResult:
-    """Envelope values on the grid plus one optimal split per grid point."""
+    """Envelope values on the grid plus one optimal split per grid point.
+
+    Row i of the split table holds the atoms (grid indices) and weights of
+    the split at grid point i: positive weights first, then zero-weight
+    padding up to k slots that repeats the point's own index.
+    """
 
     cav: GridFn
-    generator: list
+    atoms: np.ndarray
+    weights: np.ndarray
 
 
 def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -89,13 +95,11 @@ class _Envelope:
         planes = -(self.offsets + charts @ self.normals.T) / self.vert_norm
         return planes.min(axis=1)
 
-    def split(self, chart: np.ndarray, value: float) -> Split:
-        """Optimal grid-supported split at a point strictly below the envelope."""
+    def split(self, chart: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms (grid indices) and weights of an optimal split strictly below the envelope."""
         if self.grid.k <= 2:
-            idx, w = self._split_1d(float(chart[0]))
-        else:
-            idx, w = self._split_facets(chart, value)
-        return Split(self.grid.points[idx].copy(), w)
+            return self._split_1d(float(chart[0]))
+        return self._split_facets(chart, value)
 
     def _split_1d(self, s_q: float) -> tuple[np.ndarray, np.ndarray]:
         """Lex-smallest grid pair whose chord attains the envelope at s_q."""
@@ -159,14 +163,17 @@ def cav_grid(f: GridFn) -> CavResult:
     point with value equal to the envelope.
     """
     env = _Envelope(f)
-    points, cavv = f.grid.points, env.values
-    on = f.values >= cavv - env.slack
-    generator = [
-        Split(points[i : i + 1].copy(), np.array([1.0])) if on[i]
-        else env.split(points[i, : env.dim], cavv[i])
-        for i in range(f.grid.n)
-    ]
-    return CavResult(cav=GridFn(f.grid, cavv), generator=generator)
+    n, k = f.grid.n, f.grid.k
+    cavv = env.values
+    atoms = np.repeat(np.arange(n)[:, None], k, axis=1)
+    weights = np.zeros((n, k))
+    weights[:, 0] = 1.0
+    for i in np.nonzero(f.values < cavv - env.slack)[0]:
+        idx, w = env.split(f.grid.points[i, : env.dim], cavv[i])
+        atoms[i, : idx.size] = idx
+        weights[i] = 0.0
+        weights[i, : w.size] = w
+    return CavResult(cav=GridFn(f.grid, cavv), atoms=atoms, weights=weights)
 
 
 def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
@@ -183,5 +190,7 @@ def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
     value = max(float(env.at(chart[None, :])[0]), fq)
     if fq >= value - env.slack:
         keep = w_cell > 0.0
-        return value, Split(f.grid.points[idx_cell[keep]].copy(), w_cell[keep])
-    return value, env.split(chart, value)
+        idx, w = idx_cell[keep], w_cell[keep]
+    else:
+        idx, w = env.split(chart, value)
+    return value, Split(f.grid.points[idx].copy(), w)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm
 
-from .belief import interpolate, kernel_from_split, validate_belief
+from .belief import BeliefGrid, interpolate, validate_belief
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from .solver import Policy, Scenario, solve
 
@@ -108,155 +108,81 @@ class EstimateResult:
 # strategies
 
 
-@dataclass
-class StageAction:
-    """What a strategy does for one stage.
-
-    belief is the receiver belief the kernel applies at; a disclosure
-    component that rebooted the belief is flagged through aux_code
-    (1 + disclosed state). token keys the engine's expansion cache and must
-    determine (belief, kernel) uniquely.
-    """
-
-    kernel: np.ndarray
-    belief: np.ndarray
-    token: tuple
-    aux_code: int = 0
-
-
+@dataclass(frozen=True, eq=False)
 class Strategy:
-    """Stage rule interface. Implementations may keep renewal-phase state."""
+    """Stationary signal kernels, with the two renewal-phase variations.
 
-    def reset(self, prior: np.ndarray) -> None:
-        pass
+    kernels[i] is the kernel (state x signal) played at grid point i of
+    grid, realized at the exact belief so the posterior process stays a
+    martingale; without a grid kernels[0] is played everywhere. A silent
+    strategy sends one uninformative signal until the first revelation.
+    With aux_prob > 0, on stages where the game did not just reveal, an
+    auxiliary coin discloses the previous state with that chance and the
+    kernel is played at its transition row.
+    """
 
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        raise NotImplementedError
+    kernels: np.ndarray
+    grid: BeliefGrid | None = None
+    silent: bool = False
+    aux_prob: float = 0.0
+
+    def kernel_at(self, belief: np.ndarray) -> np.ndarray:
+        return self.kernels[0 if self.grid is None else self.grid.nearest_index(belief)]
 
 
-class NullStrategy(Strategy):
+def strategy_null(sc: Scenario) -> Strategy:
     """Reveals nothing: a single uninformative signal each stage."""
-
-    def __init__(self, sc: Scenario) -> None:
-        self._kernel = np.ones((sc.chain.k, 1))
-
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        return StageAction(self._kernel, belief, ("null", belief.tobytes()))
+    return Strategy(np.ones((1, sc.chain.k, 1)))
 
 
-class FullRevealStrategy(Strategy):
+def strategy_full(sc: Scenario) -> Strategy:
     """Discloses the current state each stage."""
-
-    def __init__(self, sc: Scenario) -> None:
-        self._kernel = np.eye(sc.chain.k)
-
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        return StageAction(self._kernel, belief, ("full", belief.tobytes()))
+    return Strategy(np.eye(sc.chain.k)[None])
 
 
-class PolicyStrategy(Strategy):
-    """Plays a grid policy at exact beliefs.
+def strategy_policy(policy: Policy, sc: Scenario) -> Strategy:
+    """Plays a grid policy: the split at the grid point nearest to the belief.
 
-    The split at the grid point nearest to the belief is realized as a
-    signal kernel there, and that kernel's Bayes rule is applied at the
-    exact belief, which keeps the posterior process a martingale.
+    Each split is realized as the kernel `kernel_from_split` builds at its
+    grid point, with zero columns up to the scenario's signal count.
     """
-
-    def __init__(self, policy: Policy, sc: Scenario) -> None:
-        self._policy = policy
-        self._grid = policy.grid
-        self._width = sc.signal_count
-        self._kernels: dict[int, np.ndarray] = {}
-        self._nearest: dict[bytes, int] = {}
-
-    def _kernel_at(self, gi: int) -> np.ndarray:
-        kern = self._kernels.get(gi)
-        if kern is None:
-            kern = kernel_from_split(self._grid.points[gi], self._policy[gi], self._width)
-            self._kernels[gi] = kern
-        return kern
-
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        key = belief.tobytes()
-        gi = self._nearest.get(key)
-        if gi is None:
-            gi = self._grid.nearest_index(belief)
-            self._nearest[key] = gi
-        return StageAction(self._kernel_at(gi), belief, ("pol", gi, key))
+    points, atoms, w = policy.grid.points, policy.atoms, policy.weights
+    n, k = atoms.shape
+    p = points[:, :, None]
+    # a zero-probability state draws uniformly over the split's atoms
+    uniform = (w > 0.0) / (w > 0.0).sum(axis=1, keepdims=True)
+    kern = np.repeat(uniform[:, None, :], k, axis=1)
+    np.divide(w[:, None, :] * points[atoms].transpose(0, 2, 1), p, out=kern, where=p > 0.0)
+    kern /= kern.sum(axis=2, keepdims=True)
+    kernels = np.zeros((n, k, sc.signal_count))
+    kernels[:, :, :k] = kern
+    return Strategy(kernels, grid=policy.grid)
 
 
-class RenewalOptimalStrategy(Strategy):
-    """Uninformative until the first revelation, then plays a stationary policy.
-
-    After each revelation the belief reboots to a transition row and the
-    inner policy (optimal for the no-revelation game at discount
-    1 - reveal_rate) is followed until the next revelation.
-    """
-
-    def __init__(self, inner: PolicyStrategy, sc: Scenario) -> None:
-        self._inner = inner
-        self._null = NullStrategy(sc)
-        self._seen = False
-
-    def reset(self, prior: np.ndarray) -> None:
-        self._seen = False
-
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        if prev_revealed:
-            self._seen = True
-        if not self._seen:
-            return self._null.stage(belief, state, prev_revealed, rng)
-        return self._inner.stage(belief, state, prev_revealed, rng)
-
-
-class CoupleDownStrategy(Strategy):
-    """Runs a higher-rate optimal policy inside a lower-rate game.
-
-    On stages where the game did not just reveal, an auxiliary coin
-    discloses the state of the previous stage with probability
-    (target - base)/(1 - base), so the belief seen by the inner policy
-    follows the same law as in the game with the higher revelation rate.
-    The previous state is remembered internally between stage calls.
-    """
-
-    def __init__(self, inner: PolicyStrategy, base_rate: float, target_rate: float, chain) -> None:
-        self._inner = inner
-        self._chain = chain
-        self._aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
-        self._last_state = -1
-
-    def reset(self, prior: np.ndarray) -> None:
-        self._last_state = -1
-
-    def stage(self, belief, state, prev_revealed, rng) -> StageAction:
-        prev = self._last_state
-        self._last_state = state
-        if prev >= 0 and not prev_revealed and self._aux_prob > 0.0 and rng.random() < self._aux_prob:
-            rebooted = self._chain.M[prev].copy()
-            action = self._inner.stage(rebooted, state, True, rng)
-            action.aux_code = 1 + prev
-            return action
-        return self._inner.stage(belief, state, prev_revealed, rng)
-
-
-def strategy_optimal(sc: Scenario) -> PolicyStrategy:
+def strategy_optimal(sc: Scenario) -> Strategy:
     """Optimal stationary strategy of the revelation game at the scenario's rate."""
     mode = "reveal" if sc.reveal_rate > 0.0 else "no_reveal"
-    return PolicyStrategy(solve(sc, mode).policy, sc)
+    return strategy_policy(solve(sc, mode).policy, sc)
 
 
-def strategy_renewal_optimal(sc: Scenario) -> RenewalOptimalStrategy:
-    """Wait for the first revelation, then play optimally between revelations."""
+def strategy_renewal_optimal(sc: Scenario) -> Strategy:
+    """Wait for the first revelation, then play optimally between revelations.
+
+    After each revelation the belief reboots to a transition row and the
+    policy optimal for the no-revelation game at discount 1 - reveal_rate
+    is followed until the next revelation.
+    """
     if not 0.0 < sc.reveal_rate <= 1.0:
         raise RateBoundary(f"renewal strategy needs a rate in (0, 1], got {sc.reveal_rate}")
     inner_sc = replace(sc, discount=1.0 - sc.reveal_rate)
-    inner = PolicyStrategy(solve(inner_sc, "no_reveal").policy, sc)
-    return RenewalOptimalStrategy(inner, sc)
+    return replace(strategy_policy(solve(inner_sc, "no_reveal").policy, sc), silent=True)
 
 
-def strategy_couple_down(policy_y: Policy, base_rate: float, target_rate: float, sc: Scenario) -> CoupleDownStrategy:
+def strategy_couple_down(policy_y: Policy, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
     """Emulate the revelation game at target_rate while running at base_rate.
 
+    The auxiliary coin discloses with chance (target - base)/(1 - base), so
+    the belief the policy sees follows the law of the higher-rate game.
     Requires 0 < base_rate <= target_rate <= 1; equality makes the coupling
     a plain playback of the policy.
     """
@@ -264,17 +190,20 @@ def strategy_couple_down(policy_y: Policy, base_rate: float, target_rate: float,
         raise BadRates(f"rates must lie in (0, 1], got base {base_rate}, target {target_rate}")
     if target_rate < base_rate:
         raise BadRates(f"target rate {target_rate} below base rate {base_rate}")
-    return CoupleDownStrategy(PolicyStrategy(policy_y, sc), base_rate, target_rate, sc.chain)
+    aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
+    return replace(strategy_policy(policy_y, sc), aux_prob=aux_prob)
 
 
 # ---------------------------------------------------------------------------
 # stage engine
 
 
-class _Expansion:
-    __slots__ = ("row_cums", "posteriors", "payoffs", "next_beliefs", "width")
+class _Node:
+    """Bayes work at one reachable belief, with its successors filled on first use."""
 
-    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray) -> None:
+    __slots__ = ("silent", "row_cums", "posteriors", "payoffs", "next_beliefs", "width", "succ")
+
+    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool) -> None:
         k, width = kernel.shape
         alphas = belief @ kernel
         posteriors = np.empty((width, k))
@@ -285,58 +214,86 @@ class _Expansion:
             else:
                 posteriors[s] = belief  # never sampled
             payoffs[s] = interpolate(sc.u, posteriors[s])
+        self.silent = silent
         self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
         self.posteriors = posteriors
         self.payoffs = payoffs
         self.next_beliefs = [np.ascontiguousarray(posteriors[s] @ sc.chain.M) for s in range(width)]
         self.width = width
+        self.succ: list = [None] * width
 
 
 class _Engine:
-    """Runs stage loops for one scenario and strategy, caching Bayes work."""
+    """Runs stage loops for one scenario and strategy over a table of belief nodes.
+
+    Nodes are keyed by (silent, belief bytes). A non-revealing stage follows
+    the node's successor for the drawn signal; a revelation moves to the
+    row node of the revealed state.
+    """
 
     _CACHE_CAP = 200_000
 
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
         self.sc = sc
         self.strat = strat
-        self.cache: dict[tuple, _Expansion] = {}
+        self.nodes: dict[tuple, _Node] = {}
         self.M = sc.chain.M
         self.M_cums = tuple(tuple(np.cumsum(sc.chain.M[ell])) for ell in range(sc.chain.k))
+        self.silent_kernel = np.ones((sc.chain.k, 1))
+        self.rows: list = [None] * sc.chain.k
+
+    def node(self, silent: bool, belief: np.ndarray) -> _Node:
+        key = (silent, belief.tobytes())
+        node = self.nodes.get(key)
+        if node is None:
+            if len(self.nodes) >= self._CACHE_CAP:
+                # drop the successor pointers too, or they keep cleared nodes alive
+                for old in self.nodes.values():
+                    old.succ = [None] * old.width
+                self.nodes.clear()
+                self.rows = [None] * self.sc.chain.k
+            kernel = self.silent_kernel if silent else self.strat.kernel_at(belief)
+            node = self.nodes[key] = _Node(self.sc, belief, kernel, silent)
+        return node
+
+    def row(self, state: int) -> _Node:
+        node = self.rows[state]
+        if node is None:
+            node = self.rows[state] = self.node(False, self.M[state].copy())
+        return node
 
     def run(self, prior: np.ndarray, horizon: int, rate: float, rng, trace_arrays=None) -> np.ndarray:
         """One play; returns the stage payoffs, optionally filling trace arrays."""
-        sc, strat, cache = self.sc, self.strat, self.cache
-        belief = np.ascontiguousarray(validate_belief(prior, sc.chain.k))
-        strat.reset(belief)
+        belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
+        node = self.node(self.strat.silent, belief)
         prior_cum = tuple(np.cumsum(belief))
+        aux_prob = self.strat.aux_prob
         payoffs = np.empty(horizon)
         rand = rng.random
         state = -1
         revealed = False
         for n in range(horizon):
-            r = rand()
-            state = _draw(prior_cum if n == 0 else self.M_cums[state], r)
-            action = strat.stage(belief, state, revealed, rng)
-            exp = cache.get(action.token)
-            if exp is None:
-                if len(cache) >= self._CACHE_CAP:
-                    cache.clear()
-                exp = _Expansion(sc, action.belief, action.kernel)
-                cache[action.token] = exp
-            s = _draw(exp.row_cums[state], rand())
-            payoffs[n] = exp.payoffs[s]
-            z = rand() < rate
+            prev = state
+            state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
+            aux_code = 0
+            if aux_prob > 0.0 and n > 0 and not revealed and rand() < aux_prob:
+                node = self.row(prev)
+                aux_code = 1 + prev
+            s = _draw(node.row_cums[state], rand())
+            payoffs[n] = node.payoffs[s]
+            revealed = rand() < rate
             if trace_arrays is not None:
                 trace_arrays[0][n] = state
-                trace_arrays[1][n] = action.aux_code * exp.width + s
-                trace_arrays[2][n] = z
-                trace_arrays[3][n] = exp.posteriors[s]
-            if z:
-                belief = self.M[state].copy()
+                trace_arrays[1][n] = aux_code * node.width + s
+                trace_arrays[2][n] = revealed
+                trace_arrays[3][n] = node.posteriors[s]
+            if revealed:
+                node = self.row(state)
             else:
-                belief = exp.next_beliefs[s]
-            revealed = z
+                nxt = node.succ[s]
+                if nxt is None:
+                    nxt = node.succ[s] = self.node(node.silent, node.next_beliefs[s])
+                node = nxt
         return payoffs
 
 

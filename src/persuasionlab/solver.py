@@ -78,18 +78,13 @@ class Scenario:
         return self.prior.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """One optimal split per grid point, in grid enumeration order."""
+    """One optimal split per grid point, as the split table of `cav_grid`."""
 
     grid: BeliefGrid
-    splits: list
-
-    def __getitem__(self, i: int) -> Split:
-        return self.splits[i]
-
-    def __len__(self) -> int:
-        return len(self.splits)
+    atoms: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,10 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
             f"residual {diff:.3e} above {thresh:.3e} after {sc.max_sweeps} sweeps"
         )
 
-    generator = cav_grid(GridFn(sc.grid, _target(f, sc, dyn, reveal))).generator
+    splits = cav_grid(GridFn(sc.grid, _target(f, sc, dyn, reveal)))
     return SolverResult(
         value=GridFn(sc.grid, f),
-        policy=Policy(grid=sc.grid, splits=generator),
+        policy=Policy(grid=sc.grid, atoms=splits.atoms, weights=splits.weights),
         iterations=it,
         residual=diff,
         row_values=np.asarray(dyn.rows @ f),

@@ -40,7 +40,7 @@ from persuasionlab import (
     strategy_couple_down,
     strategy_renewal_optimal,
 )
-from persuasionlab.sim import NullStrategy, PolicyStrategy
+from persuasionlab.sim import strategy_null, strategy_policy
 
 PAYOFFS = ("tent", "parabola")
 MID = [0.5, 0.5]
@@ -213,7 +213,7 @@ def test_criterion_08_random_duration_identity(scenario, cache):
     for payoff, rate in itertools.product(PAYOFFS, (0.3, 0.5)):
         sc = scenario(payoff, discount=0.9, reveal_rate=rate)
         inner = cache(payoff, 1.0 - rate, 0.0, "no_reveal")
-        strat = PolicyStrategy(inner.policy, sc)
+        strat = strategy_policy(inner.policy, sc)
         est = random_duration_value_mc(sc, MID, rate, strat, samples=10_000)
         target = interpolate(inner.value, MID) / rate
         err = abs(est.mean - target)
@@ -273,7 +273,7 @@ def test_criterion_10_tail_formulas_and_path_statistics(scenario):
 
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     horizon = 1_000_000
-    trace = run_policy(sc, NullStrategy(sc), horizon)
+    trace = run_policy(sc, strategy_null(sc), horizon)
     stats = renewal_stats(trace.reveals)
     freq_score = abs(stats.revelations / horizon - 0.5) / math.sqrt(0.25 / horizon)
     gap_se = math.sqrt((1.0 - 0.5) / 0.5**2 / stats.kappas.size)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persuasionlab import check_no_info_at_concave_point, cli, solve
+from persuasionlab import check_no_info_at_concave_point, cli, sim, solve
 from persuasionlab.errors import ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -350,3 +350,61 @@ def test_generated_scenarios_validate(tmp_path):
         for file in files:
             cfg = cli.effective_config(json.loads(file.read_text(encoding="utf-8")))
             cli.scenario_from_config(cfg)
+
+
+@pytest.mark.parametrize("flag,value,field", [("--samples", "0", "samples"), ("--seed", "-1", "seed")])
+def test_overrides_are_validated_like_file_fields(tmp_path, capsys, flag, value, field):
+    path = write_doc(tmp_path, tent_doc(resolution=10))
+    code = cli.main(["simulate", "--scenario", path, "--strategy", "null", "--horizon", "5",
+                     flag, value])
+    assert code == cli.EXIT_INPUT
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(sc, table):
+        raise RuntimeError("boom")
+
+    path = write_doc(tmp_path, tent_doc())
+    monkeypatch.setitem(cli._VERIFIERS, "obs1", (broken, ["nothing"]))
+    code = cli.main(["verify", "--scenario", path, "--which", "obs1"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("strategy", ["null", "full", "optimal", "sigma_star", "couple:0.9"])
+def test_simulate_bundled_reruns_are_bit_identical(tmp_path, name, strategy):
+    path = str(ROOT / "scenarios" / f"{name}.json")
+    outs = [tmp_path / f"run{i}.csv" for i in range(2)]
+    for out in outs:
+        code = cli.main(["simulate", "--scenario", path, "--strategy", strategy,
+                         "--samples", "6", "--horizon", "40", "--out", str(out)])
+        assert code == cli.EXIT_PASS
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    meta, _, rows = parse_csv(outs[0])
+    assert len(rows) == int(meta["kept"]) > 0
+
+
+@pytest.mark.parametrize("renewal", [False, True])
+def test_cycle3_replications_replay_in_isolation(renewal):
+    doc = json.loads((ROOT / "scenarios" / "cycle3.json").read_text(encoding="utf-8"))
+    sc = cli.scenario_from_config(cli.effective_config(doc, {"samples": 8}))
+    horizon = 40
+    if renewal:
+        strat = sim.strategy_renewal_optimal(sc)
+        est = sim.estimate_renewal_average(sc, strat, horizon)
+    else:
+        strat = sim.strategy_optimal(sc)
+        est = sim.estimate_discounted(sc, strat, horizon=horizon)
+    weights = (1.0 - sc.discount) * sc.discount ** np.arange(horizon)
+    for i in (0, est.values.size - 1):
+        trace = sim.run_policy(sc, strat, horizon, rep=int(est.rep_ids[i]))
+        if renewal:
+            stats = sim.renewal_stats(trace.reveals)
+            replay = float(trace.stage_payoffs[int(stats.kappas[0]) : stats.last_stage].sum()) / horizon
+        else:
+            replay = weights @ trace.stage_payoffs
+        assert replay == est.values[i]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from persuasionlab import GridFn, cav_grid, cav_split_at, cav_values, make_grid, validate_split
+from persuasionlab import GridFn, Split, cav_grid, cav_split_at, cav_values, make_grid, validate_split
 
 
 def cav_oracle_at(points, values, q):
@@ -109,7 +109,12 @@ def test_generators_reconstruct_envelope(k, resolution):
     f = random_fn(grid, 20 + k)
     res = cav_grid(f)
     assert res.cav.values == pytest.approx(cav_values(f), abs=1e-12)
-    for i, split in enumerate(res.generator):
+    assert res.atoms.shape == res.weights.shape == (grid.n, k)
+    for i in range(grid.n):
+        keep = res.weights[i] > 0.0
+        # positive weights come first, padding after
+        assert not np.any(res.weights[i, : keep.sum()] == 0.0)
+        split = Split(grid.points[res.atoms[i, keep]], res.weights[i, keep])
         assert split.size <= k
         validate_split(grid.points[i], split)
         atoms = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
@@ -119,9 +124,8 @@ def test_generators_reconstruct_envelope(k, resolution):
 
 def test_degenerate_generator_where_touching(tent, grid2):
     res = cav_grid(tent)
-    for i, split in enumerate(res.generator):
-        assert split.size == 1
-        assert split.posteriors[0] == pytest.approx(grid2.points[i], abs=1e-12)
+    assert np.array_equal(res.atoms[:, 0], np.arange(grid2.n))
+    assert np.array_equal(res.weights, np.tile([1.0, 0.0], (grid2.n, 1)))
 
 
 @pytest.mark.parametrize("k,resolution,seed", [(2, 10, 30), (3, 4, 40), (3, 6, 50), (4, 3, 60)])

@@ -1,4 +1,8 @@
+import json
 import math
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,27 +10,29 @@ from scipy.stats import nbinom
 
 from persuasionlab import (
     GridFn,
+    PayoffDiscontinuityWarning,
     Scenario,
+    Split,
+    cli,
     clt_quantile_bound,
     estimate_discounted,
     estimate_renewal_average,
     interpolate,
+    kernel_from_split,
     nb_truncated_mean,
     random_duration_value_mc,
     renewal_stats,
     run_policy,
     solve,
     strategy_couple_down,
+    strategy_full,
+    strategy_null,
     strategy_optimal,
+    strategy_policy,
     strategy_renewal_optimal,
 )
 from persuasionlab.errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from persuasionlab.sim import (
-    FullRevealStrategy,
-    NullStrategy,
-    discount_horizon,
-    replication_rng,
-)
+from persuasionlab.sim import _Engine, discount_horizon, replication_rng
 
 # ---------------------------------------------------------------------------
 # oracles for the closed-form pieces
@@ -163,28 +169,28 @@ def test_replication_streams():
 
 def test_run_policy_is_deterministic(scenario):
     sc = scenario("tent", reveal_rate=0.5)
-    t1 = run_policy(sc, NullStrategy(sc), horizon=50, seed=9, rep=3)
-    t2 = run_policy(sc, NullStrategy(sc), horizon=50, seed=9, rep=3)
+    t1 = run_policy(sc, strategy_null(sc), horizon=50, seed=9, rep=3)
+    t2 = run_policy(sc, strategy_null(sc), horizon=50, seed=9, rep=3)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.signals, t2.signals)
     assert np.array_equal(t1.reveals, t2.reveals)
     assert np.array_equal(t1.posteriors, t2.posteriors)
     assert np.array_equal(t1.stage_payoffs, t2.stage_payoffs)
-    t3 = run_policy(sc, NullStrategy(sc), horizon=50, seed=9, rep=4)
+    t3 = run_policy(sc, strategy_null(sc), horizon=50, seed=9, rep=4)
     assert not np.array_equal(t1.states, t3.states)
 
 
 def test_run_policy_rejects_bad_horizon(scenario):
     sc = scenario("tent")
     with pytest.raises(ValueError):
-        run_policy(sc, NullStrategy(sc), horizon=0)
+        run_policy(sc, strategy_null(sc), horizon=0)
 
 
 def test_null_strategy_trace_recomputes(scenario):
     # with one uninformative signal the whole trace is a deterministic
     # function of the sampled states and coins
     sc = scenario("tent", reveal_rate=0.5)
-    trace = run_policy(sc, NullStrategy(sc), horizon=40, seed=5)
+    trace = run_policy(sc, strategy_null(sc), horizon=40, seed=5)
     belief = np.array([0.5, 0.5])
     for n in range(40):
         assert trace.signals[n] == 0
@@ -198,7 +204,7 @@ def test_null_strategy_trace_recomputes(scenario):
 
 def test_full_reveal_strategy_discloses_state(scenario):
     sc = scenario("tent", reveal_rate=0.0)
-    trace = run_policy(sc, FullRevealStrategy(sc), horizon=40, seed=6)
+    trace = run_policy(sc, strategy_full(sc), horizon=40, seed=6)
     assert np.array_equal(trace.signals, trace.states)
     rows = np.eye(2)[trace.states]
     assert trace.posteriors == pytest.approx(rows, abs=1e-12)
@@ -208,8 +214,8 @@ def test_revelation_coin_alignment(scenario):
     # the coin is consumed at rate zero too, so states match across rates
     sc0 = scenario("tent", reveal_rate=0.0)
     sc1 = scenario("tent", reveal_rate=0.9)
-    t0 = run_policy(sc0, NullStrategy(sc0), horizon=60, seed=12)
-    t1 = run_policy(sc1, NullStrategy(sc1), horizon=60, seed=12)
+    t0 = run_policy(sc0, strategy_null(sc0), horizon=60, seed=12)
+    t1 = run_policy(sc1, strategy_null(sc1), horizon=60, seed=12)
     assert np.array_equal(t0.states, t1.states)
     assert not t0.reveals.any()
     assert t1.reveals.any()
@@ -217,7 +223,7 @@ def test_revelation_coin_alignment(scenario):
 
 def test_state_marginals_follow_the_chain(scenario):
     sc = scenario("tent", reveal_rate=0.5)
-    trace = run_policy(sc, NullStrategy(sc), horizon=200_000, seed=7)
+    trace = run_policy(sc, strategy_null(sc), horizon=200_000, seed=7)
     freq = np.bincount(trace.states, minlength=2) / trace.states.size
     assert abs(freq[0] - 4.0 / 7.0) < 0.005
     # revelation coins are iid at the scenario rate
@@ -249,7 +255,7 @@ def test_renewal_strategy_requires_positive_rate(scenario):
 def test_discounted_constant_payoff_is_exact(chain2, grid2):
     u = GridFn(grid2, np.full(grid2.n, 0.7))
     sc = Scenario(chain=chain2, u=u, discount=0.9, reveal_rate=0.5, seed=1)
-    res = estimate_discounted(sc, NullStrategy(sc), samples=40)
+    res = estimate_discounted(sc, strategy_null(sc), samples=40)
     want = 0.7 * (1.0 - 0.9**res.horizon)
     assert res.mean == pytest.approx(want, abs=1e-12)
     assert res.std_error <= 1e-12
@@ -262,7 +268,7 @@ def test_discounted_constant_payoff_is_exact(chain2, grid2):
 def test_discounted_horizon_guard(scenario):
     sc = scenario("tent")
     with pytest.raises(ValueError):
-        estimate_discounted(sc, NullStrategy(sc), samples=2, horizon=0)
+        estimate_discounted(sc, strategy_null(sc), samples=2, horizon=0)
 
 
 def test_discount_horizon_tail(scenario):
@@ -287,14 +293,14 @@ def test_random_duration_constant_payoff(chain2, grid2):
     # total payoff is 0.5 * W with W geometric, so the mean is 0.5 / rate
     u = GridFn(grid2, np.full(grid2.n, 0.5))
     sc = Scenario(chain=chain2, u=u, discount=0.9, reveal_rate=0.5, seed=2)
-    res = random_duration_value_mc(sc, [0.5, 0.5], 0.5, NullStrategy(sc), samples=4000)
+    res = random_duration_value_mc(sc, [0.5, 0.5], 0.5, strategy_null(sc), samples=4000)
     assert abs(res.mean - 1.0) <= 4.0 * res.std_error
     assert res.std_error > 0.0
 
 
 def test_random_duration_rate_one_is_one_stage(scenario):
     sc = scenario("tent", reveal_rate=0.5)
-    res = random_duration_value_mc(sc, [0.3, 0.7], 1.0, NullStrategy(sc), samples=30)
+    res = random_duration_value_mc(sc, [0.3, 0.7], 1.0, strategy_null(sc), samples=30)
     assert res.mean == pytest.approx(interpolate(sc.u, [0.3, 0.7]), abs=1e-12)
     assert res.std_error <= 1e-12
 
@@ -302,7 +308,7 @@ def test_random_duration_rate_one_is_one_stage(scenario):
 def test_random_duration_rate_guard(scenario):
     sc = scenario("tent")
     with pytest.raises(RateBoundary):
-        random_duration_value_mc(sc, [0.5, 0.5], 0.0, NullStrategy(sc), samples=2)
+        random_duration_value_mc(sc, [0.5, 0.5], 0.0, strategy_null(sc), samples=2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +317,10 @@ def test_random_duration_rate_guard(scenario):
 
 def test_renewal_average_scores_recompute(scenario):
     sc = scenario("tent", reveal_rate=0.5)
-    res = estimate_renewal_average(sc, NullStrategy(sc), horizon=60, samples=25)
+    res = estimate_renewal_average(sc, strategy_null(sc), horizon=60, samples=25)
     assert res.samples + res.rejected == 25
     for i, rep in enumerate(res.rep_ids):
-        trace = run_policy(sc, NullStrategy(sc), horizon=60, rep=int(rep))
+        trace = run_policy(sc, strategy_null(sc), horizon=60, rep=int(rep))
         st = renewal_stats(trace.reveals)
         first = int(st.kappas[0])
         want = float(trace.stage_payoffs[first : st.last_stage].sum()) / 60.0
@@ -324,13 +330,13 @@ def test_renewal_average_scores_recompute(scenario):
 def test_renewal_average_all_rejected(scenario):
     sc = scenario("tent", reveal_rate=1e-9)
     with pytest.raises(AllRejected):
-        estimate_renewal_average(sc, NullStrategy(sc), horizon=3, samples=5)
+        estimate_renewal_average(sc, strategy_null(sc), horizon=3, samples=5)
 
 
 def test_renewal_average_rejection_accounting(scenario):
     # rate makes two revelations in four stages unlikely but not impossible
     sc = scenario("tent", reveal_rate=0.3, seed=0)
-    res = estimate_renewal_average(sc, NullStrategy(sc), horizon=4, samples=200)
+    res = estimate_renewal_average(sc, strategy_null(sc), horizon=4, samples=200)
     assert res.rejected > 0
     assert res.samples + res.rejected == 200
     assert res.rep_ids.size == res.samples
@@ -369,3 +375,44 @@ def test_couple_down_reboot_frequency_and_disclosure(scenario):
     reboot = trace.reveals[:-1] | aux[1:]
     freq = reboot.mean()
     assert abs(freq - 0.7) <= 4.0 * math.sqrt(0.21 / (horizon - 1))
+
+
+# ---------------------------------------------------------------------------
+# policy kernels and the engine's node table
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bundled(name, **overrides):
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PayoffDiscontinuityWarning)
+        return cli.scenario_from_config(cli.effective_config(doc, overrides))
+
+
+@pytest.mark.parametrize("name,extra", [("tent", 0), ("receiver", 0), ("cycle3", 0), ("cycle3", 2)])
+def test_policy_kernels_match_kernel_from_split(name, extra):
+    sc = bundled(name)
+    sc = replace(sc, signal_count=sc.chain.k + extra)
+    policy = solve(sc, "reveal").policy
+    kernels = strategy_policy(policy, sc).kernels
+    points = sc.grid.points
+    assert kernels.shape == (sc.grid.n, sc.chain.k, sc.signal_count)
+    for i in range(sc.grid.n):
+        keep = policy.weights[i] > 0.0
+        split = Split(points[policy.atoms[i, keep]], policy.weights[i, keep])
+        assert np.array_equal(kernels[i], kernel_from_split(points[i], split, sc.signal_count))
+
+
+@pytest.mark.parametrize("name", ["receiver", "cycle3"])
+def test_node_table_cap_leaves_estimates_unchanged(name, monkeypatch):
+    sc = bundled(name, samples=12)
+    strat = strategy_optimal(sc)
+    renewal = strategy_renewal_optimal(sc)
+    want = (estimate_discounted(sc, strat, horizon=60).values,
+            estimate_renewal_average(sc, renewal, horizon=60).values)
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
+    got = (estimate_discounted(sc, strat, horizon=60).values,
+           estimate_renewal_average(sc, renewal, horizon=60).values)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

@@ -4,6 +4,7 @@ import pytest
 from persuasionlab import (
     GridFn,
     Scenario,
+    Split,
     asymptotic_value,
     bellman_no_reveal,
     bellman_reveal,
@@ -167,9 +168,10 @@ def test_row_values_read_off_the_value(scenario):
 def test_policy_splits_are_plausible(scenario):
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    assert len(res.policy) == sc.grid.n
+    assert res.policy.atoms.shape == res.policy.weights.shape == (sc.grid.n, 2)
     for i in range(0, sc.grid.n, 17):
-        split = res.policy[i]
+        keep = res.policy.weights[i] > 0.0
+        split = Split(sc.grid.points[res.policy.atoms[i, keep]], res.policy.weights[i, keep])
         validate_split(sc.grid.points[i], split)
         assert split.size <= 2
 
@@ -178,8 +180,7 @@ def test_tent_optimal_policy_never_splits(scenario):
     # the stage payoff is already concave, so splitting buys nothing
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    for i in range(sc.grid.n):
-        assert res.policy[i].size == 1
+    assert np.all(np.count_nonzero(res.policy.weights, axis=1) == 1)
 
 
 # ---------------------------------------------------------------------------

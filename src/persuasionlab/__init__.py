@@ -14,7 +14,6 @@ from .belief import (
     GridFn,
     Split,
     bayes_posterior,
-    bayes_shift,
     interpolate,
     kernel_from_split,
     make_grid,
@@ -77,7 +76,6 @@ __all__ = [
     "TablePayoff",
     "asymptotic_value",
     "bayes_posterior",
-    "bayes_shift",
     "bellman_no_reveal",
     "bellman_reveal",
     "build_u",

@@ -34,27 +34,21 @@ DEFAULT_MAX_POINTS = 2_000_000
 
 
 def validate_belief(q, k: int | None = None, tol: float = BELIEF_SUM_TOL) -> np.ndarray:
-    """Return q as a float vector after checking it lies on the simplex."""
+    """Return q as floats after checking that it, or each row of an (m, k) batch, is a belief."""
     q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size == 0:
+    if q.ndim not in (1, 2) or q.shape[-1] == 0:
         raise DimensionMismatch(f"belief must be a nonempty vector, got shape {q.shape}")
-    if k is not None and q.size != k:
-        raise DimensionMismatch(f"belief has {q.size} entries, expected {k}")
-    if not np.all(np.isfinite(q)):
+    if k is not None and q.shape[-1] != k:
+        raise DimensionMismatch(f"belief has {q.shape[-1]} entries, expected {k}")
+    if not np.isfinite(q).all():
         raise NotBayesPlausible("belief has non-finite entries")
-    if np.any(q < -tol):
+    if (q < -tol).any():
         raise NotBayesPlausible(f"belief has negative entry {q.min():.3e}")
-    if abs(q.sum() - 1.0) > max(tol, 1e-12 * q.size):
-        raise NotBayesPlausible(f"belief sums to {q.sum():.15g}, not 1")
-    return np.clip(q, 0.0, None)
-
-
-def bayes_shift(q: np.ndarray, chain) -> np.ndarray:
-    """One-step forward drift of a belief under the transition matrix."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != chain.k:
-        raise DimensionMismatch(f"belief length {q.shape[-1]} vs chain size {chain.k}")
-    return q @ chain.M
+    sums = q.sum(axis=-1)
+    off = abs(sums - 1.0) > max(tol, 1e-12 * q.shape[-1])
+    if off.any():
+        raise NotBayesPlausible(f"belief sums to {np.ravel(sums)[np.ravel(off).argmax()]:.15g}, not 1")
+    return np.maximum(q, 0.0)
 
 
 def _compositions(total: int, parts: int):
@@ -75,22 +69,64 @@ class BeliefGrid:
     resolution: int
     points: np.ndarray
     counts: np.ndarray
-    _index: dict = field(repr=False)
+    # _pascal[p, t] = C(t + p - 1, p), the ways to put fewer than t units on p states
+    _pascal: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
         self.counts.setflags(write=False)
+        self._pascal.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
-    def index_of(self, counts) -> int:
-        key = tuple(int(c) for c in counts)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise DimensionMismatch(f"{key} is not a lattice point of this grid") from None
+    def _rank(self, z: np.ndarray) -> np.ndarray:
+        """Enumeration index of lattice points from their cumulative counts z[..., :k-1].
+
+        Counts are enumerated lexicographically, so the points after a given one put more mass
+        on some state i < k-1 and leave fewer than R - z_i units for the k-1-i states after it.
+        """
+        beyond = self._pascal[np.arange(self.k - 1, 0, -1), self.resolution - z]
+        return self.n - 1 - beyond.sum(axis=-1)
+
+    def index_of(self, counts):
+        """Enumeration index of a lattice point given its counts (an int), or of each row of a batch."""
+        c = np.asarray(counts, dtype=float)
+        if (c.shape[-1:] != (self.k,) or np.any(c != np.rint(c)) or np.any(c < 0)
+                or np.any(c.sum(axis=-1) != self.resolution)):
+            raise DimensionMismatch(f"{np.asarray(counts).tolist()} is not a lattice point of this grid")
+        idx = self._rank(np.cumsum(c.astype(np.int64), axis=-1)[..., :-1])
+        return int(idx) if idx.ndim == 0 else idx
+
+    def _cells(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Containing cells of an (m, k) batch of validated beliefs.
+
+        Returns (m, k) grid indices and weights in vertex order, padded like cav_grid's split
+        table (extra slots repeat the last vertex with weight 0), and the mask of real vertices.
+        """
+        m, k, R = q.shape[0], self.k, self.resolution
+        z = np.cumsum(q * R, axis=1)[:, : k - 1]
+        nearest = np.rint(z)
+        snap = np.abs(z - nearest) <= _SNAP
+        base = np.where(snap, nearest, np.floor(z))
+        frac = np.where(snap, 0.0, z - base)
+
+        # Descending fractional part; ties resolved toward the later axis so
+        # every vertex keeps its cumulative coordinates nondecreasing.
+        order = k - 2 - np.argsort(-frac[:, ::-1], axis=1, kind="stable")
+        g = np.take_along_axis(frac, order, axis=1)
+        h = np.concatenate([np.ones((m, 1)), g, np.zeros((m, 1))], axis=1)
+        real = h[:, :-1] > 0.0
+        weights = np.maximum(h[:, :-1] - h[:, 1:], 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
+
+        # vertex t steps up every axis that comes before slot t in the order
+        stepped = (np.argsort(order, axis=1)[:, None, :] < np.arange(k)[:, None]) & (frac[:, None, :] > 0.0)
+        verts = np.clip(base, 0, R).astype(np.int64)[:, None, :] + stepped
+        if (verts[:, :, 1:] < verts[:, :, :-1]).any() or (verts > R).any():
+            raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
+        return self._rank(verts), weights, real
 
     def locate(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Containing cell of a belief: grid indices and convex weights.
@@ -99,66 +135,17 @@ class BeliefGrid:
         vertices back to the query (up to the lattice snapping tolerance).
         """
         q = validate_belief(q, self.k)
-        R = self.resolution
-        if self.k == 1:
-            return np.array([0]), np.array([1.0])
-
-        z = np.cumsum(q * R)[: self.k - 1]
-        base = np.empty(self.k - 1, dtype=np.int64)
-        frac = np.empty(self.k - 1)
-        for j, zj in enumerate(z):
-            nearest = round(zj)
-            if abs(zj - nearest) <= _SNAP:
-                base[j] = int(nearest)
-                frac[j] = 0.0
-            else:
-                base[j] = int(math.floor(zj))
-                frac[j] = zj - base[j]
-        np.clip(base, 0, R, out=base)
-
-        # Descending fractional part; ties resolved toward the later axis so
-        # every vertex keeps its cumulative coordinates nondecreasing.
-        order = [j for j in range(self.k - 1) if frac[j] > 0.0]
-        order.sort(key=lambda j: (-frac[j], -j))
-
-        verts = [base.copy()]
-        for j in order:
-            nxt = verts[-1].copy()
-            nxt[j] += 1
-            verts.append(nxt)
-        gs = [frac[j] for j in order]
-        weights = np.empty(len(verts))
-        weights[0] = 1.0 - (gs[0] if gs else 0.0)
-        for t in range(1, len(verts)):
-            weights[t] = gs[t - 1] - (gs[t] if t < len(gs) else 0.0)
-
-        idx = np.empty(len(verts), dtype=np.int64)
-        for t, zv in enumerate(verts):
-            counts = np.empty(self.k, dtype=np.int64)
-            counts[0] = zv[0]
-            counts[1:-1] = np.diff(zv)
-            counts[-1] = R - zv[-1]
-            if np.any(counts < 0):
-                raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
-            idx[t] = self.index_of(counts)
-
-        weights = np.clip(weights, 0.0, None)
-        weights /= weights.sum()
-        return idx, weights
+        if q.ndim != 1:
+            raise DimensionMismatch(f"belief must be a nonempty vector, got shape {q.shape}")
+        idx, w, real = self._cells(q[None, :])
+        return idx[0, real[0]], w[0, real[0]]
 
     def interp_matrix(self, queries: np.ndarray) -> sparse.csr_matrix:
         """Sparse matrix of interpolation weights, one query per row."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        data, cols, offsets = [], [], [0]
-        for q in queries:
-            idx, w = self.locate(q)
-            cols.extend(idx.tolist())
-            data.extend(w.tolist())
-            offsets.append(len(cols))
-        return sparse.csr_matrix(
-            (np.array(data), np.array(cols), np.array(offsets)),
-            shape=(queries.shape[0], self.n),
-        )
+        queries = validate_belief(np.atleast_2d(queries), self.k)
+        idx, w, real = self._cells(queries)
+        offsets = np.concatenate([[0], np.cumsum(real.sum(axis=1))])
+        return sparse.csr_matrix((w[real], idx[real], offsets), shape=(queries.shape[0], self.n))
 
     def nearest_index(self, q) -> int:
         """Index of the grid point closest to q (squared distance, lowest index on ties)."""
@@ -176,8 +163,11 @@ def make_grid(k: int, resolution: int, max_points: int = DEFAULT_MAX_POINTS) -> 
         raise SizeOverflow(f"grid would hold {n} points, budget is {max_points}")
     counts = np.array(list(_compositions(resolution, k)), dtype=np.int64)
     points = counts / float(resolution)
-    index = {tuple(row): i for i, row in enumerate(counts.tolist())}
-    return BeliefGrid(k=k, resolution=resolution, points=points, counts=counts, _index=index)
+    pascal = np.ones((k, resolution + 1), dtype=np.int64)
+    pascal[0, 0] = 0
+    for p in range(1, k):
+        pascal[p] = np.cumsum(pascal[p - 1])
+    return BeliefGrid(k=k, resolution=resolution, points=points, counts=counts, _pascal=pascal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +186,19 @@ class GridFn:
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
-    def __call__(self, q) -> float:
+    def __call__(self, q) -> float | np.ndarray:
         return interpolate(self, q)
 
 
-def interpolate(f: GridFn, q) -> float:
-    """Piecewise-linear evaluation of a grid function at any belief."""
-    idx, w = f.grid.locate(q)
-    return float(w @ f.values[idx])
+def interpolate(f: GridFn, q) -> float | np.ndarray:
+    """Piecewise-linear evaluation of a grid function at a belief or an (m, k) batch."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        idx, w = f.grid.locate(q)
+        return float(w @ f.values[idx])
+    idx, w, _ = f.grid._cells(validate_belief(q, f.grid.k))
+    # one stacked (1, k) @ (k, 1) product per row sums in the same order as w @ v
+    return np.matmul(w[:, None, :], f.values[idx][:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -241,8 +236,7 @@ def validate_split(p, split: Split, max_atoms: int | None = None) -> None:
         raise BadWeights(f"weights sum to {w.sum():.15g} with min {w.min():.3e}")
     if max_atoms is not None and w.size > max_atoms:
         raise BadWeights(f"split has {w.size} atoms, limit is {max_atoms}")
-    for i in range(w.size):
-        validate_belief(post[i], p.size)
+    validate_belief(post, p.size)
     err = np.max(np.abs(w @ post - p))
     if err > SPLIT_BARYCENTER_TOL:
         raise NotBayesPlausible(f"barycenter misses the prior by {err:.3e}")

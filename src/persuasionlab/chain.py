@@ -91,13 +91,6 @@ def stationary(M: np.ndarray) -> np.ndarray:
     return pi
 
 
-def row(chain: Chain, state: int) -> np.ndarray:
-    """Transition row of a state: the next-stage belief after seeing that state."""
-    if not 0 <= state < chain.k:
-        raise IndexOutOfRange(f"state {state} outside 0..{chain.k - 1}")
-    return chain.M[state].copy()
-
-
 def sample_path(chain: Chain, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
     """Sample n states of the chain.
 

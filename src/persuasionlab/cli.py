@@ -364,14 +364,14 @@ def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
     """Value of the revelation game is non-increasing in the revelation rate."""
     discounts = (0.5, 0.9)
     rates = [round(0.1 * i, 10) for i in range(1, 11)]
-    beliefs = [sc.initial_prior()] + [sc.chain.M[state].copy() for state in range(sc.chain.k)]
+    beliefs = np.vstack([sc.initial_prior(), sc.chain.M])
     table.add_meta("monotone_slack", 1e-3)
     passed = True
     for lam in discounts:
         series = [[] for _ in beliefs]
         for x in rates:
             res = solve(replace(sc, discount=lam, reveal_rate=x), "reveal")
-            row = [interpolate(res.value, p) for p in beliefs]
+            row = interpolate(res.value, beliefs).tolist()
             for vals, v in zip(series, row):
                 vals.append(v)
             table.add_row(lam, x, *row)

@@ -62,10 +62,10 @@ def _receiver_table(model: ReceiverPayoff, grid: BeliefGrid, jump_threshold: flo
 
     span = float(u.max() - u.min()) if u.size else 0.0
     thresh = 0.1 * span if jump_threshold is None else jump_threshold
-    jumps = []
-    for i, j in _adjacent_pairs(grid):
-        if theta[i] != theta[j] and abs(u[i] - u[j]) > thresh:
-            jumps.append((i, j, float(abs(u[i] - u[j]))))
+    i, j = _adjacent_pairs(grid)
+    gap = np.abs(u[i] - u[j])
+    hit = (theta[i] != theta[j]) & (gap > thresh)
+    jumps = list(zip(i[hit].tolist(), j[hit].tolist(), gap[hit].tolist()))
     if jumps:
         head = ", ".join(f"({i},{j}): {d:.4g}" for i, j, d in jumps[:8])
         more = "" if len(jumps) <= 8 else f" and {len(jumps) - 8} more"
@@ -78,24 +78,17 @@ def _receiver_table(model: ReceiverPayoff, grid: BeliefGrid, jump_threshold: flo
     return u
 
 
-def _adjacent_pairs(grid: BeliefGrid):
-    """Grid point pairs that differ by moving one unit of mass between two states."""
-    counts = grid.counts
-    for i in range(grid.n):
-        c = counts[i]
-        for a in range(grid.k):
-            if c[a] == 0:
-                continue
-            for b in range(grid.k):
-                if b == a:
-                    continue
-                moved = c.copy()
-                moved[a] -= 1
-                moved[b] += 1
-                key = tuple(moved.tolist())
-                j = grid._index.get(key)
-                if j is not None and j > i:
-                    yield i, j
+def _adjacent_pairs(grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid point pairs i < j that differ by moving one unit of mass between two states.
+
+    Pairs come in (i, source state, destination state) order.
+    """
+    src, dst = np.nonzero(~np.eye(grid.k, dtype=bool))
+    unit = np.eye(grid.k, dtype=np.int64)
+    i, move = np.nonzero(grid.counts[:, src] > 0)
+    j = grid.index_of(grid.counts[i] + unit[dst[move]] - unit[src[move]])
+    keep = j > i
+    return i[keep], j[keep]
 
 
 def build_u(model: PayoffModel, grid: BeliefGrid, jump_threshold: float | None = None) -> GridFn:

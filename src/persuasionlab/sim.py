@@ -207,17 +207,15 @@ class _Node:
         k, width = kernel.shape
         alphas = belief @ kernel
         posteriors = np.empty((width, k))
-        payoffs = np.empty(width)
         for s in range(width):
             if alphas[s] > 0.0:
                 posteriors[s] = belief * kernel[:, s] / alphas[s]
             else:
                 posteriors[s] = belief  # never sampled
-            payoffs[s] = interpolate(sc.u, posteriors[s])
         self.silent = silent
         self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
         self.posteriors = posteriors
-        self.payoffs = payoffs
+        self.payoffs = interpolate(sc.u, posteriors)
         self.next_beliefs = [np.ascontiguousarray(posteriors[s] @ sc.chain.M) for s in range(width)]
         self.width = width
         self.succ: list = [None] * width
@@ -396,8 +394,10 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     stage payoffs on stages first_revelation+1 .. last_revelation, divided
     by the horizon. Replications with fewer than two revelations by the
     horizon are rejected; their count is reported. Raises AllRejected when
-    nothing survives.
+    nothing survives, and ValueError for a horizon below 2.
     """
+    if horizon < 2:
+        raise ValueError(f"horizon must be at least 2 to see two revelations, got {horizon}")
     samples = sc.samples if samples is None else samples
     seed = sc.seed if seed is None else seed
     engine = _Engine(sc, strat)

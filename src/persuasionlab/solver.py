@@ -53,7 +53,10 @@ class Scenario:
         if self.prior is not None:
             from .belief import validate_belief
 
-            object.__setattr__(self, "prior", validate_belief(self.prior, self.chain.k))
+            prior = validate_belief(self.prior, self.chain.k)
+            if prior.ndim != 1:
+                raise DimensionMismatch(f"prior must be one belief, got shape {prior.shape}")
+            object.__setattr__(self, "prior", prior)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
         if not 0.0 <= self.reveal_rate <= 1.0:

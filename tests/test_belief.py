@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from persuasionlab import (
     GridFn,
     Split,
     bayes_posterior,
-    bayes_shift,
     interpolate,
     kernel_from_split,
     make_grid,
@@ -51,8 +52,13 @@ def test_validate_belief_rejects_bad_sum_negative_and_size():
         validate_belief([0.5, 0.5], k=3)
 
 
-def test_bayes_shift_canonical(chain2):
-    assert bayes_shift(PRIOR, chain2) == pytest.approx([0.55, 0.45], abs=1e-15)
+def test_validate_belief_checks_every_row_of_a_batch():
+    good = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(validate_belief(good, k=2), good)
+    with pytest.raises(NotBayesPlausible):
+        validate_belief(np.array([[0.25, 0.75], [0.5, 0.6], [0.5, 0.5]]))
+    with pytest.raises(NotBayesPlausible):
+        validate_belief(np.array([[0.25, 0.75], [1.2, -0.2]]))
 
 
 def test_grid_sizes():
@@ -69,10 +75,18 @@ def test_grid_counts_and_points_agree():
     assert np.allclose(grid.points, grid.counts / 5.0)
 
 
-def test_index_of_roundtrip():
-    grid = make_grid(3, 6)
+@pytest.mark.parametrize("k, resolution", [(1, 7), (2, 10), (3, 6), (4, 5), (5, 4)])
+def test_index_of_roundtrip(k, resolution):
+    grid = make_grid(k, resolution)
     for i in range(grid.n):
         assert grid.index_of(grid.counts[i]) == i
+    assert np.array_equal(grid.index_of(grid.counts), np.arange(grid.n))
+
+
+@pytest.mark.parametrize("counts", [[4, 0], [4, 1, 0], [3, 0, 0], [5, -1, 0], [4.9, 0, 0], [3.5, 0.5, 0]])
+def test_index_of_rejects_non_lattice_counts(counts):
+    with pytest.raises(DimensionMismatch):
+        make_grid(3, 4).index_of(counts)
 
 
 def test_locate_at_grid_points_is_exact():
@@ -101,10 +115,12 @@ def test_interpolate_affine_exact_2d():
         assert interpolate(f, q) == pytest.approx(q @ a + 0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 @settings(max_examples=150, deadline=None)
-@given(q=beliefs(4))
-def test_locate_weights_reconstruct_query(q):
-    grid = make_grid(4, 6)
+@given(data=st.data())
+def test_locate_weights_reconstruct_query(k, data):
+    q = data.draw(beliefs(k))
+    grid = make_grid(k, 6)
     idx, w = grid.locate(q)
     assert np.all(w >= -1e-12)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-9)
@@ -120,6 +136,46 @@ def test_interp_matrix_rows_are_barycentric():
     ones = np.asarray(mat.sum(axis=1)).ravel()
     assert ones == pytest.approx(np.ones(40), abs=1e-9)
     assert mat @ grid.points[:, 0] == pytest.approx(queries[:, 0], abs=1e-9)
+
+
+def locate_by_loop(grid, q):
+    """Containing cell found one axis and one vertex at a time (reference)."""
+    R, k = grid.resolution, grid.k
+    z = np.cumsum(q * R)[: k - 1]
+    base = [round(zj) if abs(zj - round(zj)) <= 1e-10 else math.floor(zj) for zj in z]
+    frac = [0.0 if abs(zj - round(zj)) <= 1e-10 else zj - bj for zj, bj in zip(z, base)]
+    order = sorted((j for j in range(k - 1) if frac[j] > 0.0), key=lambda j: (-frac[j], -j))
+    gs = [frac[j] for j in order] + [0.0]
+    verts, weights = [list(base)], [1.0 - gs[0]]
+    for t, j in enumerate(order):
+        verts.append(verts[-1].copy())
+        verts[-1][j] += 1
+        weights.append(gs[t] - gs[t + 1])
+    rows = {tuple(c): i for i, c in enumerate(grid.counts.tolist())}
+    idx = [rows[tuple(np.diff([0, *zv, R]).tolist())] for zv in verts]
+    weights = np.clip(weights, 0.0, None)
+    return np.array(idx), weights / weights.sum()
+
+
+@pytest.mark.parametrize("k, resolution", [(1, 5), (2, 12), (3, 7), (4, 5), (5, 4)])
+def test_batched_location_matches_single_beliefs(k, resolution):
+    grid = make_grid(k, resolution)
+    rng = np.random.default_rng(k)
+    a, b = rng.integers(0, grid.n, size=(2, 60))
+    # midpoints of grid pairs put equal fractional parts on several axes
+    queries = np.vstack([rng.dirichlet(np.ones(k), size=60), grid.points,
+                         (grid.points[a] + grid.points[b]) / 2])
+    mat = grid.interp_matrix(queries)
+    for i, q in enumerate(queries):
+        idx, w = grid.locate(q)
+        want_idx, want_w = locate_by_loop(grid, q)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(w, want_w)
+        row = slice(mat.indptr[i], mat.indptr[i + 1])
+        assert np.array_equal(mat.indices[row], idx)
+        assert np.array_equal(mat.data[row], w)
+    f = GridFn(grid, rng.random(grid.n))
+    assert np.array_equal(interpolate(f, queries), [interpolate(f, q) for q in queries])
 
 
 def test_nearest_index():

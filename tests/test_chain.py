@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from persuasionlab import ergodic_frequency_se, sample_path, stationary, validate_chain
-from persuasionlab.errors import IndexOutOfRange, NotIrreducible, NotStochastic
+from persuasionlab.errors import NotIrreducible, NotStochastic
 
 
 def test_stationary_canonical(chain2):
@@ -60,18 +60,6 @@ def test_matrices_are_read_only(chain2):
         chain2.M[0, 0] = 0.0
     with pytest.raises(ValueError):
         chain2.pi[0] = 0.0
-
-
-def test_row_bounds(chain2):
-    from persuasionlab.chain import row
-
-    assert row(chain2, 1) == pytest.approx([0.4, 0.6])
-    for bad in (-1, 2):
-        with pytest.raises(IndexOutOfRange):
-            row(chain2, bad)
-    r = row(chain2, 0)
-    r[0] = 99.0  # a copy, the chain must not see this
-    assert chain2.M[0, 0] == 0.7
 
 
 def test_sample_path_frequencies_match_stationary(chain2):

@@ -335,6 +335,16 @@ def test_simulate_renewal_all_rejected_is_numeric_failure(tmp_path):
     assert code == cli.EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("horizon", ["0", "1", "-5"])
+def test_simulate_renewal_horizon_below_two_is_bad_input(tmp_path, capsys, horizon):
+    path = write_doc(tmp_path, tent_doc(resolution=10))
+    code = cli.main(["simulate", "--scenario", path, "--strategy", "sigma_star",
+                     "--horizon", horizon, "--samples", "3"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "horizon" in err and f"got {horizon}" in err
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--scenario", "x.json"])

@@ -3,6 +3,7 @@ import pytest
 
 from persuasionlab import PayoffDiscontinuityWarning, ReceiverPayoff, TablePayoff, build_u, make_grid
 from persuasionlab.errors import DimensionMismatch, NegativePayoff
+from persuasionlab.payoff import _adjacent_pairs
 
 
 def test_table_copies_values(grid2):
@@ -131,3 +132,26 @@ def test_receiver_k3_uses_full_belief():
 def test_unknown_model_rejected(grid2):
     with pytest.raises(DimensionMismatch):
         build_u(object(), grid2)
+
+
+@pytest.mark.parametrize("k, resolution", [(3, 5), (4, 3)])
+def test_adjacent_pairs_match_brute_force(k, resolution):
+    grid = make_grid(k, resolution)
+    c = grid.counts
+    want = []
+    for i in range(grid.n):
+        for a in range(k):
+            for b in range(k):
+                if a == b:
+                    continue
+                moved = c[i].copy()
+                moved[a] -= 1
+                moved[b] += 1
+                for j in range(i + 1, grid.n):
+                    if np.array_equal(c[j], moved):
+                        assert np.abs(c[i] - c[j]).sum() == 2
+                        want.append((i, j))
+    n_adjacent = sum(np.abs(c[i] - c[j]).sum() == 2 for i in range(grid.n) for j in range(i + 1, grid.n))
+    assert len(want) == n_adjacent
+    i, j = _adjacent_pairs(grid)
+    assert list(zip(i.tolist(), j.tolist())) == want

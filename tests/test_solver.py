@@ -315,6 +315,8 @@ def test_scenario_prior_handling(chain2, tent):
     assert p == pytest.approx([0.25, 0.75])
     p[0] = 0.0
     assert sc2.initial_prior() == pytest.approx([0.25, 0.75])
+    with pytest.raises(DimensionMismatch):
+        Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=[[0.25, 0.75]])
 
 
 def test_three_state_reveal_solve_runs():

@@ -29,7 +29,6 @@ from dataclasses import replace
 
 import numpy as np
 import scipy
-import scipy.stats
 
 from . import __version__
 from .belief import interpolate, make_grid, validate_belief
@@ -433,11 +432,13 @@ def _verify_obs1(sc: Scenario, table: ResultTable) -> bool:
 
 def _nb_conditional_mean_direct(r: int, rate: float, n: int) -> float:
     # independent route: sum the scipy pmf until the tail is exhausted
+    from scipy.stats import nbinom  # imported here: scipy.stats dominates the package import
+
     mean = r * (1.0 - rate) / rate
     sd = math.sqrt(r * (1.0 - rate)) / rate
     hi = int(mean + 40.0 * sd) + n + 50
     ys = np.arange(n + 1, hi + 1)
-    pmf = scipy.stats.nbinom.pmf(ys, r, rate)
+    pmf = nbinom.pmf(ys, r, rate)
     mass = pmf.sum()
     if mass <= 0.0:
         raise DegenerateTail(f"tail mass underflows for r={r}, rate={rate}, n={n}")

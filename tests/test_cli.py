@@ -276,6 +276,25 @@ def test_verify_lemma1_on_bundled_scenarios(tmp_path, name):
             assert row[-1] == check_no_info_at_concave_point(sc, row[: sc.chain.k], solved=solved)
 
 
+SUITES = ["thm1", "thm2", "monotone_x", "disint", "lemma1", "obs1"]
+BUNDLED = ["tent", "parabola", "receiver", "cycle3"]
+
+
+# `facts` checks tail formulas that read only the chain and the rate; it takes
+# several seconds per scenario, so it runs on one k=2 and one k=3 scenario
+@pytest.mark.parametrize("which, name", [(which, name) for which in SUITES for name in BUNDLED]
+                         + [("facts", "tent"), ("facts", "cycle3")])
+@pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
+def test_every_verify_suite_passes_on_bundled_scenarios(tmp_path, which, name):
+    path = ROOT / "scenarios" / f"{name}.json"
+    out = tmp_path / f"{which}.csv"
+    code = cli.main(["verify", "--scenario", str(path), "--which", which, "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    meta, header, rows = parse_csv(out)
+    assert meta["verdict"] == "pass"
+    assert header and rows
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     path = write_doc(tmp_path, tent_doc())
     out = tmp_path / "fail.csv"

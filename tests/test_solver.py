@@ -1,5 +1,12 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from persuasionlab import (
     GridFn,
@@ -10,6 +17,7 @@ from persuasionlab import (
     bellman_reveal,
     cav_values,
     check_no_info_at_concave_point,
+    cli,
     full_reveal_closed_form,
     interpolate,
     make_grid,
@@ -25,6 +33,10 @@ from persuasionlab.errors import (
     NoConvergence,
     PreconditionFailed,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+EPS = float(np.finfo(float).eps)
+CYCLE3_M = [[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6]]
 
 # ---------------------------------------------------------------------------
 # Independent oracle for two states. Beliefs are identified with their first
@@ -150,11 +162,86 @@ def test_bellman_operators_contract(scenario):
             assert out <= sc.discount * gap + 1e-12
 
 
+# The certified stopping rule rests on two properties of both operators:
+# monotonicity and T(f + c) = Tf + discount * c. They hold exactly for the
+# discretized operators; the float ones agree up to rounding, which stays
+# below 6 ulps of the inputs' magnitude on these grids (the k = 3 envelope is
+# read off qhull facet planes). ULPS leaves room above that.
+ULPS = 16.0
+
+_G2, _G3 = make_grid(2, 20), make_grid(3, 6)
+PROPERTY_SCENARIOS = {
+    2: Scenario(chain=validate_chain(np.array([[0.7, 0.3], [0.4, 0.6]])),
+                u=GridFn(_G2, (2.0 * _G2.points[:, 1] - 1.0) ** 2), discount=0.9, reveal_rate=0.5),
+    3: Scenario(chain=validate_chain(np.array(CYCLE3_M)),
+                u=GridFn(_G3, np.abs(_G3.points[:, 1] - 0.5) + 0.25 * _G3.points[:, 0]),
+                discount=0.9, reveal_rate=0.5),
+}
+
+
+@st.composite
+def operator_inputs(draw, sc):
+    """A scenario with drawn discount and rate, and a continuation value in [0, 2]."""
+    sc = replace(sc, discount=draw(st.floats(0.0, 0.999)), reveal_rate=draw(st.floats(0.01, 1.0)))
+    f = draw(arrays(np.float64, sc.grid.n, elements=st.floats(0.0, 2.0)))
+    return sc, f
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("op", [bellman_no_reveal, bellman_reveal])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bellman_operators_are_monotone(k, op, data):
+    sc, f = data.draw(operator_inputs(PROPERTY_SCENARIOS[k]))
+    bump = data.draw(arrays(np.float64, sc.grid.n, elements=st.floats(0.0, 1.0)))
+    g = f + bump
+    tf = op(GridFn(sc.grid, f), sc).values
+    tg = op(GridFn(sc.grid, g), sc).values
+    assert np.all(tf <= tg + ULPS * EPS * max(float(g.max()), 1.0))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("op", [bellman_no_reveal, bellman_reveal])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bellman_operators_shift_constants_by_the_discount(k, op, data):
+    sc, f = data.draw(operator_inputs(PROPERTY_SCENARIOS[k]))
+    c = data.draw(st.floats(-2.0, 2.0))
+    tf = op(GridFn(sc.grid, f), sc).values
+    shifted = op(GridFn(sc.grid, f + c), sc).values
+    scale = max(float(np.abs(f).max()), float(np.abs(f + c).max()), 1.0)
+    assert np.abs(shifted - (tf + sc.discount * c)).max() <= ULPS * EPS * scale
+
+
 def test_solve_is_a_fixed_point(scenario):
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
     again = bellman_reveal(res.value, sc)
     assert again.values == pytest.approx(res.value.values, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
+@pytest.mark.parametrize("discount", [0.9, 0.99, 0.995])
+def test_solve_is_certified_within_tol(name, mode, discount):
+    # recompute the MacQueen-Porteus interval for the fixed point from one
+    # operator application at the returned value: with d = Tv - v and
+    # c = discount / (1 - discount), the fixed point minus v lies pointwise
+    # in [d + c min d, d + c max d]
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    sc = replace(cli.scenario_from_config(cli.effective_config(doc)), discount=discount)
+    res = solve(sc, mode)
+    op = bellman_reveal if mode == "reveal" else bellman_no_reveal
+    v = res.value.values
+    d = op(res.value, sc).values - v
+    c = discount / (1.0 - discount)
+    # rounding of the operator and of forming d, both amplified by 1 + c
+    slack = ULPS * (1.0 + c) * EPS * max(float(np.abs(v).max()), 1.0)
+    for end in (d + c * d.min(), d + c * d.max()):
+        assert np.abs(end).max() <= sc.tol + slack
+    assert res.residual <= sc.tol
+    # the sup-norm rule took about log(1/tol) / (1 - discount) sweeps here
+    assert res.iterations <= 100
 
 
 def test_row_values_read_off_the_value(scenario):

@@ -53,7 +53,8 @@ def build_all() -> dict:
     parabola = (2.0 * q2 - 1.0) ** 2
 
     grid3 = make_grid(3, 40)
-    # state 2 is the one worth persuading toward; kinked so Cav is non-trivial
+    # convex in the belief, so its envelope is the affine 0.75 p0 + 0.5 p1 + 0.5 p2
+    # through the corner values: full disclosure is optimal at every revelation rate
     q = grid3.points
     table3 = np.abs(q[:, 2] - 0.5) + 0.25 * q[:, 0]
 

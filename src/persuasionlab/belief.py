@@ -255,41 +255,54 @@ def split_from_kernel(p, kernel: np.ndarray) -> Split:
     row_err = np.abs(kernel.sum(axis=1) - 1.0)
     if np.any(kernel < -BELIEF_SUM_TOL) or np.any(row_err > 1e-9):
         raise InvalidSplit("kernel rows must be probability vectors")
-    alphas = p @ kernel
+    alphas, posteriors = bayes_update(p, kernel)
     keep = alphas > 0.0
-    alphas = alphas[keep]
-    posteriors = (p[:, None] * kernel[:, keep]).T / alphas[:, None]
-    return Split(posteriors=posteriors, weights=alphas)
+    return Split(posteriors=posteriors[keep], weights=alphas[keep])
 
 
 def kernel_from_split(p, split: Split, n_signals: int | None = None) -> np.ndarray:
     """Signal kernel realizing a split at prior p.
 
-    Row for a zero-probability state is the uniform lottery. When n_signals
-    exceeds the atom count the extra columns are zero.
+    Row for a zero-probability state is uniform over the positive-weight
+    atoms. When n_signals exceeds the atom count the extra columns are zero.
     """
     p = validate_belief(p)
     try:
         validate_split(p, split, max_atoms=n_signals)
     except (BadWeights, NotBayesPlausible, DimensionMismatch) as exc:
         raise InvalidSplit(str(exc)) from exc
-    m = split.size
-    cols = n_signals if n_signals is not None else m
-    kernel = np.zeros((p.size, cols))
-    for ell in range(p.size):
-        if p[ell] > 0.0:
-            kernel[ell, :m] = split.weights * split.posteriors[:, ell] / p[ell]
-        else:
-            kernel[ell, :m] = 1.0 / m
-    # kill rounding drift so downstream row-sum checks stay exact
-    kernel[:, :m] /= kernel[:, :m].sum(axis=1, keepdims=True)
+    kernel = np.zeros((p.size, split.size if n_signals is None else n_signals))
+    kernel[:, : split.size] = kernels_from_splits(p[None], split.posteriors[None], split.weights[None])[0]
     return kernel
+
+
+def kernels_from_splits(p: np.ndarray, posteriors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Signal kernels kernel[i, state, atom] realizing the splits at priors p (n, k).
+
+    posteriors is (n, m, k) and weights (n, m). A zero-probability state draws
+    uniformly over the split's positive-weight atoms; that row never matters.
+    """
+    live = weights > 0.0
+    kernels = np.repeat((live / live.sum(axis=1, keepdims=True))[:, None, :], p.shape[1], axis=1)
+    prior = p[:, :, None]
+    np.divide(weights[:, None, :] * posteriors.transpose(0, 2, 1), prior, out=kernels, where=prior > 0.0)
+    # kill rounding drift so downstream row-sum checks stay exact
+    kernels /= kernels.sum(axis=2, keepdims=True)
+    return kernels
+
+
+def bayes_update(p: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signal probabilities p @ kernel and each signal's posterior (p itself at probability 0)."""
+    p, kernel = np.asarray(p, dtype=float), np.asarray(kernel, dtype=float)
+    alphas = p @ kernel
+    posteriors = np.repeat(p[None, :], kernel.shape[1], axis=0)
+    np.divide((p[:, None] * kernel).T, alphas[:, None], out=posteriors, where=alphas[:, None] > 0.0)
+    return alphas, posteriors
 
 
 def bayes_posterior(p: np.ndarray, kernel: np.ndarray, signal: int) -> tuple[float, np.ndarray]:
     """Probability of a signal under prior p and the posterior it induces."""
-    lik = kernel[:, signal]
-    alpha = float(p @ lik)
-    if alpha <= 0.0:
+    alphas, posteriors = bayes_update(p, kernel)
+    if alphas[signal] <= 0.0:
         raise InvalidSplit(f"signal {signal} has zero probability under the prior")
-    return alpha, (p * lik) / alpha
+    return float(alphas[signal]), posteriors[signal]

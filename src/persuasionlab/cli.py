@@ -49,7 +49,7 @@ from .solver import (
     MODES,
     Scenario,
     asymptotic_value,
-    reveal_stage_target,
+    check_no_info_at_concave_point,
     row_average_value,
     solve,
 )
@@ -406,9 +406,7 @@ def _verify_lemma1(sc: Scenario, table: ResultTable) -> bool:
     eligible = np.nonzero(envelope - u <= 1e-9)[0]
     table.add_meta("eligible_points", int(eligible.size))
     table.add_meta("tolerance", 2.0 * sc.tol)
-    # revealing nothing at grid point i earns g_i; the stage optimum is cav(g)_i
-    g = reveal_stage_target(sc, solve(sc, "reveal"))
-    no_info = (cav_values(g) - g.values)[eligible] <= 2.0 * sc.tol
+    no_info = check_no_info_at_concave_point(sc, sc.grid.points[eligible], solve(sc, "reveal"))
     for i, ok in zip(eligible, no_info):
         table.add_row(*sc.grid.points[i], u[i], envelope[i], int(ok))
     return bool(no_info.all())

@@ -4,7 +4,7 @@ The envelope at p is the largest value achievable by averaging the function
 over a Bayes-plausible lottery on grid points with barycenter p. On the
 two-state simplex this is a one-dimensional upper hull (monotone chain);
 in higher dimension it is read off the upper facets of the lifted point set.
-Both are built once per function by `_Envelope`, which every query reads.
+Each function's `_Envelope` is built once, kept with it, and read by every query.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .belief import GridFn, Split, validate_belief
+from .belief import GridFn, Split, interpolate, validate_belief
 from .errors import SingularSystem
 
 # Relative slack for "this atom already sits on the envelope" decisions.
@@ -81,6 +81,7 @@ class _Envelope:
             self.offsets = eq[up, -1]
             self.simplices = hull.simplices[up]
         self.values = np.maximum(self.at(charts), v)
+        self.values.setflags(write=False)
 
     @cached_property
     def slack(self) -> float:
@@ -150,9 +151,16 @@ class _Envelope:
         return np.asarray(best[1], dtype=np.int64), best[2]
 
 
+def _envelope(f: GridFn) -> _Envelope:
+    """The envelope of f, built on first use and kept with f, whose values are read-only."""
+    if "_envelope" not in vars(f):
+        vars(f)["_envelope"] = _Envelope(f)
+    return vars(f)["_envelope"]
+
+
 def cav_values(f: GridFn) -> np.ndarray:
     """Envelope values at every grid point (fast path, no split extraction)."""
-    return _Envelope(f).values
+    return _envelope(f).values
 
 
 def cav_grid(f: GridFn) -> CavResult:
@@ -162,7 +170,7 @@ def cav_grid(f: GridFn) -> CavResult:
     split atoms are grid points, at most k of them, averaging back to the
     point with value equal to the envelope.
     """
-    env = _Envelope(f)
+    env = _envelope(f)
     n, k = f.grid.n, f.grid.k
     cavv = env.values
     atoms = np.repeat(np.arange(n)[:, None], k, axis=1)
@@ -176,21 +184,30 @@ def cav_grid(f: GridFn) -> CavResult:
     return CavResult(cav=GridFn(f.grid, cavv), atoms=atoms, weights=weights)
 
 
+def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope of f and interpolated f at a belief or each row of an (m, k) batch, as arrays.
+
+    Off the grid the envelope is the larger of the hull or facet reading and
+    the interpolated function.
+    """
+    q = np.atleast_2d(validate_belief(q, f.grid.k))
+    env = _envelope(f)
+    fq = interpolate(f, q)
+    return np.maximum(env.at(q[:, : env.dim]), fq), fq
+
+
 def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
     """Envelope value and an optimal grid-supported split at an arbitrary belief.
 
     When the interpolated function already attains the envelope the split is
     the enclosing-cell lottery (degenerate at q when q is a grid point).
     """
-    env = _Envelope(f)
     q = validate_belief(q, f.grid.k)
-    idx_cell, w_cell = f.grid.locate(q)
-    fq = float(w_cell @ f.values[idx_cell])
-    chart = q[: env.dim]
-    value = max(float(env.at(chart[None, :])[0]), fq)
+    idx, w = f.grid.locate(q)  # also rejects a batch
+    env = _envelope(f)
+    value, fq = (float(a[0]) for a in cav_at(f, q))
     if fq >= value - env.slack:
-        keep = w_cell > 0.0
-        idx, w = idx_cell[keep], w_cell[keep]
+        idx, w = idx[w > 0.0], w[w > 0.0]
     else:
-        idx, w = env.split(chart, value)
+        idx, w = env.split(q[: env.dim], value)
     return value, Split(f.grid.points[idx].copy(), w)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import BeliefGrid, interpolate, validate_belief
+from .belief import BeliefGrid, bayes_update, interpolate, kernels_from_splits, validate_belief
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from .solver import Policy, Scenario, solve
 
@@ -103,6 +103,19 @@ class EstimateResult:
     rep_ids: np.ndarray | None = None
 
 
+def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateResult:
+    """Sample mean and standard error of per-replication values (inf below two values)."""
+    n = values.size
+    return EstimateResult(
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf"),
+        samples=n,
+        values=values,
+        rep_ids=rep_ids,
+        **accounting,
+    )
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -145,16 +158,10 @@ def strategy_policy(policy: Policy, sc: Scenario) -> Strategy:
     Each split is realized as the kernel `kernel_from_split` builds at its
     grid point, with zero columns up to the scenario's signal count.
     """
-    points, atoms, w = policy.grid.points, policy.atoms, policy.weights
+    points, atoms = policy.grid.points, policy.atoms
     n, k = atoms.shape
-    p = points[:, :, None]
-    # a zero-probability state draws uniformly over the split's atoms
-    uniform = (w > 0.0) / (w > 0.0).sum(axis=1, keepdims=True)
-    kern = np.repeat(uniform[:, None, :], k, axis=1)
-    np.divide(w[:, None, :] * points[atoms].transpose(0, 2, 1), p, out=kern, where=p > 0.0)
-    kern /= kern.sum(axis=2, keepdims=True)
     kernels = np.zeros((n, k, sc.signal_count))
-    kernels[:, :, :k] = kern
+    kernels[:, :, :k] = kernels_from_splits(points, points[atoms], policy.weights)
     return Strategy(kernels, grid=policy.grid)
 
 
@@ -204,18 +211,13 @@ class _Node:
 
     def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool) -> None:
         k, width = kernel.shape
-        alphas = belief @ kernel
-        posteriors = np.empty((width, k))
-        for s in range(width):
-            if alphas[s] > 0.0:
-                posteriors[s] = belief * kernel[:, s] / alphas[s]
-            else:
-                posteriors[s] = belief  # never sampled
+        _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
         self.silent = silent
         self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
         self.posteriors = posteriors
         self.payoffs = interpolate(sc.u, posteriors)
-        self.next_beliefs = [np.ascontiguousarray(posteriors[s] @ sc.chain.M) for s in range(width)]
+        # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
+        self.next_beliefs = np.matmul(posteriors[:, None, :], sc.chain.M)[:, 0, :]
         self.width = width
         self.succ: list = [None] * width
 
@@ -346,15 +348,8 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     for i in range(samples):
         rng = replication_rng(seed, i)
         totals[i] = weights @ engine.run(prior, horizon, sc.reveal_rate, rng)
-    return EstimateResult(
-        mean=float(totals.mean()),
-        std_error=float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
-        samples=samples,
-        horizon=horizon,
-        truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
-        values=totals,
-        rep_ids=np.arange(samples),
-    )
+    return _summary(totals, np.arange(samples), horizon=horizon,
+                    truncation=float(lam ** horizon * np.abs(sc.u.values).max()))
 
 
 def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
@@ -376,13 +371,7 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
         rng = replication_rng(seed, i)
         w = int(rng.geometric(rate))
         totals[i] = engine.run(prior, w, 0.0, rng).sum()
-    return EstimateResult(
-        mean=float(totals.mean()),
-        std_error=float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf"),
-        samples=samples,
-        values=totals,
-        rep_ids=np.arange(samples),
-    )
+    return _summary(totals, np.arange(samples))
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
@@ -419,16 +408,8 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
         kept_reps.append(i)
     if not kept:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
-    kept_arr = np.asarray(kept)
-    return EstimateResult(
-        mean=float(kept_arr.mean()),
-        std_error=float(kept_arr.std(ddof=1) / math.sqrt(kept_arr.size)) if kept_arr.size > 1 else float("inf"),
-        samples=int(kept_arr.size),
-        rejected=rejected,
-        horizon=horizon,
-        values=kept_arr,
-        rep_ids=np.asarray(kept_reps, dtype=np.int64),
-    )
+    return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64),
+                    rejected=rejected, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import BeliefGrid, GridFn, interpolate
-from .envelope import cav_grid, cav_split_at, cav_values
+from .belief import BeliefGrid, GridFn, validate_belief
+from .envelope import cav_at, cav_grid, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -53,8 +53,6 @@ class Scenario:
         if self.u.grid.k != self.chain.k:
             raise DimensionMismatch(f"grid over {self.u.grid.k} states, chain has {self.chain.k}")
         if self.prior is not None:
-            from .belief import validate_belief
-
             prior = validate_belief(self.prior, self.chain.k)
             if prior.ndim != 1:
                 raise DimensionMismatch(f"prior must be one belief, got shape {prior.shape}")
@@ -108,33 +106,37 @@ class _Dynamics:
         grid = sc.grid
         self.shift = grid.interp_matrix(grid.points @ sc.chain.M)
         self.rows = grid.interp_matrix(sc.chain.M)
-        self.points = grid.points
+        self.grid = grid
 
 
-def _target(f: np.ndarray, sc: Scenario, dyn: _Dynamics, reveal: bool) -> np.ndarray:
-    """Pre-concavification stage objective given a continuation value."""
-    lam = sc.discount
-    carry = lam * (1.0 - sc.reveal_rate) if reveal else lam
-    return (1.0 - lam) * sc.u.values + carry * (dyn.shift @ f)
+def _target(f: np.ndarray, stage: np.ndarray, lam: float, x: float, shift) -> np.ndarray:
+    """Pre-concavification objective: stage payoff plus the continuation read through shift."""
+    return stage + lam * (1.0 - x) * (shift @ f)
 
 
-def _sweep(f: np.ndarray, sc: Scenario, dyn: _Dynamics, reveal: bool) -> np.ndarray:
-    out = cav_values(GridFn(sc.grid, _target(f, sc, dyn, reveal)))
-    if reveal:
-        out = out + sc.discount * sc.reveal_rate * (dyn.points @ (dyn.rows @ f))
+def _sweep(f: np.ndarray, stage: np.ndarray, lam: float, x: float, dyn: _Dynamics) -> np.ndarray:
+    """One Bellman step: the target's envelope plus, at rate x, the rebooted continuation."""
+    out = cav_values(GridFn(dyn.grid, _target(f, stage, lam, x, dyn.shift)))
+    if x > 0.0:
+        out = out + lam * x * (dyn.grid.points @ (dyn.rows @ f))
     return out
+
+
+def _operator(sc: Scenario, reveal: bool) -> tuple[np.ndarray, float, float]:
+    """Weighted stage payoff, discount and revelation rate of one regime's operator."""
+    if reveal and sc.reveal_rate <= 0.0:
+        raise ValueError("reveal mode needs a positive reveal_rate")
+    return (1.0 - sc.discount) * sc.u.values, sc.discount, sc.reveal_rate if reveal else 0.0
 
 
 def bellman_no_reveal(f: GridFn, sc: Scenario) -> GridFn:
     """One application of the no-revelation operator to a continuation value."""
-    return GridFn(sc.grid, _sweep(f.values, sc, _Dynamics(sc), reveal=False))
+    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, False), _Dynamics(sc)))
 
 
 def bellman_reveal(f: GridFn, sc: Scenario) -> GridFn:
     """One application of the revelation operator to a continuation value."""
-    if sc.reveal_rate <= 0.0:
-        raise ValueError("reveal operator needs a positive reveal_rate")
-    return GridFn(sc.grid, _sweep(f.values, sc, _Dynamics(sc), reveal=True))
+    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, True), _Dynamics(sc)))
 
 
 def solve(sc: Scenario, mode: str) -> SolverResult:
@@ -151,15 +153,12 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    reveal = mode == "reveal"
-    if reveal and sc.reveal_rate <= 0.0:
-        raise ValueError("reveal mode needs a positive reveal_rate")
-
+    stage, lam, x = _operator(sc, mode == "reveal")
     dyn = _Dynamics(sc)
-    c = sc.discount / (1.0 - sc.discount)
+    c = lam / (1.0 - lam)
     f = np.zeros(sc.grid.n)
     for it in range(1, sc.max_sweeps + 1):
-        new = _sweep(f, sc, dyn, reveal)
+        new = _sweep(f, stage, lam, x, dyn)
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         bound = 0.5 * c * (hi - lo)
@@ -174,7 +173,7 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
 
     # the midpoint shift adds a constant to the target (shift rows sum to 1),
     # which leaves the optimal splits unchanged
-    splits = cav_grid(GridFn(sc.grid, _target(f, sc, dyn, reveal)))
+    splits = cav_grid(GridFn(sc.grid, _target(f, stage, lam, x, dyn.shift)))
     return SolverResult(
         value=GridFn(sc.grid, f),
         policy=Policy(grid=sc.grid, atoms=splits.atoms, weights=splits.weights),
@@ -199,7 +198,7 @@ def full_reveal_closed_form(sc: Scenario) -> GridFn:
         xi = np.linalg.solve(np.eye(sc.chain.k) - lam * sc.chain.M, (1.0 - lam) * c)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("row-value system is singular") from exc
-    return GridFn(sc.grid, (1.0 - lam) * cavu + lam * (dyn.points @ xi))
+    return GridFn(sc.grid, (1.0 - lam) * cavu + lam * (sc.grid.points @ xi))
 
 
 def solve_cesaro(sc: Scenario, horizon: int) -> GridFn:
@@ -211,12 +210,10 @@ def solve_cesaro(sc: Scenario, horizon: int) -> GridFn:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     dyn = _Dynamics(sc)
-    x = sc.reveal_rate
     stage = sc.u.values / horizon
     w = np.zeros(sc.grid.n)
     for _ in range(horizon):
-        target = stage + (1.0 - x) * (dyn.shift @ w)
-        w = cav_values(GridFn(sc.grid, target)) + x * (dyn.points @ (dyn.rows @ w))
+        w = _sweep(w, stage, 1.0, sc.reveal_rate, dyn)
     return GridFn(sc.grid, w)
 
 
@@ -240,34 +237,26 @@ def row_average_value(discount: float, sc: Scenario) -> float:
     return float(sc.chain.pi @ res.row_values)
 
 
-def reveal_stage_target(sc: Scenario, solved: SolverResult) -> GridFn:
-    """Reveal-mode one-stage objective at a solved value, before concavification.
-
-    Its envelope is the stage optimum at each belief; its value at a grid
-    point is what revealing nothing earns there.
-    """
-    return GridFn(sc.grid, _target(solved.value.values, sc, _Dynamics(sc), reveal=True))
-
-
-def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None = None) -> bool:
+def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None = None) -> bool | np.ndarray:
     """True when revealing nothing is optimal at a belief where u is concave.
 
-    Precondition: the stage payoff attains its envelope at p (within 1e-9),
-    otherwise PreconditionFailed. The check solves the reveal-mode game
-    (pass a reveal-mode SolverResult to skip that) and asks whether the
-    degenerate split attains the stage optimum within 2 * tol.
+    p is one belief (returns a bool) or an (m, k) batch (returns a bool per
+    row). Precondition: the stage payoff attains its envelope at every
+    belief (within 1e-9), otherwise PreconditionFailed. The check solves the
+    reveal-mode game (pass a reveal-mode SolverResult to skip that) and asks
+    whether the degenerate split attains the stage optimum within 2 * tol.
     """
-    p = np.asarray(p, dtype=float)
-    cav_at_p, _ = cav_split_at(sc.u, p)
-    u_at_p = interpolate(sc.u, p)
-    if abs(u_at_p - cav_at_p) > 1e-9:
-        raise PreconditionFailed(
-            f"stage payoff misses its envelope by {abs(u_at_p - cav_at_p):.3e} at this belief"
-        )
+    q = validate_belief(p, sc.chain.k)
+    batch = np.atleast_2d(q)
+    cav_u, u_at = cav_at(sc.u, batch)
+    miss = np.abs(u_at - cav_u)
+    if (miss > 1e-9).any():
+        raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
     res = solve(sc, "reveal") if solved is None else solved
-    g = reveal_stage_target(sc, res)
-    degenerate = (1.0 - sc.discount) * u_at_p + sc.discount * (1.0 - sc.reveal_rate) * interpolate(
-        res.value, p @ sc.chain.M
-    )
-    best, _ = cav_split_at(g, p)
-    return degenerate >= best - 2.0 * sc.tol
+    stage, lam, x = _operator(sc, True)
+    v = res.value.values
+    # revealing nothing at q earns the target read at q; the stage optimum is its envelope
+    best, _ = cav_at(GridFn(sc.grid, _target(v, stage, lam, x, _Dynamics(sc).shift)), batch)
+    degenerate = _target(v, (1.0 - lam) * u_at, lam, x, sc.grid.interp_matrix(batch @ sc.chain.M))
+    ok = degenerate >= best - 2.0 * sc.tol
+    return bool(ok[0]) if q.ndim == 1 else ok

@@ -16,6 +16,7 @@ from persuasionlab import (
     validate_belief,
     validate_split,
 )
+from persuasionlab.belief import bayes_update
 from persuasionlab.errors import (
     BadWeights,
     DimensionMismatch,
@@ -244,6 +245,28 @@ def test_kernel_from_split_zero_mass_state():
     split = Split(np.array([[1.0, 0.0]]), np.array([1.0]))
     kernel = kernel_from_split(p, split)
     assert kernel.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+def test_kernel_from_split_zero_mass_row_skips_zero_weight_atoms():
+    # the zero-mass row is uniform over the atoms that carry weight
+    p = np.array([0.5, 0.5, 0.0])
+    split = Split(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]), np.array([0.5, 0.5, 0.0]))
+    kernel = kernel_from_split(p, split, n_signals=4)
+    assert np.array_equal(kernel[2], [0.5, 0.5, 0.0, 0.0])
+    assert np.array_equal(kernel[:2], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def test_bayes_update_gives_the_prior_after_a_dead_signal():
+    kernel = np.array([[0.8, 0.2, 0.0], [0.4, 0.6, 0.0]])
+    alphas, posteriors = bayes_update(PRIOR, kernel)
+    assert np.array_equal(alphas, PRIOR @ kernel)
+    assert np.array_equal(posteriors[2], PRIOR)
+    split = split_from_kernel(PRIOR, kernel)
+    assert np.array_equal(split.weights, alphas[:2])
+    assert np.array_equal(split.posteriors, posteriors[:2])
+    for s in range(2):
+        alpha, post = bayes_posterior(PRIOR, kernel, s)
+        assert alpha == alphas[s] and np.array_equal(post, posteriors[s])
 
 
 def test_kernel_from_split_rejects_wrong_barycenter():

@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persuasionlab import check_no_info_at_concave_point, cli, sim, solve
+from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, sim, solve
 from persuasionlab.errors import ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -257,6 +260,19 @@ def test_verify_obs1_passes(tmp_path):
     assert max(r[3] for r in rows) <= 1e-9
 
 
+def no_info_reference(sc, p, solved):
+    """Revealing nothing is optimal at p, checked one belief at a time from two envelope splits."""
+    lam, x = sc.discount, sc.reveal_rate
+    cav_at_p, _ = cav_split_at(sc.u, p)
+    u_at_p = interpolate(sc.u, p)
+    assert abs(u_at_p - cav_at_p) <= 1e-9
+    carried = interpolate(solved.value, sc.grid.points @ sc.chain.M)
+    g = GridFn(sc.grid, (1.0 - lam) * sc.u.values + lam * (1.0 - x) * carried)
+    best, _ = cav_split_at(g, p)
+    degenerate = (1.0 - lam) * u_at_p + lam * (1.0 - x) * interpolate(solved.value, np.asarray(p) @ sc.chain.M)
+    return degenerate >= best - 2.0 * sc.tol
+
+
 @pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3"])
 @pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
 def test_verify_lemma1_on_bundled_scenarios(tmp_path, name):
@@ -268,12 +284,27 @@ def test_verify_lemma1_on_bundled_scenarios(tmp_path, name):
     assert meta["verdict"] == "pass"
     assert header[-3:] == ["stage_payoff", "envelope", "no_info_optimal"]
     assert len(rows) == int(meta["eligible_points"]) > 0
-    if name == "tent":
-        # the per-point library check stays the reference for the table
-        sc = cli.scenario_from_config(cli.effective_config(json.loads(path.read_text(encoding="utf-8"))))
-        solved = solve(sc, "reveal")
-        for row in rows[::10]:
-            assert row[-1] == check_no_info_at_concave_point(sc, row[: sc.chain.k], solved=solved)
+    # a per-point check built from cav_split_at is the reference for the table
+    sc = cli.scenario_from_config(cli.effective_config(json.loads(path.read_text(encoding="utf-8"))))
+    solved = solve(sc, "reveal")
+    for row in rows:
+        assert row[-1] == no_info_reference(sc, row[: sc.chain.k], solved)
+
+
+def test_verify_lemma1_builds_the_payoff_envelope_once(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(envelope._Envelope):
+        def __init__(self, f):
+            built.append(f.values.tobytes())
+            super().__init__(f)
+
+    monkeypatch.setattr(envelope, "_Envelope", Counting)
+    path = ROOT / "scenarios" / "cycle3.json"
+    code = cli.main(["verify", "--scenario", str(path), "--which", "lemma1", "--out", str(tmp_path / "l.csv")])
+    assert code == cli.EXIT_PASS
+    sc = cli.scenario_from_config(cli.effective_config(json.loads(path.read_text(encoding="utf-8"))))
+    assert built.count(sc.u.values.tobytes()) == 1
 
 
 SUITES = ["thm1", "thm2", "monotone_x", "disint", "lemma1", "obs1"]
@@ -415,6 +446,24 @@ def test_simulate_bundled_reruns_are_bit_identical(tmp_path, name, strategy):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     meta, _, rows = parse_csv(outs[0])
     assert len(rows) == int(meta["kept"]) > 0
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 8),
+       mode=st.sampled_from(["no_reveal", "reveal"]),
+       strategy=st.sampled_from(["null", "full", "optimal", "sigma_star", "couple:0.9"]))
+def test_reruns_are_byte_identical_for_any_seed(name, seed, samples, mode, strategy):
+    path = str(ROOT / "scenarios" / f"{name}.json")
+    common = ["--scenario", path, "--seed", str(seed), "--samples", str(samples)]
+    runs = {"solve": ["solve", "--mode", mode], "simulate": ["simulate", "--strategy", strategy]}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, argv in runs.items():
+            outs = [Path(tmp) / f"{command}{i}.csv" for i in range(2)]
+            for out in outs:
+                assert cli.main(argv + common + ["--out", str(out)]) == cli.EXIT_PASS
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+            assert json.loads(parse_csv(outs[0])[0]["effective"])["seed"] == seed
 
 
 @pytest.mark.parametrize("renewal", [False, True])

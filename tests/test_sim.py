@@ -390,6 +390,19 @@ def bundled(name, **overrides):
         return cli.scenario_from_config(cli.effective_config(doc, overrides))
 
 
+def kernel_oracle(p, posteriors, weights, n_signals):
+    """Kernel realizing a split, one state at a time: weight x posterior / prior, rows renormalized."""
+    m = weights.size
+    kernel = np.zeros((p.size, n_signals))
+    for ell in range(p.size):
+        if p[ell] > 0.0:
+            kernel[ell, :m] = weights * posteriors[:, ell] / p[ell]
+        else:
+            kernel[ell, :m] = 1.0 / m
+    kernel[:, :m] /= kernel[:, :m].sum(axis=1, keepdims=True)
+    return kernel
+
+
 @pytest.mark.parametrize("name,extra", [("tent", 0), ("receiver", 0), ("cycle3", 0), ("cycle3", 2)])
 def test_policy_kernels_match_kernel_from_split(name, extra):
     sc = bundled(name)
@@ -401,7 +414,9 @@ def test_policy_kernels_match_kernel_from_split(name, extra):
     for i in range(sc.grid.n):
         keep = policy.weights[i] > 0.0
         split = Split(points[policy.atoms[i, keep]], policy.weights[i, keep])
-        assert np.array_equal(kernels[i], kernel_from_split(points[i], split, sc.signal_count))
+        want = kernel_oracle(points[i], split.posteriors, split.weights, sc.signal_count)
+        assert np.array_equal(kernels[i], want)
+        assert np.array_equal(kernel_from_split(points[i], split, sc.signal_count), want)
 
 
 @pytest.mark.parametrize("name", ["receiver", "cycle3"])

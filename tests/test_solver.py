@@ -27,6 +27,7 @@ from persuasionlab import (
     validate_chain,
     validate_split,
 )
+from persuasionlab.envelope import cav_at
 from persuasionlab.errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -61,21 +62,25 @@ def concave_majorant(xs, ys):
     return np.interp(xs, xs[keep], ys[keep])
 
 
-def oracle_iterate(sc, reveal, sweeps):
-    """Backward induction from zero for k = 2 scenarios."""
+def oracle_sweeps(sc, stage, lam, x, sweeps):
+    """Backward induction from zero for k = 2 scenarios: stage payoff, discount lam, rate x."""
     xs = sc.grid.points[:, 0]
     shifted = (sc.grid.points @ sc.chain.M)[:, 0]
     row_x = sc.chain.M[:, 0]
-    lam = sc.discount
-    x = sc.reveal_rate if reveal else 0.0
     f = np.zeros(sc.grid.n)
     for _ in range(sweeps):
-        target = (1.0 - lam) * sc.u.values + lam * (1.0 - x) * np.interp(shifted, xs, f)
+        target = stage + lam * (1.0 - x) * np.interp(shifted, xs, f)
         new = concave_majorant(xs, target)
-        if reveal:
+        if x > 0.0:
             new = new + lam * x * (sc.grid.points @ np.interp(row_x, xs, f))
         f = new
     return f
+
+
+def oracle_iterate(sc, reveal, sweeps):
+    """The discounted game: stage weight 1 - discount, rate dropped unless reveal."""
+    x = sc.reveal_rate if reveal else 0.0
+    return oracle_sweeps(sc, (1.0 - sc.discount) * sc.u.values, sc.discount, x, sweeps)
 
 
 def test_majorant_helper_is_sound():
@@ -204,6 +209,19 @@ def test_bellman_operators_are_monotone(k, op, data):
 @pytest.mark.parametrize("op", [bellman_no_reveal, bellman_reveal])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+def test_bellman_operators_contract_at_the_discount(k, op, data):
+    sc, f = data.draw(operator_inputs(PROPERTY_SCENARIOS[k]))
+    g = data.draw(arrays(np.float64, sc.grid.n, elements=st.floats(0.0, 2.0)))
+    tf = op(GridFn(sc.grid, f), sc).values
+    tg = op(GridFn(sc.grid, g), sc).values
+    scale = max(float(np.abs(f).max()), float(np.abs(g).max()), 1.0)
+    assert np.abs(tf - tg).max() <= sc.discount * np.abs(f - g).max() + ULPS * EPS * scale
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("op", [bellman_no_reveal, bellman_reveal])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
 def test_bellman_operators_shift_constants_by_the_discount(k, op, data):
     sc, f = data.draw(operator_inputs(PROPERTY_SCENARIOS[k]))
     c = data.draw(st.floats(-2.0, 2.0))
@@ -318,6 +336,15 @@ def test_cesaro_stays_within_payoff_range(scenario):
     assert np.all(w.values >= sc.u.values.min() - 1e-12)
 
 
+@pytest.mark.parametrize("horizon", [1, 7, 50])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_cesaro_matches_backward_induction_oracle(scenario, horizon, rate):
+    # the time average is the undiscounted game with stage payoff u / horizon
+    sc = scenario("tent", reveal_rate=rate)
+    want = oracle_sweeps(sc, sc.u.values / horizon, 1.0, rate, horizon)
+    assert solve_cesaro(sc, horizon).values == pytest.approx(want, abs=1e-12)
+
+
 def test_cesaro_rejects_bad_horizon(scenario):
     with pytest.raises(ValueError):
         solve_cesaro(scenario("tent"), horizon=0)
@@ -354,6 +381,47 @@ def test_no_info_holds_where_k3_payoff_touches_envelope():
     below = np.setdiff1d(np.arange(grid.n), touching)[0]
     with pytest.raises(PreconditionFailed):
         check_no_info_at_concave_point(sc, q[below], solved=res)
+
+
+def k3_touching_scenario(table, resolution=6):
+    """The cycle3 chain with a k = 3 table payoff, and the grid points where it meets its envelope."""
+    grid = make_grid(3, resolution)
+    u = GridFn(grid, table(grid.points))
+    sc = Scenario(chain=validate_chain(np.array(CYCLE3_M)), u=u, discount=0.9, reveal_rate=0.5)
+    return sc, np.nonzero(cav_values(u) - u.values <= 1e-9)[0]
+
+
+def convex3(q):
+    return np.abs(q[:, 2] - 0.5) + 0.25 * q[:, 0]
+
+
+def min_kink3(q):
+    # concave where it touches its envelope, which is not affine
+    return 3.0 * q.min(axis=1) + 0.5 * np.abs(q[:, 0] - q[:, 1])
+
+
+@pytest.mark.parametrize("table", [convex3, min_kink3])
+def test_no_info_batch_matches_single_beliefs(table):
+    sc, touching = k3_touching_scenario(table, resolution=12)
+    res = solve(sc, "reveal")
+    # grid points and, between neighbouring touching points, off-grid beliefs
+    q = sc.grid.points[touching]
+    q = np.vstack([q, 0.5 * (q[:-1] + q[1:])])
+    q = q[np.abs(cav_at(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
+    batch = check_no_info_at_concave_point(sc, q, solved=res)
+    single = [check_no_info_at_concave_point(sc, p, solved=res) for p in q]
+    assert batch.dtype == bool and all(type(s) is bool for s in single)
+    assert np.array_equal(batch, single)
+
+
+def test_no_info_batch_rejects_a_row_off_the_envelope():
+    sc, touching = k3_touching_scenario(convex3)
+    below = np.setdiff1d(np.arange(sc.grid.n), touching)[0]
+    q = sc.grid.points[np.append(touching, below)]
+    res = solve(sc, "reveal")
+    assert check_no_info_at_concave_point(sc, q[:-1], solved=res).all()
+    with pytest.raises(PreconditionFailed):
+        check_no_info_at_concave_point(sc, q, solved=res)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +474,18 @@ def test_scenario_prior_handling(chain2, tent):
         Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=[[0.25, 0.75]])
 
 
-def test_three_state_reveal_solve_runs():
+# The convex table's envelope is affine, so full disclosure is optimal and the
+# value does not depend on the revelation rate: a rate bug in the k = 3 sweep
+# cannot show there. The min-kink table's envelope is not affine.
+@pytest.mark.parametrize("table, rate_matters", [
+    pytest.param(lambda q: np.abs(q[:, 1] - 0.5) + 0.25 * q[:, 0], False, id="convex"),
+    pytest.param(min_kink3, True, id="min-kink"),
+])
+def test_three_state_reveal_solve_runs(table, rate_matters):
     M = np.array([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6]])
     chain = validate_chain(M)
     grid = make_grid(3, 12)
-    u = GridFn(grid, np.abs(grid.points[:, 1] - 0.5) + 0.25 * grid.points[:, 0])
+    u = GridFn(grid, table(grid.points))
     sc = Scenario(chain=chain, u=u, discount=0.9, reveal_rate=0.5, tol=1e-8)
     res = solve(sc, "reveal")
     direct = full_reveal_closed_form(Scenario(chain=chain, u=u, discount=0.9, reveal_rate=1.0))
@@ -418,3 +493,5 @@ def test_three_state_reveal_solve_runs():
     assert full.value.values == pytest.approx(direct.values, abs=1e-7)
     assert np.all(res.value.values >= -1e-12)
     assert np.all(res.value.values <= u.values.max() + 1e-9)
+    gap = np.abs(res.value.values - solve(sc, "no_reveal").value.values).max()
+    assert (gap > 0.1) == rate_matters

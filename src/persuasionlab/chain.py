@@ -91,6 +91,38 @@ def stationary(M: np.ndarray) -> np.ndarray:
     return pi
 
 
+def cum_rows(P: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with each row's last entry set to +inf.
+
+    For a uniform u, (u >= row).sum() is then the first index whose cumulative
+    weight exceeds u, or the last index when rounding leaves the row sum at or
+    below u; it equals searchsorted(row, u, side="right") clipped to the last index.
+    """
+    cum = np.cumsum(P, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
+
+
+def scan_states(cum: np.ndarray, first: int, u: np.ndarray) -> np.ndarray:
+    """Path of len(u) + 1 states from ``first``, state n + 1 drawn from row cum[state n] with u[n].
+
+    cum is a (k, k) table from :func:`cum_rows`. Each uniform fixes a map from
+    the current state to the next; the path is the Hillis-Steele prefix
+    composition of those maps, log2(len(u)) numpy passes over the narrowest
+    unsigned ints that hold a state.
+    """
+    k = cum.shape[0]
+    maps = np.empty((u.size + 1, k), dtype=np.min_scalar_type(k - 1))
+    maps[0] = first
+    np.sum(u[:, None, None] >= cum, axis=2, out=maps[1:])
+    # after the pass with step d, row n composes maps[n - 2d + 1 .. n]
+    d = 1
+    while d < maps.shape[0]:
+        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+        d *= 2
+    return maps[:, 0].astype(np.int64)
+
+
 def sample_path(chain: Chain, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
     """Sample n states of the chain.
 
@@ -98,26 +130,20 @@ def sample_path(chain: Chain, n: int, rng: np.random.Generator, start=None) -> n
     the stationary law. One uniform draw is consumed per state, the first one
     for the initial state.
     """
-    cum = np.cumsum(chain.M, axis=1)
-    out = np.empty(n, dtype=np.int64)
     if n == 0:
-        return out
+        return np.empty(0, dtype=np.int64)
     if start is None:
         init = np.cumsum(chain.pi)
-        out[0] = int(np.searchsorted(init, rng.random(), side="right"))
+        first = int(np.searchsorted(init, rng.random(), side="right"))
     elif np.ndim(start) == 0:
-        s = int(start)
-        if not 0 <= s < chain.k:
-            raise IndexOutOfRange(f"start state {s} outside 0..{chain.k - 1}")
+        first = int(start)
+        if not 0 <= first < chain.k:
+            raise IndexOutOfRange(f"start state {first} outside 0..{chain.k - 1}")
         rng.random()  # keep the per-stage draw count independent of start type
-        out[0] = s
     else:
         init = np.cumsum(np.asarray(start, dtype=float))
-        out[0] = int(np.searchsorted(init, rng.random() * init[-1], side="right"))
-    out[0] = min(out[0], chain.k - 1)
-    for i in range(1, n):
-        out[i] = min(int(np.searchsorted(cum[out[i - 1]], rng.random(), side="right")), chain.k - 1)
-    return out
+        first = int(np.searchsorted(init, rng.random() * init[-1], side="right"))
+    return scan_states(cum_rows(chain.M), min(first, chain.k - 1), rng.random(n - 1))
 
 
 def ergodic_frequency_se(chain: Chain, n: int) -> np.ndarray:

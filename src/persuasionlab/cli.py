@@ -482,8 +482,8 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
     x = sc.reveal_rate
     if 0.0 < x < 1.0:
         horizon = 1_000_000
-        trace = sim.run_policy(sc, sim.strategy_null(sc), horizon)
-        stats = sim.renewal_stats(trace.reveals)
+        states, reveals = sim.state_reveal_path(sc, horizon)
+        stats = sim.renewal_stats(reveals)
 
         freq = stats.revelations / horizon
         se = math.sqrt(x * (1.0 - x) / horizon)
@@ -497,7 +497,7 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
         table.add_row(3, 1, int(score > 3.0), score, 3.0)
         passed &= score <= 3.0
 
-        counts = np.bincount(trace.states, minlength=sc.chain.k)
+        counts = np.bincount(states, minlength=sc.chain.k)
         ses = ergodic_frequency_se(sc.chain, horizon)
         scores = np.abs(counts / horizon - sc.chain.pi) / ses
         table.add_row(4, sc.chain.k, int(np.sum(scores > 3.0)), float(scores.max()), 3.0)

@@ -5,9 +5,14 @@ from numpy's default generator seeded with SeedSequence(s, spawn_key=(i,)).
 Within a stage the stream is consumed in a fixed order: state transition,
 then any strategy-internal draw, then the signal, then the revelation coin.
 The revelation coin is consumed even when the rate is zero so that traces
-with different rates stay aligned. Aggregation uses numpy's pairwise
-summation over the replication axis, so results are bit-stable and do not
-depend on how work would be scheduled.
+with different rates stay aligned.
+
+Estimators step a chunk of replications ("lanes") in lock-step with numpy
+over a table of belief nodes, each lane reading its own stream; run_policy
+is the one-lane case of the same loop. A replication's value depends only
+on its own stream, never on the chunk it falls in, so run_policy(rep=i)
+replays it bit for bit. Aggregation uses numpy's pairwise summation over
+the replication axis.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import BeliefGrid, bayes_update, interpolate, kernels_from_splits, validate_belief
+from .chain import cum_rows, scan_states
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from .solver import Policy, Scenario, solve
 
@@ -28,14 +34,6 @@ from .solver import Policy, Scenario, solve
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent stream for one replication, derived from the master seed."""
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(rep),)))
-
-
-def _draw(cum, r: float) -> int:
-    """Index of the first cumulative weight above r (linear scan, tiny alphabets)."""
-    for j, c in enumerate(cum):
-        if r < c:
-            return j
-    return len(cum) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +48,8 @@ class SimTrace:
     stage signal and before any revelation. stage_payoffs[n] is the payoff
     table interpolated there. signals[n] encodes an extended alphabet as
     aux_code * width + s when a strategy prepends a disclosure component
-    (aux_code = 1 + disclosed state, 0 otherwise).
+    (aux_code = 1 + disclosed state, 0 otherwise). The engine returns the
+    same fields with one row per lane.
     """
 
     states: np.ndarray
@@ -90,7 +89,8 @@ class EstimateResult:
 
     values holds the per-replication draws behind the mean and rep_ids the
     replication index each came from (estimators that reject replications
-    keep only the accepted ones).
+    keep only the accepted ones). nodes is the engine's final node-table
+    size and cache_clears the number of times the table hit its cap.
     """
 
     mean: float
@@ -101,6 +101,8 @@ class EstimateResult:
     truncation: float = 0.0
     values: np.ndarray | None = None
     rep_ids: np.ndarray | None = None
+    nodes: int = 0
+    cache_clears: int = 0
 
 
 def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateResult:
@@ -203,31 +205,21 @@ def strategy_couple_down(policy_y: Policy, base_rate: float, target_rate: float,
 # ---------------------------------------------------------------------------
 # stage engine
 
-
-class _Node:
-    """Bayes work at one reachable belief, with its successors filled on first use."""
-
-    __slots__ = ("silent", "row_cums", "posteriors", "payoffs", "next_beliefs", "width", "succ")
-
-    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool) -> None:
-        k, width = kernel.shape
-        _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
-        self.silent = silent
-        self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
-        self.posteriors = posteriors
-        self.payoffs = interpolate(sc.u, posteriors)
-        # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
-        self.next_beliefs = np.matmul(posteriors[:, None, :], sc.chain.M)[:, 0, :]
-        self.width = width
-        self.succ: list = [None] * width
+# Uniforms one chunk of lanes holds at once (8 MiB); longer plays draw stage blocks in turn.
+_CHUNK_DRAWS = 1 << 20
 
 
 class _Engine:
-    """Runs stage loops for one scenario and strategy over a table of belief nodes.
+    """Steps replications ("lanes") in lock-step over a table of belief nodes.
 
-    Nodes are keyed by (silent, belief bytes). A non-revealing stage follows
-    the node's successor for the drawn signal; a revelation moves to the
-    row node of the revealed state.
+    A node is a reachable (silent, belief) pair with its Bayes work done:
+    the cumulative kernel row of each state (padded with +inf to the signal
+    count) and, per signal, the stage payoff, the posterior and the next
+    stage's belief. Nodes are appended when first reached. A non-revealing
+    stage follows the successor of (node, signal), filled once; a revelation
+    moves to the row node of the revealed state. Past the cap the table is
+    cleared between stages and the lanes' current nodes are built again,
+    which yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -235,65 +227,205 @@ class _Engine:
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
         self.sc = sc
         self.strat = strat
-        self.nodes: dict[tuple, _Node] = {}
-        self.M = sc.chain.M
-        self.M_cums = tuple(tuple(np.cumsum(sc.chain.M[ell])) for ell in range(sc.chain.k))
+        self.width = strat.kernels.shape[2]
+        self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
+        self.M_cum = cum_rows(sc.chain.M)
         self.silent_kernel = np.ones((sc.chain.k, 1))
-        self.rows: list = [None] * sc.chain.k
+        self.clears = 0
+        self._reset()
 
-    def node(self, silent: bool, belief: np.ndarray) -> _Node:
-        key = (silent, belief.tobytes())
-        node = self.nodes.get(key)
-        if node is None:
-            if len(self.nodes) >= self._CACHE_CAP:
-                # drop the successor pointers too, or they keep cleared nodes alive
-                for old in self.nodes.values():
-                    old.succ = [None] * old.width
-                self.nodes.clear()
-                self.rows = [None] * self.sc.chain.k
-            kernel = self.silent_kernel if silent else self.strat.kernel_at(belief)
-            node = self.nodes[key] = _Node(self.sc, belief, kernel, silent)
-        return node
+    def _reset(self) -> None:
+        self.index: dict[tuple, int] = {}
+        self.size = 0
+        self.rows = np.full(self.sc.chain.k, -1, dtype=np.int64)
+        self._allocate(64)
 
-    def row(self, state: int) -> _Node:
-        node = self.rows[state]
-        if node is None:
-            node = self.rows[state] = self.node(False, self.M[state].copy())
-        return node
+    def _allocate(self, capacity: int) -> None:
+        """Node arrays for `capacity` nodes, keeping the first `size` rows."""
+        k, w, size = self.sc.chain.k, self.width, self.size
+        for name, shape, fill, dtype in (("cum", (k, w), np.inf, float), ("pay", (w,), 0.0, float),
+                                         ("post", (w, k), 0.0, float), ("next_belief", (w, k), 0.0, float),
+                                         ("succ", (w,), -1, np.int64), ("silent", (), False, bool),
+                                         ("belief", (k,), 0.0, float)):
+            table = np.full((capacity, *shape), fill, dtype=dtype)
+            if size:
+                table[:size] = getattr(self, name)[:size]
+            setattr(self, name, table)
 
-    def run(self, prior: np.ndarray, horizon: int, rate: float, rng, trace_arrays=None) -> np.ndarray:
-        """One play; returns the stage payoffs, optionally filling trace arrays."""
+    def _intern(self, silent: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+        """Node ids of (silent, belief) pairs, building the nodes not yet in the table."""
+        ids = np.empty(len(beliefs), dtype=np.int64)
+        fresh = []
+        for j, flag in enumerate(silent.tolist()):
+            key = (flag, beliefs[j].tobytes())
+            i = self.index.get(key)
+            if i is None:
+                i = self.index[key] = self.size + len(fresh)
+                fresh.append(j)
+            ids[j] = i
+        if fresh:
+            self._build(silent[fresh], beliefs[fresh])
+        return ids
+
+    def _build(self, silent: np.ndarray, beliefs: np.ndarray) -> None:
+        start, stop = self.size, self.size + len(beliefs)
+        if stop > len(self.silent):
+            self._allocate(max(stop, 2 * len(self.silent)))
+        posts = []
+        for i, (flag, belief) in enumerate(zip(silent.tolist(), beliefs), start):
+            kernel = self.silent_kernel if flag else self.strat.kernel_at(belief)
+            _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
+            self.cum[i, :, : kernel.shape[1]] = cum_rows(kernel)
+            posts.append(posteriors)
+        # every signal of every new node in one call; rows sum as they do one node at a time
+        widths = [len(p) for p in posts]
+        slot = (np.repeat(np.arange(start, stop), widths), np.concatenate([np.arange(w) for w in widths]))
+        posteriors = np.concatenate(posts)
+        self.post[slot] = posteriors
+        self.pay[slot] = interpolate(self.sc.u, posteriors)
+        # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
+        self.next_belief[slot] = np.matmul(posteriors[:, None, :], self.sc.chain.M)[:, 0, :]
+        self.silent[start:stop] = silent
+        self.belief[start:stop] = beliefs
+        self.size = stop
+
+    def _rows(self, states: np.ndarray) -> np.ndarray:
+        """Row nodes of revealed states, building the missing ones."""
+        missing = np.unique(states[self.rows[states] < 0])
+        if missing.size:
+            self.rows[missing] = self._intern(np.zeros(missing.size, dtype=bool), self.sc.chain.M[missing])
+        return self.rows[states]
+
+    def _next(self, nodes: np.ndarray, signals: np.ndarray, states: np.ndarray,
+              revealed: np.ndarray) -> np.ndarray:
+        """Fill the missing next nodes: row nodes where revealed, else successors, each pair once."""
+        ids = np.empty(nodes.size, dtype=np.int64)
+        ids[revealed] = self._rows(states[revealed])
+        stay = ~revealed
+        pairs, inverse = np.unique(nodes[stay] * self.width + signals[stay], return_inverse=True)
+        nodes, signals = np.divmod(pairs, self.width)
+        fresh = self._intern(self.silent[nodes], self.next_belief[nodes, signals])
+        self.succ[nodes, signals] = fresh
+        ids[stay] = fresh[inverse]
+        return ids
+
+    def play(self, prior: np.ndarray, rate: float, rngs: list, horizons: list,
+             trace: bool = False) -> SimTrace:
+        """Play lane j for horizons[j] stages on generator rngs[j].
+
+        Returns one row per lane, padded to the longest horizon: stage
+        payoffs and revelation coins, plus states, signals and posteriors
+        when trace is set (None otherwise).
+        """
         belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
-        node = self.node(self.strat.silent, belief)
-        prior_cum = tuple(np.cumsum(belief))
-        aux_prob = self.strat.aux_prob
-        payoffs = np.empty(horizon)
-        rand = rng.random
-        state = -1
-        revealed = False
-        for n in range(horizon):
-            prev = state
-            state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
-            aux_code = 0
-            if aux_prob > 0.0 and n > 0 and not revealed and rand() < aux_prob:
-                node = self.row(prev)
-                aux_code = 1 + prev
-            s = _draw(node.row_cums[state], rand())
-            payoffs[n] = node.payoffs[s]
-            revealed = rand() < rate
-            if trace_arrays is not None:
-                trace_arrays[0][n] = state
-                trace_arrays[1][n] = aux_code * node.width + s
-                trace_arrays[2][n] = revealed
-                trace_arrays[3][n] = node.posteriors[s]
-            if revealed:
-                node = self.row(state)
-            else:
-                nxt = node.succ[s]
-                if nxt is None:
-                    nxt = node.succ[s] = self.node(node.silent, node.next_beliefs[s])
-                node = nxt
-        return payoffs
+        prior_cum = cum_rows(belief)
+        aux_prob, width, per_stage = self.strat.aux_prob, self.width, self.draws_per_stage
+        # lanes in order of decreasing horizon, so the lanes still playing are a prefix
+        order = np.argsort(-np.asarray(horizons), kind="stable")
+        hs = np.asarray(horizons, dtype=np.int64)[order]
+        lanes, last = len(hs), int(hs[0])
+        rngs = [rngs[j] for j in order]
+        active = np.searchsorted(-hs, -np.arange(last), side="left").tolist()
+
+        payoffs = np.empty((lanes, last))
+        reveals = np.zeros((lanes, last), dtype=bool)
+        states_out = signals_out = post_out = None
+        if trace:
+            states_out = np.empty((lanes, last), dtype=np.int64)
+            signals_out = np.empty((lanes, last), dtype=np.int64)
+            post_out = np.empty((lanes, last, self.sc.chain.k))
+
+        node = np.full(lanes, self._intern(np.array([self.strat.silent]), belief[None])[0])
+        state = np.zeros(lanes, dtype=np.int64)
+        u = np.empty(0)
+        pos = np.zeros(lanes, dtype=np.int64)  # next unread uniform of each lane in u
+        end = np.zeros(lanes, dtype=np.int64)
+        block = max(1, _CHUNK_DRAWS // (per_stage * lanes))
+        for n0 in range(0, last, block):
+            n1 = min(n0 + block, last)
+            u, pos, end = _refill(u, pos, end, rngs, per_stage * (np.minimum(hs, n1) - n0).clip(0))
+            for n in range(n0, n1):
+                a = active[n]
+                if self.size >= self._CACHE_CAP:
+                    live = node[:a]
+                    silent, beliefs = self.silent[live], self.belief[live]
+                    self._reset()
+                    self.clears += 1
+                    node[:a] = self._intern(silent, beliefs)
+                p, nd, prev = pos[:a], node[:a], state[:a]
+                # first cumulative weight above the uniform; every row ends in +inf
+                st = (u[p][:, None] < (prior_cum if n == 0 else self.M_cum[prev])).argmax(axis=1)
+                p += 1
+                code = 0
+                if aux_prob > 0.0 and n > 0:
+                    coin = ~reveals[:a, n - 1]
+                    hit = coin & (u[p] < aux_prob)
+                    p += coin
+                    if hit.any():
+                        nd[hit] = self._rows(prev[hit])
+                        code = np.where(hit, prev + 1, 0)
+                state[:a] = st
+                s = (u[p][:, None] < self.cum[nd, st]).argmax(axis=1)
+                rev = u[p + 1] < rate
+                p += 2
+                payoffs[:a, n] = self.pay[nd, s]
+                reveals[:a, n] = rev
+                if trace:
+                    states_out[:a, n] = st
+                    signals_out[:a, n] = code * width + s
+                    post_out[:a, n] = self.post[nd, s]
+                if n + 1 < last:
+                    nxt = np.where(rev, self.rows[st], self.succ[nd, s])
+                    missing = nxt < 0
+                    if missing.any():
+                        nxt[missing] = self._next(nd[missing], s[missing], st[missing], rev[missing])
+                    node[:a] = nxt
+
+        back = np.argsort(order)
+        return SimTrace(*(None if arr is None else arr[back]
+                          for arr in (states_out, signals_out, reveals, post_out, payoffs)))
+
+
+def _refill(u: np.ndarray, pos: np.ndarray, end: np.ndarray, rngs: list, need: np.ndarray):
+    """Next block of uniforms: each lane keeps its unread ones and draws need[j] more.
+
+    Lane j's uniforms sit contiguously in the returned array from pos[j] to
+    end[j]; a later draw continues the lane's stream where the last one ended.
+    """
+    kept = end - pos
+    sizes = kept + need
+    end_new = np.cumsum(sizes)
+    pos_new = end_new - sizes
+    fresh = np.empty(int(end_new[-1]))
+    for j, rng in enumerate(rngs):
+        lo = pos_new[j] + kept[j]
+        fresh[pos_new[j] : lo] = u[pos[j] : end[j]]
+        if need[j]:
+            rng.random(out=fresh[lo : end_new[j]])
+    return fresh, pos_new, end_new
+
+
+def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizon: int | None = None,
+            duration_rate: float | None = None):
+    """Play replications 0 .. samples-1 in chunks of lanes; yields (reps, horizons, plays).
+
+    Replication i plays `horizon` stages or, with duration_rate, a geometric
+    number drawn first from its own stream. A chunk grows while its lanes
+    times its longest horizon times the draws per stage stays within
+    _CHUNK_DRAWS, and always holds at least one lane.
+    """
+    rngs, hs, longest = [], [], 0
+    for i in range(samples):
+        rng = replication_rng(seed, i)
+        h = horizon if duration_rate is None else int(rng.geometric(duration_rate))
+        if rngs and (len(rngs) + 1) * max(longest, h) * engine.draws_per_stage > _CHUNK_DRAWS:
+            yield range(i - len(rngs), i), hs, engine.play(prior, rate, rngs, hs)
+            rngs, hs, longest = [], [], 0
+        rngs.append(rng)
+        hs.append(h)
+        longest = max(longest, h)
+    if rngs:
+        yield range(samples - len(rngs), samples), hs, engine.play(prior, rate, rngs, hs)
 
 
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
@@ -301,20 +433,31 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     """Simulate one play of the scenario under a strategy.
 
     Consumes the stream of replication ``rep`` (default 0) of the given
-    master seed (default: the scenario seed).
+    master seed (default: the scenario seed). This is the one-lane case of
+    the engine the estimators run.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = replication_rng(sc.seed if seed is None else seed, rep)
-    states = np.empty(horizon, dtype=np.int64)
-    signals = np.empty(horizon, dtype=np.int64)
-    reveals = np.zeros(horizon, dtype=bool)
-    posteriors = np.empty((horizon, sc.chain.k))
-    engine = _Engine(sc, strat)
-    payoffs = engine.run(sc.initial_prior(), horizon, sc.reveal_rate, rng,
-                         trace_arrays=(states, signals, reveals, posteriors))
-    return SimTrace(states=states, signals=signals, reveals=reveals,
-                    posteriors=posteriors, stage_payoffs=payoffs)
+    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, [rng], [horizon], trace=True)
+    return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
+                    posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
+
+
+def state_reveal_path(sc: Scenario, horizon: int, seed: int | None = None,
+                      rep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """States and revelation coins of one play, by a prefix scan instead of the stage loop.
+
+    Reads replication ``rep``'s stream in the stage layout of a strategy
+    without an auxiliary coin: stage n's state from u[3n] and its revelation
+    from u[3n + 2] < rate. Equals run_policy's states and reveals under such
+    a strategy, bit for bit.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    u = replication_rng(sc.seed if seed is None else seed, rep).random(3 * horizon)
+    first = int((u[0] >= cum_rows(validate_belief(sc.initial_prior(), sc.chain.k))).sum())
+    return scan_states(cum_rows(sc.chain.M), first, u[3::3]), u[2::3] < sc.reveal_rate
 
 
 def discount_horizon(sc: Scenario, tail: float = 1e-6) -> int:
@@ -343,13 +486,13 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    prior = sc.initial_prior()
     totals = np.empty(samples)
-    for i in range(samples):
-        rng = replication_rng(seed, i)
-        totals[i] = weights @ engine.run(prior, horizon, sc.reveal_rate, rng)
+    for reps, _, plays in _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon):
+        for i, payoffs in zip(reps, plays.stage_payoffs):
+            totals[i] = weights @ payoffs
     return _summary(totals, np.arange(samples), horizon=horizon,
-                    truncation=float(lam ** horizon * np.abs(sc.u.values).max()))
+                    truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
+                    nodes=engine.size, cache_clears=engine.clears)
 
 
 def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
@@ -367,11 +510,10 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
     prior = validate_belief(p, sc.chain.k)
     engine = _Engine(sc, strat)
     totals = np.empty(samples)
-    for i in range(samples):
-        rng = replication_rng(seed, i)
-        w = int(rng.geometric(rate))
-        totals[i] = engine.run(prior, w, 0.0, rng).sum()
-    return _summary(totals, np.arange(samples))
+    for reps, durations, plays in _chunks(engine, prior, 0.0, seed, samples, duration_rate=rate):
+        for i, w, payoffs in zip(reps, durations, plays.stage_payoffs):
+            totals[i] = payoffs[:w].sum()
+    return _summary(totals, np.arange(samples), nodes=engine.size, cache_clears=engine.clears)
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
@@ -389,27 +531,22 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     samples = sc.samples if samples is None else samples
     seed = sc.seed if seed is None else seed
     engine = _Engine(sc, strat)
-    prior = sc.initial_prior()
-    reveals = np.zeros(horizon, dtype=bool)
-    sink = (np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64),
-            reveals, np.empty((horizon, sc.chain.k)))
     kept = []
     kept_reps = []
     rejected = 0
-    for i in range(samples):
-        rng = replication_rng(seed, i)
-        payoffs = engine.run(prior, horizon, sc.reveal_rate, rng, trace_arrays=sink)
-        stats = renewal_stats(reveals)
-        if stats.revelations < 2:
-            rejected += 1
-            continue
-        first = int(stats.kappas[0])
-        kept.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
-        kept_reps.append(i)
+    for reps, _, plays in _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon):
+        for i, payoffs, reveals in zip(reps, plays.stage_payoffs, plays.reveals):
+            stats = renewal_stats(reveals)
+            if stats.revelations < 2:
+                rejected += 1
+                continue
+            first = int(stats.kappas[0])
+            kept.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
+            kept_reps.append(i)
     if not kept:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
-    return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64),
-                    rejected=rejected, horizon=horizon)
+    return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64), rejected=rejected,
+                    horizon=horizon, nodes=engine.size, cache_clears=engine.clears)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from persuasionlab import (
     nb_truncated_mean,
     random_duration_value_mc,
     renewal_stats,
-    run_policy,
     solve,
     solve_cesaro,
     strategy_couple_down,
     strategy_renewal_optimal,
 )
-from persuasionlab.sim import strategy_null, strategy_policy
+from persuasionlab.sim import state_reveal_path, strategy_policy
 
 PAYOFFS = ("tent", "parabola")
 MID = [0.5, 0.5]
@@ -273,12 +272,12 @@ def test_criterion_10_tail_formulas_and_path_statistics(scenario):
 
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     horizon = 1_000_000
-    trace = run_policy(sc, strategy_null(sc), horizon)
-    stats = renewal_stats(trace.reveals)
+    states, reveals = state_reveal_path(sc, horizon)
+    stats = renewal_stats(reveals)
     freq_score = abs(stats.revelations / horizon - 0.5) / math.sqrt(0.25 / horizon)
     gap_se = math.sqrt((1.0 - 0.5) / 0.5**2 / stats.kappas.size)
     gap_score = abs(float(stats.kappas.mean()) - 2.0) / gap_se
-    counts = np.bincount(trace.states, minlength=2)
+    counts = np.bincount(states, minlength=2)
     state_scores = np.abs(counts / horizon - sc.chain.pi) / ergodic_frequency_se(sc.chain, horizon)
 
     dt = time.monotonic() - t0

@@ -13,6 +13,7 @@ from persuasionlab import (
     PayoffDiscontinuityWarning,
     Scenario,
     Split,
+    Strategy,
     cli,
     clt_quantile_bound,
     estimate_discounted,
@@ -32,7 +33,12 @@ from persuasionlab import (
     strategy_renewal_optimal,
 )
 from persuasionlab.errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from persuasionlab.sim import _Engine, discount_horizon, replication_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persuasionlab import sim
+from persuasionlab.belief import bayes_update, validate_belief
+from persuasionlab.sim import _Engine, discount_horizon, replication_rng, state_reveal_path
 
 # ---------------------------------------------------------------------------
 # oracles for the closed-form pieces
@@ -431,3 +437,244 @@ def test_node_table_cap_leaves_estimates_unchanged(name, monkeypatch):
            estimate_renewal_average(sc, renewal, horizon=60).values)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: one Python iteration per stage and per replication
+
+
+def _draw(cum, r: float) -> int:
+    """Index of the first cumulative weight above r (linear scan, tiny alphabets)."""
+    for j, c in enumerate(cum):
+        if r < c:
+            return j
+    return len(cum) - 1
+
+
+class _Node:
+    """Bayes work at one reachable belief, with its successors filled on first use."""
+
+    __slots__ = ("silent", "row_cums", "posteriors", "payoffs", "next_beliefs", "width", "succ")
+
+    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool) -> None:
+        k, width = kernel.shape
+        _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
+        self.silent = silent
+        self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
+        self.posteriors = posteriors
+        self.payoffs = interpolate(sc.u, posteriors)
+        # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
+        self.next_beliefs = np.matmul(posteriors[:, None, :], sc.chain.M)[:, 0, :]
+        self.width = width
+        self.succ: list = [None] * width
+
+
+class _ScalarEngine:
+    """Reference: the scalar stage loop the lock-step engine replaced, one play at a time.
+
+    Nodes are keyed by (silent, belief bytes). A non-revealing stage follows
+    the node's successor for the drawn signal; a revelation moves to the
+    row node of the revealed state.
+    """
+
+    _CACHE_CAP = 200_000
+
+    def __init__(self, sc: Scenario, strat: Strategy) -> None:
+        self.sc = sc
+        self.strat = strat
+        self.nodes: dict[tuple, _Node] = {}
+        self.M = sc.chain.M
+        self.M_cums = tuple(tuple(np.cumsum(sc.chain.M[ell])) for ell in range(sc.chain.k))
+        self.silent_kernel = np.ones((sc.chain.k, 1))
+        self.rows: list = [None] * sc.chain.k
+
+    def node(self, silent: bool, belief: np.ndarray) -> _Node:
+        key = (silent, belief.tobytes())
+        node = self.nodes.get(key)
+        if node is None:
+            if len(self.nodes) >= self._CACHE_CAP:
+                # drop the successor pointers too, or they keep cleared nodes alive
+                for old in self.nodes.values():
+                    old.succ = [None] * old.width
+                self.nodes.clear()
+                self.rows = [None] * self.sc.chain.k
+            kernel = self.silent_kernel if silent else self.strat.kernel_at(belief)
+            node = self.nodes[key] = _Node(self.sc, belief, kernel, silent)
+        return node
+
+    def row(self, state: int) -> _Node:
+        node = self.rows[state]
+        if node is None:
+            node = self.rows[state] = self.node(False, self.M[state].copy())
+        return node
+
+    def run(self, prior: np.ndarray, horizon: int, rate: float, rng, trace_arrays=None) -> np.ndarray:
+        """One play; returns the stage payoffs, optionally filling trace arrays."""
+        belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
+        node = self.node(self.strat.silent, belief)
+        prior_cum = tuple(np.cumsum(belief))
+        aux_prob = self.strat.aux_prob
+        payoffs = np.empty(horizon)
+        rand = rng.random
+        state = -1
+        revealed = False
+        for n in range(horizon):
+            prev = state
+            state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
+            aux_code = 0
+            if aux_prob > 0.0 and n > 0 and not revealed and rand() < aux_prob:
+                node = self.row(prev)
+                aux_code = 1 + prev
+            s = _draw(node.row_cums[state], rand())
+            payoffs[n] = node.payoffs[s]
+            revealed = rand() < rate
+            if trace_arrays is not None:
+                trace_arrays[0][n] = state
+                trace_arrays[1][n] = aux_code * node.width + s
+                trace_arrays[2][n] = revealed
+                trace_arrays[3][n] = node.posteriors[s]
+            if revealed:
+                node = self.row(state)
+            else:
+                nxt = node.succ[s]
+                if nxt is None:
+                    nxt = node.succ[s] = self.node(node.silent, node.next_beliefs[s])
+                node = nxt
+        return payoffs
+
+
+def reference_trace(sc, strat, horizon, seed, rep):
+    arrays = (np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64),
+              np.zeros(horizon, dtype=bool), np.empty((horizon, sc.chain.k)))
+    payoffs = _ScalarEngine(sc, strat).run(sc.initial_prior(), horizon, sc.reveal_rate,
+                                           replication_rng(seed, rep), trace_arrays=arrays)
+    return (*arrays, payoffs)
+
+
+def reference_discounted(sc, strat, samples, seed, horizon):
+    weights = (1.0 - sc.discount) * sc.discount ** np.arange(horizon)
+    engine = _ScalarEngine(sc, strat)
+    return np.array([weights @ engine.run(sc.initial_prior(), horizon, sc.reveal_rate, replication_rng(seed, i))
+                     for i in range(samples)]), np.arange(samples)
+
+
+def reference_duration(sc, p, rate, strat, samples, seed):
+    engine = _ScalarEngine(sc, strat)
+    totals = np.empty(samples)
+    for i in range(samples):
+        rng = replication_rng(seed, i)
+        w = int(rng.geometric(rate))
+        totals[i] = engine.run(p, w, 0.0, rng).sum()
+    return totals, np.arange(samples)
+
+
+def reference_renewal(sc, strat, horizon, samples, seed):
+    kept, reps = [], []
+    for i in range(samples):
+        _, _, reveals, _, payoffs = reference_trace(sc, strat, horizon, seed, i)
+        stats = renewal_stats(reveals)
+        if stats.revelations >= 2:
+            kept.append(float(payoffs[int(stats.kappas[0]) : stats.last_stage].sum()) / horizon)
+            reps.append(i)
+    return np.asarray(kept), np.asarray(reps, dtype=np.int64)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+STRATEGIES = ("null", "full", "optimal", "renewal", "couple")
+
+
+@pytest.fixture(scope="module")
+def strategies():
+    """Bundled scenarios with each strategy the engine distinguishes, built once."""
+    made = {}
+    for name in ("tent", "receiver", "cycle3"):
+        sc = bundled(name)
+        policy_y = solve(replace(sc, reveal_rate=0.8), "reveal").policy
+        made[name] = sc, {"null": strategy_null(sc), "full": strategy_full(sc),
+                          "optimal": strategy_optimal(sc), "renewal": strategy_renewal_optimal(sc),
+                          "couple": strategy_couple_down(policy_y, sc.reveal_rate, 0.8, sc)}
+    return made
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 7])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
+def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strategies, monkeypatch):
+    sc, made = strategies[name]
+    strat = made[strategy]
+    horizon, samples, seed = 40, 11, 5
+    if lanes is not None:
+        # lanes per chunk at this horizon; one lane also draws one stage block at a time
+        draws = 4 if strat.aux_prob > 0.0 else 3
+        monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1 if lanes == 1 else lanes * draws * horizon)
+
+    est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
+    for got, want in zip((est.values, est.rep_ids), reference_discounted(sc, strat, samples, seed, horizon)):
+        assert_bit_equal(got, want)
+
+    est = estimate_renewal_average(sc, strat, horizon, samples=samples, seed=seed)
+    for got, want in zip((est.values, est.rep_ids), reference_renewal(sc, strat, horizon, samples, seed)):
+        assert_bit_equal(got, want)
+
+    p = sc.initial_prior()
+    est = random_duration_value_mc(sc, p, 0.3, strat, samples=samples, seed=seed)
+    for got, want in zip((est.values, est.rep_ids), reference_duration(sc, p, 0.3, strat, samples, seed)):
+        assert_bit_equal(got, want)
+
+    for rep in (0, 3):
+        trace = run_policy(sc, strat, horizon, seed=seed, rep=rep)
+        got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
+        for g, w in zip(got, reference_trace(sc, strat, horizon, seed, rep)):
+            assert_bit_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
+def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
+    sc = bundled(name)
+    trace = run_policy(sc, strategy_null(sc), horizon, rep=2)
+    states, reveals = state_reveal_path(sc, horizon, rep=2)
+    assert_bit_equal(states, trace.states)
+    assert_bit_equal(reveals, trace.reveals)
+
+
+def test_estimates_report_the_node_table(monkeypatch):
+    sc = bundled("receiver")
+    strat = strategy_optimal(sc)
+    est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
+    assert (est.nodes, est.cache_clears) == (8, 0)
+    # past the cap the table is cleared between stages, once per stage here
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
+    capped = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
+    assert (capped.nodes, capped.cache_clears) == (7, 29)
+    assert_bit_equal(capped.values, est.values)
+
+
+ESTIMATORS = {
+    "discounted": lambda sc, strat, m, seed: estimate_discounted(sc, strat, samples=m, seed=seed, horizon=25),
+    "renewal": lambda sc, strat, m, seed: estimate_renewal_average(sc, strat, 25, samples=m, seed=seed),
+    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, [0.5, 0.5], 0.4, strat,
+                                                                    samples=m, seed=seed),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 12), extra=st.integers(1, 12),
+       lanes=st.sampled_from([None, 1, 2, 3, 5]))
+def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, strategies):
+    # a prefix of the replications gives the same values whatever chunks they fall into
+    sc, made = strategies["tent"]
+    strat = made["couple"]  # the coupling coin gives each lane its own stream offset
+    run = ESTIMATORS[estimator]
+    with pytest.MonkeyPatch.context() as mp:
+        if lanes is not None:
+            mp.setattr(sim, "_CHUNK_DRAWS", lanes * 4 * 25)
+        small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
+    prefix = large.rep_ids < n
+    assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
+    assert_bit_equal(large.values[prefix], small.values)

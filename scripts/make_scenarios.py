@@ -9,6 +9,7 @@ Produces, in outdir (default: scenarios/):
   parabola.json   same chain, convex payoff whose envelope is constant
   receiver.json   same chain, myopic-receiver payoff with a jump at 1/2
   cycle3.json     k=3 mixing chain with a table payoff, coarser grid
+  kink3.json      same k=3 chain, kinked table payoff whose envelope is not affine
 """
 
 import json
@@ -58,6 +59,10 @@ def build_all() -> dict:
     q = grid3.points
     table3 = np.abs(q[:, 2] - 0.5) + 0.25 * q[:, 0]
 
+    # concave min term plus a convex kink: the envelope bends, so the revelation rate matters
+    q = make_grid(3, 12).points
+    kink3 = 3.0 * q.min(axis=1) + 0.5 * np.abs(q[:, 0] - q[:, 1])
+
     receiver = {
         "type": "receiver",
         "actions": ["hold", "act"],
@@ -70,6 +75,7 @@ def build_all() -> dict:
         "parabola.json": _base(CHAIN_2, _table(parabola), 200),
         "receiver.json": _base(CHAIN_2, receiver, 200),
         "cycle3.json": _base(CHAIN_3, _table(table3), 40),
+        "kink3.json": _base(CHAIN_3, _table(kink3), 12),
     }
 
 

@@ -292,11 +292,16 @@ def kernels_from_splits(p: np.ndarray, posteriors: np.ndarray, weights: np.ndarr
 
 
 def bayes_update(p: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signal probabilities p @ kernel and each signal's posterior (p itself at probability 0)."""
+    """Signal probabilities p @ kernel and each signal's posterior (p itself at probability 0).
+
+    Takes one belief with a (k, w) kernel, or an (m, k) batch with (m, k, w) kernels.
+    """
     p, kernel = np.asarray(p, dtype=float), np.asarray(kernel, dtype=float)
-    alphas = p @ kernel
-    posteriors = np.repeat(p[None, :], kernel.shape[1], axis=0)
-    np.divide((p[:, None] * kernel).T, alphas[:, None], out=posteriors, where=alphas[:, None] > 0.0)
+    # one stacked (1, k) @ (k, w) product per belief, so a batch row equals its single call
+    alphas = np.matmul(p[..., None, :], kernel)[..., 0, :]
+    posteriors = np.repeat(p[..., None, :], kernel.shape[-1], axis=-2)
+    np.divide(np.swapaxes(p[..., :, None] * kernel, -1, -2), alphas[..., :, None], out=posteriors,
+              where=alphas[..., :, None] > 0.0)
     return alphas, posteriors
 
 

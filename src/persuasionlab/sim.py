@@ -2,10 +2,12 @@
 
 Reproducibility contract: replication i of a run with master seed s draws
 from numpy's default generator seeded with SeedSequence(s, spawn_key=(i,)).
-Within a stage the stream is consumed in a fixed order: state transition,
-then any strategy-internal draw, then the signal, then the revelation coin.
-The revelation coin is consumed even when the rate is zero so that traces
-with different rates stay aligned.
+Stage n reads uniforms d*n .. d*n + d - 1 of that stream in fixed slots:
+state transition, coupling coin, signal, revelation coin, where d = 4 for a
+strategy with a coupling coin and d = 3 (no coin slot) otherwise. The
+coupling coin is read on every stage and used only when the previous stage
+did not reveal; the revelation coin is read even when the rate is zero, so
+traces with different rates stay aligned.
 
 Estimators step a chunk of replications ("lanes") in lock-step with numpy
 over a table of belief nodes, each lane reading its own stream; run_policy
@@ -213,13 +215,13 @@ class _Engine:
     """Steps replications ("lanes") in lock-step over a table of belief nodes.
 
     A node is a reachable (silent, belief) pair with its Bayes work done:
-    the cumulative kernel row of each state (padded with +inf to the signal
-    count) and, per signal, the stage payoff, the posterior and the next
-    stage's belief. Nodes are appended when first reached. A non-revealing
-    stage follows the successor of (node, signal), filled once; a revelation
-    moves to the row node of the revealed state. Past the cap the table is
-    cleared between stages and the lanes' current nodes are built again,
-    which yields the same values.
+    the cumulative kernel row of each state (ending in +inf) and, per
+    signal, the stage payoff, the posterior and the next stage's belief.
+    The row nodes of the k transition rows hold ids 0..k-1, so a revealed
+    state's id is its node; other nodes are appended when first reached,
+    and a non-revealing stage follows the successor of (node, signal),
+    filled once. Past the cap the table is cleared between stages and the
+    lanes' current nodes are built again, which yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -230,15 +232,20 @@ class _Engine:
         self.width = strat.kernels.shape[2]
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
-        self.silent_kernel = np.ones((sc.chain.k, 1))
+        # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
+        self.silent_kernel = np.zeros((sc.chain.k, self.width))
+        self.silent_kernel[:, 0] = 1.0
         self.clears = 0
         self._reset()
 
     def _reset(self) -> None:
+        rows = self.sc.chain.M
         self.index: dict[tuple, int] = {}
         self.size = 0
-        self.rows = np.full(self.sc.chain.k, -1, dtype=np.int64)
         self._allocate(64)
+        self._build(np.zeros(len(rows), dtype=bool), rows)
+        for state, row in enumerate(rows):
+            self.index.setdefault((False, row.tobytes()), state)
 
     def _allocate(self, capacity: int) -> None:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
@@ -271,43 +278,18 @@ class _Engine:
         start, stop = self.size, self.size + len(beliefs)
         if stop > len(self.silent):
             self._allocate(max(stop, 2 * len(self.silent)))
-        posts = []
-        for i, (flag, belief) in enumerate(zip(silent.tolist(), beliefs), start):
-            kernel = self.silent_kernel if flag else self.strat.kernel_at(belief)
-            _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
-            self.cum[i, :, : kernel.shape[1]] = cum_rows(kernel)
-            posts.append(posteriors)
-        # every signal of every new node in one call; rows sum as they do one node at a time
-        widths = [len(p) for p in posts]
-        slot = (np.repeat(np.arange(start, stop), widths), np.concatenate([np.arange(w) for w in widths]))
-        posteriors = np.concatenate(posts)
-        self.post[slot] = posteriors
-        self.pay[slot] = interpolate(self.sc.u, posteriors)
+        kernels = np.array([self.silent_kernel if flag else self.strat.kernel_at(belief)
+                            for flag, belief in zip(silent.tolist(), beliefs)])
+        _, posteriors = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
+        self.cum[start:stop] = cum_rows(kernels)
+        self.post[start:stop] = posteriors
+        flat = posteriors.reshape(-1, self.sc.chain.k)
+        self.pay[start:stop] = interpolate(self.sc.u, flat).reshape(-1, self.width)
         # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
-        self.next_belief[slot] = np.matmul(posteriors[:, None, :], self.sc.chain.M)[:, 0, :]
+        self.next_belief[start:stop] = np.matmul(posteriors[..., None, :], self.sc.chain.M)[..., 0, :]
         self.silent[start:stop] = silent
         self.belief[start:stop] = beliefs
         self.size = stop
-
-    def _rows(self, states: np.ndarray) -> np.ndarray:
-        """Row nodes of revealed states, building the missing ones."""
-        missing = np.unique(states[self.rows[states] < 0])
-        if missing.size:
-            self.rows[missing] = self._intern(np.zeros(missing.size, dtype=bool), self.sc.chain.M[missing])
-        return self.rows[states]
-
-    def _next(self, nodes: np.ndarray, signals: np.ndarray, states: np.ndarray,
-              revealed: np.ndarray) -> np.ndarray:
-        """Fill the missing next nodes: row nodes where revealed, else successors, each pair once."""
-        ids = np.empty(nodes.size, dtype=np.int64)
-        ids[revealed] = self._rows(states[revealed])
-        stay = ~revealed
-        pairs, inverse = np.unique(nodes[stay] * self.width + signals[stay], return_inverse=True)
-        nodes, signals = np.divmod(pairs, self.width)
-        fresh = self._intern(self.silent[nodes], self.next_belief[nodes, signals])
-        self.succ[nodes, signals] = fresh
-        ids[stay] = fresh[inverse]
-        return ids
 
     def play(self, prior: np.ndarray, rate: float, rngs: list, horizons: list,
              trace: bool = False) -> SimTrace:
@@ -319,7 +301,7 @@ class _Engine:
         """
         belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
         prior_cum = cum_rows(belief)
-        aux_prob, width, per_stage = self.strat.aux_prob, self.width, self.draws_per_stage
+        aux_prob, width, d = self.strat.aux_prob, self.width, self.draws_per_stage
         # lanes in order of decreasing horizon, so the lanes still playing are a prefix
         order = np.argsort(-np.asarray(horizons), kind="stable")
         hs = np.asarray(horizons, dtype=np.int64)[order]
@@ -337,14 +319,13 @@ class _Engine:
 
         node = np.full(lanes, self._intern(np.array([self.strat.silent]), belief[None])[0])
         state = np.zeros(lanes, dtype=np.int64)
-        u = np.empty(0)
-        pos = np.zeros(lanes, dtype=np.int64)  # next unread uniform of each lane in u
-        end = np.zeros(lanes, dtype=np.int64)
-        block = max(1, _CHUNK_DRAWS // (per_stage * lanes))
+        block = min(max(1, _CHUNK_DRAWS // (d * lanes)), last)
+        u = np.empty((lanes, block, d))
         for n0 in range(0, last, block):
-            n1 = min(n0 + block, last)
-            u, pos, end = _refill(u, pos, end, rngs, per_stage * (np.minimum(hs, n1) - n0).clip(0))
-            for n in range(n0, n1):
+            for j, h in enumerate(hs.tolist()):
+                if h > n0:
+                    rngs[j].random(out=u[j, : min(h - n0, block)])
+            for n in range(n0, min(n0 + block, last)):
                 a = active[n]
                 if self.size >= self._CACHE_CAP:
                     live = node[:a]
@@ -352,22 +333,18 @@ class _Engine:
                     self._reset()
                     self.clears += 1
                     node[:a] = self._intern(silent, beliefs)
-                p, nd, prev = pos[:a], node[:a], state[:a]
+                draws, nd, prev = u[:a, n - n0], node[:a], state[:a]
                 # first cumulative weight above the uniform; every row ends in +inf
-                st = (u[p][:, None] < (prior_cum if n == 0 else self.M_cum[prev])).argmax(axis=1)
-                p += 1
+                st = (draws[:, :1] < (prior_cum if n == 0 else self.M_cum[prev])).argmax(axis=1)
                 code = 0
                 if aux_prob > 0.0 and n > 0:
-                    coin = ~reveals[:a, n - 1]
-                    hit = coin & (u[p] < aux_prob)
-                    p += coin
+                    hit = ~reveals[:a, n - 1] & (draws[:, 1] < aux_prob)
                     if hit.any():
-                        nd[hit] = self._rows(prev[hit])
+                        nd[hit] = prev[hit]
                         code = np.where(hit, prev + 1, 0)
                 state[:a] = st
-                s = (u[p][:, None] < self.cum[nd, st]).argmax(axis=1)
-                rev = u[p + 1] < rate
-                p += 2
+                s = (draws[:, d - 2, None] < self.cum[nd, st]).argmax(axis=1)
+                rev = draws[:, d - 1] < rate
                 payoffs[:a, n] = self.pay[nd, s]
                 reveals[:a, n] = rev
                 if trace:
@@ -375,34 +352,20 @@ class _Engine:
                     signals_out[:a, n] = code * width + s
                     post_out[:a, n] = self.post[nd, s]
                 if n + 1 < last:
-                    nxt = np.where(rev, self.rows[st], self.succ[nd, s])
+                    nxt = np.where(rev, st, self.succ[nd, s])
                     missing = nxt < 0
                     if missing.any():
-                        nxt[missing] = self._next(nd[missing], s[missing], st[missing], rev[missing])
+                        # each missing (node, signal) pair is filled once
+                        pairs, inverse = np.unique(nd[missing] * width + s[missing], return_inverse=True)
+                        src, sig = np.divmod(pairs, width)
+                        fresh = self._intern(self.silent[src], self.next_belief[src, sig])
+                        self.succ[src, sig] = fresh
+                        nxt[missing] = fresh[inverse]
                     node[:a] = nxt
 
         back = np.argsort(order)
         return SimTrace(*(None if arr is None else arr[back]
                           for arr in (states_out, signals_out, reveals, post_out, payoffs)))
-
-
-def _refill(u: np.ndarray, pos: np.ndarray, end: np.ndarray, rngs: list, need: np.ndarray):
-    """Next block of uniforms: each lane keeps its unread ones and draws need[j] more.
-
-    Lane j's uniforms sit contiguously in the returned array from pos[j] to
-    end[j]; a later draw continues the lane's stream where the last one ended.
-    """
-    kept = end - pos
-    sizes = kept + need
-    end_new = np.cumsum(sizes)
-    pos_new = end_new - sizes
-    fresh = np.empty(int(end_new[-1]))
-    for j, rng in enumerate(rngs):
-        lo = pos_new[j] + kept[j]
-        fresh[pos_new[j] : lo] = u[pos[j] : end[j]]
-        if need[j]:
-            rng.random(out=fresh[lo : end_new[j]])
-    return fresh, pos_new, end_new
 
 
 def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizon: int | None = None,
@@ -412,8 +375,11 @@ def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizo
     Replication i plays `horizon` stages or, with duration_rate, a geometric
     number drawn first from its own stream. A chunk grows while its lanes
     times its longest horizon times the draws per stage stays within
-    _CHUNK_DRAWS, and always holds at least one lane.
+    _CHUNK_DRAWS, and always holds at least one lane. Raises ValueError for
+    samples below 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rngs, hs, longest = [], [], 0
     for i in range(samples):
         rng = replication_rng(seed, i)
@@ -486,11 +452,10 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    totals = np.empty(samples)
-    for reps, _, plays in _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon):
-        for i, payoffs in zip(reps, plays.stage_payoffs):
-            totals[i] = weights @ payoffs
-    return _summary(totals, np.arange(samples), horizon=horizon,
+    totals = [weights @ payoffs for _, _, plays in
+              _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon)
+              for payoffs in plays.stage_payoffs]
+    return _summary(np.array(totals), np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     nodes=engine.size, cache_clears=engine.clears)
 
@@ -509,11 +474,10 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
     seed = sc.seed if seed is None else seed
     prior = validate_belief(p, sc.chain.k)
     engine = _Engine(sc, strat)
-    totals = np.empty(samples)
-    for reps, durations, plays in _chunks(engine, prior, 0.0, seed, samples, duration_rate=rate):
-        for i, w, payoffs in zip(reps, durations, plays.stage_payoffs):
-            totals[i] = payoffs[:w].sum()
-    return _summary(totals, np.arange(samples), nodes=engine.size, cache_clears=engine.clears)
+    totals = [payoffs[:w].sum() for _, durations, plays in
+              _chunks(engine, prior, 0.0, seed, samples, duration_rate=rate)
+              for w, payoffs in zip(durations, plays.stage_payoffs)]
+    return _summary(np.array(totals), np.arange(samples), nodes=engine.size, cache_clears=engine.clears)
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,

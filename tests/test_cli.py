@@ -312,8 +312,12 @@ BUNDLED = ["tent", "parabola", "receiver", "cycle3"]
 
 
 # `facts` checks tail formulas that read only the chain and the rate; it takes
-# several seconds per scenario, so it runs on one k=2 and one k=3 scenario
+# several seconds per scenario, so it runs on one k=2 and one k=3 scenario.
+# kink3 is the k=3 scenario whose envelope is not affine; `lemma1` still reports
+# fail on it where the lemma holds, which ROADMAP item 3 (reading the continuation
+# through its concave envelope) is to mend, so that pair is not listed here.
 @pytest.mark.parametrize("which, name", [(which, name) for which in SUITES for name in BUNDLED]
+                         + [(which, "kink3") for which in SUITES if which != "lemma1"]
                          + [("facts", "tent"), ("facts", "cycle3")])
 @pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
 def test_every_verify_suite_passes_on_bundled_scenarios(tmp_path, which, name):
@@ -405,6 +409,10 @@ def test_generated_scenarios_validate(tmp_path):
     subprocess.run([sys.executable, str(script), str(tmp_path)], check=True)
     files = sorted(tmp_path.glob("*.json"))
     assert len(files) >= 4
+    # the bundled files are exactly what the script writes
+    assert [f.name for f in files] == sorted(f.name for f in (ROOT / "scenarios").glob("*.json"))
+    for file in files:
+        assert file.read_bytes() == (ROOT / "scenarios" / file.name).read_bytes()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for file in files:

@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from persuasionlab import sim
 from persuasionlab.belief import bayes_update, validate_belief
+from persuasionlab.chain import cum_rows, scan_states
 from persuasionlab.sim import _Engine, discount_horizon, replication_rng, state_reveal_path
 
 # ---------------------------------------------------------------------------
@@ -522,7 +523,7 @@ class _ScalarEngine:
             prev = state
             state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
             aux_code = 0
-            if aux_prob > 0.0 and n > 0 and not revealed and rand() < aux_prob:
+            if aux_prob > 0.0 and rand() < aux_prob and n > 0 and not revealed:
                 node = self.row(prev)
                 aux_code = 1 + prev
             s = _draw(node.row_cums[state], rand())
@@ -642,15 +643,29 @@ def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
     assert_bit_equal(reveals, trace.reveals)
 
 
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("horizon", [1, 2, 1000])
+def test_coupling_reads_four_fixed_slots_per_stage(name, horizon, strategies):
+    # stage n reads u[4n] (state), u[4n + 1] (coupling coin, read on every stage), u[4n + 2]
+    # (signal) and u[4n + 3] (revelation coin) of its replication's stream
+    sc, made = strategies[name]
+    trace = run_policy(sc, made["couple"], horizon, rep=2)
+    u = replication_rng(sc.seed, 2).random(4 * horizon)
+    first = int((u[0] >= cum_rows(sc.initial_prior())).sum())
+    assert_bit_equal(trace.states, scan_states(cum_rows(sc.chain.M), first, u[4::4]))
+    assert_bit_equal(trace.reveals, u[3::4] < sc.reveal_rate)
+
+
 def test_estimates_report_the_node_table(monkeypatch):
     sc = bundled("receiver")
     strat = strategy_optimal(sc)
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
     assert (est.nodes, est.cache_clears) == (8, 0)
-    # past the cap the table is cleared between stages, once per stage here
+    # past the cap the table is cleared between stages, once per stage here (the two row nodes
+    # count toward the cap from the first stage)
     monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
     capped = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
-    assert (capped.nodes, capped.cache_clears) == (7, 29)
+    assert (capped.nodes, capped.cache_clears) == (7, 30)
     assert_bit_equal(capped.values, est.values)
 
 
@@ -662,6 +677,14 @@ ESTIMATORS = {
 }
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_estimators_reject_fewer_than_one_sample(estimator, samples, strategies):
+    sc, made = strategies["tent"]
+    with pytest.raises(ValueError, match="samples"):
+        ESTIMATORS[estimator](sc, made["null"], samples, 0)
+
+
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 12), extra=st.integers(1, 12),
@@ -669,7 +692,7 @@ ESTIMATORS = {
 def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, strategies):
     # a prefix of the replications gives the same values whatever chunks they fall into
     sc, made = strategies["tent"]
-    strat = made["couple"]  # the coupling coin gives each lane its own stream offset
+    strat = made["couple"]  # the widest stage layout: four uniforms per stage
     run = ESTIMATORS[estimator]
     with pytest.MonkeyPatch.context() as mp:
         if lanes is not None:

@@ -45,7 +45,6 @@ from .sim import (
     strategy_renewal_optimal,
 )
 from .solver import (
-    Policy,
     Scenario,
     SolverResult,
     asymptotic_value,
@@ -65,7 +64,6 @@ __all__ = [
     "GridFn",
     "PayoffDiscontinuityWarning",
     "PersuasionError",
-    "Policy",
     "ReceiverPayoff",
     "RenewalStats",
     "Scenario",

@@ -33,7 +33,7 @@ _SNAP = 1e-10
 DEFAULT_MAX_POINTS = 2_000_000
 
 
-def validate_belief(q, k: int | None = None, tol: float = BELIEF_SUM_TOL) -> np.ndarray:
+def validate_belief(q, k: int | None = None) -> np.ndarray:
     """Return q as floats after checking that it, or each row of an (m, k) batch, is a belief."""
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] == 0:
@@ -42,10 +42,10 @@ def validate_belief(q, k: int | None = None, tol: float = BELIEF_SUM_TOL) -> np.
         raise DimensionMismatch(f"belief has {q.shape[-1]} entries, expected {k}")
     if not np.isfinite(q).all():
         raise NotBayesPlausible("belief has non-finite entries")
-    if (q < -tol).any():
+    if (q < -BELIEF_SUM_TOL).any():
         raise NotBayesPlausible(f"belief has negative entry {q.min():.3e}")
     sums = q.sum(axis=-1)
-    off = abs(sums - 1.0) > max(tol, 1e-12 * q.shape[-1])
+    off = abs(sums - 1.0) > max(BELIEF_SUM_TOL, 1e-12 * q.shape[-1])
     if off.any():
         raise NotBayesPlausible(f"belief sums to {np.ravel(sums)[np.ravel(off).argmax()]:.15g}, not 1")
     return np.maximum(q, 0.0)
@@ -191,14 +191,17 @@ class GridFn:
 
 
 def interpolate(f: GridFn, q) -> float | np.ndarray:
-    """Piecewise-linear evaluation of a grid function at a belief or an (m, k) batch."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        idx, w = f.grid.locate(q)
-        return float(w @ f.values[idx])
-    idx, w, _ = f.grid._cells(validate_belief(q, f.grid.k))
-    # one stacked (1, k) @ (k, 1) product per row sums in the same order as w @ v
-    return np.matmul(w[:, None, :], f.values[idx][:, :, None])[:, 0, 0]
+    """Piecewise-linear evaluation of a grid function at a belief or an (m, k) batch.
+
+    The vertex terms are added in order onto zero, as in f.grid.interp_matrix(q) @ f.values,
+    so the two agree bit for bit (a numpy row sum would pair the terms up from k = 8 on).
+    """
+    q = validate_belief(q, f.grid.k)
+    idx, w, _ = f.grid._cells(np.atleast_2d(q))
+    out = np.zeros(idx.shape[0])
+    for j in range(f.grid.k):
+        out += w[:, j] * f.values[idx[:, j]]
+    return float(out[0]) if q.ndim == 1 else out
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ import numpy as np
 
 from .belief import BeliefGrid, bayes_update, interpolate, kernels_from_splits, validate_belief
 from .chain import cum_rows, scan_states
+from .envelope import CavResult
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from .solver import Policy, Scenario, solve
+from .solver import Scenario, solve
 
 # ---------------------------------------------------------------------------
 # randomness plumbing
@@ -156,17 +157,17 @@ def strategy_full(sc: Scenario) -> Strategy:
     return Strategy(np.eye(sc.chain.k)[None])
 
 
-def strategy_policy(policy: Policy, sc: Scenario) -> Strategy:
+def strategy_policy(policy: CavResult, sc: Scenario) -> Strategy:
     """Plays a grid policy: the split at the grid point nearest to the belief.
 
     Each split is realized as the kernel `kernel_from_split` builds at its
     grid point, with zero columns up to the scenario's signal count.
     """
-    points, atoms = policy.grid.points, policy.atoms
+    grid, atoms = policy.cav.grid, policy.atoms
     n, k = atoms.shape
     kernels = np.zeros((n, k, sc.signal_count))
-    kernels[:, :, :k] = kernels_from_splits(points, points[atoms], policy.weights)
-    return Strategy(kernels, grid=policy.grid)
+    kernels[:, :, :k] = kernels_from_splits(grid.points, grid.points[atoms], policy.weights)
+    return Strategy(kernels, grid=grid)
 
 
 def strategy_optimal(sc: Scenario) -> Strategy:
@@ -188,7 +189,7 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     return replace(strategy_policy(solve(inner_sc, "no_reveal").policy, sc), silent=True)
 
 
-def strategy_couple_down(policy_y: Policy, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
+def strategy_couple_down(policy_y: CavResult, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
     """Emulate the revelation game at target_rate while running at base_rate.
 
     The auxiliary coin discloses with chance (target - base)/(1 - base), so
@@ -426,13 +427,13 @@ def state_reveal_path(sc: Scenario, horizon: int, seed: int | None = None,
     return scan_states(cum_rows(sc.chain.M), first, u[3::3]), u[2::3] < sc.reveal_rate
 
 
-def discount_horizon(sc: Scenario, tail: float = 1e-6) -> int:
-    """Stages needed before the discounted tail drops below tail * (payoff scale)."""
+def discount_horizon(sc: Scenario) -> int:
+    """Stages needed before the discounted tail drops below 1e-6 * (payoff scale)."""
     lam = sc.discount
     umax = float(np.abs(sc.u.values).max())
     if lam <= 0.0 or umax == 0.0:
         return 1
-    return max(1, math.ceil(math.log(tail * (1.0 - lam) / umax) / math.log(lam)))
+    return max(1, math.ceil(math.log(1e-6 * (1.0 - lam) / umax) / math.log(lam)))
 
 
 def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = None,

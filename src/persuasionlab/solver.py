@@ -13,11 +13,12 @@ stop on the MacQueen-Porteus bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .belief import BeliefGrid, GridFn, validate_belief
-from .envelope import cav_at, cav_grid, cav_values
+from .belief import BeliefGrid, GridFn, interpolate, validate_belief
+from .envelope import CavResult, cav_at, cav_grid, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -27,6 +28,8 @@ from .errors import (
 )
 
 MODES = ("no_reveal", "reveal")
+# solve raises NoConvergence after this many sweeps
+MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +47,6 @@ class Scenario:
     reveal_rate: float
     signal_count: int = 0
     tol: float = 1e-9
-    max_sweeps: int = 100_000
     seed: int = 0
     samples: int = 10_000
     prior: np.ndarray | None = None
@@ -67,8 +69,8 @@ class Scenario:
             raise ValueError(f"need at least {self.chain.k} signals, got {self.signal_count}")
         if float(self.u.values.min()) < 0.0:
             raise NegativePayoff("stage payoff must be nonnegative")
-        if self.tol <= 0 or self.max_sweeps < 1:
-            raise ValueError("tol must be positive and max_sweeps at least 1")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
     @property
     def grid(self) -> BeliefGrid:
@@ -81,22 +83,18 @@ class Scenario:
         return self.prior.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class Policy:
-    """One optimal split per grid point, as the split table of `cav_grid`."""
-
-    grid: BeliefGrid
-    atoms: np.ndarray
-    weights: np.ndarray
-
-
 @dataclass(frozen=True)
 class SolverResult:
     value: GridFn
-    policy: Policy
+    target: GridFn  # the stage objective at value, whose envelope is the operator's stage optimum
     iterations: int
     residual: float  # certified sup-norm distance bound to the fixed point, at most tol
     row_values: np.ndarray  # converged value at each transition row
+
+    @cached_property
+    def policy(self) -> CavResult:
+        """One optimal split per grid point: the split table of the target's envelope."""
+        return cav_grid(self.target)
 
 
 class _Dynamics:
@@ -109,14 +107,14 @@ class _Dynamics:
         self.grid = grid
 
 
-def _target(f: np.ndarray, stage: np.ndarray, lam: float, x: float, shift) -> np.ndarray:
-    """Pre-concavification objective: stage payoff plus the continuation read through shift."""
-    return stage + lam * (1.0 - x) * (shift @ f)
+def _target(cont: np.ndarray, stage: np.ndarray, lam: float, x: float) -> np.ndarray:
+    """Pre-concavification objective: stage payoff plus the continuation read at the next beliefs."""
+    return stage + lam * (1.0 - x) * cont
 
 
 def _sweep(f: np.ndarray, stage: np.ndarray, lam: float, x: float, dyn: _Dynamics) -> np.ndarray:
     """One Bellman step: the target's envelope plus, at rate x, the rebooted continuation."""
-    out = cav_values(GridFn(dyn.grid, _target(f, stage, lam, x, dyn.shift)))
+    out = cav_values(GridFn(dyn.grid, _target(dyn.shift @ f, stage, lam, x)))
     if x > 0.0:
         out = out + lam * x * (dyn.grid.points @ (dyn.rows @ f))
     return out
@@ -157,7 +155,7 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     dyn = _Dynamics(sc)
     c = lam / (1.0 - lam)
     f = np.zeros(sc.grid.n)
-    for it in range(1, sc.max_sweeps + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         new = _sweep(f, stage, lam, x, dyn)
         d = new - f
         lo, hi = float(d.min()), float(d.max())
@@ -168,15 +166,14 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
         f = new
     else:
         raise NoConvergence(
-            f"certified bound {bound:.3e} above {sc.tol:.3e} after {sc.max_sweeps} sweeps"
+            f"certified bound {bound:.3e} above {sc.tol:.3e} after {MAX_SWEEPS} sweeps"
         )
 
-    # the midpoint shift adds a constant to the target (shift rows sum to 1),
-    # which leaves the optimal splits unchanged
-    splits = cav_grid(GridFn(sc.grid, _target(f, stage, lam, x, dyn.shift)))
     return SolverResult(
         value=GridFn(sc.grid, f),
-        policy=Policy(grid=sc.grid, atoms=splits.atoms, weights=splits.weights),
+        # the midpoint shift adds a constant to the target (shift rows sum to 1),
+        # which leaves the optimal splits unchanged
+        target=GridFn(sc.grid, _target(dyn.shift @ f, stage, lam, x)),
         iterations=it,
         residual=bound,
         row_values=np.asarray(dyn.rows @ f),
@@ -190,10 +187,9 @@ def full_reveal_closed_form(sc: Scenario) -> GridFn:
     the stage payoff plus an affine continuation through the values at the
     transition rows, which satisfy a k x k linear system.
     """
-    dyn = _Dynamics(sc)
     lam = sc.discount
     cavu = cav_values(sc.u)
-    c = np.asarray(dyn.rows @ cavu)
+    c = interpolate(GridFn(sc.grid, cavu), sc.chain.M)
     try:
         xi = np.linalg.solve(np.eye(sc.chain.k) - lam * sc.chain.M, (1.0 - lam) * c)
     except np.linalg.LinAlgError as exc:
@@ -253,10 +249,9 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None 
     if (miss > 1e-9).any():
         raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
     res = solve(sc, "reveal") if solved is None else solved
-    stage, lam, x = _operator(sc, True)
-    v = res.value.values
+    _, lam, x = _operator(sc, True)
     # revealing nothing at q earns the target read at q; the stage optimum is its envelope
-    best, _ = cav_at(GridFn(sc.grid, _target(v, stage, lam, x, _Dynamics(sc).shift)), batch)
-    degenerate = _target(v, (1.0 - lam) * u_at, lam, x, sc.grid.interp_matrix(batch @ sc.chain.M))
+    best, _ = cav_at(res.target, batch)
+    degenerate = _target(interpolate(res.value, batch @ sc.chain.M), (1.0 - lam) * u_at, lam, x)
     ok = degenerate >= best - 2.0 * sc.tol
     return bool(ok[0]) if q.ndim == 1 else ok

@@ -179,6 +179,23 @@ def test_batched_location_matches_single_beliefs(k, resolution):
     assert np.array_equal(interpolate(f, queries), [interpolate(f, q) for q in queries])
 
 
+@pytest.mark.parametrize("k, resolution", [(1, 5), (2, 200), (3, 40), (4, 12), (5, 8), (8, 3)])
+def test_interpolate_equals_the_interpolation_operator(k, resolution):
+    # the solver reads values through interp_matrix and everything else through
+    # interpolate; both must give the same bits, sign of zero included
+    grid = make_grid(k, resolution)
+    rng = np.random.default_rng(k)
+    M = rng.dirichlet(np.full(k, 0.5), size=k)
+    queries = np.vstack([grid.points, grid.points @ M, M, rng.dirichlet(np.full(k, 0.3), size=500)])
+    for _ in range(4):
+        f = GridFn(grid, rng.choice([-1.0, 1.0], grid.n) * 10.0 ** rng.uniform(-3, 3, grid.n))
+        want = grid.interp_matrix(queries) @ f.values
+        got = interpolate(f, queries)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert [interpolate(f, q) for q in M] == want[2 * grid.n : 2 * grid.n + k].tolist()
+
+
 def test_nearest_index():
     # enumeration is lexicographic in the counts, so (0, R) comes first
     grid = make_grid(2, 10)

@@ -307,6 +307,24 @@ def test_verify_lemma1_builds_the_payoff_envelope_once(tmp_path, monkeypatch):
     assert built.count(sc.u.values.tobytes()) == 1
 
 
+@pytest.mark.parametrize("name", ["tent", "kink3"])
+def test_verify_lemma1_builds_each_envelope_once(tmp_path, monkeypatch, name):
+    # the check reads the stage optimum off the solve's final objective, whose
+    # envelope the solve's policy shares
+    built = []
+
+    class Counting(envelope._Envelope):
+        def __init__(self, f):
+            built.append(f.values.tobytes())
+            super().__init__(f)
+
+    monkeypatch.setattr(envelope, "_Envelope", Counting)
+    path = ROOT / "scenarios" / f"{name}.json"
+    code = cli.main(["verify", "--scenario", str(path), "--which", "lemma1", "--out", str(tmp_path / "l.csv")])
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL)
+    assert len(built) == len(set(built))
+
+
 SUITES = ["thm1", "thm2", "monotone_x", "disint", "lemma1", "obs1"]
 BUNDLED = ["tent", "parabola", "receiver", "cycle3"]
 
@@ -328,6 +346,20 @@ def test_every_verify_suite_passes_on_bundled_scenarios(tmp_path, which, name):
     meta, header, rows = parse_csv(out)
     assert meta["verdict"] == "pass"
     assert header and rows
+
+
+@pytest.mark.parametrize("transition, values", [
+    ([[1.0]], [0.5]),
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0 - abs(1.0 - 2.0 * i / 10) for i in range(11)]),
+], ids=["one_state", "two_cycle"])
+def test_verify_facts_passes_on_zero_variance_chains(tmp_path, capsys, transition, values):
+    # state occupation on these chains is deterministic, so its standard error is 0
+    doc = tent_doc(resolution=10, transition=transition, payoff={"type": "table", "values": values})
+    out = tmp_path / "facts.csv"
+    code = cli.main(["verify", "--scenario", write_doc(tmp_path, doc), "--which", "facts", "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    assert parse_csv(out)[0]["verdict"] == "pass"
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
@@ -383,10 +415,10 @@ def test_simulate_couple_smoke_and_guards(tmp_path):
 
 def test_simulate_renewal_all_rejected_is_numeric_failure(tmp_path):
     # a near-zero rate cannot produce two revelations in three stages
-    path = write_doc(tmp_path, tent_doc(resolution=10))
-    code = cli.main(["simulate", "--scenario", path, "--strategy", "sigma_star",
-                     "--x", "0.01", "--horizon", "3", "--samples", "5"])
-    assert code == cli.EXIT_NUMERIC
+    for path in (write_doc(tmp_path, tent_doc(resolution=10)), str(ROOT / "scenarios" / "kink3.json")):
+        code = cli.main(["simulate", "--scenario", path, "--strategy", "sigma_star",
+                         "--x", "0.01", "--horizon", "3", "--samples", "5"])
+        assert code == cli.EXIT_NUMERIC
 
 
 @pytest.mark.parametrize("horizon", ["0", "1", "-5"])
@@ -456,7 +488,7 @@ def test_simulate_bundled_reruns_are_bit_identical(tmp_path, name, strategy):
     assert len(rows) == int(meta["kept"]) > 0
 
 
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("name", ["tent", "cycle3", "kink3"])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 8),
        mode=st.sampled_from(["no_reveal", "reveal"]),

@@ -15,6 +15,7 @@ from persuasionlab import (
     asymptotic_value,
     bellman_no_reveal,
     bellman_reveal,
+    cav_grid,
     cav_values,
     check_no_info_at_concave_point,
     cli,
@@ -24,6 +25,7 @@ from persuasionlab import (
     row_average_value,
     solve,
     solve_cesaro,
+    solver,
     validate_chain,
     validate_split,
 )
@@ -238,7 +240,7 @@ def test_solve_is_a_fixed_point(scenario):
     assert again.values == pytest.approx(res.value.values, abs=1e-9)
 
 
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("name", ["tent", "cycle3", "kink3"])
 @pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
 @pytest.mark.parametrize("discount", [0.9, 0.99, 0.995])
 def test_solve_is_certified_within_tol(name, mode, discount):
@@ -266,8 +268,7 @@ def test_row_values_read_off_the_value(scenario):
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
     for ell in range(2):
-        want = interpolate(res.value, sc.chain.M[ell])
-        assert res.row_values[ell] == pytest.approx(want, abs=1e-12)
+        assert res.row_values[ell] == interpolate(res.value, sc.chain.M[ell])
 
 
 def test_policy_splits_are_plausible(scenario):
@@ -279,6 +280,25 @@ def test_policy_splits_are_plausible(scenario):
         split = Split(sc.grid.points[res.policy.atoms[i, keep]], res.policy.weights[i, keep])
         validate_split(sc.grid.points[i], split)
         assert split.size <= 2
+
+
+def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return cav_grid(f)
+
+    monkeypatch.setattr(solver, "cav_grid", counting)
+    res = solve(scenario("parabola", discount=0.9, reveal_rate=0.5), "reveal")
+    assert calls == []
+    policy = res.policy
+    assert calls == [res.target]
+    assert res.policy is policy and len(calls) == 1
+    want = cav_grid(res.target)
+    assert np.array_equal(policy.atoms, want.atoms)
+    assert np.array_equal(policy.weights, want.weights)
+    assert np.count_nonzero(policy.weights[:, 1]) > 0  # the parabola splits somewhere
 
 
 def test_tent_optimal_policy_never_splits(scenario):
@@ -428,10 +448,10 @@ def test_no_info_batch_rejects_a_row_off_the_envelope():
 # guardrails
 
 
-def test_no_convergence_at_sweep_cap(scenario):
-    sc = scenario("tent", discount=0.9, reveal_rate=0.5, max_sweeps=1)
+def test_no_convergence_at_sweep_cap(scenario, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence):
-        solve(sc, "reveal")
+        solve(scenario("tent", discount=0.9, reveal_rate=0.5), "reveal")
 
 
 def test_mode_and_rate_guards(scenario):

@@ -148,8 +148,10 @@ class BeliefGrid:
         return sparse.csr_matrix((w[real], idx[real], offsets), shape=(queries.shape[0], self.n))
 
     def nearest_index(self, q) -> int:
-        """Index of the grid point closest to q (squared distance, lowest index on ties)."""
+        """Index of the grid point closest to q (lowest index on ties); only q's shape is checked."""
         q = np.asarray(q, dtype=float)
+        if q.shape != (self.k,):
+            raise DimensionMismatch(f"belief has shape {q.shape}, expected ({self.k},)")
         d = self.points - q
         return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 

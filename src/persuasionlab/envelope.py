@@ -22,6 +22,8 @@ from .errors import SingularSystem
 _DEG_RTOL = 1e-11
 # Slack when matching candidate facets against the envelope value.
 _FACET_RTOL = 1e-9
+# Plane values `_Envelope.at` holds at once (32 MiB); every k <= 3 grid up to R = 40 is one block.
+_PLANE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,7 @@ class CavResult:
 
 
 def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vertex indices of the upper hull of points (s, v), s strictly increasing."""
+    """Vertex indices of the upper hull of points (s, v), s strictly increasing; collinear points are dropped."""
     hull: list[int] = []
     for i in range(s.size):
         while len(hull) >= 2:
@@ -89,12 +91,18 @@ class _Envelope:
         return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
     def at(self, charts: np.ndarray) -> np.ndarray:
-        """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,))."""
+        """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,)).
+
+        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory.
+        """
         if self.grid.k <= 2:
             s = self.grid.points[:, 0]
             return np.interp(charts[:, 0], s[self.hull], self.v[self.hull])
-        planes = -(self.offsets + charts @ self.normals.T) / self.vert_norm
-        return planes.min(axis=1)
+        rows = max(1, _PLANE_BUDGET // self.offsets.size)
+        out = np.empty(len(charts))
+        for i in range(0, len(charts), rows):
+            out[i : i + rows] = (-(self.offsets + charts[i : i + rows] @ self.normals.T) / self.vert_norm).min(axis=1)
+        return out
 
     def split(self, chart: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
         """Atoms (grid indices) and weights of an optimal split strictly below the envelope."""
@@ -103,20 +111,11 @@ class _Envelope:
         return self._split_facets(chart, value)
 
     def _split_1d(self, s_q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Lex-smallest grid pair whose chord attains the envelope at s_q."""
+        """Ends of the upper-hull edge above s_q, weighted to average back to s_q, as facet splits do for k >= 3."""
         s = self.grid.points[:, 0]
-        s_hull = s[self.hull]
-        j = int(np.searchsorted(s_hull, s_q, side="right"))
-        j = min(max(j, 1), s_hull.size - 1)
-        # the left end of the maximal flat segment through s_q is a hull vertex
-        a = int(self.hull[j - 1])
-        b = -1
-        for m in range(int(np.searchsorted(s, s_q, side="right")), s.size):
-            if self.v[m] >= self.values[m] - self.slack and s[m] > s_q:
-                b = m
-                break
-        if b < 0:
-            raise SingularSystem("no right atom found for envelope split extraction")
+        j = int(np.searchsorted(s[self.hull], s_q, side="right"))
+        j = min(max(j, 1), self.hull.size - 1)
+        a, b = int(self.hull[j - 1]), int(self.hull[j])
         wa = (s[b] - s_q) / (s[b] - s[a])
         return np.array([a, b]), np.array([wa, 1.0 - wa])
 

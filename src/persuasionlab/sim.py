@@ -217,7 +217,7 @@ class _Engine:
 
     A node is a reachable (silent, belief) pair with its Bayes work done:
     the cumulative kernel row of each state (ending in +inf) and, per
-    signal, the stage payoff, the posterior and the next stage's belief.
+    signal, the stage payoff and the posterior.
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
     state's id is its node; other nodes are appended when first reached,
     and a non-revealing stage follows the successor of (node, signal),
@@ -252,9 +252,8 @@ class _Engine:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
         k, w, size = self.sc.chain.k, self.width, self.size
         for name, shape, fill, dtype in (("cum", (k, w), np.inf, float), ("pay", (w,), 0.0, float),
-                                         ("post", (w, k), 0.0, float), ("next_belief", (w, k), 0.0, float),
-                                         ("succ", (w,), -1, np.int64), ("silent", (), False, bool),
-                                         ("belief", (k,), 0.0, float)):
+                                         ("post", (w, k), 0.0, float), ("succ", (w,), -1, np.int64),
+                                         ("silent", (), False, bool), ("belief", (k,), 0.0, float)):
             table = np.full((capacity, *shape), fill, dtype=dtype)
             if size:
                 table[:size] = getattr(self, name)[:size]
@@ -284,10 +283,7 @@ class _Engine:
         _, posteriors = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
         self.cum[start:stop] = cum_rows(kernels)
         self.post[start:stop] = posteriors
-        flat = posteriors.reshape(-1, self.sc.chain.k)
-        self.pay[start:stop] = interpolate(self.sc.u, flat).reshape(-1, self.width)
-        # one stacked (1, k) @ (k, k) product per signal rounds like posteriors[s] @ M
-        self.next_belief[start:stop] = np.matmul(posteriors[..., None, :], self.sc.chain.M)[..., 0, :]
+        self.pay[start:stop] = interpolate(self.sc.u, posteriors.reshape(-1, self.sc.chain.k)).reshape(-1, self.width)
         self.silent[start:stop] = silent
         self.belief[start:stop] = beliefs
         self.size = stop
@@ -359,7 +355,9 @@ class _Engine:
                         # each missing (node, signal) pair is filled once
                         pairs, inverse = np.unique(nd[missing] * width + s[missing], return_inverse=True)
                         src, sig = np.divmod(pairs, width)
-                        fresh = self._intern(self.silent[src], self.next_belief[src, sig])
+                        # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
+                        beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
+                        fresh = self._intern(self.silent[src], beliefs)
                         self.succ[src, sig] = fresh
                         nxt[missing] = fresh[inverse]
                     node[:a] = nxt

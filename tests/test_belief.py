@@ -202,6 +202,8 @@ def test_nearest_index():
     assert grid.nearest_index([0.52, 0.48]) == grid.index_of([5, 5])
     assert grid.nearest_index([0.0, 1.0]) == 0
     assert grid.nearest_index([1.0, 0.0]) == grid.n - 1
+    with pytest.raises(DimensionMismatch):
+        make_grid(3, 4).nearest_index([1.0])
 
 
 def test_split_mean_and_size():

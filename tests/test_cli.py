@@ -363,13 +363,13 @@ def test_verify_facts_passes_on_zero_variance_chains(tmp_path, capsys, transitio
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
-    path = write_doc(tmp_path, tent_doc())
-    out = tmp_path / "fail.csv"
     monkeypatch.setitem(cli._VERIFIERS, "obs1", (lambda sc, table: False, ["nothing"]))
-    code = cli.main(["verify", "--scenario", path, "--which", "obs1", "--out", str(out)])
-    assert code == cli.EXIT_FAIL
-    meta, _, _ = parse_csv(out)
-    assert meta["verdict"] == "fail"
+    for path in (write_doc(tmp_path, tent_doc()), str(ROOT / "scenarios" / "cycle3.json")):
+        out = tmp_path / "fail.csv"
+        code = cli.main(["verify", "--scenario", path, "--which", "obs1", "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        meta, _, _ = parse_csv(out)
+        assert meta["verdict"] == "fail"
 
 
 def test_simulate_null_reports_replications(tmp_path):
@@ -423,12 +423,12 @@ def test_simulate_renewal_all_rejected_is_numeric_failure(tmp_path):
 
 @pytest.mark.parametrize("horizon", ["0", "1", "-5"])
 def test_simulate_renewal_horizon_below_two_is_bad_input(tmp_path, capsys, horizon):
-    path = write_doc(tmp_path, tent_doc(resolution=10))
-    code = cli.main(["simulate", "--scenario", path, "--strategy", "sigma_star",
-                     "--horizon", horizon, "--samples", "3"])
-    assert code == cli.EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "horizon" in err and f"got {horizon}" in err
+    for path in (write_doc(tmp_path, tent_doc(resolution=10)), str(ROOT / "scenarios" / "cycle3.json")):
+        code = cli.main(["simulate", "--scenario", path, "--strategy", "sigma_star",
+                         "--horizon", horizon, "--samples", "3"])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "horizon" in err and f"got {horizon}" in err
 
 
 def test_unknown_subcommand_exits():

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from persuasionlab import GridFn, Split, cav_grid, cav_split_at, cav_values, make_grid, validate_split
+from persuasionlab import GridFn, Split, cav_grid, cav_split_at, cav_values, envelope, make_grid, validate_split
 
 
 def cav_oracle_at(points, values, q):
@@ -148,6 +149,42 @@ def test_split_at_off_grid_points(k, resolution, seed):
             assert value == pytest.approx((1 - t) * cavv[j - 1] + t * cavv[j], abs=1e-9)
         else:
             assert value == pytest.approx(cav_oracle_at(grid.points, f.values, q), abs=1e-9)
+
+
+def test_split_on_a_linear_stretch_uses_the_hull_edge():
+    # f(p) = p_0 from p_0 = 0.3 on and 0 below: the envelope is p_0, one hull edge from
+    # p_0 = 0 to p_0 = 1 with grid points 3..10 on it; a point below splits onto the edge's ends
+    grid = make_grid(2, 10)
+    p0 = grid.points[:, 0]
+    f = GridFn(grid, np.where(p0 >= 0.3 - 1e-12, p0, 0.0))
+    res = cav_grid(f)
+    assert res.atoms[1].tolist() == [0, 10]
+    assert res.weights[1] == pytest.approx([0.9, 0.1], abs=1e-15)
+    value, split = cav_split_at(f, [0.15, 0.85])
+    assert value == pytest.approx(0.15, abs=1e-15)
+    assert sorted(split.posteriors[:, 0].tolist()) == [0.0, 1.0]
+    validate_split([0.15, 0.85], split)
+
+
+def test_facet_planes_are_read_within_the_budget(monkeypatch):
+    # a smooth concave k=3 function has 1600 upper facets at R=40; one full table of their
+    # planes at the 861 grid points would take 11 MB, the budget below 32 KiB
+    grid = make_grid(3, 40)
+    values = -(grid.points**2).sum(axis=1)
+    queries = np.random.default_rng(70).dirichlet(np.ones(3), 500)
+    full = cav_values(GridFn(grid, values))
+    full_at = envelope.cav_at(GridFn(grid, values), queries)[0]
+    monkeypatch.setattr(envelope, "_PLANE_BUDGET", 1 << 12)
+    f = GridFn(grid, values)
+    tracemalloc.start()
+    try:
+        blocked = cav_values(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert blocked == pytest.approx(full, abs=1e-15)
+    assert envelope.cav_at(f, queries)[0] == pytest.approx(full_at, abs=1e-15)
 
 
 def test_split_at_grid_point_agrees(grid2, parabola):

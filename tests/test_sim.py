@@ -672,8 +672,8 @@ def test_estimates_report_the_node_table(monkeypatch):
 ESTIMATORS = {
     "discounted": lambda sc, strat, m, seed: estimate_discounted(sc, strat, samples=m, seed=seed, horizon=25),
     "renewal": lambda sc, strat, m, seed: estimate_renewal_average(sc, strat, 25, samples=m, seed=seed),
-    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, [0.5, 0.5], 0.4, strat,
-                                                                    samples=m, seed=seed),
+    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, np.full(sc.chain.k, 1.0 / sc.chain.k),
+                                                                    0.4, strat, samples=m, seed=seed),
 }
 
 
@@ -691,13 +691,14 @@ def test_estimators_reject_fewer_than_one_sample(estimator, samples, strategies)
        lanes=st.sampled_from([None, 1, 2, 3, 5]))
 def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, strategies):
     # a prefix of the replications gives the same values whatever chunks they fall into
-    sc, made = strategies["tent"]
-    strat = made["couple"]  # the widest stage layout: four uniforms per stage
     run = ESTIMATORS[estimator]
-    with pytest.MonkeyPatch.context() as mp:
-        if lanes is not None:
-            mp.setattr(sim, "_CHUNK_DRAWS", lanes * 4 * 25)
-        small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
-    prefix = large.rep_ids < n
-    assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
-    assert_bit_equal(large.values[prefix], small.values)
+    for name in ("tent", "cycle3"):
+        sc, made = strategies[name]
+        strat = made["couple"]  # the widest stage layout: four uniforms per stage
+        with pytest.MonkeyPatch.context() as mp:
+            if lanes is not None:
+                mp.setattr(sim, "_CHUNK_DRAWS", lanes * 4 * 25)
+            small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
+        prefix = large.rep_ids < n
+        assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
+        assert_bit_equal(large.values[prefix], small.values)

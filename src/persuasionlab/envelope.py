@@ -41,9 +41,13 @@ class CavResult:
 
 
 def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vertex indices of the upper hull of points (s, v), s strictly increasing; collinear points are dropped."""
+    """Vertex indices of the upper hull of points (s, v), s strictly increasing; collinear points are dropped.
+
+    The chain runs on Python floats, which round exactly as numpy float64 scalars do, at a fraction of their cost.
+    """
+    s, v = s.tolist(), v.tolist()
     hull: list[int] = []
-    for i in range(s.size):
+    for i in range(len(s)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop b unless (a -> b -> i) turns strictly clockwise
@@ -104,50 +108,58 @@ class _Envelope:
             out[i : i + rows] = (-(self.offsets + charts[i : i + rows] @ self.normals.T) / self.vert_norm).min(axis=1)
         return out
 
-    def split(self, chart: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms (grid indices) and weights of an optimal split strictly below the envelope."""
-        if self.grid.k <= 2:
-            return self._split_1d(float(chart[0]))
-        return self._split_facets(chart, value)
+    def split(self, charts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms (grid indices) and weights of an optimal split at each row of charts, below its envelope value.
 
-    def _split_1d(self, s_q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Ends of the upper-hull edge above s_q, weighted to average back to s_q, as facet splits do for k >= 3."""
-        s = self.grid.points[:, 0]
-        j = int(np.searchsorted(s[self.hull], s_q, side="right"))
-        j = min(max(j, 1), self.hull.size - 1)
-        a, b = int(self.hull[j - 1]), int(self.hull[j])
-        wa = (s[b] - s_q) / (s[b] - s[a])
-        return np.array([a, b]), np.array([wa, 1.0 - wa])
-
-    def _split_facets(self, chart: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms (grid indices) and weights of a facet split attaining target.
-
-        Among facets matching the envelope value the lexicographically
-        smallest vertex-index support wins.
+        Row i splits onto the vertices of the hull piece above charts[i]: the
+        ends of the upper-hull edge for k <= 2, for k >= 3 an upper facet
+        whose plane is within slack of values[i] and whose barycentric weights
+        at the row are nonnegative. Among such facets the lexicographically
+        smallest vertex-index support wins, the first facet on ties. Returns
+        (m, k) arrays whose slots past a row's support hold atom -1 and weight 0.
         """
-        vals = -(self.offsets + self.normals @ chart) / self.vert_norm
-        tol = _FACET_RTOL * (1.0 + abs(target))
-        best: tuple | None = None
-        for fi in np.nonzero(vals <= target + tol)[0]:
-            verts = self.simplices[fi]
-            if np.any(verts >= self.grid.n):
-                continue  # floor padding can only border degenerate planes
-            A = np.vstack([self.grid.points[verts, : self.dim].T, np.ones(verts.size)])
-            rhs = np.append(chart, 1.0)
-            try:
-                w = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(w < -1e-9):
-                continue
+        if self.grid.k <= 2:
+            s, s_q = self.grid.points[:, 0], charts[:, 0]
+            j = np.clip(np.searchsorted(s[self.hull], s_q, side="right"), 1, self.hull.size - 1)
+            a, b = self.hull[j - 1], self.hull[j]
+            wa = (s[b] - s_q) / (s[b] - s[a])
+            return np.column_stack([a, b]), np.column_stack([wa, 1.0 - wa])
+        n, k = self.grid.n, self.grid.k
+        real = ~np.any(self.simplices >= n, axis=1)  # floor padding can only border degenerate planes
+        atoms, weights = np.empty((len(charts), k), dtype=np.int64), np.empty((len(charts), k))
+        # a block stacks at most _PLANE_BUDGET values of (k, k) systems
+        per_block = max(1, _PLANE_BUDGET // (self.offsets.size * k * k))
+        for i in range(0, len(charts), per_block):
+            block, target = charts[i : i + per_block], values[i : i + per_block]
+            # one (1, dim) @ (dim, facets) product per row: the matrix-vector rounding of a single query
+            vals = -(self.offsets + (block[:, None, :] @ self.normals.T)[:, 0]) / self.vert_norm
+            row, facet = np.nonzero((vals <= (target + _FACET_RTOL * (1.0 + np.abs(target)))[:, None]) & real)
+            verts = self.simplices[facet]
+            A = np.ones((row.size, k, k))
+            A[:, :-1] = self.grid.points[verts, : self.dim].transpose(0, 2, 1)
+            rhs = np.ones((row.size, k))
+            rhs[:, :-1] = block[row]
+            # LU finds a zero pivot (sign 0) on a singular facet, which would fail the whole stacked solve
+            _, first, same = np.unique(facet, return_index=True, return_inverse=True)
+            regular = (np.linalg.slogdet(A[first])[0] != 0.0)[same]
+            row, verts, A, rhs = row[regular], verts[regular], A[regular], rhs[regular]
+            w = np.linalg.solve(A, rhs[..., None])[..., 0]
+            feasible = ~np.any(w < -1e-9, axis=1)
+            row, verts, w = row[feasible], verts[feasible], w[feasible]
             keep = w > 1e-12
-            sup = tuple(sorted(verts[keep].tolist()))
-            if best is None or sup < best[0]:
-                wk = np.clip(w[keep], 0.0, None)
-                best = (sup, verts[keep], wk / wk.sum())
-        if best is None:
-            raise SingularSystem("no feasible facet found for envelope split extraction")
-        return np.asarray(best[1], dtype=np.int64), best[2]
+            # sorted supports padded with -1 order as Python tuples do; lexsort is stable, so ties keep facet order
+            support = np.sort(np.where(keep, verts, n), axis=1)
+            support[support == n] = -1
+            order = np.lexsort(np.vstack([support[:, ::-1].T, row]))
+            best = order[np.unique(row[order], return_index=True)[1]]
+            if best.size < len(block):
+                raise SingularSystem("no feasible facet found for envelope split extraction")
+            keep = keep[best]
+            slots = np.argsort(~keep, axis=1, kind="stable")  # kept vertices first, in facet order
+            atoms[i : i + per_block] = np.take_along_axis(np.where(keep, verts[best], -1), slots, axis=1)
+            wk = np.take_along_axis(np.where(keep, w[best], 0.0), slots, axis=1)
+            weights[i : i + per_block] = wk / wk.sum(axis=1, keepdims=True)
+        return atoms, weights
 
 
 def _envelope(f: GridFn) -> _Envelope:
@@ -175,11 +187,11 @@ def cav_grid(f: GridFn) -> CavResult:
     atoms = np.repeat(np.arange(n)[:, None], k, axis=1)
     weights = np.zeros((n, k))
     weights[:, 0] = 1.0
-    for i in np.nonzero(f.values < cavv - env.slack)[0]:
-        idx, w = env.split(f.grid.points[i, : env.dim], cavv[i])
-        atoms[i, : idx.size] = idx
-        weights[i] = 0.0
-        weights[i, : w.size] = w
+    below = np.nonzero(f.values < cavv - env.slack)[0]
+    if below.size:
+        idx, w = env.split(f.grid.points[below, : env.dim], cavv[below])
+        atoms[below] = np.where(idx < 0, below[:, None], idx)
+        weights[below] = w
     return CavResult(cav=GridFn(f.grid, cavv), atoms=atoms, weights=weights)
 
 
@@ -208,5 +220,6 @@ def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
     if fq >= value - env.slack:
         idx, w = idx[w > 0.0], w[w > 0.0]
     else:
-        idx, w = env.split(q[: env.dim], value)
+        atoms, weights = env.split(q[None, : env.dim], np.array([value]))
+        idx, w = atoms[0, atoms[0] >= 0], weights[0, atoms[0] >= 0]
     return value, Split(f.grid.points[idx].copy(), w)

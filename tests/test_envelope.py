@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persuasionlab import GridFn, Split, cav_grid, cav_split_at, cav_values, envelope, make_grid, validate_split
+from persuasionlab.errors import SingularSystem
 
 
 def cav_oracle_at(points, values, q):
@@ -209,3 +212,168 @@ def test_single_point_grid():
     value, split = cav_split_at(f, [1.0])
     assert value == pytest.approx(0.3)
     assert split.size == 1
+
+
+def scalar_upper_hull(s, v):
+    """Reference for `envelope._upper_hull_indices`: the same monotone chain on numpy float64 scalars."""
+    hull = []
+    for i in range(s.size):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (s[b] - s[a]) * (v[i] - v[a]) - (v[b] - v[a]) * (s[i] - s[a]) >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.asarray(hull, dtype=np.int64)
+
+
+def hull_input(kind, n, seed):
+    """Abscissae and values of one hull input of the given kind, n points."""
+    rng = np.random.default_rng(seed)
+    s = make_grid(2, max(n - 1, 1)).points[:n, 0]
+    if kind == "drawn":
+        v = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "collinear":
+        # exact lattice lines with a drawn run of points pushed below them
+        v = 0.25 * np.arange(n) - 3.0
+        v[rng.integers(0, n, n // 3)] -= 1.0
+    elif kind == "tent":
+        v = 1.0 - np.abs(2.0 * s - 1.0) + rng.uniform(-1e-15, 1e-15, n)
+    elif kind == "constant":
+        v = np.full(n, rng.uniform(-1.0, 1.0))
+    else:  # a concave run ending in a spike: every point but the ends is popped at the last one
+        v = -(s**2)
+        v[-1] = 1e3
+    return s, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["drawn", "collinear", "tent", "constant", "spike"]),
+       n=st.one_of(st.integers(1, 2), st.integers(3, 120)), seed=st.integers(0, 2**32 - 1))
+def test_upper_hull_matches_the_scalar_chain(kind, n, seed):
+    s, v = hull_input(kind, n, seed)
+    hull = envelope._upper_hull_indices(s, v)
+    assert hull.dtype == np.int64
+    assert np.array_equal(hull, scalar_upper_hull(s, v))
+    assert hull[0] == 0 and hull[-1] == n - 1
+    a, b, c = hull[:-2], hull[1:-1], hull[2:]
+    turn = (s[b] - s[a]) * (v[c] - v[a]) - (v[b] - v[a]) * (s[c] - s[a])
+    assert np.all(turn < 0.0)  # strictly clockwise at every inner vertex
+    assert np.all(v <= np.interp(s, s[hull], v[hull]) + 1e-12 * (1.0 + np.abs(v).max()))
+
+
+def reference_split_table(f):
+    """Reference for `cav_grid`'s split table: one split per point below the envelope.
+
+    The k = 2 point takes the ends of the hull edge above it; the k >= 3
+    point tries each candidate facet in turn and keeps the lexicographically
+    smallest support, the first facet on ties.
+    """
+    env = envelope._envelope(f)
+    grid, cavv = f.grid, env.values
+    s = grid.points[:, 0]
+    atoms = np.repeat(np.arange(grid.n)[:, None], grid.k, axis=1)
+    weights = np.zeros((grid.n, grid.k))
+    weights[:, 0] = 1.0
+    for i in np.nonzero(f.values < cavv - env.slack)[0]:
+        chart = grid.points[i, : env.dim]
+        if grid.k <= 2:
+            j = int(np.searchsorted(s[env.hull], float(chart[0]), side="right"))
+            j = min(max(j, 1), env.hull.size - 1)
+            a, b = int(env.hull[j - 1]), int(env.hull[j])
+            wa = (s[b] - float(chart[0])) / (s[b] - s[a])
+            idx, w = np.array([a, b]), np.array([wa, 1.0 - wa])
+        else:
+            vals = -(env.offsets + env.normals @ chart) / env.vert_norm
+            best = None
+            for fi in np.nonzero(vals <= cavv[i] + envelope._FACET_RTOL * (1.0 + abs(cavv[i])))[0]:
+                verts = env.simplices[fi]
+                if np.any(verts >= grid.n):
+                    continue
+                A = np.vstack([grid.points[verts, : env.dim].T, np.ones(verts.size)])
+                try:
+                    w = np.linalg.solve(A, np.append(chart, 1.0))
+                except np.linalg.LinAlgError:
+                    continue
+                if np.any(w < -1e-9):
+                    continue
+                keep = w > 1e-12
+                sup = tuple(sorted(verts[keep].tolist()))
+                if best is None or sup < best[0]:
+                    wk = np.clip(w[keep], 0.0, None)
+                    best = (sup, verts[keep], wk / wk.sum())
+            idx, w = best[1], best[2]
+        atoms[i, : idx.size] = idx
+        weights[i] = 0.0
+        weights[i, : w.size] = w
+    return atoms, weights
+
+
+def split_tables():
+    """Named grid functions whose split tables the batched extraction must reproduce."""
+    rng = np.random.default_rng(80)
+    for k, resolution in ((2, 60), (3, 8), (3, 20), (4, 5)):
+        grid = make_grid(k, resolution)
+        yield f"random k={k} R={resolution}", GridFn(grid, rng.uniform(0.0, 1.0, grid.n))
+        noise = 0.2 * rng.uniform(0.0, 1.0, grid.n)
+        yield f"rough concave k={k} R={resolution}", GridFn(grid, noise - (grid.points**2).sum(axis=1))
+    grid = make_grid(3, 40)
+    # pl3-like: the corners lie on one affine plane and every other point below it
+    tilt = grid.points @ np.array([0.3, -0.2, 0.1])
+    yield "one-facet envelope k=3", GridFn(grid, tilt + np.abs(grid.points - 1.0 / 3.0).sum(axis=1) - 4.0 / 3.0)
+    for k, resolution in ((3, 12), (4, 6)):
+        yield f"coplanar facets k={k}", coplanar_top(make_grid(k, resolution), rng)
+    grid = make_grid(2, 200)
+    tent = 1.0 - np.abs(2.0 * grid.points[:, 0] - 1.0)
+    yield "tent k=2", GridFn(grid, tent + rng.uniform(-1e-15, 1e-15, grid.n))
+    yield "notched tent k=2", GridFn(grid, np.where(np.arange(grid.n) % 7 == 3, tent - 0.05, tent))
+
+
+def coplanar_top(grid, rng):
+    """One plane over the region p_k <= 1/2 that touches the function only at the region's corners.
+
+    The region has more than k corners, so Qt cuts the flat top into coplanar
+    facets; a point below their shared faces is held by several of them.
+    """
+    tilt = grid.points @ np.linspace(0.5, -0.5, grid.k) + 1.0
+    head, last = grid.points[:, :-1].max(axis=1), grid.points[:, -1]
+    corners = ((last == 0.0) & (head == 1.0)) | ((last == 0.5) & (head == 0.5))
+    return GridFn(grid, np.where(corners, tilt, tilt - rng.uniform(0.1, 1.0, grid.n)))
+
+
+@pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in split_tables()])
+def test_batched_splits_match_the_per_point_loop(f):
+    res = cav_grid(f)
+    atoms, weights = reference_split_table(f)
+    assert np.array_equal(res.atoms, atoms)
+    assert np.array_equal(res.weights, weights)
+    for i in range(f.grid.n):
+        value, split = cav_split_at(f, f.grid.points[i])
+        # one belief's planes are read by a matrix-vector product, the grid's by a matrix product
+        assert value == pytest.approx(res.cav.values[i], rel=1e-14, abs=1e-14)
+        assert np.array_equal(split.posteriors, f.grid.points[res.atoms[i, : split.size]])
+        assert np.array_equal(split.weights, res.weights[i, : split.size])
+        assert not np.any(res.weights[i, split.size :])
+
+
+def test_batched_splits_are_read_within_the_budget(monkeypatch):
+    grid = make_grid(3, 20)
+    f = GridFn(grid, np.random.default_rng(81).uniform(0.0, 1.0, grid.n))
+    full = cav_grid(f)
+    monkeypatch.setattr(envelope, "_PLANE_BUDGET", 64)
+    blocked = cav_grid(GridFn(grid, f.values))
+    assert np.array_equal(blocked.atoms, full.atoms)
+    assert np.array_equal(blocked.weights, full.weights)
+
+
+def test_split_without_a_feasible_facet_raises(monkeypatch):
+    grid = make_grid(3, 6)
+    f = GridFn(grid, np.random.default_rng(82).uniform(0.0, 1.0, grid.n))
+    env = envelope._envelope(f)
+    # every facet now borders the floor padding, so no facet may carry a split
+    monkeypatch.setattr(env, "simplices", np.full_like(env.simplices, grid.n))
+    with pytest.raises(SingularSystem, match="no feasible facet"):
+        cav_grid(f)
+    with pytest.raises(SingularSystem, match="no feasible facet"):
+        cav_split_at(f, grid.points[int(np.argmin(f.values - env.values))])

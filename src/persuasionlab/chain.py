@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,24 +104,51 @@ def cum_rows(P: np.ndarray) -> np.ndarray:
     return cum
 
 
-def scan_states(cum: np.ndarray, first: int, u: np.ndarray) -> np.ndarray:
-    """Path of len(u) + 1 states from ``first``, state n + 1 drawn from row cum[state n] with u[n].
+def scan_states(cum: np.ndarray, first, u: np.ndarray) -> np.ndarray:
+    """Paths from ``first``: state n + 1 is drawn from row cum[state n] with u[..., n].
 
-    cum is a (k, k) table from :func:`cum_rows`. Each uniform fixes a map from
-    the current state to the next; the path is the Hillis-Steele prefix
-    composition of those maps, log2(len(u)) numpy passes over the narrowest
-    unsigned ints that hold a state.
+    cum is a (k, k) table from :func:`cum_rows`. Takes a start state and
+    (b,) uniforms, giving b + 1 states, or (a,) starts and (a, b) uniforms,
+    giving (a, b + 1). Each uniform fixes a map from the current state to
+    the next: the count of thresholds u >= cum[i, j], j < k - 1 (the last
+    column is +inf). The scan has two levels: every block of ceil(sqrt(b))
+    stages is run from all k states at once, the blocks are chained from the
+    start, and each path is read off by running its blocks again from their
+    entry states, about 3 sqrt(b) numpy passes in all. The maps are held in
+    the narrowest unsigned ints that hold a state.
     """
+    starts, u = np.atleast_1d(first), np.asarray(u)
+    lanes, b = u.shape[0] if u.ndim == 2 else 1, u.shape[-1]
     k = cum.shape[0]
-    maps = np.empty((u.size + 1, k), dtype=np.min_scalar_type(k - 1))
-    maps[0] = first
-    np.sum(u[:, None, None] >= cum, axis=2, out=maps[1:])
-    # after the pass with step d, row n composes maps[n - 2d + 1 .. n]
-    d = 1
-    while d < maps.shape[0]:
-        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
-        d *= 2
-    return maps[:, 0].astype(np.int64)
+    m = math.isqrt(b - 1) + 1 if b else 1
+    blocks = -(-b // m)
+    n = np.intp(lanes * blocks)  # blocks of m stages, lane by lane; a numpy int keeps products wide
+    padded = np.zeros((n, m))
+    padded.reshape(lanes, -1)[:, :b] = u
+    # stage g*m + t of lane l sends state i to maps[t, i, l*blocks + g]; the padding is never read
+    maps = np.zeros((m, k, n), dtype=np.min_scalar_type(k - 1))
+    for i in range(k):
+        for j in range(k - 1):
+            maps[:, i] += padded.T >= cum[i, j]
+    cols = np.arange(n)
+    at = np.arange(k)[:, None] * n + cols
+    for t in range(m):
+        at = maps[t].reshape(-1)[at] * n + cols
+    ends = (at // n).reshape(k, lanes, blocks)
+    entry = np.empty((lanes, blocks), dtype=np.intp)
+    state, rows = starts.astype(np.intp), np.arange(lanes)
+    for g in range(blocks):
+        entry[:, g] = state
+        state = ends[state, rows, g]
+    steps = np.empty((n, m), dtype=maps.dtype)
+    at = entry.reshape(-1) * n + cols
+    for t in range(m):
+        steps[:, t] = maps[t].reshape(-1)[at]
+        at = steps[:, t] * n + cols
+    path = np.empty((lanes, b + 1), dtype=np.int64)
+    path[:, 0] = starts
+    path[:, 1:] = steps.reshape(lanes, -1)[:, :b]
+    return path if u.ndim == 2 else path[0]
 
 
 def sample_path(chain: Chain, n: int, rng: np.random.Generator, start=None) -> np.ndarray:

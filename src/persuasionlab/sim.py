@@ -9,12 +9,16 @@ coupling coin is read on every stage and used only when the previous stage
 did not reveal; the revelation coin is read even when the rate is zero, so
 traces with different rates stay aligned.
 
-Estimators step a chunk of replications ("lanes") in lock-step with numpy
-over a table of belief nodes, each lane reading its own stream; run_policy
-is the one-lane case of the same loop. A replication's value depends only
-on its own stream, never on the chunk it falls in, so run_policy(rep=i)
-replays it bit for bit. Aggregation uses numpy's pairwise summation over
-the replication axis.
+Estimators play a chunk of replications ("lanes") together over a table of
+belief nodes, each lane reading its own stream; run_policy is the one-lane
+case of the same engine. States and coins depend only on the uniforms, so a
+block of stages gets them first: states by a prefix scan, then revelation
+and coupling coins. Each revelation or coupling hit reboots the belief to a
+transition row and so starts a segment; the segments of a block are walked
+in lock-step, one position per numpy step. A replication's value depends
+only on its own stream, never on the chunk or block it falls in, so
+run_policy(rep=i) replays it bit for bit. Aggregation uses numpy's pairwise
+summation over the replication axis.
 """
 
 from __future__ import annotations
@@ -93,7 +97,10 @@ class EstimateResult:
     values holds the per-replication draws behind the mean and rep_ids the
     replication index each came from (estimators that reject replications
     keep only the accepted ones). nodes is the engine's final node-table
-    size and cache_clears the number of times the table hit its cap.
+    size, cache_clears the number of walk steps at which the table hit its
+    cap, steps the lock-step walk iterations over all chunks, and fills the
+    batches of nodes built (the k row nodes' and each play's start node
+    included).
     """
 
     mean: float
@@ -106,6 +113,8 @@ class EstimateResult:
     rep_ids: np.ndarray | None = None
     nodes: int = 0
     cache_clears: int = 0
+    steps: int = 0
+    fills: int = 0
 
 
 def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateResult:
@@ -208,12 +217,13 @@ def strategy_couple_down(policy_y: CavResult, base_rate: float, target_rate: flo
 # ---------------------------------------------------------------------------
 # stage engine
 
-# Uniforms one chunk of lanes holds at once (8 MiB); longer plays draw stage blocks in turn.
+# Uniforms one chunk of lanes holds at once (8 MiB). A stage block holds at most _CHUNK_DRAWS
+# bytes (1 MiB) of per-stage work, its uniforms included; longer plays are walked block by block.
 _CHUNK_DRAWS = 1 << 20
 
 
 class _Engine:
-    """Steps replications ("lanes") in lock-step over a table of belief nodes.
+    """Steps replications ("lanes") over a table of belief nodes, one revelation segment at a time.
 
     A node is a reachable (silent, belief) pair with its Bayes work done:
     the cumulative kernel row of each state (ending in +inf) and, per
@@ -221,8 +231,18 @@ class _Engine:
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
     state's id is its node; other nodes are appended when first reached,
     and a non-revealing stage follows the successor of (node, signal),
-    filled once. Past the cap the table is cleared between stages and the
-    lanes' current nodes are built again, which yields the same values.
+    filled once.
+
+    States and coins depend only on the uniforms, so a block of stages gets
+    them first, for every lane at once: states by one prefix scan, then the
+    revelation and coupling coins. A revelation, or a coupling hit, reboots
+    the belief to the previous state's row node, which cuts the lanes'
+    stages into segments; within a segment only the signals and the nodes
+    remain. All segments of a block are walked in lock-step, one position
+    at a time, so a block costs about as many steps as its longest segment
+    has stages. A lane's last segment in a block carries its node into the
+    next block. Past the cap the table is cleared between steps and the
+    nodes still in use are built again, which yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -236,8 +256,12 @@ class _Engine:
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
         self.silent_kernel = np.zeros((sc.chain.k, self.width))
         self.silent_kernel[:, 0] = 1.0
-        self.clears = 0
+        self.clears = self.steps = self.fills = 0
         self._reset()
+
+    def counters(self) -> dict:
+        """Run accounting for EstimateResult."""
+        return dict(nodes=self.size, cache_clears=self.clears, steps=self.steps, fills=self.fills)
 
     def _reset(self) -> None:
         rows = self.sc.chain.M
@@ -287,6 +311,7 @@ class _Engine:
         self.silent[start:stop] = silent
         self.belief[start:stop] = beliefs
         self.size = stop
+        self.fills += 1
 
     def play(self, prior: np.ndarray, rate: float, rngs: list, horizons: list,
              trace: bool = False) -> SimTrace:
@@ -296,75 +321,156 @@ class _Engine:
         payoffs and revelation coins, plus states, signals and posteriors
         when trace is set (None otherwise).
         """
-        belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
+        k = self.sc.chain.k
+        belief = np.ascontiguousarray(validate_belief(prior, k))
         prior_cum = cum_rows(belief)
-        aux_prob, width, d = self.strat.aux_prob, self.width, self.draws_per_stage
         # lanes in order of decreasing horizon, so the lanes still playing are a prefix
         order = np.argsort(-np.asarray(horizons), kind="stable")
         hs = np.asarray(horizons, dtype=np.int64)[order]
-        lanes, last = len(hs), int(hs[0])
+        lanes, last, d = len(hs), int(hs[0]), self.draws_per_stage
         rngs = [rngs[j] for j in order]
-        active = np.searchsorted(-hs, -np.arange(last), side="left").tolist()
 
-        payoffs = np.empty((lanes, last))
-        reveals = np.zeros((lanes, last), dtype=bool)
-        states_out = signals_out = post_out = None
-        if trace:
-            states_out = np.empty((lanes, last), dtype=np.int64)
-            signals_out = np.empty((lanes, last), dtype=np.int64)
-            post_out = np.empty((lanes, last, self.sc.chain.k))
-
+        out = SimTrace(states=np.empty((lanes, last), dtype=np.int64) if trace else None,
+                       signals=np.empty((lanes, last), dtype=np.int64) if trace else None,
+                       reveals=np.zeros((lanes, last), dtype=bool),
+                       posteriors=np.empty((lanes, last, k)) if trace else None,
+                       stage_payoffs=np.empty((lanes, last)))
+        # what a lane carries into the next block: its node, its last state and its last coin
         node = np.full(lanes, self._intern(np.array([self.strat.silent]), belief[None])[0])
         state = np.zeros(lanes, dtype=np.int64)
-        block = min(max(1, _CHUNK_DRAWS // (d * lanes)), last)
-        u = np.empty((lanes, block, d))
-        for n0 in range(0, last, block):
-            for j, h in enumerate(hs.tolist()):
-                if h > n0:
-                    rngs[j].random(out=u[j, : min(h - n0, block)])
-            for n in range(n0, min(n0 + block, last)):
-                a = active[n]
-                if self.size >= self._CACHE_CAP:
-                    live = node[:a]
-                    silent, beliefs = self.silent[live], self.belief[live]
-                    self._reset()
-                    self.clears += 1
-                    node[:a] = self._intern(silent, beliefs)
-                draws, nd, prev = u[:a, n - n0], node[:a], state[:a]
-                # first cumulative weight above the uniform; every row ends in +inf
-                st = (draws[:, :1] < (prior_cum if n == 0 else self.M_cum[prev])).argmax(axis=1)
-                code = 0
-                if aux_prob > 0.0 and n > 0:
-                    hit = ~reveals[:a, n - 1] & (draws[:, 1] < aux_prob)
-                    if hit.any():
-                        nd[hit] = prev[hit]
-                        code = np.where(hit, prev + 1, 0)
-                state[:a] = st
-                s = (draws[:, d - 2, None] < self.cum[nd, st]).argmax(axis=1)
-                rev = draws[:, d - 1] < rate
-                payoffs[:a, n] = self.pay[nd, s]
-                reveals[:a, n] = rev
-                if trace:
-                    states_out[:a, n] = st
-                    signals_out[:a, n] = code * width + s
-                    post_out[:a, n] = self.post[nd, s]
-                if n + 1 < last:
-                    nxt = np.where(rev, st, self.succ[nd, s])
-                    missing = nxt < 0
-                    if missing.any():
-                        # each missing (node, signal) pair is filled once
-                        pairs, inverse = np.unique(nd[missing] * width + s[missing], return_inverse=True)
-                        src, sig = np.divmod(pairs, width)
-                        # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
-                        beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
-                        fresh = self._intern(self.silent[src], beliefs)
-                        self.succ[src, sig] = fresh
-                        nxt[missing] = fresh[inverse]
-                    node[:a] = nxt
+        revealed = np.zeros(lanes, dtype=bool)
+        # lane-stages one block holds, at about 8d + 60 bytes each: d uniforms, the signal uniform
+        # and the state path (8 each), coins and cuts, and about 40 of segment arrays and step
+        # temporaries at rate 0.5; a block spans more stages as lanes finish
+        span = max(1, _CHUNK_DRAWS // (8 * d + 60))
+        buffer = np.zeros(min(max(span, lanes), lanes * last) * d)
+        n0 = 0
+        while n0 < last:
+            a = int(np.count_nonzero(hs > n0))
+            b = min(last - n0, max(1, span // a))
+            lens = np.minimum(hs[:a] - n0, b)
+            draws = buffer[: a * b * d].reshape(a, b, d)
+            for j, h in enumerate(lens.tolist()):
+                rngs[j].random(out=draws[j, :h])
+            states, rev, reboot, hit = self._states_and_coins(draws, n0, prior_cum, state, revealed, rate)
+            out.reveals[:a, n0 : n0 + b] = rev & (np.arange(b) < lens[:, None])
+            if trace:
+                out.states[:a, n0 : n0 + b] = states
+            carry = int(np.count_nonzero(hs > n0 + b))
+            segments = self._segments(reboot, lens, carry, states, state, node, hit if trace else None)
+            node[:carry] = self._walk(segments, states, draws[:, :, d - 2], rev, n0, out)
+            state[:carry] = states[:carry, b - 1]
+            revealed[:carry] = rev[:carry, b - 1]
+            n0 += b
 
         back = np.argsort(order)
         return SimTrace(*(None if arr is None else arr[back]
-                          for arr in (states_out, signals_out, reveals, post_out, payoffs)))
+                          for arr in (out.states, out.signals, out.reveals, out.posteriors, out.stage_payoffs)))
+
+    def _states_and_coins(self, draws, n0, prior_cum, state, revealed, rate):
+        """States, revelation coins, reboots and coupling hits of a block, (lanes, stages) each.
+
+        Stage n0 + c of a lane reboots when the stage before it revealed or
+        its coupling coin hit; hit is None without a coupling coin.
+        """
+        a, b, d = draws.shape
+        if n0 == 0:
+            first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
+            states = scan_states(self.M_cum, first, draws[:, 1:, 0])
+        else:
+            states = np.ascontiguousarray(scan_states(self.M_cum, state[:a], draws[:, :, 0])[:, 1:])
+        rev = draws[:, :, d - 1] < rate
+        reboot = np.empty((a, b), dtype=bool)
+        reboot[:, 0] = revealed[:a]
+        reboot[:, 1:] = rev[:, :-1]
+        hit = None
+        if self.strat.aux_prob > 0.0:
+            hit = (draws[:, :, 1] < self.strat.aux_prob) & ~reboot
+            hit[:, 0] &= n0 > 0
+            reboot |= hit
+        return states, rev, reboot, hit
+
+    def _segments(self, reboot, lens, carry, states, state, node, hit):
+        """Segments of one block, longest first: (starts, nodes, codes, live, carriers).
+
+        starts are flat (lane, stage) block indices and nodes the nodes the
+        segments start at: the previous state's row node after a reboot, else
+        the lane's carried node. codes hold width * (1 + previous state) where
+        a coupling hit starts the segment and 0 elsewhere (None without hit).
+        live[j] counts the segments longer than j, and carriers are the last
+        segments of the first `carry` lanes, which play past the block.
+        """
+        a, b = reboot.shape
+        cut = reboot & (np.arange(b) < lens[:, None])
+        cut[:, 0] = True
+        starts = np.flatnonzero(cut)
+        lane, col = np.divmod(starts, b)
+        length = np.minimum(np.append(starts[1:], a * b), lane * b + lens[lane]) - starts
+        prev = np.where(col > 0, states.reshape(-1)[starts - 1], state[lane])
+        nodes = np.where(reboot.reshape(-1)[starts], prev, node[lane])
+        # a stable sort on the narrowest key is a radix sort
+        by = np.argsort((b - length).astype(np.min_scalar_type(b)), kind="stable")
+        rank = np.empty_like(by)
+        rank[by] = np.arange(by.size)
+        carriers = rank[np.searchsorted(starts, b * np.arange(1, carry + 1)) - 1]
+        codes = None if hit is None else np.where(hit.reshape(-1)[starts], (prev + 1) * self.width, 0)[by]
+        length = length[by]
+        live = np.searchsorted(-length, -np.arange(length[0]), side="left")
+        return starts[by], nodes[by], codes, live, carriers
+
+    def _walk(self, segments, states, sig_u, rev, n0: int, out: SimTrace) -> np.ndarray:
+        """Play every segment of a block in lock-step, one segment position per step.
+
+        states, sig_u (signal uniforms) and rev are the block's (lanes, stages)
+        arrays. Fills out's rows from stage n0 on and returns the carriers'
+        successor nodes, filled unless the carrier's last stage revealed.
+        """
+        starts, nodes, codes, live, carriers = segments
+        k, width = self.sc.chain.k, self.width
+        b, last = states.shape[1], out.stage_payoffs.shape[1]
+        outs = starts // b * last + n0 + starts % b
+        # a carrier whose last stage revealed restarts at a row node, so its node is not kept
+        kept = carriers[~rev[: len(carriers), b - 1]]
+        states, sig_u, rev = states.reshape(-1), sig_u.reshape(-1), rev.reshape(-1)
+        for j, alive in enumerate(live.tolist()):
+            if self.size >= self._CACHE_CAP:
+                keep = np.concatenate([np.arange(alive), kept[kept >= alive]])
+                ids = nodes[keep]
+                silent, beliefs = self.silent[ids], self.belief[ids]
+                self._reset()
+                self.clears += 1
+                nodes[keep] = self._intern(silent, beliefs)
+            self.steps += 1
+            f, nd = starts[:alive] + j, nodes[:alive]
+            # the signal counts the kernel row's thresholds at or below its uniform: rows never
+            # decrease, so that is the first index whose cumulative weight exceeds the uniform
+            row = nd * (k * width) + states[f] * width
+            draw, cum = sig_u[f], self.cum.reshape(-1)
+            s = (draw >= cum[row]).astype(np.int64)
+            for t in range(1, width - 1):
+                s += draw >= cum[row + t]
+            ix = nd * width + s
+            o = outs[:alive] + j
+            out.stage_payoffs.reshape(-1)[o] = self.pay.reshape(-1)[ix]
+            if out.signals is not None:
+                out.signals.reshape(-1)[o] = s if j or codes is None else s + codes[:alive]
+                out.posteriors.reshape(-1, k)[o] = self.post.reshape(-1, k)[ix]
+            nxt = self.succ.reshape(-1)[ix]
+            missing = nxt < 0
+            if missing.any():
+                # a revealing stage, and the longest play's last one, need no successor
+                missing &= ~rev[f] & (o % last < last - 1)
+                if missing.any():
+                    # each missing (node, signal) pair is filled once
+                    pairs, inverse = np.unique(ix[missing], return_inverse=True)
+                    src, sig = np.divmod(pairs, width)
+                    # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
+                    beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
+                    fresh = self._intern(self.silent[src], beliefs)
+                    self.succ[src, sig] = fresh
+                    nxt[missing] = fresh[inverse]
+            nodes[:alive] = nxt
+        return nodes[carriers]
 
 
 def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizon: int | None = None,
@@ -456,7 +562,7 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
               for payoffs in plays.stage_payoffs]
     return _summary(np.array(totals), np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
-                    nodes=engine.size, cache_clears=engine.clears)
+                    **engine.counters())
 
 
 def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
@@ -476,7 +582,7 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
     totals = [payoffs[:w].sum() for _, durations, plays in
               _chunks(engine, prior, 0.0, seed, samples, duration_rate=rate)
               for w, payoffs in zip(durations, plays.stage_payoffs)]
-    return _summary(np.array(totals), np.arange(samples), nodes=engine.size, cache_clears=engine.clears)
+    return _summary(np.array(totals), np.arange(samples), **engine.counters())
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
@@ -509,7 +615,7 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     if not kept:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
     return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64), rejected=rejected,
-                    horizon=horizon, nodes=engine.size, cache_clears=engine.clears)
+                    horizon=horizon, **engine.counters())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persuasionlab import ergodic_frequency_se, sample_path, stationary, validate_chain
+from persuasionlab.chain import cum_rows, scan_states
 from persuasionlab.errors import NotIrreducible, NotStochastic
 
 
@@ -105,3 +108,53 @@ def test_frequency_se_grows_with_persistence():
     sticky = validate_chain(np.array([[0.99, 0.01], [0.01, 0.99]]))
     iid = validate_chain(np.array([[0.5, 0.5], [0.5, 0.5]]))
     assert np.all(ergodic_frequency_se(sticky, 1000) > ergodic_frequency_se(iid, 1000))
+
+
+# ---------------------------------------------------------------------------
+# state-path scan
+
+# rows given in decimals, whose cumulative sums round (0.7 + 0.2 is 0.8999999999999999), end
+# exactly at 1, or put no mass on the last states
+DECIMAL_ROWS = {2: ([0.7, 0.3], [1.0, 0.0], [0.0, 1.0]),
+                3: ([0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [0.5, 0.5, 0.0]),
+                4: ([0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1], [0.25, 0.25, 0.25, 0.25])}
+
+
+def scan_oracle(cum, first, u):
+    """Path from first by a scalar loop: each uniform picks the first cumulative weight above it."""
+    path = [int(first)]
+    for x in u:
+        path.append(next(j for j, c in enumerate(cum[path[-1]]) if x < c))  # the last entry is +inf
+    return path
+
+
+@st.composite
+def scan_cases(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0)
+    rows = [draw(st.one_of(st.sampled_from(DECIMAL_ROWS[k]), weights.map(lambda w: np.divide(w, sum(w)))))
+            for _ in range(k)]
+    cum = cum_rows(np.array(rows, dtype=float))
+    # uniforms on, just below and just above the finite thresholds, and the largest one below 1
+    edges = cum[np.isfinite(cum) & (cum < 1.0)]
+    pool = sorted({0.0, float(np.nextafter(1.0, 0.0))} | {float(x) for x in np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]) if 0.0 <= x < 1.0})
+    m = draw(st.integers(1, 6))
+    b = draw(st.sampled_from([0, 1, m * m - 1, m * m, m * m + 1]))
+    lanes = draw(st.integers(1, 4))
+    starts = draw(st.lists(st.integers(0, k - 1), min_size=lanes, max_size=lanes))
+    uniform = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0, exclude_max=True))
+    u = draw(st.lists(uniform, min_size=lanes * b, max_size=lanes * b))
+    return cum, np.array(starts), np.array(u, dtype=float).reshape(lanes, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scan_cases())
+def test_batched_scan_matches_a_scalar_loop(case):
+    cum, starts, u = case
+    got = scan_states(cum, starts, u)
+    assert got.dtype == np.int64 and got.shape == (len(starts), u.shape[1] + 1)
+    for lane, first in enumerate(starts):
+        want = scan_oracle(cum, first, u[lane])
+        assert got[lane].tolist() == want
+        assert scan_states(cum, int(first), u[lane]).tolist() == want

@@ -633,6 +633,86 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
             assert_bit_equal(g, w)
 
 
+# (_CHUNK_DRAWS, _CACHE_CAP): one-stage blocks, blocks of a few stages that widen as lanes
+# finish, the default single block, and each of them with a node table cleared before every step
+ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3), (2000, 3), (None, 3)]
+
+
+@pytest.mark.parametrize("budget,cap", ENGINE_SETTINGS)
+@pytest.mark.parametrize("rate", [0.0, 1.0, None])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, cap, strategies, monkeypatch):
+    # lanes of unequal horizons in one play, each traced field against its own scalar replay
+    sc, made = strategies[name]
+    if rate is not None:
+        sc = replace(sc, reveal_rate=rate)
+    strat = made[strategy]
+    if budget is not None:
+        monkeypatch.setattr(sim, "_CHUNK_DRAWS", budget)
+    if cap is not None:
+        monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
+    horizons, seed = [1, 23, 7, 40, 2, 40, 15], 5
+    rngs = [replication_rng(seed, i) for i in range(len(horizons))]
+    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, rngs, horizons, trace=True)
+    for i, h in enumerate(horizons):
+        got = (play.states[i, :h], play.signals[i, :h], play.reveals[i, :h], play.posteriors[i, :h],
+               play.stage_payoffs[i, :h])
+        for g, w in zip(got, reference_trace(sc, strat, h, seed, i)):
+            assert_bit_equal(g, w)
+        assert not play.reveals[i, h:].any()
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_coupling_hits_on_a_block_first_stage(name, strategies, monkeypatch):
+    # one-stage blocks, so every coupling hit falls on a block's first stage
+    sc, made = strategies[name]
+    sc = replace(sc, reveal_rate=0.0)
+    monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1)
+    trace = run_policy(sc, made["couple"], 60, seed=5, rep=1)
+    assert (trace.signals >= made["couple"].kernels.shape[2]).sum() > 10
+    got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
+    for g, w in zip(got, reference_trace(sc, made["couple"], 60, 5, 1)):
+        assert_bit_equal(g, w)
+
+
+def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
+    # stage 0's signal uniform is the kernel's first cumulative weight: the draw is the first
+    # weight above the uniform, signal 1
+    sc, _ = strategies["tent"]
+    t = replication_rng(sc.seed, 0).random(3)[1]
+    strat = Strategy(np.array([[[t, 1.0 - t], [t, 1.0 - t]]]))
+    trace = run_policy(sc, strat, 4, rep=0)
+    assert trace.signals[0] == 1
+    got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
+    for g, w in zip(got, reference_trace(sc, strat, 4, sc.seed, 0)):
+        assert_bit_equal(g, w)
+
+
+def test_the_last_stage_fills_no_successor(strategies):
+    # at rate 0 the null strategy's belief moves on every one of these 30 stages (on tent it
+    # reaches a fixed point only later): the start node plus a successor for every stage but the last
+    sc, made = strategies["tent"]
+    est = estimate_discounted(replace(sc, reveal_rate=0.0), made["null"], samples=20, seed=1, horizon=30)
+    assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 30, 31, 30)
+
+
+@pytest.mark.parametrize("strategy", ["null", "optimal", "renewal"])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_estimates_count_walk_steps(name, strategy, strategies):
+    sc, made = strategies[name]
+    strat = made[strategy]
+    # at rate 1 every segment is one stage long: one step per block, and no successor is filled,
+    # so the only node builds are the row nodes' and the start node's
+    est = estimate_discounted(replace(sc, reveal_rate=1.0), strat, samples=20, seed=1, horizon=50)
+    assert est.steps == 1
+    assert est.fills == 2 and est.nodes == sc.chain.k + 1
+    # at rate 0 a lane never reboots: one segment per lane, one step per stage
+    est = estimate_discounted(replace(sc, reveal_rate=0.0), strat, samples=20, seed=1, horizon=50)
+    assert est.steps == 50
+    assert 1 < est.fills <= est.steps + 2
+
+
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
 def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
@@ -661,11 +741,12 @@ def test_estimates_report_the_node_table(monkeypatch):
     strat = strategy_optimal(sc)
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
     assert (est.nodes, est.cache_clears) == (8, 0)
-    # past the cap the table is cleared between stages, once per stage here (the two row nodes
-    # count toward the cap from the first stage)
+    # past the cap the table is cleared between walk steps, here before each of the 16 steps (the
+    # two row nodes and the start node reach the cap before the first step)
     monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
     capped = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
-    assert (capped.nodes, capped.cache_clears) == (7, 30)
+    assert (capped.nodes, capped.cache_clears) == (3, 16)
+    assert capped.steps == est.steps == 16
     assert_bit_equal(capped.values, est.values)
 
 

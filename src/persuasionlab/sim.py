@@ -11,19 +11,22 @@ traces with different rates stay aligned.
 
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane reading its own stream; run_policy is the one-lane
-case of the same engine. States and coins depend only on the uniforms, so a
-block of stages gets them first: states by a prefix scan, then revelation
-and coupling coins. Each revelation or coupling hit reboots the belief to a
-transition row and so starts a segment; the segments of a block are walked
-in lock-step, one position per numpy step. A replication's value depends
-only on its own stream, never on the chunk or block it falls in, so
-run_policy(rep=i) replays it bit for bit. Aggregation uses numpy's pairwise
-summation over the replication axis.
+case of the same engine. An estimate derives the seeds of all its streams in
+one batch (replication_rngs), bit for bit the SeedSequence definition above.
+States and coins depend only on the uniforms, so a block of stages gets them
+first: states by a prefix scan, then revelation and coupling coins. Each
+revelation or coupling hit reboots the belief to a transition row and so
+starts a segment; the segments of a block are walked in lock-step, one
+position per numpy step. A replication's value depends only on its own
+stream, never on the chunk or block it falls in, so run_policy(rep=i)
+replays it bit for bit. Aggregation uses numpy's pairwise summation over the
+replication axis.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,9 +41,110 @@ from .solver import Scenario, solve
 # randomness plumbing
 
 
+# O'Neill's seed_seq hash as numpy's SeedSequence runs it on a four-word pool; numpy's
+# stream-compatibility policy (NEP 19) freezes it and PCG64's seeding.
+_MASK = 0xFFFF_FFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(const: int, mult: int, n: int) -> list[int]:
+    """const, const * mult, ..., const * mult**n, modulo 2**32."""
+    out = [const]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK)
+    return out
+
+
+def _hash(value, pre, post):
+    """hashmix with the hash constant before (pre) and after (post) it advances; ints or uint32 arrays."""
+    value = (value ^ pre) * post & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """Mixes a hashed word y into pool word x; ints or uint32 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK
+    return value ^ value >> 16
+
+
+# generate_state's constants for the 8 uint32 words behind PCG64's 4 uint64 seed words
+_OUT = np.array(_powers(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool of SeedSequence(seed, spawn_key=...) before its key is mixed in, and the hash constant then."""
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
+    words = [seed & _MASK]
+    while seed := seed >> 32:
+        words.append(seed & _MASK)
+    words += [0] * (4 - len(words))  # with a spawn key, the seed's words are padded to the pool size
+    # 4 hashes fill the pool, 12 cross-mix it and 4 mix in each word past the pool size
+    c = _powers(_INIT_A, _MULT_A, 4 * len(words))
+    keys = zip(c, c[1:])
+    pool = [_hash(w, *next(keys)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(keys)))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(w, *next(keys)))
+    return pool, c[-1]
+
+
+def _seed_states(seed: int, reps: list[int]) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64) for each r of reps, one row each."""
+    pool, const = _seed_pool(seed)
+    if min(reps, default=0) < 0:
+        raise ValueError(f"expected non-negative integer, got rep {min(reps)}")
+    n = max(1, -(-max(reps, default=0).bit_length() // 32))
+    key = np.array([[r >> s & _MASK for r in reps] for s in range(0, 32 * n, 32)], dtype=np.uint32)
+    c = np.array(_powers(const, _MULT_A, 4 * n), dtype=np.uint32)
+    pool = np.array(pool, dtype=np.uint32)
+    for j in range(n):
+        mixed = _mix(pool, _hash(key[j, :, None], c[4 * j : 4 * j + 4], c[4 * j + 1 : 4 * j + 5]))
+        # a rep's key ends at its highest nonzero word (rep 0 keeps one word), so lanes are
+        # grouped by key length: word j > 0 is mixed in only where it or a later word is nonzero
+        pool = mixed if j == 0 else np.where(key[j:].any(axis=0)[:, None], mixed, pool)
+    words = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _OUT[:-1], _OUT[1:])
+    # pairs of words read as little-endian uint64, as generate_state reads them on any platform
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the four uint64 words computed for it."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only the 4 uint64 words that seed PCG64")
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def replication_rngs(seed: int, reps) -> Iterator[np.random.Generator]:
+    """replication_rng(seed, r) for each r of reps, bit for bit.
+
+    The seeds of all reps are derived in one batch when called; each
+    generator is built when the iterator reaches it. Raises ValueError for a
+    negative seed or rep, as SeedSequence does.
+    """
+    return map(_generator, _seed_states(int(seed), [int(r) for r in reps]))
+
+
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent stream for one replication, derived from the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(rep),)))
+    """Independent stream for one replication, derived from the master seed.
+
+    Bit for bit np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,))).
+    """
+    return next(replication_rngs(seed, [rep]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +584,14 @@ def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizo
     Replication i plays `horizon` stages or, with duration_rate, a geometric
     number drawn first from its own stream. A chunk grows while its lanes
     times its longest horizon times the draws per stage stays within
-    _CHUNK_DRAWS, and always holds at least one lane. Raises ValueError for
-    samples below 1.
+    _CHUNK_DRAWS, and always holds at least one lane. The seeds of all
+    replications are derived up front (32 bytes each); a lane's generator is
+    built when the lane joins its chunk. Raises ValueError for samples below 1.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rngs, hs, longest = [], [], 0
-    for i in range(samples):
-        rng = replication_rng(seed, i)
+    for i, rng in enumerate(replication_rngs(seed, range(samples))):
         h = horizon if duration_rate is None else int(rng.geometric(duration_rate))
         if rngs and (len(rngs) + 1) * max(longest, h) * engine.draws_per_stage > _CHUNK_DRAWS:
             yield range(i - len(rngs), i), hs, engine.play(prior, rate, rngs, hs)

@@ -33,7 +33,7 @@ from persuasionlab import (
     strategy_renewal_optimal,
 )
 from persuasionlab.errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persuasionlab import sim
@@ -166,12 +166,53 @@ def test_clt_quantile_guards():
 # single-path engine
 
 
+def definition_rng(seed, rep):
+    """Replication rep's stream as the reproducibility contract defines it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+
+
 def test_replication_streams():
     a = replication_rng(42, 0).random(4)
     b = replication_rng(42, 0).random(4)
     c = replication_rng(42, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert np.array_equal(a, definition_rng(42, 0).random(4))
+    assert np.array_equal(c, definition_rng(42, 1).random(4))
+    # seed and rep are coerced with int(), numpy integers included
+    assert np.array_equal(replication_rng(np.uint64(42), np.int64(1)).random(4), c)
+
+
+# seeds at the edges of one and two 32-bit words and one past the pool's four words; reps at
+# the edges of one and two words, and one of three words whose middle word is zero
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
+REP_EDGES = [0, 2**32 - 1, 2**32, 2**40, 2**64]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SEED_EDGES)),
+       reps=st.lists(st.one_of(st.integers(0, 40), st.sampled_from(REP_EDGES)), max_size=8))
+@example(seed=2**130 + 12345, reps=[2**40, 0, 2**64, 2**32, 2**32 - 1, 2**32, 7, 0])
+@example(seed=2**64 - 1, reps=[2**32 - 1, 2**40, 1])
+@example(seed=5, reps=[])
+def test_batched_streams_match_the_seed_sequence_definition(seed, reps):
+    rngs = list(sim.replication_rngs(seed, reps))
+    assert len(rngs) == len(reps)
+    for rep, rng in zip(reps, rngs):
+        want = definition_rng(seed, rep)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.random(3), want.random(3))
+        assert rng.integers(2**63) == want.integers(2**63)
+
+
+@pytest.mark.parametrize("seed,reps", [(-1, [0]), (0, [3, -1]), (-(2**70), []), (2**64, [2**40, -(2**40)])])
+def test_negative_seeds_and_reps_raise_like_seed_sequence(seed, reps):
+    with pytest.raises(ValueError):
+        [np.random.SeedSequence(seed, spawn_key=(rep,)) for rep in [*reps, 0]]
+    with pytest.raises(ValueError):
+        sim.replication_rngs(seed, reps)
+    with pytest.raises(ValueError):
+        replication_rng(seed, min([*reps, 0]))
 
 
 def test_run_policy_is_deterministic(scenario):
@@ -631,6 +672,38 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
         got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
         for g, w in zip(got, reference_trace(sc, strat, horizon, seed, rep)):
             assert_bit_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**64 - 1])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategies, monkeypatch):
+    # master seeds of two words; chunks of a few lanes, so several chunks form
+    sc, made = strategies[name]
+    strat = made["optimal"]
+    horizon, samples = 20, 9
+    monkeypatch.setattr(sim, "_CHUNK_DRAWS", 3 * 3 * horizon)
+    chunks = []
+    play = _Engine.play
+    monkeypatch.setattr(_Engine, "play", lambda self, *args, **kw: chunks.append(len(args[2])) or play(self, *args, **kw))
+
+    est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
+    assert chunks == [3, 3, 3]
+    weights = (1.0 - sc.discount) * sc.discount ** np.arange(horizon)
+    replays = [weights @ run_policy(sc, strat, horizon, seed=seed, rep=i).stage_payoffs for i in range(samples)]
+    assert_bit_equal(est.values, np.array(replays))
+
+    # a lane draws its duration first and then plays that many stages without revelations,
+    # as the one-lane engine does on the stream the contract defines
+    chunks.clear()
+    p, rate = sc.initial_prior(), 0.2
+    est = random_duration_value_mc(sc, p, rate, strat, samples=samples, seed=seed)
+    assert len(chunks) > 1 and sum(chunks) == samples
+    replays = []
+    for i in range(samples):
+        rng = definition_rng(seed, i)
+        w = int(rng.geometric(rate))
+        replays.append(play(_Engine(sc, strat), p, 0.0, [rng], [w]).stage_payoffs[0].sum())
+    assert_bit_equal(est.values, np.array(replays))
 
 
 # (_CHUNK_DRAWS, _CACHE_CAP): one-stage blocks, blocks of a few stages that widen as lanes

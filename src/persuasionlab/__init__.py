@@ -22,7 +22,7 @@ from .belief import (
     validate_split,
 )
 from .chain import Chain, ergodic_frequency_se, sample_path, stationary, validate_chain
-from .envelope import cav_grid, cav_split_at, cav_values
+from .envelope import cav_grid, cav_split_at, cav_splits, cav_values
 from .errors import PersuasionError
 from .payoff import PayoffDiscontinuityWarning, ReceiverPayoff, TablePayoff, build_u
 from .sim import (
@@ -79,6 +79,7 @@ __all__ = [
     "build_u",
     "cav_grid",
     "cav_split_at",
+    "cav_splits",
     "cav_values",
     "check_no_info_at_concave_point",
     "clt_quantile_bound",

@@ -147,14 +147,6 @@ class BeliefGrid:
         offsets = np.concatenate([[0], np.cumsum(real.sum(axis=1))])
         return sparse.csr_matrix((w[real], idx[real], offsets), shape=(queries.shape[0], self.n))
 
-    def nearest_index(self, q) -> int:
-        """Index of the grid point closest to q (lowest index on ties); only q's shape is checked."""
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.k,):
-            raise DimensionMismatch(f"belief has shape {q.shape}, expected ({self.k},)")
-        d = self.points - q
-        return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
 
 def make_grid(k: int, resolution: int, max_points: int = DEFAULT_MAX_POINTS) -> BeliefGrid:
     """Build the belief lattice with coordinates in multiples of 1/resolution."""
@@ -284,13 +276,14 @@ def kernel_from_split(p, split: Split, n_signals: int | None = None) -> np.ndarr
 def kernels_from_splits(p: np.ndarray, posteriors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Signal kernels kernel[i, state, atom] realizing the splits at priors p (n, k).
 
-    posteriors is (n, m, k) and weights (n, m). A zero-probability state draws
-    uniformly over the split's positive-weight atoms; that row never matters.
+    posteriors is (n, m, k) and weights (n, m). A state no atom puts mass on
+    (probability 0, or within the barycenter tolerance of 0) draws uniformly
+    over the split's positive-weight atoms.
     """
     live = weights > 0.0
     kernels = np.repeat((live / live.sum(axis=1, keepdims=True))[:, None, :], p.shape[1], axis=1)
-    prior = p[:, :, None]
-    np.divide(weights[:, None, :] * posteriors.transpose(0, 2, 1), prior, out=kernels, where=prior > 0.0)
+    prior, mass = p[:, :, None], weights[:, None, :] * posteriors.transpose(0, 2, 1)
+    np.divide(mass, prior, out=kernels, where=(prior > 0.0) & (mass.sum(axis=2, keepdims=True) > 0.0))
     # kill rounding drift so downstream row-sum checks stay exact
     kernels /= kernels.sum(axis=2, keepdims=True)
     return kernels

@@ -387,7 +387,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     for x in rates:
         inner_sc = replace(sc, discount=1.0 - x)
         res = solve(inner_sc, "no_reveal")
-        strat = sim.strategy_policy(res.policy, inner_sc)
+        strat = sim.strategy_policy(res.target, inner_sc)
         est = sim.random_duration_value_mc(inner_sc, p, x, strat)
         target = interpolate(res.value, p) / x
         err = abs(est.mean - target)
@@ -564,8 +564,8 @@ def _resolve_strategy(token: str, sc: Scenario) -> tuple[sim.Strategy, bool]:
             raise BadRates(
                 f"coupling needs a target rate above the scenario rate {sc.reveal_rate}, got {target}"
             )
-        policy_y = solve(replace(sc, reveal_rate=target), "reveal").policy
-        return sim.strategy_couple_down(policy_y, sc.reveal_rate, target, sc), False
+        target_y = solve(replace(sc, reveal_rate=target), "reveal").target
+        return sim.strategy_couple_down(target_y, sc.reveal_rate, target, sc), False
     raise ParseError(
         f"unknown strategy {token!r}; pick optimal, sigma_star, couple:Y, null or full"
     )

@@ -94,10 +94,11 @@ class _Envelope:
         """Absolute slack for deciding that the function attains the envelope."""
         return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
-    def at(self, charts: np.ndarray) -> np.ndarray:
+    def at(self, charts: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,)).
 
-        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory.
+        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory. rowwise
+        reads each row by its own (1, dim) @ (dim, facets) product, as `split` does, whatever the batch.
         """
         if self.grid.k <= 2:
             s = self.grid.points[:, 0]
@@ -105,7 +106,9 @@ class _Envelope:
         rows = max(1, _PLANE_BUDGET // self.offsets.size)
         out = np.empty(len(charts))
         for i in range(0, len(charts), rows):
-            out[i : i + rows] = (-(self.offsets + charts[i : i + rows] @ self.normals.T) / self.vert_norm).min(axis=1)
+            block = charts[i : i + rows]
+            planes = (block[:, None, :] @ self.normals.T)[:, 0] if rowwise else block @ self.normals.T
+            out[i : i + rows] = (-(self.offsets + planes) / self.vert_norm).min(axis=1)
         return out
 
     def split(self, charts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,22 +180,14 @@ def cav_values(f: GridFn) -> np.ndarray:
 def cav_grid(f: GridFn) -> CavResult:
     """Envelope of a grid function together with an optimal split at each point.
 
-    Points already on the envelope get the degenerate split. Elsewhere the
-    split atoms are grid points, at most k of them, averaging back to the
-    point with value equal to the envelope.
+    The grid-point case of `cav_splits`, read at the envelope values
+    `cav_values` holds: points already on the envelope get the degenerate
+    split, and padding slots repeat the point's own index.
     """
     env = _envelope(f)
-    n, k = f.grid.n, f.grid.k
-    cavv = env.values
-    atoms = np.repeat(np.arange(n)[:, None], k, axis=1)
-    weights = np.zeros((n, k))
-    weights[:, 0] = 1.0
-    below = np.nonzero(f.values < cavv - env.slack)[0]
-    if below.size:
-        idx, w = env.split(f.grid.points[below, : env.dim], cavv[below])
-        atoms[below] = np.where(idx < 0, below[:, None], idx)
-        weights[below] = w
-    return CavResult(cav=GridFn(f.grid, cavv), atoms=atoms, weights=weights)
+    atoms, weights = _splits(f, f.grid.points, env.values, f.values)
+    atoms = np.where(atoms < 0, np.arange(f.grid.n)[:, None], atoms)
+    return CavResult(cav=GridFn(f.grid, env.values), atoms=atoms, weights=weights)
 
 
 def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
@@ -207,19 +202,34 @@ def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(env.at(q[:, : env.dim]), fq), fq
 
 
-def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
-    """Envelope value and an optimal grid-supported split at an arbitrary belief.
+def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Envelope values and optimal grid-supported splits at each row of an (m, k) batch of beliefs.
 
-    When the interpolated function already attains the envelope the split is
-    the enclosing-cell lottery (degenerate at q when q is a grid point).
+    Returns values (m,), atoms (m, k) grid indices and weights (m, k), positive weights first, then atom -1
+    with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid point), a
+    row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
-    q = validate_belief(q, f.grid.k)
-    idx, w = f.grid.locate(q)  # also rejects a batch
+    q = np.atleast_2d(validate_belief(q, f.grid.k))
+    env, fq = _envelope(f), interpolate(f, q)
+    values = np.maximum(env.at(q[:, : env.dim], rowwise=True), fq)
+    return values, *_splits(f, q, values, fq)
+
+
+def _splits(f: GridFn, q: np.ndarray, values: np.ndarray, fq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The split rule of `cav_splits` at beliefs q, given the envelope values and interpolated f there."""
     env = _envelope(f)
-    value, fq = (float(a[0]) for a in cav_at(f, q))
-    if fq >= value - env.slack:
-        idx, w = idx[w > 0.0], w[w > 0.0]
-    else:
-        atoms, weights = env.split(q[None, : env.dim], np.array([value]))
-        idx, w = atoms[0, atoms[0] >= 0], weights[0, atoms[0] >= 0]
-    return value, Split(f.grid.points[idx].copy(), w)
+    idx, w, _ = f.grid._cells(q)
+    keep = w > 0.0
+    slots = np.argsort(~keep, axis=1, kind="stable")  # positive weights first, in vertex order
+    atoms = np.take_along_axis(np.where(keep, idx, -1), slots, axis=1)
+    weights = np.take_along_axis(np.where(keep, w, 0.0), slots, axis=1)
+    below = np.flatnonzero(fq < values - env.slack)
+    if below.size:
+        atoms[below], weights[below] = env.split(q[below, : env.dim], values[below])
+    return atoms, weights
+
+
+def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
+    """Envelope value and an optimal grid-supported split at one belief: the one-row case of `cav_splits`."""
+    (value,), (atoms,), (weights,) = cav_splits(f, np.asarray(q, dtype=float)[None])  # a batch fails as 3-d
+    return float(value), Split(f.grid.points[atoms[atoms >= 0]], weights[atoms >= 0])

@@ -11,7 +11,9 @@ traces with different rates stay aligned.
 
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane reading its own stream; run_policy is the one-lane
-case of the same engine. An estimate derives the seeds of all its streams in
+case of the same engine. A policy strategy splits at the exact belief onto
+grid points, so its nodes are the prior, the transition rows and images
+grid.points @ M. An estimate derives the seeds of all its streams in
 one batch (replication_rngs), bit for bit the SeedSequence definition above.
 States and coins depend only on the uniforms, so a block of stages gets them
 first: states by a prefix scan, then revelation and coupling coins. Each
@@ -31,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import BeliefGrid, bayes_update, interpolate, kernels_from_splits, validate_belief
+from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_belief
 from .chain import cum_rows, scan_states
-from .envelope import CavResult
+from .envelope import cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from .solver import Scenario, solve
 
@@ -240,53 +242,44 @@ def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateR
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Stationary signal kernels, with the two renewal-phase variations.
+    """Stationary signal kernels over width signals, with the two renewal-phase variations.
 
-    kernels[i] is the kernel (state x signal) played at grid point i of
-    grid, realized at the exact belief so the posterior process stays a
-    martingale; without a grid kernels[0] is played everywhere. A silent
-    strategy sends one uninformative signal until the first revelation.
-    With aux_prob > 0, on stages where the game did not just reveal, an
-    auxiliary coin discloses the previous state with that chance and the
-    kernel is played at its transition row.
+    A policy strategy plays, at each belief it reaches, the optimal split of
+    target's envelope at that exact belief (`cav_splits`), realized by the
+    kernel `kernel_from_split` builds, and its posteriors are the split's
+    atoms, grid points. Any other strategy plays kernel (state x signal) at
+    every belief. A silent strategy sends one uninformative signal until the
+    first revelation. With aux_prob > 0, on stages where the game did not
+    just reveal, an auxiliary coin discloses the previous state with that
+    chance and the strategy is played at its transition row.
     """
 
-    kernels: np.ndarray
-    grid: BeliefGrid | None = None
+    width: int
+    kernel: np.ndarray | None = None
+    target: GridFn | None = None
     silent: bool = False
     aux_prob: float = 0.0
-
-    def kernel_at(self, belief: np.ndarray) -> np.ndarray:
-        return self.kernels[0 if self.grid is None else self.grid.nearest_index(belief)]
 
 
 def strategy_null(sc: Scenario) -> Strategy:
     """Reveals nothing: a single uninformative signal each stage."""
-    return Strategy(np.ones((1, sc.chain.k, 1)))
+    return Strategy(1, kernel=np.ones((sc.chain.k, 1)))
 
 
 def strategy_full(sc: Scenario) -> Strategy:
     """Discloses the current state each stage."""
-    return Strategy(np.eye(sc.chain.k)[None])
+    return Strategy(sc.chain.k, kernel=np.eye(sc.chain.k))
 
 
-def strategy_policy(policy: CavResult, sc: Scenario) -> Strategy:
-    """Plays a grid policy: the split at the grid point nearest to the belief.
-
-    Each split is realized as the kernel `kernel_from_split` builds at its
-    grid point, with zero columns up to the scenario's signal count.
-    """
-    grid, atoms = policy.cav.grid, policy.atoms
-    n, k = atoms.shape
-    kernels = np.zeros((n, k, sc.signal_count))
-    kernels[:, :, :k] = kernels_from_splits(grid.points, grid.points[atoms], policy.weights)
-    return Strategy(kernels, grid=grid)
+def strategy_policy(target: GridFn, sc: Scenario) -> Strategy:
+    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over sc.signal_count signals."""
+    return Strategy(sc.signal_count, target=target)
 
 
 def strategy_optimal(sc: Scenario) -> Strategy:
     """Optimal stationary strategy of the revelation game at the scenario's rate."""
     mode = "reveal" if sc.reveal_rate > 0.0 else "no_reveal"
-    return strategy_policy(solve(sc, mode).policy, sc)
+    return strategy_policy(solve(sc, mode).target, sc)
 
 
 def strategy_renewal_optimal(sc: Scenario) -> Strategy:
@@ -299,23 +292,24 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     if not 0.0 < sc.reveal_rate <= 1.0:
         raise RateBoundary(f"renewal strategy needs a rate in (0, 1], got {sc.reveal_rate}")
     inner_sc = replace(sc, discount=1.0 - sc.reveal_rate)
-    return replace(strategy_policy(solve(inner_sc, "no_reveal").policy, sc), silent=True)
+    return replace(strategy_policy(solve(inner_sc, "no_reveal").target, sc), silent=True)
 
 
-def strategy_couple_down(policy_y: CavResult, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
+def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
     """Emulate the revelation game at target_rate while running at base_rate.
 
-    The auxiliary coin discloses with chance (target - base)/(1 - base), so
-    the belief the policy sees follows the law of the higher-rate game.
-    Requires 0 < base_rate <= target_rate <= 1; equality makes the coupling
-    a plain playback of the policy.
+    target_y is the `SolverResult.target` of the game at target_rate. The
+    auxiliary coin discloses with chance (target - base)/(1 - base), so the
+    belief the policy sees follows the law of the higher-rate game. Requires
+    0 < base_rate <= target_rate <= 1; equality makes the coupling a plain
+    playback of the policy.
     """
     if not 0.0 < base_rate <= 1.0 or not 0.0 < target_rate <= 1.0:
         raise BadRates(f"rates must lie in (0, 1], got base {base_rate}, target {target_rate}")
     if target_rate < base_rate:
         raise BadRates(f"target rate {target_rate} below base rate {base_rate}")
     aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
-    return replace(strategy_policy(policy_y, sc), aux_prob=aux_prob)
+    return replace(strategy_policy(target_y, sc), aux_prob=aux_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ class _Engine:
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
         self.sc = sc
         self.strat = strat
-        self.width = strat.kernels.shape[2]
+        self.width = strat.width
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
@@ -406,9 +400,15 @@ class _Engine:
         start, stop = self.size, self.size + len(beliefs)
         if stop > len(self.silent):
             self._allocate(max(stop, 2 * len(self.silent)))
-        kernels = np.array([self.silent_kernel if flag else self.strat.kernel_at(belief)
-                            for flag, belief in zip(silent.tolist(), beliefs)])
+        live, target, k = np.flatnonzero(~silent), self.strat.target, self.sc.chain.k
+        fixed = self.strat.kernel if target is None else self.silent_kernel  # a policy's splits come below
+        kernels = np.where(silent[:, None, None], self.silent_kernel, fixed)
         _, posteriors = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
+        if target is not None and live.size:
+            _, atoms, weights = cav_splits(target, beliefs[live])
+            kernels[live, :, :k] = kernels_from_splits(beliefs[live], target.grid.points[atoms], weights)
+            # the atoms are the posteriors, bit for bit, so every successor is a row of grid.points @ M
+            posteriors[live, :k] = np.where(atoms[..., None] >= 0, target.grid.points[atoms], beliefs[live, None])
         self.cum[start:stop] = cum_rows(kernels)
         self.post[start:stop] = posteriors
         self.pay[start:stop] = interpolate(self.sc.u, posteriors.reshape(-1, self.sc.chain.k)).reshape(-1, self.width)

@@ -13,12 +13,11 @@ stop on the MacQueen-Porteus bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .belief import BeliefGrid, GridFn, interpolate, validate_belief
-from .envelope import CavResult, cav_at, cav_grid, cav_values
+from .envelope import cav_at, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -91,10 +90,7 @@ class SolverResult:
     residual: float  # certified sup-norm distance bound to the fixed point, at most tol
     row_values: np.ndarray  # converged value at each transition row
 
-    @cached_property
-    def policy(self) -> CavResult:
-        """One optimal split per grid point: the split table of the target's envelope."""
-        return cav_grid(self.target)
+    policy = property(lambda self: self.target)  # alias of target, kept for older callers
 
 
 class _Dynamics:

@@ -191,7 +191,7 @@ def test_criterion_07_coupling_reproduces_higher_rate_value(scenario, cache):
     for payoff in PAYOFFS:
         sc = scenario(payoff, discount=0.9, reveal_rate=0.3)
         res_y = cache(payoff, 0.9, 0.7, "reveal")
-        strat = strategy_couple_down(res_y.policy, 0.3, 0.7, sc)
+        strat = strategy_couple_down(res_y.target, 0.3, 0.7, sc)
         est = estimate_discounted(sc, strat, samples=10_000)
         target = interpolate(res_y.value, MID)
         err = abs(est.mean - target)
@@ -212,7 +212,7 @@ def test_criterion_08_random_duration_identity(scenario, cache):
     for payoff, rate in itertools.product(PAYOFFS, (0.3, 0.5)):
         sc = scenario(payoff, discount=0.9, reveal_rate=rate)
         inner = cache(payoff, 1.0 - rate, 0.0, "no_reveal")
-        strat = strategy_policy(inner.policy, sc)
+        strat = strategy_policy(inner.target, sc)
         est = random_duration_value_mc(sc, MID, rate, strat, samples=10_000)
         target = interpolate(inner.value, MID) / rate
         err = abs(est.mean - target)

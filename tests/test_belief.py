@@ -196,16 +196,6 @@ def test_interpolate_equals_the_interpolation_operator(k, resolution):
         assert [interpolate(f, q) for q in M] == want[2 * grid.n : 2 * grid.n + k].tolist()
 
 
-def test_nearest_index():
-    # enumeration is lexicographic in the counts, so (0, R) comes first
-    grid = make_grid(2, 10)
-    assert grid.nearest_index([0.52, 0.48]) == grid.index_of([5, 5])
-    assert grid.nearest_index([0.0, 1.0]) == 0
-    assert grid.nearest_index([1.0, 0.0]) == grid.n - 1
-    with pytest.raises(DimensionMismatch):
-        make_grid(3, 4).nearest_index([1.0])
-
-
 def test_split_mean_and_size():
     split = Split(posteriors=np.array([[2 / 3, 1 / 3], [0.25, 0.75]]),
                   weights=np.array([0.6, 0.4]))
@@ -273,6 +263,14 @@ def test_kernel_from_split_zero_mass_row_skips_zero_weight_atoms():
     kernel = kernel_from_split(p, split, n_signals=4)
     assert np.array_equal(kernel[2], [0.5, 0.5, 0.0, 0.0])
     assert np.array_equal(kernel[:2], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def test_kernel_from_split_row_of_an_uncovered_state_is_uniform():
+    # a positive prior within the barycenter tolerance of 0 that no atom covers: the row is
+    # uniform over the atoms that carry weight, not 0 / 0
+    p = np.array([0.5 - 5e-14, 0.5 - 5e-14, 1e-13])
+    split = Split(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.5, 0.5]))
+    assert np.array_equal(kernel_from_split(p, split), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
 
 def test_bayes_update_gives_the_prior_after_a_dead_signal():

@@ -310,7 +310,7 @@ def test_verify_lemma1_builds_the_payoff_envelope_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["tent", "kink3"])
 def test_verify_lemma1_builds_each_envelope_once(tmp_path, monkeypatch, name):
     # the check reads the stage optimum off the solve's final objective, whose
-    # envelope the solve's policy shares
+    # envelope a policy strategy of that solve plays
     built = []
 
     class Counting(envelope._Envelope):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import warnings
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, identity
+from scipy.sparse.linalg import spsolve
 from scipy.stats import nbinom
 
 from persuasionlab import (
@@ -14,6 +17,8 @@ from persuasionlab import (
     Scenario,
     Split,
     Strategy,
+    cav_grid,
+    cav_split_at,
     cli,
     clt_quantile_bound,
     estimate_discounted,
@@ -31,6 +36,7 @@ from persuasionlab import (
     strategy_optimal,
     strategy_policy,
     strategy_renewal_optimal,
+    validate_chain,
 )
 from persuasionlab.errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from hypothesis import example, given, settings
@@ -396,21 +402,21 @@ def test_renewal_average_rejection_accounting(scenario):
 
 def test_couple_down_guards(scenario):
     sc = scenario("tent", reveal_rate=0.3)
-    policy_y = solve(scenario("tent", reveal_rate=0.7), "reveal").policy
+    target_y = solve(scenario("tent", reveal_rate=0.7), "reveal").target
     with pytest.raises(BadRates):
-        strategy_couple_down(policy_y, 0.0, 0.7, sc)
+        strategy_couple_down(target_y, 0.0, 0.7, sc)
     with pytest.raises(BadRates):
-        strategy_couple_down(policy_y, 0.7, 0.3, sc)
+        strategy_couple_down(target_y, 0.7, 0.3, sc)
     with pytest.raises(BadRates):
-        strategy_couple_down(policy_y, 0.3, 1.2, sc)
+        strategy_couple_down(target_y, 0.3, 1.2, sc)
 
 
 def test_couple_down_reboot_frequency_and_disclosure(scenario):
     # the auxiliary coin must top the reboot frequency up to the target rate,
     # and each auxiliary signal must name the previous state
     sc = scenario("tent", reveal_rate=0.3)
-    policy_y = solve(scenario("tent", reveal_rate=0.7), "reveal").policy
-    strat = strategy_couple_down(policy_y, 0.3, 0.7, sc)
+    target_y = solve(scenario("tent", reveal_rate=0.7), "reveal").target
+    strat = strategy_couple_down(target_y, 0.3, 0.7, sc)
     horizon = 5000
     trace = run_policy(sc, strat, horizon=horizon, seed=11)
     width = sc.signal_count
@@ -453,17 +459,21 @@ def kernel_oracle(p, posteriors, weights, n_signals):
 
 @pytest.mark.parametrize("name,extra", [("tent", 0), ("receiver", 0), ("cycle3", 0), ("cycle3", 2)])
 def test_policy_kernels_match_kernel_from_split(name, extra):
+    # the strategy's nodes at every grid point play the split table's row there
     sc = bundled(name)
     sc = replace(sc, signal_count=sc.chain.k + extra)
-    policy = solve(sc, "reveal").policy
-    kernels = strategy_policy(policy, sc).kernels
+    target = solve(sc, "reveal").target
+    table = cav_grid(target)
+    engine = _Engine(sc, strategy_policy(target, sc))
     points = sc.grid.points
-    assert kernels.shape == (sc.grid.n, sc.chain.k, sc.signal_count)
+    ids = engine._intern(np.zeros(sc.grid.n, dtype=bool), points)
+    assert engine.cum.shape[1:] == (sc.chain.k, sc.signal_count)
     for i in range(sc.grid.n):
-        keep = policy.weights[i] > 0.0
-        split = Split(points[policy.atoms[i, keep]], policy.weights[i, keep])
+        keep = table.weights[i] > 0.0
+        split = Split(points[table.atoms[i, keep]], table.weights[i, keep])
         want = kernel_oracle(points[i], split.posteriors, split.weights, sc.signal_count)
-        assert np.array_equal(kernels[i], want)
+        assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
+        assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)
         assert np.array_equal(kernel_from_split(points[i], split, sc.signal_count), want)
 
 
@@ -498,9 +508,11 @@ class _Node:
 
     __slots__ = ("silent", "row_cums", "posteriors", "payoffs", "next_beliefs", "width", "succ")
 
-    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool) -> None:
+    def __init__(self, sc: Scenario, belief: np.ndarray, kernel: np.ndarray, silent: bool, atoms=None) -> None:
         k, width = kernel.shape
         _, posteriors = bayes_update(belief, kernel)  # a zero-probability signal is never sampled
+        if atoms is not None:
+            posteriors[: len(atoms)] = atoms  # a split's signals lead to its atoms exactly
         self.silent = silent
         self.row_cums = tuple(tuple(np.cumsum(kernel[ell])) for ell in range(k))
         self.posteriors = posteriors
@@ -540,8 +552,16 @@ class _ScalarEngine:
                     old.succ = [None] * old.width
                 self.nodes.clear()
                 self.rows = [None] * self.sc.chain.k
-            kernel = self.silent_kernel if silent else self.strat.kernel_at(belief)
-            node = self.nodes[key] = _Node(self.sc, belief, kernel, silent)
+            atoms = None
+            if silent:
+                kernel = self.silent_kernel
+            elif self.strat.target is None:
+                kernel = self.strat.kernel
+            else:
+                # one belief at a time, through the single-belief split and kernel
+                _, split = cav_split_at(self.strat.target, belief)
+                kernel, atoms = kernel_from_split(belief, split, self.strat.width), split.posteriors
+            node = self.nodes[key] = _Node(self.sc, belief, kernel, silent, atoms)
         return node
 
     def row(self, state: int) -> _Node:
@@ -635,10 +655,10 @@ def strategies():
     made = {}
     for name in ("tent", "receiver", "cycle3"):
         sc = bundled(name)
-        policy_y = solve(replace(sc, reveal_rate=0.8), "reveal").policy
+        target_y = solve(replace(sc, reveal_rate=0.8), "reveal").target
         made[name] = sc, {"null": strategy_null(sc), "full": strategy_full(sc),
                           "optimal": strategy_optimal(sc), "renewal": strategy_renewal_optimal(sc),
-                          "couple": strategy_couple_down(policy_y, sc.reveal_rate, 0.8, sc)}
+                          "couple": strategy_couple_down(target_y, sc.reveal_rate, 0.8, sc)}
     return made
 
 
@@ -743,7 +763,7 @@ def test_coupling_hits_on_a_block_first_stage(name, strategies, monkeypatch):
     sc = replace(sc, reveal_rate=0.0)
     monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1)
     trace = run_policy(sc, made["couple"], 60, seed=5, rep=1)
-    assert (trace.signals >= made["couple"].kernels.shape[2]).sum() > 10
+    assert (trace.signals >= made["couple"].width).sum() > 10
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
     for g, w in zip(got, reference_trace(sc, made["couple"], 60, 5, 1)):
         assert_bit_equal(g, w)
@@ -754,7 +774,7 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
     # weight above the uniform, signal 1
     sc, _ = strategies["tent"]
     t = replication_rng(sc.seed, 0).random(3)[1]
-    strat = Strategy(np.array([[[t, 1.0 - t], [t, 1.0 - t]]]))
+    strat = Strategy(2, kernel=np.array([[t, 1.0 - t], [t, 1.0 - t]]))
     trace = run_policy(sc, strat, 4, rep=0)
     assert trace.signals[0] == 1
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
@@ -786,6 +806,17 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     assert 1 < est.fills <= est.steps + 2
 
 
+def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
+    # the transition row (1 - 1e-13, 1e-13) snaps onto a grid vertex, so the cell lottery there
+    # puts no mass on state 1, whose kernel row is uniform over the atoms rather than 0 / 0
+    chain = validate_chain(np.array([[1.0 - 1e-13, 1e-13], [0.5, 0.5]]))
+    sc = Scenario(chain=chain, u=tent, discount=0.9, reveal_rate=0.5, seed=1)
+    strat = strategy_optimal(sc)
+    est = estimate_discounted(sc, strat, samples=50, horizon=40)
+    assert_bit_equal(est.values, reference_discounted(sc, strat, 50, sc.seed, 40)[0])
+    assert np.isfinite(est.values).all()
+
+
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
 def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
@@ -813,7 +844,7 @@ def test_estimates_report_the_node_table(monkeypatch):
     sc = bundled("receiver")
     strat = strategy_optimal(sc)
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
-    assert (est.nodes, est.cache_clears) == (8, 0)
+    assert (est.nodes, est.cache_clears) == (5, 0)
     # past the cap the table is cleared between walk steps, here before each of the 16 steps (the
     # two row nodes and the start node reach the cap before the first step)
     monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
@@ -821,6 +852,89 @@ def test_estimates_report_the_node_table(monkeypatch):
     assert (capped.nodes, capped.cache_clears) == (3, 16)
     assert capped.steps == est.steps == 16
     assert_bit_equal(capped.values, est.values)
+
+
+def signal_probs(engine, ids):
+    """P(signal | node) for each node of ids, read off its cumulative kernel rows."""
+    cum = engine.cum[ids].copy()
+    cum[..., -1] = 1.0
+    return np.matmul(engine.belief[ids, None, :], np.diff(cum, axis=-1, prepend=0.0))[:, 0]
+
+
+def exact_played_value(sc, strat) -> float:
+    """Discounted value of a strategy's play from the scenario prior, by one sparse linear solve.
+
+    Fills an engine's node graph breadth-first until it closes, then solves
+    v(n) = sum_s P(s|n) [(1 - lam) pay(n, s) + lam (x sum_st post(n, s)[st] v(st) + (1 - x) v(succ(n, s)))]
+    over its nodes; row node st holds id st (policy evaluation, Puterman 1994, section 6.1).
+    Strategies with a coupling coin, whose value also depends on the previous state, are left out.
+    """
+    assert strat.aux_prob == 0.0
+    lam, x, M = sc.discount, sc.reveal_rate, sc.chain.M
+    engine = _Engine(sc, strat)
+    start = engine._intern(np.array([strat.silent]), sc.initial_prior()[None])[0]
+    done = 0
+    while done < engine.size and x < 1.0:
+        ids = np.arange(done, engine.size)
+        done = engine.size
+        src, sig = np.nonzero(signal_probs(engine, ids) > 0.0)
+        src = ids[src]
+        beliefs = np.matmul(engine.post[src, sig, None, :], M)[:, 0]
+        engine.succ[src, sig] = engine._intern(engine.silent[src], beliefs)
+        assert engine.size <= _Engine._CACHE_CAP, "the node graph did not close"
+    size = engine.size
+    probs = signal_probs(engine, np.arange(size))
+    node, sig = np.nonzero(probs > 0.0)
+    p = probs[node, sig]
+    rows, cols, vals = [node], [engine.succ[node, sig] if x < 1.0 else node], [-lam * (1.0 - x) * p]
+    for st in range(sc.chain.k):
+        rows.append(node)
+        cols.append(np.full(node.size, st))
+        vals.append(-lam * x * p * engine.post[node, sig, st])
+    A = identity(size, format="csr") + coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                                  shape=(size, size)).tocsr()
+    b = np.bincount(node, weights=(1.0 - lam) * p * engine.pay[node, sig], minlength=size)
+    return float(spsolve(A, b)[start])
+
+
+@pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3", "kink3"])
+def test_the_optimal_strategy_earns_its_grid_value(name):
+    # played at the exact belief, the envelope split earns the solved value at the prior
+    sc = bundled(name)
+    res = solve(sc, "reveal")
+    strat = strategy_policy(res.target, sc)
+    played = exact_played_value(sc, strat)
+    assert played >= interpolate(res.value, sc.initial_prior()) - 2.0 * sc.tol
+    est = estimate_discounted(sc, strat, samples=2000, seed=1)
+    # the estimate drops a tail of at most est.truncation; 1e-12 covers its rounding
+    assert abs(est.mean - played) <= 4.0 * est.std_error + est.truncation + 1e-12
+
+
+def generated(family, seed):
+    """A benchmark scenario family's document for one seed, built by perfbench's generator (read only)."""
+    spec = importlib.util.spec_from_file_location("scenario_gen", ROOT / "perfbench" / "scenario_gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PayoffDiscontinuityWarning)
+        return cli.scenario_from_config(cli.effective_config(gen.scenario_doc(seed, family), {}))
+
+
+NODE_CASES = [(name, None) for name in ("tent", "parabola", "receiver", "cycle3", "kink3")] + [
+    (family, seed) for family in ("tent", "receiver", "bump", "pl3", "smooth3") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,seed", NODE_CASES)
+def test_policy_nodes_are_the_grid_images(name, seed):
+    # every posterior is a grid point, so every node is the prior, a transition row or a row of
+    # grid.points @ M, for the optimal strategy and for couple:Y
+    sc = bundled(name) if seed is None else generated(name, seed)
+    rate = sc.reveal_rate + 0.2
+    target_y = solve(replace(sc, reveal_rate=rate), "reveal").target
+    for strat in (strategy_optimal(sc), strategy_couple_down(target_y, sc.reveal_rate, rate, sc)):
+        est = estimate_discounted(sc, strat, samples=300, seed=1)
+        assert est.nodes <= sc.grid.n + sc.chain.k + 1
+        assert est.cache_clears == 0
 
 
 ESTIMATORS = {

@@ -19,6 +19,8 @@ from persuasionlab import (
     cav_values,
     check_no_info_at_concave_point,
     cli,
+    envelope,
+    estimate_discounted,
     full_reveal_closed_form,
     interpolate,
     make_grid,
@@ -26,6 +28,7 @@ from persuasionlab import (
     solve,
     solve_cesaro,
     solver,
+    strategy_policy,
     validate_chain,
     validate_split,
 )
@@ -274,38 +277,36 @@ def test_row_values_read_off_the_value(scenario):
 def test_policy_splits_are_plausible(scenario):
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    assert res.policy.atoms.shape == res.policy.weights.shape == (sc.grid.n, 2)
+    table = cav_grid(res.target)
+    assert table.atoms.shape == table.weights.shape == (sc.grid.n, 2)
     for i in range(0, sc.grid.n, 17):
-        keep = res.policy.weights[i] > 0.0
-        split = Split(sc.grid.points[res.policy.atoms[i, keep]], res.policy.weights[i, keep])
+        keep = table.weights[i] > 0.0
+        split = Split(sc.grid.points[table.atoms[i, keep]], table.weights[i, keep])
         validate_split(sc.grid.points[i], split)
         assert split.size <= 2
 
 
 def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):
+    # neither the solve nor building the strategy extracts a split; playing it does
     calls = []
-
-    def counting(f):
-        calls.append(f)
-        return cav_grid(f)
-
-    monkeypatch.setattr(solver, "cav_grid", counting)
-    res = solve(scenario("parabola", discount=0.9, reveal_rate=0.5), "reveal")
+    split = envelope._Envelope.split
+    monkeypatch.setattr(envelope._Envelope, "split", lambda env, *args: calls.append(env) or split(env, *args))
+    sc = scenario("parabola", discount=0.9, reveal_rate=0.5)
+    res = solve(sc, "reveal")
+    strat = strategy_policy(res.target, sc)
     assert calls == []
-    policy = res.policy
-    assert calls == [res.target]
-    assert res.policy is policy and len(calls) == 1
+    assert res.policy is res.target
+    estimate_discounted(sc, strat, samples=3, horizon=2)
+    assert len(calls) >= 1 and all(env is calls[0] for env in calls)
     want = cav_grid(res.target)
-    assert np.array_equal(policy.atoms, want.atoms)
-    assert np.array_equal(policy.weights, want.weights)
-    assert np.count_nonzero(policy.weights[:, 1]) > 0  # the parabola splits somewhere
+    assert np.count_nonzero(want.weights[:, 1]) > 0  # the parabola splits somewhere
 
 
 def test_tent_optimal_policy_never_splits(scenario):
     # the stage payoff is already concave, so splitting buys nothing
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    assert np.all(np.count_nonzero(res.policy.weights, axis=1) == 1)
+    assert np.all(np.count_nonzero(cav_grid(res.target).weights, axis=1) == 1)
 
 
 # ---------------------------------------------------------------------------

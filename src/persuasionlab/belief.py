@@ -102,8 +102,10 @@ class BeliefGrid:
     def _cells(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Containing cells of an (m, k) batch of validated beliefs.
 
-        Returns (m, k) grid indices and weights in vertex order, padded like cav_grid's split
-        table (extra slots repeat the last vertex with weight 0), and the mask of real vertices.
+        Returns (m, k) grid indices and weights in vertex order, the extra slots of a cell with
+        fewer than k vertices repeating its last vertex with weight 0, and the mask of real vertices.
+        The weights are nonnegative, sum to one, and combine the vertices back to the query (up to
+        the lattice snapping tolerance).
         """
         m, k, R = q.shape[0], self.k, self.resolution
         z = np.cumsum(q * R, axis=1)[:, : k - 1]
@@ -127,18 +129,6 @@ class BeliefGrid:
         if (verts[:, :, 1:] < verts[:, :, :-1]).any() or (verts > R).any():
             raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
         return self._rank(verts), weights, real
-
-    def locate(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """Containing cell of a belief: grid indices and convex weights.
-
-        The weights are nonnegative, sum to one, and combine the returned
-        vertices back to the query (up to the lattice snapping tolerance).
-        """
-        q = validate_belief(q, self.k)
-        if q.ndim != 1:
-            raise DimensionMismatch(f"belief must be a nonempty vector, got shape {q.shape}")
-        idx, w, real = self._cells(q[None, :])
-        return idx[0, real[0]], w[0, real[0]]
 
     def interp_matrix(self, queries: np.ndarray) -> sparse.csr_matrix:
         """Sparse matrix of interpolation weights, one query per row."""

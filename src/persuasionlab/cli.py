@@ -508,32 +508,25 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
     return passed
 
 
+# each suite's check and its CSV header for a k-state chain
 _VERIFIERS = {
-    "thm1": (_verify_thm1, ["x", "lambda", "sup_gap", "asymptotic"]),
-    "thm2": (_verify_thm2, ["lambda", "row_average"]),
-    "monotone_x": (_verify_monotone_x, None),  # columns depend on k
-    "disint": (_verify_disint, ["x", "estimate", "std_error", "target", "abs_error", "bound"]),
-    "lemma1": (_verify_lemma1, None),
-    "obs1": (_verify_obs1, ["mode", "signals_small", "signals_large", "max_abs_diff"]),
-    "facts": (_verify_facts, ["check", "cases", "failures", "worst", "bound"]),
+    "thm1": (_verify_thm1, lambda k: ["x", "lambda", "sup_gap", "asymptotic"]),
+    "thm2": (_verify_thm2, lambda k: ["lambda", "row_average"]),
+    "monotone_x": (_verify_monotone_x,
+                   lambda k: ["lambda", "x", "value_prior"] + [f"value_reboot_{state}" for state in range(k)]),
+    "disint": (_verify_disint, lambda k: ["x", "estimate", "std_error", "target", "abs_error", "bound"]),
+    "lemma1": (_verify_lemma1,
+               lambda k: [f"belief_{i}" for i in range(k)] + ["stage_payoff", "envelope", "no_info_optimal"]),
+    "obs1": (_verify_obs1, lambda k: ["mode", "signals_small", "signals_large", "max_abs_diff"]),
+    "facts": (_verify_facts, lambda k: ["check", "cases", "failures", "worst", "bound"]),
 }
-
-
-def _verify_columns(which: str, sc: Scenario) -> list[str]:
-    fixed = _VERIFIERS[which][1]
-    if fixed is not None:
-        return list(fixed)
-    k = sc.chain.k
-    if which == "monotone_x":
-        return ["lambda", "x", "value_prior"] + [f"value_reboot_{state}" for state in range(k)]
-    return [f"belief_{i}" for i in range(k)] + ["stage_payoff", "envelope", "no_info_optimal"]
 
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
     sc = scenario_from_config(cfg)
-    check, _ = _VERIFIERS[args.which]
-    table = ResultTable(_verify_columns(args.which, sc))
+    check, header = _VERIFIERS[args.which]
+    table = ResultTable(header(sc.chain.k))
     _stamp(table, args, cfg, f"verify --which {args.which}")
     passed = check(sc, table)
     table.add_meta("verdict", "pass" if passed else "fail")

@@ -9,7 +9,6 @@ Each function's `_Envelope` is built once, kept with it, and read by every query
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,20 +23,6 @@ _DEG_RTOL = 1e-11
 _FACET_RTOL = 1e-9
 # Plane values `_Envelope.at` holds at once (32 MiB); every k <= 3 grid up to R = 40 is one block.
 _PLANE_BUDGET = 1 << 22
-
-
-@dataclass(frozen=True, eq=False)
-class CavResult:
-    """Envelope values on the grid plus one optimal split per grid point.
-
-    Row i of the split table holds the atoms (grid indices) and weights of
-    the split at grid point i: positive weights first, then zero-weight
-    padding up to k slots that repeats the point's own index.
-    """
-
-    cav: GridFn
-    atoms: np.ndarray
-    weights: np.ndarray
 
 
 def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -94,11 +79,18 @@ class _Envelope:
         """Absolute slack for deciding that the function attains the envelope."""
         return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
-    def at(self, charts: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    def _planes(self, charts: np.ndarray) -> np.ndarray:
+        """Every upper-facet plane at each row of charts, (m, dim) -> (m, facets).
+
+        Each row is read by its own (1, dim) @ (dim, facets) product, so a belief reads the same floats
+        alone or in any batch, at a grid point or off it.
+        """
+        return -(self.offsets + (charts[:, None, :] @ self.normals.T)[:, 0]) / self.vert_norm
+
+    def at(self, charts: np.ndarray) -> np.ndarray:
         """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,)).
 
-        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory. rowwise
-        reads each row by its own (1, dim) @ (dim, facets) product, as `split` does, whatever the batch.
+        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory.
         """
         if self.grid.k <= 2:
             s = self.grid.points[:, 0]
@@ -106,9 +98,7 @@ class _Envelope:
         rows = max(1, _PLANE_BUDGET // self.offsets.size)
         out = np.empty(len(charts))
         for i in range(0, len(charts), rows):
-            block = charts[i : i + rows]
-            planes = (block[:, None, :] @ self.normals.T)[:, 0] if rowwise else block @ self.normals.T
-            out[i : i + rows] = (-(self.offsets + planes) / self.vert_norm).min(axis=1)
+            out[i : i + rows] = self._planes(charts[i : i + rows]).min(axis=1)
         return out
 
     def split(self, charts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +124,8 @@ class _Envelope:
         per_block = max(1, _PLANE_BUDGET // (self.offsets.size * k * k))
         for i in range(0, len(charts), per_block):
             block, target = charts[i : i + per_block], values[i : i + per_block]
-            # one (1, dim) @ (dim, facets) product per row: the matrix-vector rounding of a single query
-            vals = -(self.offsets + (block[:, None, :] @ self.normals.T)[:, 0]) / self.vert_norm
-            row, facet = np.nonzero((vals <= (target + _FACET_RTOL * (1.0 + np.abs(target)))[:, None]) & real)
+            near = self._planes(block) <= (target + _FACET_RTOL * (1.0 + np.abs(target)))[:, None]
+            row, facet = np.nonzero(near & real)
             verts = self.simplices[facet]
             A = np.ones((row.size, k, k))
             A[:, :-1] = self.grid.points[verts, : self.dim].transpose(0, 2, 1)
@@ -177,24 +166,20 @@ def cav_values(f: GridFn) -> np.ndarray:
     return _envelope(f).values
 
 
-def cav_grid(f: GridFn) -> CavResult:
-    """Envelope of a grid function together with an optimal split at each point.
+def cav_grid(f: GridFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cav_splits` at every grid point: values (n,), atoms (n, k) and weights (n, k).
 
-    The grid-point case of `cav_splits`, read at the envelope values
-    `cav_values` holds: points already on the envelope get the degenerate
-    split, and padding slots repeat the point's own index.
+    A name of its own only because the benchmark's tracer (perfbench/spans.py) wraps it.
     """
-    env = _envelope(f)
-    atoms, weights = _splits(f, f.grid.points, env.values, f.values)
-    atoms = np.where(atoms < 0, np.arange(f.grid.n)[:, None], atoms)
-    return CavResult(cav=GridFn(f.grid, env.values), atoms=atoms, weights=weights)
+    return cav_splits(f, f.grid.points)
 
 
 def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of f and interpolated f at a belief or each row of an (m, k) batch, as arrays.
 
-    Off the grid the envelope is the larger of the hull or facet reading and
-    the interpolated function.
+    Off the grid the envelope is the larger of the hull or facet reading and the interpolated
+    function. Each row depends on that row alone, never on the batch; at the grid points the
+    values are `cav_values` bit for bit.
     """
     q = np.atleast_2d(validate_belief(q, f.grid.k))
     env = _envelope(f)
@@ -203,21 +188,15 @@ def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope values and optimal grid-supported splits at each row of an (m, k) batch of beliefs.
+    """Envelope values (`cav_at`) and optimal grid-supported splits at each row of an (m, k) batch of beliefs.
 
     Returns values (m,), atoms (m, k) grid indices and weights (m, k), positive weights first, then atom -1
     with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid point), a
     row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
     q = np.atleast_2d(validate_belief(q, f.grid.k))
-    env, fq = _envelope(f), interpolate(f, q)
-    values = np.maximum(env.at(q[:, : env.dim], rowwise=True), fq)
-    return values, *_splits(f, q, values, fq)
-
-
-def _splits(f: GridFn, q: np.ndarray, values: np.ndarray, fq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The split rule of `cav_splits` at beliefs q, given the envelope values and interpolated f there."""
     env = _envelope(f)
+    values, fq = cav_at(f, q)
     idx, w, _ = f.grid._cells(q)
     keep = w > 0.0
     slots = np.argsort(~keep, axis=1, kind="stable")  # positive weights first, in vertex order
@@ -226,7 +205,7 @@ def _splits(f: GridFn, q: np.ndarray, values: np.ndarray, fq: np.ndarray) -> tup
     below = np.flatnonzero(fq < values - env.slack)
     if below.size:
         atoms[below], weights[below] = env.split(q[below, : env.dim], values[below])
-    return atoms, weights
+    return values, atoms, weights
 
 
 def cav_split_at(f: GridFn, q) -> tuple[float, Split]:

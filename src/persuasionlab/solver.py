@@ -90,7 +90,7 @@ class SolverResult:
     residual: float  # certified sup-norm distance bound to the fixed point, at most tol
     row_values: np.ndarray  # converged value at each transition row
 
-    policy = property(lambda self: self.target)  # alias of target, kept for older callers
+    policy = property(lambda self: self.target)  # alias of target, which the benchmark (perfbench/run.py) reads
 
 
 class _Dynamics:

@@ -90,14 +90,19 @@ def test_index_of_rejects_non_lattice_counts(counts):
         make_grid(3, 4).index_of(counts)
 
 
+def cell_row(mat, i):
+    """Grid indices and weights of row i of an interpolation matrix: the containing cell of query i."""
+    row = slice(mat.indptr[i], mat.indptr[i + 1])
+    return mat.indices[row], mat.data[row]
+
+
 def test_locate_at_grid_points_is_exact():
     grid = make_grid(3, 7)
-    for i in range(0, grid.n, 5):
-        idx, w = grid.locate(grid.points[i])
-        keep = w > 0
-        assert np.sum(keep) == 1
-        assert idx[keep][0] == i
-        assert w[keep][0] == pytest.approx(1.0, abs=1e-12)
+    mat = grid.interp_matrix(grid.points)
+    for i in range(grid.n):
+        idx, w = cell_row(mat, i)
+        assert idx.tolist() == [i]
+        assert w.tolist() == [1.0]
 
 
 def test_interpolate_midpoint_1d():
@@ -122,7 +127,7 @@ def test_interpolate_affine_exact_2d():
 def test_locate_weights_reconstruct_query(k, data):
     q = data.draw(beliefs(k))
     grid = make_grid(k, 6)
-    idx, w = grid.locate(q)
+    idx, w = cell_row(grid.interp_matrix(q), 0)
     assert np.all(w >= -1e-12)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-9)
     assert grid.points[idx].T @ w == pytest.approx(q, abs=1e-9)
@@ -168,13 +173,13 @@ def test_batched_location_matches_single_beliefs(k, resolution):
                          (grid.points[a] + grid.points[b]) / 2])
     mat = grid.interp_matrix(queries)
     for i, q in enumerate(queries):
-        idx, w = grid.locate(q)
+        idx, w = cell_row(mat, i)
         want_idx, want_w = locate_by_loop(grid, q)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(w, want_w)
-        row = slice(mat.indptr[i], mat.indptr[i + 1])
-        assert np.array_equal(mat.indices[row], idx)
-        assert np.array_equal(mat.data[row], w)
+        alone_idx, alone_w = cell_row(grid.interp_matrix(q), 0)
+        assert np.array_equal(alone_idx, idx)
+        assert np.array_equal(alone_w, w)
     f = GridFn(grid, rng.random(grid.n))
     assert np.array_equal(interpolate(f, queries), [interpolate(f, q) for q in queries])
 

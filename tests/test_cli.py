@@ -363,7 +363,7 @@ def test_verify_facts_passes_on_zero_variance_chains(tmp_path, capsys, transitio
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._VERIFIERS, "obs1", (lambda sc, table: False, ["nothing"]))
+    monkeypatch.setitem(cli._VERIFIERS, "obs1", (lambda sc, table: False, lambda k: ["nothing"]))
     for path in (write_doc(tmp_path, tent_doc()), str(ROOT / "scenarios" / "cycle3.json")):
         out = tmp_path / "fail.csv"
         code = cli.main(["verify", "--scenario", path, "--which", "obs1", "--out", str(out)])
@@ -466,7 +466,7 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
         raise RuntimeError("boom")
 
     path = write_doc(tmp_path, tent_doc())
-    monkeypatch.setitem(cli._VERIFIERS, "obs1", (broken, ["nothing"]))
+    monkeypatch.setitem(cli._VERIFIERS, "obs1", (broken, lambda k: ["nothing"]))
     code = cli.main(["verify", "--scenario", path, "--which", "obs1"])
     assert code == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err

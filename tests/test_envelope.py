@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import GridFn, Split, cav_grid, cav_split_at, cav_values, envelope, make_grid, validate_split
+from persuasionlab import (GridFn, Split, cav_grid, cav_split_at, cav_splits, cav_values, envelope, make_grid,
+                          validate_split)
 from persuasionlab.errors import SingularSystem
 
 
@@ -111,25 +112,26 @@ def test_concavity_along_grid_k2():
 def test_generators_reconstruct_envelope(k, resolution):
     grid = make_grid(k, resolution)
     f = random_fn(grid, 20 + k)
-    res = cav_grid(f)
-    assert res.cav.values == pytest.approx(cav_values(f), abs=1e-12)
-    assert res.atoms.shape == res.weights.shape == (grid.n, k)
+    values, atoms, weights = cav_splits(f, grid.points)
+    assert np.array_equal(values, cav_values(f))
+    assert atoms.shape == weights.shape == (grid.n, k)
     for i in range(grid.n):
-        keep = res.weights[i] > 0.0
-        # positive weights come first, padding after
-        assert not np.any(res.weights[i, : keep.sum()] == 0.0)
-        split = Split(grid.points[res.atoms[i, keep]], res.weights[i, keep])
+        keep = weights[i] > 0.0
+        # positive weights come first, padding (atom -1) after
+        assert not np.any(weights[i, : keep.sum()] == 0.0)
+        assert np.all(atoms[i, keep.sum() :] == -1)
+        split = Split(grid.points[atoms[i, keep]], weights[i, keep])
         assert split.size <= k
         validate_split(grid.points[i], split)
-        atoms = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
-        rebuilt = float(split.weights @ f.values[atoms])
-        assert rebuilt == pytest.approx(res.cav.values[i], abs=1e-9)
+        support = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
+        rebuilt = float(split.weights @ f.values[support])
+        assert rebuilt == pytest.approx(values[i], abs=1e-9)
 
 
 def test_degenerate_generator_where_touching(tent, grid2):
-    res = cav_grid(tent)
-    assert np.array_equal(res.atoms[:, 0], np.arange(grid2.n))
-    assert np.array_equal(res.weights, np.tile([1.0, 0.0], (grid2.n, 1)))
+    _, atoms, weights = cav_splits(tent, grid2.points)
+    assert np.array_equal(atoms, np.column_stack([np.arange(grid2.n), np.full(grid2.n, -1)]))
+    assert np.array_equal(weights, np.tile([1.0, 0.0], (grid2.n, 1)))
 
 
 @pytest.mark.parametrize("k,resolution,seed", [(2, 10, 30), (3, 4, 40), (3, 6, 50), (4, 3, 60)])
@@ -160,9 +162,9 @@ def test_split_on_a_linear_stretch_uses_the_hull_edge():
     grid = make_grid(2, 10)
     p0 = grid.points[:, 0]
     f = GridFn(grid, np.where(p0 >= 0.3 - 1e-12, p0, 0.0))
-    res = cav_grid(f)
-    assert res.atoms[1].tolist() == [0, 10]
-    assert res.weights[1] == pytest.approx([0.9, 0.1], abs=1e-15)
+    _, atoms, weights = cav_splits(f, grid.points)
+    assert atoms[1].tolist() == [0, 10]
+    assert weights[1] == pytest.approx([0.9, 0.1], abs=1e-15)
     value, split = cav_split_at(f, [0.15, 0.85])
     assert value == pytest.approx(0.15, abs=1e-15)
     assert sorted(split.posteriors[:, 0].tolist()) == [0.0, 1.0]
@@ -186,8 +188,8 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert blocked == pytest.approx(full, abs=1e-15)
-    assert envelope.cav_at(f, queries)[0] == pytest.approx(full_at, abs=1e-15)
+    assert np.array_equal(blocked, full)
+    assert np.array_equal(envelope.cav_at(f, queries)[0], full_at)
 
 
 def test_split_at_grid_point_agrees(grid2, parabola):
@@ -264,7 +266,7 @@ def test_upper_hull_matches_the_scalar_chain(kind, n, seed):
 
 
 def reference_split_table(f):
-    """Reference for `cav_grid`'s split table: one split per point below the envelope.
+    """Reference for `cav_splits` at the grid points: one split per point below the envelope.
 
     The k = 2 point takes the ends of the hull edge above it; the k >= 3
     point tries each candidate facet in turn and keeps the lexicographically
@@ -273,7 +275,8 @@ def reference_split_table(f):
     env = envelope._envelope(f)
     grid, cavv = f.grid, env.values
     s = grid.points[:, 0]
-    atoms = np.repeat(np.arange(grid.n)[:, None], grid.k, axis=1)
+    atoms = np.full((grid.n, grid.k), -1)
+    atoms[:, 0] = np.arange(grid.n)
     weights = np.zeros((grid.n, grid.k))
     weights[:, 0] = 1.0
     for i in np.nonzero(f.values < cavv - env.slack)[0]:
@@ -344,27 +347,26 @@ def coplanar_top(grid, rng):
 
 @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in split_tables()])
 def test_batched_splits_match_the_per_point_loop(f):
-    res = cav_grid(f)
-    atoms, weights = reference_split_table(f)
-    assert np.array_equal(res.atoms, atoms)
-    assert np.array_equal(res.weights, weights)
+    values, atoms, weights = cav_splits(f, f.grid.points)
+    want_atoms, want_weights = reference_split_table(f)
+    assert np.array_equal(atoms, want_atoms)
+    assert np.array_equal(weights, want_weights)
     for i in range(f.grid.n):
         value, split = cav_split_at(f, f.grid.points[i])
-        # one belief's planes are read by a matrix-vector product, the grid's by a matrix product
-        assert value == pytest.approx(res.cav.values[i], rel=1e-14, abs=1e-14)
-        assert np.array_equal(split.posteriors, f.grid.points[res.atoms[i, : split.size]])
-        assert np.array_equal(split.weights, res.weights[i, : split.size])
-        assert not np.any(res.weights[i, split.size :])
+        assert value == values[i]
+        assert np.array_equal(split.posteriors, f.grid.points[atoms[i, : split.size]])
+        assert np.array_equal(split.weights, weights[i, : split.size])
+        assert not np.any(weights[i, split.size :])
 
 
 def test_batched_splits_are_read_within_the_budget(monkeypatch):
     grid = make_grid(3, 20)
     f = GridFn(grid, np.random.default_rng(81).uniform(0.0, 1.0, grid.n))
-    full = cav_grid(f)
+    full = cav_splits(f, grid.points)
     monkeypatch.setattr(envelope, "_PLANE_BUDGET", 64)
-    blocked = cav_grid(GridFn(grid, f.values))
-    assert np.array_equal(blocked.atoms, full.atoms)
-    assert np.array_equal(blocked.weights, full.weights)
+    blocked = cav_splits(GridFn(grid, f.values), grid.points)
+    for got, want in zip(blocked, full):
+        assert np.array_equal(got, want)
 
 
 def test_split_without_a_feasible_facet_raises(monkeypatch):
@@ -374,6 +376,24 @@ def test_split_without_a_feasible_facet_raises(monkeypatch):
     # every facet now borders the floor padding, so no facet may carry a split
     monkeypatch.setattr(env, "simplices", np.full_like(env.simplices, grid.n))
     with pytest.raises(SingularSystem, match="no feasible facet"):
-        cav_grid(f)
+        cav_splits(f, grid.points)
     with pytest.raises(SingularSystem, match="no feasible facet"):
         cav_split_at(f, grid.points[int(np.argmin(f.values - env.values))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([3, 4]), rough=st.booleans(), m=st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
+def test_a_belief_reads_one_envelope_value_alone_in_a_batch_and_at_the_grid(k, rough, m, seed):
+    # every k >= 3 reader takes its planes from one row-by-row product, so no reading depends on its batch
+    rng = np.random.default_rng(seed)
+    grid = make_grid(k, 12 if k == 3 else 6)
+    noise = rng.uniform(0.0, 1.0, grid.n)
+    f = GridFn(grid, noise if rough else 0.01 * noise - (grid.points**2).sum(axis=1))
+    q = rng.dirichlet(np.ones(k), m)
+    batch = envelope.cav_at(f, q)[0]
+    assert np.array_equal(batch, [envelope.cav_at(f, row)[0][0] for row in q])
+    assert np.array_equal(cav_splits(f, q)[0], batch)
+    assert np.array_equal(cav_splits(f, grid.points)[0], cav_values(f))
+    assert np.array_equal(envelope.cav_at(f, grid.points)[0], cav_values(f))
+    for got, want in zip(cav_grid(f), cav_splits(f, grid.points)):
+        assert np.array_equal(got, want)

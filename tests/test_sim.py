@@ -17,8 +17,8 @@ from persuasionlab import (
     Scenario,
     Split,
     Strategy,
-    cav_grid,
     cav_split_at,
+    cav_splits,
     cli,
     clt_quantile_bound,
     estimate_discounted,
@@ -463,14 +463,14 @@ def test_policy_kernels_match_kernel_from_split(name, extra):
     sc = bundled(name)
     sc = replace(sc, signal_count=sc.chain.k + extra)
     target = solve(sc, "reveal").target
-    table = cav_grid(target)
+    _, atoms, weights = cav_splits(target, sc.grid.points)
     engine = _Engine(sc, strategy_policy(target, sc))
     points = sc.grid.points
     ids = engine._intern(np.zeros(sc.grid.n, dtype=bool), points)
     assert engine.cum.shape[1:] == (sc.chain.k, sc.signal_count)
     for i in range(sc.grid.n):
-        keep = table.weights[i] > 0.0
-        split = Split(points[table.atoms[i, keep]], table.weights[i, keep])
+        keep = weights[i] > 0.0
+        split = Split(points[atoms[i, keep]], weights[i, keep])
         want = kernel_oracle(points[i], split.posteriors, split.weights, sc.signal_count)
         assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
         assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)

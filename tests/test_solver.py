@@ -15,7 +15,7 @@ from persuasionlab import (
     asymptotic_value,
     bellman_no_reveal,
     bellman_reveal,
-    cav_grid,
+    cav_splits,
     cav_values,
     check_no_info_at_concave_point,
     cli,
@@ -277,11 +277,11 @@ def test_row_values_read_off_the_value(scenario):
 def test_policy_splits_are_plausible(scenario):
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    table = cav_grid(res.target)
-    assert table.atoms.shape == table.weights.shape == (sc.grid.n, 2)
+    _, atoms, weights = cav_splits(res.target, sc.grid.points)
+    assert atoms.shape == weights.shape == (sc.grid.n, 2)
     for i in range(0, sc.grid.n, 17):
-        keep = table.weights[i] > 0.0
-        split = Split(sc.grid.points[table.atoms[i, keep]], table.weights[i, keep])
+        keep = weights[i] > 0.0
+        split = Split(sc.grid.points[atoms[i, keep]], weights[i, keep])
         validate_split(sc.grid.points[i], split)
         assert split.size <= 2
 
@@ -298,15 +298,15 @@ def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):
     assert res.policy is res.target
     estimate_discounted(sc, strat, samples=3, horizon=2)
     assert len(calls) >= 1 and all(env is calls[0] for env in calls)
-    want = cav_grid(res.target)
-    assert np.count_nonzero(want.weights[:, 1]) > 0  # the parabola splits somewhere
+    _, _, weights = cav_splits(res.target, sc.grid.points)
+    assert np.count_nonzero(weights[:, 1]) > 0  # the parabola splits somewhere
 
 
 def test_tent_optimal_policy_never_splits(scenario):
     # the stage payoff is already concave, so splitting buys nothing
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    assert np.all(np.count_nonzero(cav_grid(res.target).weights, axis=1) == 1)
+    assert np.all(np.count_nonzero(cav_splits(res.target, sc.grid.points)[2], axis=1) == 1)
 
 
 # ---------------------------------------------------------------------------

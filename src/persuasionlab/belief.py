@@ -181,11 +181,16 @@ def interpolate(f: GridFn, q) -> float | np.ndarray:
     so the two agree bit for bit (a numpy row sum would pair the terms up from k = 8 on).
     """
     q = validate_belief(q, f.grid.k)
-    idx, w, _ = f.grid._cells(np.atleast_2d(q))
-    out = np.zeros(idx.shape[0])
-    for j in range(f.grid.k):
-        out += w[:, j] * f.values[idx[:, j]]
+    out = _vertex_sum(f.values, *f.grid._cells(np.atleast_2d(q))[:2])
     return float(out[0]) if q.ndim == 1 else out
+
+
+def _vertex_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Interpolated values from `BeliefGrid._cells` cells: each row's vertex terms added in order onto zero."""
+    out = np.zeros(idx.shape[0])
+    for j in range(idx.shape[1]):
+        out += w[:, j] * values[idx[:, j]]
+    return out
 
 
 @dataclass(frozen=True)

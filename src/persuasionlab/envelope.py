@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .belief import GridFn, Split, interpolate, validate_belief
+from .belief import GridFn, Split, _vertex_sum, validate_belief
 from .errors import SingularSystem
 
 # Relative slack for "this atom already sits on the envelope" decisions.
@@ -174,6 +174,18 @@ def cav_grid(f: GridFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cav_splits(f, f.grid.points)
 
 
+def _read(f: GridFn, q) -> tuple:
+    """Beliefs q as a validated (m, k) batch, f's envelope, its values and interpolated f at q, and q's cells.
+
+    `cav_at` and `cav_splits` both read through here, so each validates q and locates its cells once.
+    """
+    q = np.atleast_2d(validate_belief(q, f.grid.k))
+    env = _envelope(f)
+    idx, w, _ = f.grid._cells(q)
+    fq = _vertex_sum(f.values, idx, w)
+    return q, env, np.maximum(env.at(q[:, : env.dim]), fq), fq, idx, w
+
+
 def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of f and interpolated f at a belief or each row of an (m, k) batch, as arrays.
 
@@ -181,10 +193,7 @@ def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     function. Each row depends on that row alone, never on the batch; at the grid points the
     values are `cav_values` bit for bit.
     """
-    q = np.atleast_2d(validate_belief(q, f.grid.k))
-    env = _envelope(f)
-    fq = interpolate(f, q)
-    return np.maximum(env.at(q[:, : env.dim]), fq), fq
+    return _read(f, q)[2:4]
 
 
 def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,10 +203,7 @@ def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid point), a
     row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
-    q = np.atleast_2d(validate_belief(q, f.grid.k))
-    env = _envelope(f)
-    values, fq = cav_at(f, q)
-    idx, w, _ = f.grid._cells(q)
+    q, env, values, fq, idx, w = _read(f, q)
     keep = w > 0.0
     slots = np.argsort(~keep, axis=1, kind="stable")  # positive weights first, in vertex order
     atoms = np.take_along_axis(np.where(keep, idx, -1), slots, axis=1)

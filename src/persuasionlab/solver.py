@@ -8,10 +8,16 @@ transition row. Both operators concavify a one-stage target, so iteration
 is a sup-norm contraction with modulus equal to the discount; they are also
 monotone and shift constants by the discount, which is what lets `solve`
 stop on the MacQueen-Porteus bounds.
+
+Every operator reads the continuation value through the same two sparse
+interpolation operators, which depend only on the chain and the grid. They
+are built on first use and kept with the chain, one set per grid, so the
+solves of a discount, rate or alphabet sweep over one scenario share them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +35,8 @@ from .errors import (
 MODES = ("no_reveal", "reveal")
 # solve raises NoConvergence after this many sweeps
 MAX_SWEEPS = 100_000
+# SolverResult.half_widths keeps this many of the last sweeps
+HALF_WIDTHS_KEPT = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +97,34 @@ class SolverResult:
     iterations: int
     residual: float  # certified sup-norm distance bound to the fixed point, at most tol
     row_values: np.ndarray  # converged value at each transition row
+    half_widths: tuple[float, ...]  # certificate half-widths of the last HALF_WIDTHS_KEPT sweeps, ending at residual
 
     policy = property(lambda self: self.target)  # alias of target, which the benchmark (perfbench/run.py) reads
 
 
 class _Dynamics:
-    """Interpolation operators for the one-step belief images, built once."""
+    """Interpolation operators for the one-step belief images of one chain on one grid.
 
-    def __init__(self, sc: Scenario) -> None:
-        grid = sc.grid
-        self.shift = grid.interp_matrix(grid.points @ sc.chain.M)
-        self.rows = grid.interp_matrix(sc.chain.M)
+    `shift` reads a grid function at every grid point's next belief (points @ M) and `rows` at
+    each transition row. Only `_dynamics` builds them; their CSR arrays are read-only, so the
+    operators it keeps cannot be changed through one solve under another.
+    """
+
+    def __init__(self, chain, grid: BeliefGrid) -> None:
+        self.shift = grid.interp_matrix(grid.points @ chain.M)
+        self.rows = grid.interp_matrix(chain.M)
         self.grid = grid
+        for mat in (self.shift, self.rows):
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.setflags(write=False)
+
+
+def _dynamics(sc: Scenario) -> _Dynamics:
+    """The operators of sc's chain on sc's grid, built on first use and kept with the chain, one per grid."""
+    kept = vars(sc.chain).setdefault("_dynamics", {})
+    if sc.grid not in kept:
+        kept[sc.grid] = _Dynamics(sc.chain, sc.grid)
+    return kept[sc.grid]
 
 
 def _target(cont: np.ndarray, stage: np.ndarray, lam: float, x: float) -> np.ndarray:
@@ -123,14 +147,24 @@ def _operator(sc: Scenario, reveal: bool) -> tuple[np.ndarray, float, float]:
     return (1.0 - sc.discount) * sc.u.values, sc.discount, sc.reveal_rate if reveal else 0.0
 
 
+def _bellman(f: GridFn, sc: Scenario, reveal: bool) -> GridFn:
+    """One application of a regime's operator to a continuation value on sc's grid."""
+    if (f.grid.k, f.grid.resolution) != (sc.grid.k, sc.grid.resolution):
+        raise DimensionMismatch(
+            f"continuation on a k={f.grid.k}, R={f.grid.resolution} grid, "
+            f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}"
+        )
+    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, reveal), _dynamics(sc)))
+
+
 def bellman_no_reveal(f: GridFn, sc: Scenario) -> GridFn:
     """One application of the no-revelation operator to a continuation value."""
-    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, False), _Dynamics(sc)))
+    return _bellman(f, sc, False)
 
 
 def bellman_reveal(f: GridFn, sc: Scenario) -> GridFn:
     """One application of the revelation operator to a continuation value."""
-    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, True), _Dynamics(sc)))
+    return _bellman(f, sc, True)
 
 
 def solve(sc: Scenario, mode: str) -> SolverResult:
@@ -142,20 +176,23 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     6.6). The sweep stops once half that interval's width,
     c * (max d - min d) / 2, is at most tol, and returns its midpoint,
     which is then within tol of the fixed point. The width shrinks at the
-    chain's mixing rate rather than at the discount. Raises NoConvergence
+    chain's mixing rate rather than at the discount; the result keeps the
+    half-widths of the last HALF_WIDTHS_KEPT sweeps. Raises NoConvergence
     at the sweep cap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     stage, lam, x = _operator(sc, mode == "reveal")
-    dyn = _Dynamics(sc)
+    dyn = _dynamics(sc)
     c = lam / (1.0 - lam)
     f = np.zeros(sc.grid.n)
+    half_widths = deque(maxlen=HALF_WIDTHS_KEPT)
     for it in range(1, MAX_SWEEPS + 1):
         new = _sweep(f, stage, lam, x, dyn)
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         bound = 0.5 * c * (hi - lo)
+        half_widths.append(bound)
         if bound <= sc.tol:
             f = new + 0.5 * c * (lo + hi)
             break
@@ -173,6 +210,7 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
         iterations=it,
         residual=bound,
         row_values=np.asarray(dyn.rows @ f),
+        half_widths=tuple(half_widths),
     )
 
 
@@ -201,7 +239,7 @@ def solve_cesaro(sc: Scenario, horizon: int) -> GridFn:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    dyn = _Dynamics(sc)
+    dyn = _dynamics(sc)
     stage = sc.u.values / horizon
     w = np.zeros(sc.grid.n)
     for _ in range(horizon):

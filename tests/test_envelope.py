@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import (GridFn, Split, cav_grid, cav_split_at, cav_splits, cav_values, envelope, make_grid,
-                          validate_split)
+from persuasionlab import (GridFn, Split, belief, cav_grid, cav_split_at, cav_splits, cav_values, envelope,
+                          interpolate, make_grid, validate_split)
+from persuasionlab.belief import BeliefGrid
 from persuasionlab.errors import SingularSystem
 
 
@@ -397,3 +398,49 @@ def test_a_belief_reads_one_envelope_value_alone_in_a_batch_and_at_the_grid(k, r
     assert np.array_equal(envelope.cav_at(f, grid.points)[0], cav_values(f))
     for got, want in zip(cav_grid(f), cav_splits(f, grid.points)):
         assert np.array_equal(got, want)
+
+
+def composed_cav_splits(f, q):
+    """`cav_splits` as `cav_at` (interpolate) plus a second cell location for the containing-cell lottery."""
+    q = np.atleast_2d(belief.validate_belief(q, f.grid.k))
+    env = envelope._envelope(f)
+    fq = interpolate(f, q)
+    values = np.maximum(env.at(q[:, : env.dim]), fq)
+    idx, w, _ = f.grid._cells(q)
+    keep = w > 0.0
+    slots = np.argsort(~keep, axis=1, kind="stable")
+    atoms = np.take_along_axis(np.where(keep, idx, -1), slots, axis=1)
+    weights = np.take_along_axis(np.where(keep, w, 0.0), slots, axis=1)
+    below = np.flatnonzero(fq < values - env.slack)
+    if below.size:
+        atoms[below], weights[below] = env.split(q[below, : env.dim], values[below])
+    return values, atoms, weights
+
+
+@pytest.mark.parametrize("k,resolution", [(2, 200), (3, 12)])
+def test_cav_splits_validates_and_locates_once(k, resolution, monkeypatch):
+    rng = np.random.default_rng(83)
+    grid = make_grid(k, resolution)
+    f = GridFn(grid, rng.uniform(0.0, 1.0, grid.n))
+    # off-grid beliefs, on and below the envelope, and grid points
+    q = np.vstack([rng.dirichlet(np.ones(k), 40), grid.points[:: max(1, grid.n // 20)]])
+    want = composed_cav_splits(f, q)
+    calls = {"cells": 0, "validate": 0}
+    cells, validate = BeliefGrid._cells, belief.validate_belief
+
+    def counting_cells(self, batch):
+        calls["cells"] += 1
+        return cells(self, batch)
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    monkeypatch.setattr(BeliefGrid, "_cells", counting_cells)
+    monkeypatch.setattr(belief, "validate_belief", counting_validate)
+    monkeypatch.setattr(envelope, "validate_belief", counting_validate)
+    got = cav_splits(f, q)
+    assert calls == {"cells": 1, "validate": 1}
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert (want[0] > interpolate(f, q) + 1e-6).any()  # some rows lie below the envelope and split

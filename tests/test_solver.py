@@ -446,7 +446,142 @@ def test_no_info_batch_rejects_a_row_off_the_envelope():
 
 
 # ---------------------------------------------------------------------------
+# dynamics operators kept with the chain
+
+
+def fresh_scenario(k):
+    """A new chain and grid, with no operators built yet: k = 2 (R = 50) or k = 3 (R = 8)."""
+    grid = make_grid(k, 50 if k == 2 else 8)
+    M = [[0.7, 0.3], [0.4, 0.6]] if k == 2 else CYCLE3_M
+    u = GridFn(grid, 1.0 - np.abs(2.0 * grid.points[:, 1] - 1.0) if k == 2 else min_kink3(grid.points))
+    return Scenario(chain=validate_chain(np.array(M)), u=u, discount=0.9, reveal_rate=0.5)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_replaced_scenarios_share_the_chains_operators(k, monkeypatch):
+    sc = fresh_scenario(k)
+    dyn = solver._dynamics(sc)
+    seen, sweep = [], solver._sweep
+    monkeypatch.setattr(solver, "_sweep", lambda *args: seen.append(args[-1]) or sweep(*args))
+    built = []
+    monkeypatch.setattr(solver, "_Dynamics", lambda *args: built.append(args))
+    others = [replace(sc, discount=0.5), replace(sc, reveal_rate=0.2), replace(sc, signal_count=k + 2),
+              replace(sc, u=GridFn(sc.grid, 2.0 * sc.u.values))]
+    for other in others:
+        assert solver._dynamics(other) is dyn
+        solve(other, "reveal")
+        bellman_no_reveal(other.u, other)
+        bellman_reveal(other.u, other)
+        solve_cesaro(other, 3)
+    row_average_value(0.5, sc)
+    assert built == []
+    assert len(seen) > 0 and all(d is dyn for d in seen)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_new_chain_or_grid_gets_its_own_operators(k):
+    sc = fresh_scenario(k)
+    dyn = solver._dynamics(sc)
+    new_chain = replace(sc, chain=validate_chain(sc.chain.M))
+    equal_grid = make_grid(k, sc.grid.resolution)
+    coarse = make_grid(k, sc.grid.resolution // 2)
+    on_equal_grid = replace(sc, u=GridFn(equal_grid, sc.u.values))
+    on_coarse = replace(sc, u=GridFn(coarse, np.ones(coarse.n)))
+    owned = [solver._dynamics(other) for other in (new_chain, on_equal_grid, on_coarse)]
+    assert len({id(d) for d in owned + [dyn]}) == 4
+    assert [d.grid for d in owned] == [sc.grid, equal_grid, coarse]
+    assert owned[2].shift.shape == (coarse.n, coarse.n)
+    # each is kept: a second lookup returns it again
+    assert solver._dynamics(sc) is dyn
+    assert [solver._dynamics(other) for other in (new_chain, on_equal_grid, on_coarse)] == owned
+    assert np.array_equal(solve(on_equal_grid, "reveal").value.values, solve(sc, "reveal").value.values)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kept_operators_equal_a_fresh_build_and_are_read_only(k):
+    sc = fresh_scenario(k)
+    solve(sc, "reveal")
+    kept = solver._dynamics(sc)
+    grid = sc.grid
+    fresh = {"shift": grid.interp_matrix(grid.points @ sc.chain.M), "rows": grid.interp_matrix(sc.chain.M)}
+    for name, want in fresh.items():
+        got = getattr(kept, name)
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            arr = getattr(got, part)
+            assert np.array_equal(arr, getattr(want, part))
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
+def test_a_warm_chain_solves_as_a_fresh_one(k, mode):
+    warm = fresh_scenario(k)
+    for other in (warm, replace(warm, discount=0.5), replace(warm, reveal_rate=0.9)):
+        solve(other, mode)
+    assert "_dynamics" in vars(warm.chain)
+    cold = fresh_scenario(k)
+    assert "_dynamics" not in vars(cold.chain)
+    a, b = solve(warm, mode), solve(cold, mode)
+    for got, want in ((a.value.values, b.value.values), (a.target.values, b.target.values),
+                      (a.row_values, b.row_values)):
+        assert np.array_equal(got, want)
+    assert (a.iterations, a.residual, a.half_widths) == (b.iterations, b.residual, b.half_widths)
+
+
+# ---------------------------------------------------------------------------
+# certificate trail
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
+def test_half_widths_trail_the_certificate(k, mode):
+    # recompute every sweep's half-width from zero through the public operator
+    sc = fresh_scenario(k)
+    res = solve(sc, mode)
+    op = bellman_reveal if mode == "reveal" else bellman_no_reveal
+    c = sc.discount / (1.0 - sc.discount)
+    f, trail = GridFn(sc.grid, np.zeros(sc.grid.n)), []
+    for _ in range(res.iterations):
+        new = op(f, sc)
+        d = new.values - f.values
+        trail.append(0.5 * c * (float(d.max()) - float(d.min())))
+        f = new
+    assert len(res.half_widths) == min(res.iterations, solver.HALF_WIDTHS_KEPT) == min(res.iterations, 20)
+    assert res.half_widths == tuple(trail[-20:])
+    assert res.half_widths[-1] == res.residual
+    assert all(h > sc.tol for h in trail[:-1])
+    # k = 3 takes more than 20 sweeps here, so its trail is cut
+    assert (res.iterations > 20) == (k == 3)
+
+
+# ---------------------------------------------------------------------------
 # guardrails
+
+
+@pytest.mark.parametrize("op", [bellman_no_reveal, bellman_reveal])
+def test_bellman_rejects_a_continuation_on_another_grid(op):
+    # k = 2, R = 2 and k = 3, R = 1 grids both have 3 points
+    g2, g3 = make_grid(2, 2), make_grid(3, 1)
+    sc2 = Scenario(chain=validate_chain(np.array([[0.7, 0.3], [0.4, 0.6]])), u=GridFn(g2, np.ones(3)),
+                   discount=0.9, reveal_rate=0.5)
+    sc3 = Scenario(chain=validate_chain(np.array(CYCLE3_M)), u=GridFn(g3, np.ones(3)),
+                   discount=0.9, reveal_rate=0.5)
+    with pytest.raises(DimensionMismatch):
+        op(GridFn(g3, np.arange(3.0)), sc2)
+    with pytest.raises(DimensionMismatch):
+        op(GridFn(g2, np.arange(3.0)), sc3)
+    # another point count
+    g4 = make_grid(2, 4)
+    with pytest.raises(DimensionMismatch):
+        op(GridFn(g4, np.arange(5.0)), sc2)
+    # an equal grid built separately reads like the scenario's own
+    same = op(GridFn(make_grid(2, 2), np.arange(3.0)), sc2)
+    assert same.grid is g2
+    assert np.array_equal(same.values, op(GridFn(g2, np.arange(3.0)), sc2).values)
+
 
 
 def test_no_convergence_at_sweep_cap(scenario, monkeypatch):

@@ -234,6 +234,22 @@ def validate_split(p, split: Split, max_atoms: int | None = None) -> None:
         raise NotBayesPlausible(f"barycenter misses the prior by {err:.3e}")
 
 
+def validate_kernel(kernel, k: int, width: int | None = None) -> np.ndarray:
+    """Return kernel as floats after checking that it is a (k, width) signal kernel, any width if None.
+
+    Raises DimensionMismatch for the shape, and InvalidSplit unless every entry
+    is finite and at least -BELIEF_SUM_TOL and every row sums to 1 within 1e-9.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[0] != k or width not in (None, kernel.shape[1]):
+        raise DimensionMismatch(f"kernel shape {kernel.shape} is not ({k}, {'any' if width is None else width})")
+    # written so that a NaN fails each test
+    if not (np.isfinite(kernel).all() and (kernel >= -BELIEF_SUM_TOL).all()
+            and (np.abs(kernel.sum(axis=1) - 1.0) <= 1e-9).all()):
+        raise InvalidSplit("kernel rows must be probability vectors")
+    return kernel
+
+
 def split_from_kernel(p, kernel: np.ndarray) -> Split:
     """Posterior lottery induced by a signal kernel at prior p.
 
@@ -241,13 +257,7 @@ def split_from_kernel(p, kernel: np.ndarray) -> Split:
     of zero probability under p are dropped.
     """
     p = validate_belief(p)
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != p.size:
-        raise DimensionMismatch(f"kernel shape {kernel.shape} does not match prior of length {p.size}")
-    row_err = np.abs(kernel.sum(axis=1) - 1.0)
-    if np.any(kernel < -BELIEF_SUM_TOL) or np.any(row_err > 1e-9):
-        raise InvalidSplit("kernel rows must be probability vectors")
-    alphas, posteriors = bayes_update(p, kernel)
+    alphas, posteriors = bayes_update(p, validate_kernel(kernel, p.size))
     keep = alphas > 0.0
     return Split(posteriors=posteriors[keep], weights=alphas[keep])
 

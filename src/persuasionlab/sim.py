@@ -11,16 +11,19 @@ traces with different rates stay aligned.
 
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane reading its own stream; run_policy is the one-lane
-case of the same engine. A policy strategy splits at the exact belief onto
-grid points, so its nodes are the prior, the transition rows and images
-grid.points @ M. An estimate derives the seeds of all its streams in
-one batch (replication_rngs), bit for bit the SeedSequence definition above.
+case of the same engine. Every lane of a play runs the same horizon: the
+random-duration estimator draws each replication's duration first and plays
+the replications whose durations have one bit length as one group, for the
+longest of those durations. A policy strategy splits at the exact belief
+onto grid points, so its nodes are the prior, the transition rows and images
+grid.points @ M. An estimate derives the seeds of all its streams in one
+batch (replication_rngs), bit for bit the SeedSequence definition above.
 States and coins depend only on the uniforms, so a block of stages gets them
 first: states by a prefix scan, then revelation and coupling coins. Each
 revelation or coupling hit reboots the belief to a transition row and so
 starts a segment; the segments of a block are walked in lock-step, one
 position per numpy step. A replication's value depends only on its own
-stream, never on the chunk or block it falls in, so run_policy(rep=i)
+stream, never on the chunk, block or group it falls in, so run_policy(rep=i)
 replays it bit for bit. Aggregation uses numpy's pairwise summation over the
 replication axis.
 """
@@ -30,13 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_belief
+from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_belief, validate_kernel
 from .chain import cum_rows, scan_states
 from .envelope import cav_splits
-from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
+from .errors import AllRejected, BadRates, DegenerateTail, InvalidSplit, RateBoundary
 from .solver import Scenario, solve
 
 # ---------------------------------------------------------------------------
@@ -142,11 +146,8 @@ def replication_rngs(seed: int, reps) -> Iterator[np.random.Generator]:
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent stream for one replication, derived from the master seed.
-
-    Bit for bit np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,))).
-    """
-    return next(replication_rngs(seed, [rep]))
+    """Independent stream for one replication, derived from the master seed: the contract's definition."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(rep),)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,9 @@ class Strategy:
     every belief. A silent strategy sends one uninformative signal until the
     first revelation. With aux_prob > 0, on stages where the game did not
     just reveal, an auxiliary coin discloses the previous state with that
-    chance and the strategy is played at its transition row.
+    chance and the strategy is played at its transition row. The engine
+    takes a strategy with exactly one of kernel and target, and a kernel
+    that `validate_kernel` accepts as a (states, width) signal kernel.
     """
 
     width: int
@@ -318,6 +321,8 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 # Uniforms one chunk of lanes holds at once (8 MiB). A stage block holds at most _CHUNK_DRAWS
 # bytes (1 MiB) of per-stage work, its uniforms included; longer plays are walked block by block.
 _CHUNK_DRAWS = 1 << 20
+# Replications whose generators a random-duration estimate holds at once (about 0.8 KB each).
+_DURATION_BATCH = 1 << 14
 
 
 class _Engine:
@@ -331,8 +336,9 @@ class _Engine:
     and a non-revealing stage follows the successor of (node, signal),
     filled once.
 
-    States and coins depend only on the uniforms, so a block of stages gets
-    them first, for every lane at once: states by one prefix scan, then the
+    Every lane of a play runs the same number of stages. States and coins
+    depend only on the uniforms, so a block of stages gets them first, for
+    every lane at once: states by one prefix scan, then the
     revelation and coupling coins. A revelation, or a coupling hit, reboots
     the belief to the previous state's row node, which cuts the lanes'
     stages into segments; within a segment only the signals and the nodes
@@ -346,6 +352,10 @@ class _Engine:
     _CACHE_CAP = 200_000
 
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
+        if (strat.kernel is None) == (strat.target is None):
+            raise InvalidSplit("a strategy needs exactly one of a kernel and a target")
+        if strat.kernel is not None:
+            validate_kernel(strat.kernel, sc.chain.k, strat.width)
         self.sc = sc
         self.strat = strat
         self.width = strat.width
@@ -417,59 +427,49 @@ class _Engine:
         self.size = stop
         self.fills += 1
 
-    def play(self, prior: np.ndarray, rate: float, rngs: list, horizons: list,
+    def play(self, prior: np.ndarray, rate: float, rngs: list, horizon: int,
              trace: bool = False) -> SimTrace:
-        """Play lane j for horizons[j] stages on generator rngs[j].
+        """Play every lane for horizon stages, lane j on generator rngs[j].
 
-        Returns one row per lane, padded to the longest horizon: stage
-        payoffs and revelation coins, plus states, signals and posteriors
-        when trace is set (None otherwise).
+        Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
+        revelation coins, plus states, signals and posteriors when trace is
+        set (None otherwise).
         """
         k = self.sc.chain.k
         belief = np.ascontiguousarray(validate_belief(prior, k))
         prior_cum = cum_rows(belief)
-        # lanes in order of decreasing horizon, so the lanes still playing are a prefix
-        order = np.argsort(-np.asarray(horizons), kind="stable")
-        hs = np.asarray(horizons, dtype=np.int64)[order]
-        lanes, last, d = len(hs), int(hs[0]), self.draws_per_stage
-        rngs = [rngs[j] for j in order]
+        lanes, d = len(rngs), self.draws_per_stage
 
-        out = SimTrace(states=np.empty((lanes, last), dtype=np.int64) if trace else None,
-                       signals=np.empty((lanes, last), dtype=np.int64) if trace else None,
-                       reveals=np.zeros((lanes, last), dtype=bool),
-                       posteriors=np.empty((lanes, last, k)) if trace else None,
-                       stage_payoffs=np.empty((lanes, last)))
+        out = SimTrace(states=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
+                       signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
+                       reveals=np.empty((lanes, horizon), dtype=bool),
+                       posteriors=np.empty((lanes, horizon, k)) if trace else None,
+                       stage_payoffs=np.empty((lanes, horizon)))
         # what a lane carries into the next block: its node, its last state and its last coin
         node = np.full(lanes, self._intern(np.array([self.strat.silent]), belief[None])[0])
         state = np.zeros(lanes, dtype=np.int64)
         revealed = np.zeros(lanes, dtype=bool)
         # lane-stages one block holds, at about 8d + 60 bytes each: d uniforms, the signal uniform
         # and the state path (8 each), coins and cuts, and about 40 of segment arrays and step
-        # temporaries at rate 0.5; a block spans more stages as lanes finish
-        span = max(1, _CHUNK_DRAWS // (8 * d + 60))
-        buffer = np.zeros(min(max(span, lanes), lanes * last) * d)
+        # temporaries at rate 0.5
+        span = min(horizon, max(1, _CHUNK_DRAWS // (8 * d + 60) // lanes))
+        buffer = np.zeros(lanes * span * d)
         n0 = 0
-        while n0 < last:
-            a = int(np.count_nonzero(hs > n0))
-            b = min(last - n0, max(1, span // a))
-            lens = np.minimum(hs[:a] - n0, b)
-            draws = buffer[: a * b * d].reshape(a, b, d)
-            for j, h in enumerate(lens.tolist()):
-                rngs[j].random(out=draws[j, :h])
+        while n0 < horizon:
+            b = min(horizon - n0, span)
+            draws = buffer[: lanes * b * d].reshape(lanes, b, d)
+            for rng, lane_draws in zip(rngs, draws):
+                rng.random(out=lane_draws)
             states, rev, reboot, hit = self._states_and_coins(draws, n0, prior_cum, state, revealed, rate)
-            out.reveals[:a, n0 : n0 + b] = rev & (np.arange(b) < lens[:, None])
+            out.reveals[:, n0 : n0 + b] = rev
             if trace:
-                out.states[:a, n0 : n0 + b] = states
-            carry = int(np.count_nonzero(hs > n0 + b))
-            segments = self._segments(reboot, lens, carry, states, state, node, hit if trace else None)
+                out.states[:, n0 : n0 + b] = states
+            carry = lanes if n0 + b < horizon else 0  # the lanes that play past this block
+            segments = self._segments(reboot, carry, states, state, node, hit if trace else None)
             node[:carry] = self._walk(segments, states, draws[:, :, d - 2], rev, n0, out)
-            state[:carry] = states[:carry, b - 1]
-            revealed[:carry] = rev[:carry, b - 1]
+            state, revealed = states[:, b - 1], rev[:, b - 1]
             n0 += b
-
-        back = np.argsort(order)
-        return SimTrace(*(None if arr is None else arr[back]
-                          for arr in (out.states, out.signals, out.reveals, out.posteriors, out.stage_payoffs)))
+        return out
 
     def _states_and_coins(self, draws, n0, prior_cum, state, revealed, rate):
         """States, revelation coins, reboots and coupling hits of a block, (lanes, stages) each.
@@ -482,10 +482,10 @@ class _Engine:
             first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
             states = scan_states(self.M_cum, first, draws[:, 1:, 0])
         else:
-            states = np.ascontiguousarray(scan_states(self.M_cum, state[:a], draws[:, :, 0])[:, 1:])
+            states = np.ascontiguousarray(scan_states(self.M_cum, state, draws[:, :, 0])[:, 1:])
         rev = draws[:, :, d - 1] < rate
         reboot = np.empty((a, b), dtype=bool)
-        reboot[:, 0] = revealed[:a]
+        reboot[:, 0] = revealed
         reboot[:, 1:] = rev[:, :-1]
         hit = None
         if self.strat.aux_prob > 0.0:
@@ -494,7 +494,7 @@ class _Engine:
             reboot |= hit
         return states, rev, reboot, hit
 
-    def _segments(self, reboot, lens, carry, states, state, node, hit):
+    def _segments(self, reboot, carry, states, state, node, hit):
         """Segments of one block, longest first: (starts, nodes, codes, live, carriers).
 
         starts are flat (lane, stage) block indices and nodes the nodes the
@@ -505,11 +505,11 @@ class _Engine:
         segments of the first `carry` lanes, which play past the block.
         """
         a, b = reboot.shape
-        cut = reboot & (np.arange(b) < lens[:, None])
-        cut[:, 0] = True
+        cut = reboot.copy()
+        cut[:, 0] = True  # each lane's first stage of the block starts a segment
         starts = np.flatnonzero(cut)
         lane, col = np.divmod(starts, b)
-        length = np.minimum(np.append(starts[1:], a * b), lane * b + lens[lane]) - starts
+        length = np.diff(starts, append=a * b)
         prev = np.where(col > 0, states.reshape(-1)[starts - 1], state[lane])
         nodes = np.where(reboot.reshape(-1)[starts], prev, node[lane])
         # a stable sort on the narrowest key is a radix sort
@@ -562,7 +562,7 @@ class _Engine:
             nxt = self.succ.reshape(-1)[ix]
             missing = nxt < 0
             if missing.any():
-                # a revealing stage, and the longest play's last one, need no successor
+                # a revealing stage, and the play's last one, need no successor
                 missing &= ~rev[f] & (o % last < last - 1)
                 if missing.any():
                     # each missing (node, signal) pair is filled once
@@ -577,30 +577,24 @@ class _Engine:
         return nodes[carriers]
 
 
-def _chunks(engine: _Engine, prior, rate: float, seed: int, samples: int, horizon: int | None = None,
-            duration_rate: float | None = None):
-    """Play replications 0 .. samples-1 in chunks of lanes; yields (reps, horizons, plays).
-
-    Replication i plays `horizon` stages or, with duration_rate, a geometric
-    number drawn first from its own stream. A chunk grows while its lanes
-    times its longest horizon times the draws per stage stays within
-    _CHUNK_DRAWS, and always holds at least one lane. The seeds of all
-    replications are derived up front (32 bytes each); a lane's generator is
-    built when the lane joins its chunk. Raises ValueError for samples below 1.
-    """
+def _streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
+    """The streams of replications 0 .. samples-1; raises ValueError for samples below 1."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rngs, hs, longest = [], [], 0
-    for i, rng in enumerate(replication_rngs(seed, range(samples))):
-        h = horizon if duration_rate is None else int(rng.geometric(duration_rate))
-        if rngs and (len(rngs) + 1) * max(longest, h) * engine.draws_per_stage > _CHUNK_DRAWS:
-            yield range(i - len(rngs), i), hs, engine.play(prior, rate, rngs, hs)
-            rngs, hs, longest = [], [], 0
-        rngs.append(rng)
-        hs.append(h)
-        longest = max(longest, h)
-    if rngs:
-        yield range(samples - len(rngs), samples), hs, engine.play(prior, rate, rngs, hs)
+    return replication_rngs(seed, range(samples))
+
+
+def _chunks(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[SimTrace]:
+    """Play a lane of horizon stages on each generator of rngs, in chunks; yields each chunk's play.
+
+    A chunk grows while its lanes times the horizon times the draws per
+    stage stays within _CHUNK_DRAWS, and always holds at least one lane. A
+    lane's generator is taken from rngs when the lane joins its chunk.
+    """
+    size = max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage))
+    rngs = iter(rngs)
+    while chunk := list(islice(rngs, size)):
+        yield engine.play(prior, rate, chunk, horizon)
 
 
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
@@ -614,7 +608,7 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = replication_rng(sc.seed if seed is None else seed, rep)
-    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, [rng], [horizon], trace=True)
+    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, [rng], horizon, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
@@ -661,9 +655,9 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    totals = [weights @ payoffs for _, _, plays in
-              _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon)
-              for payoffs in plays.stage_payoffs]
+    totals = [weights @ payoffs for play in
+              _chunks(engine, sc.initial_prior(), sc.reveal_rate, _streams(seed, samples), horizon)
+              for payoffs in play.stage_payoffs]
     return _summary(np.array(totals), np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     **engine.counters())
@@ -675,18 +669,34 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
 
     Each replication first draws the duration W (geometric with mean
     1/rate, support starting at 1) and then plays W stages without
-    revelations, summing the raw stage payoffs.
+    revelations, summing the raw stage payoffs. Replications are taken in
+    batches of _DURATION_BATCH; in a batch, every replication draws its
+    duration and then the replications whose durations have the same bit
+    length (within a factor of 2) play together, all on one engine, for the
+    longest of their durations. A replication's total sums its own first W
+    stages, which the stages played past W do not change.
     """
     if not 0.0 < rate <= 1.0:
         raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
     samples = sc.samples if samples is None else samples
     seed = sc.seed if seed is None else seed
     prior = validate_belief(p, sc.chain.k)
+    streams = _streams(seed, samples)
     engine = _Engine(sc, strat)
-    totals = [payoffs[:w].sum() for _, durations, plays in
-              _chunks(engine, prior, 0.0, seed, samples, duration_rate=rate)
-              for w, payoffs in zip(durations, plays.stage_payoffs)]
-    return _summary(np.array(totals), np.arange(samples), **engine.counters())
+    totals = np.empty(samples)
+    for first in range(0, samples, _DURATION_BATCH):
+        rngs = list(islice(streams, _DURATION_BATCH))
+        durations = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
+        # durations of one bit length share a play, so a batch walks about twice its longest
+        # duration in steps rather than the sum of its distinct durations
+        bands = np.frexp(durations)[1]
+        for band in np.unique(bands).tolist():
+            lanes = np.flatnonzero(bands == band)
+            w = durations[lanes]
+            plays = _chunks(engine, prior, 0.0, [rngs[j] for j in lanes], int(w.max()))
+            rows = (payoffs for play in plays for payoffs in play.stage_payoffs)
+            totals[first + lanes] = [payoffs[:n].sum() for payoffs, n in zip(rows, w.tolist())]
+    return _summary(totals, np.arange(samples), **engine.counters())
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
@@ -707,15 +717,16 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     kept = []
     kept_reps = []
     rejected = 0
-    for reps, _, plays in _chunks(engine, sc.initial_prior(), sc.reveal_rate, seed, samples, horizon):
-        for i, payoffs, reveals in zip(reps, plays.stage_payoffs, plays.reveals):
-            stats = renewal_stats(reveals)
-            if stats.revelations < 2:
-                rejected += 1
-                continue
-            first = int(stats.kappas[0])
-            kept.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
-            kept_reps.append(i)
+    plays = _chunks(engine, sc.initial_prior(), sc.reveal_rate, _streams(seed, samples), horizon)
+    lanes = (lane for play in plays for lane in zip(play.stage_payoffs, play.reveals))
+    for i, (payoffs, reveals) in enumerate(lanes):
+        stats = renewal_stats(reveals)
+        if stats.revelations < 2:
+            rejected += 1
+            continue
+        first = int(stats.kappas[0])
+        kept.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
+        kept_reps.append(i)
     if not kept:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
     return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64), rejected=rejected,

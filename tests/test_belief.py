@@ -237,6 +237,15 @@ def test_split_from_kernel_drops_dead_signals():
     assert split.posteriors[0] == pytest.approx(PRIOR)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_split_from_kernel_rejects_a_nan_entry(k):
+    # NaN fails no comparison, so a check written with < and > would pass it
+    kernel = np.full((k, 2), 0.5)
+    kernel[0] = [np.nan, 1.0]
+    with pytest.raises(InvalidSplit):
+        split_from_kernel(np.full(k, 1.0 / k), kernel)
+
+
 def test_kernel_from_split_roundtrip():
     split = split_from_kernel(PRIOR, KERNEL)
     kernel = kernel_from_split(PRIOR, split)

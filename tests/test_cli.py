@@ -207,6 +207,15 @@ def test_result_table_guards_and_layout():
 # end-to-end commands
 
 
+def test_main_builds_its_parser_once(tmp_path):
+    cli.build_parser.cache_clear()
+    path = write_doc(tmp_path, tent_doc())
+    for name in ("a.csv", "b.csv"):
+        assert cli.main(["solve", "--scenario", path, "--out", str(tmp_path / name)]) == cli.EXIT_PASS
+    assert (cli.build_parser.cache_info().misses, cli.build_parser.cache_info().hits) == (1, 1)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_solve_writes_reproducible_table(tmp_path):
     path = write_doc(tmp_path, tent_doc())
     out = tmp_path / "solve.csv"

@@ -38,7 +38,14 @@ from persuasionlab import (
     strategy_renewal_optimal,
     validate_chain,
 )
-from persuasionlab.errors import AllRejected, BadRates, DegenerateTail, RateBoundary
+from persuasionlab.errors import (
+    AllRejected,
+    BadRates,
+    DegenerateTail,
+    DimensionMismatch,
+    InvalidSplit,
+    RateBoundary,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -670,9 +677,11 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     strat = made[strategy]
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
-        # lanes per chunk at this horizon; one lane also draws one stage block at a time
+        # lanes per chunk at this horizon and replications per random-duration batch; one lane
+        # also draws one stage block at a time
         draws = 4 if strat.aux_prob > 0.0 else 3
         monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1 if lanes == 1 else lanes * draws * horizon)
+        monkeypatch.setattr(sim, "_DURATION_BATCH", lanes)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
     for got, want in zip((est.values, est.rep_ids), reference_discounted(sc, strat, samples, seed, horizon)):
@@ -713,21 +722,25 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     assert_bit_equal(est.values, np.array(replays))
 
     # a lane draws its duration first and then plays that many stages without revelations,
-    # as the one-lane engine does on the stream the contract defines
-    chunks.clear()
-    p, rate = sc.initial_prior(), 0.2
-    est = random_duration_value_mc(sc, p, rate, strat, samples=samples, seed=seed)
-    assert len(chunks) > 1 and sum(chunks) == samples
-    replays = []
-    for i in range(samples):
-        rng = definition_rng(seed, i)
-        w = int(rng.geometric(rate))
-        replays.append(play(_Engine(sc, strat), p, 0.0, [rng], [w]).stage_payoffs[0].sum())
-    assert_bit_equal(est.values, np.array(replays))
+    # as the one-lane engine does on the stream the contract defines; at rate 1 every duration
+    # is 1, so one duration group is split into chunks of three one-stage lanes
+    p = sc.initial_prior()
+    for rate, budget in ((0.2, 3 * 3 * horizon), (1.0, 3 * 3)):
+        monkeypatch.setattr(sim, "_CHUNK_DRAWS", budget)
+        chunks.clear()
+        est = random_duration_value_mc(sc, p, rate, strat, samples=samples, seed=seed)
+        assert len(chunks) > 1 and sum(chunks) == samples
+        replays = []
+        for i in range(samples):
+            rng = definition_rng(seed, i)
+            w = int(rng.geometric(rate))
+            replays.append(play(_Engine(sc, strat), p, 0.0, [rng], w).stage_payoffs[0].sum())
+        assert_bit_equal(est.values, np.array(replays))
+    assert chunks == [3, 3, 3]
 
 
-# (_CHUNK_DRAWS, _CACHE_CAP): one-stage blocks, blocks of a few stages that widen as lanes
-# finish, the default single block, and each of them with a node table cleared before every step
+# (_CHUNK_DRAWS, _CACHE_CAP): one-stage blocks, blocks of a few stages, the default single
+# block, and each of them with a node table cleared before every step
 ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3), (2000, 3), (None, 3)]
 
 
@@ -736,7 +749,8 @@ ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3),
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, cap, strategies, monkeypatch):
-    # lanes of unequal horizons in one play, each traced field against its own scalar replay
+    # one play per horizon on one shared engine, so the node table carries across plays as it
+    # does across a random-duration estimate's groups; each traced field against its own scalar replay
     sc, made = strategies[name]
     if rate is not None:
         sc = replace(sc, reveal_rate=rate)
@@ -746,14 +760,17 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
     if cap is not None:
         monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
     horizons, seed = [1, 23, 7, 40, 2, 40, 15], 5
-    rngs = [replication_rng(seed, i) for i in range(len(horizons))]
-    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, rngs, horizons, trace=True)
-    for i, h in enumerate(horizons):
-        got = (play.states[i, :h], play.signals[i, :h], play.reveals[i, :h], play.posteriors[i, :h],
-               play.stage_payoffs[i, :h])
-        for g, w in zip(got, reference_trace(sc, strat, h, seed, i)):
-            assert_bit_equal(g, w)
-        assert not play.reveals[i, h:].any()
+    engine = _Engine(sc, strat)
+    for h in dict.fromkeys(horizons):
+        reps = [i for i, hi in enumerate(horizons) if hi == h]
+        play = engine.play(sc.initial_prior(), sc.reveal_rate, [replication_rng(seed, i) for i in reps], h,
+                           trace=True)
+        assert play.reveals.shape == (len(reps), h)
+        for lane, i in enumerate(reps):
+            got = (play.states[lane], play.signals[lane], play.reveals[lane], play.posteriors[lane],
+                   play.stage_payoffs[lane])
+            for g, w in zip(got, reference_trace(sc, strat, h, seed, i)):
+                assert_bit_equal(g, w)
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -780,6 +797,37 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
     for g, w in zip(got, reference_trace(sc, strat, 4, sc.seed, 0)):
         assert_bit_equal(g, w)
+
+
+# (width, kernel on k states, error): rows summing to 0.4, a NaN entry, one row too many and a
+# kernel narrower than the strategy's width, which numpy would broadcast
+BAD_KERNELS = {
+    "short rows": (2, lambda k: np.full((k, 2), 0.2), InvalidSplit),
+    "nan": (2, lambda k: np.vstack([[np.nan, 1.0], np.full((k - 1, 2), 0.5)]), InvalidSplit),
+    "extra row": (1, lambda k: np.ones((k + 1, 1)), DimensionMismatch),
+    "narrow": (2, lambda k: np.ones((k, 1)), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KERNELS))
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_the_engine_rejects_an_invalid_kernel(name, case, strategies):
+    sc, _ = strategies[name]
+    width, kernel, error = BAD_KERNELS[case]
+    strat = Strategy(width, kernel=kernel(sc.chain.k))
+    with pytest.raises(error):
+        estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
+    with pytest.raises(error):
+        run_policy(sc, strat, 5)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_the_engine_rejects_a_strategy_without_exactly_one_of_kernel_and_target(name, strategies):
+    sc, made = strategies[name]
+    k = sc.chain.k
+    for strat in (Strategy(k), Strategy(k, kernel=np.eye(k), target=made["optimal"].target)):
+        with pytest.raises(InvalidSplit):
+            estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
 
 
 def test_the_last_stage_fills_no_successor(strategies):
@@ -966,6 +1014,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
                 mp.setattr(sim, "_CHUNK_DRAWS", lanes * 4 * 25)
+                mp.setattr(sim, "_DURATION_BATCH", lanes)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
         assert_bit_equal(large.rep_ids[prefix], small.rep_ids)

@@ -138,13 +138,13 @@ class BeliefGrid:
         return sparse.csr_matrix((w[real], idx[real], offsets), shape=(queries.shape[0], self.n))
 
 
-def make_grid(k: int, resolution: int, max_points: int = DEFAULT_MAX_POINTS) -> BeliefGrid:
-    """Build the belief lattice with coordinates in multiples of 1/resolution."""
+def make_grid(k: int, resolution: int) -> BeliefGrid:
+    """Build the belief lattice with coordinates in multiples of 1/resolution, at most DEFAULT_MAX_POINTS points."""
     if k < 1 or resolution < 1:
         raise DimensionMismatch(f"need k >= 1 and resolution >= 1, got k={k}, R={resolution}")
     n = math.comb(resolution + k - 1, k - 1)
-    if n > max_points:
-        raise SizeOverflow(f"grid would hold {n} points, budget is {max_points}")
+    if n > DEFAULT_MAX_POINTS:
+        raise SizeOverflow(f"grid would hold {n} points, budget is {DEFAULT_MAX_POINTS}")
     counts = np.array(list(_compositions(resolution, k)), dtype=np.int64)
     points = counts / float(resolution)
     pascal = np.ones((k, resolution + 1), dtype=np.int64)

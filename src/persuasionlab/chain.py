@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import IndexOutOfRange, NotIrreducible, NotStochastic, SingularSystem
+from .errors import NotIrreducible, NotStochastic, SingularSystem
 
 # Row sums may drift by this much before the matrix is rejected.
 ROW_SUM_TOL = 1e-9
@@ -151,26 +151,14 @@ def scan_states(cum: np.ndarray, first, u: np.ndarray) -> np.ndarray:
     return path if u.ndim == 2 else path[0]
 
 
-def sample_path(chain: Chain, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
-    """Sample n states of the chain.
+def sample_path(chain: Chain, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample n states of the chain, starting from its stationary law.
 
-    ``start`` is an initial state index, an initial distribution, or None for
-    the stationary law. One uniform draw is consumed per state, the first one
-    for the initial state.
+    One uniform draw is consumed per state, the first one for the initial state.
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if start is None:
-        init = np.cumsum(chain.pi)
-        first = int(np.searchsorted(init, rng.random(), side="right"))
-    elif np.ndim(start) == 0:
-        first = int(start)
-        if not 0 <= first < chain.k:
-            raise IndexOutOfRange(f"start state {first} outside 0..{chain.k - 1}")
-        rng.random()  # keep the per-stage draw count independent of start type
-    else:
-        init = np.cumsum(np.asarray(start, dtype=float))
-        first = int(np.searchsorted(init, rng.random() * init[-1], side="right"))
+    first = int(np.searchsorted(np.cumsum(chain.pi), rng.random(), side="right"))
     return scan_states(cum_rows(chain.M), min(first, chain.k - 1), rng.random(n - 1))
 
 

@@ -21,10 +21,6 @@ class SingularSystem(PersuasionError):
     """A linear system that should be regular came out singular or inconsistent."""
 
 
-class IndexOutOfRange(PersuasionError, IndexError):
-    """A state index outside 0..k-1."""
-
-
 class SizeOverflow(PersuasionError):
     """Requested belief grid exceeds the configured point budget."""
 

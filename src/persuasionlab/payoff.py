@@ -44,7 +44,7 @@ class ReceiverPayoff:
 PayoffModel = TablePayoff | ReceiverPayoff
 
 
-def _receiver_table(model: ReceiverPayoff, grid: BeliefGrid, jump_threshold: float | None):
+def _receiver_table(model: ReceiverPayoff, grid: BeliefGrid):
     sender = np.asarray(model.sender_values, dtype=float)
     receiver = np.asarray(model.receiver_values, dtype=float)
     n_actions = len(model.actions)
@@ -60,8 +60,7 @@ def _receiver_table(model: ReceiverPayoff, grid: BeliefGrid, jump_threshold: flo
     theta = masked.argmax(axis=1)
     u = np.take_along_axis(send_score, theta[:, None], axis=1).ravel()
 
-    span = float(u.max() - u.min()) if u.size else 0.0
-    thresh = 0.1 * span if jump_threshold is None else jump_threshold
+    thresh = 0.1 * float(u.max() - u.min()) if u.size else 0.0
     i, j = _adjacent_pairs(grid)
     gap = np.abs(u[i] - u[j])
     hit = (theta[i] != theta[j]) & (gap > thresh)
@@ -91,12 +90,12 @@ def _adjacent_pairs(grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
     return i[keep], j[keep]
 
 
-def build_u(model: PayoffModel, grid: BeliefGrid, jump_threshold: float | None = None) -> GridFn:
+def build_u(model: PayoffModel, grid: BeliefGrid) -> GridFn:
     """Materialize the sender stage payoff as a grid function.
 
     Raises NegativePayoff if any grid value is negative; receiver models also
     emit PayoffDiscontinuityWarning where the best response flips with a
-    payoff jump above the threshold (default: a tenth of the payoff range).
+    payoff jump above a tenth of the payoff range.
     """
     if isinstance(model, TablePayoff):
         vals = np.asarray(model.values, dtype=float)
@@ -104,7 +103,7 @@ def build_u(model: PayoffModel, grid: BeliefGrid, jump_threshold: float | None =
             raise DimensionMismatch(f"table has {vals.size} values for {grid.n} grid points")
         u = vals.copy()
     elif isinstance(model, ReceiverPayoff):
-        u = _receiver_table(model, grid, jump_threshold)
+        u = _receiver_table(model, grid)
     else:
         raise DimensionMismatch(f"unknown payoff model type {type(model).__name__}")
     if np.any(u < 0):

@@ -78,37 +78,18 @@ def _mix(x, y):
 _OUT = np.array(_powers(_INIT_B, _MULT_B, 8), dtype=np.uint32)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """The pool of SeedSequence(seed, spawn_key=...) before its key is mixed in, and the hash constant then."""
-    if seed < 0:
-        raise ValueError(f"expected non-negative integer, got seed {seed}")
-    words = [seed & _MASK]
-    while seed := seed >> 32:
-        words.append(seed & _MASK)
-    words += [0] * (4 - len(words))  # with a spawn key, the seed's words are padded to the pool size
-    # 4 hashes fill the pool, 12 cross-mix it and 4 mix in each word past the pool size
-    c = _powers(_INIT_A, _MULT_A, 4 * len(words))
-    keys = zip(c, c[1:])
-    pool = [_hash(w, *next(keys)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(keys)))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(keys)))
-    return pool, c[-1]
-
-
 def _seed_states(seed: int, reps: list[int]) -> np.ndarray:
     """SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64) for each r of reps, one row each."""
-    pool, const = _seed_pool(seed)
+    # with a spawn key numpy pads a short seed with zero words, without one it hashes zeros in their
+    # place, so SeedSequence(seed).pool (which raises ValueError for a negative seed) is the pool
+    # before the key is mixed in; each of the seed's max(4, words) words took 4 steps of the constant
+    pool = np.random.SeedSequence(seed).pool
+    const = _powers(_INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)))[-1]
     if min(reps, default=0) < 0:
         raise ValueError(f"expected non-negative integer, got rep {min(reps)}")
     n = max(1, -(-max(reps, default=0).bit_length() // 32))
     key = np.array([[r >> s & _MASK for r in reps] for s in range(0, 32 * n, 32)], dtype=np.uint32)
     c = np.array(_powers(const, _MULT_A, 4 * n), dtype=np.uint32)
-    pool = np.array(pool, dtype=np.uint32)
     for j in range(n):
         mixed = _mix(pool, _hash(key[j, :, None], c[4 * j : 4 * j + 4], c[4 * j + 1 : 4 * j + 5]))
         # a rep's key ends at its highest nonzero word (rep 0 keeps one word), so lanes are
@@ -577,24 +558,27 @@ class _Engine:
         return nodes[carriers]
 
 
-def _streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
-    """The streams of replications 0 .. samples-1; raises ValueError for samples below 1."""
+def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
+    """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's."""
+    samples = sc.samples if samples is None else samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return replication_rngs(seed, range(samples))
+    return samples, replication_rngs(sc.seed if seed is None else seed, range(samples))
 
 
-def _chunks(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[SimTrace]:
-    """Play a lane of horizon stages on each generator of rngs, in chunks; yields each chunk's play.
+def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(stage payoffs, revelation coins) of a lane of horizon stages on each generator of rngs, in order.
 
-    A chunk grows while its lanes times the horizon times the draws per
-    stage stays within _CHUNK_DRAWS, and always holds at least one lane. A
-    lane's generator is taken from rngs when the lane joins its chunk.
+    Lanes are played in chunks. A chunk grows while its lanes times the
+    horizon times the draws per stage stays within _CHUNK_DRAWS, and always
+    holds at least one lane. A lane's generator is taken from rngs when the
+    lane joins its chunk.
     """
     size = max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage))
     rngs = iter(rngs)
     while chunk := list(islice(rngs, size)):
-        yield engine.play(prior, rate, chunk, horizon)
+        play = engine.play(prior, rate, chunk, horizon)
+        yield from zip(play.stage_payoffs, play.reveals)
 
 
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
@@ -646,18 +630,15 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     1e-6, unless an explicit horizon is given; the truncation bound is
     reported on the result.
     """
-    samples = sc.samples if samples is None else samples
-    seed = sc.seed if seed is None else seed
     if horizon is None:
         horizon = discount_horizon(sc)
     elif horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    samples, streams = _replications(sc, samples, seed)
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    totals = [weights @ payoffs for play in
-              _chunks(engine, sc.initial_prior(), sc.reveal_rate, _streams(seed, samples), horizon)
-              for payoffs in play.stage_payoffs]
+    totals = [weights @ payoffs for payoffs, _ in _lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)]
     return _summary(np.array(totals), np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     **engine.counters())
@@ -678,10 +659,8 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
     """
     if not 0.0 < rate <= 1.0:
         raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
-    samples = sc.samples if samples is None else samples
-    seed = sc.seed if seed is None else seed
+    samples, streams = _replications(sc, samples, seed)
     prior = validate_belief(p, sc.chain.k)
-    streams = _streams(seed, samples)
     engine = _Engine(sc, strat)
     totals = np.empty(samples)
     for first in range(0, samples, _DURATION_BATCH):
@@ -693,9 +672,8 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
         for band in np.unique(bands).tolist():
             lanes = np.flatnonzero(bands == band)
             w = durations[lanes]
-            plays = _chunks(engine, prior, 0.0, [rngs[j] for j in lanes], int(w.max()))
-            rows = (payoffs for play in plays for payoffs in play.stage_payoffs)
-            totals[first + lanes] = [payoffs[:n].sum() for payoffs, n in zip(rows, w.tolist())]
+            rows = _lanes(engine, prior, 0.0, [rngs[j] for j in lanes], int(w.max()))
+            totals[first + lanes] = [payoffs[:n].sum() for (payoffs, _), n in zip(rows, w.tolist())]
     return _summary(totals, np.arange(samples), **engine.counters())
 
 
@@ -711,15 +689,12 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     """
     if horizon < 2:
         raise ValueError(f"horizon must be at least 2 to see two revelations, got {horizon}")
-    samples = sc.samples if samples is None else samples
-    seed = sc.seed if seed is None else seed
+    samples, streams = _replications(sc, samples, seed)
     engine = _Engine(sc, strat)
     kept = []
     kept_reps = []
     rejected = 0
-    plays = _chunks(engine, sc.initial_prior(), sc.reveal_rate, _streams(seed, samples), horizon)
-    lanes = (lane for play in plays for lane in zip(play.stage_payoffs, play.reveals))
-    for i, (payoffs, reveals) in enumerate(lanes):
+    for i, (payoffs, reveals) in enumerate(_lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)):
         stats = renewal_stats(reveals)
         if stats.revelations < 2:
             rejected += 1

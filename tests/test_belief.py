@@ -66,8 +66,9 @@ def test_grid_sizes():
     assert make_grid(2, 200).n == 201
     assert make_grid(3, 4).n == 15
     assert make_grid(1, 7).n == 1
+    # about 2.7e11 points, over the 2,000,000-point budget: refused before anything is allocated
     with pytest.raises(SizeOverflow):
-        make_grid(6, 500, max_points=10_000)
+        make_grid(6, 500)
 
 
 def test_grid_counts_and_points_agree():

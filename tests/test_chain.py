@@ -73,14 +73,6 @@ def test_sample_path_frequencies_match_stationary(chain2):
     assert np.all(np.abs(freq - chain2.pi) <= 3 * se)
 
 
-def test_sample_path_start_forms_align(chain2):
-    # an int start burns one draw, so the continuation matches the other forms
-    a = sample_path(chain2, 50, np.random.default_rng(3), start=0)
-    b = sample_path(chain2, 50, np.random.default_rng(3), start=[1.0, 0.0])
-    assert a[0] == b[0] == 0
-    assert np.array_equal(a, b)
-
-
 def test_sample_path_deterministic(chain2):
     a = sample_path(chain2, 100, np.random.default_rng(5))
     b = sample_path(chain2, 100, np.random.default_rng(5))

@@ -371,6 +371,33 @@ def test_verify_facts_passes_on_zero_variance_chains(tmp_path, capsys, transitio
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("x", ["1e-9", "1e-320"])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_verify_facts_passes_at_tiny_rates(tmp_path, capsys, name, x):
+    # the million-stage path has no revelation, so the gap check is skipped in the header;
+    # at 1e-320 the frequency check's x * (1 - x) / horizon would underflow to 0
+    path = ROOT / "scenarios" / f"{name}.json"
+    out = tmp_path / "facts.csv"
+    code = cli.main(["verify", "--scenario", str(path), "--which", "facts", "--x", x, "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    meta, _, rows = parse_csv(out)
+    assert meta["verdict"] == "pass"
+    assert meta["gap_check"].startswith("skipped")
+    assert [row[0] for row in rows] == [0, 1, 2, 4]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_verify_disint_rejects_one_sample_before_playing(monkeypatch, capsys, name):
+    # one replication has no standard error, so the suite refuses it as bad input
+    monkeypatch.setattr(sim._Engine, "play", lambda *args, **kwargs: pytest.fail("played"))
+    path = ROOT / "scenarios" / f"{name}.json"
+    code = cli.main(["verify", "--scenario", str(path), "--which", "disint", "--samples", "1"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "samples" in err and "std_error" not in err
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._VERIFIERS, "obs1", (lambda sc, table: False, lambda k: ["nothing"]))
     for path in (write_doc(tmp_path, tent_doc()), str(ROOT / "scenarios" / "cycle3.json")):

@@ -104,20 +104,6 @@ def test_no_warning_when_jump_small():
         build_u(model, grid)
 
 
-def test_explicit_jump_threshold_silences():
-    grid = make_grid(2, 10)
-    model = ReceiverPayoff(
-        actions=("hold", "act"),
-        sender_values=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        receiver_values=np.array([[1.0, 0.0], [0.0, 1.0]]),
-    )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PayoffDiscontinuityWarning)
-        build_u(model, grid, jump_threshold=2.0)
-
-
 def test_receiver_k3_uses_full_belief():
     # action pays the receiver only in its own state, so the best response is
     # the modal state; sender value equals that modal mass

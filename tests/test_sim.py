@@ -196,9 +196,9 @@ def test_replication_streams():
     assert np.array_equal(replication_rng(np.uint64(42), np.int64(1)).random(4), c)
 
 
-# seeds at the edges of one and two 32-bit words and one past the pool's four words; reps at
-# the edges of one and two words, and one of three words whose middle word is zero
-SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
+# seeds at the edges of one and two 32-bit words, one past the pool's four words and one of ten
+# words; reps at the edges of one and two words, and one of three words whose middle word is zero
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345, 2**300 + 7]
 REP_EDGES = [0, 2**32 - 1, 2**32, 2**40, 2**64]
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     BadWeights,
@@ -130,8 +129,10 @@ class BeliefGrid:
             raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
         return self._rank(verts), weights, real
 
-    def interp_matrix(self, queries: np.ndarray) -> sparse.csr_matrix:
-        """Sparse matrix of interpolation weights, one query per row."""
+    def interp_matrix(self, queries: np.ndarray):
+        """Sparse (scipy CSR) matrix of interpolation weights, one query per row."""
+        from scipy import sparse  # imported here: the package itself never builds one
+
         queries = validate_belief(np.atleast_2d(queries), self.k)
         idx, w, real = self._cells(queries)
         offsets = np.concatenate([[0], np.cumsum(real.sum(axis=1))])

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotIrreducible, NotStochastic, SingularSystem
 
@@ -57,13 +55,27 @@ def validate_chain(raw) -> Chain:
         raise NotStochastic(f"row {bad} sums to {M[bad].sum():.12g}, not 1")
 
     M = np.clip(M, 0.0, 1.0)
-    pattern = csr_matrix(M > POSITIVITY_EPS)
-    n_comp, _ = connected_components(pattern, directed=True, connection="strong")
-    if n_comp != 1:
+    reach = _reachable(M > POSITIVITY_EPS)
+    if not reach.all():
+        # states i and j share a strongly connected component when each reaches the other
+        n_comp = len(np.unique(reach & reach.T, axis=0))
         raise NotIrreducible(f"positivity pattern splits into {n_comp} strongly connected components")
 
     pi = stationary(M)
     return Chain(k=k, M=M.copy(), pi=pi)
+
+
+def _reachable(pattern: np.ndarray) -> np.ndarray:
+    """reach[i, j]: state j can be reached from state i in zero or more steps along the (k, k) boolean pattern.
+
+    Squaring the one-step pattern (with the identity) doubles the path lengths it covers; k - 1 steps reach all.
+    """
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    steps = 1
+    while steps < len(pattern) - 1:
+        reach = reach @ reach
+        steps *= 2
+    return reach
 
 
 def stationary(M: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .belief import GridFn, Split, _vertex_sum, validate_belief
 from .errors import SingularSystem
@@ -59,6 +58,8 @@ class _Envelope:
         if grid.k <= 2:
             self.hull = _upper_hull_indices(charts[:, 0], v)
         else:
+            from scipy.spatial import ConvexHull  # imported here: a k = 2 run never loads scipy.spatial
+
             vmin, vmax = float(v.min()), float(v.max())
             floor = vmin - 1.0 - (vmax - vmin)
             lifted = np.column_stack([charts, v])

@@ -41,7 +41,7 @@ from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, vali
 from .chain import cum_rows, scan_states
 from .envelope import cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, InvalidSplit, RateBoundary
-from .solver import Scenario, solve
+from .solver import Scenario, _between_revelations, solve
 
 # ---------------------------------------------------------------------------
 # randomness plumbing
@@ -275,7 +275,7 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     """
     if not 0.0 < sc.reveal_rate <= 1.0:
         raise RateBoundary(f"renewal strategy needs a rate in (0, 1], got {sc.reveal_rate}")
-    inner_sc = replace(sc, discount=1.0 - sc.reveal_rate)
+    inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
     return replace(strategy_policy(solve(inner_sc, "no_reveal").target, sc), silent=True)
 
 

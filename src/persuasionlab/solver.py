@@ -9,10 +9,12 @@ is a sup-norm contraction with modulus equal to the discount; they are also
 monotone and shift constants by the discount, which is what lets `solve`
 stop on the MacQueen-Porteus bounds.
 
-Every operator reads the continuation value through the same two sparse
-interpolation operators, which depend only on the chain and the grid. They
-are built on first use and kept with the chain, one set per grid, so the
-solves of a discount, rate or alphabet sweep over one scenario share them.
+Every operator reads the continuation value through the same two
+interpolation operators, which depend only on the chain and the grid: the
+containing cells of the next beliefs and of the transition rows, applied by
+the in-order vertex sum that `interpolate` uses. They are built on first use
+and kept with the chain, one set per grid, so the solves of a discount, rate
+or alphabet sweep over one scenario share them.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import BeliefGrid, GridFn, interpolate, validate_belief
+from .belief import BeliefGrid, GridFn, _vertex_sum, interpolate, validate_belief
 from .envelope import cav_at, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
     NoConvergence,
     PreconditionFailed,
+    RateBoundary,
     SingularSystem,
 )
 
@@ -106,17 +109,25 @@ class _Dynamics:
     """Interpolation operators for the one-step belief images of one chain on one grid.
 
     `shift` reads a grid function at every grid point's next belief (points @ M) and `rows` at
-    each transition row. Only `_dynamics` builds them; their CSR arrays are read-only, so the
-    operators it keeps cannot be changed through one solve under another.
+    each transition row. Each is the (grid indices, weights) pair of `BeliefGrid._cells`, both
+    (m, k) with each vertex column contiguous, so `_vertex_sum(f, *shift)` equals
+    `grid.interp_matrix(points @ M) @ f` bit for bit. Only `_dynamics` builds them; their arrays
+    are read-only, so the operators it keeps cannot be changed through one solve under another.
     """
 
     def __init__(self, chain, grid: BeliefGrid) -> None:
-        self.shift = grid.interp_matrix(grid.points @ chain.M)
-        self.rows = grid.interp_matrix(chain.M)
+        self.shift = _cell_table(grid, grid.points @ chain.M)
+        self.rows = _cell_table(grid, chain.M)
         self.grid = grid
-        for mat in (self.shift, self.rows):
-            for arr in (mat.data, mat.indices, mat.indptr):
-                arr.setflags(write=False)
+
+
+def _cell_table(grid: BeliefGrid, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, column-contiguous grid indices and weights of the queries' cells, validated as interp_matrix does."""
+    idx, w, _ = grid._cells(validate_belief(queries, grid.k))
+    table = np.asfortranarray(idx), np.asfortranarray(w)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _dynamics(sc: Scenario) -> _Dynamics:
@@ -132,19 +143,28 @@ def _target(cont: np.ndarray, stage: np.ndarray, lam: float, x: float) -> np.nda
     return stage + lam * (1.0 - x) * cont
 
 
-def _sweep(f: np.ndarray, stage: np.ndarray, lam: float, x: float, dyn: _Dynamics) -> np.ndarray:
-    """One Bellman step: the target's envelope plus, at rate x, the rebooted continuation."""
-    out = cav_values(GridFn(dyn.grid, _target(dyn.shift @ f, stage, lam, x)))
+def _sweep(f: np.ndarray, stage: GridFn, lam: float, x: float, dyn: _Dynamics) -> np.ndarray:
+    """One Bellman step: the target's envelope plus, at rate x, the rebooted continuation.
+
+    At rate 1 the continuation drops out of the target (lam * 0 * cont adds a signed zero, whose
+    sign the rebooted continuation erases), so the target is `stage` itself and the envelope kept
+    with it serves every sweep of a solve.
+    """
+    if x == 1.0:
+        target = stage
+    else:
+        target = GridFn(dyn.grid, _target(_vertex_sum(f, *dyn.shift), stage.values, lam, x))
+    out = cav_values(target)
     if x > 0.0:
-        out = out + lam * x * (dyn.grid.points @ (dyn.rows @ f))
+        out = out + lam * x * (dyn.grid.points @ _vertex_sum(f, *dyn.rows))
     return out
 
 
-def _operator(sc: Scenario, reveal: bool) -> tuple[np.ndarray, float, float]:
+def _operator(sc: Scenario, reveal: bool) -> tuple[GridFn, float, float]:
     """Weighted stage payoff, discount and revelation rate of one regime's operator."""
     if reveal and sc.reveal_rate <= 0.0:
         raise ValueError("reveal mode needs a positive reveal_rate")
-    return (1.0 - sc.discount) * sc.u.values, sc.discount, sc.reveal_rate if reveal else 0.0
+    return GridFn(sc.grid, (1.0 - sc.discount) * sc.u.values), sc.discount, sc.reveal_rate if reveal else 0.0
 
 
 def _bellman(f: GridFn, sc: Scenario, reveal: bool) -> GridFn:
@@ -206,10 +226,10 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
         value=GridFn(sc.grid, f),
         # the midpoint shift adds a constant to the target (shift rows sum to 1),
         # which leaves the optimal splits unchanged
-        target=GridFn(sc.grid, _target(dyn.shift @ f, stage, lam, x)),
+        target=GridFn(sc.grid, _target(_vertex_sum(f, *dyn.shift), stage.values, lam, x)),
         iterations=it,
         residual=bound,
-        row_values=np.asarray(dyn.rows @ f),
+        row_values=_vertex_sum(f, *dyn.rows),
         half_widths=tuple(half_widths),
     )
 
@@ -240,7 +260,7 @@ def solve_cesaro(sc: Scenario, horizon: int) -> GridFn:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     dyn = _dynamics(sc)
-    stage = sc.u.values / horizon
+    stage = GridFn(sc.grid, sc.u.values / horizon)
     w = np.zeros(sc.grid.n)
     for _ in range(horizon):
         w = _sweep(w, stage, 1.0, sc.reveal_rate, dyn)
@@ -255,7 +275,17 @@ def asymptotic_value(rate: float, sc: Scenario) -> float:
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
-    return row_average_value(1.0 - rate, sc)
+    return row_average_value(_between_revelations(rate), sc)
+
+
+def _between_revelations(rate: float) -> float:
+    """The discount 1 - rate of the game played between revelations at a rate in (0, 1].
+
+    Raises RateBoundary where it rounds to 1 (a rate below about 1.1e-16), which no discount may be.
+    """
+    if 1.0 - rate == 1.0:
+        raise RateBoundary(f"revelation rate {rate} is too small: 1 - rate rounds to 1 in floating point")
+    return 1.0 - rate
 
 
 def row_average_value(discount: float, sc: Scenario) -> float:

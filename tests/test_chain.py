@@ -58,6 +58,27 @@ def test_rejects_reducible():
         validate_chain(np.array([[0.5, 0.5], [0.0, 1.0]]))
 
 
+def test_irreducibility_matches_strong_components_of_the_pattern():
+    # reference: scipy's strongly connected components of the positivity pattern
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        k = int(rng.integers(1, 9))
+        pattern = rng.random((k, k)) < rng.uniform(0.05, 0.6)
+        n_comp, _ = connected_components(csr_matrix(pattern), directed=True, connection="strong")
+        # the same pattern as a row-stochastic matrix, with a self-loop where a row has no other entry
+        M = np.where(pattern, rng.uniform(0.1, 1.0, (k, k)), 0.0)
+        M[np.diag_indices(k)] += M.sum(axis=1) == 0.0
+        M /= M.sum(axis=1, keepdims=True)
+        if n_comp == 1:
+            validate_chain(M)
+        else:
+            with pytest.raises(NotIrreducible, match=f"splits into {n_comp} strongly"):
+                validate_chain(M)
+
+
 def test_matrices_are_read_only(chain2):
     with pytest.raises(ValueError):
         chain2.M[0, 0] = 0.0

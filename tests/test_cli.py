@@ -54,6 +54,47 @@ def parse_csv(path):
 
 
 # ---------------------------------------------------------------------------
+# what a command imports
+
+# scipy subpackages the package imports only where a command needs them
+LAZY = ("scipy.sparse", "scipy.spatial", "scipy.stats")
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import persuasionlab, persuasionlab.cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(persuasionlab.cli.main(argv))
+print(json.dumps([codes, [name for name in json.loads(sys.argv[3]) if name in sys.modules]]))
+"""
+
+
+def loaded_after(*commands):
+    """Exit codes of cli commands run after the package import in a fresh interpreter, and the LAZY names it then holds."""
+    package_root = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER, str(package_root), json.dumps(commands),
+                           json.dumps(LAZY)], capture_output=True, text=True, check=True, timeout=300, cwd=ROOT)
+    return json.loads(done.stdout)
+
+
+def test_the_package_import_loads_no_lazy_scipy_subpackage():
+    assert loaded_after() == [[], []]
+
+
+def test_two_state_solve_and_verify_load_no_lazy_scipy_subpackage():
+    tent = "scenarios/tent.json"
+    assert loaded_after(["solve", "--scenario", tent], ["verify", "--which", "thm2", "--scenario", tent]) == [[0, 0], []]
+
+
+def test_a_three_state_solve_loads_scipy_spatial_for_its_hull():
+    codes, loaded = loaded_after(["solve", "--scenario", "scenarios/kink3.json"])
+    assert codes == [0]
+    assert "scipy.spatial" in loaded and "scipy.stats" not in loaded
+
+
+# ---------------------------------------------------------------------------
 # configuration handling
 
 
@@ -385,6 +426,17 @@ def test_verify_facts_passes_at_tiny_rates(tmp_path, capsys, name, x):
     assert meta["gap_check"].startswith("skipped")
     assert [row[0] for row in rows] == [0, 1, 2, 4]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("x", ["1e-17", "1e-320"])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_simulate_sigma_star_names_a_rate_too_small_for_a_discount(capsys, name, x):
+    # the renewal strategy solves the game between revelations at discount 1 - x, which rounds to 1
+    path = ROOT / "scenarios" / f"{name}.json"
+    code = cli.main(["simulate", "--scenario", str(path), "--strategy", "sigma_star", "--x", x])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"rate {x} " in err and "discount" not in err
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])

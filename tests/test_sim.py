@@ -309,6 +309,14 @@ def test_renewal_strategy_requires_positive_rate(scenario):
         strategy_renewal_optimal(scenario("tent", reveal_rate=0.0))
 
 
+@pytest.mark.parametrize("rate", [1e-17, 1e-320])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_renewal_strategy_rejects_a_rate_whose_discount_rounds_to_one(name, rate):
+    # 1 - rate rounds to 1, the discount of the game between revelations; the error names the rate
+    with pytest.raises(RateBoundary, match=f"rate {rate!r} "):
+        strategy_renewal_optimal(bundled(name, x=rate))
+
+
 # ---------------------------------------------------------------------------
 # discounted estimator
 

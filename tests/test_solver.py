@@ -32,12 +32,14 @@ from persuasionlab import (
     validate_chain,
     validate_split,
 )
+from persuasionlab.belief import _vertex_sum
 from persuasionlab.envelope import cav_at
 from persuasionlab.errors import (
     DimensionMismatch,
     NegativePayoff,
     NoConvergence,
     PreconditionFailed,
+    RateBoundary,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -344,6 +346,15 @@ def test_asymptotic_value_rejects_bad_rate(scenario):
             asymptotic_value(rate, sc)
 
 
+@pytest.mark.parametrize("rate", [1e-17, 1e-320])
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_asymptotic_value_rejects_a_rate_whose_discount_rounds_to_one(name, rate):
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    sc = cli.scenario_from_config(cli.effective_config(doc))
+    with pytest.raises(RateBoundary, match=f"rate {rate!r} "):
+        asymptotic_value(rate, sc)
+
+
 def test_cesaro_single_stage_is_envelope(scenario):
     sc = scenario("tent", reveal_rate=0.5)
     w = solve_cesaro(sc, horizon=1)
@@ -490,7 +501,7 @@ def test_a_new_chain_or_grid_gets_its_own_operators(k):
     owned = [solver._dynamics(other) for other in (new_chain, on_equal_grid, on_coarse)]
     assert len({id(d) for d in owned + [dyn]}) == 4
     assert [d.grid for d in owned] == [sc.grid, equal_grid, coarse]
-    assert owned[2].shift.shape == (coarse.n, coarse.n)
+    assert [table.shape for table in owned[2].shift] == [(coarse.n, k)] * 2
     # each is kept: a second lookup returns it again
     assert solver._dynamics(sc) is dyn
     assert [solver._dynamics(other) for other in (new_chain, on_equal_grid, on_coarse)] == owned
@@ -503,16 +514,21 @@ def test_kept_operators_equal_a_fresh_build_and_are_read_only(k):
     solve(sc, "reveal")
     kept = solver._dynamics(sc)
     grid = sc.grid
-    fresh = {"shift": grid.interp_matrix(grid.points @ sc.chain.M), "rows": grid.interp_matrix(sc.chain.M)}
-    for name, want in fresh.items():
+    queries = {"shift": grid.points @ sc.chain.M, "rows": sc.chain.M}
+    rng = np.random.default_rng(k)
+    for name, q in queries.items():
         got = getattr(kept, name)
-        assert got.shape == want.shape
-        for part in ("data", "indices", "indptr"):
-            arr = getattr(got, part)
-            assert np.array_equal(arr, getattr(want, part))
+        for arr, want in zip(got, grid._cells(q)[:2]):
+            assert arr.shape == (len(q), k)
+            assert np.array_equal(arr, want)
+            assert arr.flags.f_contiguous  # each vertex column is contiguous
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+        # applying the cell tables is the interpolation matrix product, bit for bit
+        for _ in range(5):
+            f = rng.choice([-1.0, 1.0], grid.n) * 10.0 ** rng.uniform(-3, 3, grid.n)
+            assert np.array_equal(_vertex_sum(f, *got), grid.interp_matrix(q) @ f)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -529,6 +545,39 @@ def test_a_warm_chain_solves_as_a_fresh_one(k, mode):
                       (a.row_values, b.row_values)):
         assert np.array_equal(got, want)
     assert (a.iterations, a.residual, a.half_widths) == (b.iterations, b.residual, b.half_widths)
+
+
+def rate_one_sweep(f, stage, lam, sc):
+    """One Bellman step at rate 1, written out: a fresh target stage + lam * 0 * cont and its own envelope."""
+    grid, M = sc.grid, sc.chain.M
+    cont = interpolate(GridFn(grid, f), grid.points @ M)
+    target = GridFn(grid, stage + lam * (1.0 - 1.0) * cont)
+    return cav_values(target) + lam * 1.0 * (grid.points @ interpolate(GridFn(grid, f), M))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_rate_one_solve_builds_one_envelope(k, monkeypatch):
+    # at rate 1 the continuation drops out of the target, so every sweep concavifies the same function
+    sc = replace(fresh_scenario(k), reveal_rate=1.0)
+    lam, c = sc.discount, sc.discount / (1.0 - sc.discount)
+    f, width = np.zeros(sc.grid.n), np.inf
+    while width > sc.tol:  # solve's stopping rule
+        new = rate_one_sweep(f, (1.0 - lam) * sc.u.values, lam, sc)
+        d = new - f
+        lo, hi = float(d.min()), float(d.max())
+        width, f = 0.5 * c * (hi - lo), new
+    want = f + 0.5 * c * (lo + hi)
+    want_cesaro = np.zeros(sc.grid.n)
+    for _ in range(4):
+        want_cesaro = rate_one_sweep(want_cesaro, sc.u.values / 4, 1.0, sc)
+    built = []
+    monkeypatch.setattr(envelope, "_Envelope", lambda f, cls=envelope._Envelope: built.append(f) or cls(f))
+    res = solve(sc, "reveal")
+    assert res.iterations > 1 and len(built) == 1
+    assert np.array_equal(res.value.values, want)
+    built.clear()
+    assert np.array_equal(solve_cesaro(sc, 4).values, want_cesaro)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

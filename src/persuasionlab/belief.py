@@ -171,9 +171,6 @@ class GridFn:
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
-    def __call__(self, q) -> float | np.ndarray:
-        return interpolate(self, q)
-
 
 def interpolate(f: GridFn, q) -> float | np.ndarray:
     """Piecewise-linear evaluation of a grid function at a belief or an (m, k) batch.
@@ -215,11 +212,11 @@ class Split:
         return self.weights @ self.posteriors
 
 
-def validate_split(p, split: Split, max_atoms: int | None = None) -> None:
+def validate_split(p, split: Split) -> None:
     """Check that a split is a Bayes-plausible lottery at prior p.
 
-    Raises BadWeights when the weights are off the simplex or the atom budget
-    is exceeded, NotBayesPlausible when the barycenter misses the prior.
+    Raises BadWeights when the weights are off the simplex, NotBayesPlausible
+    when the barycenter misses the prior.
     """
     p = validate_belief(p)
     post, w = split.posteriors, split.weights
@@ -227,8 +224,6 @@ def validate_split(p, split: Split, max_atoms: int | None = None) -> None:
         raise DimensionMismatch(f"split shapes {post.shape} / {w.shape} do not match prior of length {p.size}")
     if np.any(w < -BELIEF_SUM_TOL) or abs(w.sum() - 1.0) > BELIEF_SUM_TOL:
         raise BadWeights(f"weights sum to {w.sum():.15g} with min {w.min():.3e}")
-    if max_atoms is not None and w.size > max_atoms:
-        raise BadWeights(f"split has {w.size} atoms, limit is {max_atoms}")
     validate_belief(post, p.size)
     err = np.max(np.abs(w @ post - p))
     if err > SPLIT_BARYCENTER_TOL:
@@ -263,20 +258,18 @@ def split_from_kernel(p, kernel: np.ndarray) -> Split:
     return Split(posteriors=posteriors[keep], weights=alphas[keep])
 
 
-def kernel_from_split(p, split: Split, n_signals: int | None = None) -> np.ndarray:
-    """Signal kernel realizing a split at prior p.
+def kernel_from_split(p, split: Split) -> np.ndarray:
+    """Signal kernel realizing a split at prior p, one signal per atom.
 
     Row for a zero-probability state is uniform over the positive-weight
-    atoms. When n_signals exceeds the atom count the extra columns are zero.
+    atoms.
     """
     p = validate_belief(p)
     try:
-        validate_split(p, split, max_atoms=n_signals)
+        validate_split(p, split)
     except (BadWeights, NotBayesPlausible, DimensionMismatch) as exc:
         raise InvalidSplit(str(exc)) from exc
-    kernel = np.zeros((p.size, split.size if n_signals is None else n_signals))
-    kernel[:, : split.size] = kernels_from_splits(p[None], split.posteriors[None], split.weights[None])[0]
-    return kernel
+    return kernels_from_splits(p[None], split.posteriors[None], split.weights[None])[0]
 
 
 def kernels_from_splits(p: np.ndarray, posteriors: np.ndarray, weights: np.ndarray) -> np.ndarray:

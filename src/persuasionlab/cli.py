@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .belief import interpolate, make_grid, validate_belief
+from .belief import interpolate, make_grid
 from .chain import ergodic_frequency_se, validate_chain
 from .envelope import cav_values
 from .errors import (
@@ -264,7 +264,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             sender_values=np.array(payoff["sender_payoff"], dtype=float),
             receiver_values=np.array(payoff["receiver_payoff"], dtype=float),
         )
-    prior = None if cfg["prior"] is None else validate_belief(cfg["prior"], chain.k)
     return Scenario(
         chain=chain,
         u=build_u(model, grid),
@@ -274,7 +273,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         tol=cfg["tolerance"],
         seed=cfg["seed"],
         samples=cfg["samples"],
-        prior=prior,
+        prior=cfg["prior"],
     )
 
 
@@ -669,7 +668,3 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

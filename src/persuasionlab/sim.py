@@ -16,8 +16,9 @@ random-duration estimator draws each replication's duration first and plays
 the replications whose durations have one bit length as one group, for the
 longest of those durations. A policy strategy splits at the exact belief
 onto grid points, so its nodes are the prior, the transition rows and images
-grid.points @ M. An estimate derives the seeds of all its streams in one
-batch (replication_rngs), bit for bit the SeedSequence definition above.
+grid.points @ M. An estimate derives the seeds of its streams one block of
+replications at a time (replication_rngs), bit for bit the SeedSequence
+definition above.
 States and coins depend only on the uniforms, so a block of stages gets them
 first: states by a prefix scan, then revelation and coupling coins. Each
 revelation or coupling hit reboots the belief to a transition row and so
@@ -271,10 +272,9 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
 
     After each revelation the belief reboots to a transition row and the
     policy optimal for the no-revelation game at discount 1 - reveal_rate
-    is followed until the next revelation.
+    is followed until the next revelation. Raises RateBoundary for a rate
+    outside (0, 1] or one whose 1 - rate rounds to 1.
     """
-    if not 0.0 < sc.reveal_rate <= 1.0:
-        raise RateBoundary(f"renewal strategy needs a rate in (0, 1], got {sc.reveal_rate}")
     inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
     return replace(strategy_policy(solve(inner_sc, "no_reveal").target, sc), silent=True)
 
@@ -299,10 +299,12 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 # ---------------------------------------------------------------------------
 # stage engine
 
-# Uniforms one chunk of lanes holds at once (8 MiB). A stage block holds at most _CHUNK_DRAWS
-# bytes (1 MiB) of per-stage work, its uniforms included; longer plays are walked block by block.
+# Lane-stages times draws per stage in one chunk of lanes. A chunk draws its uniforms block by
+# block, and a stage block holds at most _CHUNK_DRAWS bytes (1 MiB) of per-stage work, its
+# uniforms included.
 _CHUNK_DRAWS = 1 << 20
-# Replications whose generators a random-duration estimate holds at once (about 0.8 KB each).
+# Replications an estimate seeds at once, and whose generators a random-duration estimate holds
+# at once (about 0.8 KB each).
 _DURATION_BATCH = 1 << 14
 
 
@@ -559,11 +561,17 @@ class _Engine:
 
 
 def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
-    """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's."""
+    """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's.
+
+    The streams are seeded one _DURATION_BATCH block of replications at a time, as they are taken.
+    """
     samples = sc.samples if samples is None else samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return samples, replication_rngs(sc.seed if seed is None else seed, range(samples))
+    seed = sc.seed if seed is None else seed
+    blocks = (replication_rngs(seed, range(first, min(first + _DURATION_BATCH, samples)))
+              for first in range(0, samples, _DURATION_BATCH))
+    return samples, (rng for block in blocks for rng in block)
 
 
 def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -571,8 +579,8 @@ def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[
 
     Lanes are played in chunks. A chunk grows while its lanes times the
     horizon times the draws per stage stays within _CHUNK_DRAWS, and always
-    holds at least one lane. A lane's generator is taken from rngs when the
-    lane joins its chunk.
+    holds at least one lane; `_Engine.play` draws its uniforms block by
+    block. A lane's generator is taken from rngs when the lane joins its chunk.
     """
     size = max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage))
     rngs = iter(rngs)
@@ -597,18 +605,17 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
 
-def state_reveal_path(sc: Scenario, horizon: int, seed: int | None = None,
-                      rep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """States and revelation coins of one play, by a prefix scan instead of the stage loop.
 
-    Reads replication ``rep``'s stream in the stage layout of a strategy
-    without an auxiliary coin: stage n's state from u[3n] and its revelation
-    from u[3n + 2] < rate. Equals run_policy's states and reveals under such
-    a strategy, bit for bit.
+    Reads replication 0's stream of the scenario seed in the stage layout of
+    a strategy without an auxiliary coin: stage n's state from u[3n] and its
+    revelation from u[3n + 2] < rate. Equals run_policy's states and reveals
+    under such a strategy, bit for bit.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    u = replication_rng(sc.seed if seed is None else seed, rep).random(3 * horizon)
+    u = replication_rng(sc.seed, 0).random(3 * horizon)
     first = int((u[0] >= cum_rows(validate_belief(sc.initial_prior(), sc.chain.k))).sum())
     return scan_states(cum_rows(sc.chain.M), first, u[3::3]), u[2::3] < sc.reveal_rate
 
@@ -638,8 +645,10 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    totals = [weights @ payoffs for payoffs, _ in _lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)]
-    return _summary(np.array(totals), np.arange(samples), horizon=horizon,
+    totals = np.empty(samples)
+    for i, (payoffs, _) in enumerate(_lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)):
+        totals[i] = weights @ payoffs
+    return _summary(totals, np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     **engine.counters())
 

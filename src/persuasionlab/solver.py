@@ -273,16 +273,17 @@ def asymptotic_value(rate: float, sc: Scenario) -> float:
     Stationary-weighted value of the no-revelation game at discount
     1 - rate, read at the transition rows.
     """
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must lie in (0, 1], got {rate}")
     return row_average_value(_between_revelations(rate), sc)
 
 
 def _between_revelations(rate: float) -> float:
     """The discount 1 - rate of the game played between revelations at a rate in (0, 1].
 
-    Raises RateBoundary where it rounds to 1 (a rate below about 1.1e-16), which no discount may be.
+    Raises RateBoundary for a rate outside (0, 1], and where 1 - rate rounds to 1 (a rate below
+    about 1.1e-16), which no discount may be.
     """
+    if not 0.0 < rate <= 1.0:
+        raise RateBoundary(f"revelation rate must lie in (0, 1], got {rate}")
     if 1.0 - rate == 1.0:
         raise RateBoundary(f"revelation rate {rate} is too small: 1 - rate rounds to 1 in floating point")
     return 1.0 - rate
@@ -297,14 +298,14 @@ def row_average_value(discount: float, sc: Scenario) -> float:
     return float(sc.chain.pi @ res.row_values)
 
 
-def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None = None) -> bool | np.ndarray:
+def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> bool | np.ndarray:
     """True when revealing nothing is optimal at a belief where u is concave.
 
     p is one belief (returns a bool) or an (m, k) batch (returns a bool per
-    row). Precondition: the stage payoff attains its envelope at every
-    belief (within 1e-9), otherwise PreconditionFailed. The check solves the
-    reveal-mode game (pass a reveal-mode SolverResult to skip that) and asks
-    whether the degenerate split attains the stage optimum within 2 * tol.
+    row), and solved is solve(sc, "reveal"). Precondition: the stage payoff
+    attains its envelope at every belief (within 1e-9), otherwise
+    PreconditionFailed. The check asks whether the degenerate split attains
+    the stage optimum of the solved game within 2 * tol.
     """
     q = validate_belief(p, sc.chain.k)
     batch = np.atleast_2d(q)
@@ -312,10 +313,9 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult | None 
     miss = np.abs(u_at - cav_u)
     if (miss > 1e-9).any():
         raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
-    res = solve(sc, "reveal") if solved is None else solved
     _, lam, x = _operator(sc, True)
     # revealing nothing at q earns the target read at q; the stage optimum is its envelope
-    best, _ = cav_at(res.target, batch)
-    degenerate = _target(interpolate(res.value, batch @ sc.chain.M), (1.0 - lam) * u_at, lam, x)
+    best, _ = cav_at(solved.target, batch)
+    degenerate = _target(interpolate(solved.value, batch @ sc.chain.M), (1.0 - lam) * u_at, lam, x)
     ok = degenerate >= best - 2.0 * sc.tol
     return bool(ok[0]) if q.ndim == 1 else ok

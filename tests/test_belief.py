@@ -220,8 +220,6 @@ def test_validate_split_rejections():
                                     np.array([0.7, 0.4])))
     with pytest.raises(DimensionMismatch):
         validate_split(PRIOR, Split(np.array([[1.0, 0.0, 0.0]]), np.array([1.0])))
-    with pytest.raises(BadWeights):
-        validate_split(PRIOR, good, max_atoms=1)
 
 
 def test_split_from_kernel_worked_example():
@@ -255,14 +253,6 @@ def test_kernel_from_split_roundtrip():
     assert np.allclose(back.posteriors, split.posteriors, atol=1e-9)
 
 
-def test_kernel_from_split_pads_width():
-    split = split_from_kernel(PRIOR, KERNEL)
-    kernel = kernel_from_split(PRIOR, split, n_signals=5)
-    assert kernel.shape == (2, 5)
-    assert kernel.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert np.all(kernel[:, 2:] == 0.0)
-
-
 def test_kernel_from_split_zero_mass_state():
     # a state with prior zero gets a uniform row, and it never matters
     p = np.array([1.0, 0.0])
@@ -275,9 +265,9 @@ def test_kernel_from_split_zero_mass_row_skips_zero_weight_atoms():
     # the zero-mass row is uniform over the atoms that carry weight
     p = np.array([0.5, 0.5, 0.0])
     split = Split(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]), np.array([0.5, 0.5, 0.0]))
-    kernel = kernel_from_split(p, split, n_signals=4)
-    assert np.array_equal(kernel[2], [0.5, 0.5, 0.0, 0.0])
-    assert np.array_equal(kernel[:2], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    kernel = kernel_from_split(p, split)
+    assert np.array_equal(kernel[2], [0.5, 0.5, 0.0])
+    assert np.array_equal(kernel[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_kernel_from_split_row_of_an_uncovered_state_is_uniform():
@@ -331,7 +321,7 @@ def test_kernel_split_kernel_roundtrip(p, raw):
     kernel = np.array(raw).reshape(3, 4)
     kernel /= kernel.sum(axis=1, keepdims=True)
     split = split_from_kernel(p, kernel)
-    rebuilt = kernel_from_split(p, split, n_signals=4)
+    rebuilt = kernel_from_split(p, split)
     again = split_from_kernel(p, rebuilt)
     assert again.weights == pytest.approx(split.weights, abs=1e-9)
     assert np.allclose(again.posteriors, split.posteriors, atol=1e-8)
@@ -344,5 +334,5 @@ def test_gridfn_validates_shape(grid2):
         GridFn(grid2, np.full(grid2.n, np.nan))
 
 
-def test_gridfn_is_callable(tent):
-    assert tent([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
+def test_interpolate_reads_a_gridfn_at_a_belief(tent):
+    assert interpolate(tent, [0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)

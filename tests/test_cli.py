@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, sim, solve
-from persuasionlab.errors import ParseError
+from persuasionlab.errors import DimensionMismatch, NotBayesPlausible, ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,6 +194,18 @@ def test_scenario_from_table_config():
     assert sc.u.values[10] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("prior,error,message", [
+    ([0.5, 0.6], NotBayesPlausible, "sums to 1.1"),
+    ([1.5, -0.5], NotBayesPlausible, "negative entry"),
+    ([0.2, 0.3, 0.5], DimensionMismatch, "3 entries, expected 2"),
+])
+def test_a_config_prior_is_checked_by_the_scenario(tmp_path, capsys, prior, error, message):
+    with pytest.raises(error, match=message):
+        cli.scenario_from_config(cli.effective_config(tent_doc(prior=prior)))
+    assert cli.main(["solve", "--scenario", write_doc(tmp_path, tent_doc(prior=prior))]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_scenario_from_receiver_config():
     cfg = cli.effective_config({
         "version": 1,
@@ -289,6 +302,28 @@ def test_solve_mode_and_overrides(tmp_path, capsys):
 def test_grid_override_must_match_table(tmp_path):
     path = write_doc(tmp_path, tent_doc())
     assert cli.main(["solve", "--scenario", path, "--grid", "10"]) == cli.EXIT_INPUT
+
+
+def run_module(*argv):
+    """`python -m persuasionlab` in a fresh interpreter, on the package these tests import."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path for path in paths if path)}
+    return subprocess.run([sys.executable, "-m", "persuasionlab", *argv], capture_output=True, text=True,
+                          timeout=300, cwd=ROOT, env=env)
+
+
+def test_the_module_entry_point_writes_what_main_writes(tmp_path):
+    tent = str(ROOT / "scenarios" / "tent.json")
+    done = run_module("solve", "--scenario", tent, "--out", str(tmp_path / "module.csv"))
+    assert done.returncode == cli.EXIT_PASS, done.stderr
+    assert cli.main(["solve", "--scenario", tent, "--out", str(tmp_path / "main.csv")]) == cli.EXIT_PASS
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_the_module_entry_point_exits_2_on_a_missing_scenario(tmp_path):
+    done = run_module("solve", "--scenario", str(tmp_path / "nope.json"))
+    assert done.returncode == cli.EXIT_INPUT
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 def test_missing_and_invalid_files(tmp_path):
@@ -574,6 +609,23 @@ def test_simulate_bundled_reruns_are_bit_identical(tmp_path, name, strategy):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     meta, _, rows = parse_csv(outs[0])
     assert len(rows) == int(meta["kept"]) > 0
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_simulate_renewal_is_sigma_star_by_another_name(tmp_path, name):
+    path = str(ROOT / "scenarios" / f"{name}.json")
+    lines = {}
+    for strategy in ("sigma_star", "renewal"):
+        out = tmp_path / f"{strategy}.csv"
+        code = cli.main(["simulate", "--scenario", path, "--strategy", strategy,
+                         "--samples", "6", "--horizon", "40", "--out", str(out)])
+        assert code == cli.EXIT_PASS
+        lines[strategy] = out.read_text(encoding="utf-8").splitlines()
+    assert "# command: simulate --strategy sigma_star" in lines["sigma_star"]
+    renamed = ["# command: simulate --strategy renewal" if line.startswith("# command: ") else line
+               for line in lines["sigma_star"]]
+    assert lines["renewal"] == renamed
+    assert "# scoring: renewal_average" in renamed
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3", "kink3"])

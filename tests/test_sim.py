@@ -305,7 +305,7 @@ def test_renewal_optimal_plays_silent_until_first_revelation(scenario):
 
 
 def test_renewal_strategy_requires_positive_rate(scenario):
-    with pytest.raises(RateBoundary):
+    with pytest.raises(RateBoundary, match=r"must lie in \(0, 1\], got 0.0"):
         strategy_renewal_optimal(scenario("tent", reveal_rate=0.0))
 
 
@@ -489,7 +489,7 @@ def test_policy_kernels_match_kernel_from_split(name, extra):
         want = kernel_oracle(points[i], split.posteriors, split.weights, sc.signal_count)
         assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
         assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)
-        assert np.array_equal(kernel_from_split(points[i], split, sc.signal_count), want)
+        assert np.array_equal(kernel_from_split(points[i], split), want[:, : split.size])
 
 
 @pytest.mark.parametrize("name", ["receiver", "cycle3"])
@@ -575,7 +575,8 @@ class _ScalarEngine:
             else:
                 # one belief at a time, through the single-belief split and kernel
                 _, split = cav_split_at(self.strat.target, belief)
-                kernel, atoms = kernel_from_split(belief, split, self.strat.width), split.posteriors
+                kernel, atoms = np.zeros((self.sc.chain.k, self.strat.width)), split.posteriors
+                kernel[:, : split.size] = kernel_from_split(belief, split)
             node = self.nodes[key] = _Node(self.sc, belief, kernel, silent, atoms)
         return node
 
@@ -877,8 +878,8 @@ def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
 def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
     sc = bundled(name)
-    trace = run_policy(sc, strategy_null(sc), horizon, rep=2)
-    states, reveals = state_reveal_path(sc, horizon, rep=2)
+    trace = run_policy(sc, strategy_null(sc), horizon)
+    states, reveals = state_reveal_path(sc, horizon)
     assert_bit_equal(states, trace.states)
     assert_bit_equal(reveals, trace.reveals)
 
@@ -1027,3 +1028,25 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         prefix = large.rep_ids < n
         assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
         assert_bit_equal(large.values[prefix], small.values)
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
+    # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
+    # and the values equal those of an estimate whose 20 streams are one block
+    sc, made = strategies["cycle3"]
+    run, strat = ESTIMATORS[estimator], made["couple"]
+    want = run(sc, strat, 20, 9)
+    seeded = []
+    seed_states = sim._seed_states
+
+    def recording(seed, reps):
+        seeded.append(list(reps))
+        return seed_states(seed, reps)
+
+    monkeypatch.setattr(sim, "_DURATION_BATCH", 8)
+    monkeypatch.setattr(sim, "_seed_states", recording)
+    got = run(sc, strat, 20, 9)
+    assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
+    assert_bit_equal(got.rep_ids, want.rep_ids)
+    assert_bit_equal(got.values, want.values)

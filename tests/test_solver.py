@@ -341,8 +341,8 @@ def test_row_average_matches_asymptotic(scenario):
 
 def test_asymptotic_value_rejects_bad_rate(scenario):
     sc = scenario("tent")
-    for rate in (0.0, -0.1, 1.2):
-        with pytest.raises(ValueError):
+    for rate in (0.0, -0.1, 1.2, float("nan")):
+        with pytest.raises(RateBoundary, match="must lie in"):
             asymptotic_value(rate, sc)
 
 
@@ -396,7 +396,7 @@ def test_no_info_holds_on_concave_payoff(scenario):
 def test_no_info_requires_envelope_contact(scenario):
     sc = scenario("parabola", discount=0.9, reveal_rate=0.5)
     with pytest.raises(PreconditionFailed):
-        check_no_info_at_concave_point(sc, [0.5, 0.5])
+        check_no_info_at_concave_point(sc, [0.5, 0.5], solve(sc, "reveal"))
 
 
 def test_no_info_holds_where_k3_payoff_touches_envelope():

@@ -116,21 +116,20 @@ def cum_rows(P: np.ndarray) -> np.ndarray:
     return cum
 
 
-def scan_states(cum: np.ndarray, first, u: np.ndarray) -> np.ndarray:
-    """Paths from ``first``: state n + 1 is drawn from row cum[state n] with u[..., n].
+def scan_states(cum: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Paths from starts: state n + 1 of lane l is drawn from row cum[state n] with u[l, n].
 
-    cum is a (k, k) table from :func:`cum_rows`. Takes a start state and
-    (b,) uniforms, giving b + 1 states, or (a,) starts and (a, b) uniforms,
-    giving (a, b + 1). Each uniform fixes a map from the current state to
-    the next: the count of thresholds u >= cum[i, j], j < k - 1 (the last
-    column is +inf). The scan has two levels: every block of ceil(sqrt(b))
-    stages is run from all k states at once, the blocks are chained from the
-    start, and each path is read off by running its blocks again from their
-    entry states, about 3 sqrt(b) numpy passes in all. The maps are held in
-    the narrowest unsigned ints that hold a state.
+    cum is a (k, k) table from :func:`cum_rows`. Takes (a,) start states and
+    (a, b) uniforms, giving (a, b + 1) states, each lane's start first. Each
+    uniform fixes a map from the current state to the next: the count of
+    thresholds u >= cum[i, j], j < k - 1 (the last column is +inf). The
+    scan has two levels: every block of ceil(sqrt(b)) stages is run from
+    all k states at once, the blocks are chained from the start, and each
+    path is read off by running its blocks again from their entry states,
+    about 3 sqrt(b) numpy passes in all. The maps are held in the narrowest
+    unsigned ints that hold a state.
     """
-    starts, u = np.atleast_1d(first), np.asarray(u)
-    lanes, b = u.shape[0] if u.ndim == 2 else 1, u.shape[-1]
+    lanes, b = u.shape
     k = cum.shape[0]
     m = math.isqrt(b - 1) + 1 if b else 1
     blocks = -(-b // m)
@@ -160,7 +159,7 @@ def scan_states(cum: np.ndarray, first, u: np.ndarray) -> np.ndarray:
     path = np.empty((lanes, b + 1), dtype=np.int64)
     path[:, 0] = starts
     path[:, 1:] = steps.reshape(lanes, -1)[:, :b]
-    return path if u.ndim == 2 else path[0]
+    return path
 
 
 def sample_path(chain: Chain, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,8 +169,8 @@ def sample_path(chain: Chain, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    first = int(np.searchsorted(np.cumsum(chain.pi), rng.random(), side="right"))
-    return scan_states(cum_rows(chain.M), min(first, chain.k - 1), rng.random(n - 1))
+    u = rng.random((1, n))  # the first state counts the thresholds of cum_rows(pi) at or below u[0, 0]
+    return scan_states(cum_rows(chain.M), (u[:, :1] >= cum_rows(chain.pi)).sum(axis=1), u[:, 1:])[0]
 
 
 def ergodic_frequency_se(chain: Chain, n: int) -> np.ndarray:

@@ -390,7 +390,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
         inner_sc = replace(sc, discount=1.0 - x)
         res = solve(inner_sc, "no_reveal")
         strat = sim.strategy_policy(res.target, inner_sc)
-        est = sim.random_duration_value_mc(inner_sc, p, x, strat)
+        est = sim.random_duration_value_mc(inner_sc, x, strat)
         target = interpolate(res.value, p) / x
         err = abs(est.mean - target)
         bound = 3.0 * est.std_error + 1e-2
@@ -417,7 +417,7 @@ def _verify_lemma1(sc: Scenario, table: ResultTable) -> bool:
 def _verify_obs1(sc: Scenario, table: ResultTable) -> bool:
     """The solved value does not depend on the signal alphabet size.
 
-    An identity as written: solve never reads Scenario.signal_count (only strategy_policy does),
+    An identity as written: nothing reads Scenario.signal_count (a policy plays over k signals),
     so the two solves of each mode run the same computation and max_abs_diff is 0 by construction.
     """
     k = sc.chain.k

@@ -229,14 +229,14 @@ class Strategy:
 
     A policy strategy plays, at each belief it reaches, the optimal split of
     target's envelope at that exact belief (`cav_splits`), realized by the
-    kernel `kernel_from_split` builds, and its posteriors are the split's
-    atoms, grid points. Any other strategy plays kernel (state x signal) at
-    every belief. A silent strategy sends one uninformative signal until the
-    first revelation. With aux_prob > 0, on stages where the game did not
-    just reveal, an auxiliary coin discloses the previous state with that
-    chance and the strategy is played at its transition row. The engine
-    takes a strategy with exactly one of kernel and target, and a kernel
-    that `validate_kernel` accepts as a (states, width) signal kernel.
+    kernel `kernel_from_split` builds over k signals, one per atom (a split has
+    at most k); its posteriors are the atoms, grid points. Any other strategy
+    plays kernel (state x signal) at every belief. A silent strategy sends one
+    uninformative signal until the first revelation. With aux_prob > 0, on
+    stages where the game did not just reveal, an auxiliary coin discloses the
+    previous state with that chance and the strategy is played at its transition
+    row. The engine takes a strategy with exactly one of kernel and target, and
+    a kernel that `validate_kernel` accepts as a (states, width) signal kernel.
     """
 
     width: int
@@ -257,8 +257,8 @@ def strategy_full(sc: Scenario) -> Strategy:
 
 
 def strategy_policy(target: GridFn, sc: Scenario) -> Strategy:
-    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over sc.signal_count signals."""
-    return Strategy(sc.signal_count, target=target)
+    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals."""
+    return Strategy(sc.chain.k, target=target)
 
 
 def strategy_optimal(sc: Scenario) -> Strategy:
@@ -303,8 +303,8 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 # block, and a stage block holds at most _CHUNK_DRAWS bytes (1 MiB) of per-stage work, its
 # uniforms included.
 _CHUNK_DRAWS = 1 << 20
-# Replications an estimate seeds at once, and whose generators a random-duration estimate holds
-# at once (about 0.8 KB each).
+# Replications an estimate seeds at once, and the most lanes a chunk or a random-duration batch
+# holds generators for at once (about 0.8 KB each).
 _DURATION_BATCH = 1 << 14
 
 
@@ -579,10 +579,10 @@ def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[
 
     Lanes are played in chunks. A chunk grows while its lanes times the
     horizon times the draws per stage stays within _CHUNK_DRAWS, and always
-    holds at least one lane; `_Engine.play` draws its uniforms block by
-    block. A lane's generator is taken from rngs when the lane joins its chunk.
+    holds at least one lane and at most _DURATION_BATCH; `_Engine.play` draws
+    its uniforms block by block. A lane's generator is taken when it joins.
     """
-    size = max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage))
+    size = min(_DURATION_BATCH, max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage)))
     rngs = iter(rngs)
     while chunk := list(islice(rngs, size)):
         play = engine.play(prior, rate, chunk, horizon)
@@ -606,18 +606,19 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
 
 
 def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """States and revelation coins of one play, by a prefix scan instead of the stage loop.
+    """States and revelation coins of one play, without its signals or payoffs.
 
-    Reads replication 0's stream of the scenario seed in the stage layout of
-    a strategy without an auxiliary coin: stage n's state from u[3n] and its
-    revelation from u[3n + 2] < rate. Equals run_policy's states and reveals
-    under such a strategy, bit for bit.
+    The engine's states and coins of replication 0 of the scenario seed, drawn as one null-strategy block;
+    equal to run_policy's under any strategy without an auxiliary coin, bit for bit.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    u = replication_rng(sc.seed, 0).random(3 * horizon)
-    first = int((u[0] >= cum_rows(validate_belief(sc.initial_prior(), sc.chain.k))).sum())
-    return scan_states(cum_rows(sc.chain.M), first, u[3::3]), u[2::3] < sc.reveal_rate
+    engine = _Engine(sc, strategy_null(sc))
+    draws = replication_rng(sc.seed, 0).random((1, horizon, engine.draws_per_stage))
+    # the first block of a play: no state is carried into it and no revelation precedes it
+    states, reveals, _, _ = engine._states_and_coins(draws, 0, cum_rows(sc.initial_prior()), None, False,
+                                                     sc.reveal_rate)
+    return states[0], reveals[0]
 
 
 def discount_horizon(sc: Scenario) -> int:
@@ -653,9 +654,9 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
                     **engine.counters())
 
 
-def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
+def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy,
                              samples: int | None = None, seed: int | None = None) -> EstimateResult:
-    """Expected undiscounted payoff of a geometric-duration no-revelation game.
+    """Expected undiscounted payoff of a geometric-duration no-revelation game from the scenario's prior.
 
     Each replication first draws the duration W (geometric with mean
     1/rate, support starting at 1) and then plays W stages without
@@ -669,7 +670,6 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
     if not 0.0 < rate <= 1.0:
         raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
     samples, streams = _replications(sc, samples, seed)
-    prior = validate_belief(p, sc.chain.k)
     engine = _Engine(sc, strat)
     totals = np.empty(samples)
     for first in range(0, samples, _DURATION_BATCH):
@@ -681,7 +681,7 @@ def random_duration_value_mc(sc: Scenario, p, rate: float, strat: Strategy,
         for band in np.unique(bands).tolist():
             lanes = np.flatnonzero(bands == band)
             w = durations[lanes]
-            rows = _lanes(engine, prior, 0.0, [rngs[j] for j in lanes], int(w.max()))
+            rows = _lanes(engine, sc.initial_prior(), 0.0, [rngs[j] for j in lanes], int(w.max()))
             totals[first + lanes] = [payoffs[:n].sum() for (payoffs, _), n in zip(rows, w.tolist())]
     return _summary(totals, np.arange(samples), **engine.counters())
 

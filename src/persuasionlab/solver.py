@@ -79,8 +79,8 @@ class Scenario:
             raise ValueError(f"need at least {self.chain.k} signals, got {self.signal_count}")
         if float(self.u.values.min()) < 0.0:
             raise NegativePayoff("stage payoff must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
     @property
     def grid(self) -> BeliefGrid:

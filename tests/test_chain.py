@@ -170,4 +170,4 @@ def test_batched_scan_matches_a_scalar_loop(case):
     for lane, first in enumerate(starts):
         want = scan_oracle(cum, first, u[lane])
         assert got[lane].tolist() == want
-        assert scan_states(cum, int(first), u[lane]).tolist() == want
+        assert scan_states(cum, starts[lane : lane + 1], u[lane : lane + 1])[0].tolist() == want

@@ -575,7 +575,9 @@ def test_generated_scenarios_validate(tmp_path):
             cli.scenario_from_config(cfg)
 
 
-@pytest.mark.parametrize("flag,value,field", [("--samples", "0", "samples"), ("--seed", "-1", "seed")])
+@pytest.mark.parametrize("flag,value,field", [
+    ("--samples", "0", "samples"), ("--seed", "-1", "seed"), ("--lambda", "1.0", "lambda"), ("--x", "1.5", "x"),
+    ("--tol", "0", "tolerance"), ("--tol", "nan", "tolerance"), ("--grid", "0", "grid_resolution")])
 def test_overrides_are_validated_like_file_fields(tmp_path, capsys, flag, value, field):
     path = write_doc(tmp_path, tent_doc(resolution=10))
     code = cli.main(["simulate", "--scenario", path, "--strategy", "null", "--horizon", "5",

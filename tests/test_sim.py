@@ -362,14 +362,14 @@ def test_random_duration_constant_payoff(chain2, grid2):
     # total payoff is 0.5 * W with W geometric, so the mean is 0.5 / rate
     u = GridFn(grid2, np.full(grid2.n, 0.5))
     sc = Scenario(chain=chain2, u=u, discount=0.9, reveal_rate=0.5, seed=2)
-    res = random_duration_value_mc(sc, [0.5, 0.5], 0.5, strategy_null(sc), samples=4000)
+    res = random_duration_value_mc(sc, 0.5, strategy_null(sc), samples=4000)
     assert abs(res.mean - 1.0) <= 4.0 * res.std_error
     assert res.std_error > 0.0
 
 
 def test_random_duration_rate_one_is_one_stage(scenario):
-    sc = scenario("tent", reveal_rate=0.5)
-    res = random_duration_value_mc(sc, [0.3, 0.7], 1.0, strategy_null(sc), samples=30)
+    sc = replace(scenario("tent", reveal_rate=0.5), prior=[0.3, 0.7])
+    res = random_duration_value_mc(sc, 1.0, strategy_null(sc), samples=30)
     assert res.mean == pytest.approx(interpolate(sc.u, [0.3, 0.7]), abs=1e-12)
     assert res.std_error <= 1e-12
 
@@ -377,7 +377,7 @@ def test_random_duration_rate_one_is_one_stage(scenario):
 def test_random_duration_rate_guard(scenario):
     sc = scenario("tent")
     with pytest.raises(RateBoundary):
-        random_duration_value_mc(sc, [0.5, 0.5], 0.0, strategy_null(sc), samples=2)
+        random_duration_value_mc(sc, 0.0, strategy_null(sc), samples=2)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def test_couple_down_reboot_frequency_and_disclosure(scenario):
     strat = strategy_couple_down(target_y, 0.3, 0.7, sc)
     horizon = 5000
     trace = run_policy(sc, strat, horizon=horizon, seed=11)
-    width = sc.signal_count
+    width = strat.width
     aux = trace.signals >= width
     assert not aux[0]
     for n in np.nonzero(aux)[0]:
@@ -474,7 +474,8 @@ def kernel_oracle(p, posteriors, weights, n_signals):
 
 @pytest.mark.parametrize("name,extra", [("tent", 0), ("receiver", 0), ("cycle3", 0), ("cycle3", 2)])
 def test_policy_kernels_match_kernel_from_split(name, extra):
-    # the strategy's nodes at every grid point play the split table's row there
+    # the strategy's nodes at every grid point play the split table's row there, over k signals
+    # whatever the scenario's signal_count
     sc = bundled(name)
     sc = replace(sc, signal_count=sc.chain.k + extra)
     target = solve(sc, "reveal").target
@@ -482,14 +483,33 @@ def test_policy_kernels_match_kernel_from_split(name, extra):
     engine = _Engine(sc, strategy_policy(target, sc))
     points = sc.grid.points
     ids = engine._intern(np.zeros(sc.grid.n, dtype=bool), points)
-    assert engine.cum.shape[1:] == (sc.chain.k, sc.signal_count)
+    assert engine.cum.shape[1:] == (sc.chain.k, sc.chain.k)
     for i in range(sc.grid.n):
         keep = weights[i] > 0.0
         split = Split(points[atoms[i, keep]], weights[i, keep])
-        want = kernel_oracle(points[i], split.posteriors, split.weights, sc.signal_count)
+        want = kernel_oracle(points[i], split.posteriors, split.weights, sc.chain.k)
         assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
         assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)
         assert np.array_equal(kernel_from_split(points[i], split), want[:, : split.size])
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_wider_signal_count_leaves_policy_estimates_unchanged(name):
+    # a split has at most k atoms, so the policies play over k signals at signal_count k + 3 and
+    # estimate what they estimate at signal_count k, bit for bit
+    def policies(sc):
+        target_y = solve(replace(sc, reveal_rate=0.8), "reveal").target
+        return (strategy_optimal(sc), strategy_couple_down(target_y, sc.reveal_rate, 0.8, sc),
+                strategy_renewal_optimal(sc))
+
+    sc = bundled(name, samples=200)
+    k = sc.chain.k
+    wide = replace(sc, signal_count=k + 3)
+    for narrow, broad in zip(policies(sc), policies(wide)):
+        assert _Engine(wide, broad).cum.shape[1:] == (k, k)
+        for estimate in (lambda sc, strat: estimate_discounted(sc, strat, horizon=60),
+                         lambda sc, strat: estimate_renewal_average(sc, strat, 200)):
+            assert_bit_equal(estimate(wide, broad).values, estimate(sc, narrow).values)
 
 
 @pytest.mark.parametrize("name", ["receiver", "cycle3"])
@@ -636,13 +656,13 @@ def reference_discounted(sc, strat, samples, seed, horizon):
                      for i in range(samples)]), np.arange(samples)
 
 
-def reference_duration(sc, p, rate, strat, samples, seed):
+def reference_duration(sc, rate, strat, samples, seed):
     engine = _ScalarEngine(sc, strat)
     totals = np.empty(samples)
     for i in range(samples):
         rng = replication_rng(seed, i)
         w = int(rng.geometric(rate))
-        totals[i] = engine.run(p, w, 0.0, rng).sum()
+        totals[i] = engine.run(sc.initial_prior(), w, 0.0, rng).sum()
     return totals, np.arange(samples)
 
 
@@ -700,9 +720,8 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     for got, want in zip((est.values, est.rep_ids), reference_renewal(sc, strat, horizon, samples, seed)):
         assert_bit_equal(got, want)
 
-    p = sc.initial_prior()
-    est = random_duration_value_mc(sc, p, 0.3, strat, samples=samples, seed=seed)
-    for got, want in zip((est.values, est.rep_ids), reference_duration(sc, p, 0.3, strat, samples, seed)):
+    est = random_duration_value_mc(sc, 0.3, strat, samples=samples, seed=seed)
+    for got, want in zip((est.values, est.rep_ids), reference_duration(sc, 0.3, strat, samples, seed)):
         assert_bit_equal(got, want)
 
     for rep in (0, 3):
@@ -737,7 +756,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     for rate, budget in ((0.2, 3 * 3 * horizon), (1.0, 3 * 3)):
         monkeypatch.setattr(sim, "_CHUNK_DRAWS", budget)
         chunks.clear()
-        est = random_duration_value_mc(sc, p, rate, strat, samples=samples, seed=seed)
+        est = random_duration_value_mc(sc, rate, strat, samples=samples, seed=seed)
         assert len(chunks) > 1 and sum(chunks) == samples
         replays = []
         for i in range(samples):
@@ -893,7 +912,7 @@ def test_coupling_reads_four_fixed_slots_per_stage(name, horizon, strategies):
     trace = run_policy(sc, made["couple"], horizon, rep=2)
     u = replication_rng(sc.seed, 2).random(4 * horizon)
     first = int((u[0] >= cum_rows(sc.initial_prior())).sum())
-    assert_bit_equal(trace.states, scan_states(cum_rows(sc.chain.M), first, u[4::4]))
+    assert_bit_equal(trace.states, scan_states(cum_rows(sc.chain.M), np.array([first]), u[None, 4::4])[0])
     assert_bit_equal(trace.reveals, u[3::4] < sc.reveal_rate)
 
 
@@ -997,8 +1016,7 @@ def test_policy_nodes_are_the_grid_images(name, seed):
 ESTIMATORS = {
     "discounted": lambda sc, strat, m, seed: estimate_discounted(sc, strat, samples=m, seed=seed, horizon=25),
     "renewal": lambda sc, strat, m, seed: estimate_renewal_average(sc, strat, 25, samples=m, seed=seed),
-    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, np.full(sc.chain.k, 1.0 / sc.chain.k),
-                                                                    0.4, strat, samples=m, seed=seed),
+    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, 0.4, strat, samples=m, seed=seed),
 }
 
 
@@ -1033,12 +1051,13 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
     # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
-    # and the values equal those of an estimate whose 20 streams are one block
+    # no play holds more lanes than a block although _CHUNK_DRAWS alone would allow thousands, and
+    # the values equal those of an estimate whose 20 streams are one block
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
     want = run(sc, strat, 20, 9)
-    seeded = []
-    seed_states = sim._seed_states
+    seeded, chunks = [], []
+    seed_states, play = sim._seed_states, _Engine.play
 
     def recording(seed, reps):
         seeded.append(list(reps))
@@ -1046,7 +1065,9 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
 
     monkeypatch.setattr(sim, "_DURATION_BATCH", 8)
     monkeypatch.setattr(sim, "_seed_states", recording)
+    monkeypatch.setattr(_Engine, "play", lambda self, *args, **kw: chunks.append(len(args[2])) or play(self, *args, **kw))
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
+    assert sum(chunks) == 20 and max(chunks) <= 8
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)

@@ -656,8 +656,9 @@ def test_scenario_validation(chain2, tent):
         Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=1.5)
     with pytest.raises(ValueError):
         Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, signal_count=1)
-    with pytest.raises(ValueError):
-        Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, tol=tol)
     with pytest.raises(NegativePayoff):
         bad = GridFn(tent.grid, tent.values - 1.0)
         Scenario(chain=chain2, u=bad, discount=0.9, reveal_rate=0.5)

@@ -230,15 +230,15 @@ def validate_split(p, split: Split) -> None:
         raise NotBayesPlausible(f"barycenter misses the prior by {err:.3e}")
 
 
-def validate_kernel(kernel, k: int, width: int | None = None) -> np.ndarray:
-    """Return kernel as floats after checking that it is a (k, width) signal kernel, any width if None.
+def validate_kernel(kernel, k: int) -> np.ndarray:
+    """Return kernel as floats after checking that it is a signal kernel with k rows, over any number of signals.
 
     Raises DimensionMismatch for the shape, and InvalidSplit unless every entry
     is finite and at least -BELIEF_SUM_TOL and every row sums to 1 within 1e-9.
     """
     kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != k or width not in (None, kernel.shape[1]):
-        raise DimensionMismatch(f"kernel shape {kernel.shape} is not ({k}, {'any' if width is None else width})")
+    if kernel.ndim != 2 or kernel.shape[0] != k:
+        raise DimensionMismatch(f"kernel shape {kernel.shape} is not ({k}, any)")
     # written so that a NaN fails each test
     if not (np.isfinite(kernel).all() and (kernel >= -BELIEF_SUM_TOL).all()
             and (np.abs(kernel.sum(axis=1) - 1.0) <= 1e-9).all()):

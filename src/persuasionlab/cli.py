@@ -4,7 +4,7 @@ Scenario files are strict UTF-8 JSON with an explicit schema version. Known
 fields: "version" (must be 1), "transition" (square matrix), "payoff"
 (either {"type": "table", "values": [...]} with one value per grid point, or
 {"type": "receiver", "actions": [...], "sender_payoff": matrix,
-"receiver_payoff": matrix}), "lambda", "x", and the optional "signal_count",
+"receiver_payoff": matrix}), "lambda", "x", and the optional
 "grid_resolution", "tolerance", "seed", "samples", "prior". Unknown fields
 are rejected so that typos cannot silently corrupt an experiment.
 
@@ -32,9 +32,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .belief import interpolate, make_grid
+from .belief import SPLIT_BARYCENTER_TOL, interpolate, make_grid
 from .chain import ergodic_frequency_se, validate_chain
-from .envelope import cav_values
+from .envelope import cav_grid, cav_values
 from .errors import (
     AllRejected,
     BadRates,
@@ -68,7 +68,7 @@ _NUMERIC_FAILURES = (NoConvergence, SingularSystem, AllRejected, DegenerateTail)
 _SCHEMA_VERSION = 1
 _KNOWN_KEYS = frozenset({
     "version", "transition", "payoff", "lambda", "x",
-    "signal_count", "grid_resolution", "tolerance", "seed", "samples", "prior",
+    "grid_resolution", "tolerance", "seed", "samples", "prior",
 })
 _TABLE_KEYS = frozenset({"type", "values"})
 _RECEIVER_KEYS = frozenset({"type", "actions", "sender_payoff", "receiver_payoff"})
@@ -222,7 +222,6 @@ def effective_config(doc: dict, overrides: dict | None = None) -> dict:
         "payoff": _payoff_config(doc.get("payoff")),
         "lambda": _number(doc, "lambda"),
         "x": _number(doc, "x"),
-        "signal_count": _integer(doc, "signal_count", default=k, minimum=1),
         "grid_resolution": _integer(doc, "grid_resolution", default=200 if k <= 2 else 40, minimum=1),
         "tolerance": _number(doc, "tolerance", required=False),
         "seed": _integer(doc, "seed", default=0),
@@ -269,7 +268,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         u=build_u(model, grid),
         discount=cfg["lambda"],
         reveal_rate=cfg["x"],
-        signal_count=cfg["signal_count"],
         tol=cfg["tolerance"],
         seed=cfg["seed"],
         samples=cfg["samples"],
@@ -389,7 +387,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     for x in rates:
         inner_sc = replace(sc, discount=1.0 - x)
         res = solve(inner_sc, "no_reveal")
-        strat = sim.strategy_policy(res.target, inner_sc)
+        strat = sim.strategy_policy(res.target)
         est = sim.random_duration_value_mc(inner_sc, x, strat)
         target = interpolate(res.value, p) / x
         err = abs(est.mean - target)
@@ -415,22 +413,25 @@ def _verify_lemma1(sc: Scenario, table: ResultTable) -> bool:
 
 
 def _verify_obs1(sc: Scenario, table: ResultTable) -> bool:
-    """The solved value does not depend on the signal alphabet size.
+    """k signals attain the envelope, which allows any lottery over grid points.
 
-    An identity as written: nothing reads Scenario.signal_count (a policy plays over k signals),
-    so the two solves of each mode run the same computation and max_abs_diff is 0 by construction.
+    At every grid point the split `cav_grid` extracts, at most k atoms, reaches the envelope value
+    and averages back to the point.
     """
-    k = sc.chain.k
+    points = sc.grid.points
     modes = ("no_reveal", "reveal") if sc.reveal_rate > 0.0 else ("no_reveal",)
-    table.add_meta("tolerance", 1e-9)
+    table.add_meta("value_tolerance", 2.0 * sc.tol)
+    table.add_meta("barycenter_tolerance", SPLIT_BARYCENTER_TOL)
     table.add_meta("mode_codes", "0=no_reveal 1=reveal")
     passed = True
     for code, mode in enumerate(modes):
-        small = solve(replace(sc, signal_count=k), mode)
-        large = solve(replace(sc, signal_count=k + 3), mode)
-        diff = float(np.max(np.abs(small.value.values - large.value.values)))
-        table.add_row(code, k, k + 3, diff)
-        passed &= diff <= 1e-9
+        target = solve(sc, mode).target
+        values, atoms, weights = cav_grid(target)
+        # padding slots hold atom -1 with weight 0, so they add nothing
+        value_gap = float(np.max(np.abs(values - np.sum(weights * target.values[atoms], axis=1))))
+        barycenter_gap = float(np.max(np.abs(np.sum(weights[..., None] * points[atoms], axis=1) - points)))
+        table.add_row(code, sc.chain.k, int((atoms >= 0).sum(axis=1).max()), value_gap, barycenter_gap)
+        passed &= value_gap <= 2.0 * sc.tol and barycenter_gap <= SPLIT_BARYCENTER_TOL
     return passed
 
 
@@ -526,7 +527,7 @@ _VERIFIERS = {
     "disint": (_verify_disint, lambda k: ["x", "estimate", "std_error", "target", "abs_error", "bound"]),
     "lemma1": (_verify_lemma1,
                lambda k: [f"belief_{i}" for i in range(k)] + ["stage_payoff", "envelope", "no_info_optimal"]),
-    "obs1": (_verify_obs1, lambda k: ["mode", "signals_small", "signals_large", "max_abs_diff"]),
+    "obs1": (_verify_obs1, lambda k: ["mode", "signals", "atoms", "value_gap", "barycenter_gap"]),
     "facts": (_verify_facts, lambda k: ["check", "cases", "failures", "worst", "bound"]),
 }
 
@@ -640,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="thm1: discounted values converge to a prior-free level; "
                          "thm2: patience-average monotone; monotone_x: rate monotone; "
                          "disint: geometric-duration identity; lemma1: no-info optimality "
-                         "at concave points; obs1: signal-count invariance; facts: tail "
+                         "at concave points; obs1: k signals attain the envelope; facts: tail "
                          "formulas and path statistics")
 
     mp = sub.add_parser("simulate", parents=[common],

@@ -170,7 +170,7 @@ def cav_values(f: GridFn) -> np.ndarray:
 def cav_grid(f: GridFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`cav_splits` at every grid point: values (n,), atoms (n, k) and weights (n, k).
 
-    A name of its own only because the benchmark's tracer (perfbench/spans.py) wraps it.
+    `verify obs1` reads it to certify that these k-atom splits attain the envelope.
     """
     return cav_splits(f, f.grid.points)
 

@@ -144,8 +144,8 @@ class SimTrace:
     stage signal and before any revelation. stage_payoffs[n] is the payoff
     table interpolated there. signals[n] encodes an extended alphabet as
     aux_code * width + s when a strategy prepends a disclosure component
-    (aux_code = 1 + disclosed state, 0 otherwise). The engine returns the
-    same fields with one row per lane.
+    (aux_code = 1 + disclosed state, 0 otherwise), width being the strategy's
+    signal count. The engine returns the same fields with one row per lane.
     """
 
     states: np.ndarray
@@ -225,7 +225,7 @@ def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateR
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Stationary signal kernels over width signals, with the two renewal-phase variations.
+    """Stationary signal kernels, with the two renewal-phase variations.
 
     A policy strategy plays, at each belief it reaches, the optimal split of
     target's envelope at that exact belief (`cav_splits`), realized by the
@@ -235,11 +235,10 @@ class Strategy:
     uninformative signal until the first revelation. With aux_prob > 0, on
     stages where the game did not just reveal, an auxiliary coin discloses the
     previous state with that chance and the strategy is played at its transition
-    row. The engine takes a strategy with exactly one of kernel and target, and
-    a kernel that `validate_kernel` accepts as a (states, width) signal kernel.
+    row. The engine takes exactly one of a target and a kernel that
+    `validate_kernel` accepts, and plays over k signals or the kernel's columns.
     """
 
-    width: int
     kernel: np.ndarray | None = None
     target: GridFn | None = None
     silent: bool = False
@@ -248,23 +247,23 @@ class Strategy:
 
 def strategy_null(sc: Scenario) -> Strategy:
     """Reveals nothing: a single uninformative signal each stage."""
-    return Strategy(1, kernel=np.ones((sc.chain.k, 1)))
+    return Strategy(kernel=np.ones((sc.chain.k, 1)))
 
 
 def strategy_full(sc: Scenario) -> Strategy:
     """Discloses the current state each stage."""
-    return Strategy(sc.chain.k, kernel=np.eye(sc.chain.k))
+    return Strategy(kernel=np.eye(sc.chain.k))
 
 
-def strategy_policy(target: GridFn, sc: Scenario) -> Strategy:
+def strategy_policy(target: GridFn) -> Strategy:
     """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals."""
-    return Strategy(sc.chain.k, target=target)
+    return Strategy(target=target)
 
 
 def strategy_optimal(sc: Scenario) -> Strategy:
     """Optimal stationary strategy of the revelation game at the scenario's rate."""
     mode = "reveal" if sc.reveal_rate > 0.0 else "no_reveal"
-    return strategy_policy(solve(sc, mode).target, sc)
+    return strategy_policy(solve(sc, mode).target)
 
 
 def strategy_renewal_optimal(sc: Scenario) -> Strategy:
@@ -276,7 +275,7 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     outside (0, 1] or one whose 1 - rate rounds to 1.
     """
     inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
-    return replace(strategy_policy(solve(inner_sc, "no_reveal").target, sc), silent=True)
+    return replace(strategy_policy(solve(inner_sc, "no_reveal").target), silent=True)
 
 
 def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
@@ -286,14 +285,15 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
     auxiliary coin discloses with chance (target - base)/(1 - base), so the
     belief the policy sees follows the law of the higher-rate game. Requires
     0 < base_rate <= target_rate <= 1; equality makes the coupling a plain
-    playback of the policy.
+    playback of the policy. sc is not read; it stays because the benchmark
+    (perfbench/run.py) passes it by position.
     """
     if not 0.0 < base_rate <= 1.0 or not 0.0 < target_rate <= 1.0:
         raise BadRates(f"rates must lie in (0, 1], got base {base_rate}, target {target_rate}")
     if target_rate < base_rate:
         raise BadRates(f"target rate {target_rate} below base rate {base_rate}")
     aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
-    return replace(strategy_policy(target_y, sc), aux_prob=aux_prob)
+    return replace(strategy_policy(target_y), aux_prob=aux_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +337,9 @@ class _Engine:
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
         if (strat.kernel is None) == (strat.target is None):
             raise InvalidSplit("a strategy needs exactly one of a kernel and a target")
-        if strat.kernel is not None:
-            validate_kernel(strat.kernel, sc.chain.k, strat.width)
         self.sc = sc
         self.strat = strat
-        self.width = strat.width
+        self.width = sc.chain.k if strat.kernel is None else validate_kernel(strat.kernel, sc.chain.k).shape[1]
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0

@@ -13,8 +13,8 @@ Every operator reads the continuation value through the same two
 interpolation operators, which depend only on the chain and the grid: the
 containing cells of the next beliefs and of the transition rows, applied by
 the in-order vertex sum that `interpolate` uses. They are built on first use
-and kept with the chain, one set per grid, so the solves of a discount, rate
-or alphabet sweep over one scenario share them.
+and kept with the chain, one set per grid, so the solves of a discount or
+rate sweep over one scenario share them.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class Scenario:
     u: GridFn
     discount: float
     reveal_rate: float
-    signal_count: int = 0
     tol: float = 1e-9
     seed: int = 0
     samples: int = 10_000
@@ -73,10 +72,6 @@ class Scenario:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
         if not 0.0 <= self.reveal_rate <= 1.0:
             raise ValueError(f"reveal_rate must lie in [0, 1], got {self.reveal_rate}")
-        if self.signal_count == 0:
-            object.__setattr__(self, "signal_count", self.chain.k)
-        if self.signal_count < self.chain.k:
-            raise ValueError(f"need at least {self.chain.k} signals, got {self.signal_count}")
         if float(self.u.values.min()) < 0.0:
             raise NegativePayoff("stage payoff must be nonnegative")
         if not 0.0 < self.tol < np.inf:

@@ -22,6 +22,7 @@ from persuasionlab import (
     Scenario,
     bellman_no_reveal,
     bellman_reveal,
+    cav_grid,
     cav_values,
     check_no_info_at_concave_point,
     clt_quantile_bound,
@@ -39,6 +40,7 @@ from persuasionlab import (
     strategy_couple_down,
     strategy_renewal_optimal,
 )
+from persuasionlab.belief import SPLIT_BARYCENTER_TOL
 from persuasionlab.sim import state_reveal_path, strategy_policy
 
 PAYOFFS = ("tent", "parabola")
@@ -212,7 +214,7 @@ def test_criterion_08_random_duration_identity(scenario, cache):
     for payoff, rate in itertools.product(PAYOFFS, (0.3, 0.5)):
         sc = scenario(payoff, discount=0.9, reveal_rate=rate, prior=MID)
         inner = cache(payoff, 1.0 - rate, 0.0, "no_reveal")
-        strat = strategy_policy(inner.target, sc)
+        strat = strategy_policy(inner.target)
         est = random_duration_value_mc(sc, rate, strat, samples=10_000)
         target = interpolate(inner.value, MID) / rate
         err = abs(est.mean - target)
@@ -292,12 +294,19 @@ def test_criterion_10_tail_formulas_and_path_statistics(scenario):
 def test_criterion_11_structural_invariants(scenario, cache, chain2):
     t0 = time.monotonic()
 
-    # widening the signal alphabet must not change any solve
-    worst_alpha = 0.0
+    # k signals attain the envelope: at every grid point the extracted split reaches the
+    # envelope value and averages back to the point
+    worst_value = worst_center = 0.0
     for payoff, mode in itertools.product(PAYOFFS, ("no_reveal", "reveal")):
-        small = cache(payoff, 0.9, 0.5, mode).value.values
-        wide = solve(scenario(payoff, discount=0.9, reveal_rate=0.5, signal_count=5), mode)
-        worst_alpha = max(worst_alpha, float(np.max(np.abs(wide.value.values - small))))
+        target = cache(payoff, 0.9, 0.5, mode).target
+        points = target.grid.points
+        values, atoms, weights = cav_grid(target)
+        assert atoms.shape[1] == 2
+        real = atoms >= 0
+        attained = np.where(real, weights * target.values[atoms], 0.0).sum(axis=1)
+        centers = np.einsum("ij,ijk->ik", np.where(real, weights, 0.0), points[atoms])
+        worst_value = max(worst_value, float(np.max(np.abs(values - attained))))
+        worst_center = max(worst_center, float(np.max(np.abs(centers - points))))
 
     # where the stage payoff is concave, revealing nothing is optimal
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
@@ -326,8 +335,9 @@ def test_criterion_11_structural_invariants(scenario, cache, chain2):
             concave_ok &= bool(np.all(second <= 1e-7))
 
     dt = time.monotonic() - t0
-    ok = worst_alpha <= 1e-9 and no_info and contract_ok and concave_ok and dt < 300.0
-    _report(11, "alphabet invariance, no-info optimality, contraction and concavity", ok,
-            f"alphabet gap {worst_alpha:.1e}, no-info {no_info}, "
+    ok = (worst_value <= 2.0 * sc.tol and worst_center <= SPLIT_BARYCENTER_TOL and no_info and contract_ok
+          and concave_ok and dt < 300.0)
+    _report(11, "k-signal attainment, no-info optimality, contraction and concavity", ok,
+            f"value gap {worst_value:.1e}, barycenter gap {worst_center:.1e}, no-info {no_info}, "
             f"contraction {contract_ok}, concavity {concave_ok}, {dt:.1f}s")
     assert ok

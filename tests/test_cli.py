@@ -107,7 +107,6 @@ def test_defaults_resolved():
         "lambda": 0.9,
         "x": 0.5,
     })
-    assert cfg["signal_count"] == 2
     assert cfg["grid_resolution"] == 200
     assert cfg["tolerance"] == 1e-9
     assert cfg["seed"] == 0
@@ -124,7 +123,6 @@ def test_three_state_default_resolution():
         "x": 0.5,
     })
     assert cfg["grid_resolution"] == 40
-    assert cfg["signal_count"] == 3
 
 
 def test_effective_config_is_a_fixed_point():
@@ -340,9 +338,48 @@ def test_verify_obs1_passes(tmp_path):
     assert code == cli.EXIT_PASS
     meta, header, rows = parse_csv(out)
     assert meta["verdict"] == "pass"
-    assert header == ["mode", "signals_small", "signals_large", "max_abs_diff"]
-    assert len(rows) == 2
-    assert max(r[3] for r in rows) <= 1e-9
+    assert header == ["mode", "signals", "atoms", "value_gap", "barycenter_gap"]
+    assert [r[:2] for r in rows] == [[0, 2], [1, 2]]
+    assert all(1 <= r[2] <= 2 for r in rows)
+    assert max(r[3] for r in rows) <= float(meta["value_tolerance"])
+    assert max(r[4] for r in rows) <= float(meta["barycenter_tolerance"])
+
+
+@pytest.mark.parametrize("name", ["receiver", "cycle3", "parabola"])
+@pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
+def test_verify_obs1_fails_on_splits_with_misplaced_weights(tmp_path, monkeypatch, name):
+    # each split's weights rolled onto the wrong atoms: on receiver (k = 2) and cycle3 (k = 3) the
+    # split no longer attains the envelope; parabola's split ends carry equal values, so only the
+    # barycenter gap sees it
+    split = envelope._Envelope.split
+
+    def rolled(self, charts, values):
+        atoms, weights = split(self, charts, values)
+        return atoms, np.roll(weights, 1, axis=1)
+
+    monkeypatch.setattr(envelope._Envelope, "split", rolled)
+    out = tmp_path / "obs1.csv"
+    code = cli.main(["verify", "--scenario", str(ROOT / "scenarios" / f"{name}.json"), "--which", "obs1",
+                     "--out", str(out)])
+    assert code == cli.EXIT_FAIL
+    meta, _, rows = parse_csv(out)
+    assert meta["verdict"] == "fail"
+    value_failed = max(r[3] for r in rows) > float(meta["value_tolerance"])
+    assert value_failed == (name != "parabola")
+    assert max(r[4] for r in rows) > float(meta["barycenter_tolerance"])
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_the_signal_alphabet_is_no_input(tmp_path, capsys, name):
+    # a scenario file naming a signal count is rejected as an unknown field, and a one-column
+    # kernel plays a single signal: the engine reads the alphabet off the kernel
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    path = write_doc(tmp_path, {**doc, "signal_count": 5})
+    assert cli.main(["solve", "--scenario", path]) == cli.EXIT_INPUT
+    assert "signal_count" in capsys.readouterr().err
+    sc = cli.scenario_from_config(cli.effective_config(doc))
+    trace = sim.run_policy(sc, sim.Strategy(kernel=np.ones((sc.chain.k, 1))), 50, seed=3)
+    assert not trace.signals.any()
 
 
 def no_info_reference(sc, p, solved):

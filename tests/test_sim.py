@@ -434,7 +434,7 @@ def test_couple_down_reboot_frequency_and_disclosure(scenario):
     strat = strategy_couple_down(target_y, 0.3, 0.7, sc)
     horizon = 5000
     trace = run_policy(sc, strat, horizon=horizon, seed=11)
-    width = strat.width
+    width = sc.chain.k  # a policy plays over k signals
     aux = trace.signals >= width
     assert not aux[0]
     for n in np.nonzero(aux)[0]:
@@ -472,15 +472,13 @@ def kernel_oracle(p, posteriors, weights, n_signals):
     return kernel
 
 
-@pytest.mark.parametrize("name,extra", [("tent", 0), ("receiver", 0), ("cycle3", 0), ("cycle3", 2)])
-def test_policy_kernels_match_kernel_from_split(name, extra):
+@pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
+def test_policy_kernels_match_kernel_from_split(name):
     # the strategy's nodes at every grid point play the split table's row there, over k signals
-    # whatever the scenario's signal_count
     sc = bundled(name)
-    sc = replace(sc, signal_count=sc.chain.k + extra)
     target = solve(sc, "reveal").target
     _, atoms, weights = cav_splits(target, sc.grid.points)
-    engine = _Engine(sc, strategy_policy(target, sc))
+    engine = _Engine(sc, strategy_policy(target))
     points = sc.grid.points
     ids = engine._intern(np.zeros(sc.grid.n, dtype=bool), points)
     assert engine.cum.shape[1:] == (sc.chain.k, sc.chain.k)
@@ -491,25 +489,6 @@ def test_policy_kernels_match_kernel_from_split(name, extra):
         assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
         assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)
         assert np.array_equal(kernel_from_split(points[i], split), want[:, : split.size])
-
-
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_a_wider_signal_count_leaves_policy_estimates_unchanged(name):
-    # a split has at most k atoms, so the policies play over k signals at signal_count k + 3 and
-    # estimate what they estimate at signal_count k, bit for bit
-    def policies(sc):
-        target_y = solve(replace(sc, reveal_rate=0.8), "reveal").target
-        return (strategy_optimal(sc), strategy_couple_down(target_y, sc.reveal_rate, 0.8, sc),
-                strategy_renewal_optimal(sc))
-
-    sc = bundled(name, samples=200)
-    k = sc.chain.k
-    wide = replace(sc, signal_count=k + 3)
-    for narrow, broad in zip(policies(sc), policies(wide)):
-        assert _Engine(wide, broad).cum.shape[1:] == (k, k)
-        for estimate in (lambda sc, strat: estimate_discounted(sc, strat, horizon=60),
-                         lambda sc, strat: estimate_renewal_average(sc, strat, 200)):
-            assert_bit_equal(estimate(wide, broad).values, estimate(sc, narrow).values)
 
 
 @pytest.mark.parametrize("name", ["receiver", "cycle3"])
@@ -595,7 +574,7 @@ class _ScalarEngine:
             else:
                 # one belief at a time, through the single-belief split and kernel
                 _, split = cav_split_at(self.strat.target, belief)
-                kernel, atoms = np.zeros((self.sc.chain.k, self.strat.width)), split.posteriors
+                kernel, atoms = np.zeros((self.sc.chain.k, self.sc.chain.k)), split.posteriors
                 kernel[:, : split.size] = kernel_from_split(belief, split)
             node = self.nodes[key] = _Node(self.sc, belief, kernel, silent, atoms)
         return node
@@ -808,7 +787,7 @@ def test_coupling_hits_on_a_block_first_stage(name, strategies, monkeypatch):
     sc = replace(sc, reveal_rate=0.0)
     monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1)
     trace = run_policy(sc, made["couple"], 60, seed=5, rep=1)
-    assert (trace.signals >= made["couple"].width).sum() > 10
+    assert (trace.signals >= sc.chain.k).sum() > 10
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
     for g, w in zip(got, reference_trace(sc, made["couple"], 60, 5, 1)):
         assert_bit_equal(g, w)
@@ -819,7 +798,7 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
     # weight above the uniform, signal 1
     sc, _ = strategies["tent"]
     t = replication_rng(sc.seed, 0).random(3)[1]
-    strat = Strategy(2, kernel=np.array([[t, 1.0 - t], [t, 1.0 - t]]))
+    strat = Strategy(kernel=np.array([[t, 1.0 - t], [t, 1.0 - t]]))
     trace = run_policy(sc, strat, 4, rep=0)
     assert trace.signals[0] == 1
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
@@ -827,13 +806,11 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
         assert_bit_equal(g, w)
 
 
-# (width, kernel on k states, error): rows summing to 0.4, a NaN entry, one row too many and a
-# kernel narrower than the strategy's width, which numpy would broadcast
+# (kernel on k states, error): rows summing to 0.4, a NaN entry and one row too many
 BAD_KERNELS = {
-    "short rows": (2, lambda k: np.full((k, 2), 0.2), InvalidSplit),
-    "nan": (2, lambda k: np.vstack([[np.nan, 1.0], np.full((k - 1, 2), 0.5)]), InvalidSplit),
-    "extra row": (1, lambda k: np.ones((k + 1, 1)), DimensionMismatch),
-    "narrow": (2, lambda k: np.ones((k, 1)), DimensionMismatch),
+    "short rows": (lambda k: np.full((k, 2), 0.2), InvalidSplit),
+    "nan": (lambda k: np.vstack([[np.nan, 1.0], np.full((k - 1, 2), 0.5)]), InvalidSplit),
+    "extra row": (lambda k: np.ones((k + 1, 1)), DimensionMismatch),
 }
 
 
@@ -841,8 +818,8 @@ BAD_KERNELS = {
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_the_engine_rejects_an_invalid_kernel(name, case, strategies):
     sc, _ = strategies[name]
-    width, kernel, error = BAD_KERNELS[case]
-    strat = Strategy(width, kernel=kernel(sc.chain.k))
+    kernel, error = BAD_KERNELS[case]
+    strat = Strategy(kernel=kernel(sc.chain.k))
     with pytest.raises(error):
         estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
     with pytest.raises(error):
@@ -853,7 +830,7 @@ def test_the_engine_rejects_an_invalid_kernel(name, case, strategies):
 def test_the_engine_rejects_a_strategy_without_exactly_one_of_kernel_and_target(name, strategies):
     sc, made = strategies[name]
     k = sc.chain.k
-    for strat in (Strategy(k), Strategy(k, kernel=np.eye(k), target=made["optimal"].target)):
+    for strat in (Strategy(), Strategy(kernel=np.eye(k), target=made["optimal"].target)):
         with pytest.raises(InvalidSplit):
             estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
 
@@ -978,7 +955,7 @@ def test_the_optimal_strategy_earns_its_grid_value(name):
     # played at the exact belief, the envelope split earns the solved value at the prior
     sc = bundled(name)
     res = solve(sc, "reveal")
-    strat = strategy_policy(res.target, sc)
+    strat = strategy_policy(res.target)
     played = exact_played_value(sc, strat)
     assert played >= interpolate(res.value, sc.initial_prior()) - 2.0 * sc.tol
     est = estimate_discounted(sc, strat, samples=2000, seed=1)

@@ -295,7 +295,7 @@ def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):
     monkeypatch.setattr(envelope._Envelope, "split", lambda env, *args: calls.append(env) or split(env, *args))
     sc = scenario("parabola", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    strat = strategy_policy(res.target, sc)
+    strat = strategy_policy(res.target)
     assert calls == []
     assert res.policy is res.target
     estimate_discounted(sc, strat, samples=3, horizon=2)
@@ -476,7 +476,7 @@ def test_replaced_scenarios_share_the_chains_operators(k, monkeypatch):
     monkeypatch.setattr(solver, "_sweep", lambda *args: seen.append(args[-1]) or sweep(*args))
     built = []
     monkeypatch.setattr(solver, "_Dynamics", lambda *args: built.append(args))
-    others = [replace(sc, discount=0.5), replace(sc, reveal_rate=0.2), replace(sc, signal_count=k + 2),
+    others = [replace(sc, discount=0.5), replace(sc, reveal_rate=0.2),
               replace(sc, u=GridFn(sc.grid, 2.0 * sc.u.values))]
     for other in others:
         assert solver._dynamics(other) is dyn
@@ -654,8 +654,6 @@ def test_scenario_validation(chain2, tent):
         Scenario(chain=chain2, u=tent, discount=1.0, reveal_rate=0.5)
     with pytest.raises(ValueError):
         Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=1.5)
-    with pytest.raises(ValueError):
-        Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, signal_count=1)
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol"):
             Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, tol=tol)
@@ -669,7 +667,6 @@ def test_scenario_validation(chain2, tent):
 
 def test_scenario_prior_handling(chain2, tent):
     sc = Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5)
-    assert sc.signal_count == 2
     assert sc.initial_prior() == pytest.approx([0.5, 0.5])
     sc2 = Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=[0.25, 0.75])
     p = sc2.initial_prior()

@@ -19,14 +19,15 @@ onto grid points, so its nodes are the prior, the transition rows and images
 grid.points @ M. An estimate derives the seeds of its streams one block of
 replications at a time (replication_rngs), bit for bit the SeedSequence
 definition above.
-States and coins depend only on the uniforms, so a block of stages gets them
-first: states by a prefix scan, then revelation and coupling coins. Each
-revelation or coupling hit reboots the belief to a transition row and so
-starts a segment; the segments of a block are walked in lock-step, one
-position per numpy step. A replication's value depends only on its own
-stream, never on the chunk, block or group it falls in, so run_policy(rep=i)
-replays it bit for bit. Aggregation uses numpy's pairwise summation over the
-replication axis.
+A chunk holds as many lanes as fit one play of its whole horizon in
+_PLAY_BYTES, and each lane draws its uniforms in one call. States and coins
+depend only on the uniforms, so a play gets them first: states by a prefix
+scan, then revelation and coupling coins. Each revelation or coupling hit
+reboots the belief to a transition row and so starts a segment; the
+segments of a play are walked in lock-step, one position per numpy step. A
+replication's value depends only on its own stream, never on the chunk or
+group it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
+uses numpy's pairwise summation over the replication axis.
 """
 
 from __future__ import annotations
@@ -299,10 +300,11 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 # ---------------------------------------------------------------------------
 # stage engine
 
-# Lane-stages times draws per stage in one chunk of lanes. A chunk draws its uniforms block by
-# block, and a stage block holds at most _CHUNK_DRAWS bytes (1 MiB) of per-stage work, its
-# uniforms included.
-_CHUNK_DRAWS = 1 << 20
+# Bytes of per-stage work one play holds (2 MiB), at about 8d + 60 bytes a lane-stage with d
+# uniforms per stage: the uniforms, the signal uniform and the state path (8 each), coins and
+# cuts, and about 40 of segment arrays and step temporaries at rate 0.5. A chunk of lanes holds
+# as many lanes of its whole horizon as fit, and at least one.
+_PLAY_BYTES = 2 << 20
 # Replications an estimate seeds at once, and the most lanes a chunk or a random-duration batch
 # holds generators for at once (about 0.8 KB each).
 _DURATION_BATCH = 1 << 14
@@ -320,16 +322,15 @@ class _Engine:
     filled once.
 
     Every lane of a play runs the same number of stages. States and coins
-    depend only on the uniforms, so a block of stages gets them first, for
-    every lane at once: states by one prefix scan, then the
-    revelation and coupling coins. A revelation, or a coupling hit, reboots
-    the belief to the previous state's row node, which cuts the lanes'
-    stages into segments; within a segment only the signals and the nodes
-    remain. All segments of a block are walked in lock-step, one position
-    at a time, so a block costs about as many steps as its longest segment
-    has stages. A lane's last segment in a block carries its node into the
-    next block. Past the cap the table is cleared between steps and the
-    nodes still in use are built again, which yields the same values.
+    depend only on the uniforms, so a play gets them first, for every lane
+    and stage at once: states by one prefix scan, then the revelation and
+    coupling coins. A revelation, or a coupling hit, reboots the belief to
+    the previous state's row node, which cuts the lanes' stages into
+    segments; within a segment only the signals and the nodes remain. All
+    segments of a play are walked in lock-step, one position at a time, so
+    a play costs about as many steps as its longest segment has stages.
+    Past the cap the table is cleared between steps and the nodes still in
+    use are built again, which yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -414,117 +415,84 @@ class _Engine:
 
         Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
         revelation coins, plus states, signals and posteriors when trace is
-        set (None otherwise).
+        set (None otherwise). Each lane draws all its uniforms in one call.
         """
         k = self.sc.chain.k
         belief = np.ascontiguousarray(validate_belief(prior, k))
-        prior_cum = cum_rows(belief)
+        start = self._intern(np.array([self.strat.silent]), belief[None])[0]
         lanes, d = len(rngs), self.draws_per_stage
-
-        out = SimTrace(states=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
+        draws = np.empty((lanes, horizon, d))
+        for rng, lane_draws in zip(rngs, draws):
+            rng.random(out=lane_draws)
+        states, reveals, reboot, hit = self._states_and_coins(draws, cum_rows(belief), rate)
+        out = SimTrace(states=states if trace else None,
                        signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
-                       reveals=np.empty((lanes, horizon), dtype=bool),
+                       reveals=reveals,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
-        # what a lane carries into the next block: its node, its last state and its last coin
-        node = np.full(lanes, self._intern(np.array([self.strat.silent]), belief[None])[0])
-        state = np.zeros(lanes, dtype=np.int64)
-        revealed = np.zeros(lanes, dtype=bool)
-        # lane-stages one block holds, at about 8d + 60 bytes each: d uniforms, the signal uniform
-        # and the state path (8 each), coins and cuts, and about 40 of segment arrays and step
-        # temporaries at rate 0.5
-        span = min(horizon, max(1, _CHUNK_DRAWS // (8 * d + 60) // lanes))
-        buffer = np.zeros(lanes * span * d)
-        n0 = 0
-        while n0 < horizon:
-            b = min(horizon - n0, span)
-            draws = buffer[: lanes * b * d].reshape(lanes, b, d)
-            for rng, lane_draws in zip(rngs, draws):
-                rng.random(out=lane_draws)
-            states, rev, reboot, hit = self._states_and_coins(draws, n0, prior_cum, state, revealed, rate)
-            out.reveals[:, n0 : n0 + b] = rev
-            if trace:
-                out.states[:, n0 : n0 + b] = states
-            carry = lanes if n0 + b < horizon else 0  # the lanes that play past this block
-            segments = self._segments(reboot, carry, states, state, node, hit if trace else None)
-            node[:carry] = self._walk(segments, states, draws[:, :, d - 2], rev, n0, out)
-            state, revealed = states[:, b - 1], rev[:, b - 1]
-            n0 += b
+        segments = self._segments(reboot, states, start, hit if trace else None)
+        self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
 
-    def _states_and_coins(self, draws, n0, prior_cum, state, revealed, rate):
-        """States, revelation coins, reboots and coupling hits of a block, (lanes, stages) each.
+    def _states_and_coins(self, draws, prior_cum, rate):
+        """States, revelation coins, reboots and coupling hits of a play, (lanes, stages) each.
 
-        Stage n0 + c of a lane reboots when the stage before it revealed or
-        its coupling coin hit; hit is None without a coupling coin.
+        A stage reboots when the stage before it revealed or its coupling
+        coin hit; stage 0 never does. hit is None without a coupling coin.
         """
-        a, b, d = draws.shape
-        if n0 == 0:
-            first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
-            states = scan_states(self.M_cum, first, draws[:, 1:, 0])
-        else:
-            states = np.ascontiguousarray(scan_states(self.M_cum, state, draws[:, :, 0])[:, 1:])
+        d = draws.shape[2]
+        first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
+        states = scan_states(self.M_cum, first, draws[:, 1:, 0])
         rev = draws[:, :, d - 1] < rate
-        reboot = np.empty((a, b), dtype=bool)
-        reboot[:, 0] = revealed
+        reboot = np.zeros(rev.shape, dtype=bool)
         reboot[:, 1:] = rev[:, :-1]
         hit = None
         if self.strat.aux_prob > 0.0:
             hit = (draws[:, :, 1] < self.strat.aux_prob) & ~reboot
-            hit[:, 0] &= n0 > 0
+            hit[:, 0] = False
             reboot |= hit
         return states, rev, reboot, hit
 
-    def _segments(self, reboot, carry, states, state, node, hit):
-        """Segments of one block, longest first: (starts, nodes, codes, live, carriers).
+    def _segments(self, reboot, states, start: int, hit):
+        """Segments of a play, longest first: (starts, nodes, codes, live).
 
-        starts are flat (lane, stage) block indices and nodes the nodes the
+        starts are flat (lane, stage) indices and nodes the nodes the
         segments start at: the previous state's row node after a reboot, else
-        the lane's carried node. codes hold width * (1 + previous state) where
-        a coupling hit starts the segment and 0 elsewhere (None without hit).
-        live[j] counts the segments longer than j, and carriers are the last
-        segments of the first `carry` lanes, which play past the block.
+        the start node. codes hold width * (1 + previous state) where a
+        coupling hit starts the segment and 0 elsewhere (None without hit).
+        live[j] counts the segments longer than j.
         """
         a, b = reboot.shape
         cut = reboot.copy()
-        cut[:, 0] = True  # each lane's first stage of the block starts a segment
+        cut[:, 0] = True  # each lane's first stage starts a segment
         starts = np.flatnonzero(cut)
-        lane, col = np.divmod(starts, b)
         length = np.diff(starts, append=a * b)
-        prev = np.where(col > 0, states.reshape(-1)[starts - 1], state[lane])
-        nodes = np.where(reboot.reshape(-1)[starts], prev, node[lane])
+        # a lane's first stage never reboots, so the state read before it is never used
+        prev = states.reshape(-1)[starts - 1]
+        nodes = np.where(reboot.reshape(-1)[starts], prev, start)
         # a stable sort on the narrowest key is a radix sort
         by = np.argsort((b - length).astype(np.min_scalar_type(b)), kind="stable")
-        rank = np.empty_like(by)
-        rank[by] = np.arange(by.size)
-        carriers = rank[np.searchsorted(starts, b * np.arange(1, carry + 1)) - 1]
         codes = None if hit is None else np.where(hit.reshape(-1)[starts], (prev + 1) * self.width, 0)[by]
         length = length[by]
         live = np.searchsorted(-length, -np.arange(length[0]), side="left")
-        return starts[by], nodes[by], codes, live, carriers
+        return starts[by], nodes[by], codes, live
 
-    def _walk(self, segments, states, sig_u, rev, n0: int, out: SimTrace) -> np.ndarray:
-        """Play every segment of a block in lock-step, one segment position per step.
+    def _walk(self, segments, states, sig_u, rev, out: SimTrace) -> None:
+        """Play every segment in lock-step, one segment position per step, filling out's rows.
 
-        states, sig_u (signal uniforms) and rev are the block's (lanes, stages)
-        arrays. Fills out's rows from stage n0 on and returns the carriers'
-        successor nodes, filled unless the carrier's last stage revealed.
+        states, sig_u (signal uniforms) and rev are the play's (lanes, stages) arrays.
         """
-        starts, nodes, codes, live, carriers = segments
+        starts, nodes, codes, live = segments
         k, width = self.sc.chain.k, self.width
-        b, last = states.shape[1], out.stage_payoffs.shape[1]
-        outs = starts // b * last + n0 + starts % b
-        # a carrier whose last stage revealed restarts at a row node, so its node is not kept
-        kept = carriers[~rev[: len(carriers), b - 1]]
+        last = states.shape[1]
         states, sig_u, rev = states.reshape(-1), sig_u.reshape(-1), rev.reshape(-1)
         for j, alive in enumerate(live.tolist()):
             if self.size >= self._CACHE_CAP:
-                keep = np.concatenate([np.arange(alive), kept[kept >= alive]])
-                ids = nodes[keep]
+                ids = nodes[:alive]
                 silent, beliefs = self.silent[ids], self.belief[ids]
                 self._reset()
                 self.clears += 1
-                nodes[keep] = self._intern(silent, beliefs)
+                nodes[:alive] = self._intern(silent, beliefs)
             self.steps += 1
             f, nd = starts[:alive] + j, nodes[:alive]
             # the signal counts the kernel row's thresholds at or below its uniform: rows never
@@ -535,16 +503,15 @@ class _Engine:
             for t in range(1, width - 1):
                 s += draw >= cum[row + t]
             ix = nd * width + s
-            o = outs[:alive] + j
-            out.stage_payoffs.reshape(-1)[o] = self.pay.reshape(-1)[ix]
+            out.stage_payoffs.reshape(-1)[f] = self.pay.reshape(-1)[ix]
             if out.signals is not None:
-                out.signals.reshape(-1)[o] = s if j or codes is None else s + codes[:alive]
-                out.posteriors.reshape(-1, k)[o] = self.post.reshape(-1, k)[ix]
+                out.signals.reshape(-1)[f] = s if j or codes is None else s + codes[:alive]
+                out.posteriors.reshape(-1, k)[f] = self.post.reshape(-1, k)[ix]
             nxt = self.succ.reshape(-1)[ix]
             missing = nxt < 0
             if missing.any():
                 # a revealing stage, and the play's last one, need no successor
-                missing &= ~rev[f] & (o % last < last - 1)
+                missing &= ~rev[f] & (f % last < last - 1)
                 if missing.any():
                     # each missing (node, signal) pair is filled once
                     pairs, inverse = np.unique(ix[missing], return_inverse=True)
@@ -555,7 +522,6 @@ class _Engine:
                     self.succ[src, sig] = fresh
                     nxt[missing] = fresh[inverse]
             nodes[:alive] = nxt
-        return nodes[carriers]
 
 
 def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
@@ -575,12 +541,11 @@ def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[
 def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(stage payoffs, revelation coins) of a lane of horizon stages on each generator of rngs, in order.
 
-    Lanes are played in chunks. A chunk grows while its lanes times the
-    horizon times the draws per stage stays within _CHUNK_DRAWS, and always
-    holds at least one lane and at most _DURATION_BATCH; `_Engine.play` draws
-    its uniforms block by block. A lane's generator is taken when it joins.
+    Lanes are played in chunks, one `_Engine.play` each. A chunk holds as
+    many lanes as fit _PLAY_BYTES over the whole horizon, at least one and
+    at most _DURATION_BATCH. A lane's generator is taken when it joins.
     """
-    size = min(_DURATION_BATCH, max(1, _CHUNK_DRAWS // (horizon * engine.draws_per_stage)))
+    size = min(_DURATION_BATCH, max(1, _PLAY_BYTES // (horizon * (8 * engine.draws_per_stage + 60))))
     rngs = iter(rngs)
     while chunk := list(islice(rngs, size)):
         play = engine.play(prior, rate, chunk, horizon)
@@ -606,16 +571,14 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
 def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """States and revelation coins of one play, without its signals or payoffs.
 
-    The engine's states and coins of replication 0 of the scenario seed, drawn as one null-strategy block;
+    The engine's states and coins of replication 0 of the scenario seed, drawn as one null-strategy play;
     equal to run_policy's under any strategy without an auxiliary coin, bit for bit.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     engine = _Engine(sc, strategy_null(sc))
     draws = replication_rng(sc.seed, 0).random((1, horizon, engine.draws_per_stage))
-    # the first block of a play: no state is carried into it and no revelation precedes it
-    states, reveals, _, _ = engine._states_and_coins(draws, 0, cum_rows(sc.initial_prior()), None, False,
-                                                     sc.reveal_rate)
+    states, reveals, _, _ = engine._states_and_coins(draws, cum_rows(sc.initial_prior()), sc.reveal_rate)
     return states[0], reveals[0]
 
 
@@ -698,8 +661,8 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
         raise ValueError(f"horizon must be at least 2 to see two revelations, got {horizon}")
     samples, streams = _replications(sc, samples, seed)
     engine = _Engine(sc, strat)
-    kept = []
-    kept_reps = []
+    values = []
+    rep_ids = []
     rejected = 0
     for i, (payoffs, reveals) in enumerate(_lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)):
         stats = renewal_stats(reveals)
@@ -707,11 +670,11 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
             rejected += 1
             continue
         first = int(stats.kappas[0])
-        kept.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
-        kept_reps.append(i)
-    if not kept:
+        values.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
+        rep_ids.append(i)
+    if not values:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
-    return _summary(np.asarray(kept), np.asarray(kept_reps, dtype=np.int64), rejected=rejected,
+    return _summary(np.asarray(values), np.asarray(rep_ids, dtype=np.int64), rejected=rejected,
                     horizon=horizon, **engine.counters())
 
 

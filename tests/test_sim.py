@@ -685,10 +685,9 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     strat = made[strategy]
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
-        # lanes per chunk at this horizon and replications per random-duration batch; one lane
-        # also draws one stage block at a time
+        # lanes per chunk at this horizon and replications per random-duration batch
         draws = 4 if strat.aux_prob > 0.0 else 3
-        monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1 if lanes == 1 else lanes * draws * horizon)
+        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * draws + 60))
         monkeypatch.setattr(sim, "_DURATION_BATCH", lanes)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
@@ -717,7 +716,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     sc, made = strategies[name]
     strat = made["optimal"]
     horizon, samples = 20, 9
-    monkeypatch.setattr(sim, "_CHUNK_DRAWS", 3 * 3 * horizon)
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * 3 + 60))
     chunks = []
     play = _Engine.play
     monkeypatch.setattr(_Engine, "play", lambda self, *args, **kw: chunks.append(len(args[2])) or play(self, *args, **kw))
@@ -732,8 +731,8 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     # as the one-lane engine does on the stream the contract defines; at rate 1 every duration
     # is 1, so one duration group is split into chunks of three one-stage lanes
     p = sc.initial_prior()
-    for rate, budget in ((0.2, 3 * 3 * horizon), (1.0, 3 * 3)):
-        monkeypatch.setattr(sim, "_CHUNK_DRAWS", budget)
+    for rate, budget in ((0.2, 3 * horizon * (8 * 3 + 60)), (1.0, 3 * (8 * 3 + 60))):
+        monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
         chunks.clear()
         est = random_duration_value_mc(sc, rate, strat, samples=samples, seed=seed)
         assert len(chunks) > 1 and sum(chunks) == samples
@@ -746,8 +745,9 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     assert chunks == [3, 3, 3]
 
 
-# (_CHUNK_DRAWS, _CACHE_CAP): one-stage blocks, blocks of a few stages, the default single
-# block, and each of them with a node table cleared before every step
+# (_PLAY_BYTES, _CACHE_CAP): one lane per play; three lanes of one stage; three lanes of seven
+# stages and two of two; every lane of a horizon in one play; and each of them with a node table
+# cleared before every step
 ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3), (2000, 3), (None, 3)]
 
 
@@ -756,41 +756,32 @@ ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3),
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, cap, strategies, monkeypatch):
-    # one play per horizon on one shared engine, so the node table carries across plays as it
-    # does across a random-duration estimate's groups; each traced field against its own scalar replay
+    # each horizon's lanes in the chunks an estimate forms, all on one shared engine, so the node
+    # table carries across plays as it does across a random-duration estimate's groups; the plays
+    # are traced, and each traced field is checked against its own scalar replay
     sc, made = strategies[name]
     if rate is not None:
         sc = replace(sc, reveal_rate=rate)
     strat = made[strategy]
     if budget is not None:
-        monkeypatch.setattr(sim, "_CHUNK_DRAWS", budget)
+        monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
     if cap is not None:
         monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
-    horizons, seed = [1, 23, 7, 40, 2, 40, 15], 5
-    engine = _Engine(sc, strat)
+    horizons, seed = [1, 23, 7, 40, 2, 40, 15, 7, 1, 2, 1, 7], 5
+    engine, plays = _Engine(sc, strat), []
+    play = engine.play
+    engine.play = lambda *args: plays.append(play(*args, trace=True)) or plays[-1]
     for h in dict.fromkeys(horizons):
         reps = [i for i, hi in enumerate(horizons) if hi == h]
-        play = engine.play(sc.initial_prior(), sc.reveal_rate, [replication_rng(seed, i) for i in reps], h,
-                           trace=True)
-        assert play.reveals.shape == (len(reps), h)
+        plays.clear()
+        rngs = [replication_rng(seed, i) for i in reps]
+        lanes = list(sim._lanes(engine, sc.initial_prior(), sc.reveal_rate, rngs, h))
+        assert len(lanes) == len(reps) and (budget is not None or len(plays) == 1)
+        fields = [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
+                                                            t.stage_payoffs) for t in plays))]
         for lane, i in enumerate(reps):
-            got = (play.states[lane], play.signals[lane], play.reveals[lane], play.posteriors[lane],
-                   play.stage_payoffs[lane])
-            for g, w in zip(got, reference_trace(sc, strat, h, seed, i)):
+            for g, w in zip([field[lane] for field in fields], reference_trace(sc, strat, h, seed, i)):
                 assert_bit_equal(g, w)
-
-
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_coupling_hits_on_a_block_first_stage(name, strategies, monkeypatch):
-    # one-stage blocks, so every coupling hit falls on a block's first stage
-    sc, made = strategies[name]
-    sc = replace(sc, reveal_rate=0.0)
-    monkeypatch.setattr(sim, "_CHUNK_DRAWS", 1)
-    trace = run_policy(sc, made["couple"], 60, seed=5, rep=1)
-    assert (trace.signals >= sc.chain.k).sum() > 10
-    got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
-    for g, w in zip(got, reference_trace(sc, made["couple"], 60, 5, 1)):
-        assert_bit_equal(g, w)
 
 
 def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
@@ -848,7 +839,7 @@ def test_the_last_stage_fills_no_successor(strategies):
 def test_estimates_count_walk_steps(name, strategy, strategies):
     sc, made = strategies[name]
     strat = made[strategy]
-    # at rate 1 every segment is one stage long: one step per block, and no successor is filled,
+    # at rate 1 every segment is one stage long: one step per play, and no successor is filled,
     # so the only node builds are the row nodes' and the start node's
     est = estimate_discounted(replace(sc, reveal_rate=1.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 1
@@ -1017,7 +1008,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         strat = made["couple"]  # the widest stage layout: four uniforms per stage
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
-                mp.setattr(sim, "_CHUNK_DRAWS", lanes * 4 * 25)
+                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * (8 * 4 + 60))
                 mp.setattr(sim, "_DURATION_BATCH", lanes)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
@@ -1028,7 +1019,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
     # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
-    # no play holds more lanes than a block although _CHUNK_DRAWS alone would allow thousands, and
+    # no play holds more lanes than a block although _PLAY_BYTES alone would allow hundreds, and
     # the values equal those of an estimate whose 20 streams are one block
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
@@ -1046,5 +1037,54 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
     assert sum(chunks) == 20 and max(chunks) <= 8
+    assert_bit_equal(got.rep_ids, want.rep_ids)
+    assert_bit_equal(got.values, want.values)
+
+
+class CountingRng:
+    """A generator that counts its `random` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kw):
+        self.calls += 1
+        return self.rng.random(*args, **kw)
+
+
+def test_each_lane_draws_its_uniforms_in_one_call(strategies, monkeypatch):
+    # 300 lanes of tent's default 153-stage horizon play as one chunk, and each lane's generator
+    # is asked for all its uniforms at once
+    sc, made = strategies["tent"]
+    strat = made["optimal"]
+    want = estimate_discounted(sc, strat, samples=300, seed=1)
+    counted, play = [], _Engine.play
+
+    def counting(self, prior, rate, rngs, *args, **kw):
+        rngs = [CountingRng(rng) for rng in rngs]
+        counted.extend(rngs)
+        return play(self, prior, rate, rngs, *args, **kw)
+
+    monkeypatch.setattr(_Engine, "play", counting)
+    got = estimate_discounted(sc, strat, samples=300, seed=1)
+    assert got.horizon == discount_horizon(sc) == 153
+    assert [rng.calls for rng in counted] == [1] * 300
+    assert_bit_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, monkeypatch):
+    # with _PLAY_BYTES cut to 20,000, no play holds more lanes than fit it over the play's horizon
+    # at 8d + 60 bytes a lane-stage, and the values equal those of the default chunks
+    sc, made = strategies["cycle3"]
+    run, strat = ESTIMATORS[estimator], made["couple"]
+    want = run(sc, strat, 40, 3)
+    plays, play = [], _Engine.play
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
+    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, rngs, horizon, **kw: plays.append(
+        (len(rngs), horizon * (8 * self.draws_per_stage + 60))) or play(self, prior, rate, rngs, horizon, **kw))
+    got = run(sc, strat, 40, 3)
+    assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
+    assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .belief import (
     BeliefGrid,
     GridFn,
-    Split,
     bayes_posterior,
     interpolate,
     kernel_from_split,
@@ -69,7 +68,6 @@ __all__ = [
     "Scenario",
     "SimTrace",
     "SolverResult",
-    "Split",
     "Strategy",
     "TablePayoff",
     "asymptotic_value",

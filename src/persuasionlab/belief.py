@@ -1,6 +1,7 @@
 """Beliefs over chain states: simplex grids, interpolation, splits, kernels.
 
-A belief is a plain numpy vector on the probability simplex. The grid holds
+A belief is a plain numpy vector on the probability simplex, and a split a
+pair of arrays: posterior atoms (m, k) and their weights (m,). The grid holds
 every belief whose coordinates are integer multiples of 1/resolution.
 Piecewise-linear interpolation runs over the standard simplicial subdivision
 of the lattice obtained in cumulative coordinates: sorting the fractional
@@ -191,35 +192,16 @@ def _vertex_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
-class Split:
-    """Finite belief lottery: posterior atoms with convex weights."""
+def validate_split(p, posteriors, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Check that posterior atoms (m, k) with weights (m,) are a Bayes-plausible lottery at prior p.
 
-    posteriors: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        post = np.atleast_2d(np.asarray(self.posteriors, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
-        object.__setattr__(self, "posteriors", post)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.posteriors
-
-
-def validate_split(p, split: Split) -> None:
-    """Check that a split is a Bayes-plausible lottery at prior p.
-
-    Raises BadWeights when the weights are off the simplex, NotBayesPlausible
-    when the barycenter misses the prior.
+    Returns them as float arrays, posteriors (m, k) and weights (m,): a 1-d
+    posterior is one atom, and weights may come in any shape. Raises BadWeights
+    when the weights are off the simplex, NotBayesPlausible when the
+    barycenter misses the prior.
     """
     p = validate_belief(p)
-    post, w = split.posteriors, split.weights
+    post, w = np.atleast_2d(np.asarray(posteriors, dtype=float)), np.asarray(weights, dtype=float).ravel()
     if post.ndim != 2 or post.shape[0] != w.size or post.shape[1] != p.size:
         raise DimensionMismatch(f"split shapes {post.shape} / {w.shape} do not match prior of length {p.size}")
     if np.any(w < -BELIEF_SUM_TOL) or abs(w.sum() - 1.0) > BELIEF_SUM_TOL:
@@ -228,6 +210,7 @@ def validate_split(p, split: Split) -> None:
     err = np.max(np.abs(w @ post - p))
     if err > SPLIT_BARYCENTER_TOL:
         raise NotBayesPlausible(f"barycenter misses the prior by {err:.3e}")
+    return post, w
 
 
 def validate_kernel(kernel, k: int) -> np.ndarray:
@@ -246,8 +229,8 @@ def validate_kernel(kernel, k: int) -> np.ndarray:
     return kernel
 
 
-def split_from_kernel(p, kernel: np.ndarray) -> Split:
-    """Posterior lottery induced by a signal kernel at prior p.
+def split_from_kernel(p, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior lottery induced by a signal kernel at prior p: posteriors (m, k) and weights (m,).
 
     kernel[state, signal] is the chance of each signal in each state. Signals
     of zero probability under p are dropped.
@@ -255,21 +238,21 @@ def split_from_kernel(p, kernel: np.ndarray) -> Split:
     p = validate_belief(p)
     alphas, posteriors = bayes_update(p, validate_kernel(kernel, p.size))
     keep = alphas > 0.0
-    return Split(posteriors=posteriors[keep], weights=alphas[keep])
+    return posteriors[keep], alphas[keep]
 
 
-def kernel_from_split(p, split: Split) -> np.ndarray:
-    """Signal kernel realizing a split at prior p, one signal per atom.
+def kernel_from_split(p, posteriors, weights) -> np.ndarray:
+    """Signal kernel realizing the split (posteriors, weights) at prior p, one signal per atom.
 
     Row for a zero-probability state is uniform over the positive-weight
     atoms.
     """
     p = validate_belief(p)
     try:
-        validate_split(p, split)
+        post, w = validate_split(p, posteriors, weights)
     except (BadWeights, NotBayesPlausible, DimensionMismatch) as exc:
         raise InvalidSplit(str(exc)) from exc
-    return kernels_from_splits(p[None], split.posteriors[None], split.weights[None])[0]
+    return kernels_from_splits(p[None], post[None], w[None])[0]
 
 
 def kernels_from_splits(p: np.ndarray, posteriors: np.ndarray, weights: np.ndarray) -> np.ndarray:

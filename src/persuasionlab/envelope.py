@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .belief import GridFn, Split, _vertex_sum, validate_belief
+from .belief import GridFn, _vertex_sum, validate_belief
 from .errors import SingularSystem
 
 # Relative slack for "this atom already sits on the envelope" decisions.
@@ -215,7 +215,7 @@ def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, atoms, weights
 
 
-def cav_split_at(f: GridFn, q) -> tuple[float, Split]:
-    """Envelope value and an optimal grid-supported split at one belief: the one-row case of `cav_splits`."""
+def cav_split_at(f: GridFn, q) -> tuple[float, np.ndarray, np.ndarray]:
+    """Envelope value, posteriors (grid points) and positive weights of an optimal split at one belief."""
     (value,), (atoms,), (weights,) = cav_splits(f, np.asarray(q, dtype=float)[None])  # a batch fails as 3-d
-    return float(value), Split(f.grid.points[atoms[atoms >= 0]], weights[atoms >= 0])
+    return float(value), f.grid.points[atoms[atoms >= 0]], weights[atoms >= 0]

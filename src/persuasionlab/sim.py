@@ -10,7 +10,7 @@ did not reveal; the revelation coin is read even when the rate is zero, so
 traces with different rates stay aligned.
 
 Estimators play a chunk of replications ("lanes") together over a table of
-belief nodes, each lane reading its own stream; run_policy is the one-lane
+belief nodes, each lane on its own row of uniforms; run_policy is the one-lane
 case of the same engine. Every lane of a play runs the same horizon: the
 random-duration estimator draws each replication's duration first and plays
 the replications whose durations have one bit length as one group, for the
@@ -20,9 +20,10 @@ grid.points @ M. An estimate derives the seeds of its streams one block of
 replications at a time (replication_rngs), bit for bit the SeedSequence
 definition above.
 A chunk holds as many lanes as fit one play of its whole horizon in
-_PLAY_BYTES, and each lane draws its uniforms in one call. States and coins
-depend only on the uniforms, so a play gets them first: states by a prefix
-scan, then revelation and coupling coins. Each revelation or coupling hit
+_PLAY_BYTES; each lane's generator fills its row in one call and is dropped
+before the play. States and coins depend only on the uniforms, so a play
+gets them first: states by a prefix scan, then revelation and coupling
+coins. Each revelation or coupling hit
 reboots the belief to a transition row and so starts a segment; the
 segments of a play are walked in lock-step, one position per numpy step. A
 replication's value depends only on its own stream, never on the chunk or
@@ -32,10 +33,10 @@ uses numpy's pairwise summation over the replication axis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -145,8 +146,9 @@ class SimTrace:
     stage signal and before any revelation. stage_payoffs[n] is the payoff
     table interpolated there. signals[n] encodes an extended alphabet as
     aux_code * width + s when a strategy prepends a disclosure component
-    (aux_code = 1 + disclosed state, 0 otherwise), width being the strategy's
-    signal count. The engine returns the same fields with one row per lane.
+    (aux_code = 1 + disclosed state, 0 otherwise), width being k for a policy
+    strategy and the kernel's column count otherwise. The engine returns the
+    same fields with one row per lane.
     """
 
     states: np.ndarray
@@ -230,8 +232,8 @@ class Strategy:
 
     A policy strategy plays, at each belief it reaches, the optimal split of
     target's envelope at that exact belief (`cav_splits`), realized by the
-    kernel `kernel_from_split` builds over k signals, one per atom (a split has
-    at most k); its posteriors are the atoms, grid points. Any other strategy
+    kernel `kernels_from_splits` builds over k signals, one per atom (a split
+    has at most k); its posteriors are the atoms, grid points. Any other strategy
     plays kernel (state x signal) at every belief. A silent strategy sends one
     uninformative signal until the first revelation. With aux_prob > 0, on
     stages where the game did not just reveal, an auxiliary coin discloses the
@@ -300,13 +302,34 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 # ---------------------------------------------------------------------------
 # stage engine
 
+
+def _states_and_coins(M_cum, draws, prior_cum, rate, aux_prob):
+    """States, revelation coins, reboots and coupling hits, (lanes, stages) each, of a play's uniforms draws.
+
+    A stage reboots when the stage before it revealed or its coupling
+    coin hit; stage 0 never does. hit is None when aux_prob is 0.
+    """
+    d = draws.shape[2]
+    first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
+    states = scan_states(M_cum, first, draws[:, 1:, 0])
+    rev = draws[:, :, d - 1] < rate
+    reboot = np.zeros(rev.shape, dtype=bool)
+    reboot[:, 1:] = rev[:, :-1]
+    hit = None
+    if aux_prob > 0.0:
+        hit = (draws[:, :, 1] < aux_prob) & ~reboot
+        hit[:, 0] = False
+        reboot |= hit
+    return states, rev, reboot, hit
+
+
 # Bytes of per-stage work one play holds (2 MiB), at about 8d + 60 bytes a lane-stage with d
 # uniforms per stage: the uniforms, the signal uniform and the state path (8 each), coins and
 # cuts, and about 40 of segment arrays and step temporaries at rate 0.5. A chunk of lanes holds
 # as many lanes of its whole horizon as fit, and at least one.
 _PLAY_BYTES = 2 << 20
-# Replications an estimate seeds at once, and the most lanes a chunk or a random-duration batch
-# holds generators for at once (about 0.8 KB each).
+# Replications an estimate seeds at once, and the replications a random-duration batch holds
+# generators for at once (about 0.8 KB each): each draws its duration before its group plays.
 _DURATION_BATCH = 1 << 14
 
 
@@ -409,22 +432,19 @@ class _Engine:
         self.size = stop
         self.fills += 1
 
-    def play(self, prior: np.ndarray, rate: float, rngs: list, horizon: int,
-             trace: bool = False) -> SimTrace:
-        """Play every lane for horizon stages, lane j on generator rngs[j].
+    def play(self, prior: np.ndarray, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
+        """Play lane j on the uniforms draws[j], a (lanes, horizon, d) array, for horizon stages.
 
         Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
         revelation coins, plus states, signals and posteriors when trace is
-        set (None otherwise). Each lane draws all its uniforms in one call.
+        set (None otherwise).
         """
         k = self.sc.chain.k
         belief = np.ascontiguousarray(validate_belief(prior, k))
         start = self._intern(np.array([self.strat.silent]), belief[None])[0]
-        lanes, d = len(rngs), self.draws_per_stage
-        draws = np.empty((lanes, horizon, d))
-        for rng, lane_draws in zip(rngs, draws):
-            rng.random(out=lane_draws)
-        states, reveals, reboot, hit = self._states_and_coins(draws, cum_rows(belief), rate)
+        lanes, horizon, d = draws.shape
+        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(belief), rate,
+                                                         self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
                        signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
                        reveals=reveals,
@@ -433,25 +453,6 @@ class _Engine:
         segments = self._segments(reboot, states, start, hit if trace else None)
         self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
-
-    def _states_and_coins(self, draws, prior_cum, rate):
-        """States, revelation coins, reboots and coupling hits of a play, (lanes, stages) each.
-
-        A stage reboots when the stage before it revealed or its coupling
-        coin hit; stage 0 never does. hit is None without a coupling coin.
-        """
-        d = draws.shape[2]
-        first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
-        states = scan_states(self.M_cum, first, draws[:, 1:, 0])
-        rev = draws[:, :, d - 1] < rate
-        reboot = np.zeros(rev.shape, dtype=bool)
-        reboot[:, 1:] = rev[:, :-1]
-        hit = None
-        if self.strat.aux_prob > 0.0:
-            hit = (draws[:, :, 1] < self.strat.aux_prob) & ~reboot
-            hit[:, 0] = False
-            reboot |= hit
-        return states, rev, reboot, hit
 
     def _segments(self, reboot, states, start: int, hit):
         """Segments of a play, longest first: (starts, nodes, codes, live).
@@ -527,7 +528,7 @@ class _Engine:
 def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
     """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's.
 
-    The streams are seeded one _DURATION_BATCH block of replications at a time, as they are taken.
+    The streams are seeded one _DURATION_BATCH block at a time, as they are taken; none is kept once yielded.
     """
     samples = sc.samples if samples is None else samples
     if samples < 1:
@@ -535,20 +536,25 @@ def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[
     seed = sc.seed if seed is None else seed
     blocks = (replication_rngs(seed, range(first, min(first + _DURATION_BATCH, samples)))
               for first in range(0, samples, _DURATION_BATCH))
-    return samples, (rng for block in blocks for rng in block)
+    return samples, itertools.chain.from_iterable(blocks)
 
 
-def _lanes(engine: _Engine, prior, rate: float, rngs, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(stage payoffs, revelation coins) of a lane of horizon stages on each generator of rngs, in order.
+def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(stage payoffs, revelation coins) of a lane of horizon stages from the prior on each of lanes generators.
 
     Lanes are played in chunks, one `_Engine.play` each. A chunk holds as
-    many lanes as fit _PLAY_BYTES over the whole horizon, at least one and
-    at most _DURATION_BATCH. A lane's generator is taken when it joins.
+    many lanes as fit _PLAY_BYTES over the whole horizon, at least one. A
+    lane's generator fills its row of uniforms as the chunk is built, and is
+    dropped then.
     """
-    size = min(_DURATION_BATCH, max(1, _PLAY_BYTES // (horizon * (8 * engine.draws_per_stage + 60))))
+    size = max(1, _PLAY_BYTES // (horizon * (8 * engine.draws_per_stage + 60)))
     rngs = iter(rngs)
-    while chunk := list(islice(rngs, size)):
-        play = engine.play(prior, rate, chunk, horizon)
+    for first in range(0, lanes, size):
+        draws = np.empty((min(size, lanes - first), horizon, engine.draws_per_stage))
+        for row, rng in zip(draws, rngs):  # draws first, so zip takes no generator past the last row
+            rng.random(out=row)
+        del rng  # the play holds no generator
+        play = engine.play(engine.sc.initial_prior(), rate, draws)
         yield from zip(play.stage_payoffs, play.reveals)
 
 
@@ -562,8 +568,9 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    rng = replication_rng(sc.seed if seed is None else seed, rep)
-    play = _Engine(sc, strat).play(sc.initial_prior(), sc.reveal_rate, [rng], horizon, trace=True)
+    engine = _Engine(sc, strat)
+    draws = replication_rng(sc.seed if seed is None else seed, rep).random((1, horizon, engine.draws_per_stage))
+    play = engine.play(sc.initial_prior(), sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
@@ -571,14 +578,14 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
 def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """States and revelation coins of one play, without its signals or payoffs.
 
-    The engine's states and coins of replication 0 of the scenario seed, drawn as one null-strategy play;
-    equal to run_policy's under any strategy without an auxiliary coin, bit for bit.
+    The engine's states and coins of replication 0 of the scenario seed, read from its three-slot
+    stage layout; equal to run_policy's under any strategy without an auxiliary coin, bit for bit.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    engine = _Engine(sc, strategy_null(sc))
-    draws = replication_rng(sc.seed, 0).random((1, horizon, engine.draws_per_stage))
-    states, reveals, _, _ = engine._states_and_coins(draws, cum_rows(sc.initial_prior()), sc.reveal_rate)
+    draws = replication_rng(sc.seed, 0).random((1, horizon, 3))
+    states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.initial_prior()),
+                                              sc.reveal_rate, 0.0)
     return states[0], reveals[0]
 
 
@@ -608,15 +615,14 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
     totals = np.empty(samples)
-    for i, (payoffs, _) in enumerate(_lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)):
+    for i, (payoffs, _) in enumerate(_lanes(engine, sc.reveal_rate, streams, samples, horizon)):
         totals[i] = weights @ payoffs
     return _summary(totals, np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     **engine.counters())
 
 
-def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy,
-                             samples: int | None = None, seed: int | None = None) -> EstimateResult:
+def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> EstimateResult:
     """Expected undiscounted payoff of a geometric-duration no-revelation game from the scenario's prior.
 
     Each replication first draws the duration W (geometric with mean
@@ -626,15 +632,15 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy,
     duration and then the replications whose durations have the same bit
     length (within a factor of 2) play together, all on one engine, for the
     longest of their durations. A replication's total sums its own first W
-    stages, which the stages played past W do not change.
+    stages, which the stages played past W do not change. Runs the scenario's samples on its seed.
     """
     if not 0.0 < rate <= 1.0:
         raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
-    samples, streams = _replications(sc, samples, seed)
+    samples, streams = _replications(sc, None, None)
     engine = _Engine(sc, strat)
     totals = np.empty(samples)
     for first in range(0, samples, _DURATION_BATCH):
-        rngs = list(islice(streams, _DURATION_BATCH))
+        rngs = list(itertools.islice(streams, _DURATION_BATCH))
         durations = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
         # durations of one bit length share a play, so a batch walks about twice its longest
         # duration in steps rather than the sum of its distinct durations
@@ -642,7 +648,7 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy,
         for band in np.unique(bands).tolist():
             lanes = np.flatnonzero(bands == band)
             w = durations[lanes]
-            rows = _lanes(engine, sc.initial_prior(), 0.0, [rngs[j] for j in lanes], int(w.max()))
+            rows = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, int(w.max()))
             totals[first + lanes] = [payoffs[:n].sum() for (payoffs, _), n in zip(rows, w.tolist())]
     return _summary(totals, np.arange(samples), **engine.counters())
 
@@ -664,7 +670,7 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     values = []
     rep_ids = []
     rejected = 0
-    for i, (payoffs, reveals) in enumerate(_lanes(engine, sc.initial_prior(), sc.reveal_rate, streams, horizon)):
+    for i, (payoffs, reveals) in enumerate(_lanes(engine, sc.reveal_rate, streams, samples, horizon)):
         stats = renewal_stats(reveals)
         if stats.revelations < 2:
             rejected += 1

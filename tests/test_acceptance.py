@@ -212,10 +212,10 @@ def test_criterion_08_random_duration_identity(scenario, cache):
     ok = True
     details = []
     for payoff, rate in itertools.product(PAYOFFS, (0.3, 0.5)):
-        sc = scenario(payoff, discount=0.9, reveal_rate=rate, prior=MID)
+        sc = scenario(payoff, discount=0.9, reveal_rate=rate, prior=MID, samples=10_000)
         inner = cache(payoff, 1.0 - rate, 0.0, "no_reveal")
         strat = strategy_policy(inner.target)
-        est = random_duration_value_mc(sc, rate, strat, samples=10_000)
+        est = random_duration_value_mc(sc, rate, strat)
         target = interpolate(inner.value, MID) / rate
         err = abs(est.mean - target)
         bound = 3.0 * est.std_error + 1e-2

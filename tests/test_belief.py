@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persuasionlab
 from persuasionlab import (
     GridFn,
-    Split,
     bayes_posterior,
     interpolate,
     kernel_from_split,
@@ -16,6 +16,7 @@ from persuasionlab import (
     validate_belief,
     validate_split,
 )
+from persuasionlab import belief
 from persuasionlab.belief import bayes_update
 from persuasionlab.errors import (
     BadWeights,
@@ -203,37 +204,47 @@ def test_interpolate_equals_the_interpolation_operator(k, resolution):
 
 
 def test_split_mean_and_size():
-    split = Split(posteriors=np.array([[2 / 3, 1 / 3], [0.25, 0.75]]),
-                  weights=np.array([0.6, 0.4]))
-    assert split.size == 2
-    assert split.mean() == pytest.approx(PRIOR, abs=1e-12)
-    validate_split(PRIOR, split)
+    posteriors, weights = np.array([[2 / 3, 1 / 3], [0.25, 0.75]]), np.array([0.6, 0.4])
+    assert weights.size == 2
+    assert weights @ posteriors == pytest.approx(PRIOR, abs=1e-12)
+    validate_split(PRIOR, posteriors, weights)
+
+
+def test_a_split_is_two_arrays():
+    # the split helpers pass (posteriors, weights), so a kernel's split feeds kernel_from_split as is
+    assert not hasattr(persuasionlab, "Split") and not hasattr(belief, "Split")
+    posteriors, weights = split_from_kernel(PRIOR, KERNEL)
+    assert type(posteriors) is np.ndarray and type(weights) is np.ndarray
+    assert posteriors.shape == (2, 2) and weights.shape == (2,)
+    assert np.allclose(kernel_from_split(PRIOR, *split_from_kernel(PRIOR, KERNEL)), KERNEL, rtol=0.0, atol=1e-12)
+    # one atom may come as a 1-d posterior, and weights in any shape
+    validate_split(PRIOR, PRIOR, [[1.0]])
+    assert np.array_equal(kernel_from_split(PRIOR, PRIOR, [[1.0]]), [[1.0], [1.0]])
 
 
 def test_validate_split_rejections():
-    good = Split(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
-    validate_split(PRIOR, good)
+    good = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])
+    validate_split(PRIOR, *good)
     with pytest.raises(NotBayesPlausible):
-        validate_split([0.6, 0.4], good)
+        validate_split([0.6, 0.4], *good)
     with pytest.raises(BadWeights):
-        validate_split(PRIOR, Split(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                    np.array([0.7, 0.4])))
+        validate_split(PRIOR, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.7, 0.4]))
     with pytest.raises(DimensionMismatch):
-        validate_split(PRIOR, Split(np.array([[1.0, 0.0, 0.0]]), np.array([1.0])))
+        validate_split(PRIOR, np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
 
 
 def test_split_from_kernel_worked_example():
-    split = split_from_kernel(PRIOR, KERNEL)
-    assert split.weights == pytest.approx([0.6, 0.4], abs=1e-12)
-    assert split.posteriors[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
-    assert split.posteriors[1] == pytest.approx([0.25, 0.75], abs=1e-12)
+    posteriors, weights = split_from_kernel(PRIOR, KERNEL)
+    assert weights == pytest.approx([0.6, 0.4], abs=1e-12)
+    assert posteriors[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+    assert posteriors[1] == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
 def test_split_from_kernel_drops_dead_signals():
     kernel = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    split = split_from_kernel(PRIOR, kernel)
-    assert split.size == 1
-    assert split.posteriors[0] == pytest.approx(PRIOR)
+    posteriors, weights = split_from_kernel(PRIOR, kernel)
+    assert weights.size == 1
+    assert posteriors[0] == pytest.approx(PRIOR)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -246,26 +257,25 @@ def test_split_from_kernel_rejects_a_nan_entry(k):
 
 
 def test_kernel_from_split_roundtrip():
-    split = split_from_kernel(PRIOR, KERNEL)
-    kernel = kernel_from_split(PRIOR, split)
-    back = split_from_kernel(PRIOR, kernel)
-    assert back.weights == pytest.approx(split.weights, abs=1e-9)
-    assert np.allclose(back.posteriors, split.posteriors, atol=1e-9)
+    posteriors, weights = split_from_kernel(PRIOR, KERNEL)
+    kernel = kernel_from_split(PRIOR, posteriors, weights)
+    back_posteriors, back_weights = split_from_kernel(PRIOR, kernel)
+    assert back_weights == pytest.approx(weights, abs=1e-9)
+    assert np.allclose(back_posteriors, posteriors, atol=1e-9)
 
 
 def test_kernel_from_split_zero_mass_state():
     # a state with prior zero gets a uniform row, and it never matters
     p = np.array([1.0, 0.0])
-    split = Split(np.array([[1.0, 0.0]]), np.array([1.0]))
-    kernel = kernel_from_split(p, split)
+    kernel = kernel_from_split(p, np.array([[1.0, 0.0]]), np.array([1.0]))
     assert kernel.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_kernel_from_split_zero_mass_row_skips_zero_weight_atoms():
     # the zero-mass row is uniform over the atoms that carry weight
     p = np.array([0.5, 0.5, 0.0])
-    split = Split(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]), np.array([0.5, 0.5, 0.0]))
-    kernel = kernel_from_split(p, split)
+    kernel = kernel_from_split(p, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]),
+                               np.array([0.5, 0.5, 0.0]))
     assert np.array_equal(kernel[2], [0.5, 0.5, 0.0])
     assert np.array_equal(kernel[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -274,8 +284,8 @@ def test_kernel_from_split_row_of_an_uncovered_state_is_uniform():
     # a positive prior within the barycenter tolerance of 0 that no atom covers: the row is
     # uniform over the atoms that carry weight, not 0 / 0
     p = np.array([0.5 - 5e-14, 0.5 - 5e-14, 1e-13])
-    split = Split(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.5, 0.5]))
-    assert np.array_equal(kernel_from_split(p, split), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    split = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0.5, 0.5])
+    assert np.array_equal(kernel_from_split(p, *split), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
 
 def test_bayes_update_gives_the_prior_after_a_dead_signal():
@@ -283,18 +293,17 @@ def test_bayes_update_gives_the_prior_after_a_dead_signal():
     alphas, posteriors = bayes_update(PRIOR, kernel)
     assert np.array_equal(alphas, PRIOR @ kernel)
     assert np.array_equal(posteriors[2], PRIOR)
-    split = split_from_kernel(PRIOR, kernel)
-    assert np.array_equal(split.weights, alphas[:2])
-    assert np.array_equal(split.posteriors, posteriors[:2])
+    split_posteriors, split_weights = split_from_kernel(PRIOR, kernel)
+    assert np.array_equal(split_weights, alphas[:2])
+    assert np.array_equal(split_posteriors, posteriors[:2])
     for s in range(2):
         alpha, post = bayes_posterior(PRIOR, kernel, s)
         assert alpha == alphas[s] and np.array_equal(post, posteriors[s])
 
 
 def test_kernel_from_split_rejects_wrong_barycenter():
-    split = Split(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
     with pytest.raises(InvalidSplit):
-        kernel_from_split([0.9, 0.1], split)
+        kernel_from_split([0.9, 0.1], np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
 
 
 def test_bayes_posterior_matches_split():
@@ -310,9 +319,9 @@ def test_bayes_posterior_matches_split():
 def test_posterior_martingale(p, raw):
     kernel = np.array(raw).reshape(3, 3)
     kernel /= kernel.sum(axis=1, keepdims=True)
-    split = split_from_kernel(p, kernel)
-    validate_split(p, split)
-    assert split.mean() == pytest.approx(p, abs=1e-9)
+    posteriors, weights = split_from_kernel(p, kernel)
+    validate_split(p, posteriors, weights)
+    assert weights @ posteriors == pytest.approx(p, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,11 +329,11 @@ def test_posterior_martingale(p, raw):
 def test_kernel_split_kernel_roundtrip(p, raw):
     kernel = np.array(raw).reshape(3, 4)
     kernel /= kernel.sum(axis=1, keepdims=True)
-    split = split_from_kernel(p, kernel)
-    rebuilt = kernel_from_split(p, split)
-    again = split_from_kernel(p, rebuilt)
-    assert again.weights == pytest.approx(split.weights, abs=1e-9)
-    assert np.allclose(again.posteriors, split.posteriors, atol=1e-8)
+    posteriors, weights = split_from_kernel(p, kernel)
+    rebuilt = kernel_from_split(p, posteriors, weights)
+    again_posteriors, again_weights = split_from_kernel(p, rebuilt)
+    assert again_weights == pytest.approx(weights, abs=1e-9)
+    assert np.allclose(again_posteriors, posteriors, atol=1e-8)
 
 
 def test_gridfn_validates_shape(grid2):

@@ -385,12 +385,12 @@ def test_the_signal_alphabet_is_no_input(tmp_path, capsys, name):
 def no_info_reference(sc, p, solved):
     """Revealing nothing is optimal at p, checked one belief at a time from two envelope splits."""
     lam, x = sc.discount, sc.reveal_rate
-    cav_at_p, _ = cav_split_at(sc.u, p)
+    cav_at_p, _, _ = cav_split_at(sc.u, p)
     u_at_p = interpolate(sc.u, p)
     assert abs(u_at_p - cav_at_p) <= 1e-9
     carried = interpolate(solved.value, sc.grid.points @ sc.chain.M)
     g = GridFn(sc.grid, (1.0 - lam) * sc.u.values + lam * (1.0 - x) * carried)
-    best, _ = cav_split_at(g, p)
+    best, _, _ = cav_split_at(g, p)
     degenerate = (1.0 - lam) * u_at_p + lam * (1.0 - x) * interpolate(solved.value, np.asarray(p) @ sc.chain.M)
     return degenerate >= best - 2.0 * sc.tol
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import (GridFn, Split, belief, cav_grid, cav_split_at, cav_splits, cav_values, envelope,
+from persuasionlab import (GridFn, belief, cav_grid, cav_split_at, cav_splits, cav_values, envelope,
                           interpolate, make_grid, validate_split)
 from persuasionlab.belief import BeliefGrid
 from persuasionlab.errors import SingularSystem
@@ -121,11 +121,11 @@ def test_generators_reconstruct_envelope(k, resolution):
         # positive weights come first, padding (atom -1) after
         assert not np.any(weights[i, : keep.sum()] == 0.0)
         assert np.all(atoms[i, keep.sum() :] == -1)
-        split = Split(grid.points[atoms[i, keep]], weights[i, keep])
-        assert split.size <= k
-        validate_split(grid.points[i], split)
-        support = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
-        rebuilt = float(split.weights @ f.values[support])
+        posteriors, split_weights = grid.points[atoms[i, keep]], weights[i, keep]
+        assert split_weights.size <= k
+        validate_split(grid.points[i], posteriors, split_weights)
+        support = [grid.index_of(np.rint(post * resolution).astype(int)) for post in posteriors]
+        rebuilt = float(split_weights @ f.values[support])
         assert rebuilt == pytest.approx(values[i], abs=1e-9)
 
 
@@ -143,10 +143,10 @@ def test_split_at_off_grid_points(k, resolution, seed):
     rng = np.random.default_rng(seed + 1)
     for _ in range(25 if k == 2 else 8):
         q = rng.dirichlet(np.ones(k))
-        value, split = cav_split_at(f, q)
-        validate_split(q, split)
-        atoms = [grid.index_of(np.rint(post * resolution).astype(int)) for post in split.posteriors]
-        assert float(split.weights @ f.values[atoms]) == pytest.approx(value, abs=1e-9)
+        value, posteriors, weights = cav_split_at(f, q)
+        validate_split(q, posteriors, weights)
+        atoms = [grid.index_of(np.rint(post * resolution).astype(int)) for post in posteriors]
+        assert float(weights @ f.values[atoms]) == pytest.approx(value, abs=1e-9)
         if k == 2:
             # the envelope is affine between grid points, so interpolation is exact
             j = np.searchsorted(grid.points[:, 0], q[0])
@@ -166,10 +166,10 @@ def test_split_on_a_linear_stretch_uses_the_hull_edge():
     _, atoms, weights = cav_splits(f, grid.points)
     assert atoms[1].tolist() == [0, 10]
     assert weights[1] == pytest.approx([0.9, 0.1], abs=1e-15)
-    value, split = cav_split_at(f, [0.15, 0.85])
+    value, posteriors, split_weights = cav_split_at(f, [0.15, 0.85])
     assert value == pytest.approx(0.15, abs=1e-15)
-    assert sorted(split.posteriors[:, 0].tolist()) == [0.0, 1.0]
-    validate_split([0.15, 0.85], split)
+    assert sorted(posteriors[:, 0].tolist()) == [0.0, 1.0]
+    validate_split([0.15, 0.85], posteriors, split_weights)
 
 
 def test_facet_planes_are_read_within_the_budget(monkeypatch):
@@ -194,12 +194,12 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
 
 
 def test_split_at_grid_point_agrees(grid2, parabola):
-    value, split = cav_split_at(parabola, [0.5, 0.5])
+    value, posteriors, weights = cav_split_at(parabola, [0.5, 0.5])
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert split.size == 2
-    validate_split([0.5, 0.5], split)
+    assert weights.size == 2
+    validate_split([0.5, 0.5], posteriors, weights)
     # the only way to reach 1 from the middle is the two endpoints
-    assert sorted(split.posteriors[:, 1].tolist()) == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert sorted(posteriors[:, 1].tolist()) == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_constant_function():
@@ -212,9 +212,9 @@ def test_single_point_grid():
     grid = make_grid(1, 5)
     f = GridFn(grid, np.array([0.3]))
     assert cav_values(f) == pytest.approx([0.3])
-    value, split = cav_split_at(f, [1.0])
+    value, _, weights = cav_split_at(f, [1.0])
     assert value == pytest.approx(0.3)
-    assert split.size == 1
+    assert weights.size == 1
 
 
 def scalar_upper_hull(s, v):
@@ -353,11 +353,12 @@ def test_batched_splits_match_the_per_point_loop(f):
     assert np.array_equal(atoms, want_atoms)
     assert np.array_equal(weights, want_weights)
     for i in range(f.grid.n):
-        value, split = cav_split_at(f, f.grid.points[i])
+        value, split_posteriors, split_weights = cav_split_at(f, f.grid.points[i])
+        m = split_weights.size
         assert value == values[i]
-        assert np.array_equal(split.posteriors, f.grid.points[atoms[i, : split.size]])
-        assert np.array_equal(split.weights, weights[i, : split.size])
-        assert not np.any(weights[i, split.size :])
+        assert np.array_equal(split_posteriors, f.grid.points[atoms[i, :m]])
+        assert np.array_equal(split_weights, weights[i, :m])
+        assert not np.any(weights[i, m:])
 
 
 def test_batched_splits_are_read_within_the_budget(monkeypatch):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from persuasionlab import (
     GridFn,
     PayoffDiscontinuityWarning,
     Scenario,
-    Split,
     Strategy,
     cav_split_at,
     cav_splits,
@@ -361,15 +361,15 @@ def test_discounted_estimate_tracks_solver_value(scenario):
 def test_random_duration_constant_payoff(chain2, grid2):
     # total payoff is 0.5 * W with W geometric, so the mean is 0.5 / rate
     u = GridFn(grid2, np.full(grid2.n, 0.5))
-    sc = Scenario(chain=chain2, u=u, discount=0.9, reveal_rate=0.5, seed=2)
-    res = random_duration_value_mc(sc, 0.5, strategy_null(sc), samples=4000)
+    sc = Scenario(chain=chain2, u=u, discount=0.9, reveal_rate=0.5, seed=2, samples=4000)
+    res = random_duration_value_mc(sc, 0.5, strategy_null(sc))
     assert abs(res.mean - 1.0) <= 4.0 * res.std_error
     assert res.std_error > 0.0
 
 
 def test_random_duration_rate_one_is_one_stage(scenario):
-    sc = replace(scenario("tent", reveal_rate=0.5), prior=[0.3, 0.7])
-    res = random_duration_value_mc(sc, 1.0, strategy_null(sc), samples=30)
+    sc = replace(scenario("tent", reveal_rate=0.5), prior=[0.3, 0.7], samples=30)
+    res = random_duration_value_mc(sc, 1.0, strategy_null(sc))
     assert res.mean == pytest.approx(interpolate(sc.u, [0.3, 0.7]), abs=1e-12)
     assert res.std_error <= 1e-12
 
@@ -377,7 +377,7 @@ def test_random_duration_rate_one_is_one_stage(scenario):
 def test_random_duration_rate_guard(scenario):
     sc = scenario("tent")
     with pytest.raises(RateBoundary):
-        random_duration_value_mc(sc, 0.0, strategy_null(sc), samples=2)
+        random_duration_value_mc(replace(sc, samples=2), 0.0, strategy_null(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +484,12 @@ def test_policy_kernels_match_kernel_from_split(name):
     assert engine.cum.shape[1:] == (sc.chain.k, sc.chain.k)
     for i in range(sc.grid.n):
         keep = weights[i] > 0.0
-        split = Split(points[atoms[i, keep]], weights[i, keep])
-        want = kernel_oracle(points[i], split.posteriors, split.weights, sc.chain.k)
+        posteriors, split_weights = points[atoms[i, keep]], weights[i, keep]
+        m = split_weights.size
+        want = kernel_oracle(points[i], posteriors, split_weights, sc.chain.k)
         assert np.array_equal(engine.cum[ids[i]], cum_rows(want))
-        assert np.array_equal(engine.post[ids[i], : split.size], split.posteriors)
-        assert np.array_equal(kernel_from_split(points[i], split), want[:, : split.size])
+        assert np.array_equal(engine.post[ids[i], :m], posteriors)
+        assert np.array_equal(kernel_from_split(points[i], posteriors, split_weights), want[:, :m])
 
 
 @pytest.mark.parametrize("name", ["receiver", "cycle3"])
@@ -573,9 +574,9 @@ class _ScalarEngine:
                 kernel = self.strat.kernel
             else:
                 # one belief at a time, through the single-belief split and kernel
-                _, split = cav_split_at(self.strat.target, belief)
-                kernel, atoms = np.zeros((self.sc.chain.k, self.sc.chain.k)), split.posteriors
-                kernel[:, : split.size] = kernel_from_split(belief, split)
+                _, atoms, weights = cav_split_at(self.strat.target, belief)
+                kernel = np.zeros((self.sc.chain.k, self.sc.chain.k))
+                kernel[:, : weights.size] = kernel_from_split(belief, atoms, weights)
             node = self.nodes[key] = _Node(self.sc, belief, kernel, silent, atoms)
         return node
 
@@ -698,7 +699,7 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     for got, want in zip((est.values, est.rep_ids), reference_renewal(sc, strat, horizon, samples, seed)):
         assert_bit_equal(got, want)
 
-    est = random_duration_value_mc(sc, 0.3, strat, samples=samples, seed=seed)
+    est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), 0.3, strat)
     for got, want in zip((est.values, est.rep_ids), reference_duration(sc, 0.3, strat, samples, seed)):
         assert_bit_equal(got, want)
 
@@ -719,7 +720,8 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * 3 + 60))
     chunks = []
     play = _Engine.play
-    monkeypatch.setattr(_Engine, "play", lambda self, *args, **kw: chunks.append(len(args[2])) or play(self, *args, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: chunks.append(len(draws))
+                        or play(self, prior, rate, draws, **kw))
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
     assert chunks == [3, 3, 3]
@@ -734,13 +736,13 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     for rate, budget in ((0.2, 3 * horizon * (8 * 3 + 60)), (1.0, 3 * (8 * 3 + 60))):
         monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
         chunks.clear()
-        est = random_duration_value_mc(sc, rate, strat, samples=samples, seed=seed)
+        est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), rate, strat)
         assert len(chunks) > 1 and sum(chunks) == samples
         replays = []
         for i in range(samples):
             rng = definition_rng(seed, i)
             w = int(rng.geometric(rate))
-            replays.append(play(_Engine(sc, strat), p, 0.0, [rng], w).stage_payoffs[0].sum())
+            replays.append(play(_Engine(sc, strat), p, 0.0, rng.random((1, w, 3))).stage_payoffs[0].sum())
         assert_bit_equal(est.values, np.array(replays))
     assert chunks == [3, 3, 3]
 
@@ -775,7 +777,7 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
         reps = [i for i, hi in enumerate(horizons) if hi == h]
         plays.clear()
         rngs = [replication_rng(seed, i) for i in reps]
-        lanes = list(sim._lanes(engine, sc.initial_prior(), sc.reveal_rate, rngs, h))
+        lanes = list(sim._lanes(engine, sc.reveal_rate, rngs, len(rngs), h))
         assert len(lanes) == len(reps) and (budget is not None or len(plays) == 1)
         fields = [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
                                                             t.stage_payoffs) for t in plays))]
@@ -869,6 +871,20 @@ def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
     states, reveals = state_reveal_path(sc, horizon)
     assert_bit_equal(states, trace.states)
     assert_bit_equal(reveals, trace.reveals)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_state_reveal_path_builds_no_engine(name, monkeypatch):
+    # states and coins depend only on the uniforms, so no strategy's nodes are built for them
+    sc = bundled(name)
+    want = state_reveal_path(sc, 50)
+
+    def refuse(self, *args):
+        raise AssertionError("state_reveal_path built an engine")
+
+    monkeypatch.setattr(_Engine, "__init__", refuse)
+    for got, w in zip(state_reveal_path(sc, 50), want):
+        assert_bit_equal(got, w)
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -984,7 +1000,7 @@ def test_policy_nodes_are_the_grid_images(name, seed):
 ESTIMATORS = {
     "discounted": lambda sc, strat, m, seed: estimate_discounted(sc, strat, samples=m, seed=seed, horizon=25),
     "renewal": lambda sc, strat, m, seed: estimate_renewal_average(sc, strat, 25, samples=m, seed=seed),
-    "duration": lambda sc, strat, m, seed: random_duration_value_mc(sc, 0.4, strat, samples=m, seed=seed),
+    "duration": lambda sc, strat, m, seed: random_duration_value_mc(replace(sc, samples=m, seed=seed), 0.4, strat),
 }
 
 
@@ -1019,8 +1035,8 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
     # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
-    # no play holds more lanes than a block although _PLAY_BYTES alone would allow hundreds, and
-    # the values equal those of an estimate whose 20 streams are one block
+    # and the values equal those of an estimate whose 20 streams are one block; a random-duration
+    # play holds no more lanes than its batch of 8, whose generators it keeps
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
     want = run(sc, strat, 20, 9)
@@ -1033,10 +1049,13 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
 
     monkeypatch.setattr(sim, "_DURATION_BATCH", 8)
     monkeypatch.setattr(sim, "_seed_states", recording)
-    monkeypatch.setattr(_Engine, "play", lambda self, *args, **kw: chunks.append(len(args[2])) or play(self, *args, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: chunks.append(draws.shape[0])
+                        or play(self, prior, rate, draws, **kw))
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
-    assert sum(chunks) == 20 and max(chunks) <= 8
+    assert sum(chunks) == 20
+    if estimator == "duration":
+        assert max(chunks) <= 8
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)
 
@@ -1053,22 +1072,55 @@ class CountingRng:
 
 
 def test_each_lane_draws_its_uniforms_in_one_call(strategies, monkeypatch):
-    # 300 lanes of tent's default 153-stage horizon play as one chunk, and each lane's generator
+    # 300 lanes of tent's default 153-stage horizon play in two chunks, and each lane's generator
     # is asked for all its uniforms at once
     sc, made = strategies["tent"]
     strat = made["optimal"]
     want = estimate_discounted(sc, strat, samples=300, seed=1)
-    counted, play = [], _Engine.play
+    counted, plays, replications, play = [], [], sim._replications, _Engine.play
 
-    def counting(self, prior, rate, rngs, *args, **kw):
-        rngs = [CountingRng(rng) for rng in rngs]
-        counted.extend(rngs)
-        return play(self, prior, rate, rngs, *args, **kw)
+    def counting(*args):
+        samples, streams = replications(*args)
+        return samples, (counted.append(CountingRng(rng)) or counted[-1] for rng in streams)
 
-    monkeypatch.setattr(_Engine, "play", counting)
+    monkeypatch.setattr(sim, "_replications", counting)
+    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: plays.append(draws.shape)
+                        or play(self, prior, rate, draws, **kw))
     got = estimate_discounted(sc, strat, samples=300, seed=1)
     assert got.horizon == discount_horizon(sc) == 153
+    assert plays == [(163, 153, 3), (137, 153, 3)]  # 2 MiB // (153 * 84 B) = 163 lanes a chunk
     assert [rng.calls for rng in counted] == [1] * 300
+    assert_bit_equal(got.values, want.values)
+
+
+class WeakGenerator(np.random.Generator):
+    """A generator that takes weak references (numpy's own does not)."""
+
+
+@pytest.mark.parametrize("estimator", ["discounted", "renewal"])
+def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch):
+    # each lane's generator fills its row of uniforms and is dropped before the play, so across
+    # several chunks of a few lanes no replication generator outlives the build of its chunk
+    sc, made = strategies["cycle3"]
+    run, strat = ESTIMATORS[estimator], made["couple"]
+    want = run(sc, strat, 20, 4)
+    made_rngs, alive, generator, play = [], [], sim._generator, _Engine.play
+
+    def tracked(state):
+        rng = WeakGenerator(generator(state).bit_generator)
+        made_rngs.append(weakref.ref(rng))
+        return rng
+
+    def playing(self, *args, **kw):
+        alive.append(sum(ref() is not None for ref in made_rngs))
+        return play(self, *args, **kw)
+
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * 25 * (8 * 4 + 60))
+    monkeypatch.setattr(sim, "_generator", tracked)
+    monkeypatch.setattr(_Engine, "play", playing)
+    got = run(sc, strat, 20, 4)
+    assert len(made_rngs) == 20 and len(alive) == 4
+    assert alive == [0, 0, 0, 0]
     assert_bit_equal(got.values, want.values)
 
 
@@ -1081,8 +1133,8 @@ def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, m
     want = run(sc, strat, 40, 3)
     plays, play = [], _Engine.play
     monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
-    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, rngs, horizon, **kw: plays.append(
-        (len(rngs), horizon * (8 * self.draws_per_stage + 60))) or play(self, prior, rate, rngs, horizon, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: plays.append(
+        (draws.shape[0], draws.shape[1] * (8 * self.draws_per_stage + 60))) or play(self, prior, rate, draws, **kw))
     got = run(sc, strat, 40, 3)
     assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
     assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from persuasionlab import (
     GridFn,
     Scenario,
-    Split,
     asymptotic_value,
     bellman_no_reveal,
     bellman_reveal,
@@ -283,9 +282,8 @@ def test_policy_splits_are_plausible(scenario):
     assert atoms.shape == weights.shape == (sc.grid.n, 2)
     for i in range(0, sc.grid.n, 17):
         keep = weights[i] > 0.0
-        split = Split(sc.grid.points[atoms[i, keep]], weights[i, keep])
-        validate_split(sc.grid.points[i], split)
-        assert split.size <= 2
+        validate_split(sc.grid.points[i], sc.grid.points[atoms[i, keep]], weights[i, keep])
+        assert keep.sum() <= 2
 
 
 def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):

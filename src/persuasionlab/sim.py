@@ -191,8 +191,8 @@ class EstimateResult:
     keep only the accepted ones). nodes is the engine's final node-table
     size, cache_clears the number of walk steps at which the table hit its
     cap, steps the lock-step walk iterations over all chunks, and fills the
-    batches of nodes built (the k row nodes' and each play's start node
-    included).
+    batches of nodes built: the first holds the k row nodes and the start
+    node at the scenario's prior, and each clear builds them again in one.
     """
 
     mean: float
@@ -259,7 +259,12 @@ def strategy_full(sc: Scenario) -> Strategy:
 
 
 def strategy_policy(target: GridFn) -> Strategy:
-    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals."""
+    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals.
+
+    Its posteriors are grid points of target's grid, which may differ from the
+    scenario's: the engine reads their payoffs off the scenario's payoff
+    interpolated once at each of those points.
+    """
     return Strategy(target=target)
 
 
@@ -340,9 +345,12 @@ class _Engine:
     the cumulative kernel row of each state (ending in +inf) and, per
     signal, the stage payoff and the posterior.
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
-    state's id is its node; other nodes are appended when first reached,
-    and a non-revealing stage follows the successor of (node, signal),
-    filled once.
+    state's id is its node; every play starts at the start node, the
+    scenario's prior, built in the same first fill (`_reset`).
+    Other nodes are appended when first reached, and a non-revealing stage
+    follows the successor of (node, signal), filled once. A policy's
+    posteriors are grid points, so its payoffs come from `atom_pay`, the
+    scenario's payoff at each point of the target's grid.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -361,11 +369,18 @@ class _Engine:
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
         if (strat.kernel is None) == (strat.target is None):
             raise InvalidSplit("a strategy needs exactly one of a kernel and a target")
+        if strat.target is not None and not isinstance(strat.target, GridFn):
+            raise InvalidSplit(f"a policy's target must be a GridFn, got {type(strat.target).__name__}")
+        if not 0.0 <= strat.aux_prob <= 1.0:  # written so that a NaN fails
+            raise BadRates(f"aux_prob must lie in [0, 1], got {strat.aux_prob}")
         self.sc = sc
         self.strat = strat
         self.width = sc.chain.k if strat.kernel is None else validate_kernel(strat.kernel, sc.chain.k).shape[1]
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
+        self.prior = np.ascontiguousarray(validate_belief(sc.initial_prior(), sc.chain.k))
+        # a policy's posteriors are grid points of its target, so their payoffs are read off these
+        self.atom_pay = None if strat.target is None else interpolate(sc.u, strat.target.grid.points)
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
         self.silent_kernel = np.zeros((sc.chain.k, self.width))
         self.silent_kernel[:, 0] = 1.0
@@ -377,13 +392,20 @@ class _Engine:
         return dict(nodes=self.size, cache_clears=self.clears, steps=self.steps, fills=self.fills)
 
     def _reset(self) -> None:
-        rows = self.sc.chain.M
+        """Empties the table, then builds the k row nodes (ids 0..k-1) and the start node in one fill."""
+        rows, k = self.sc.chain.M, self.sc.chain.k
         self.index: dict[tuple, int] = {}
-        self.size = 0
-        self._allocate(64)
-        self._build(np.zeros(len(rows), dtype=bool), rows)
         for state, row in enumerate(rows):
             self.index.setdefault((False, row.tobytes()), state)
+        silent, beliefs = np.zeros(k, dtype=bool), rows
+        key = (self.strat.silent, self.prior.tobytes())
+        self.start = self.index.get(key, k)  # a start node equal to a row node is that row node
+        if self.start == k:
+            self.index[key] = k
+            silent, beliefs = np.append(silent, self.strat.silent), np.vstack([rows, self.prior])
+        self.size = 0
+        self._allocate(64)
+        self._build(silent, beliefs)
 
     def _allocate(self, capacity: int) -> None:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
@@ -412,45 +434,63 @@ class _Engine:
         return ids
 
     def _build(self, silent: np.ndarray, beliefs: np.ndarray) -> None:
+        """Appends the nodes of (silent, belief) pairs, all in one fill.
+
+        Silent nodes and every node of a kernel strategy take their posteriors
+        from `bayes_update` and their payoffs from `interpolate`. A policy's
+        live node splits at its belief (`cav_splits`); the atoms are its
+        posteriors, grid points whose payoffs are read off `atom_pay`,
+        and only an empty slot (atom -1, never drawn) keeps the belief itself
+        and interpolates the payoff there.
+        """
         start, stop = self.size, self.size + len(beliefs)
         if stop > len(self.silent):
             self._allocate(max(stop, 2 * len(self.silent)))
-        live, target, k = np.flatnonzero(~silent), self.strat.target, self.sc.chain.k
+        target, k, width = self.strat.target, self.sc.chain.k, self.width
         fixed = self.strat.kernel if target is None else self.silent_kernel  # a policy's splits come below
         kernels = np.where(silent[:, None, None], self.silent_kernel, fixed)
-        _, posteriors = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
-        if target is not None and live.size:
-            _, atoms, weights = cav_splits(target, beliefs[live])
-            kernels[live, :, :k] = kernels_from_splits(beliefs[live], target.grid.points[atoms], weights)
+        post, pay = self.post[start:stop], self.pay[start:stop]  # views of the new nodes' rows
+        bayes = silent if target is not None else np.ones(len(beliefs), dtype=bool)
+        if bayes.any():
+            rows = np.flatnonzero(bayes)
+            _, post[rows] = bayes_update(beliefs[rows], kernels[rows])  # a zero-probability signal is never sampled
+            pay[rows] = interpolate(self.sc.u, post[rows].reshape(-1, k)).reshape(-1, width)
+        if not bayes.all():
+            rows = np.flatnonzero(~bayes)
+            _, atoms, weights = cav_splits(target, beliefs[rows])
+            points, empty = target.grid.points[atoms], atoms < 0
+            kernels[rows] = kernels_from_splits(beliefs[rows], points, weights)
             # the atoms are the posteriors, bit for bit, so every successor is a row of grid.points @ M
-            posteriors[live, :k] = np.where(atoms[..., None] >= 0, target.grid.points[atoms], beliefs[live, None])
+            post[rows] = np.where(empty[..., None], beliefs[rows, None], points)
+            pay[rows] = self.atom_pay[atoms]
+            gap = empty.any(axis=1)
+            if gap.any():
+                at = rows[gap]
+                pay[at] = np.where(empty[gap], interpolate(self.sc.u, beliefs[at])[:, None], pay[at])
         self.cum[start:stop] = cum_rows(kernels)
-        self.post[start:stop] = posteriors
-        self.pay[start:stop] = interpolate(self.sc.u, posteriors.reshape(-1, self.sc.chain.k)).reshape(-1, self.width)
         self.silent[start:stop] = silent
         self.belief[start:stop] = beliefs
         self.size = stop
         self.fills += 1
 
-    def play(self, prior: np.ndarray, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
+    def play(self, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
         """Play lane j on the uniforms draws[j], a (lanes, horizon, d) array, for horizon stages.
 
+        Every lane starts at the start node, the scenario's prior.
         Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
         revelation coins, plus states, signals and posteriors when trace is
         set (None otherwise).
         """
         k = self.sc.chain.k
-        belief = np.ascontiguousarray(validate_belief(prior, k))
-        start = self._intern(np.array([self.strat.silent]), belief[None])[0]
         lanes, horizon, d = draws.shape
-        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(belief), rate,
+        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.prior), rate,
                                                          self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
                        signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
                        reveals=reveals,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
-        segments = self._segments(reboot, states, start, hit if trace else None)
+        segments = self._segments(reboot, states, self.start, hit if trace else None)
         self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
 
@@ -540,12 +580,13 @@ def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[
 
 
 def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(stage payoffs, revelation coins) of a lane of horizon stages from the prior on each of lanes generators.
+    """(stage payoffs, revelation coins) of each chunk of lanes, (chunk lanes, horizon) arrays, one row per generator.
 
-    Lanes are played in chunks, one `_Engine.play` each. A chunk holds as
-    many lanes as fit _PLAY_BYTES over the whole horizon, at least one. A
-    lane's generator fills its row of uniforms as the chunk is built, and is
-    dropped then.
+    Every lane plays horizon stages from the scenario's prior on its own
+    generator of rngs (lanes of them). Lanes are played in chunks, one
+    `_Engine.play` each. A chunk holds as many lanes as fit _PLAY_BYTES over
+    the whole horizon, at least one. A lane's generator fills its row of
+    uniforms as the chunk is built, and is dropped then.
     """
     size = max(1, _PLAY_BYTES // (horizon * (8 * engine.draws_per_stage + 60)))
     rngs = iter(rngs)
@@ -554,8 +595,8 @@ def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iter
         for row, rng in zip(draws, rngs):  # draws first, so zip takes no generator past the last row
             rng.random(out=row)
         del rng  # the play holds no generator
-        play = engine.play(engine.sc.initial_prior(), rate, draws)
-        yield from zip(play.stage_payoffs, play.reveals)
+        play = engine.play(rate, draws)
+        yield play.stage_payoffs, play.reveals
 
 
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
@@ -570,7 +611,7 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     engine = _Engine(sc, strat)
     draws = replication_rng(sc.seed if seed is None else seed, rep).random((1, horizon, engine.draws_per_stage))
-    play = engine.play(sc.initial_prior(), sc.reveal_rate, draws, trace=True)
+    play = engine.play(sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
@@ -614,9 +655,9 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
     engine = _Engine(sc, strat)
-    totals = np.empty(samples)
-    for i, (payoffs, _) in enumerate(_lanes(engine, sc.reveal_rate, streams, samples, horizon)):
-        totals[i] = weights @ payoffs
+    # one stacked (1, horizon) @ (horizon, 1) product per lane rounds like weights @ payoffs[i]
+    totals = np.concatenate([np.matmul(payoffs[:, None, :], weights[:, None])[:, 0, 0]
+                             for payoffs, _ in _lanes(engine, sc.reveal_rate, streams, samples, horizon)])
     return _summary(totals, np.arange(samples), horizon=horizon,
                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
                     **engine.counters())
@@ -648,8 +689,9 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> Esti
         for band in np.unique(bands).tolist():
             lanes = np.flatnonzero(bands == band)
             w = durations[lanes]
-            rows = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, int(w.max()))
-            totals[first + lanes] = [payoffs[:n].sum() for (payoffs, _), n in zip(rows, w.tolist())]
+            chunks = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, int(w.max()))
+            rows = itertools.chain.from_iterable(payoffs for payoffs, _ in chunks)
+            totals[first + lanes] = [payoffs[:n].sum() for payoffs, n in zip(rows, w.tolist())]
     return _summary(totals, np.arange(samples), **engine.counters())
 
 
@@ -670,7 +712,8 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     values = []
     rep_ids = []
     rejected = 0
-    for i, (payoffs, reveals) in enumerate(_lanes(engine, sc.reveal_rate, streams, samples, horizon)):
+    chunks = _lanes(engine, sc.reveal_rate, streams, samples, horizon)
+    for i, (payoffs, reveals) in enumerate(itertools.chain.from_iterable(zip(*chunk) for chunk in chunks)):
         stats = renewal_stats(reveals)
         if stats.revelations < 2:
             rejected += 1

@@ -50,7 +50,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persuasionlab import sim
-from persuasionlab.belief import bayes_update, validate_belief
+from persuasionlab.belief import bayes_update, make_grid, validate_belief
 from persuasionlab.chain import cum_rows, scan_states
 from persuasionlab.sim import _Engine, discount_horizon, replication_rng, state_reveal_path
 
@@ -720,8 +720,8 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * 3 + 60))
     chunks = []
     play = _Engine.play
-    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: chunks.append(len(draws))
-                        or play(self, prior, rate, draws, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(len(draws))
+                        or play(self, rate, draws, **kw))
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
     assert chunks == [3, 3, 3]
@@ -732,7 +732,6 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     # a lane draws its duration first and then plays that many stages without revelations,
     # as the one-lane engine does on the stream the contract defines; at rate 1 every duration
     # is 1, so one duration group is split into chunks of three one-stage lanes
-    p = sc.initial_prior()
     for rate, budget in ((0.2, 3 * horizon * (8 * 3 + 60)), (1.0, 3 * (8 * 3 + 60))):
         monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
         chunks.clear()
@@ -742,7 +741,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
         for i in range(samples):
             rng = definition_rng(seed, i)
             w = int(rng.geometric(rate))
-            replays.append(play(_Engine(sc, strat), p, 0.0, rng.random((1, w, 3))).stage_payoffs[0].sum())
+            replays.append(play(_Engine(sc, strat), 0.0, rng.random((1, w, 3))).stage_payoffs[0].sum())
         assert_bit_equal(est.values, np.array(replays))
     assert chunks == [3, 3, 3]
 
@@ -777,8 +776,8 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
         reps = [i for i, hi in enumerate(horizons) if hi == h]
         plays.clear()
         rngs = [replication_rng(seed, i) for i in reps]
-        lanes = list(sim._lanes(engine, sc.reveal_rate, rngs, len(rngs), h))
-        assert len(lanes) == len(reps) and (budget is not None or len(plays) == 1)
+        chunks = list(sim._lanes(engine, sc.reveal_rate, rngs, len(rngs), h))
+        assert sum(len(payoffs) for payoffs, _ in chunks) == len(reps) and (budget is not None or len(plays) == 1)
         fields = [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
                                                             t.stage_payoffs) for t in plays))]
         for lane, i in enumerate(reps):
@@ -830,10 +829,28 @@ def test_the_engine_rejects_a_strategy_without_exactly_one_of_kernel_and_target(
 
 def test_the_last_stage_fills_no_successor(strategies):
     # at rate 0 the null strategy's belief moves on every one of these 30 stages (on tent it
-    # reaches a fixed point only later): the start node plus a successor for every stage but the last
+    # reaches a fixed point only later): one fill for the row nodes and the start node, then a
+    # successor for every stage but the last
     sc, made = strategies["tent"]
     est = estimate_discounted(replace(sc, reveal_rate=0.0), made["null"], samples=20, seed=1, horizon=30)
-    assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 30, 31, 30)
+    assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 30, 30, 30)
+
+
+def test_the_row_nodes_and_the_start_node_are_one_fill(strategies):
+    # one stage fills no successor, so a policy's whole estimate builds its nodes in one fill
+    sc, made = strategies["tent"]
+    est = estimate_discounted(sc, made["optimal"], samples=20, seed=1, horizon=1)
+    assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 1, 1, 1)
+
+
+# (nodes, fills) of 50 stages at rate 0, where a lane never reboots: the first fill holds the k row
+# nodes and the start node, and each later fill adds the successors that step first reaches. On
+# tent the null belief, and the silent renewal strategy's with it, moves on each of 30 stages before
+# it is a fixed point bit for bit (3 + 30 nodes); the optimal policy's lanes reach 5 more beliefs.
+# On cycle3 the doubly stochastic chain fixes the uniform prior, and the optimal policy there fully
+# discloses, so every successor is the start node or a row node.
+RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (33, 31),
+                ("cycle3", "null"): (4, 1), ("cycle3", "optimal"): (4, 1), ("cycle3", "renewal"): (4, 1)}
 
 
 @pytest.mark.parametrize("strategy", ["null", "optimal", "renewal"])
@@ -842,14 +859,14 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     sc, made = strategies[name]
     strat = made[strategy]
     # at rate 1 every segment is one stage long: one step per play, and no successor is filled,
-    # so the only node builds are the row nodes' and the start node's
+    # so the only node build is the one fill of the row nodes and the start node
     est = estimate_discounted(replace(sc, reveal_rate=1.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 1
-    assert est.fills == 2 and est.nodes == sc.chain.k + 1
+    assert est.fills == 1 and est.nodes == sc.chain.k + 1
     # at rate 0 a lane never reboots: one segment per lane, one step per stage
     est = estimate_discounted(replace(sc, reveal_rate=0.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 50
-    assert 1 < est.fills <= est.steps + 2
+    assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
 
 
 def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
@@ -906,12 +923,107 @@ def test_estimates_report_the_node_table(monkeypatch):
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
     assert (est.nodes, est.cache_clears) == (5, 0)
     # past the cap the table is cleared between walk steps, here before each of the 16 steps (the
-    # two row nodes and the start node reach the cap before the first step)
+    # first fill, the two row nodes and the start node, reaches the cap before the first step); a
+    # clear builds those three again, and the last step's one node in use makes four
     monkeypatch.setattr(_Engine, "_CACHE_CAP", 3)
     capped = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
-    assert (capped.nodes, capped.cache_clears) == (3, 16)
+    assert (capped.nodes, capped.cache_clears) == (4, 16)
     assert capped.steps == est.steps == 16
     assert_bit_equal(capped.values, est.values)
+
+
+@pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3", "kink3"])
+def test_interpolation_at_the_grid_points_reads_the_table_back(name):
+    # a policy on the scenario's lattice reads its posteriors' payoffs off u.values
+    sc = bundled(name)
+    assert interpolate(sc.u, sc.grid.points).tobytes() == sc.u.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 3), resolution=st.integers(1, 30), other=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-300, 1e300))
+def test_interpolation_at_grid_points_is_read_off_one_table(k, resolution, other, seed, scale):
+    # u's table comes back at its own lattice (about a third of it is +0.0 or -0.0, and interpolate
+    # reads -0.0 back as +0.0); and on u's lattice or another one, interpolating the whole grid once
+    # and indexing by atoms, as the engine does, equals interpolating at the atoms' points
+    grid = make_grid(k, resolution)
+    rng = np.random.default_rng(seed)
+    zeros = np.where(rng.random(grid.n) < 0.5, -0.0, 0.0)
+    u = GridFn(grid, np.where(rng.random(grid.n) < 0.3, zeros, scale * rng.standard_normal(grid.n)))
+    assert interpolate(u, grid.points).tobytes() == (u.values + 0.0).tobytes()
+    for points_of in (grid, make_grid(k, other)):
+        atoms = rng.integers(0, points_of.n, (7, k))
+        table = interpolate(u, points_of.points)
+        assert table[atoms].tobytes() == interpolate(u, points_of.points[atoms].reshape(-1, k)).reshape(7, k).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lanes=st.integers(1, 300), horizon=st.integers(1, 2000), lam=st.floats(0.0, 0.999),
+       seed=st.integers(0, 2**32 - 1))
+@example(lanes=300, horizon=1, lam=0.9, seed=0)
+@example(lanes=1, horizon=2, lam=0.5, seed=1)
+@example(lanes=300, horizon=153, lam=0.9, seed=2)
+def test_one_stacked_product_totals_a_chunk_like_each_lane_alone(lanes, horizon, lam, seed):
+    payoffs = np.random.default_rng(seed).random((lanes, horizon))
+    weights = (1.0 - lam) * lam ** np.arange(horizon)
+    totals = np.matmul(payoffs[:, None, :], weights[:, None])[:, 0, 0]
+    assert_bit_equal(totals, np.array([weights @ row for row in payoffs]))
+
+
+def test_a_policy_on_another_lattice_plays_its_own_grid_points(strategies):
+    # tent's target read onto R = 50 and played on the R = 200 scenario: its posteriors are R = 50
+    # points, whose payoffs are interpolated off the scenario's table once per engine
+    sc, made = strategies["tent"]
+    coarse = make_grid(2, 50)
+    strat = strategy_policy(GridFn(coarse, interpolate(made["optimal"].target, coarse.points)))
+    est = estimate_discounted(sc, strat, samples=40, seed=5, horizon=40)
+    assert_bit_equal(est.values, reference_discounted(sc, strat, 40, 5, 40)[0])
+    est = estimate_renewal_average(sc, strat, 40, samples=40, seed=5)
+    assert_bit_equal(est.values, reference_renewal(sc, strat, 40, 40, 5)[0])
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_fill_runs_bayes_only_on_silent_nodes_and_locates_only_empty_slots(name, strategies, monkeypatch):
+    # the silent renewal policy: a silent node's posteriors come from Bayes' rule and are
+    # interpolated; a live node's come from its split, and only an empty slot reads u at the belief
+    sc, made = strategies[name]
+    strat = made["renewal"]
+    engine = _Engine(sc, strat)
+    beliefs = np.vstack([sc.grid.points, sc.grid.points @ sc.chain.M])[::7]
+    silent = np.arange(len(beliefs)) % 2 == 0
+    fresh = [(flag, b.tobytes()) not in engine.index for flag, b in zip(silent.tolist(), beliefs)]
+    silent, beliefs = silent[fresh], beliefs[fresh]
+    calls = []  # (name, beliefs): bayes_update's priors, interpolate's queries
+    for fn, at in (("bayes_update", 0), ("interpolate", 1)):
+        monkeypatch.setattr(sim, fn, lambda *args, _fn=getattr(sim, fn), _name=fn, _at=at:
+                            calls.append((_name, args[_at])) or _fn(*args))
+    ids = engine._intern(silent, beliefs)
+    _, atoms, _ = cav_splits(strat.target, beliefs[~silent])
+    want = [("bayes_update", beliefs[silent]),
+            ("interpolate", engine.post[ids[silent]].reshape(-1, sc.chain.k)),
+            ("interpolate", beliefs[~silent][(atoms < 0).any(axis=1)])]
+    assert [fn for fn, _ in calls] == [fn for fn, _ in want]
+    for (_, got), (_, w) in zip(calls, want):
+        assert_bit_equal(np.asarray(got), w)
+
+
+@pytest.mark.parametrize("aux_prob", [math.nan, -0.2, 1.5])
+def test_the_engine_rejects_a_coupling_chance_off_the_unit_interval(aux_prob, strategies):
+    sc, made = strategies["tent"]
+    strat = replace(made["optimal"], aux_prob=aux_prob)
+    with pytest.raises(BadRates):
+        estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
+    with pytest.raises(BadRates):
+        run_policy(sc, strat, 5)
+
+
+def test_the_engine_rejects_a_target_that_is_not_a_grid_function(strategies):
+    sc, made = strategies["tent"]
+    strat = Strategy(target=np.asarray(made["optimal"].target.values))
+    with pytest.raises(InvalidSplit):
+        estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
+    with pytest.raises(InvalidSplit):
+        run_policy(sc, strat, 5)
 
 
 def signal_probs(engine, ids):
@@ -1049,8 +1161,8 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
 
     monkeypatch.setattr(sim, "_DURATION_BATCH", 8)
     monkeypatch.setattr(sim, "_seed_states", recording)
-    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: chunks.append(draws.shape[0])
-                        or play(self, prior, rate, draws, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[0])
+                        or play(self, rate, draws, **kw))
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
     assert sum(chunks) == 20
@@ -1084,8 +1196,8 @@ def test_each_lane_draws_its_uniforms_in_one_call(strategies, monkeypatch):
         return samples, (counted.append(CountingRng(rng)) or counted[-1] for rng in streams)
 
     monkeypatch.setattr(sim, "_replications", counting)
-    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: plays.append(draws.shape)
-                        or play(self, prior, rate, draws, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(draws.shape)
+                        or play(self, rate, draws, **kw))
     got = estimate_discounted(sc, strat, samples=300, seed=1)
     assert got.horizon == discount_horizon(sc) == 153
     assert plays == [(163, 153, 3), (137, 153, 3)]  # 2 MiB // (153 * 84 B) = 163 lanes a chunk
@@ -1133,8 +1245,8 @@ def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, m
     want = run(sc, strat, 40, 3)
     plays, play = [], _Engine.play
     monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
-    monkeypatch.setattr(_Engine, "play", lambda self, prior, rate, draws, **kw: plays.append(
-        (draws.shape[0], draws.shape[1] * (8 * self.draws_per_stage + 60))) or play(self, prior, rate, draws, **kw))
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(
+        (draws.shape[0], draws.shape[1] * (8 * self.draws_per_stage + 60))) or play(self, rate, draws, **kw))
     got = run(sc, strat, 40, 3)
     assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
     assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)

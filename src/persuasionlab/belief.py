@@ -27,7 +27,10 @@ from .errors import (
 BELIEF_SUM_TOL = 1e-12
 SPLIT_BARYCENTER_TOL = 1e-9
 # Queries this close to a lattice hyperplane (in resolution-scaled
-# coordinates) are resolved onto it, which makes grid points exact.
+# coordinates) are resolved onto it, which makes grid points exact. Scaling a
+# grid point by R and summing k - 1 coordinates can miss the lattice by about
+# k * R * eps (0.64 * R * eps measured at the size cap), so grids with
+# k * R above about 112,000 snap within 4 * k * R * eps instead.
 _SNAP = 1e-10
 
 DEFAULT_MAX_POINTS = 2_000_000
@@ -110,7 +113,7 @@ class BeliefGrid:
         m, k, R = q.shape[0], self.k, self.resolution
         z = np.cumsum(q * R, axis=1)[:, : k - 1]
         nearest = np.rint(z)
-        snap = np.abs(z - nearest) <= _SNAP
+        snap = np.abs(z - nearest) <= max(_SNAP, 4 * k * R * np.finfo(float).eps)
         base = np.where(snap, nearest, np.floor(z))
         frac = np.where(snap, 0.0, z - base)
 

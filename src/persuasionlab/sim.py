@@ -192,7 +192,9 @@ class EstimateResult:
     size, cache_clears the number of walk steps at which the table hit its
     cap, steps the lock-step walk iterations over all chunks, and fills the
     batches of nodes built: the first holds the k row nodes and the start
-    node at the scenario's prior, and each clear builds them again in one.
+    node at the scenario's prior, and each clear builds them again in one. A
+    silent strategy's chain from the start node is built ahead of each play's
+    walk in one fill, so its fills do not grow with the chain's length.
     """
 
     mean: float
@@ -262,8 +264,8 @@ def strategy_policy(target: GridFn) -> Strategy:
     """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals.
 
     Its posteriors are grid points of target's grid, which may differ from the
-    scenario's: the engine reads their payoffs off the scenario's payoff
-    interpolated once at each of those points.
+    scenario's: the engine reads their payoffs off the payoff's table, or off
+    the payoff interpolated once at each point of another grid.
     """
     return Strategy(target=target)
 
@@ -348,9 +350,13 @@ class _Engine:
     state's id is its node; every play starts at the start node, the
     scenario's prior, built in the same first fill (`_reset`).
     Other nodes are appended when first reached, and a non-revealing stage
-    follows the successor of (node, signal), filled once. A policy's
-    posteriors are grid points, so its payoffs come from `atom_pay`, the
-    scenario's payoff at each point of the target's grid.
+    follows the successor of (node, signal), filled once. A silent start
+    node's lanes all follow one chain until they reboot, so a play builds
+    the chain its longest first segment needs before the walk, in one fill
+    (`_chain`). A policy's posteriors are grid points, so its payoffs come
+    from `atom_pay`, the scenario's payoff at each point of the target's
+    grid: the payoff's own table when the target shares its lattice, else
+    the payoff interpolated once at each point.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -379,8 +385,13 @@ class _Engine:
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
         self.prior = np.ascontiguousarray(validate_belief(sc.initial_prior(), sc.chain.k))
-        # a policy's posteriors are grid points of its target, so their payoffs are read off these
-        self.atom_pay = None if strat.target is None else interpolate(sc.u, strat.target.grid.points)
+        # a policy's posteriors are grid points of its target, so their payoffs are read off these: on
+        # the payoff's own lattice its table, which interpolate reads back exactly but for the sign of
+        # zero (its sum onto zero turns -0.0 into +0.0, and so does + 0.0)
+        self.atom_pay = None
+        if strat.target is not None:
+            own = strat.target.grid is sc.u.grid
+            self.atom_pay = sc.u.values + 0.0 if own else interpolate(sc.u, strat.target.grid.points)
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
         self.silent_kernel = np.zeros((sc.chain.k, self.width))
         self.silent_kernel[:, 0] = 1.0
@@ -490,9 +501,49 @@ class _Engine:
                        reveals=reveals,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
+        if self.silent[self.start]:
+            # the longest first segment: each lane's first reboot (stage 0 never reboots), or the horizon
+            first = reboot.argmax(axis=1)
+            self._chain(int(np.where(first > 0, first, horizon).max()))
         segments = self._segments(reboot, states, self.start, hit if trace else None)
         self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
+
+    def _chain(self, length: int) -> None:
+        """Builds the silent chain a first segment of `length` stages walks from the start node, in one fill.
+
+        A silent node sends one signal, so its lanes follow one chain of
+        successors until they reboot, and a segment of `length` stages needs
+        the first length - 1 of them. The missing ones come from the walk's
+        own arithmetic, so they are the nodes the walk would build. The chain
+        stops early at a belief already in the table (the start node, on a
+        stationary prior) and where the table would reach its cap. One
+        missing node is left to the walk, which builds it in the fill of the
+        step that reaches it, so building it here would save no fill.
+        """
+        node, depth, seen = self.start, 0, {self.start}
+        while depth < length - 1:
+            nxt = int(self.succ[node, 0])
+            if nxt < 0:
+                break
+            if nxt in seen:  # the chain closes on itself
+                return
+            node, depth = nxt, depth + 1
+            seen.add(node)
+        M, beliefs, keys = self.sc.chain.M, [], set()
+        post = self.post[[node], 0]
+        for _ in range(min(length - 1 - depth, self._CACHE_CAP - 1 - self.size)):
+            # one stacked (1, k) @ (k, k) product, as the walk computes a successor
+            belief = np.matmul(post[:, None, :], M)[:, 0]
+            beliefs.append(belief)
+            key = belief.tobytes()
+            if key in keys or (True, key) in self.index:
+                break  # a node already built, or about to be: _intern links to it
+            keys.add(key)
+            post = bayes_update(belief, self.silent_kernel[None])[1][:, 0]
+        if len(keys) > 1:
+            ids = self._intern(np.ones(len(beliefs), dtype=bool), np.vstack(beliefs))
+            self.succ[np.append(node, ids[:-1]), 0] = ids
 
     def _segments(self, reboot, states, start: int, hit):
         """Segments of a play, longest first: (starts, nodes, codes, live).
@@ -709,21 +760,20 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
         raise ValueError(f"horizon must be at least 2 to see two revelations, got {horizon}")
     samples, streams = _replications(sc, samples, seed)
     engine = _Engine(sc, strat)
-    values = []
-    rep_ids = []
-    rejected = 0
-    chunks = _lanes(engine, sc.reveal_rate, streams, samples, horizon)
-    for i, (payoffs, reveals) in enumerate(itertools.chain.from_iterable(zip(*chunk) for chunk in chunks)):
-        stats = renewal_stats(reveals)
-        if stats.revelations < 2:
-            rejected += 1
-            continue
-        first = int(stats.kappas[0])
-        values.append(float(payoffs[first : stats.last_stage].sum()) / horizon)
-        rep_ids.append(i)
+    values, rep_ids, lane = [], [], 0
+    for payoffs, reveals in _lanes(engine, sc.reveal_rate, streams, samples, horizon):
+        # renewal_stats of the chunk's lanes at once: the revelation count, and the 1-based stages
+        # of the first and the last revelation
+        kept = np.flatnonzero(reveals.sum(axis=1) >= 2)
+        first = reveals.argmax(axis=1)[kept] + 1
+        last = horizon - reveals[:, ::-1].argmax(axis=1)[kept]
+        values += [float(payoffs[j, a:b].sum()) / horizon
+                   for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())]
+        rep_ids.append(lane + kept)
+        lane += len(reveals)
     if not values:
         raise AllRejected(f"all {samples} replications had fewer than two revelations")
-    return _summary(np.asarray(values), np.asarray(rep_ids, dtype=np.int64), rejected=rejected,
+    return _summary(np.asarray(values), np.concatenate(rep_ids), rejected=samples - len(values),
                     horizon=horizon, **engine.counters())
 
 

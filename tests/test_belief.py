@@ -203,6 +203,16 @@ def test_interpolate_equals_the_interpolation_operator(k, resolution):
         assert [interpolate(f, q) for q in M] == want[2 * grid.n : 2 * grid.n + k].tolist()
 
 
+def test_interpolation_is_exact_at_the_points_of_a_near_cap_grid():
+    # scaling a point of the R = 1,999,999 lattice by R misses its coordinate by up to 1.2e-10,
+    # past a fixed 1e-10 snap, so 223 of these 20,000 points once read back off by up to 1.1e-10
+    grid = make_grid(2, 1_999_999)
+    rng = np.random.default_rng(0)
+    f = GridFn(grid, rng.random(grid.n))
+    at = rng.integers(0, grid.n, 20_000)
+    assert interpolate(f, grid.points[at]).tobytes() == f.values[at].tobytes()
+
+
 def test_split_mean_and_size():
     posteriors, weights = np.array([[2 / 3, 1 / 3], [0.25, 0.75]]), np.array([0.6, 0.4])
     assert weights.size == 2

@@ -846,10 +846,11 @@ def test_the_row_nodes_and_the_start_node_are_one_fill(strategies):
 # (nodes, fills) of 50 stages at rate 0, where a lane never reboots: the first fill holds the k row
 # nodes and the start node, and each later fill adds the successors that step first reaches. On
 # tent the null belief, and the silent renewal strategy's with it, moves on each of 30 stages before
-# it is a fixed point bit for bit (3 + 30 nodes); the optimal policy's lanes reach 5 more beliefs.
+# it is a fixed point bit for bit (3 + 30 nodes); the silent chain is built ahead of the walk in one
+# fill, the null strategy's one node per step. The optimal policy's lanes reach 5 more beliefs.
 # On cycle3 the doubly stochastic chain fixes the uniform prior, and the optimal policy there fully
 # discloses, so every successor is the start node or a row node.
-RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (33, 31),
+RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (33, 2),
                 ("cycle3", "null"): (4, 1), ("cycle3", "optimal"): (4, 1), ("cycle3", "renewal"): (4, 1)}
 
 
@@ -867,6 +868,105 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     est = estimate_discounted(replace(sc, reveal_rate=0.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 50
     assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
+
+
+def traced_plays(engine, rate, draws, chunk):
+    """The traced fields of plays of draws, chunk lanes at a time, on one engine."""
+    plays = [engine.play(rate, draws[i : i + chunk], trace=True) for i in range(0, len(draws), chunk)]
+    return [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
+                                                      t.stage_payoffs) for t in plays))]
+
+
+@pytest.mark.parametrize("aux_prob", [0.0, 0.3])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.9])
+@pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
+def test_the_silent_chain_builds_the_nodes_the_walk_would(name, rate, aux_prob, strategies, monkeypatch):
+    # the renewal strategy's chain built ahead of the walk, against the walk building it one node
+    # per step: the same plays, node table and steps, in fewer fills (three plays on one engine,
+    # so later plays find the chain built); a coupling coin also ends a first segment
+    sc, made = strategies[name]
+    strat = replace(made["renewal"], aux_prob=aux_prob)
+    draws = replication_rng(7, 0).random((30, 120, 4 if aux_prob else 3))
+    ahead = _Engine(sc, strat)
+    got = traced_plays(ahead, rate, draws, 10)
+    monkeypatch.setattr(_Engine, "_chain", lambda self, length: None)
+    walked = _Engine(sc, strat)
+    for g, w in zip(got, traced_plays(walked, rate, draws, 10)):
+        assert_bit_equal(g, w)
+    assert set(ahead.index) == set(walked.index)
+    assert (ahead.size, ahead.steps) == (walked.size, walked.steps)
+    assert ahead.fills <= walked.fills
+    if (name, rate, aux_prob) == ("tent", 0.0, 0.0):
+        assert (ahead.fills, walked.fills) == (2, 31)
+
+
+def test_a_stationary_prior_adds_no_chain_nodes(strategies):
+    # cycle3's doubly stochastic chain fixes its uniform prior bit for bit, so the silent start
+    # node is its own successor and the chain builds no node
+    sc, made = strategies["cycle3"]
+    engine = _Engine(sc, made["renewal"])
+    engine.play(0.0, replication_rng(1, 0).random((4, 50, 3)))
+    assert (engine.size, engine.fills) == (sc.chain.k + 1, 1)
+    assert engine.succ[engine.start, 0] == engine.start
+
+
+@pytest.mark.parametrize("cap", [4, 9, 13])
+def test_the_silent_chain_stops_below_the_table_cap(cap, strategies, monkeypatch):
+    # tent's silent chain has 30 nodes; a table capped at 13 takes 9 of them (the three first-fill
+    # nodes, and one slot left below the cap), after which the walk builds and clears as before
+    sc, made = strategies["tent"]
+    strat = made["renewal"]
+    want = estimate_renewal_average(sc, strat, 200, samples=30, seed=4)
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
+    engine = _Engine(sc, strat)
+    engine._chain(50)
+    assert (engine.size, engine.fills) == (max(cap - 1, 3), 2 if cap > 4 else 1)
+    got = estimate_renewal_average(sc, strat, 200, samples=30, seed=4)
+    for g, w in zip((got.values, got.rep_ids), (want.values, want.rep_ids)):
+        assert_bit_equal(g, w)
+    assert got.rejected == want.rejected
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_renewal_bookkeeping_per_chunk_matches_each_lane_alone(lanes, strategies, monkeypatch):
+    # chunks of one to three lanes: each kept value, its replication id and the rejection count
+    # equal renewal_stats on each lane's own replay, over lanes with 0, 1 and 2 or more revelations
+    # and revelations on the first and the last stage
+    sc, made = strategies["tent"]
+    sc, strat, horizon, samples, seed = replace(sc, reveal_rate=0.3), made["renewal"], 6, 40, 2
+    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * 3 + 60))
+    est = estimate_renewal_average(sc, strat, horizon, samples=samples, seed=seed)
+    values, reps, counts, stages = [], [], set(), set()
+    for i in range(samples):
+        trace = run_policy(sc, strat, horizon, seed=seed, rep=i)
+        stats = renewal_stats(trace.reveals)
+        counts.add(min(stats.revelations, 2))
+        stages |= set(np.cumsum(stats.kappas).tolist())
+        if stats.revelations >= 2:
+            values.append(float(trace.stage_payoffs[int(stats.kappas[0]) : stats.last_stage].sum()) / horizon)
+            reps.append(i)
+    assert counts == {0, 1, 2} and {1, horizon} <= stages
+    assert_bit_equal(est.values, np.array(values))
+    assert_bit_equal(est.rep_ids, np.array(reps, dtype=np.int64))
+    assert est.rejected == samples - len(reps)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_the_atom_table_is_the_payoff_at_the_target_grid_points(name, strategies, monkeypatch):
+    # a target on the payoff's lattice takes its atoms' payoffs off the payoff's table, with no
+    # interpolation over the grid; a target on another lattice interpolates the payoff at its points
+    sc, made = strategies[name]
+    target = made["optimal"].target
+    assert target.grid is sc.u.grid
+    queries = []
+    monkeypatch.setattr(sim, "interpolate", lambda f, q, _fn=sim.interpolate: queries.append(q) or _fn(f, q))
+    engine = _Engine(sc, strategy_policy(target))
+    assert not any(q is target.grid.points for q in queries)
+    assert engine.atom_pay.tobytes() == interpolate(sc.u, target.grid.points).tobytes()
+    coarse = make_grid(sc.chain.k, 10)
+    engine = _Engine(sc, strategy_policy(GridFn(coarse, interpolate(target, coarse.points))))
+    assert any(q is coarse.points for q in queries)
+    assert engine.atom_pay.tobytes() == interpolate(sc.u, coarse.points).tobytes()
 
 
 def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):

@@ -11,6 +11,7 @@ is deterministic, exact at grid points, and exact for affine functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,16 +55,6 @@ def validate_belief(q, k: int | None = None) -> np.ndarray:
     return np.maximum(q, 0.0)
 
 
-def _compositions(total: int, parts: int):
-    """Yield all nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True, eq=False)
 class BeliefGrid:
     """Uniform lattice on the simplex, with cell location for interpolation."""
@@ -72,7 +63,8 @@ class BeliefGrid:
     resolution: int
     points: np.ndarray
     counts: np.ndarray
-    # _pascal[p, t] = C(t + p - 1, p), the ways to put fewer than t units on p states
+    # _pascal[p - 1, t] = C(t + p - 1, p), the ways to put fewer than t units on p states, for the
+    # p = 1..k-1 that _rank reads: (k-1) x (R+1) entries, at most k * n, and none when k = 1
     _pascal: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -87,10 +79,10 @@ class BeliefGrid:
     def _rank(self, z: np.ndarray) -> np.ndarray:
         """Enumeration index of lattice points from their cumulative counts z[..., :k-1].
 
-        Counts are enumerated lexicographically, so the points after a given one put more mass
+        The grid enumerates z lexicographically, so the points after a given one put more mass
         on some state i < k-1 and leave fewer than R - z_i units for the k-1-i states after it.
         """
-        beyond = self._pascal[np.arange(self.k - 1, 0, -1), self.resolution - z]
+        beyond = self._pascal[np.arange(self.k - 2, -1, -1), self.resolution - z]
         return self.n - 1 - beyond.sum(axis=-1)
 
     def index_of(self, counts):
@@ -144,18 +136,25 @@ class BeliefGrid:
 
 
 def make_grid(k: int, resolution: int) -> BeliefGrid:
-    """Build the belief lattice with coordinates in multiples of 1/resolution, at most DEFAULT_MAX_POINTS points."""
+    """Build the belief lattice with coordinates in multiples of 1/resolution, at most DEFAULT_MAX_POINTS points.
+
+    One pass enumerates the cumulative counts z that `BeliefGrid._rank` ranks, the nondecreasing
+    (k-1)-tuples of 0..R in lexicographic order, so the build holds O(k * n) integers.
+    """
     if k < 1 or resolution < 1:
         raise DimensionMismatch(f"need k >= 1 and resolution >= 1, got k={k}, R={resolution}")
     n = math.comb(resolution + k - 1, k - 1)
     if n > DEFAULT_MAX_POINTS:
         raise SizeOverflow(f"grid would hold {n} points, budget is {DEFAULT_MAX_POINTS}")
-    counts = np.array(list(_compositions(resolution, k)), dtype=np.int64)
+    # the pool is made a tuple; R + 1 <= n for k >= 2, and k = 1 needs none of it
+    z = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(resolution + 1)[:n], k - 1)),
+        dtype=np.int64, count=n * (k - 1)).reshape(n, k - 1)
+    counts = np.diff(z, prepend=0, append=resolution, axis=1)
     points = counts / float(resolution)
-    pascal = np.ones((k, resolution + 1), dtype=np.int64)
-    pascal[0, 0] = 0
-    for p in range(1, k):
-        pascal[p] = np.cumsum(pascal[p - 1])
+    pascal = np.empty((k - 1, resolution + 1), dtype=np.int64)
+    for p in range(k - 1):
+        pascal[p] = np.cumsum(pascal[p - 1]) if p else np.arange(resolution + 1)
     return BeliefGrid(k=k, resolution=resolution, points=points, counts=counts, _pascal=pascal)
 
 

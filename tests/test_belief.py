@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,13 +73,26 @@ def test_grid_sizes():
         make_grid(6, 500)
 
 
+@pytest.mark.parametrize("k, resolution", [(1, 10**7), (3, 1000)])
+def test_a_grid_build_holds_about_what_the_grid_keeps(k, resolution):
+    # a one-point grid at a large resolution builds in under 1 MiB, and a large grid in under
+    # twice its points and counts: no Python object per point, and no table sized by R alone
+    tracemalloc.start()
+    try:
+        grid = make_grid(k, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(2 * (grid.points.nbytes + grid.counts.nbytes), 2**20)
+
+
 def test_grid_counts_and_points_agree():
     grid = make_grid(3, 5)
     assert np.all(grid.counts.sum(axis=1) == 5)
     assert np.allclose(grid.points, grid.counts / 5.0)
 
 
-@pytest.mark.parametrize("k, resolution", [(1, 7), (2, 10), (3, 6), (4, 5), (5, 4)])
+@pytest.mark.parametrize("k, resolution", [(1, 7), (2, 10), (3, 6), (4, 5), (5, 4), (6, 3), (1, 10**7)])
 def test_index_of_roundtrip(k, resolution):
     grid = make_grid(k, resolution)
     for i in range(grid.n):

@@ -302,6 +302,17 @@ def test_grid_override_must_match_table(tmp_path):
     assert cli.main(["solve", "--scenario", path, "--grid", "10"]) == cli.EXIT_INPUT
 
 
+def test_a_one_state_solve_takes_any_grid_resolution(tmp_path):
+    # a one-state grid has one point at every resolution, so nothing is sized by the resolution
+    doc = tent_doc(resolution=10, transition=[[1.0]], payoff={"type": "table", "values": [0.5]})
+    out = tmp_path / "one.csv"
+    code = cli.main(["solve", "--scenario", write_doc(tmp_path, doc), "--grid", str(10**12), "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    _, header, rows = parse_csv(out)
+    assert header == ["belief_0", "value"]
+    assert rows == [[1.0, 0.5]]
+
+
 def run_module(*argv):
     """`python -m persuasionlab` in a fresh interpreter, on the package these tests import."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]

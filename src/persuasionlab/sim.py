@@ -25,7 +25,8 @@ before the play. States and coins depend only on the uniforms, so a play
 gets them first: states by a prefix scan, then revelation and coupling
 coins. Each revelation or coupling hit
 reboots the belief to a transition row and so starts a segment; the
-segments of a play are walked in lock-step, one position per numpy step. A
+segments of a play are walked in lock-step, one position per numpy step,
+but a silent strategy's first segments copy its one belief prefix. A
 replication's value depends only on its own stream, never on the chunk or
 group it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
 uses numpy's pairwise summation over the replication axis.
@@ -193,8 +194,8 @@ class EstimateResult:
     cap, steps the lock-step walk iterations over all chunks, and fills the
     batches of nodes built: the first holds the k row nodes and the start
     node at the scenario's prior, and each clear builds them again in one. A
-    silent strategy's chain from the start node is built ahead of each play's
-    walk in one fill, so its fills do not grow with the chain's length.
+    silent strategy's prefix, the beliefs before its first revelation, is
+    kept apart from the table: nodes, steps and fills leave it out.
     """
 
     mean: float
@@ -343,20 +344,22 @@ _DURATION_BATCH = 1 << 14
 class _Engine:
     """Steps replications ("lanes") over a table of belief nodes, one revelation segment at a time.
 
-    A node is a reachable (silent, belief) pair with its Bayes work done:
-    the cumulative kernel row of each state (ending in +inf) and, per
-    signal, the stage payoff and the posterior.
+    A node is a reachable belief with its Bayes work done: the cumulative
+    kernel row of each state (ending in +inf) and, per signal, the stage
+    payoff and the posterior. Nodes are keyed by their belief's bytes.
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
-    state's id is its node; every play starts at the start node, the
-    scenario's prior, built in the same first fill (`_reset`).
+    state's id is its node; a play starts at the start node, the scenario's
+    prior, built in the same first fill (`_reset`).
     Other nodes are appended when first reached, and a non-revealing stage
-    follows the successor of (node, signal), filled once. A silent start
-    node's lanes all follow one chain until they reboot, so a play builds
-    the chain its longest first segment needs before the walk, in one fill
-    (`_chain`). A policy's posteriors are grid points, so its payoffs come
-    from `atom_pay`, the scenario's payoff at each point of the target's
-    grid: the payoff's own table when the target shares its lattice, else
-    the payoff interpolated once at each point.
+    follows the successor of (node, signal), filled once. A policy's
+    posteriors are grid points, so its payoffs come from `atom_pay`, the
+    scenario's payoff at each point of the target's grid: the payoff's own
+    table when the target shares its lattice, else the payoff interpolated
+    once at each point.
+
+    A silent strategy's lanes all follow one belief sequence until their
+    first reboot: the prefix, a posterior and a payoff per stage kept beside
+    the table (`_prefix`), from which a play copies the first segments.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -364,10 +367,10 @@ class _Engine:
     coupling coins. A revelation, or a coupling hit, reboots the belief to
     the previous state's row node, which cuts the lanes' stages into
     segments; within a segment only the signals and the nodes remain. All
-    segments of a play are walked in lock-step, one position at a time, so
-    a play costs about as many steps as its longest segment has stages.
-    Past the cap the table is cleared between steps and the nodes still in
-    use are built again, which yields the same values.
+    walked segments of a play go in lock-step, one position at a time, so
+    a play costs about as many steps as its longest such segment has
+    stages. Past the cap the table is cleared between steps and the nodes
+    still in use are built again, which yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -381,7 +384,8 @@ class _Engine:
             raise BadRates(f"aux_prob must lie in [0, 1], got {strat.aux_prob}")
         self.sc = sc
         self.strat = strat
-        self.width = sc.chain.k if strat.kernel is None else validate_kernel(strat.kernel, sc.chain.k).shape[1]
+        self.kernel = None if strat.kernel is None else validate_kernel(strat.kernel, sc.chain.k)
+        self.width = sc.chain.k if self.kernel is None else self.kernel.shape[1]
         self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
         self.M_cum = cum_rows(sc.chain.M)
         self.prior = np.ascontiguousarray(validate_belief(sc.initial_prior(), sc.chain.k))
@@ -395,6 +399,10 @@ class _Engine:
         # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
         self.silent_kernel = np.zeros((sc.chain.k, self.width))
         self.silent_kernel[:, 0] = 1.0
+        # the silent prefix: stage t's posterior and payoff, the stage each belief first came at, and
+        # the belief of the stage after the last, which closes a loop once pre_seen holds it
+        self.pre_post, self.pre_pay, self.pre_seen = np.empty((0, sc.chain.k)), np.empty(0), {}
+        self.pre_next = self.prior[None]
         self.clears = self.steps = self.fills = 0
         self._reset()
 
@@ -405,89 +413,102 @@ class _Engine:
     def _reset(self) -> None:
         """Empties the table, then builds the k row nodes (ids 0..k-1) and the start node in one fill."""
         rows, k = self.sc.chain.M, self.sc.chain.k
-        self.index: dict[tuple, int] = {}
+        self.index: dict[bytes, int] = {}
         for state, row in enumerate(rows):
-            self.index.setdefault((False, row.tobytes()), state)
-        silent, beliefs = np.zeros(k, dtype=bool), rows
-        key = (self.strat.silent, self.prior.tobytes())
-        self.start = self.index.get(key, k)  # a start node equal to a row node is that row node
-        if self.start == k:
-            self.index[key] = k
-            silent, beliefs = np.append(silent, self.strat.silent), np.vstack([rows, self.prior])
+            self.index.setdefault(row.tobytes(), state)
+        # a start node equal to a row node is that row node
+        self.start = self.index.setdefault(self.prior.tobytes(), k)
         self.size = 0
         self._allocate(64)
-        self._build(silent, beliefs)
+        self._build(rows if self.start < k else np.vstack([rows, self.prior]))
 
     def _allocate(self, capacity: int) -> None:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
         k, w, size = self.sc.chain.k, self.width, self.size
         for name, shape, fill, dtype in (("cum", (k, w), np.inf, float), ("pay", (w,), 0.0, float),
                                          ("post", (w, k), 0.0, float), ("succ", (w,), -1, np.int64),
-                                         ("silent", (), False, bool), ("belief", (k,), 0.0, float)):
+                                         ("belief", (k,), 0.0, float)):
             table = np.full((capacity, *shape), fill, dtype=dtype)
             if size:
                 table[:size] = getattr(self, name)[:size]
             setattr(self, name, table)
 
-    def _intern(self, silent: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-        """Node ids of (silent, belief) pairs, building the nodes not yet in the table."""
+    def _intern(self, beliefs: np.ndarray) -> np.ndarray:
+        """Node ids of beliefs, building the nodes not yet in the table."""
         ids = np.empty(len(beliefs), dtype=np.int64)
         fresh = []
-        for j, flag in enumerate(silent.tolist()):
-            key = (flag, beliefs[j].tobytes())
+        for j, belief in enumerate(beliefs):
+            key = belief.tobytes()
             i = self.index.get(key)
             if i is None:
                 i = self.index[key] = self.size + len(fresh)
                 fresh.append(j)
             ids[j] = i
         if fresh:
-            self._build(silent[fresh], beliefs[fresh])
+            self._build(beliefs[fresh])
         return ids
 
-    def _build(self, silent: np.ndarray, beliefs: np.ndarray) -> None:
-        """Appends the nodes of (silent, belief) pairs, all in one fill.
+    def _build(self, beliefs: np.ndarray) -> None:
+        """Appends the nodes of beliefs, all in one fill.
 
-        Silent nodes and every node of a kernel strategy take their posteriors
-        from `bayes_update` and their payoffs from `interpolate`. A policy's
-        live node splits at its belief (`cav_splits`); the atoms are its
-        posteriors, grid points whose payoffs are read off `atom_pay`,
-        and only an empty slot (atom -1, never drawn) keeps the belief itself
-        and interpolates the payoff there.
+        A kernel strategy's nodes take their posteriors from `bayes_update`
+        and their payoffs from `interpolate`. A policy's node splits at its
+        belief (`cav_splits`); the atoms are its posteriors, grid points
+        whose payoffs are read off `atom_pay`, and only an empty slot (atom
+        -1, never drawn) keeps the belief itself and interpolates the payoff
+        there.
         """
         start, stop = self.size, self.size + len(beliefs)
-        if stop > len(self.silent):
-            self._allocate(max(stop, 2 * len(self.silent)))
+        if stop > len(self.belief):
+            self._allocate(max(stop, 2 * len(self.belief)))
         target, k, width = self.strat.target, self.sc.chain.k, self.width
-        fixed = self.strat.kernel if target is None else self.silent_kernel  # a policy's splits come below
-        kernels = np.where(silent[:, None, None], self.silent_kernel, fixed)
         post, pay = self.post[start:stop], self.pay[start:stop]  # views of the new nodes' rows
-        bayes = silent if target is not None else np.ones(len(beliefs), dtype=bool)
-        if bayes.any():
-            rows = np.flatnonzero(bayes)
-            _, post[rows] = bayes_update(beliefs[rows], kernels[rows])  # a zero-probability signal is never sampled
-            pay[rows] = interpolate(self.sc.u, post[rows].reshape(-1, k)).reshape(-1, width)
-        if not bayes.all():
-            rows = np.flatnonzero(~bayes)
-            _, atoms, weights = cav_splits(target, beliefs[rows])
+        if target is None:
+            kernels = np.repeat(self.kernel[None], len(beliefs), axis=0)
+            _, post[:] = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
+            pay[:] = interpolate(self.sc.u, post.reshape(-1, k)).reshape(-1, width)
+        else:
+            _, atoms, weights = cav_splits(target, beliefs)
             points, empty = target.grid.points[atoms], atoms < 0
-            kernels[rows] = kernels_from_splits(beliefs[rows], points, weights)
+            kernels = kernels_from_splits(beliefs, points, weights)
             # the atoms are the posteriors, bit for bit, so every successor is a row of grid.points @ M
-            post[rows] = np.where(empty[..., None], beliefs[rows, None], points)
-            pay[rows] = self.atom_pay[atoms]
+            post[:] = np.where(empty[..., None], beliefs[:, None], points)
+            pay[:] = self.atom_pay[atoms]
             gap = empty.any(axis=1)
             if gap.any():
-                at = rows[gap]
-                pay[at] = np.where(empty[gap], interpolate(self.sc.u, beliefs[at])[:, None], pay[at])
+                pay[gap] = np.where(empty[gap], interpolate(self.sc.u, beliefs[gap])[:, None], pay[gap])
         self.cum[start:stop] = cum_rows(kernels)
-        self.silent[start:stop] = silent
         self.belief[start:stop] = beliefs
         self.size = stop
         self.fills += 1
 
+    def _prefix(self, length: int) -> np.ndarray:
+        """Rows of pre_post and pre_pay for stages 0 .. length-1 of the silent prefix, extending it as needed.
+
+        A new stage's posterior is `bayes_update` under the padded silent
+        kernel, and the next belief one stacked (1, k) @ (k, k) product, as the
+        walk computes a successor; new payoffs are interpolated in one call.
+        Past the first belief that recurs bit for bit, stages go round its loop.
+        """
+        M, posts, n = self.sc.chain.M, [], len(self.pre_pay)
+        while n + len(posts) < length and self.pre_next.tobytes() not in self.pre_seen:
+            self.pre_seen[self.pre_next.tobytes()] = n + len(posts)
+            posts.append(bayes_update(self.pre_next, self.silent_kernel[None])[1][:, 0])
+            self.pre_next = np.matmul(posts[-1][:, None, :], M)[:, 0]
+        if posts:
+            self.pre_post = np.vstack([self.pre_post, *posts])
+            self.pre_pay = np.append(self.pre_pay, interpolate(self.sc.u, self.pre_post[n:]))
+        stages, n = np.arange(length), len(self.pre_pay)
+        loop = self.pre_seen.get(self.pre_next.tobytes())  # the stage the next belief recurs at
+        if loop is not None:
+            stages[n:] = loop + (stages[n:] - loop) % (n - loop)
+        return stages
+
     def play(self, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
         """Play lane j on the uniforms draws[j], a (lanes, horizon, d) array, for horizon stages.
 
-        Every lane starts at the start node, the scenario's prior.
+        Every lane starts at the start node, the scenario's prior, but a silent
+        strategy's lanes copy their first segments off the prefix in one masked assignment.
         Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
         revelation coins, plus states, signals and posteriors when trace is
         set (None otherwise).
@@ -497,60 +518,30 @@ class _Engine:
         states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.prior), rate,
                                                          self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
-                       signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
+                       signals=np.zeros((lanes, horizon), dtype=np.int64) if trace else None,
                        reveals=reveals,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
-        if self.silent[self.start]:
-            # the longest first segment: each lane's first reboot (stage 0 never reboots), or the horizon
+        if self.strat.silent:
+            # each lane's first segment ends at its first reboot (stage 0 never reboots), or the horizon
             first = reboot.argmax(axis=1)
-            self._chain(int(np.where(first > 0, first, horizon).max()))
-        segments = self._segments(reboot, states, self.start, hit if trace else None)
+            first[first == 0] = horizon
+            n = int(first.max())
+            stages, head = self._prefix(n), np.arange(n) < first[:, None]
+            np.copyto(out.stage_payoffs[:, :n], self.pre_pay[stages], where=head)
+            if trace:  # a silent stage sends signal 0
+                np.copyto(out.posteriors[:, :n], self.pre_post[stages], where=head[..., None])
+        segments = self._segments(reboot, states, hit if trace else None)
         self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
 
-    def _chain(self, length: int) -> None:
-        """Builds the silent chain a first segment of `length` stages walks from the start node, in one fill.
-
-        A silent node sends one signal, so its lanes follow one chain of
-        successors until they reboot, and a segment of `length` stages needs
-        the first length - 1 of them. The missing ones come from the walk's
-        own arithmetic, so they are the nodes the walk would build. The chain
-        stops early at a belief already in the table (the start node, on a
-        stationary prior) and where the table would reach its cap. One
-        missing node is left to the walk, which builds it in the fill of the
-        step that reaches it, so building it here would save no fill.
-        """
-        node, depth, seen = self.start, 0, {self.start}
-        while depth < length - 1:
-            nxt = int(self.succ[node, 0])
-            if nxt < 0:
-                break
-            if nxt in seen:  # the chain closes on itself
-                return
-            node, depth = nxt, depth + 1
-            seen.add(node)
-        M, beliefs, keys = self.sc.chain.M, [], set()
-        post = self.post[[node], 0]
-        for _ in range(min(length - 1 - depth, self._CACHE_CAP - 1 - self.size)):
-            # one stacked (1, k) @ (k, k) product, as the walk computes a successor
-            belief = np.matmul(post[:, None, :], M)[:, 0]
-            beliefs.append(belief)
-            key = belief.tobytes()
-            if key in keys or (True, key) in self.index:
-                break  # a node already built, or about to be: _intern links to it
-            keys.add(key)
-            post = bayes_update(belief, self.silent_kernel[None])[1][:, 0]
-        if len(keys) > 1:
-            ids = self._intern(np.ones(len(beliefs), dtype=bool), np.vstack(beliefs))
-            self.succ[np.append(node, ids[:-1]), 0] = ids
-
-    def _segments(self, reboot, states, start: int, hit):
+    def _segments(self, reboot, states, hit):
         """Segments of a play, longest first: (starts, nodes, codes, live).
 
         starts are flat (lane, stage) indices and nodes the nodes the
         segments start at: the previous state's row node after a reboot, else
-        the start node. codes hold width * (1 + previous state) where a
+        the start node. A silent strategy's first segments play its prefix, so
+        they count as empty. codes hold width * (1 + previous state) where a
         coupling hit starts the segment and 0 elsewhere (None without hit).
         live[j] counts the segments longer than j.
         """
@@ -559,9 +550,11 @@ class _Engine:
         cut[:, 0] = True  # each lane's first stage starts a segment
         starts = np.flatnonzero(cut)
         length = np.diff(starts, append=a * b)
+        if self.strat.silent:  # no step is alive in a first segment
+            length[~reboot.reshape(-1)[starts]] = 0
         # a lane's first stage never reboots, so the state read before it is never used
         prev = states.reshape(-1)[starts - 1]
-        nodes = np.where(reboot.reshape(-1)[starts], prev, start)
+        nodes = np.where(reboot.reshape(-1)[starts], prev, self.start)
         # a stable sort on the narrowest key is a radix sort
         by = np.argsort((b - length).astype(np.min_scalar_type(b)), kind="stable")
         codes = None if hit is None else np.where(hit.reshape(-1)[starts], (prev + 1) * self.width, 0)[by]
@@ -580,11 +573,10 @@ class _Engine:
         states, sig_u, rev = states.reshape(-1), sig_u.reshape(-1), rev.reshape(-1)
         for j, alive in enumerate(live.tolist()):
             if self.size >= self._CACHE_CAP:
-                ids = nodes[:alive]
-                silent, beliefs = self.silent[ids], self.belief[ids]
+                beliefs = self.belief[nodes[:alive]]
                 self._reset()
                 self.clears += 1
-                nodes[:alive] = self._intern(silent, beliefs)
+                nodes[:alive] = self._intern(beliefs)
             self.steps += 1
             f, nd = starts[:alive] + j, nodes[:alive]
             # the signal counts the kernel row's thresholds at or below its uniform: rows never
@@ -610,7 +602,7 @@ class _Engine:
                     src, sig = np.divmod(pairs, width)
                     # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
                     beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
-                    fresh = self._intern(self.silent[src], beliefs)
+                    fresh = self._intern(beliefs)
                     self.succ[src, sig] = fresh
                     nxt[missing] = fresh[inverse]
             nodes[:alive] = nxt

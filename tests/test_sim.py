@@ -480,7 +480,7 @@ def test_policy_kernels_match_kernel_from_split(name):
     _, atoms, weights = cav_splits(target, sc.grid.points)
     engine = _Engine(sc, strategy_policy(target))
     points = sc.grid.points
-    ids = engine._intern(np.zeros(sc.grid.n, dtype=bool), points)
+    ids = engine._intern(points)
     assert engine.cum.shape[1:] == (sc.chain.k, sc.chain.k)
     for i in range(sc.grid.n):
         keep = weights[i] > 0.0
@@ -492,7 +492,7 @@ def test_policy_kernels_match_kernel_from_split(name):
         assert np.array_equal(kernel_from_split(points[i], posteriors, split_weights), want[:, :m])
 
 
-@pytest.mark.parametrize("name", ["receiver", "cycle3"])
+@pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
 def test_node_table_cap_leaves_estimates_unchanged(name, monkeypatch):
     sc = bundled(name, samples=12)
     strat = strategy_optimal(sc)
@@ -845,12 +845,12 @@ def test_the_row_nodes_and_the_start_node_are_one_fill(strategies):
 
 # (nodes, fills) of 50 stages at rate 0, where a lane never reboots: the first fill holds the k row
 # nodes and the start node, and each later fill adds the successors that step first reaches. On
-# tent the null belief, and the silent renewal strategy's with it, moves on each of 30 stages before
-# it is a fixed point bit for bit (3 + 30 nodes); the silent chain is built ahead of the walk in one
-# fill, the null strategy's one node per step. The optimal policy's lanes reach 5 more beliefs.
+# tent the null belief moves on each of 30 stages before it is a fixed point bit for bit (3 + 30
+# nodes, one per step). The silent renewal strategy's lanes follow the same beliefs, but as its
+# prefix, which the node table does not hold. The optimal policy's lanes reach 5 more beliefs.
 # On cycle3 the doubly stochastic chain fixes the uniform prior, and the optimal policy there fully
 # discloses, so every successor is the start node or a row node.
-RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (33, 2),
+RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (3, 1),
                 ("cycle3", "null"): (4, 1), ("cycle3", "optimal"): (4, 1), ("cycle3", "renewal"): (4, 1)}
 
 
@@ -864,9 +864,10 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     est = estimate_discounted(replace(sc, reveal_rate=1.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 1
     assert est.fills == 1 and est.nodes == sc.chain.k + 1
-    # at rate 0 a lane never reboots: one segment per lane, one step per stage
+    # at rate 0 a lane never reboots: one segment per lane, one step per stage, but a silent
+    # strategy's one segment plays its prefix and takes no step
     est = estimate_discounted(replace(sc, reveal_rate=0.0), strat, samples=20, seed=1, horizon=50)
-    assert est.steps == 50
+    assert est.steps == (0 if strat.silent else 50)
     assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
 
 
@@ -877,54 +878,72 @@ def traced_plays(engine, rate, draws, chunk):
                                                       t.stage_payoffs) for t in plays))]
 
 
+def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
+    """Traced plays of replications 0 .. lanes-1, chunk lanes at a time, equal their scalar replays."""
+    sc, strat, d = replace(engine.sc, reveal_rate=rate), engine.strat, engine.draws_per_stage
+    draws = np.stack([replication_rng(seed, i).random((horizon, d)) for i in range(lanes)])
+    got = traced_plays(engine, rate, draws, chunk)
+    for i in range(lanes):
+        for g, w in zip([field[i] for field in got], reference_trace(sc, strat, horizon, seed, i)):
+            assert_bit_equal(g, w)
+
+
 @pytest.mark.parametrize("aux_prob", [0.0, 0.3])
 @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.9])
 @pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
-def test_the_silent_chain_builds_the_nodes_the_walk_would(name, rate, aux_prob, strategies, monkeypatch):
-    # the renewal strategy's chain built ahead of the walk, against the walk building it one node
-    # per step: the same plays, node table and steps, in fewer fills (three plays on one engine,
-    # so later plays find the chain built); a coupling coin also ends a first segment
+def test_the_silent_chain_builds_the_nodes_the_walk_would(name, rate, aux_prob, strategies):
+    # the renewal strategy's prefix, copied into each lane's first segment, plays what the scalar
+    # reference plays as it builds the silent nodes one stage at a time; a coupling coin also ends a
+    # first segment. Three plays on one engine, so later plays read a prefix built before
     sc, made = strategies[name]
-    strat = replace(made["renewal"], aux_prob=aux_prob)
-    draws = replication_rng(7, 0).random((30, 120, 4 if aux_prob else 3))
-    ahead = _Engine(sc, strat)
-    got = traced_plays(ahead, rate, draws, 10)
-    monkeypatch.setattr(_Engine, "_chain", lambda self, length: None)
-    walked = _Engine(sc, strat)
-    for g, w in zip(got, traced_plays(walked, rate, draws, 10)):
-        assert_bit_equal(g, w)
-    assert set(ahead.index) == set(walked.index)
-    assert (ahead.size, ahead.steps) == (walked.size, walked.steps)
-    assert ahead.fills <= walked.fills
-    if (name, rate, aux_prob) == ("tent", 0.0, 0.0):
-        assert (ahead.fills, walked.fills) == (2, 31)
+    engine = _Engine(sc, replace(made["renewal"], aux_prob=aux_prob))
+    assert_plays_like_the_reference(engine, rate, 7, 30, 120, 10)
 
 
 def test_a_stationary_prior_adds_no_chain_nodes(strategies):
-    # cycle3's doubly stochastic chain fixes its uniform prior bit for bit, so the silent start
-    # node is its own successor and the chain builds no node
+    # cycle3's doubly stochastic chain fixes its uniform prior bit for bit, so the silent prefix
+    # closes at stage 0: every stage reads that one stage, and the table keeps its first fill
     sc, made = strategies["cycle3"]
     engine = _Engine(sc, made["renewal"])
     engine.play(0.0, replication_rng(1, 0).random((4, 50, 3)))
-    assert (engine.size, engine.fills) == (sc.chain.k + 1, 1)
-    assert engine.succ[engine.start, 0] == engine.start
+    assert (engine.size, engine.fills, engine.steps) == (sc.chain.k + 1, 1, 0)
+    assert (len(engine.pre_pay), engine.pre_seen.get(engine.pre_next.tobytes())) == (1, 0)
+    assert_bit_equal(engine._prefix(50), np.zeros(50, dtype=np.int64))
 
 
-@pytest.mark.parametrize("cap", [4, 9, 13])
-def test_the_silent_chain_stops_below_the_table_cap(cap, strategies, monkeypatch):
-    # tent's silent chain has 30 nodes; a table capped at 13 takes 9 of them (the three first-fill
-    # nodes, and one slot left below the cap), after which the walk builds and clears as before
-    sc, made = strategies["tent"]
-    strat = made["renewal"]
-    want = estimate_renewal_average(sc, strat, 200, samples=30, seed=4)
-    monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
+# (scenario, transition, prior) of silent prefixes longer than one stage, which no bundled k = 3
+# scenario has (each has a doubly stochastic chain and the uniform prior): cycle3's chain off its
+# stationary law, a periodic chain whose prefix loops with period 2, and a slowly mixing chain
+LONG_PREFIXES = {
+    "cycle3": ("cycle3", None, [0.8, 0.1, 0.1]),
+    "periodic": ("tent", [[0.0, 1.0], [1.0, 0.0]], [0.25, 0.75]),
+    "slow": ("tent", [[0.999, 0.001], [0.002, 0.998]], None),
+}
+
+
+@pytest.fixture(scope="module")
+def long_prefixes():
+    """Each LONG_PREFIXES scenario with its renewal strategy at rate 0.05, built once."""
+    made = {}
+    for case, (name, M, prior) in LONG_PREFIXES.items():
+        sc = bundled(name)
+        sc = replace(sc, chain=sc.chain if M is None else validate_chain(np.array(M)), prior=prior,
+                     reveal_rate=0.05)
+        made[case] = sc, strategy_renewal_optimal(sc)
+    return made
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+@pytest.mark.parametrize("case", sorted(LONG_PREFIXES))
+def test_a_long_silent_prefix_plays_like_the_scalar_reference(case, rate, long_prefixes):
+    sc, strat = long_prefixes[case]
     engine = _Engine(sc, strat)
-    engine._chain(50)
-    assert (engine.size, engine.fills) == (max(cap - 1, 3), 2 if cap > 4 else 1)
-    got = estimate_renewal_average(sc, strat, 200, samples=30, seed=4)
-    for g, w in zip((got.values, got.rep_ids), (want.values, want.rep_ids)):
-        assert_bit_equal(g, w)
-    assert got.rejected == want.rejected
+    assert_plays_like_the_reference(engine, rate, 3, 6, 400, 3)
+    # at rate 0 every lane plays its 400 stages silently: the periodic prefix is its two stages
+    # round a loop from stage 0, and the others run on well past stage 0
+    assert len(engine.pre_pay) > 1
+    if (case, rate) == ("periodic", 0.0):
+        assert (len(engine.pre_pay), engine.pre_seen.get(engine.pre_next.tobytes())) == (2, 0)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -1082,29 +1101,67 @@ def test_a_policy_on_another_lattice_plays_its_own_grid_points(strategies):
     assert_bit_equal(est.values, reference_renewal(sc, strat, 40, 40, 5)[0])
 
 
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_a_fill_runs_bayes_only_on_silent_nodes_and_locates_only_empty_slots(name, strategies, monkeypatch):
-    # the silent renewal policy: a silent node's posteriors come from Bayes' rule and are
-    # interpolated; a live node's come from its split, and only an empty slot reads u at the belief
-    sc, made = strategies[name]
-    strat = made["renewal"]
-    engine = _Engine(sc, strat)
-    beliefs = np.vstack([sc.grid.points, sc.grid.points @ sc.chain.M])[::7]
-    silent = np.arange(len(beliefs)) % 2 == 0
-    fresh = [(flag, b.tobytes()) not in engine.index for flag, b in zip(silent.tolist(), beliefs)]
-    silent, beliefs = silent[fresh], beliefs[fresh]
-    calls = []  # (name, beliefs): bayes_update's priors, interpolate's queries
+def spy_on_bayes_and_interpolate(monkeypatch) -> list:
+    """(name, beliefs) of each later bayes_update (its priors) and interpolate (its queries) call."""
+    calls = []
     for fn, at in (("bayes_update", 0), ("interpolate", 1)):
         monkeypatch.setattr(sim, fn, lambda *args, _fn=getattr(sim, fn), _name=fn, _at=at:
                             calls.append((_name, args[_at])) or _fn(*args))
-    ids = engine._intern(silent, beliefs)
-    _, atoms, _ = cav_splits(strat.target, beliefs[~silent])
-    want = [("bayes_update", beliefs[silent]),
-            ("interpolate", engine.post[ids[silent]].reshape(-1, sc.chain.k)),
-            ("interpolate", beliefs[~silent][(atoms < 0).any(axis=1)])]
+    return calls
+
+
+def assert_calls(calls, want):
     assert [fn for fn, _ in calls] == [fn for fn, _ in want]
     for (_, got), (_, w) in zip(calls, want):
         assert_bit_equal(np.asarray(got), w)
+
+
+def fresh_beliefs(sc, engine):
+    beliefs = np.vstack([sc.grid.points, sc.grid.points @ sc.chain.M])[::7]
+    return beliefs[[b.tobytes() not in engine.index for b in beliefs]]
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_fill_runs_bayes_only_on_silent_nodes_and_locates_only_empty_slots(name, strategies, monkeypatch):
+    # the silent renewal strategy: Bayes' rule runs only on its silent prefix, one stage at a time,
+    # whose posteriors are then interpolated in one call; a fill of its own nodes takes their
+    # posteriors from its splits with no Bayes step, and only an empty slot reads u at the belief
+    sc, made = strategies[name]
+    strat = made["renewal"]
+    engine = _Engine(sc, strat)
+    fresh = fresh_beliefs(sc, engine)
+    calls = spy_on_bayes_and_interpolate(monkeypatch)
+    engine._intern(fresh)
+    _, atoms, _ = cav_splits(strat.target, fresh)
+    assert_calls(calls, [("interpolate", fresh[(atoms < 0).any(axis=1)])])
+    calls.clear()
+    engine._prefix(50)
+    posts = engine.pre_post
+    priors = np.vstack([sc.initial_prior()[None], np.matmul(posts[:-1, None, :], sc.chain.M)[:, 0]])
+    assert_calls(calls, [("bayes_update", prior[None]) for prior in priors] + [("interpolate", posts)])
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_kernel_fill_runs_bayes_on_every_node(name, strategies, monkeypatch):
+    # a kernel strategy's posteriors come from Bayes' rule and are interpolated, in one call each
+    sc, made = strategies[name]
+    engine = _Engine(sc, made["full"])
+    fresh = fresh_beliefs(sc, engine)
+    calls = spy_on_bayes_and_interpolate(monkeypatch)
+    ids = engine._intern(fresh)
+    assert_calls(calls, [("bayes_update", fresh), ("interpolate", engine.post[ids].reshape(-1, sc.chain.k))])
+
+
+def test_a_nested_list_kernel_plays_like_its_array(strategies):
+    # the engine plays the kernel validate_kernel returns, so a list of rows plays as its array does
+    sc, _ = strategies["tent"]
+    nested = [[0.3, 0.7], [0.6, 0.4]]
+    listed, array = Strategy(kernel=nested), Strategy(kernel=np.array(nested))
+    assert_bit_equal(estimate_discounted(sc, listed, samples=30, seed=2, horizon=40).values,
+                     estimate_discounted(sc, array, samples=30, seed=2, horizon=40).values)
+    got, want = run_policy(sc, listed, 40, rep=1), run_policy(sc, array, 40, rep=1)
+    for field in ("states", "signals", "reveals", "posteriors", "stage_payoffs"):
+        assert_bit_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("aux_prob", [math.nan, -0.2, 1.5])
@@ -1144,7 +1201,7 @@ def exact_played_value(sc, strat) -> float:
     assert strat.aux_prob == 0.0
     lam, x, M = sc.discount, sc.reveal_rate, sc.chain.M
     engine = _Engine(sc, strat)
-    start = engine._intern(np.array([strat.silent]), sc.initial_prior()[None])[0]
+    start = engine._intern(sc.initial_prior()[None])[0]
     done = 0
     while done < engine.size and x < 1.0:
         ids = np.arange(done, engine.size)
@@ -1152,7 +1209,7 @@ def exact_played_value(sc, strat) -> float:
         src, sig = np.nonzero(signal_probs(engine, ids) > 0.0)
         src = ids[src]
         beliefs = np.matmul(engine.post[src, sig, None, :], M)[:, 0]
-        engine.succ[src, sig] = engine._intern(engine.silent[src], beliefs)
+        engine.succ[src, sig] = engine._intern(beliefs)
         assert engine.size <= _Engine._CACHE_CAP, "the node graph did not close"
     size = engine.size
     probs = signal_probs(engine, np.arange(size))
@@ -1199,7 +1256,8 @@ NODE_CASES = [(name, None) for name in ("tent", "parabola", "receiver", "cycle3"
 @pytest.mark.parametrize("name,seed", NODE_CASES)
 def test_policy_nodes_are_the_grid_images(name, seed):
     # every posterior is a grid point, so every node is the prior, a transition row or a row of
-    # grid.points @ M, for the optimal strategy and for couple:Y
+    # grid.points @ M, for the optimal strategy, for couple:Y and for sigma_star, whose silent
+    # prefix the table does not hold
     sc = bundled(name) if seed is None else generated(name, seed)
     rate = sc.reveal_rate + 0.2
     target_y = solve(replace(sc, reveal_rate=rate), "reveal").target
@@ -1207,6 +1265,9 @@ def test_policy_nodes_are_the_grid_images(name, seed):
         est = estimate_discounted(sc, strat, samples=300, seed=1)
         assert est.nodes <= sc.grid.n + sc.chain.k + 1
         assert est.cache_clears == 0
+    est = estimate_renewal_average(sc, strategy_renewal_optimal(sc), 100, samples=300, seed=1)
+    assert est.nodes <= sc.grid.n + sc.chain.k + 1
+    assert est.cache_clears == 0
 
 
 ESTIMATORS = {

@@ -25,8 +25,7 @@ before the play. States and coins depend only on the uniforms, so a play
 gets them first: states by a prefix scan, then revelation and coupling
 coins. Each revelation or coupling hit
 reboots the belief to a transition row and so starts a segment; the
-segments of a play are walked in lock-step, one position per numpy step,
-but a silent strategy's first segments copy its one belief prefix. A
+segments of a play are walked in lock-step, one position per numpy step. A
 replication's value depends only on its own stream, never on the chunk or
 group it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
 uses numpy's pairwise summation over the replication axis.
@@ -193,9 +192,7 @@ class EstimateResult:
     size, cache_clears the number of walk steps at which the table hit its
     cap, steps the lock-step walk iterations over all chunks, and fills the
     batches of nodes built: the first holds the k row nodes and the start
-    node at the scenario's prior, and each clear builds them again in one. A
-    silent strategy's prefix, the beliefs before its first revelation, is
-    kept apart from the table: nodes, steps and fills leave it out.
+    node at the scenario's prior, and each clear builds them again in one.
     """
 
     mean: float
@@ -231,14 +228,13 @@ def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateR
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Stationary signal kernels, with the two renewal-phase variations.
+    """A stationary signal kernel or policy, with an optional coupling coin.
 
     A policy strategy plays, at each belief it reaches, the optimal split of
     target's envelope at that exact belief (`cav_splits`), realized by the
     kernel `kernels_from_splits` builds over k signals, one per atom (a split
     has at most k); its posteriors are the atoms, grid points. Any other strategy
-    plays kernel (state x signal) at every belief. A silent strategy sends one
-    uninformative signal until the first revelation. With aux_prob > 0, on
+    plays kernel (state x signal) at every belief. With aux_prob > 0, on
     stages where the game did not just reveal, an auxiliary coin discloses the
     previous state with that chance and the strategy is played at its transition
     row. The engine takes exactly one of a target and a kernel that
@@ -247,7 +243,6 @@ class Strategy:
 
     kernel: np.ndarray | None = None
     target: GridFn | None = None
-    silent: bool = False
     aux_prob: float = 0.0
 
 
@@ -278,15 +273,17 @@ def strategy_optimal(sc: Scenario) -> Strategy:
 
 
 def strategy_renewal_optimal(sc: Scenario) -> Strategy:
-    """Wait for the first revelation, then play optimally between revelations.
+    """sigma*: the optimal policy of the game between revelations, the no-revelation game at discount 1 - rate.
 
-    After each revelation the belief reboots to a transition row and the
-    policy optimal for the no-revelation game at discount 1 - reveal_rate
-    is followed until the next revelation. Raises RateBoundary for a rate
-    outside (0, 1] or one whose 1 - rate rounds to 1.
+    It is played from the scenario's prior like any policy; after each
+    revelation the belief reboots to a transition row and the policy is
+    followed until the next. The renewal average scores only the stages
+    after the first revelation, so the play before it never enters that
+    score. Raises RateBoundary for a rate outside (0, 1] or one whose
+    1 - rate rounds to 1.
     """
     inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
-    return replace(strategy_policy(solve(inner_sc, "no_reveal").target), silent=True)
+    return strategy_policy(solve(inner_sc, "no_reveal").target)
 
 
 def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
@@ -357,10 +354,6 @@ class _Engine:
     table when the target shares its lattice, else the payoff interpolated
     once at each point.
 
-    A silent strategy's lanes all follow one belief sequence until their
-    first reboot: the prefix, a posterior and a payoff per stage kept beside
-    the table (`_prefix`), from which a play copies the first segments.
-
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
     and stage at once: states by one prefix scan, then the revelation and
@@ -396,13 +389,6 @@ class _Engine:
         if strat.target is not None:
             own = strat.target.grid is sc.u.grid
             self.atom_pay = sc.u.values + 0.0 if own else interpolate(sc.u, strat.target.grid.points)
-        # one signal, padded to the width: its cumulative row [1, ..., 1, +inf] always draws signal 0
-        self.silent_kernel = np.zeros((sc.chain.k, self.width))
-        self.silent_kernel[:, 0] = 1.0
-        # the silent prefix: stage t's posterior and payoff, the stage each belief first came at, and
-        # the belief of the stage after the last, which closes a loop once pre_seen holds it
-        self.pre_post, self.pre_pay, self.pre_seen = np.empty((0, sc.chain.k)), np.empty(0), {}
-        self.pre_next = self.prior[None]
         self.clears = self.steps = self.fills = 0
         self._reset()
 
@@ -482,34 +468,11 @@ class _Engine:
         self.size = stop
         self.fills += 1
 
-    def _prefix(self, length: int) -> np.ndarray:
-        """Rows of pre_post and pre_pay for stages 0 .. length-1 of the silent prefix, extending it as needed.
-
-        A new stage's posterior is `bayes_update` under the padded silent
-        kernel, and the next belief one stacked (1, k) @ (k, k) product, as the
-        walk computes a successor; new payoffs are interpolated in one call.
-        Past the first belief that recurs bit for bit, stages go round its loop.
-        """
-        M, posts, n = self.sc.chain.M, [], len(self.pre_pay)
-        while n + len(posts) < length and self.pre_next.tobytes() not in self.pre_seen:
-            self.pre_seen[self.pre_next.tobytes()] = n + len(posts)
-            posts.append(bayes_update(self.pre_next, self.silent_kernel[None])[1][:, 0])
-            self.pre_next = np.matmul(posts[-1][:, None, :], M)[:, 0]
-        if posts:
-            self.pre_post = np.vstack([self.pre_post, *posts])
-            self.pre_pay = np.append(self.pre_pay, interpolate(self.sc.u, self.pre_post[n:]))
-        stages, n = np.arange(length), len(self.pre_pay)
-        loop = self.pre_seen.get(self.pre_next.tobytes())  # the stage the next belief recurs at
-        if loop is not None:
-            stages[n:] = loop + (stages[n:] - loop) % (n - loop)
-        return stages
-
     def play(self, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
         """Play lane j on the uniforms draws[j], a (lanes, horizon, d) array, for horizon stages.
 
-        Every lane starts at the start node, the scenario's prior, but a silent
-        strategy's lanes copy their first segments off the prefix in one masked assignment.
-        Returns (lanes, horizon) arrays, one row per lane: stage payoffs and
+        Every lane starts at the start node, the scenario's prior. Returns
+        (lanes, horizon) arrays, one row per lane: stage payoffs and
         revelation coins, plus states, signals and posteriors when trace is
         set (None otherwise).
         """
@@ -518,19 +481,10 @@ class _Engine:
         states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.prior), rate,
                                                          self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
-                       signals=np.zeros((lanes, horizon), dtype=np.int64) if trace else None,
+                       signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
                        reveals=reveals,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
-        if self.strat.silent:
-            # each lane's first segment ends at its first reboot (stage 0 never reboots), or the horizon
-            first = reboot.argmax(axis=1)
-            first[first == 0] = horizon
-            n = int(first.max())
-            stages, head = self._prefix(n), np.arange(n) < first[:, None]
-            np.copyto(out.stage_payoffs[:, :n], self.pre_pay[stages], where=head)
-            if trace:  # a silent stage sends signal 0
-                np.copyto(out.posteriors[:, :n], self.pre_post[stages], where=head[..., None])
         segments = self._segments(reboot, states, hit if trace else None)
         self._walk(segments, states, draws[:, :, d - 2], reveals, out)
         return out
@@ -540,8 +494,7 @@ class _Engine:
 
         starts are flat (lane, stage) indices and nodes the nodes the
         segments start at: the previous state's row node after a reboot, else
-        the start node. A silent strategy's first segments play its prefix, so
-        they count as empty. codes hold width * (1 + previous state) where a
+        the start node. codes hold width * (1 + previous state) where a
         coupling hit starts the segment and 0 elsewhere (None without hit).
         live[j] counts the segments longer than j.
         """
@@ -550,8 +503,6 @@ class _Engine:
         cut[:, 0] = True  # each lane's first stage starts a segment
         starts = np.flatnonzero(cut)
         length = np.diff(starts, append=a * b)
-        if self.strat.silent:  # no step is alive in a first segment
-            length[~reboot.reshape(-1)[starts]] = 0
         # a lane's first stage never reboots, so the state read before it is never used
         prev = states.reshape(-1)[starts - 1]
         nodes = np.where(reboot.reshape(-1)[starts], prev, self.start)

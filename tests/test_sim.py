@@ -292,18 +292,6 @@ def test_state_marginals_follow_the_chain(scenario):
     assert abs(zfreq - 0.5) < 3.0 * math.sqrt(0.25 / trace.reveals.size)
 
 
-def test_renewal_optimal_plays_silent_until_first_revelation(scenario):
-    sc = scenario("tent", reveal_rate=0.5)
-    strat = strategy_renewal_optimal(sc)
-    trace = run_policy(sc, strat, horizon=40, seed=3)
-    first = int(np.argmax(trace.reveals))
-    assert trace.reveals[first]
-    belief = np.array([0.5, 0.5])
-    for n in range(first + 1):
-        assert trace.posteriors[n] == pytest.approx(belief, abs=1e-9)
-        belief = belief @ sc.chain.M
-
-
 def test_renewal_strategy_requires_positive_rate(scenario):
     with pytest.raises(RateBoundary, match=r"must lie in \(0, 1\], got 0.0"):
         strategy_renewal_optimal(scenario("tent", reveal_rate=0.0))
@@ -543,14 +531,17 @@ class _ScalarEngine:
 
     Nodes are keyed by (silent, belief bytes). A non-revealing stage follows
     the node's successor for the drawn signal; a revelation moves to the
-    row node of the revealed state.
+    row node of the revealed state. With silent set, a play sends one
+    uninformative signal until its first revelation and plays the strategy
+    after it.
     """
 
     _CACHE_CAP = 200_000
 
-    def __init__(self, sc: Scenario, strat: Strategy) -> None:
+    def __init__(self, sc: Scenario, strat: Strategy, silent: bool = False) -> None:
         self.sc = sc
         self.strat = strat
+        self.silent = silent
         self.nodes: dict[tuple, _Node] = {}
         self.M = sc.chain.M
         self.M_cums = tuple(tuple(np.cumsum(sc.chain.M[ell])) for ell in range(sc.chain.k))
@@ -589,7 +580,7 @@ class _ScalarEngine:
     def run(self, prior: np.ndarray, horizon: int, rate: float, rng, trace_arrays=None) -> np.ndarray:
         """One play; returns the stage payoffs, optionally filling trace arrays."""
         belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
-        node = self.node(self.strat.silent, belief)
+        node = self.node(self.silent, belief)
         prior_cum = tuple(np.cumsum(belief))
         aux_prob = self.strat.aux_prob
         payoffs = np.empty(horizon)
@@ -621,10 +612,10 @@ class _ScalarEngine:
         return payoffs
 
 
-def reference_trace(sc, strat, horizon, seed, rep):
+def reference_trace(sc, strat, horizon, seed, rep, silent=False):
     arrays = (np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64),
               np.zeros(horizon, dtype=bool), np.empty((horizon, sc.chain.k)))
-    payoffs = _ScalarEngine(sc, strat).run(sc.initial_prior(), horizon, sc.reveal_rate,
+    payoffs = _ScalarEngine(sc, strat, silent).run(sc.initial_prior(), horizon, sc.reveal_rate,
                                            replication_rng(seed, rep), trace_arrays=arrays)
     return (*arrays, payoffs)
 
@@ -646,10 +637,10 @@ def reference_duration(sc, rate, strat, samples, seed):
     return totals, np.arange(samples)
 
 
-def reference_renewal(sc, strat, horizon, samples, seed):
+def reference_renewal(sc, strat, horizon, samples, seed, silent=False):
     kept, reps = [], []
     for i in range(samples):
-        _, _, reveals, _, payoffs = reference_trace(sc, strat, horizon, seed, i)
+        _, _, reveals, _, payoffs = reference_trace(sc, strat, horizon, seed, i, silent)
         stats = renewal_stats(reveals)
         if stats.revelations >= 2:
             kept.append(float(payoffs[int(stats.kappas[0]) : stats.last_stage].sum()) / horizon)
@@ -667,7 +658,7 @@ STRATEGIES = ("null", "full", "optimal", "renewal", "couple")
 
 @pytest.fixture(scope="module")
 def strategies():
-    """Bundled scenarios with each strategy the engine distinguishes, built once."""
+    """Bundled scenarios with each strategy the CLI offers (renewal is sigma_star), built once."""
     made = {}
     for name in ("tent", "receiver", "cycle3"):
         sc = bundled(name)
@@ -846,11 +837,11 @@ def test_the_row_nodes_and_the_start_node_are_one_fill(strategies):
 # (nodes, fills) of 50 stages at rate 0, where a lane never reboots: the first fill holds the k row
 # nodes and the start node, and each later fill adds the successors that step first reaches. On
 # tent the null belief moves on each of 30 stages before it is a fixed point bit for bit (3 + 30
-# nodes, one per step). The silent renewal strategy's lanes follow the same beliefs, but as its
-# prefix, which the node table does not hold. The optimal policy's lanes reach 5 more beliefs.
+# nodes, one per step). The optimal policy's lanes reach 5 more beliefs, and so do the renewal
+# policy's, which reveals nothing at the uniform prior either.
 # On cycle3 the doubly stochastic chain fixes the uniform prior, and the optimal policy there fully
 # discloses, so every successor is the start node or a row node.
-RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (3, 1),
+RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (8, 6),
                 ("cycle3", "null"): (4, 1), ("cycle3", "optimal"): (4, 1), ("cycle3", "renewal"): (4, 1)}
 
 
@@ -864,10 +855,9 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     est = estimate_discounted(replace(sc, reveal_rate=1.0), strat, samples=20, seed=1, horizon=50)
     assert est.steps == 1
     assert est.fills == 1 and est.nodes == sc.chain.k + 1
-    # at rate 0 a lane never reboots: one segment per lane, one step per stage, but a silent
-    # strategy's one segment plays its prefix and takes no step
+    # at rate 0 a lane never reboots: one segment per lane, one step per stage
     est = estimate_discounted(replace(sc, reveal_rate=0.0), strat, samples=20, seed=1, horizon=50)
-    assert est.steps == (0 if strat.silent else 50)
+    assert est.steps == 50
     assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
 
 
@@ -879,41 +869,43 @@ def traced_plays(engine, rate, draws, chunk):
 
 
 def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
-    """Traced plays of replications 0 .. lanes-1, chunk lanes at a time, equal their scalar replays."""
+    """Traced plays of replications 0 .. lanes-1, chunk lanes at a time, equal their scalar replays.
+
+    From its first reboot on, each lane also equals the reference played silent until that reboot:
+    after a reboot both sit on a row node, whatever came before it.
+    """
     sc, strat, d = replace(engine.sc, reveal_rate=rate), engine.strat, engine.draws_per_stage
     draws = np.stack([replication_rng(seed, i).random((horizon, d)) for i in range(lanes)])
     got = traced_plays(engine, rate, draws, chunk)
+    reboot = np.zeros(horizon, dtype=bool)
     for i in range(lanes):
-        for g, w in zip([field[i] for field in got], reference_trace(sc, strat, horizon, seed, i)):
+        lane = [field[i] for field in got]
+        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i)):
             assert_bit_equal(g, w)
+        # a stage reboots after a revelation, or when its coupling code (signal // width) is set
+        reboot[1:] = lane[2][:-1]
+        reboot |= lane[1] >= engine.width
+        cut = int(reboot.argmax()) if reboot.any() else horizon
+        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i, silent=True)):
+            assert_bit_equal(g[cut:], w[cut:])
 
 
 @pytest.mark.parametrize("aux_prob", [0.0, 0.3])
 @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.9])
 @pytest.mark.parametrize("name", ["tent", "receiver", "cycle3"])
 def test_the_silent_chain_builds_the_nodes_the_walk_would(name, rate, aux_prob, strategies):
-    # the renewal strategy's prefix, copied into each lane's first segment, plays what the scalar
-    # reference plays as it builds the silent nodes one stage at a time; a coupling coin also ends a
-    # first segment. Three plays on one engine, so later plays read a prefix built before
+    # sigma_star, with and without a coupling coin, plays what the scalar reference plays, and from
+    # each lane's first reboot on, what the reference's silent chain reaches. Three plays on one
+    # engine, so later plays read nodes built before
     sc, made = strategies[name]
     engine = _Engine(sc, replace(made["renewal"], aux_prob=aux_prob))
     assert_plays_like_the_reference(engine, rate, 7, 30, 120, 10)
 
 
-def test_a_stationary_prior_adds_no_chain_nodes(strategies):
-    # cycle3's doubly stochastic chain fixes its uniform prior bit for bit, so the silent prefix
-    # closes at stage 0: every stage reads that one stage, and the table keeps its first fill
-    sc, made = strategies["cycle3"]
-    engine = _Engine(sc, made["renewal"])
-    engine.play(0.0, replication_rng(1, 0).random((4, 50, 3)))
-    assert (engine.size, engine.fills, engine.steps) == (sc.chain.k + 1, 1, 0)
-    assert (len(engine.pre_pay), engine.pre_seen.get(engine.pre_next.tobytes())) == (1, 0)
-    assert_bit_equal(engine._prefix(50), np.zeros(50, dtype=np.int64))
-
-
-# (scenario, transition, prior) of silent prefixes longer than one stage, which no bundled k = 3
-# scenario has (each has a doubly stochastic chain and the uniform prior): cycle3's chain off its
-# stationary law, a periodic chain whose prefix loops with period 2, and a slowly mixing chain
+# (scenario, transition, prior) whose silent prefixes, the reference's beliefs before a first
+# revelation, run longer than one stage, which no bundled k = 3 scenario has (each has a doubly
+# stochastic chain and the uniform prior): cycle3's chain off its stationary law, a periodic chain
+# whose prefix loops with period 2, and a slowly mixing chain
 LONG_PREFIXES = {
     "cycle3": ("cycle3", None, [0.8, 0.1, 0.1]),
     "periodic": ("tent", [[0.0, 1.0], [1.0, 0.0]], [0.25, 0.75]),
@@ -936,14 +928,32 @@ def long_prefixes():
 @pytest.mark.parametrize("rate", [0.0, 0.05])
 @pytest.mark.parametrize("case", sorted(LONG_PREFIXES))
 def test_a_long_silent_prefix_plays_like_the_scalar_reference(case, rate, long_prefixes):
+    # sigma_star from a prior off the chain's stationary law (the only k = 3 such plays), and after
+    # each lane's first revelation, the reference played silent until then; at rate 0 no lane reveals
     sc, strat = long_prefixes[case]
-    engine = _Engine(sc, strat)
-    assert_plays_like_the_reference(engine, rate, 3, 6, 400, 3)
-    # at rate 0 every lane plays its 400 stages silently: the periodic prefix is its two stages
-    # round a loop from stage 0, and the others run on well past stage 0
-    assert len(engine.pre_pay) > 1
-    if (case, rate) == ("periodic", 0.0):
-        assert (len(engine.pre_pay), engine.pre_seen.get(engine.pre_next.tobytes())) == (2, 0)
+    assert_plays_like_the_reference(_Engine(sc, strat), rate, 3, 6, 400, 3)
+
+
+# (scenario, reveal rate): the bundled scenarios at three rates, cycle3 at its own, and the
+# LONG_PREFIXES cases at theirs
+RENEWAL_CASES = [(name, x) for name in ("tent", "parabola", "receiver", "kink3") for x in (0.1, 0.5, 0.9)] + [
+    ("cycle3", 0.5)] + [(case, None) for case in sorted(LONG_PREFIXES)]
+
+
+@pytest.mark.parametrize("name,x", RENEWAL_CASES)
+def test_renewal_scores_never_read_the_play_before_the_first_revelation(name, x, long_prefixes):
+    # the renewal average of sigma_star, which plays its policy from the prior, equals the
+    # reference's that sends one uninformative signal until the first revelation, bit for bit
+    if x is None:
+        sc, strat = long_prefixes[name]
+    else:
+        sc = bundled(name, x=x)
+        strat = strategy_renewal_optimal(sc)
+    est = estimate_renewal_average(sc, strat, 200, samples=40, seed=9)
+    values, reps = reference_renewal(sc, strat, 200, 40, 9, silent=True)
+    assert_bit_equal(est.values, values)
+    assert_bit_equal(est.rep_ids, reps)
+    assert est.rejected == 40 - len(reps)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -1122,10 +1132,9 @@ def fresh_beliefs(sc, engine):
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_a_fill_runs_bayes_only_on_silent_nodes_and_locates_only_empty_slots(name, strategies, monkeypatch):
-    # the silent renewal strategy: Bayes' rule runs only on its silent prefix, one stage at a time,
-    # whose posteriors are then interpolated in one call; a fill of its own nodes takes their
-    # posteriors from its splits with no Bayes step, and only an empty slot reads u at the belief
+def test_a_policy_fill_runs_no_bayes_and_locates_only_empty_slots(name, strategies, monkeypatch):
+    # a fill of a policy's nodes takes their posteriors from its splits with no Bayes step, and only
+    # an empty slot reads u at the belief
     sc, made = strategies[name]
     strat = made["renewal"]
     engine = _Engine(sc, strat)
@@ -1134,11 +1143,6 @@ def test_a_fill_runs_bayes_only_on_silent_nodes_and_locates_only_empty_slots(nam
     engine._intern(fresh)
     _, atoms, _ = cav_splits(strat.target, fresh)
     assert_calls(calls, [("interpolate", fresh[(atoms < 0).any(axis=1)])])
-    calls.clear()
-    engine._prefix(50)
-    posts = engine.pre_post
-    priors = np.vstack([sc.initial_prior()[None], np.matmul(posts[:-1, None, :], sc.chain.M)[:, 0]])
-    assert_calls(calls, [("bayes_update", prior[None]) for prior in priors] + [("interpolate", posts)])
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -1256,8 +1260,7 @@ NODE_CASES = [(name, None) for name in ("tent", "parabola", "receiver", "cycle3"
 @pytest.mark.parametrize("name,seed", NODE_CASES)
 def test_policy_nodes_are_the_grid_images(name, seed):
     # every posterior is a grid point, so every node is the prior, a transition row or a row of
-    # grid.points @ M, for the optimal strategy, for couple:Y and for sigma_star, whose silent
-    # prefix the table does not hold
+    # grid.points @ M, for the optimal strategy, for couple:Y and for sigma_star
     sc = bundled(name) if seed is None else generated(name, seed)
     rate = sc.reveal_rate + 0.2
     target_y = solve(replace(sc, reveal_rate=rate), "reveal").target

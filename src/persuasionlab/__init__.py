@@ -40,7 +40,6 @@ from .sim import (
     strategy_full,
     strategy_null,
     strategy_optimal,
-    strategy_policy,
     strategy_renewal_optimal,
 )
 from .solver import (
@@ -102,7 +101,6 @@ __all__ = [
     "strategy_full",
     "strategy_null",
     "strategy_optimal",
-    "strategy_policy",
     "strategy_renewal_optimal",
     "validate_belief",
     "validate_chain",

@@ -15,7 +15,8 @@ bit-for-bit. Numbers are printed with 17 significant digits so a reread is
 lossless.
 
 Exit codes: 0 pass, 1 a verification verdict failed (the table is still
-written), 2 bad input, 3 numeric failure, 4 internal error (a bug).
+written), 2 bad input (including a size too large to allocate), 3 numeric
+failure, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
     """Value of the revelation game is non-increasing in the revelation rate."""
     discounts = (0.5, 0.9)
     rates = [round(0.1 * i, 10) for i in range(1, 11)]
-    beliefs = np.vstack([sc.initial_prior(), sc.chain.M])
+    beliefs = np.vstack([sc.prior, sc.chain.M])
     table.add_meta("monotone_slack", 1e-3)
     passed = True
     for lam in discounts:
@@ -382,14 +383,12 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     if sc.samples < 2:
         raise ValueError(f"disint needs samples >= 2 for a standard error, got samples {sc.samples}")
     rates = (0.3, 0.5)
-    p = sc.initial_prior()
     passed = True
     for x in rates:
         inner_sc = replace(sc, discount=1.0 - x)
         res = solve(inner_sc, "no_reveal")
-        strat = sim.strategy_policy(res.target)
-        est = sim.random_duration_value_mc(inner_sc, x, strat)
-        target = interpolate(res.value, p) / x
+        est = sim.random_duration_value_mc(inner_sc, x, sim.Strategy(res.target))
+        target = interpolate(res.value, sc.prior) / x
         err = abs(est.mean - target)
         bound = 3.0 * est.std_error + 1e-2
         table.add_row(x, est.mean, est.std_error, target, err, bound)
@@ -489,7 +488,7 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
     x = sc.reveal_rate
     if 0.0 < x < 1.0:
         horizon = 1_000_000
-        states, reveals = sim.state_reveal_path(sc, horizon)
+        states, reveals = sim.state_reveal_path(sc, sim.strategy_null(sc), horizon)
         stats = sim.renewal_stats(reveals)
 
         freq = stats.revelations / horizon
@@ -594,8 +593,8 @@ def cmd_simulate(args) -> int:
     table.add_meta("horizon", est.horizon)
     table.add_meta("truncation", est.truncation)
 
-    trace = sim.run_policy(sc, strat, est.horizon)
-    stats = sim.renewal_stats(trace.reveals)
+    _, reveals = sim.state_reveal_path(sc, strat, est.horizon)
+    stats = sim.renewal_stats(reveals)
     table.add_meta("rep0_revelations", stats.revelations)
     table.add_meta("rep0_last_stage", stats.last_stage)
     if stats.revelations:
@@ -663,7 +662,8 @@ def main(argv=None) -> int:
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PersuasionError, ValueError, OSError) as exc:
+    # a MemoryError is an input too large to allocate, such as a horizon of 10**14 stages
+    except (PersuasionError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

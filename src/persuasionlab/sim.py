@@ -3,15 +3,16 @@
 Reproducibility contract: replication i of a run with master seed s draws
 from numpy's default generator seeded with SeedSequence(s, spawn_key=(i,)).
 Stage n reads uniforms d*n .. d*n + d - 1 of that stream in fixed slots:
-state transition, coupling coin, signal, revelation coin, where d = 4 for a
-strategy with a coupling coin and d = 3 (no coin slot) otherwise. The
-coupling coin is read on every stage and used only when the previous stage
-did not reveal; the revelation coin is read even when the rate is zero, so
-traces with different rates stay aligned.
+state transition, coupling coin, signal, revelation coin, where d =
+Strategy.draws_per_stage is 4 for a strategy with a coupling coin and 3 (no
+coin slot) otherwise. The coupling coin is read on every stage and used
+only when the previous stage did not reveal; the revelation coin is read
+even when the rate is zero, so traces with different rates stay aligned.
 
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane on its own row of uniforms; run_policy is the one-lane
-case of the same engine. Every lane of a play runs the same horizon: the
+case of the same engine, and state_reveal_path reads that play's states and
+coins off its uniforms alone. Every lane of a play runs the same horizon: the
 random-duration estimator draws each replication's duration first and plays
 the replications whose durations have one bit length as one group, for the
 longest of those durations. A policy strategy splits at the exact belief
@@ -40,10 +41,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_belief, validate_kernel
+from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_kernel
 from .chain import cum_rows, scan_states
 from .envelope import cav_splits
-from .errors import AllRejected, BadRates, DegenerateTail, InvalidSplit, RateBoundary
+from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
 from .solver import Scenario, _between_revelations, solve
 
 # ---------------------------------------------------------------------------
@@ -228,48 +229,50 @@ def _summary(values: np.ndarray, rep_ids: np.ndarray, **accounting) -> EstimateR
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A stationary signal kernel or policy, with an optional coupling coin.
+    """What a sender plays at every belief, with an optional coupling coin.
 
-    A policy strategy plays, at each belief it reaches, the optimal split of
-    target's envelope at that exact belief (`cav_splits`), realized by the
-    kernel `kernels_from_splits` builds over k signals, one per atom (a split
-    has at most k); its posteriors are the atoms, grid points. Any other strategy
-    plays kernel (state x signal) at every belief. With aux_prob > 0, on
-    stages where the game did not just reveal, an auxiliary coin discloses the
-    previous state with that chance and the strategy is played at its transition
-    row. The engine takes exactly one of a target and a kernel that
-    `validate_kernel` accepts, and plays over k signals or the kernel's columns.
+    plays is a GridFn target (a solve's `SolverResult.target`), which makes
+    the strategy a policy, or else a state x signal kernel. A policy plays,
+    at each belief it reaches, the optimal split of the target's envelope at
+    that exact belief (`cav_splits`), realized by the kernel
+    `kernels_from_splits` builds over k signals, one per atom (a split has at
+    most k). Its posteriors are the atoms, grid points of the target's grid,
+    which may differ from the scenario's: the engine reads their payoffs off
+    the payoff's table, or off the payoff interpolated once at each point of
+    another grid. A kernel, which the engine checks with `validate_kernel`,
+    is played at every belief over its columns. With aux_prob > 0, on stages
+    where the game did not just reveal, an auxiliary coin discloses the
+    previous state with that chance and the strategy is played at its
+    transition row. Raises BadRates for an aux_prob outside [0, 1].
     """
 
-    kernel: np.ndarray | None = None
-    target: GridFn | None = None
+    plays: GridFn | np.ndarray
     aux_prob: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.aux_prob <= 1.0:  # written so that a NaN fails
+            raise BadRates(f"aux_prob must lie in [0, 1], got {self.aux_prob}")
+
+    @property
+    def draws_per_stage(self) -> int:
+        """Uniforms a stage reads: state, coupling coin (only with aux_prob > 0), signal, revelation coin."""
+        return 4 if self.aux_prob > 0.0 else 3
 
 
 def strategy_null(sc: Scenario) -> Strategy:
     """Reveals nothing: a single uninformative signal each stage."""
-    return Strategy(kernel=np.ones((sc.chain.k, 1)))
+    return Strategy(np.ones((sc.chain.k, 1)))
 
 
 def strategy_full(sc: Scenario) -> Strategy:
     """Discloses the current state each stage."""
-    return Strategy(kernel=np.eye(sc.chain.k))
-
-
-def strategy_policy(target: GridFn) -> Strategy:
-    """Plays target's envelope (a solve's `SolverResult.target`) at the exact belief, over k signals.
-
-    Its posteriors are grid points of target's grid, which may differ from the
-    scenario's: the engine reads their payoffs off the payoff's table, or off
-    the payoff interpolated once at each point of another grid.
-    """
-    return Strategy(target=target)
+    return Strategy(np.eye(sc.chain.k))
 
 
 def strategy_optimal(sc: Scenario) -> Strategy:
     """Optimal stationary strategy of the revelation game at the scenario's rate."""
     mode = "reveal" if sc.reveal_rate > 0.0 else "no_reveal"
-    return strategy_policy(solve(sc, mode).target)
+    return Strategy(solve(sc, mode).target)
 
 
 def strategy_renewal_optimal(sc: Scenario) -> Strategy:
@@ -283,7 +286,7 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     1 - rate rounds to 1.
     """
     inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
-    return strategy_policy(solve(inner_sc, "no_reveal").target)
+    return Strategy(solve(inner_sc, "no_reveal").target)
 
 
 def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:
@@ -301,7 +304,7 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
     if target_rate < base_rate:
         raise BadRates(f"target rate {target_rate} below base rate {base_rate}")
     aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
-    return replace(strategy_policy(target_y), aux_prob=aux_prob)
+    return Strategy(target_y, aux_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +349,14 @@ class _Engine:
     payoff and the posterior. Nodes are keyed by their belief's bytes.
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
     state's id is its node; a play starts at the start node, the scenario's
-    prior, built in the same first fill (`_reset`).
+    prior `sc.prior`, built in the same first fill (`_reset`).
     Other nodes are appended when first reached, and a non-revealing stage
-    follows the successor of (node, signal), filled once. A policy's
-    posteriors are grid points, so its payoffs come from `atom_pay`, the
-    scenario's payoff at each point of the target's grid: the payoff's own
-    table when the target shares its lattice, else the payoff interpolated
-    once at each point.
+    follows the successor of (node, signal), filled once. A strategy whose
+    `plays` is a GridFn is a policy; anything else is a kernel, played as
+    `validate_kernel` returns it (`kernel`). A policy's posteriors are grid
+    points, so its payoffs come from `atom_pay`, the scenario's payoff at
+    each point of the target's grid: the payoff's own table when the target
+    shares its lattice, else the payoff interpolated once at each point.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -369,26 +373,19 @@ class _Engine:
     _CACHE_CAP = 200_000
 
     def __init__(self, sc: Scenario, strat: Strategy) -> None:
-        if (strat.kernel is None) == (strat.target is None):
-            raise InvalidSplit("a strategy needs exactly one of a kernel and a target")
-        if strat.target is not None and not isinstance(strat.target, GridFn):
-            raise InvalidSplit(f"a policy's target must be a GridFn, got {type(strat.target).__name__}")
-        if not 0.0 <= strat.aux_prob <= 1.0:  # written so that a NaN fails
-            raise BadRates(f"aux_prob must lie in [0, 1], got {strat.aux_prob}")
         self.sc = sc
         self.strat = strat
-        self.kernel = None if strat.kernel is None else validate_kernel(strat.kernel, sc.chain.k)
-        self.width = sc.chain.k if self.kernel is None else self.kernel.shape[1]
-        self.draws_per_stage = 4 if strat.aux_prob > 0.0 else 3
+        policy = isinstance(strat.plays, GridFn)
+        self.kernel = None if policy else validate_kernel(strat.plays, sc.chain.k)
+        self.width = sc.chain.k if policy else self.kernel.shape[1]
         self.M_cum = cum_rows(sc.chain.M)
-        self.prior = np.ascontiguousarray(validate_belief(sc.initial_prior(), sc.chain.k))
         # a policy's posteriors are grid points of its target, so their payoffs are read off these: on
         # the payoff's own lattice its table, which interpolate reads back exactly but for the sign of
         # zero (its sum onto zero turns -0.0 into +0.0, and so does + 0.0)
         self.atom_pay = None
-        if strat.target is not None:
-            own = strat.target.grid is sc.u.grid
-            self.atom_pay = sc.u.values + 0.0 if own else interpolate(sc.u, strat.target.grid.points)
+        if policy:
+            grid = strat.plays.grid
+            self.atom_pay = sc.u.values + 0.0 if grid is sc.u.grid else interpolate(sc.u, grid.points)
         self.clears = self.steps = self.fills = 0
         self._reset()
 
@@ -403,10 +400,10 @@ class _Engine:
         for state, row in enumerate(rows):
             self.index.setdefault(row.tobytes(), state)
         # a start node equal to a row node is that row node
-        self.start = self.index.setdefault(self.prior.tobytes(), k)
+        self.start = self.index.setdefault(self.sc.prior.tobytes(), k)
         self.size = 0
         self._allocate(64)
-        self._build(rows if self.start < k else np.vstack([rows, self.prior]))
+        self._build(rows if self.start < k else np.vstack([rows, self.sc.prior]))
 
     def _allocate(self, capacity: int) -> None:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
@@ -447,15 +444,15 @@ class _Engine:
         start, stop = self.size, self.size + len(beliefs)
         if stop > len(self.belief):
             self._allocate(max(stop, 2 * len(self.belief)))
-        target, k, width = self.strat.target, self.sc.chain.k, self.width
+        k, width = self.sc.chain.k, self.width
         post, pay = self.post[start:stop], self.pay[start:stop]  # views of the new nodes' rows
-        if target is None:
+        if self.kernel is not None:
             kernels = np.repeat(self.kernel[None], len(beliefs), axis=0)
             _, post[:] = bayes_update(beliefs, kernels)  # a zero-probability signal is never sampled
             pay[:] = interpolate(self.sc.u, post.reshape(-1, k)).reshape(-1, width)
         else:
-            _, atoms, weights = cav_splits(target, beliefs)
-            points, empty = target.grid.points[atoms], atoms < 0
+            _, atoms, weights = cav_splits(self.strat.plays, beliefs)
+            points, empty = self.strat.plays.grid.points[atoms], atoms < 0
             kernels = kernels_from_splits(beliefs, points, weights)
             # the atoms are the posteriors, bit for bit, so every successor is a row of grid.points @ M
             post[:] = np.where(empty[..., None], beliefs[:, None], points)
@@ -478,7 +475,7 @@ class _Engine:
         """
         k = self.sc.chain.k
         lanes, horizon, d = draws.shape
-        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.prior), rate,
+        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.sc.prior), rate,
                                                          self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
                        signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
@@ -582,10 +579,11 @@ def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iter
     the whole horizon, at least one. A lane's generator fills its row of
     uniforms as the chunk is built, and is dropped then.
     """
-    size = max(1, _PLAY_BYTES // (horizon * (8 * engine.draws_per_stage + 60)))
+    d = engine.strat.draws_per_stage
+    size = max(1, _PLAY_BYTES // (horizon * (8 * d + 60)))
     rngs = iter(rngs)
     for first in range(0, lanes, size):
-        draws = np.empty((min(size, lanes - first), horizon, engine.draws_per_stage))
+        draws = np.empty((min(size, lanes - first), horizon, d))
         for row, rng in zip(draws, rngs):  # draws first, so zip takes no generator past the last row
             rng.random(out=row)
         del rng  # the play holds no generator
@@ -603,24 +601,23 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    engine = _Engine(sc, strat)
-    draws = replication_rng(sc.seed if seed is None else seed, rep).random((1, horizon, engine.draws_per_stage))
-    play = engine.play(sc.reveal_rate, draws, trace=True)
+    draws = replication_rng(sc.seed if seed is None else seed, rep).random((1, horizon, strat.draws_per_stage))
+    play = _Engine(sc, strat).play(sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
 
-def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """States and revelation coins of one play, without its signals or payoffs.
+def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """States and revelation coins of run_policy(sc, strat, horizon), bit for bit, with no engine.
 
-    The engine's states and coins of replication 0 of the scenario seed, read from its three-slot
-    stage layout; equal to run_policy's under any strategy without an auxiliary coin, bit for bit.
+    Replication 0 of the scenario seed, read in the strategy's stage layout; states and coins
+    depend only on the uniforms, so no belief node is built.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    draws = replication_rng(sc.seed, 0).random((1, horizon, 3))
-    states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.initial_prior()),
-                                              sc.reveal_rate, 0.0)
+    draws = replication_rng(sc.seed, 0).random((1, horizon, strat.draws_per_stage))
+    states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
+                                              sc.reveal_rate, strat.aux_prob)
     return states[0], reveals[0]
 
 

@@ -48,7 +48,10 @@ class Scenario:
 
     reveal_rate = 0 is accepted so the no-revelation dynamics can be run
     through the same plumbing, but the reveal-mode solver requires it
-    positive.
+    positive. prior is the belief every simulated play starts at: given as
+    one belief, or None for the uniform one, it is stored validated as a
+    read-only array, which `dataclasses.replace` carries over (pass
+    prior=None with a chain of another size).
     """
 
     chain: object
@@ -63,11 +66,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.u.grid.k != self.chain.k:
             raise DimensionMismatch(f"grid over {self.u.grid.k} states, chain has {self.chain.k}")
-        if self.prior is not None:
-            prior = validate_belief(self.prior, self.chain.k)
-            if prior.ndim != 1:
-                raise DimensionMismatch(f"prior must be one belief, got shape {prior.shape}")
-            object.__setattr__(self, "prior", prior)
+        k = self.chain.k
+        prior = np.full(k, 1.0 / k) if self.prior is None else validate_belief(self.prior, k)
+        if prior.ndim != 1:
+            raise DimensionMismatch(f"prior must be one belief, got shape {prior.shape}")
+        prior.setflags(write=False)
+        object.__setattr__(self, "prior", prior)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
         if not 0.0 <= self.reveal_rate <= 1.0:
@@ -80,12 +84,6 @@ class Scenario:
     @property
     def grid(self) -> BeliefGrid:
         return self.u.grid
-
-    def initial_prior(self) -> np.ndarray:
-        """Simulation starting belief: the stored prior, or uniform."""
-        if self.prior is None:
-            return np.full(self.chain.k, 1.0 / self.chain.k)
-        return self.prior.copy()
 
 
 @dataclass(frozen=True)

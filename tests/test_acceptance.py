@@ -20,6 +20,7 @@ from scipy.stats import nbinom
 from persuasionlab import (
     GridFn,
     Scenario,
+    Strategy,
     bellman_no_reveal,
     bellman_reveal,
     cav_grid,
@@ -41,7 +42,7 @@ from persuasionlab import (
     strategy_renewal_optimal,
 )
 from persuasionlab.belief import SPLIT_BARYCENTER_TOL
-from persuasionlab.sim import state_reveal_path, strategy_policy
+from persuasionlab.sim import state_reveal_path, strategy_null
 
 PAYOFFS = ("tent", "parabola")
 MID = [0.5, 0.5]
@@ -214,7 +215,7 @@ def test_criterion_08_random_duration_identity(scenario, cache):
     for payoff, rate in itertools.product(PAYOFFS, (0.3, 0.5)):
         sc = scenario(payoff, discount=0.9, reveal_rate=rate, prior=MID, samples=10_000)
         inner = cache(payoff, 1.0 - rate, 0.0, "no_reveal")
-        strat = strategy_policy(inner.target)
+        strat = Strategy(inner.target)
         est = random_duration_value_mc(sc, rate, strat)
         target = interpolate(inner.value, MID) / rate
         err = abs(est.mean - target)
@@ -274,7 +275,7 @@ def test_criterion_10_tail_formulas_and_path_statistics(scenario):
 
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     horizon = 1_000_000
-    states, reveals = state_reveal_path(sc, horizon)
+    states, reveals = state_reveal_path(sc, strategy_null(sc), horizon)
     stats = renewal_stats(reveals)
     freq_score = abs(stats.revelations / horizon - 0.5) / math.sqrt(0.25 / horizon)
     gap_se = math.sqrt((1.0 - 0.5) / 0.5**2 / stats.kappas.size)

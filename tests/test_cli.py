@@ -188,7 +188,7 @@ def test_scenario_from_table_config():
     assert sc.grid.n == 21
     assert sc.discount == 0.9
     assert sc.reveal_rate == 0.5
-    assert sc.initial_prior() == pytest.approx([0.25, 0.75])
+    assert sc.prior == pytest.approx([0.25, 0.75])
     assert sc.u.values[10] == pytest.approx(1.0)
 
 
@@ -389,7 +389,7 @@ def test_the_signal_alphabet_is_no_input(tmp_path, capsys, name):
     assert cli.main(["solve", "--scenario", path]) == cli.EXIT_INPUT
     assert "signal_count" in capsys.readouterr().err
     sc = cli.scenario_from_config(cli.effective_config(doc))
-    trace = sim.run_policy(sc, sim.Strategy(kernel=np.ones((sc.chain.k, 1))), 50, seed=3)
+    trace = sim.run_policy(sc, sim.Strategy(np.ones((sc.chain.k, 1))), 50, seed=3)
     assert not trace.signals.any()
 
 
@@ -676,6 +676,38 @@ def test_simulate_renewal_is_sigma_star_by_another_name(tmp_path, name):
                for line in lines["sigma_star"]]
     assert lines["renewal"] == renamed
     assert "# scoring: renewal_average" in renamed
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+@pytest.mark.parametrize("strategy", ["null", "full", "optimal", "sigma_star", "couple:0.9"])
+def test_simulate_builds_one_engine(tmp_path, monkeypatch, name, strategy):
+    # the estimate's engine is the command's only one: replication 0's header is read off its states
+    # and coins alone, and equals the revelation statistics of its one-lane replay
+    path = str(ROOT / "scenarios" / f"{name}.json")
+    played, init = [], sim._Engine.__init__
+    monkeypatch.setattr(sim._Engine, "__init__", lambda self, sc, strat: played.append(strat) or init(self, sc, strat))
+    out = tmp_path / "sim.csv"
+    code = cli.main(["simulate", "--scenario", path, "--strategy", strategy, "--samples", "6", "--out", str(out)])
+    assert code == cli.EXIT_PASS
+    assert len(played) == 1
+    meta, _, _ = parse_csv(out)
+    sc = cli.scenario_from_config(json.loads(meta["effective"]))
+    stats = sim.renewal_stats(sim.run_policy(sc, played[0], int(meta["horizon"])).reveals)
+    assert meta["rep0_revelations"] == cli._fmt(stats.revelations)
+    assert meta["rep0_last_stage"] == cli._fmt(stats.last_stage)
+    assert meta.get("rep0_mean_gap") == (cli._fmt(stats.kappas.mean()) if stats.revelations else None)
+
+
+@pytest.mark.parametrize("strategy", ["optimal", "sigma_star"])
+def test_a_horizon_too_large_to_allocate_is_bad_input(capsys, strategy):
+    # 10**14 stages need hundreds of TiB at once, beyond a 47-bit address space, so the first
+    # allocation fails before any memory is touched: a discounted and a renewal estimate
+    path = str(ROOT / "scenarios" / "tent.json")
+    code = cli.main(["simulate", "--scenario", path, "--strategy", strategy, "--horizon", str(10**14)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert "Traceback" not in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3", "kink3"])

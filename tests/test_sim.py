@@ -34,7 +34,6 @@ from persuasionlab import (
     strategy_full,
     strategy_null,
     strategy_optimal,
-    strategy_policy,
     strategy_renewal_optimal,
     validate_chain,
 )
@@ -466,7 +465,7 @@ def test_policy_kernels_match_kernel_from_split(name):
     sc = bundled(name)
     target = solve(sc, "reveal").target
     _, atoms, weights = cav_splits(target, sc.grid.points)
-    engine = _Engine(sc, strategy_policy(target))
+    engine = _Engine(sc, Strategy(target))
     points = sc.grid.points
     ids = engine._intern(points)
     assert engine.cum.shape[1:] == (sc.chain.k, sc.chain.k)
@@ -561,11 +560,11 @@ class _ScalarEngine:
             atoms = None
             if silent:
                 kernel = self.silent_kernel
-            elif self.strat.target is None:
-                kernel = self.strat.kernel
+            elif not isinstance(self.strat.plays, GridFn):
+                kernel = self.strat.plays
             else:
                 # one belief at a time, through the single-belief split and kernel
-                _, atoms, weights = cav_split_at(self.strat.target, belief)
+                _, atoms, weights = cav_split_at(self.strat.plays, belief)
                 kernel = np.zeros((self.sc.chain.k, self.sc.chain.k))
                 kernel[:, : weights.size] = kernel_from_split(belief, atoms, weights)
             node = self.nodes[key] = _Node(self.sc, belief, kernel, silent, atoms)
@@ -615,7 +614,7 @@ class _ScalarEngine:
 def reference_trace(sc, strat, horizon, seed, rep, silent=False):
     arrays = (np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64),
               np.zeros(horizon, dtype=bool), np.empty((horizon, sc.chain.k)))
-    payoffs = _ScalarEngine(sc, strat, silent).run(sc.initial_prior(), horizon, sc.reveal_rate,
+    payoffs = _ScalarEngine(sc, strat, silent).run(sc.prior, horizon, sc.reveal_rate,
                                            replication_rng(seed, rep), trace_arrays=arrays)
     return (*arrays, payoffs)
 
@@ -623,7 +622,7 @@ def reference_trace(sc, strat, horizon, seed, rep, silent=False):
 def reference_discounted(sc, strat, samples, seed, horizon):
     weights = (1.0 - sc.discount) * sc.discount ** np.arange(horizon)
     engine = _ScalarEngine(sc, strat)
-    return np.array([weights @ engine.run(sc.initial_prior(), horizon, sc.reveal_rate, replication_rng(seed, i))
+    return np.array([weights @ engine.run(sc.prior, horizon, sc.reveal_rate, replication_rng(seed, i))
                      for i in range(samples)]), np.arange(samples)
 
 
@@ -633,7 +632,7 @@ def reference_duration(sc, rate, strat, samples, seed):
     for i in range(samples):
         rng = replication_rng(seed, i)
         w = int(rng.geometric(rate))
-        totals[i] = engine.run(sc.initial_prior(), w, 0.0, rng).sum()
+        totals[i] = engine.run(sc.prior, w, 0.0, rng).sum()
     return totals, np.arange(samples)
 
 
@@ -678,8 +677,7 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
         # lanes per chunk at this horizon and replications per random-duration batch
-        draws = 4 if strat.aux_prob > 0.0 else 3
-        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * draws + 60))
+        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * strat.draws_per_stage + 60))
         monkeypatch.setattr(sim, "_DURATION_BATCH", lanes)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
@@ -708,7 +706,8 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     sc, made = strategies[name]
     strat = made["optimal"]
     horizon, samples = 20, 9
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * 3 + 60))
+    d = strat.draws_per_stage
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * d + 60))
     chunks = []
     play = _Engine.play
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(len(draws))
@@ -723,7 +722,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     # a lane draws its duration first and then plays that many stages without revelations,
     # as the one-lane engine does on the stream the contract defines; at rate 1 every duration
     # is 1, so one duration group is split into chunks of three one-stage lanes
-    for rate, budget in ((0.2, 3 * horizon * (8 * 3 + 60)), (1.0, 3 * (8 * 3 + 60))):
+    for rate, budget in ((0.2, 3 * horizon * (8 * d + 60)), (1.0, 3 * (8 * d + 60))):
         monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
         chunks.clear()
         est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), rate, strat)
@@ -732,7 +731,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
         for i in range(samples):
             rng = definition_rng(seed, i)
             w = int(rng.geometric(rate))
-            replays.append(play(_Engine(sc, strat), 0.0, rng.random((1, w, 3))).stage_payoffs[0].sum())
+            replays.append(play(_Engine(sc, strat), 0.0, rng.random((1, w, d))).stage_payoffs[0].sum())
         assert_bit_equal(est.values, np.array(replays))
     assert chunks == [3, 3, 3]
 
@@ -781,7 +780,7 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
     # weight above the uniform, signal 1
     sc, _ = strategies["tent"]
     t = replication_rng(sc.seed, 0).random(3)[1]
-    strat = Strategy(kernel=np.array([[t, 1.0 - t], [t, 1.0 - t]]))
+    strat = Strategy(np.array([[t, 1.0 - t], [t, 1.0 - t]]))
     trace = run_policy(sc, strat, 4, rep=0)
     assert trace.signals[0] == 1
     got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
@@ -802,20 +801,11 @@ BAD_KERNELS = {
 def test_the_engine_rejects_an_invalid_kernel(name, case, strategies):
     sc, _ = strategies[name]
     kernel, error = BAD_KERNELS[case]
-    strat = Strategy(kernel=kernel(sc.chain.k))
+    strat = Strategy(kernel(sc.chain.k))
     with pytest.raises(error):
         estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
     with pytest.raises(error):
         run_policy(sc, strat, 5)
-
-
-@pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_the_engine_rejects_a_strategy_without_exactly_one_of_kernel_and_target(name, strategies):
-    sc, made = strategies[name]
-    k = sc.chain.k
-    for strat in (Strategy(), Strategy(kernel=np.eye(k), target=made["optimal"].target)):
-        with pytest.raises(InvalidSplit):
-            estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
 
 
 def test_the_last_stage_fills_no_successor(strategies):
@@ -874,7 +864,7 @@ def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
     From its first reboot on, each lane also equals the reference played silent until that reboot:
     after a reboot both sit on a row node, whatever came before it.
     """
-    sc, strat, d = replace(engine.sc, reveal_rate=rate), engine.strat, engine.draws_per_stage
+    sc, strat, d = replace(engine.sc, reveal_rate=rate), engine.strat, engine.strat.draws_per_stage
     draws = np.stack([replication_rng(seed, i).random((horizon, d)) for i in range(lanes)])
     got = traced_plays(engine, rate, draws, chunk)
     reboot = np.zeros(horizon, dtype=bool)
@@ -963,7 +953,7 @@ def test_renewal_bookkeeping_per_chunk_matches_each_lane_alone(lanes, strategies
     # and revelations on the first and the last stage
     sc, made = strategies["tent"]
     sc, strat, horizon, samples, seed = replace(sc, reveal_rate=0.3), made["renewal"], 6, 40, 2
-    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * 3 + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * strat.draws_per_stage + 60))
     est = estimate_renewal_average(sc, strat, horizon, samples=samples, seed=seed)
     values, reps, counts, stages = [], [], set(), set()
     for i in range(samples):
@@ -985,15 +975,15 @@ def test_the_atom_table_is_the_payoff_at_the_target_grid_points(name, strategies
     # a target on the payoff's lattice takes its atoms' payoffs off the payoff's table, with no
     # interpolation over the grid; a target on another lattice interpolates the payoff at its points
     sc, made = strategies[name]
-    target = made["optimal"].target
+    target = made["optimal"].plays
     assert target.grid is sc.u.grid
     queries = []
     monkeypatch.setattr(sim, "interpolate", lambda f, q, _fn=sim.interpolate: queries.append(q) or _fn(f, q))
-    engine = _Engine(sc, strategy_policy(target))
+    engine = _Engine(sc, Strategy(target))
     assert not any(q is target.grid.points for q in queries)
     assert engine.atom_pay.tobytes() == interpolate(sc.u, target.grid.points).tobytes()
     coarse = make_grid(sc.chain.k, 10)
-    engine = _Engine(sc, strategy_policy(GridFn(coarse, interpolate(target, coarse.points))))
+    engine = _Engine(sc, Strategy(GridFn(coarse, interpolate(target, coarse.points))))
     assert any(q is coarse.points for q in queries)
     assert engine.atom_pay.tobytes() == interpolate(sc.u, coarse.points).tobytes()
 
@@ -1011,26 +1001,30 @@ def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
-def test_state_reveal_scan_matches_the_stage_loop(name, horizon):
-    sc = bundled(name)
-    trace = run_policy(sc, strategy_null(sc), horizon)
-    states, reveals = state_reveal_path(sc, horizon)
-    assert_bit_equal(states, trace.states)
-    assert_bit_equal(reveals, trace.reveals)
+def test_state_reveal_scan_matches_the_stage_loop(name, horizon, strategies):
+    # for every strategy the CLI offers, couple:Y's four-slot layout included
+    sc, made = strategies[name]
+    for strategy in STRATEGIES:
+        strat = made[strategy]
+        trace = run_policy(sc, strat, horizon)
+        states, reveals = state_reveal_path(sc, strat, horizon)
+        assert_bit_equal(states, trace.states)
+        assert_bit_equal(reveals, trace.reveals)
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_state_reveal_path_builds_no_engine(name, monkeypatch):
+def test_state_reveal_path_builds_no_engine(name, strategies, monkeypatch):
     # states and coins depend only on the uniforms, so no strategy's nodes are built for them
-    sc = bundled(name)
-    want = state_reveal_path(sc, 50)
+    sc, made = strategies[name]
+    want = [state_reveal_path(sc, made[strategy], 50) for strategy in STRATEGIES]
 
     def refuse(self, *args):
         raise AssertionError("state_reveal_path built an engine")
 
     monkeypatch.setattr(_Engine, "__init__", refuse)
-    for got, w in zip(state_reveal_path(sc, 50), want):
-        assert_bit_equal(got, w)
+    for strategy, path in zip(STRATEGIES, want):
+        for got, w in zip(state_reveal_path(sc, made[strategy], 50), path):
+            assert_bit_equal(got, w)
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -1041,7 +1035,7 @@ def test_coupling_reads_four_fixed_slots_per_stage(name, horizon, strategies):
     sc, made = strategies[name]
     trace = run_policy(sc, made["couple"], horizon, rep=2)
     u = replication_rng(sc.seed, 2).random(4 * horizon)
-    first = int((u[0] >= cum_rows(sc.initial_prior())).sum())
+    first = int((u[0] >= cum_rows(sc.prior)).sum())
     assert_bit_equal(trace.states, scan_states(cum_rows(sc.chain.M), np.array([first]), u[None, 4::4])[0])
     assert_bit_equal(trace.reveals, u[3::4] < sc.reveal_rate)
 
@@ -1104,7 +1098,7 @@ def test_a_policy_on_another_lattice_plays_its_own_grid_points(strategies):
     # points, whose payoffs are interpolated off the scenario's table once per engine
     sc, made = strategies["tent"]
     coarse = make_grid(2, 50)
-    strat = strategy_policy(GridFn(coarse, interpolate(made["optimal"].target, coarse.points)))
+    strat = Strategy(GridFn(coarse, interpolate(made["optimal"].plays, coarse.points)))
     est = estimate_discounted(sc, strat, samples=40, seed=5, horizon=40)
     assert_bit_equal(est.values, reference_discounted(sc, strat, 40, 5, 40)[0])
     est = estimate_renewal_average(sc, strat, 40, samples=40, seed=5)
@@ -1141,7 +1135,7 @@ def test_a_policy_fill_runs_no_bayes_and_locates_only_empty_slots(name, strategi
     fresh = fresh_beliefs(sc, engine)
     calls = spy_on_bayes_and_interpolate(monkeypatch)
     engine._intern(fresh)
-    _, atoms, _ = cav_splits(strat.target, fresh)
+    _, atoms, _ = cav_splits(strat.plays, fresh)
     assert_calls(calls, [("interpolate", fresh[(atoms < 0).any(axis=1)])])
 
 
@@ -1160,7 +1154,7 @@ def test_a_nested_list_kernel_plays_like_its_array(strategies):
     # the engine plays the kernel validate_kernel returns, so a list of rows plays as its array does
     sc, _ = strategies["tent"]
     nested = [[0.3, 0.7], [0.6, 0.4]]
-    listed, array = Strategy(kernel=nested), Strategy(kernel=np.array(nested))
+    listed, array = Strategy(nested), Strategy(np.array(nested))
     assert_bit_equal(estimate_discounted(sc, listed, samples=30, seed=2, horizon=40).values,
                      estimate_discounted(sc, array, samples=30, seed=2, horizon=40).values)
     got, want = run_policy(sc, listed, 40, rep=1), run_policy(sc, array, 40, rep=1)
@@ -1170,20 +1164,22 @@ def test_a_nested_list_kernel_plays_like_its_array(strategies):
 
 @pytest.mark.parametrize("aux_prob", [math.nan, -0.2, 1.5])
 def test_the_engine_rejects_a_coupling_chance_off_the_unit_interval(aux_prob, strategies):
-    sc, made = strategies["tent"]
-    strat = replace(made["optimal"], aux_prob=aux_prob)
+    # the strategy checks its coupling chance when it is made, so no engine ever sees one off [0, 1]
+    _, made = strategies["tent"]
     with pytest.raises(BadRates):
-        estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
+        Strategy(made["optimal"].plays, aux_prob)
     with pytest.raises(BadRates):
-        run_policy(sc, strat, 5)
+        replace(made["optimal"], aux_prob=aux_prob)
 
 
 def test_the_engine_rejects_a_target_that_is_not_a_grid_function(strategies):
+    # what a strategy plays is a policy only as a GridFn: a target's bare values are read as a
+    # kernel, which is one row where validate_kernel wants k
     sc, made = strategies["tent"]
-    strat = Strategy(target=np.asarray(made["optimal"].target.values))
-    with pytest.raises(InvalidSplit):
+    strat = Strategy(np.asarray(made["optimal"].plays.values))
+    with pytest.raises(DimensionMismatch):
         estimate_discounted(sc, strat, samples=2, seed=0, horizon=5)
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DimensionMismatch):
         run_policy(sc, strat, 5)
 
 
@@ -1205,7 +1201,7 @@ def exact_played_value(sc, strat) -> float:
     assert strat.aux_prob == 0.0
     lam, x, M = sc.discount, sc.reveal_rate, sc.chain.M
     engine = _Engine(sc, strat)
-    start = engine._intern(sc.initial_prior()[None])[0]
+    start = engine._intern(sc.prior[None])[0]
     done = 0
     while done < engine.size and x < 1.0:
         ids = np.arange(done, engine.size)
@@ -1235,9 +1231,9 @@ def test_the_optimal_strategy_earns_its_grid_value(name):
     # played at the exact belief, the envelope split earns the solved value at the prior
     sc = bundled(name)
     res = solve(sc, "reveal")
-    strat = strategy_policy(res.target)
+    strat = Strategy(res.target)
     played = exact_played_value(sc, strat)
-    assert played >= interpolate(res.value, sc.initial_prior()) - 2.0 * sc.tol
+    assert played >= interpolate(res.value, sc.prior) - 2.0 * sc.tol
     est = estimate_discounted(sc, strat, samples=2000, seed=1)
     # the estimate drops a tail of at most est.truncation; 1e-12 covers its rounding
     assert abs(est.mean - played) <= 4.0 * est.std_error + est.truncation + 1e-12
@@ -1300,7 +1296,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         strat = made["couple"]  # the widest stage layout: four uniforms per stage
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
-                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * (8 * 4 + 60))
+                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * (8 * strat.draws_per_stage + 60))
                 mp.setattr(sim, "_DURATION_BATCH", lanes)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
@@ -1391,7 +1387,7 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
         alive.append(sum(ref() is not None for ref in made_rngs))
         return play(self, *args, **kw)
 
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * 25 * (8 * 4 + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * 25 * (8 * strat.draws_per_stage + 60))
     monkeypatch.setattr(sim, "_generator", tracked)
     monkeypatch.setattr(_Engine, "play", playing)
     got = run(sc, strat, 20, 4)
@@ -1410,7 +1406,7 @@ def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, m
     plays, play = [], _Engine.play
     monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(
-        (draws.shape[0], draws.shape[1] * (8 * self.draws_per_stage + 60))) or play(self, rate, draws, **kw))
+        (draws.shape[0], draws.shape[1] * (8 * self.strat.draws_per_stage + 60))) or play(self, rate, draws, **kw))
     got = run(sc, strat, 40, 3)
     assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
     assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)

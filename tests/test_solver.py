@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from persuasionlab import (
     GridFn,
     Scenario,
+    Strategy,
     asymptotic_value,
     bellman_no_reveal,
     bellman_reveal,
@@ -27,7 +28,6 @@ from persuasionlab import (
     solve,
     solve_cesaro,
     solver,
-    strategy_policy,
     validate_chain,
     validate_split,
 )
@@ -293,7 +293,7 @@ def test_policy_is_extracted_on_first_read_only(scenario, monkeypatch):
     monkeypatch.setattr(envelope._Envelope, "split", lambda env, *args: calls.append(env) or split(env, *args))
     sc = scenario("parabola", discount=0.9, reveal_rate=0.5)
     res = solve(sc, "reveal")
-    strat = strategy_policy(res.target)
+    strat = Strategy(res.target)
     assert calls == []
     assert res.policy is res.target
     estimate_discounted(sc, strat, samples=3, horizon=2)
@@ -664,13 +664,19 @@ def test_scenario_validation(chain2, tent):
 
 
 def test_scenario_prior_handling(chain2, tent):
+    # the prior is resolved once: the uniform belief when none is given, else the validated one,
+    # stored read-only either way and carried over by replace
     sc = Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5)
-    assert sc.initial_prior() == pytest.approx([0.5, 0.5])
-    sc2 = Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=[0.25, 0.75])
-    p = sc2.initial_prior()
-    assert p == pytest.approx([0.25, 0.75])
-    p[0] = 0.0
-    assert sc2.initial_prior() == pytest.approx([0.25, 0.75])
+    assert sc.prior.tobytes() == np.full(2, 0.5).tobytes()
+    given = [0.25, 0.75]
+    sc2 = Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=given)
+    assert sc2.prior.tobytes() == np.array(given).tobytes()
+    for prior in (sc.prior, sc2.prior, replace(sc2, discount=0.5).prior):
+        assert not prior.flags.writeable
+        with pytest.raises(ValueError):
+            prior[0] = 0.0
+    assert replace(sc2, discount=0.5).prior.tobytes() == sc2.prior.tobytes()
+    assert replace(sc2, prior=None).prior.tobytes() == sc.prior.tobytes()
     with pytest.raises(DimensionMismatch):
         Scenario(chain=chain2, u=tent, discount=0.9, reveal_rate=0.5, prior=[[0.25, 0.75]])
 

@@ -15,8 +15,8 @@ bit-for-bit. Numbers are printed with 17 significant digits so a reread is
 lossless.
 
 Exit codes: 0 pass, 1 a verification verdict failed (the table is still
-written), 2 bad input (including a size too large to allocate), 3 numeric
-failure, 4 internal error (a bug).
+written), 2 bad input (including a play longer than sim.MAX_HORIZON stages
+or any size too large to allocate), 3 numeric failure, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .payoff import ReceiverPayoff, TablePayoff, build_u
 from .solver import (
     MODES,
     Scenario,
+    _between_revelations,
     asymptotic_value,
     check_no_info_at_concave_point,
     row_average_value,
@@ -114,24 +115,15 @@ class ResultTable:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _emit(table: ResultTable, out_path: str | None) -> None:
-    if out_path is None:
-        table.write(sys.stdout)
-        sys.stdout.flush()
-        return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        table.write(fh)
-
-
 # ---------------------------------------------------------------------------
 # scenario files
 
 
-def _number(doc: dict, key: str, required: bool = True):
+def _number(doc: dict, key: str, default: float | None = None) -> float:
     if key not in doc:
-        if required:
+        if default is None:
             raise ParseError(f"scenario field '{key}' is missing")
-        return None
+        return default
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
         raise ParseError(f"scenario field '{key}' must be a finite number, got {v!r}")
@@ -224,13 +216,11 @@ def effective_config(doc: dict, overrides: dict | None = None) -> dict:
         "lambda": _number(doc, "lambda"),
         "x": _number(doc, "x"),
         "grid_resolution": _integer(doc, "grid_resolution", default=200 if k <= 2 else 40, minimum=1),
-        "tolerance": _number(doc, "tolerance", required=False),
+        "tolerance": _number(doc, "tolerance", default=1e-9),
         "seed": _integer(doc, "seed", default=0),
         "samples": _integer(doc, "samples", default=10_000, minimum=1),
         "prior": None if doc.get("prior") is None else _vector(doc["prior"], "prior"),
     }
-    if cfg["tolerance"] is None:
-        cfg["tolerance"] = 1e-9
     if cfg["tolerance"] <= 0:
         raise ParseError(f"'tolerance' must be positive, got {cfg['tolerance']}")
     if cfg["seed"] >= 2**64:
@@ -293,38 +283,27 @@ def _load(args) -> dict:
     return effective_config(doc, overrides)
 
 
-def _stamp(table: ResultTable, args, cfg: dict, command: str) -> None:
-    table.add_meta("tool", f"persuasionlab {__version__}")
-    table.add_meta("numpy", np.__version__)
-    table.add_meta("scipy", scipy.__version__)
-    table.add_meta("command", command)
-    table.add_meta("scenario_file", args.scenario)
-    table.add_meta("scenario_sha256", config_hash(cfg))
-    table.add_meta("effective", canonical_json(cfg))
-
-
 # ---------------------------------------------------------------------------
 # solve
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
-    sc = scenario_from_config(cfg)
+def cmd_solve(args, sc: Scenario) -> tuple[ResultTable, int]:
     res = solve(sc, args.mode)
     table = ResultTable([f"belief_{i}" for i in range(sc.chain.k)] + ["value"])
-    _stamp(table, args, cfg, f"solve --mode {args.mode}")
     table.add_meta("iterations", res.iterations)
     table.add_meta("residual", res.residual)
     for state, rv in enumerate(res.row_values):
         table.add_meta(f"row_value_{state}", rv)
     for point, value in zip(sc.grid.points, res.value.values):
         table.add_row(*point, value)
-    _emit(table, args.out)
-    return EXIT_PASS
+    return table, EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # verify
+
+# how far a monotone verdict (thm1, thm2, monotone_x) lets a step go the wrong way; its header states it
+_MONOTONE_SLACK = 1e-3
 
 
 def _verify_thm1(sc: Scenario, table: ResultTable) -> bool:
@@ -332,7 +311,7 @@ def _verify_thm1(sc: Scenario, table: ResultTable) -> bool:
     rates = (0.3, 0.5, 1.0)
     discounts = (0.9, 0.99, 0.995)
     table.add_meta("sup_gap_tolerance", 0.05)
-    table.add_meta("monotone_slack", 1e-3)
+    table.add_meta("monotone_slack", _MONOTONE_SLACK)
     passed = True
     for x in rates:
         limit = asymptotic_value(x, sc)
@@ -343,19 +322,19 @@ def _verify_thm1(sc: Scenario, table: ResultTable) -> bool:
             gaps.append(gap)
             table.add_row(x, lam, gap, limit)
         passed &= gaps[-1] <= 0.05
-        passed &= all(gaps[i + 1] <= gaps[i] + 1e-3 for i in range(len(gaps) - 1))
+        passed &= all(gaps[i + 1] <= gaps[i] + _MONOTONE_SLACK for i in range(len(gaps) - 1))
     return passed
 
 
 def _verify_thm2(sc: Scenario, table: ResultTable) -> bool:
     """Stationary-weighted no-revelation value is non-decreasing in patience."""
     discounts = [round(0.1 * i, 10) for i in range(10)] + [0.95]
-    table.add_meta("monotone_slack", 1e-3)
+    table.add_meta("monotone_slack", _MONOTONE_SLACK)
     values = []
     for lam in discounts:
         values.append(row_average_value(lam, sc))
         table.add_row(lam, values[-1])
-    return all(values[i + 1] >= values[i] - 1e-3 for i in range(len(values) - 1))
+    return all(values[i + 1] >= values[i] - _MONOTONE_SLACK for i in range(len(values) - 1))
 
 
 def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
@@ -363,7 +342,7 @@ def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
     discounts = (0.5, 0.9)
     rates = [round(0.1 * i, 10) for i in range(1, 11)]
     beliefs = np.vstack([sc.prior, sc.chain.M])
-    table.add_meta("monotone_slack", 1e-3)
+    table.add_meta("monotone_slack", _MONOTONE_SLACK)
     passed = True
     for lam in discounts:
         series = [[] for _ in beliefs]
@@ -374,7 +353,7 @@ def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
                 vals.append(v)
             table.add_row(lam, x, *row)
         for vals in series:
-            passed &= all(vals[i + 1] <= vals[i] + 1e-3 for i in range(len(vals) - 1))
+            passed &= all(vals[i + 1] <= vals[i] + _MONOTONE_SLACK for i in range(len(vals) - 1))
     return passed
 
 
@@ -385,7 +364,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     rates = (0.3, 0.5)
     passed = True
     for x in rates:
-        inner_sc = replace(sc, discount=1.0 - x)
+        inner_sc = replace(sc, discount=_between_revelations(x))
         res = solve(inner_sc, "no_reveal")
         est = sim.random_duration_value_mc(inner_sc, x, sim.Strategy(res.target))
         target = interpolate(res.value, sc.prior) / x
@@ -531,16 +510,12 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
-    sc = scenario_from_config(cfg)
+def cmd_verify(args, sc: Scenario) -> tuple[ResultTable, int]:
     check, header = _VERIFIERS[args.which]
     table = ResultTable(header(sc.chain.k))
-    _stamp(table, args, cfg, f"verify --which {args.which}")
     passed = check(sc, table)
     table.add_meta("verdict", "pass" if passed else "fail")
-    _emit(table, args.out)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return table, EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +548,7 @@ def _resolve_strategy(token: str, sc: Scenario) -> tuple[sim.Strategy, bool]:
     )
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    sc = scenario_from_config(cfg)
+def cmd_simulate(args, sc: Scenario) -> tuple[ResultTable, int]:
     strat, renewal_scored = _resolve_strategy(args.strategy, sc)
     if renewal_scored:
         horizon = 2000 if args.horizon is None else args.horizon
@@ -584,7 +557,6 @@ def cmd_simulate(args) -> int:
         est = sim.estimate_discounted(sc, strat, horizon=args.horizon)
 
     table = ResultTable(["rep", "value"])
-    _stamp(table, args, cfg, f"simulate --strategy {args.strategy}")
     table.add_meta("scoring", "renewal_average" if renewal_scored else "discounted")
     table.add_meta("mean", est.mean)
     table.add_meta("std_error", est.std_error)
@@ -602,8 +574,7 @@ def cmd_simulate(args) -> int:
 
     for rep, value in zip(est.rep_ids, est.values):
         table.add_row(rep, value)
-    _emit(table, args.out)
-    return EXIT_PASS
+    return table, EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +627,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the command is looked up at call time, so a replaced cmd_* attribute is the one run
-    command = {"solve": cmd_solve, "verify": cmd_verify, "simulate": cmd_simulate}[args.command]
+    command, option = {"solve": (cmd_solve, "mode"), "verify": (cmd_verify, "which"),
+                       "simulate": (cmd_simulate, "strategy")}[args.command]
     try:
-        return command(args)
+        cfg = _load(args)
+        table, code = command(args, scenario_from_config(cfg))
+        # every header leads with the stamp: versions, the command, the scenario and its effective config
+        table.meta = {"tool": f"persuasionlab {__version__}", "numpy": np.__version__,
+                      "scipy": scipy.__version__, "command": f"{args.command} --{option} {getattr(args, option)}",
+                      "scenario_file": args.scenario, "scenario_sha256": config_hash(cfg),
+                      "effective": canonical_json(cfg), **table.meta}
+        if args.out is None:
+            table.write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                table.write(fh)
+        return code
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    # a MemoryError is an input too large to allocate, such as a horizon of 10**14 stages
+    # a MemoryError is an input too large to allocate
     except (PersuasionError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -591,6 +591,25 @@ def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iter
         yield play.stage_payoffs, play.reveals
 
 
+# The most stages one play may run: one lane of this many stages peaks at 1 to 1.6 GiB (95 to 165 bytes
+# a stage), so a longer horizon, such as a discount near 1 derives, is refused before any array is made.
+MAX_HORIZON = 10**7
+
+
+def _check_horizon(horizon: int, minimum: int = 1, source: str = "the given horizon") -> int:
+    """horizon, once it lies in [minimum, MAX_HORIZON]; source names where it came from. Raises ValueError."""
+    if horizon < minimum:
+        raise ValueError(f"{source} must be at least {minimum}, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"{source} is {horizon} stages, above the {MAX_HORIZON} stages one play may allocate")
+    return horizon
+
+
+def _lane_draws(strat: Strategy, horizon: int, seed: int, rep: int) -> np.ndarray:
+    """Replication rep's uniforms over a checked horizon: (1, horizon, d), in the strategy's stage layout."""
+    return replication_rng(seed, rep).random((1, _check_horizon(horizon), strat.draws_per_stage))
+
+
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
                rep: int = 0) -> SimTrace:
     """Simulate one play of the scenario under a strategy.
@@ -599,9 +618,7 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     master seed (default: the scenario seed). This is the one-lane case of
     the engine the estimators run.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    draws = replication_rng(sc.seed if seed is None else seed, rep).random((1, horizon, strat.draws_per_stage))
+    draws = _lane_draws(strat, horizon, sc.seed if seed is None else seed, rep)
     play = _Engine(sc, strat).play(sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
@@ -613,9 +630,7 @@ def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.n
     Replication 0 of the scenario seed, read in the strategy's stage layout; states and coins
     depend only on the uniforms, so no belief node is built.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    draws = replication_rng(sc.seed, 0).random((1, horizon, strat.draws_per_stage))
+    draws = _lane_draws(strat, horizon, sc.seed, 0)
     states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
                                               sc.reveal_rate, strat.aux_prob)
     return states[0], reveals[0]
@@ -636,12 +651,11 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
 
     Plays are truncated at the horizon where the discarded tail is below
     1e-6, unless an explicit horizon is given; the truncation bound is
-    reported on the result.
+    reported on the result. Raises ValueError for a horizon, given or
+    derived, outside [1, MAX_HORIZON].
     """
-    if horizon is None:
-        horizon = discount_horizon(sc)
-    elif horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    source = "the given horizon" if horizon is not None else f"the horizon derived from discount {sc.discount}"
+    horizon = _check_horizon(discount_horizon(sc) if horizon is None else horizon, source=source)
     samples, streams = _replications(sc, samples, seed)
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
@@ -680,7 +694,8 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> Esti
         for band in np.unique(bands).tolist():
             lanes = np.flatnonzero(bands == band)
             w = durations[lanes]
-            chunks = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, int(w.max()))
+            longest = _check_horizon(int(w.max()), source=f"a geometric duration at rate {rate}")
+            chunks = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, longest)
             rows = itertools.chain.from_iterable(payoffs for payoffs, _ in chunks)
             totals[first + lanes] = [payoffs[:n].sum() for payoffs, n in zip(rows, w.tolist())]
     return _summary(totals, np.arange(samples), **engine.counters())
@@ -696,8 +711,7 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     horizon are rejected; their count is reported. Raises AllRejected when
     nothing survives, and ValueError for a horizon below 2.
     """
-    if horizon < 2:
-        raise ValueError(f"horizon must be at least 2 to see two revelations, got {horizon}")
+    _check_horizon(horizon, minimum=2)  # two revelations take two stages
     samples, streams = _replications(sc, samples, seed)
     engine = _Engine(sc, strat)
     values, rep_ids, lane = [], [], 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, sim, solve
@@ -700,14 +702,90 @@ def test_simulate_builds_one_engine(tmp_path, monkeypatch, name, strategy):
 
 @pytest.mark.parametrize("strategy", ["optimal", "sigma_star"])
 def test_a_horizon_too_large_to_allocate_is_bad_input(capsys, strategy):
-    # 10**14 stages need hundreds of TiB at once, beyond a 47-bit address space, so the first
-    # allocation fails before any memory is touched: a discounted and a renewal estimate
+    # 10**14 stages, hundreds of TiB at once, lie far above sim.MAX_HORIZON and are refused before
+    # any array of that length is made: a discounted and a renewal estimate
     path = str(ROOT / "scenarios" / "tent.json")
     code = cli.main(["simulate", "--scenario", path, "--strategy", strategy, "--horizon", str(10**14)])
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "allocate" in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+# runs one cli.main call in a fresh interpreter whose address space is capped at 2 GiB, so a play too
+# long for the machine fails at once on its first allocation instead of being granted and then killed
+UNDER_2_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from persuasionlab import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("strategy", ["optimal", "null", "couple:0.9"])
+def test_a_patient_discount_is_refused_before_its_play_is_made(strategy):
+    # at discount 0.9999999 the tail-derived horizon on tent is 299,336,048 stages, about 23 GiB a lane
+    package_root = Path(cli.__file__).resolve().parents[1]
+    argv = ["simulate", "--scenario", "scenarios/tent.json", "--strategy", strategy, "--lambda", "0.9999999",
+            "--samples", "5"]
+    done = subprocess.run([sys.executable, "-c", UNDER_2_GIB, str(package_root), *argv],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert done.returncode == cli.EXIT_INPUT
+    assert done.stderr == ("error: the horizon derived from discount 0.9999999 is 299336048 stages, above the "
+                           "10000000 stages one play may allocate\n")
+    assert done.stdout == ""
+
+
+def hard_chain(family: str, k: int, edges) -> list[list[float]]:
+    """A periodic, slowly mixing or sparse irreducible k-state transition matrix.
+
+    cyclic is the permutation state i -> i + 1; slow is 0.997 I + 0.003 uniform, second eigenvalue
+    0.997; sparse adds the weighted edges (i, j, w) to the cycle and renormalizes its rows.
+    """
+    cycle = np.roll(np.eye(k), 1, axis=1)
+    if family == "cyclic":
+        return cycle.tolist()
+    if family == "slow":
+        return (0.997 * np.eye(k) + 0.003 / k).tolist()
+    for i, j, w in edges:
+        cycle[i % k, j % k] += w
+    return (cycle / cycle.sum(axis=1, keepdims=True)).tolist()
+
+
+# thm1 makes about 18,000 reveal sweeps whatever the scenario's discount, some 3 s on a k = 3 chain
+# against 0.5 s on k = 2, and facts plays a million stages (about 1 s): to keep the test near 10 s the
+# drawn examples run thm1 on k = 2 only and never run facts, and the explicit one (slow_suites) runs both
+@settings(max_examples=5, deadline=None)
+@given(family=st.sampled_from(["cyclic", "slow", "sparse"]), k=st.sampled_from([2, 3]),
+       edges=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(0.05, 1.0)), min_size=1, max_size=3),
+       resolution=st.integers(1, 12), table=st.lists(st.floats(0.0, 1.0), min_size=91, max_size=91),
+       discount=st.sampled_from([0.5, 0.9, 0.99]), rate=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       slow_suites=st.just(False))
+@example(family="slow", k=3, edges=[], resolution=4, table=[0.3 * (i % 4) for i in range(91)], discount=0.9,
+         rate=0.5, slow_suites=True)
+def test_hard_chains_exit_cleanly_from_every_command(family, k, edges, resolution, table, discount, rate,
+                                                     slow_suites):
+    # periodic, slowly mixing and sparse chains through every command: a verdict may fail (exit 1, verify
+    # only), the input may be refused (2) or the numerics give up (3), but nothing crashes (4) or
+    # prints a traceback
+    points = resolution + 1 if k == 2 else (resolution + 1) * (resolution + 2) // 2
+    doc = tent_doc(resolution=resolution, transition=hard_chain(family, k, edges), x=rate,
+                   payoff={"type": "table", "values": table[:points]})
+    doc["lambda"] = discount
+    suites = [which for which in SUITES if which != "thm1" or k == 2 or slow_suites] + ["facts"] * slow_suites
+    strategies = ("null", "full", "optimal", "sigma_star", "couple:0.9")
+    runs = ([["solve", "--mode", mode] for mode in cli.MODES] + [["verify", "--which", which] for which in suites]
+            + [["simulate", "--strategy", name, "--samples", "4"] for name in strategies])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hard.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for run in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*run, "--scenario", str(path)])
+            assert code in ((0, 1, 2, 3) if run[0] == "verify" else (0, 2, 3)), (run, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3", "kink3"])

@@ -246,6 +246,22 @@ def test_run_policy_rejects_bad_horizon(scenario):
         run_policy(sc, strategy_null(sc), horizon=0)
 
 
+def test_every_play_refuses_a_horizon_above_the_limit(scenario):
+    # checked before any array of the horizon's length is made, so each call fails at once
+    sc = scenario("tent", samples=2)
+    strat, over = strategy_null(sc), sim.MAX_HORIZON + 1
+    assert sim._check_horizon(sim.MAX_HORIZON) == sim.MAX_HORIZON
+    for play in (run_policy, state_reveal_path, estimate_renewal_average,
+                 lambda sc, strat, horizon: estimate_discounted(sc, strat, horizon=horizon)):
+        with pytest.raises(ValueError, match=f"^the given horizon is {over} stages, above the {over - 1} stages"):
+            play(sc, strat, over)
+    # a horizon the discount derives names the discount, and a geometric duration its rate
+    with pytest.raises(ValueError, match="^the horizon derived from discount 0.9999999 is 299336048 stages"):
+        estimate_discounted(replace(sc, discount=0.9999999), strat)
+    with pytest.raises(ValueError, match="^a geometric duration at rate 1e-12 is "):
+        random_duration_value_mc(sc, 1e-12, strat)
+
+
 def test_null_strategy_trace_recomputes(scenario):
     # with one uninformative signal the whole trace is a deterministic
     # function of the sampled states and coins

@@ -10,6 +10,8 @@ Produces, in outdir (default: scenarios/):
   receiver.json   same chain, myopic-receiver payoff with a jump at 1/2
   cycle3.json     k=3 mixing chain with a table payoff, coarser grid
   kink3.json      same k=3 chain, kinked table payoff whose envelope is not affine
+  periodic.json   tent payoff on the periodic chain that swaps the two states every stage
+  slow.json       receiver payoff on a slowly mixing chain (second eigenvalue 0.997)
 """
 
 import json
@@ -26,6 +28,8 @@ CHAIN_3 = [
     [0.1, 0.6, 0.3],
     [0.3, 0.1, 0.6],
 ]
+CHAIN_PERIODIC = [[0.0, 1.0], [1.0, 0.0]]
+CHAIN_SLOW = [[0.999, 0.001], [0.002, 0.998]]
 
 
 def _table(values) -> dict:
@@ -76,6 +80,8 @@ def build_all() -> dict:
         "receiver.json": _base(CHAIN_2, receiver, 200),
         "cycle3.json": _base(CHAIN_3, _table(table3), 40),
         "kink3.json": _base(CHAIN_3, _table(kink3), 12),
+        "periodic.json": _base(CHAIN_PERIODIC, _table(tent), 200),
+        "slow.json": _base(CHAIN_SLOW, receiver, 200),
     }
 
 

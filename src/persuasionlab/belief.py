@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,38 @@ class BeliefGrid:
         if (verts[:, :, 1:] < verts[:, :, :-1]).any() or (verts > R).any():
             raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
         return self._rank(verts), weights, real
+
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        """Grid indices of the pure states, in state order (read-only)."""
+        out = self.index_of(self.resolution * np.eye(self.k, dtype=np.int64))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _circuits(self) -> np.ndarray:
+        """Grid indices (p, q, r, s), shape (4, c), of every pair of adjacent cells of the `_cells` subdivision.
+
+        In cumulative counts z a pair spans a circuit p + q = r + s whose diagonal (p, q) is the face
+        the two cells share: the squares {b, b+e_i, b+e_j, b+e_i+e_j} for i < j, shared diagonal
+        (b, b+e_i+e_j), and {a, a+e_i, a+1, a+1+e_i}, shared diagonal (a+e_i, a+1). The interpolant of
+        a grid function f is concave exactly when f_p + f_q >= f_r + f_s on every circuit. Built on
+        first use and kept with the grid, read-only; for k >= 2 only.
+        """
+        d = self.k - 1
+        z = np.cumsum(self.counts, axis=1)[:, :d]
+        e, one = np.eye(d, dtype=np.int64), np.ones(d, dtype=np.int64)
+        steps = [(0, e[i] + e[j], e[i], e[j]) for i, j in itertools.combinations(range(d), 2)]
+        steps += [(e[i], one, 0, one + e[i]) for i in range(d)]
+        circuits = []
+        for step in steps:
+            quad = np.stack([z + s for s in step])
+            inside = np.all(quad[..., 1:] >= quad[..., :-1], axis=(0, 2)) & np.all(
+                quad[..., -1] <= self.resolution, axis=0)
+            circuits.append(self._rank(quad[:, inside]))
+        out = np.concatenate(circuits, axis=1)
+        out.setflags(write=False)
+        return out
 
     def interp_matrix(self, queries: np.ndarray):
         """Sparse (scipy CSR) matrix of interpolation weights, one query per row."""

@@ -2,9 +2,17 @@
 
 The envelope at p is the largest value achievable by averaging the function
 over a Bayes-plausible lottery on grid points with barycenter p. On the
-two-state simplex this is a one-dimensional upper hull (monotone chain);
-in higher dimension it is read off the upper facets of the lifted point set.
-Each function's `_Envelope` is built once, kept with it, and read by every query.
+two-state simplex this is a one-dimensional upper hull (monotone chain).
+In higher dimension it is read off the upper facets of the lifted point set,
+and two certificates name those facets in the extreme regimes of persuasion
+(Kamenica & Gentzkow 2011) before any hull is built: when the function lies
+below the plane through its values at the pure states, that plane is the
+envelope (full disclosure); when it folds down across every pair of adjacent
+grid cells, its interpolant is concave and is the envelope (no disclosure).
+Only when both fail does Qhull build the facets, and only then does
+`scipy.spatial` load. A certified envelope can differ from the Qhull one by
+a few ulps. Each function's `_Envelope` is built once, kept with it, and read
+by every query.
 """
 
 from __future__ import annotations
@@ -20,14 +28,18 @@ from .errors import SingularSystem
 _DEG_RTOL = 1e-11
 # Slack when matching candidate facets against the envelope value.
 _FACET_RTOL = 1e-9
+# Rounding slack, relative to 1 + max|f|, of the k >= 3 envelope certificates.
+_CERT_EPS = 8 * np.finfo(float).eps
 # Plane values `_Envelope.at` holds at once (32 MiB); every k <= 3 grid up to R = 40 is one block.
 _PLANE_BUDGET = 1 << 22
 
 
 def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vertex indices of the upper hull of points (s, v), s strictly increasing; collinear points are dropped.
+    """Vertex indices of the upper hull of points (s, v), s strictly increasing.
 
-    The chain runs on Python floats, which round exactly as numpy float64 scalars do, at a fraction of their cost.
+    A point whose turn test rounds to collinear is dropped, but rounding can keep a point that lies
+    exactly on a straight stretch. The chain runs on Python floats, which round exactly as numpy
+    float64 scalars do, at a fraction of their cost.
     """
     s, v = s.tolist(), v.tolist()
     hull: list[int] = []
@@ -44,36 +56,52 @@ def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _Envelope:
-    """The envelope of one grid function: an upper hull for k <= 2, upper facets above.
+    """The envelope of one grid function: an upper hull for k <= 2; for k >= 3 a plane, its own cells, or upper facets.
 
-    `values` holds the envelope at every grid point. Beliefs are queried in
-    chart coordinates, their first k - 1 entries (the first entry for k <= 2).
+    `values` holds the envelope at every grid point. For k >= 3 two certificates name the upper facets
+    before any hull is built. When f lies below the plane through its values at the pure states (full
+    disclosure), that plane is the envelope and `corners` holds the pure states' grid indices. When f
+    folds down across every pair of adjacent cells of the grid (`BeliefGrid._circuits`), its interpolant
+    is concave and is the envelope (no disclosure, `concave`). Otherwise Qhull builds the upper facets.
     """
 
     def __init__(self, f: GridFn) -> None:
         grid, v = f.grid, f.values
         self.grid, self.v = grid, v
         self.dim = max(grid.k - 1, 1)
-        charts = np.ascontiguousarray(grid.points[:, : self.dim])
+        self.corners, self.concave = None, False
         if grid.k <= 2:
-            self.hull = _upper_hull_indices(charts[:, 0], v)
+            self.hull = _upper_hull_indices(grid.points[:, 0], v)
         else:
-            from scipy.spatial import ConvexHull  # imported here: a k = 2 run never loads scipy.spatial
-
-            vmin, vmax = float(v.min()), float(v.max())
-            floor = vmin - 1.0 - (vmax - vmin)
-            lifted = np.column_stack([charts, v])
-            # padding below the simplex corners closes the hull without touching its top
-            padding = np.column_stack([np.eye(grid.k, grid.k - 1), np.full(grid.k, floor)])
-            hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
-            eq = hull.equations
-            up = eq[:, -2] > 1e-9
-            self.normals = eq[up, :-2]
-            self.vert_norm = eq[up, -2]
-            self.offsets = eq[up, -1]
-            self.simplices = hull.simplices[up]
-        self.values = np.maximum(self.at(charts), v)
+            # rounding in a certificate's sums cannot let a violated inequality pass
+            margin = _CERT_EPS * (1.0 + float(np.abs(v).max()))
+            if np.all(v <= _plane(v, grid._corners, grid.points) + margin):
+                self.corners = grid._corners
+            else:
+                p, q, r, s = grid._circuits
+                self.concave = bool(np.all(v[p] + v[q] - v[r] - v[s] >= margin))
+                if not self.concave:
+                    self._hull_facets(v)
+        self.values = self.at(grid.points, v)
         self.values.setflags(write=False)
+
+    def _hull_facets(self, v: np.ndarray) -> None:
+        """Qhull's upper facets of the lifted grid: unit normals, vertical parts, offsets and vertex indices."""
+        from scipy.spatial import ConvexHull  # imported here: a certified or k = 2 run never loads scipy.spatial
+
+        k = self.grid.k
+        vmin, vmax = float(v.min()), float(v.max())
+        floor = vmin - 1.0 - (vmax - vmin)
+        lifted = np.column_stack([self.grid.points[:, : self.dim], v])
+        # padding below the simplex corners closes the hull without touching its top
+        padding = np.column_stack([np.eye(k, k - 1), np.full(k, floor)])
+        hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
+        eq = hull.equations
+        up = eq[:, -2] > 1e-9
+        self.normals = eq[up, :-2]
+        self.vert_norm = eq[up, -2]
+        self.offsets = eq[up, -1]
+        self.simplices = hull.simplices[up]
 
     @cached_property
     def slack(self) -> float:
@@ -88,43 +116,54 @@ class _Envelope:
         """
         return -(self.offsets + (charts[:, None, :] @ self.normals.T)[:, 0]) / self.vert_norm
 
-    def at(self, charts: np.ndarray) -> np.ndarray:
-        """Hull or facet envelope at each row of charts (shape (m, dim) -> (m,)).
+    def at(self, q: np.ndarray, fq: np.ndarray) -> np.ndarray:
+        """Envelope at each row of an (m, k) batch of beliefs, given f interpolated there (fq).
 
-        Facet planes are read _PLANE_BUDGET values at a time, so a fine k >= 4 grid fits in memory.
+        It is the larger of fq and the hull, plane or facet reading; for a concave f the grid's own
+        cells are the facets, so it is fq. Facet planes are read _PLANE_BUDGET values at a time, so a
+        fine k >= 4 grid fits in memory.
         """
         if self.grid.k <= 2:
             s = self.grid.points[:, 0]
-            return np.interp(charts[:, 0], s[self.hull], self.v[self.hull])
-        rows = max(1, _PLANE_BUDGET // self.offsets.size)
-        out = np.empty(len(charts))
-        for i in range(0, len(charts), rows):
-            out[i : i + rows] = self._planes(charts[i : i + rows]).min(axis=1)
-        return out
+            top = np.interp(q[:, 0], s[self.hull], self.v[self.hull])
+        elif self.concave:
+            return fq
+        elif self.corners is not None:
+            top = _plane(self.v, self.corners, q)
+        else:
+            rows = max(1, _PLANE_BUDGET // self.offsets.size)
+            top = np.empty(len(q))
+            for i in range(0, len(q), rows):
+                top[i : i + rows] = self._planes(q[i : i + rows, : self.dim]).min(axis=1)
+        return np.maximum(top, fq)
 
-    def split(self, charts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms (grid indices) and weights of an optimal split at each row of charts, below its envelope value.
+    def split(self, q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms (grid indices) and weights of an optimal split at each row of q, below its envelope value.
 
-        Row i splits onto the vertices of the hull piece above charts[i]: the
-        ends of the upper-hull edge for k <= 2, for k >= 3 an upper facet
-        whose plane is within slack of values[i] and whose barycentric weights
-        at the row are nonnegative. Among such facets the lexicographically
-        smallest vertex-index support wins, the first facet on ties. Returns
-        (m, k) arrays whose slots past a row's support hold atom -1 and weight 0.
+        Row i splits onto the vertices of the hull piece above q[i]: the ends of the upper-hull edge for
+        k <= 2; under the certified plane the pure states, weighted by the belief's own positive
+        coordinates in state order; otherwise an upper facet whose plane is within slack of values[i]
+        and whose barycentric weights at the row are nonnegative. Among such facets the
+        lexicographically smallest vertex-index support wins, the first facet on ties. A concave f has
+        no row below its envelope. Returns (m, k) arrays whose slots past a row's support hold atom -1
+        and weight 0.
         """
         if self.grid.k <= 2:
-            s, s_q = self.grid.points[:, 0], charts[:, 0]
+            s, s_q = self.grid.points[:, 0], q[:, 0]
             j = np.clip(np.searchsorted(s[self.hull], s_q, side="right"), 1, self.hull.size - 1)
             a, b = self.hull[j - 1], self.hull[j]
             wa = (s[b] - s_q) / (s[b] - s[a])
             return np.column_stack([a, b]), np.column_stack([wa, 1.0 - wa])
+        if self.corners is not None:
+            atoms, weights = _packed(q > 0.0, np.broadcast_to(self.corners, q.shape), q)
+            return atoms, weights / weights.sum(axis=1, keepdims=True)
         n, k = self.grid.n, self.grid.k
         real = ~np.any(self.simplices >= n, axis=1)  # floor padding can only border degenerate planes
-        atoms, weights = np.empty((len(charts), k), dtype=np.int64), np.empty((len(charts), k))
+        atoms, weights = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
         # a block stacks at most _PLANE_BUDGET values of (k, k) systems
         per_block = max(1, _PLANE_BUDGET // (self.offsets.size * k * k))
-        for i in range(0, len(charts), per_block):
-            block, target = charts[i : i + per_block], values[i : i + per_block]
+        for i in range(0, len(q), per_block):
+            block, target = q[i : i + per_block, : self.dim], values[i : i + per_block]
             near = self._planes(block) <= (target + _FACET_RTOL * (1.0 + np.abs(target)))[:, None]
             row, facet = np.nonzero(near & real)
             verts = self.simplices[facet]
@@ -147,12 +186,27 @@ class _Envelope:
             best = order[np.unique(row[order], return_index=True)[1]]
             if best.size < len(block):
                 raise SingularSystem("no feasible facet found for envelope split extraction")
-            keep = keep[best]
-            slots = np.argsort(~keep, axis=1, kind="stable")  # kept vertices first, in facet order
-            atoms[i : i + per_block] = np.take_along_axis(np.where(keep, verts[best], -1), slots, axis=1)
-            wk = np.take_along_axis(np.where(keep, w[best], 0.0), slots, axis=1)
+            atoms[i : i + per_block], wk = _packed(keep[best], verts[best], w[best])
             weights[i : i + per_block] = wk / wk.sum(axis=1, keepdims=True)
         return atoms, weights
+
+
+def _plane(v: np.ndarray, corners: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The plane through v at the pure states, sum_s q_s * v[corners[s]], at each row of q.
+
+    The terms are added in state order onto zero, so each row reads the same alone or in any batch.
+    """
+    out = np.zeros(len(q))
+    for s, corner in enumerate(corners):
+        out += q[:, s] * v[corner]
+    return out
+
+
+def _packed(keep: np.ndarray, atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's kept atoms and weights first, in their order, then atom -1 with weight 0."""
+    slots = np.argsort(~keep, axis=1, kind="stable")
+    return (np.take_along_axis(np.where(keep, atoms, -1), slots, axis=1),
+            np.take_along_axis(np.where(keep, weights, 0.0), slots, axis=1))
 
 
 def _envelope(f: GridFn) -> _Envelope:
@@ -184,15 +238,15 @@ def _read(f: GridFn, q) -> tuple:
     env = _envelope(f)
     idx, w, _ = f.grid._cells(q)
     fq = _vertex_sum(f.values, idx, w)
-    return q, env, np.maximum(env.at(q[:, : env.dim]), fq), fq, idx, w
+    return q, env, env.at(q, fq), fq, idx, w
 
 
 def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of f and interpolated f at a belief or each row of an (m, k) batch, as arrays.
 
-    Off the grid the envelope is the larger of the hull or facet reading and the interpolated
-    function. Each row depends on that row alone, never on the batch; at the grid points the
-    values are `cav_values` bit for bit.
+    Off the grid the envelope is the larger of the hull, plane or facet reading and the
+    interpolated function. Each row depends on that row alone, never on the batch; at the grid
+    points the values are `cav_values` bit for bit.
     """
     return _read(f, q)[2:4]
 
@@ -205,13 +259,10 @@ def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
     q, env, values, fq, idx, w = _read(f, q)
-    keep = w > 0.0
-    slots = np.argsort(~keep, axis=1, kind="stable")  # positive weights first, in vertex order
-    atoms = np.take_along_axis(np.where(keep, idx, -1), slots, axis=1)
-    weights = np.take_along_axis(np.where(keep, w, 0.0), slots, axis=1)
+    atoms, weights = _packed(w > 0.0, idx, w)  # positive weights first, in vertex order
     below = np.flatnonzero(fq < values - env.slack)
     if below.size:
-        atoms[below], weights[below] = env.split(q[below, : env.dim], values[below])
+        atoms[below], weights[below] = env.split(q[below], values[below])
     return values, atoms, weights
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, sim, solve
+from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, make_grid, sim, solve
 from persuasionlab.errors import DimensionMismatch, NotBayesPlausible, ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +96,18 @@ def test_a_three_state_solve_loads_scipy_spatial_for_its_hull():
     codes, loaded = loaded_after(["solve", "--scenario", "scenarios/kink3.json"])
     assert codes == [0]
     assert "scipy.spatial" in loaded and "scipy.stats" not in loaded
+
+
+@pytest.mark.parametrize("shape", ["convex", "concave"])
+def test_three_state_solve_and_verify_on_a_certified_table_load_no_scipy_spatial(tmp_path, shape):
+    # every envelope of a convex table is the plane through its pure states, and every one of
+    # this concave table is its own interpolant, so no solve or sweep builds a hull
+    doc = json.loads((ROOT / "scenarios" / "cycle3.json").read_text(encoding="utf-8"))
+    p = make_grid(3, 12).points
+    bowl = ((p - [0.5, 0.3, 0.2]) ** 2) @ [1.0, 0.9, 1.1]
+    table = bowl if shape == "convex" else 2.0 - bowl
+    path = write_doc(tmp_path, {**doc, "grid_resolution": 12, "payoff": {"type": "table", "values": table.tolist()}})
+    assert loaded_after(["solve", "--scenario", path], ["verify", "--which", "thm2", "--scenario", path]) == [[0, 0], []]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from persuasionlab import (GridFn, belief, cav_grid, cav_split_at, cav_splits, cav_values, envelope,
                           interpolate, make_grid, validate_split)
@@ -173,10 +174,12 @@ def test_split_on_a_linear_stretch_uses_the_hull_edge():
 
 
 def test_facet_planes_are_read_within_the_budget(monkeypatch):
-    # a smooth concave k=3 function has 1600 upper facets at R=40; one full table of their
-    # planes at the 861 grid points would take 11 MB, the budget below 32 KiB
+    # a smooth concave k=3 function with one dent has about 1600 upper facets at R=40; one full
+    # table of their planes at the 861 grid points would take 11 MB, the budget below 32 KiB.
+    # The dent fails both certificates, so the facets are Qhull's
     grid = make_grid(3, 40)
     values = -(grid.points**2).sum(axis=1)
+    values[grid.index_of([10, 10, 20])] -= 0.01
     queries = np.random.default_rng(70).dirichlet(np.ones(3), 500)
     full = cav_values(GridFn(grid, values))
     full_at = envelope.cav_at(GridFn(grid, values), queries)[0]
@@ -188,6 +191,7 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert envelope._envelope(f).offsets.size == 1598
     assert peak < 1 << 20
     assert np.array_equal(blocked, full)
     assert np.array_equal(envelope.cav_at(f, queries)[0], full_at)
@@ -266,14 +270,38 @@ def test_upper_hull_matches_the_scalar_chain(kind, n, seed):
     assert np.all(v <= np.interp(s, s[hull], v[hull]) + 1e-12 * (1.0 + np.abs(v).max()))
 
 
+def qhull_facets(f):
+    """Unit normals, vertical parts, offsets and vertex indices of the upper facets of f's lifted grid.
+
+    Qhull builds them from the grid padded below its corners, whether or not a certificate
+    names the envelope's facets, so the k >= 3 references read Qhull's planes.
+    """
+    grid, v = f.grid, f.values
+    floor = v.min() - 1.0 - (v.max() - v.min())
+    padding = np.column_stack([np.eye(grid.k, grid.k - 1), np.full(grid.k, floor)])
+    hull = ConvexHull(np.vstack([np.column_stack([grid.points[:, :-1], v]), padding]), qhull_options="Qt")
+    up = hull.equations[:, -2] > 1e-9
+    eq = hull.equations[up]
+    return eq[:, :-2], eq[:, -2], eq[:, -1], hull.simplices[up]
+
+
+def qhull_envelope_at(f, q):
+    """The envelope of f at each row of q read off Qhull's upper facets, and at least f's interpolant."""
+    normals, vert_norm, offsets, _ = qhull_facets(f)
+    planes = -(offsets + q[:, :-1] @ normals.T) / vert_norm
+    return np.maximum(planes.min(axis=1), interpolate(f, q))
+
+
 def reference_split_table(f):
     """Reference for `cav_splits` at the grid points: one split per point below the envelope.
 
     The k = 2 point takes the ends of the hull edge above it; the k >= 3
-    point tries each candidate facet in turn and keeps the lexicographically
-    smallest support, the first facet on ties.
+    point tries each candidate facet of Qhull's hull in turn and keeps the
+    lexicographically smallest support, the first facet on ties.
     """
     env = envelope._envelope(f)
+    if f.grid.k >= 3:
+        normals, vert_norm, offsets, simplices = qhull_facets(f)
     grid, cavv = f.grid, env.values
     s = grid.points[:, 0]
     atoms = np.full((grid.n, grid.k), -1)
@@ -289,10 +317,10 @@ def reference_split_table(f):
             wa = (s[b] - float(chart[0])) / (s[b] - s[a])
             idx, w = np.array([a, b]), np.array([wa, 1.0 - wa])
         else:
-            vals = -(env.offsets + env.normals @ chart) / env.vert_norm
+            vals = -(offsets + normals @ chart) / vert_norm
             best = None
             for fi in np.nonzero(vals <= cavv[i] + envelope._FACET_RTOL * (1.0 + abs(cavv[i])))[0]:
-                verts = env.simplices[fi]
+                verts = simplices[fi]
                 if np.any(verts >= grid.n):
                     continue
                 A = np.vstack([grid.points[verts, : env.dim].T, np.ones(verts.size)])
@@ -332,6 +360,10 @@ def split_tables():
     tent = 1.0 - np.abs(2.0 * grid.points[:, 0] - 1.0)
     yield "tent k=2", GridFn(grid, tent + rng.uniform(-1e-15, 1e-15, grid.n))
     yield "notched tent k=2", GridFn(grid, np.where(np.arange(grid.n) % 7 == 3, tent - 0.05, tent))
+    grid = make_grid(3, 12)
+    bowl = ((grid.points - 0.3) ** 2).sum(axis=1)
+    yield "full disclosure k=3", GridFn(grid, bowl)
+    yield "no disclosure k=3", GridFn(grid, -bowl)
 
 
 def coplanar_top(grid, rng):
@@ -350,8 +382,24 @@ def coplanar_top(grid, rng):
 def test_batched_splits_match_the_per_point_loop(f):
     values, atoms, weights = cav_splits(f, f.grid.points)
     want_atoms, want_weights = reference_split_table(f)
-    assert np.array_equal(atoms, want_atoms)
-    assert np.array_equal(weights, want_weights)
+    corners = envelope._envelope(f).corners
+    if corners is None:
+        assert np.array_equal(atoms, want_atoms)
+        assert np.array_equal(weights, want_weights)
+    else:
+        # under the pure-state plane a point splits onto the pure states, weighed by its own coordinates
+        # in state order; Qhull's one facet names the same split, up to rounding, in its own vertex order
+        whole = atoms[:, 1] < 0
+        assert np.array_equal(atoms[whole], want_atoms[whole])
+        assert np.array_equal(weights[whole], want_weights[whole])
+        for i in np.flatnonzero(~whole):
+            p = f.grid.points[i]
+            m = np.count_nonzero(p)
+            assert np.array_equal(atoms[i], np.append(corners[p > 0], [-1] * (f.grid.k - m)))
+            assert np.array_equal(weights[i, :m], p[p > 0] / p.sum())
+            want = dict(zip(want_atoms[i, :m].tolist(), want_weights[i, :m]))
+            got = [want.get(a, np.nan) for a in atoms[i, :m].tolist()]
+            assert got == pytest.approx(weights[i, :m], rel=0.0, abs=1e-15)
     for i in range(f.grid.n):
         value, split_posteriors, split_weights = cav_split_at(f, f.grid.points[i])
         m = split_weights.size
@@ -406,7 +454,7 @@ def composed_cav_splits(f, q):
     q = np.atleast_2d(belief.validate_belief(q, f.grid.k))
     env = envelope._envelope(f)
     fq = interpolate(f, q)
-    values = np.maximum(env.at(q[:, : env.dim]), fq)
+    values = env.at(q, fq)
     idx, w, _ = f.grid._cells(q)
     keep = w > 0.0
     slots = np.argsort(~keep, axis=1, kind="stable")
@@ -414,7 +462,7 @@ def composed_cav_splits(f, q):
     weights = np.take_along_axis(np.where(keep, w, 0.0), slots, axis=1)
     below = np.flatnonzero(fq < values - env.slack)
     if below.size:
-        atoms[below], weights[below] = env.split(q[below, : env.dim], values[below])
+        atoms[below], weights[below] = env.split(q[below], values[below])
     return values, atoms, weights
 
 
@@ -445,3 +493,52 @@ def test_cav_splits_validates_and_locates_once(k, resolution, monkeypatch):
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert (want[0] > interpolate(f, q) + 1e-6).any()  # some rows lie below the envelope and split
+
+
+def certificate_table(kind, grid, seed):
+    """A concave quadratic, one whose interpolant is concave, or a convex table (a quadratic or a maximum of planes).
+
+    The first draws its Hessian at random; the second draws it in the cumulative counts z of
+    `BeliefGrid._cells`, strictly diagonally dominant with negative off-diagonal entries, which
+    makes it fold down across every pair of adjacent cells.
+    """
+    rng = np.random.default_rng(seed)
+    k, p = grid.k, grid.points
+    tilt = p @ rng.normal(size=k)
+    if kind == "planes":
+        return GridFn(grid, (p @ rng.normal(size=(k, 5))).max(axis=1))
+    if kind == "cell-concave quadratic":
+        z = np.cumsum(p, axis=1)[:, :-1]
+        off = -rng.uniform(0.1, 1.0, (k - 1, k - 1))
+        hessian = np.triu(off, 1) + np.triu(off, 1).T
+        hessian += np.diag(rng.uniform(0.1, 1.0, k - 1) - hessian.sum(axis=1))
+        return GridFn(grid, tilt - np.einsum("ij,jk,ik->i", z, hessian, z))
+    root = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-1, 1, k)
+    centered = p - rng.dirichlet(np.ones(k))
+    bowl = np.einsum("ij,jk,ik->i", centered, root.T @ root, centered)
+    return GridFn(grid, tilt + (bowl if kind == "convex quadratic" else -bowl))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["concave quadratic", "cell-concave quadratic", "convex quadratic", "planes"]))
+def test_a_certified_envelope_is_the_qhull_envelope(k, kind, seed):
+    grid = make_grid(k, 10 if k == 3 else 5)
+    f = certificate_table(kind, grid, seed)
+    env = envelope._envelope(f)
+    # a convex table lies below the plane through its pure states, a curved concave one above it
+    assert (env.corners is not None) == (kind in ("convex quadratic", "planes"))
+    if kind == "cell-concave quadratic":
+        assert env.concave
+    if env.corners is None and not env.concave:
+        assert env.offsets.size > 0  # neither certificate holds: Qhull built the facets
+        return
+    scale = 1e-12 * (1.0 + np.abs(f.values).max())
+    q = np.vstack([np.random.default_rng(seed).dirichlet(np.ones(k), 40), grid.points])
+    values, atoms, weights = cav_splits(f, q)
+    assert np.abs(values - qhull_envelope_at(f, q)).max() <= scale
+    assert np.abs(cav_values(f) - qhull_envelope_at(f, grid.points)).max() <= scale
+    assert not env.concave or np.array_equal(values, interpolate(f, q))  # no row lies below a concave f
+    for row, a, w in zip(q, atoms, weights):
+        validate_split(row, grid.points[a[a >= 0]], w[a >= 0])
+    assert np.abs(np.where(atoms >= 0, f.values[atoms] * weights, 0.0).sum(axis=1) - values).max() <= scale

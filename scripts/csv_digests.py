@@ -10,7 +10,8 @@ records) it runs, in-process through `cli.main`: `solve` in both modes, every
 optimal, sigma_star and couple:0.9 strategies. Each line reads
 `sha256 exit-code command`, where the digest covers the CSV written to
 stdout. Run it on two checkouts and diff the outputs to list exactly which
-CSVs a change moves.
+CSVs a change moves. After every line is printed it exits 1 if a command
+exited nonzero, unless it is a pair in KNOWN_FAILURES that exited 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ from persuasionlab import cli
 
 STRATEGIES = ("null", "full", "optimal", "sigma_star", "couple:0.9")
 
+# (verify suite, scenario name) pairs whose suite reports fail where its claim holds, with the ROADMAP
+# item that mends each; the change that mends one removes it here, and then this script and
+# `test_every_verify_suite_passes_on_bundled_scenarios` in tests/test_cli.py hold that pair to a pass.
+# - kink3 is the k=3 scenario whose envelope is not affine: ROADMAP item 3, reading the continuation
+#   value through its concave envelope when k >= 3.
+# - slow relaxes over about 333 stages, beyond the 200-stage horizon of thm1's most patient discount
+#   0.995: ROADMAP item 4, the patient limit certified at lambda = 1.
+KNOWN_FAILURES = {("lemma1", "kink3"): 3, ("thm1", "slow"): 4}
+
 
 def commands(scenario: str) -> list[list[str]]:
     """The CLI argument lists run on one scenario file."""
@@ -35,6 +45,7 @@ def commands(scenario: str) -> list[list[str]]:
 
 
 def main() -> int:
+    unexpected = []
     for path in sorted(Path("scenarios").glob("*.json")):
         for argv in commands(path.as_posix()):
             out = io.StringIO()
@@ -42,7 +53,12 @@ def main() -> int:
                 code = cli.main(argv)
             digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
             print(digest, code, " ".join(argv), flush=True)
-    return 0
+            known = argv[0] == "verify" and (argv[2], path.stem) in KNOWN_FAILURES and code == cli.EXIT_FAIL
+            if code != cli.EXIT_PASS and not known:
+                unexpected.append(f"{code} {' '.join(argv)}")
+    for line in unexpected:
+        print("unexpected exit code:", line, file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

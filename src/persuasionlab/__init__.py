@@ -52,6 +52,7 @@ from .solver import (
     full_reveal_closed_form,
     row_average_value,
     solve,
+    solve_between_revelations,
     solve_cesaro,
 )
 
@@ -94,6 +95,7 @@ __all__ = [
     "run_policy",
     "sample_path",
     "solve",
+    "solve_between_revelations",
     "solve_cesaro",
     "split_from_kernel",
     "stationary",

@@ -50,11 +50,11 @@ from .payoff import ReceiverPayoff, TablePayoff, build_u
 from .solver import (
     MODES,
     Scenario,
-    _between_revelations,
     asymptotic_value,
     check_no_info_at_concave_point,
     row_average_value,
     solve,
+    solve_between_revelations,
 )
 from . import sim
 
@@ -81,8 +81,6 @@ _RECEIVER_KEYS = frozenset({"type", "actions", "sender_payoff", "receiver_payoff
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -361,7 +359,7 @@ def _verify_disint(sc: Scenario, table: ResultTable) -> bool:
     rates = (0.3, 0.5)
     passed = True
     for x in rates:
-        res = solve(replace(sc, discount=_between_revelations(x)), "no_reveal")
+        res = solve_between_revelations(x, sc)
         est = sim.random_duration_value_mc(sc, x, sim.Strategy(res.target))
         target = interpolate(res.value, sc.prior) / x
         err = abs(est.mean - target)

@@ -10,9 +10,10 @@ below the plane through its values at the pure states, that plane is the
 envelope (full disclosure); when it folds down across every pair of adjacent
 grid cells, its interpolant is concave and is the envelope (no disclosure).
 Only when both fail does Qhull build the facets, and only then does
-`scipy.spatial` load. A certified envelope can differ from the Qhull one by
-a few ulps. Each function's `_Envelope` is built once, kept with it, and read
-by every query.
+`scipy.spatial` load. The certified plane and Qhull's facets are read alike,
+as one table of planes in belief coordinates. A certified envelope can differ
+from the Qhull one by a few ulps. Each function's `_Envelope` is built once,
+kept with it, and read by every query.
 """
 
 from __future__ import annotations
@@ -56,51 +57,56 @@ def _upper_hull_indices(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _Envelope:
-    """The envelope of one grid function: an upper hull for k <= 2; for k >= 3 a plane, its own cells, or upper facets.
+    """The envelope of one grid function: an upper hull for k <= 2; for k >= 3 its own cells, or a facet table.
 
     `values` holds the envelope at every grid point. For k >= 3 two certificates name the upper facets
     before any hull is built. When f lies below the plane through its values at the pure states (full
     disclosure), that plane is the envelope and `corners` holds the pure states' grid indices. When f
     folds down across every pair of adjacent cells of the grid (`BeliefGrid._circuits`), its interpolant
     is concave and is the envelope (no disclosure, `concave`). Otherwise Qhull builds the upper facets.
+    The certified plane and Qhull's facets are one table in belief coordinates: facet f has vertices
+    `simplices[f]` (grid indices) and reads q . coef[f] at a belief q.
     """
 
     def __init__(self, f: GridFn) -> None:
         grid, v = f.grid, f.values
         self.grid, self.v = grid, v
-        self.dim = max(grid.k - 1, 1)
         self.corners, self.concave = None, False
         if grid.k <= 2:
             self.hull = _upper_hull_indices(grid.points[:, 0], v)
         else:
+            # the plane through the pure states is the one-facet table whose coefficients are f there
+            self.simplices, self.coef = grid._corners[None], v[grid._corners][None]
+            top = self._planes(grid.points)[:, 0]
             # rounding in a certificate's sums cannot let a violated inequality pass
             margin = _CERT_EPS * (1.0 + float(np.abs(v).max()))
-            if np.all(v <= _plane(v, grid._corners, grid.points) + margin):
+            if np.all(v <= top + margin):
                 self.corners = grid._corners
+                self.values = np.maximum(top, v)  # what `at` gives at the grid points, from the one read above
             else:
                 p, q, r, s = grid._circuits
                 self.concave = bool(np.all(v[p] + v[q] - v[r] - v[s] >= margin))
                 if not self.concave:
                     self._hull_facets(v)
-        self.values = self.at(grid.points, v)
+        if self.corners is None:
+            self.values = self.at(grid.points, v)
         self.values.setflags(write=False)
 
     def _hull_facets(self, v: np.ndarray) -> None:
-        """Qhull's upper facets of the lifted grid: unit normals, vertical parts, offsets and vertex indices."""
+        """Qhull's upper facets of the lifted grid as the facet table: belief coefficients and vertex indices."""
         from scipy.spatial import ConvexHull  # imported here: a certified or k = 2 run never loads scipy.spatial
 
         k = self.grid.k
         vmin, vmax = float(v.min()), float(v.max())
         floor = vmin - 1.0 - (vmax - vmin)
-        lifted = np.column_stack([self.grid.points[:, : self.dim], v])
+        lifted = np.column_stack([self.grid.points[:, : k - 1], v])
         # padding below the simplex corners closes the hull without touching its top
         padding = np.column_stack([np.eye(k, k - 1), np.full(k, floor)])
         hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
-        eq = hull.equations
-        up = eq[:, -2] > 1e-9
-        self.normals = eq[up, :-2]
-        self.vert_norm = eq[up, -2]
-        self.offsets = eq[up, -1]
+        up = hull.equations[:, -2] > 1e-9
+        n, h, c = hull.equations[up, :-2], hull.equations[up, -2:-1], hull.equations[up, -1:]
+        # n . x + h y + c = 0 on the chart x = q[:-1], where 1 = sum(q): y = q . -[n + c, c] / h
+        self.coef = -np.hstack([n + c, c]) / h
         self.simplices = hull.simplices[up]
 
     @cached_property
@@ -108,18 +114,18 @@ class _Envelope:
         """Absolute slack for deciding that the function attains the envelope."""
         return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
-    def _planes(self, charts: np.ndarray) -> np.ndarray:
-        """Every upper-facet plane at each row of charts, (m, dim) -> (m, facets).
+    def _planes(self, q: np.ndarray) -> np.ndarray:
+        """Every facet plane at each row of q, (m, k) -> (m, facets).
 
-        Each row is read by its own (1, dim) @ (dim, facets) product, so a belief reads the same floats
+        Each row is read by its own (1, k) @ (k, facets) product, so a belief reads the same floats
         alone or in any batch, at a grid point or off it.
         """
-        return -(self.offsets + (charts[:, None, :] @ self.normals.T)[:, 0]) / self.vert_norm
+        return (q[:, None, :] @ self.coef.T)[:, 0]
 
     def at(self, q: np.ndarray, fq: np.ndarray) -> np.ndarray:
         """Envelope at each row of an (m, k) batch of beliefs, given f interpolated there (fq).
 
-        It is the larger of fq and the hull, plane or facet reading; for a concave f the grid's own
+        It is the larger of fq and the hull or facet-table reading; for a concave f the grid's own
         cells are the facets, so it is fq. Facet planes are read _PLANE_BUDGET values at a time, so a
         fine k >= 4 grid fits in memory.
         """
@@ -128,13 +134,11 @@ class _Envelope:
             top = np.interp(q[:, 0], s[self.hull], self.v[self.hull])
         elif self.concave:
             return fq
-        elif self.corners is not None:
-            top = _plane(self.v, self.corners, q)
         else:
-            rows = max(1, _PLANE_BUDGET // self.offsets.size)
+            rows = max(1, _PLANE_BUDGET // len(self.coef))
             top = np.empty(len(q))
             for i in range(0, len(q), rows):
-                top[i : i + rows] = self._planes(q[i : i + rows, : self.dim]).min(axis=1)
+                top[i : i + rows] = self._planes(q[i : i + rows]).min(axis=1)
         return np.maximum(top, fq)
 
     def split(self, q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,21 +165,18 @@ class _Envelope:
         real = ~np.any(self.simplices >= n, axis=1)  # floor padding can only border degenerate planes
         atoms, weights = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
         # a block stacks at most _PLANE_BUDGET values of (k, k) systems
-        per_block = max(1, _PLANE_BUDGET // (self.offsets.size * k * k))
+        per_block = max(1, _PLANE_BUDGET // (len(self.coef) * k * k))
         for i in range(0, len(q), per_block):
-            block, target = q[i : i + per_block, : self.dim], values[i : i + per_block]
+            block, target = q[i : i + per_block], values[i : i + per_block]
             near = self._planes(block) <= (target + _FACET_RTOL * (1.0 + np.abs(target)))[:, None]
             row, facet = np.nonzero(near & real)
             verts = self.simplices[facet]
-            A = np.ones((row.size, k, k))
-            A[:, :-1] = self.grid.points[verts, : self.dim].transpose(0, 2, 1)
-            rhs = np.ones((row.size, k))
-            rhs[:, :-1] = block[row]
+            A = self.grid.points[verts].transpose(0, 2, 1)  # the facet's vertices as columns
             # LU finds a zero pivot (sign 0) on a singular facet, which would fail the whole stacked solve
             _, first, same = np.unique(facet, return_index=True, return_inverse=True)
             regular = (np.linalg.slogdet(A[first])[0] != 0.0)[same]
-            row, verts, A, rhs = row[regular], verts[regular], A[regular], rhs[regular]
-            w = np.linalg.solve(A, rhs[..., None])[..., 0]
+            row, verts, A = row[regular], verts[regular], A[regular]
+            w = np.linalg.solve(A, block[row][..., None])[..., 0]
             feasible = ~np.any(w < -1e-9, axis=1)
             row, verts, w = row[feasible], verts[feasible], w[feasible]
             keep = w > 1e-12
@@ -189,17 +190,6 @@ class _Envelope:
             atoms[i : i + per_block], wk = _packed(keep[best], verts[best], w[best])
             weights[i : i + per_block] = wk / wk.sum(axis=1, keepdims=True)
         return atoms, weights
-
-
-def _plane(v: np.ndarray, corners: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The plane through v at the pure states, sum_s q_s * v[corners[s]], at each row of q.
-
-    The terms are added in state order onto zero, so each row reads the same alone or in any batch.
-    """
-    out = np.zeros(len(q))
-    for s, corner in enumerate(corners):
-        out += q[:, s] * v[corner]
-    return out
 
 
 def _packed(keep: np.ndarray, atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, vali
 from .chain import cum_rows, scan_states
 from .envelope import cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from .solver import Scenario, _between_revelations, solve
+from .solver import Scenario, solve, solve_between_revelations
 
 # ---------------------------------------------------------------------------
 # randomness plumbing
@@ -285,8 +285,7 @@ def strategy_renewal_optimal(sc: Scenario) -> Strategy:
     score. Raises RateBoundary for a rate outside (0, 1] or one whose
     1 - rate rounds to 1.
     """
-    inner_sc = replace(sc, discount=_between_revelations(sc.reveal_rate))
-    return Strategy(solve(inner_sc, "no_reveal").target)
+    return Strategy(solve_between_revelations(sc.reveal_rate, sc).target)
 
 
 def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float, sc: Scenario) -> Strategy:

@@ -266,11 +266,11 @@ def asymptotic_value(rate: float, sc: Scenario) -> float:
     Stationary-weighted value of the no-revelation game at discount
     1 - rate, read at the transition rows.
     """
-    return row_average_value(_between_revelations(rate), sc)
+    return float(sc.chain.pi @ solve_between_revelations(rate, sc).row_values)
 
 
-def _between_revelations(rate: float) -> float:
-    """The discount 1 - rate of the game played between revelations at a rate in (0, 1].
+def solve_between_revelations(rate: float, sc: Scenario) -> SolverResult:
+    """The game played between revelations at a rate in (0, 1]: the no-revelation game at discount 1 - rate, solved.
 
     Raises RateBoundary for a rate outside (0, 1], and where 1 - rate rounds to 1 (a rate below
     about 1.1e-16), which no discount may be.
@@ -279,13 +279,13 @@ def _between_revelations(rate: float) -> float:
         raise RateBoundary(f"revelation rate must lie in (0, 1], got {rate}")
     if 1.0 - rate == 1.0:
         raise RateBoundary(f"revelation rate {rate} is too small: 1 - rate rounds to 1 in floating point")
-    return 1.0 - rate
+    return solve(replace(sc, discount=1.0 - rate), "no_reveal")
 
 
 def row_average_value(discount: float, sc: Scenario) -> float:
     """Stationary-weighted no-revelation value at the transition rows.
 
-    asymptotic_value(rate, sc) is this curve read at discount 1 - rate.
+    asymptotic_value(rate, sc) is this curve read at discount 1 - rate, where it solves the same game.
     """
     res = solve(replace(sc, discount=discount), "no_reveal")
     return float(sc.chain.pi @ res.row_values)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -247,6 +248,8 @@ def test_scenario_from_receiver_config():
 def test_fmt_round_trips():
     assert cli._fmt(True) == "1"
     assert cli._fmt(False) == "0"
+    assert cli._fmt(np.True_) == "1"
+    assert cli._fmt(np.False_) == "0"
     assert cli._fmt(np.int64(3)) == "3"
     for v in (0.1, 1.0 / 3.0, 0.7714285706302952, 1e-300):
         assert float(cli._fmt(v)) == v
@@ -476,13 +479,9 @@ def test_verify_lemma1_builds_each_envelope_once(tmp_path, monkeypatch, name):
 SUITES = ["thm1", "thm2", "monotone_x", "disint", "lemma1", "obs1"]
 BUNDLED = ["tent", "parabola", "receiver", "cycle3", "kink3", "periodic", "slow"]
 
-# Pairs whose suite reports fail where its claim holds, with the ROADMAP item that mends each; the
-# change that mends one removes it here, and the test then holds that pair to a pass.
-# - kink3 is the k=3 scenario whose envelope is not affine: ROADMAP item 3, reading the continuation
-#   value through its concave envelope when k >= 3.
-# - slow relaxes over about 333 stages, beyond the 200-stage horizon of thm1's most patient discount
-#   0.995: ROADMAP item 4, the patient limit certified at lambda = 1.
-KNOWN_FAILURES = {("lemma1", "kink3"): 3, ("thm1", "slow"): 4}
+# Pairs whose suite reports fail where its claim holds, with the ROADMAP item that mends each. The one map
+# lives in scripts/csv_digests.py, whose exit code it also sets; its comment says why each pair fails.
+KNOWN_FAILURES = runpy.run_path(str(ROOT / "scripts" / "csv_digests.py"))["KNOWN_FAILURES"]
 
 
 def verdict_from_table(which, meta, header, rows):

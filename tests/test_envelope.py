@@ -191,7 +191,7 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert envelope._envelope(f).offsets.size == 1598
+    assert len(envelope._envelope(f).coef) == 1598
     assert peak < 1 << 20
     assert np.array_equal(blocked, full)
     assert np.array_equal(envelope.cav_at(f, queries)[0], full_at)
@@ -309,23 +309,23 @@ def reference_split_table(f):
     weights = np.zeros((grid.n, grid.k))
     weights[:, 0] = 1.0
     for i in np.nonzero(f.values < cavv - env.slack)[0]:
-        chart = grid.points[i, : env.dim]
+        point = grid.points[i]
         if grid.k <= 2:
-            j = int(np.searchsorted(s[env.hull], float(chart[0]), side="right"))
+            j = int(np.searchsorted(s[env.hull], float(point[0]), side="right"))
             j = min(max(j, 1), env.hull.size - 1)
             a, b = int(env.hull[j - 1]), int(env.hull[j])
-            wa = (s[b] - float(chart[0])) / (s[b] - s[a])
+            wa = (s[b] - float(point[0])) / (s[b] - s[a])
             idx, w = np.array([a, b]), np.array([wa, 1.0 - wa])
         else:
-            vals = -(offsets + normals @ chart) / vert_norm
+            vals = -(offsets + normals @ point[:-1]) / vert_norm
             best = None
             for fi in np.nonzero(vals <= cavv[i] + envelope._FACET_RTOL * (1.0 + abs(cavv[i])))[0]:
                 verts = simplices[fi]
                 if np.any(verts >= grid.n):
                     continue
-                A = np.vstack([grid.points[verts, : env.dim].T, np.ones(verts.size)])
+                A = grid.points[verts].T
                 try:
-                    w = np.linalg.solve(A, np.append(chart, 1.0))
+                    w = np.linalg.solve(A, point)
                 except np.linalg.LinAlgError:
                     continue
                 if np.any(w < -1e-9):
@@ -432,13 +432,17 @@ def test_split_without_a_feasible_facet_raises(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.sampled_from([3, 4]), rough=st.booleans(), m=st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
-def test_a_belief_reads_one_envelope_value_alone_in_a_batch_and_at_the_grid(k, rough, m, seed):
+@given(k=st.sampled_from([3, 4]), kind=st.sampled_from(["rough", "rough concave", "convex"]),
+       m=st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
+def test_a_belief_reads_one_envelope_value_alone_in_a_batch_and_at_the_grid(k, kind, m, seed):
     # every k >= 3 reader takes its planes from one row-by-row product, so no reading depends on its batch
     rng = np.random.default_rng(seed)
     grid = make_grid(k, 12 if k == 3 else 6)
     noise = rng.uniform(0.0, 1.0, grid.n)
-    f = GridFn(grid, noise if rough else 0.01 * noise - (grid.points**2).sum(axis=1))
+    bowl = (grid.points**2).sum(axis=1)
+    f = GridFn(grid, {"rough": noise, "rough concave": 0.01 * noise - bowl, "convex": 0.01 * noise + bowl}[kind])
+    # a convex table lies below the plane through its pure states: that plane is its one-facet table
+    assert (envelope._envelope(f).corners is not None) == (kind == "convex")
     q = rng.dirichlet(np.ones(k), m)
     batch = envelope.cav_at(f, q)[0]
     assert np.array_equal(batch, [envelope.cav_at(f, row)[0][0] for row in q])
@@ -531,7 +535,7 @@ def test_a_certified_envelope_is_the_qhull_envelope(k, kind, seed):
     if kind == "cell-concave quadratic":
         assert env.concave
     if env.corners is None and not env.concave:
-        assert env.offsets.size > 0  # neither certificate holds: Qhull built the facets
+        assert len(env.coef) > 0  # neither certificate holds: Qhull built the facets
         return
     scale = 1e-12 * (1.0 + np.abs(f.values).max())
     q = np.vstack([np.random.default_rng(seed).dirichlet(np.ones(k), 40), grid.points])

@@ -5,9 +5,10 @@ Run from the repository root, with the package importable:
     PYTHONPATH=src python3 scripts/csv_digests.py > digests.txt
 
 For each scenarios/*.json (given by its relative path, which the CSV header
-records) it runs, in-process through `cli.main`: `solve` in both modes, every
-`verify --which` suite, and `simulate --samples 300` for the null, full,
-optimal, sigma_star and couple:0.9 strategies. Each line reads
+records) it runs, in-process through `cli.main`: `solve` in both modes, at the
+scenario's discount and at 0.9999, every `verify --which` suite, and
+`simulate --samples 300` for the null, full, optimal, sigma_star and
+couple:0.9 strategies. Each line reads
 `sha256 exit-code command`, where the digest covers the CSV written to
 stdout. Run it on two checkouts and diff the outputs to list exactly which
 CSVs a change moves. After every line is printed it exits 1 if a command
@@ -39,6 +40,7 @@ KNOWN_FAILURES = {("lemma1", "kink3"): 3, ("thm1", "slow"): 4}
 def commands(scenario: str) -> list[list[str]]:
     """The CLI argument lists run on one scenario file."""
     runs = [["solve", "--mode", mode] for mode in cli.MODES]
+    runs += [["solve", "--mode", mode, "--lambda", "0.9999"] for mode in cli.MODES]
     runs += [["verify", "--which", which] for which in sorted(cli._VERIFIERS)]
     runs += [["simulate", "--samples", "300", "--strategy", name] for name in STRATEGIES]
     return [[*run, "--scenario", scenario] for run in runs]

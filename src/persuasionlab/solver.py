@@ -7,7 +7,11 @@ equal to the revelation rate, rebooting the belief to that state's
 transition row. Both operators concavify a one-stage target, so iteration
 is a sup-norm contraction with modulus equal to the discount; they are also
 monotone and shift constants by the discount, which is what lets `solve`
-stop on the MacQueen-Porteus bounds.
+stop on the MacQueen-Porteus bounds. Those bounds hold at any iterate, so
+`solve` takes each next iterate as the Anderson combination of its last few
+sweeps rather than the last sweep alone: the stopping rule and what it
+certifies are those of plain value iteration, and only the sweep count
+changes.
 
 Every operator reads the continuation value through the same two
 interpolation operators, which depend only on the chain and the grid: the
@@ -40,6 +44,8 @@ MODES = ("no_reveal", "reveal")
 MAX_SWEEPS = 100_000
 # SolverResult.half_widths keeps this many of the last sweeps
 HALF_WIDTHS_KEPT = 20
+# solve takes each next iterate as the Anderson combination of at most this many of the last sweeps
+ANDERSON_DEPTH = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +186,27 @@ def bellman_reveal(f: GridFn, sc: Scenario) -> GridFn:
     return _bellman(f, sc, True)
 
 
+def _anderson(images: deque, residuals: deque) -> np.ndarray:
+    """The next iterate: the type-II Anderson combination of the kept sweeps (Walker & Ni 2011).
+
+    g and d are the newest sweep and its residual, g_i and d_i the older ones, each residual less
+    its mean. The weights gamma minimize the 2-norm of d - sum_i gamma_i (d - d_i), and the
+    combination is g - sum_i gamma_i (g - g_i). With no older sweep, a singular system or a
+    non-finite combination, the next iterate is g, the plain one. Every sum over grid points is an
+    einsum, numpy's own loop, which adds in one order whatever the BLAS library and its threads.
+    """
+    g = images[-1]
+    if len(images) == 1:
+        return g
+    dd = residuals[-1] - np.array(list(residuals)[:-1])
+    try:
+        gamma = np.linalg.solve(np.einsum("ij,kj->ik", dd, dd), np.einsum("ij,j->i", dd, residuals[-1]))
+    except np.linalg.LinAlgError:
+        return g
+    out = g - np.einsum("i,ij->j", gamma, g - np.array(list(images)[:-1]))
+    return out if np.isfinite(out).all() else g
+
+
 def solve(sc: Scenario, mode: str) -> SolverResult:
     """Iterate the chosen operator from zero until its MacQueen-Porteus bounds certify tol.
 
@@ -188,10 +215,15 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     lies pointwise in [Tf + c min d, Tf + c max d] (Puterman 1994, section
     6.6). The sweep stops once half that interval's width,
     c * (max d - min d) / 2, is at most tol, and returns its midpoint,
-    which is then within tol of the fixed point. The width shrinks at the
-    chain's mixing rate rather than at the discount; the result keeps the
-    half-widths of the last HALF_WIDTHS_KEPT sweeps. Raises NoConvergence
-    at the sweep cap.
+    which is then within tol of the fixed point. The bounds hold whatever
+    f is, so each next f is the Anderson combination of the last
+    ANDERSON_DEPTH sweeps Tf (`_anderson`), not Tf alone: a half-width that
+    did not shrink drops the earlier sweeps from the combination, and a
+    combination that cannot be formed falls back to the last sweep. The
+    width of plain iteration shrinks at the chain's mixing rate rather
+    than at the discount; the combination cuts the sweeps, and iterations
+    still counts them. The result keeps the half-widths of the last
+    HALF_WIDTHS_KEPT sweeps. Raises NoConvergence at the sweep cap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -200,16 +232,22 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     c = lam / (1.0 - lam)
     f = np.zeros(sc.grid.n)
     half_widths = deque(maxlen=HALF_WIDTHS_KEPT)
+    images, residuals = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
     for it in range(1, MAX_SWEEPS + 1):
         new = _sweep(f, stage, lam, x, dyn)
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         bound = 0.5 * c * (hi - lo)
+        if half_widths and not bound < half_widths[-1]:
+            images.clear()
+            residuals.clear()
         half_widths.append(bound)
         if bound <= sc.tol:
             f = new + 0.5 * c * (lo + hi)
             break
-        f = new
+        images.append(new)
+        residuals.append(d - d.mean())
+        f = _anderson(images, residuals)
     else:
         raise NoConvergence(
             f"certified bound {bound:.3e} above {sc.tol:.3e} after {MAX_SWEEPS} sweeps"

@@ -553,25 +553,51 @@ def rate_one_sweep(f, stage, lam, sc):
     return cav_values(target) + lam * 1.0 * (grid.points @ interpolate(GridFn(grid, f), M))
 
 
+def accelerated(step, sc):
+    """solve's iteration written out for one Bellman step on value arrays: the certified midpoint and the trail.
+
+    Each sweep's half-width is checked against tol first; otherwise the next iterate is the type-II
+    Anderson combination of the last 3 sweeps (fewer after a half-width that did not shrink), each
+    residual less its mean, or the sweep itself where that combination cannot be formed.
+    """
+    c = sc.discount / (1.0 - sc.discount)
+    f, trail, images, residuals = np.zeros(sc.grid.n), [], [], []
+    while True:
+        new = step(f)
+        d = new - f
+        lo, hi = float(d.min()), float(d.max())
+        width = 0.5 * c * (hi - lo)
+        if trail and not width < trail[-1]:
+            images, residuals = [], []
+        trail.append(width)
+        if width <= sc.tol:
+            return new + 0.5 * c * (lo + hi), trail
+        images, residuals = (images + [new])[-3:], (residuals + [d - d.mean()])[-3:]
+        f = new
+        if len(images) > 1:
+            dd = residuals[-1] - np.array(residuals[:-1])
+            try:
+                gamma = np.linalg.solve(np.einsum("ij,kj->ik", dd, dd), np.einsum("ij,j->i", dd, residuals[-1]))
+            except np.linalg.LinAlgError:
+                continue
+            out = new - np.einsum("i,ij->j", gamma, new - np.array(images[:-1]))
+            if np.isfinite(out).all():
+                f = out
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_a_rate_one_solve_builds_one_envelope(k, monkeypatch):
     # at rate 1 the continuation drops out of the target, so every sweep concavifies the same function
     sc = replace(fresh_scenario(k), reveal_rate=1.0)
-    lam, c = sc.discount, sc.discount / (1.0 - sc.discount)
-    f, width = np.zeros(sc.grid.n), np.inf
-    while width > sc.tol:  # solve's stopping rule
-        new = rate_one_sweep(f, (1.0 - lam) * sc.u.values, lam, sc)
-        d = new - f
-        lo, hi = float(d.min()), float(d.max())
-        width, f = 0.5 * c * (hi - lo), new
-    want = f + 0.5 * c * (lo + hi)
+    lam = sc.discount
+    want, trail = accelerated(lambda f: rate_one_sweep(f, (1.0 - lam) * sc.u.values, lam, sc), sc)
     want_cesaro = np.zeros(sc.grid.n)
     for _ in range(4):
         want_cesaro = rate_one_sweep(want_cesaro, sc.u.values / 4, 1.0, sc)
     built = []
     monkeypatch.setattr(envelope, "_Envelope", lambda f, cls=envelope._Envelope: built.append(f) or cls(f))
     res = solve(sc, "reveal")
-    assert res.iterations > 1 and len(built) == 1
+    assert res.iterations == len(trail) > 1 and len(built) == 1
     assert np.array_equal(res.value.values, want)
     built.clear()
     assert np.array_equal(solve_cesaro(sc, 4).values, want_cesaro)
@@ -582,26 +608,48 @@ def test_a_rate_one_solve_builds_one_envelope(k, monkeypatch):
 # certificate trail
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, "slow"])
 @pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
 def test_half_widths_trail_the_certificate(k, mode):
-    # recompute every sweep's half-width from zero through the public operator
-    sc = fresh_scenario(k)
+    # recompute every sweep's half-width from zero through the public operator; "slow" is the bundled
+    # slowly mixing two-state scenario
+    if k == "slow":
+        doc = json.loads((ROOT / "scenarios" / "slow.json").read_text(encoding="utf-8"))
+        sc = cli.scenario_from_config(cli.effective_config(doc))
+    else:
+        sc = fresh_scenario(k)
     res = solve(sc, mode)
     op = bellman_reveal if mode == "reveal" else bellman_no_reveal
-    c = sc.discount / (1.0 - sc.discount)
-    f, trail = GridFn(sc.grid, np.zeros(sc.grid.n)), []
-    for _ in range(res.iterations):
-        new = op(f, sc)
-        d = new.values - f.values
-        trail.append(0.5 * c * (float(d.max()) - float(d.min())))
-        f = new
+    want, trail = accelerated(lambda f: op(GridFn(sc.grid, f), sc).values, sc)
+    assert solver.ANDERSON_DEPTH == 3
+    assert res.iterations == len(trail)
+    assert np.array_equal(res.value.values, want)
     assert len(res.half_widths) == min(res.iterations, solver.HALF_WIDTHS_KEPT) == min(res.iterations, 20)
     assert res.half_widths == tuple(trail[-20:])
     assert res.half_widths[-1] == res.residual
     assert all(h > sc.tol for h in trail[:-1])
-    # k = 3 takes more than 20 sweeps here, so its trail is cut
-    assert (res.iterations > 20) == (k == 3)
+    # only the slow chain without revelations takes more than 20 sweeps here, so only its trail is cut
+    assert (res.iterations > 20) == (k == "slow" and mode == "no_reveal")
+
+
+@pytest.mark.parametrize("name", ["tent", "receiver", "cycle3", "kink3"])
+@pytest.mark.parametrize("mode", ["no_reveal", "reveal"])
+@pytest.mark.parametrize("discount", [0.9, 0.99, 0.995])
+def test_acceleration_takes_fewer_sweeps_than_plain_iteration(name, mode, discount):
+    # plain value iteration written out, stopped by the same certificate
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    sc = replace(cli.scenario_from_config(cli.effective_config(doc)), discount=discount)
+    op = bellman_reveal if mode == "reveal" else bellman_no_reveal
+    c = discount / (1.0 - discount)
+    f, plain, width = GridFn(sc.grid, np.zeros(sc.grid.n)), 0, np.inf
+    while width > sc.tol:
+        new = op(f, sc)
+        d = new.values - f.values
+        width, f, plain = 0.5 * c * (float(d.max()) - float(d.min())), new, plain + 1
+    res = solve(sc, mode)
+    assert res.iterations <= plain
+    if name in ("tent", "cycle3"):
+        assert 2 * res.iterations <= plain
 
 
 # ---------------------------------------------------------------------------

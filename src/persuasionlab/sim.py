@@ -12,14 +12,13 @@ even when the rate is zero, so traces with different rates stay aligned.
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane on its own row of uniforms; run_policy is the one-lane
 case of the same engine, and state_reveal_path reads that play's states and
-coins off its uniforms alone. Every lane of a play runs the same horizon: the
-random-duration estimator draws each replication's duration first and plays
-the replications whose durations have one bit length as one group, for the
-longest of those durations. A policy strategy splits at the exact belief
-onto grid points, so its nodes are the prior, the transition rows and images
-grid.points @ M. An estimate derives the seeds of its streams one block of
-replications at a time (replication_rngs), bit for bit the SeedSequence
-definition above.
+coins off its uniforms alone. Every lane of a play runs the same horizon,
+and every estimate reads its streams in the stage layout alone: the
+random-duration game ends at the replication's own first revelation. A
+policy strategy splits at the exact belief onto grid points, so its nodes
+are the prior, the transition rows and images grid.points @ M. An estimate
+derives the seeds of its streams one block of replications at a time
+(replication_rngs), bit for bit the SeedSequence definition above.
 A chunk holds as many lanes as fit one play of its whole horizon in
 _PLAY_BYTES; each lane's generator fills its row in one call and is dropped
 before the play. States and coins depend only on the uniforms, so a play
@@ -28,7 +27,7 @@ coins. Each revelation or coupling hit
 reboots the belief to a transition row and so starts a segment; the
 segments of a play are walked in lock-step, one position per numpy step. A
 replication's value depends only on its own stream, never on the chunk or
-group it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
+block it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
 uses numpy's pairwise summation over the replication axis.
 """
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -335,9 +334,8 @@ def _states_and_coins(M_cum, draws, prior_cum, rate, aux_prob):
 # cuts, and about 40 of segment arrays and step temporaries at rate 0.5. A chunk of lanes holds
 # as many lanes of its whole horizon as fit, and at least one.
 _PLAY_BYTES = 2 << 20
-# Replications an estimate seeds at once, and the replications a random-duration batch holds
-# generators for at once (about 0.8 KB each): each draws its duration before its group plays.
-_DURATION_BATCH = 1 << 14
+# Replications an estimate seeds at once.
+_SEED_BLOCK = 1 << 14
 
 
 class _Engine:
@@ -558,14 +556,14 @@ class _Engine:
 def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
     """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's.
 
-    The streams are seeded one _DURATION_BATCH block at a time, as they are taken; none is kept once yielded.
+    The streams are seeded one _SEED_BLOCK block at a time, as they are taken; none is kept once yielded.
     """
     samples = sc.samples if samples is None else samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     seed = sc.seed if seed is None else seed
-    blocks = (replication_rngs(seed, range(first, min(first + _DURATION_BATCH, samples)))
-              for first in range(0, samples, _DURATION_BATCH))
+    blocks = (replication_rngs(seed, range(first, min(first + _SEED_BLOCK, samples)))
+              for first in range(0, samples, _SEED_BLOCK))
     return samples, itertools.chain.from_iterable(blocks)
 
 
@@ -636,7 +634,10 @@ def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.n
 
 
 def discount_horizon(sc: Scenario) -> int:
-    """Stages needed before the discounted tail drops below 1e-6 * (payoff scale)."""
+    """Fewest stages H >= 1 with lam**H * max|u| <= 1e-6 * (1 - lam).
+
+    The bound is absolute, not scaled by the payoffs: a table scaled by 1e-9 gets H = 1.
+    """
     lam = sc.discount
     umax = float(np.abs(sc.u.values).max())
     if lam <= 0.0 or umax == 0.0:
@@ -668,36 +669,29 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
 
 
 def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> EstimateResult:
-    """Expected undiscounted payoff of a geometric-duration no-revelation game from the scenario's prior.
+    """Expected undiscounted payoff of the game between revelations at rate, from the scenario's prior.
 
-    Each replication first draws the duration W (geometric with mean
-    1/rate, support starting at 1) and then plays W stages without
-    revelations, summing the raw stage payoffs. Replications are taken in
-    batches of _DURATION_BATCH; in a batch, every replication draws its
-    duration and then the replications whose durations have the same bit
-    length (within a factor of 2) play together, all on one engine, for the
-    longest of their durations. A replication's total sums its own first W
-    stages, which the stages played past W do not change. Runs the scenario's samples on its seed.
+    Each replication plays the game at rate and sums its stage payoffs
+    through its first revealing stage, a geometric duration with mean
+    1/rate, or over the whole horizon discount_horizon gives at discount
+    1 - rate when no stage reveals; the result carries that horizon and the
+    truncation (1 - rate)**horizon * max|u| / rate, at most 1e-6. Runs the
+    scenario's samples on its seed. Raises RateBoundary for a rate outside
+    (0, 1] or whose 1 - rate rounds to 1.
     """
-    if not 0.0 < rate <= 1.0:
-        raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
+    if not 0.0 < rate <= 1.0 or 1.0 - rate == 1.0:
+        raise RateBoundary(f"rate must lie in (0, 1] with 1 - rate below 1, got {rate}")
+    horizon = _check_horizon(discount_horizon(replace(sc, discount=1.0 - rate)),
+                             source=f"a geometric duration at rate {rate}")
     samples, streams = _replications(sc, None, None)
     engine = _Engine(sc, strat)
-    totals = np.empty(samples)
-    for first in range(0, samples, _DURATION_BATCH):
-        rngs = list(itertools.islice(streams, _DURATION_BATCH))
-        durations = np.array([rng.geometric(rate) for rng in rngs], dtype=np.int64)
-        # durations of one bit length share a play, so a batch walks about twice its longest
-        # duration in steps rather than the sum of its distinct durations
-        bands = np.frexp(durations)[1]
-        for band in np.unique(bands).tolist():
-            lanes = np.flatnonzero(bands == band)
-            w = durations[lanes]
-            longest = _check_horizon(int(w.max()), source=f"a geometric duration at rate {rate}")
-            chunks = _lanes(engine, 0.0, [rngs[j] for j in lanes], lanes.size, longest)
-            rows = itertools.chain.from_iterable(payoffs for payoffs, _ in chunks)
-            totals[first + lanes] = [payoffs[:n].sum() for payoffs, n in zip(rows, w.tolist())]
-    return _summary(totals, np.arange(samples), **engine.counters())
+    totals = []
+    for payoffs, reveals in _lanes(engine, rate, streams, samples, horizon):
+        durations = np.where(reveals.any(axis=1), reveals.argmax(axis=1) + 1, horizon)
+        totals += [row[:w].sum() for row, w in zip(payoffs, durations.tolist())]
+    return _summary(np.array(totals), np.arange(samples), horizon=horizon,
+                    truncation=float((1.0 - rate) ** horizon * np.abs(sc.u.values).max() / rate),
+                    **engine.counters())
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,

@@ -361,6 +361,19 @@ def test_discounted_estimate_tracks_solver_value(scenario):
 # geometric-duration estimator
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 0.99])
+def test_discount_horizon_is_the_first_stage_whose_tail_meets_an_absolute_bound(scenario, lam, scale):
+    # lam**H * max|u| <= 1e-6 * (1 - lam), not scaled by the payoffs; H - 1 stages miss it
+    sc = scenario("tent", discount=lam)
+    sc = replace(sc, u=GridFn(sc.grid, sc.u.values * scale))
+    h, umax, bound = discount_horizon(sc), float(np.abs(sc.u.values).max()), 1e-6 * (1.0 - lam)
+    assert h >= 1
+    assert lam**h * umax <= bound * (1.0 + 1e-12)
+    if h > 1:
+        assert lam ** (h - 1) * umax > bound
+
+
 def test_random_duration_constant_payoff(chain2, grid2):
     # total payoff is 0.5 * W with W geometric, so the mean is 0.5 / rate
     u = GridFn(grid2, np.full(grid2.n, 0.5))
@@ -375,12 +388,21 @@ def test_random_duration_rate_one_is_one_stage(scenario):
     res = random_duration_value_mc(sc, 1.0, strategy_null(sc))
     assert res.mean == pytest.approx(interpolate(sc.u, [0.3, 0.7]), abs=1e-12)
     assert res.std_error <= 1e-12
+    assert res.horizon == 1 and res.truncation == 0.0
+
+
+def test_random_duration_truncation_is_at_most_one_millionth(scenario):
+    sc = scenario("tent", samples=30)
+    res = random_duration_value_mc(sc, 0.3, strategy_null(sc))
+    assert res.horizon == discount_horizon(replace(sc, discount=0.7)) > 1
+    assert 0.0 < res.truncation == 0.7**res.horizon * np.abs(sc.u.values).max() / 0.3 <= 1e-6
 
 
 def test_random_duration_rate_guard(scenario):
     sc = scenario("tent")
-    with pytest.raises(RateBoundary):
-        random_duration_value_mc(replace(sc, samples=2), 0.0, strategy_null(sc))
+    for rate in (0.0, 1e-17):  # 1 - 1e-17 rounds to 1, which no discount may be
+        with pytest.raises(RateBoundary):
+            random_duration_value_mc(replace(sc, samples=2), rate, strategy_null(sc))
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +664,13 @@ def reference_discounted(sc, strat, samples, seed, horizon):
                      for i in range(samples)]), np.arange(samples)
 
 
-def reference_duration(sc, rate, strat, samples, seed):
-    engine = _ScalarEngine(sc, strat)
+def reference_duration(sc, rate, strat, samples, seed, horizon):
+    # the game at rate over the horizon, summed through each replication's first revealing stage
+    # (over every stage when none reveals)
     totals = np.empty(samples)
     for i in range(samples):
-        rng = replication_rng(seed, i)
-        w = int(rng.geometric(rate))
-        totals[i] = engine.run(sc.prior, w, 0.0, rng).sum()
+        _, _, reveals, _, payoffs = reference_trace(replace(sc, reveal_rate=rate), strat, horizon, seed, i)
+        totals[i] = payoffs[: int(reveals.argmax()) + 1 if reveals.any() else horizon].sum()
     return totals, np.arange(samples)
 
 
@@ -692,9 +714,9 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     strat = made[strategy]
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
-        # lanes per chunk at this horizon and replications per random-duration batch
+        # lanes per chunk at this horizon and replications per seeding block
         monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * strat.draws_per_stage + 60))
-        monkeypatch.setattr(sim, "_DURATION_BATCH", lanes)
+        monkeypatch.setattr(sim, "_SEED_BLOCK", lanes)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
     for got, want in zip((est.values, est.rep_ids), reference_discounted(sc, strat, samples, seed, horizon)):
@@ -705,7 +727,8 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
         assert_bit_equal(got, want)
 
     est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), 0.3, strat)
-    for got, want in zip((est.values, est.rep_ids), reference_duration(sc, 0.3, strat, samples, seed)):
+    assert est.horizon == discount_horizon(replace(sc, discount=0.7))
+    for got, want in zip((est.values, est.rep_ids), reference_duration(sc, 0.3, strat, samples, seed, est.horizon)):
         assert_bit_equal(got, want)
 
     for rep in (0, 3):
@@ -735,21 +758,23 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     replays = [weights @ run_policy(sc, strat, horizon, seed=seed, rep=i).stage_payoffs for i in range(samples)]
     assert_bit_equal(est.values, np.array(replays))
 
-    # a lane draws its duration first and then plays that many stages without revelations,
-    # as the one-lane engine does on the stream the contract defines; at rate 1 every duration
-    # is 1, so one duration group is split into chunks of three one-stage lanes
-    for rate, budget in ((0.2, 3 * horizon * (8 * d + 60)), (1.0, 3 * (8 * d + 60))):
-        monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
+    # a lane plays the game at rate and sums its stage payoffs through its first revealing stage
+    # (every stage when none reveals): a prefix of the one-lane replay at that rate; each horizon,
+    # 1 at rate 1, is split into chunks of three lanes
+    for rate in (0.2, 1.0):
+        sc_rate = replace(sc, reveal_rate=rate)
+        longest = discount_horizon(replace(sc, discount=1.0 - rate))
+        monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * longest * (8 * d + 60))
         chunks.clear()
         est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), rate, strat)
         assert len(chunks) > 1 and sum(chunks) == samples
+        assert chunks == [3, 3, 3] and est.horizon == longest
         replays = []
         for i in range(samples):
-            rng = definition_rng(seed, i)
-            w = int(rng.geometric(rate))
-            replays.append(play(_Engine(sc, strat), 0.0, rng.random((1, w, d))).stage_payoffs[0].sum())
+            trace = run_policy(sc_rate, strat, est.horizon, seed=seed, rep=i)
+            w = int(trace.reveals.argmax()) + 1 if trace.reveals.any() else est.horizon
+            replays.append(trace.stage_payoffs[:w].sum())
         assert_bit_equal(est.values, np.array(replays))
-    assert chunks == [3, 3, 3]
 
 
 # (_PLAY_BYTES, _CACHE_CAP): one lane per play; three lanes of one stage; three lanes of seven
@@ -764,7 +789,7 @@ ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3),
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, cap, strategies, monkeypatch):
     # each horizon's lanes in the chunks an estimate forms, all on one shared engine, so the node
-    # table carries across plays as it does across a random-duration estimate's groups; the plays
+    # table carries across plays as it does across an estimate's chunks; the plays
     # are traced, and each traced field is checked against its own scalar replay
     sc, made = strategies[name]
     if rate is not None:
@@ -1313,7 +1338,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
                 mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * (8 * strat.draws_per_stage + 60))
-                mp.setattr(sim, "_DURATION_BATCH", lanes)
+                mp.setattr(sim, "_SEED_BLOCK", lanes)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
         assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
@@ -1323,8 +1348,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
     # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
-    # and the values equal those of an estimate whose 20 streams are one block; a random-duration
-    # play holds no more lanes than its batch of 8, whose generators it keeps
+    # and the values equal those of an estimate whose 20 streams are one block
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
     want = run(sc, strat, 20, 9)
@@ -1335,15 +1359,13 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
         seeded.append(list(reps))
         return seed_states(seed, reps)
 
-    monkeypatch.setattr(sim, "_DURATION_BATCH", 8)
+    monkeypatch.setattr(sim, "_SEED_BLOCK", 8)
     monkeypatch.setattr(sim, "_seed_states", recording)
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[0])
                         or play(self, rate, draws, **kw))
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
     assert sum(chunks) == 20
-    if estimator == "duration":
-        assert max(chunks) <= 8
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)
 
@@ -1385,7 +1407,7 @@ class WeakGenerator(np.random.Generator):
     """A generator that takes weak references (numpy's own does not)."""
 
 
-@pytest.mark.parametrize("estimator", ["discounted", "renewal"])
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch):
     # each lane's generator fills its row of uniforms and is dropped before the play, so across
     # several chunks of a few lanes no replication generator outlives the build of its chunk
@@ -1403,7 +1425,7 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
         alive.append(sum(ref() is not None for ref in made_rngs))
         return play(self, *args, **kw)
 
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * 25 * (8 * strat.draws_per_stage + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * want.horizon * (8 * strat.draws_per_stage + 60))
     monkeypatch.setattr(sim, "_generator", tracked)
     monkeypatch.setattr(_Engine, "play", playing)
     got = run(sc, strat, 20, 4)

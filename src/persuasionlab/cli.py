@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -510,16 +511,19 @@ def cmd_verify(args, sc: Scenario) -> tuple[ResultTable, int]:
 # simulate
 
 
-def _resolve_strategy(token: str, sc: Scenario) -> tuple[sim.Strategy, bool]:
-    """Build the strategy for a CLI token; True means renewal-average scoring."""
+def _resolve_strategy(token: str, sc: Scenario) -> tuple[Callable[[], sim.Strategy], bool]:
+    """The strategy a CLI token names, built (and solved) when called; True means renewal-average scoring.
+
+    The token and its rates are checked here, before anything is solved.
+    """
     if token == "null":
-        return sim.strategy_null(sc), False
+        return functools.partial(sim.strategy_null, sc), False
     if token == "full":
-        return sim.strategy_full(sc), False
+        return functools.partial(sim.strategy_full, sc), False
     if token == "optimal":
-        return sim.strategy_optimal(sc), False
+        return functools.partial(sim.strategy_optimal, sc), False
     if token in ("sigma_star", "renewal"):
-        return sim.strategy_renewal_optimal(sc), True
+        return functools.partial(sim.strategy_renewal_optimal, sc), True
     if token.startswith("couple:"):
         try:
             target = float(token.split(":", 1)[1])
@@ -529,20 +533,23 @@ def _resolve_strategy(token: str, sc: Scenario) -> tuple[sim.Strategy, bool]:
             raise BadRates(
                 f"coupling needs a target rate above the scenario rate {sc.reveal_rate}, got {target}"
             )
-        target_y = solve(replace(sc, reveal_rate=target), "reveal").target
-        return sim.strategy_couple_down(target_y, sc.reveal_rate, target, sc), False
+        return lambda: sim.strategy_couple_down(solve(replace(sc, reveal_rate=target), "reveal").target,
+                                                sc.reveal_rate, target, sc), False
     raise ParseError(
         f"unknown strategy {token!r}; pick optimal, sigma_star, couple:Y, null or full"
     )
 
 
 def cmd_simulate(args, sc: Scenario) -> tuple[ResultTable, int]:
-    strat, renewal_scored = _resolve_strategy(args.strategy, sc)
+    build, renewal_scored = _resolve_strategy(args.strategy, sc)
+    # the play's horizon is checked, as its estimator checks it, before the strategy's solve
     if renewal_scored:
-        horizon = 2000 if args.horizon is None else args.horizon
-        est = sim.estimate_renewal_average(sc, strat, horizon)
+        horizon = sim.play_horizon(sc, 2000 if args.horizon is None else args.horizon, minimum=2)
     else:
-        est = sim.estimate_discounted(sc, strat, horizon=args.horizon)
+        horizon = sim.play_horizon(sc, args.horizon)
+    estimate = sim.estimate_renewal_average if renewal_scored else sim.estimate_discounted
+    strat = build()
+    est = estimate(sc, strat, horizon=horizon)
 
     table = ResultTable(["rep", "value"])
     table.add_meta("scoring", "renewal_average" if renewal_scored else "discounted")

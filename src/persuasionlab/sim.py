@@ -645,6 +645,12 @@ def discount_horizon(sc: Scenario) -> int:
     return max(1, math.ceil(math.log(1e-6 * (1.0 - lam) / umax) / math.log(lam)))
 
 
+def play_horizon(sc: Scenario, horizon: int | None = None, minimum: int = 1) -> int:
+    """horizon, or discount_horizon(sc) when None, once it lies in [minimum, MAX_HORIZON]. Raises ValueError."""
+    source = "the given horizon" if horizon is not None else f"the horizon derived from discount {sc.discount}"
+    return _check_horizon(discount_horizon(sc) if horizon is None else horizon, minimum, source)
+
+
 def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = None,
                         seed: int | None = None, horizon: int | None = None) -> EstimateResult:
     """Monte Carlo estimate of the normalized discounted payoff under a strategy.
@@ -654,8 +660,7 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     reported on the result. Raises ValueError for a horizon, given or
     derived, outside [1, MAX_HORIZON].
     """
-    source = "the given horizon" if horizon is not None else f"the horizon derived from discount {sc.discount}"
-    horizon = _check_horizon(discount_horizon(sc) if horizon is None else horizon, source=source)
+    horizon = play_horizon(sc, horizon)
     samples, streams = _replications(sc, samples, seed)
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
@@ -704,7 +709,7 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     horizon are rejected; their count is reported. Raises AllRejected when
     nothing survives, and ValueError for a horizon below 2.
     """
-    _check_horizon(horizon, minimum=2)  # two revelations take two stages
+    play_horizon(sc, horizon, minimum=2)  # two revelations take two stages
     samples, streams = _replications(sc, samples, seed)
     engine = _Engine(sc, strat)
     values, rep_ids, lane = [], [], 0

@@ -8,10 +8,11 @@ transition row. Both operators concavify a one-stage target, so iteration
 is a sup-norm contraction with modulus equal to the discount; they are also
 monotone and shift constants by the discount, which is what lets `solve`
 stop on the MacQueen-Porteus bounds. Those bounds hold at any iterate, so
-`solve` takes each next iterate as the Anderson combination of its last few
-sweeps rather than the last sweep alone: the stopping rule and what it
-certifies are those of plain value iteration, and only the sweep count
-changes.
+`solve` starts at the full-disclosure value (the closed form at rate 1)
+rather than at zero, and takes each next iterate as the Anderson
+combination of its last few sweeps rather than the last sweep alone: the
+stopping rule and what it certifies are those of plain value iteration, and
+only the sweep count changes.
 
 Every operator reads the continuation value through the same two
 interpolation operators, which depend only on the chain and the grid: the
@@ -208,7 +209,7 @@ def _anderson(images: deque, residuals: deque) -> np.ndarray:
 
 
 def solve(sc: Scenario, mode: str) -> SolverResult:
-    """Iterate the chosen operator from zero until its MacQueen-Porteus bounds certify tol.
+    """Iterate the chosen operator from the full-disclosure value until its MacQueen-Porteus bounds certify tol.
 
     Both operators are monotone and satisfy T(f + c) = Tf + discount * c,
     so with d = Tf - f and c = discount / (1 - discount) the fixed point
@@ -216,23 +217,30 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     6.6). The sweep stops once half that interval's width,
     c * (max d - min d) / 2, is at most tol, and returns its midpoint,
     which is then within tol of the fixed point. The bounds hold whatever
-    f is, so each next f is the Anderson combination of the last
-    ANDERSON_DEPTH sweeps Tf (`_anderson`), not Tf alone: a half-width that
-    did not shrink drops the earlier sweeps from the combination, and a
-    combination that cannot be formed falls back to the last sweep. The
-    width of plain iteration shrinks at the chain's mixing rate rather
-    than at the discount; the combination cuts the sweeps, and iterations
-    still counts them. The result keeps the half-widths of the last
-    HALF_WIDTHS_KEPT sweeps. Raises NoConvergence at the sweep cap.
+    f is. The first f is the full-disclosure value at the same discount
+    (`full_reveal_closed_form`) less its minimum: the constant is the midpoint's to
+    carry, and an iterate near zero keeps d's span from rounding away at c
+    near 1e7; with one state this is the zero start. Each next f is the
+    Anderson combination of the last ANDERSON_DEPTH sweeps Tf
+    (`_anderson`), not Tf alone: a half-width that did not shrink drops the
+    earlier sweeps, the next iterates are then plain sweeps until
+    ANDERSON_DEPTH are kept again, and a combination that cannot be formed
+    falls back to the last sweep. The width of plain iteration shrinks at
+    the chain's mixing rate rather than at the discount; the start and the
+    combination cut the sweeps, and iterations still counts them. The
+    result keeps the half-widths of the last HALF_WIDTHS_KEPT sweeps.
+    Raises NoConvergence at the sweep cap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     stage, lam, x = _operator(sc, mode == "reveal")
     dyn = _dynamics(sc)
     c = lam / (1.0 - lam)
-    f = np.zeros(sc.grid.n)
+    f = full_reveal_closed_form(sc).values
+    f = f - f.min()
     half_widths = deque(maxlen=HALF_WIDTHS_KEPT)
     images, residuals = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    restarted = False
     for it in range(1, MAX_SWEEPS + 1):
         new = _sweep(f, stage, lam, x, dyn)
         d = new - f
@@ -241,13 +249,14 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
         if half_widths and not bound < half_widths[-1]:
             images.clear()
             residuals.clear()
+            restarted = True
         half_widths.append(bound)
         if bound <= sc.tol:
             f = new + 0.5 * c * (lo + hi)
             break
         images.append(new)
         residuals.append(d - d.mean())
-        f = _anderson(images, residuals)
+        f = new if restarted and len(images) < ANDERSON_DEPTH else _anderson(images, residuals)
     else:
         raise NoConvergence(
             f"certified bound {bound:.3e} above {sc.tol:.3e} after {MAX_SWEEPS} sweeps"
@@ -269,14 +278,16 @@ def full_reveal_closed_form(sc: Scenario) -> GridFn:
     """Fixed point at reveal_rate 1 by a direct linear solve.
 
     With certain disclosure every stage, the value is one concavification of
-    the stage payoff plus an affine continuation through the values at the
-    transition rows, which satisfy a k x k linear system.
+    the stage payoff plus an affine continuation through the values xi at
+    the transition rows, which solve (I - lam M) xi = (1 - lam) cav(u)(rows).
+    cav(u) is the envelope kept with sc.u, and the rows are read through the
+    chain's kept operators, which equal `interpolate(., M)` bit for bit.
+    `solve` starts from this value at its own discount.
     """
-    lam = sc.discount
-    cavu = cav_values(sc.u)
-    c = interpolate(GridFn(sc.grid, cavu), sc.chain.M)
+    lam, cavu = sc.discount, cav_values(sc.u)
     try:
-        xi = np.linalg.solve(np.eye(sc.chain.k) - lam * sc.chain.M, (1.0 - lam) * c)
+        xi = np.linalg.solve(np.eye(sc.chain.k) - lam * sc.chain.M,
+                             (1.0 - lam) * _vertex_sum(cavu, *_dynamics(sc).rows))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("row-value system is singular") from exc
     return GridFn(sc.grid, (1.0 - lam) * cavu + lam * (sc.grid.points @ xi))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, make_grid, sim, solve
+from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, make_grid, sim, solve, solver
 from persuasionlab.errors import DimensionMismatch, NotBayesPlausible, ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -924,6 +924,28 @@ def test_a_patient_discount_is_refused_before_its_play_is_made(strategy):
     assert done.stderr == ("error: the horizon derived from discount 0.9999999 is 299336048 stages, above the "
                            "10000000 stages one play may allocate\n")
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("strategy, horizon, source", [
+    ("optimal", None, "the horizon derived from discount 0.9999999 is 299336048"),
+    ("sigma_star", 10**14, "the given horizon is 100000000000000"),
+    ("couple:0.9", None, "the horizon derived from discount 0.9999999 is 299336048"),
+], ids=["optimal", "sigma_star", "couple"])
+def test_the_play_horizon_is_checked_before_any_strategy_solve(capsys, monkeypatch, strategy, horizon, source):
+    # every solve sweeps through solver._sweep, so with one that raises a solve would exit 4
+    argv = ["simulate", "--scenario", str(ROOT / "scenarios" / "tent.json"), "--strategy", strategy,
+            "--lambda", "0.9999999", "--samples", "5"]
+    argv += [] if horizon is None else ["--horizon", str(horizon)]
+    want = f"error: {source} stages, above the 10000000 stages one play may allocate\n"
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", want)
+
+    def no_solve(*args):
+        raise AssertionError("a strategy was solved before its play's horizon was checked")
+
+    monkeypatch.setattr(solver, "_sweep", no_solve)
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", want)
 
 
 def hard_chain(family: str, k: int, edges) -> list[list[float]]:

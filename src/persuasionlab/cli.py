@@ -522,7 +522,7 @@ def _resolve_strategy(token: str, sc: Scenario) -> tuple[Callable[[], sim.Strate
         return functools.partial(sim.strategy_full, sc), False
     if token == "optimal":
         return functools.partial(sim.strategy_optimal, sc), False
-    if token in ("sigma_star", "renewal"):
+    if token == "sigma_star":
         return functools.partial(sim.strategy_renewal_optimal, sc), True
     if token.startswith("couple:"):
         try:
@@ -533,6 +533,7 @@ def _resolve_strategy(token: str, sc: Scenario) -> tuple[Callable[[], sim.Strate
             raise BadRates(
                 f"coupling needs a target rate above the scenario rate {sc.reveal_rate}, got {target}"
             )
+        sim.coupling_aux_prob(sc.reveal_rate, target)  # refuses a rate off (0, 1] before the solve
         return lambda: sim.strategy_couple_down(solve(replace(sc, reveal_rate=target), "reveal").target,
                                                 sc.reveal_rate, target, sc), False
     raise ParseError(

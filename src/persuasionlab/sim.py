@@ -2,12 +2,12 @@
 
 Reproducibility contract: replication i of a run with master seed s draws
 from numpy's default generator seeded with SeedSequence(s, spawn_key=(i,)).
-Stage n reads uniforms d*n .. d*n + d - 1 of that stream in fixed slots:
-state transition, coupling coin, signal, revelation coin, where d =
-Strategy.draws_per_stage is 4 for a strategy with a coupling coin and 3 (no
-coin slot) otherwise. The coupling coin is read on every stage and used
-only when the previous stage did not reveal; the revelation coin is read
-even when the rate is zero, so traces with different rates stay aligned.
+Stage n reads uniforms 3n, 3n + 1, 3n + 2 of that stream for every strategy:
+state transition, signal, revelation coin (read even at rate zero). At rate
+x the coupling coin of stage n >= 1 hits when stage n - 1's revelation
+uniform u did not reveal (u >= x) and u - x < aux_prob * (1 - x); given no
+revelation u is uniform on [x, 1), so it hits with chance aux_prob,
+independent of states and signals: the law of a coin of its own.
 
 Estimators play a chunk of replications ("lanes") together over a table of
 belief nodes, each lane on its own row of uniforms; run_policy is the one-lane
@@ -252,11 +252,6 @@ class Strategy:
         if not 0.0 <= self.aux_prob <= 1.0:  # written so that a NaN fails
             raise BadRates(f"aux_prob must lie in [0, 1], got {self.aux_prob}")
 
-    @property
-    def draws_per_stage(self) -> int:
-        """Uniforms a stage reads: state, coupling coin (only with aux_prob > 0), signal, revelation coin."""
-        return 4 if self.aux_prob > 0.0 else 3
-
 
 def strategy_null(sc: Scenario) -> Strategy:
     """Reveals nothing: a single uninformative signal each stage."""
@@ -297,12 +292,16 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
     playback of the policy. sc is not read; it stays because the benchmark
     (perfbench/run.py) passes it by position.
     """
+    return Strategy(target_y, coupling_aux_prob(base_rate, target_rate))
+
+
+def coupling_aux_prob(base_rate: float, target_rate: float) -> float:
+    """The coupling coin's chance (target - base)/(1 - base); BadRates unless 0 < base <= target <= 1."""
     if not 0.0 < base_rate <= 1.0 or not 0.0 < target_rate <= 1.0:
         raise BadRates(f"rates must lie in (0, 1], got base {base_rate}, target {target_rate}")
     if target_rate < base_rate:
         raise BadRates(f"target rate {target_rate} below base rate {base_rate}")
-    aux_prob = 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
-    return Strategy(target_y, aux_prob)
+    return 0.0 if target_rate == base_rate else (target_rate - base_rate) / (1.0 - base_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +311,28 @@ def strategy_couple_down(target_y: GridFn, base_rate: float, target_rate: float,
 def _states_and_coins(M_cum, draws, prior_cum, rate, aux_prob):
     """States, revelation coins, reboots and coupling hits, (lanes, stages) each, of a play's uniforms draws.
 
-    A stage reboots when the stage before it revealed or its coupling
-    coin hit; stage 0 never does. hit is None when aux_prob is 0.
+    A stage reboots when the stage before it revealed or its coupling coin,
+    read off that stage's revelation uniform, hit; stage 0 never does. hit is
+    None when aux_prob is 0.
     """
-    d = draws.shape[2]
     first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
     states = scan_states(M_cum, first, draws[:, 1:, 0])
-    rev = draws[:, :, d - 1] < rate
+    rev = draws[:, :, 2] < rate
     reboot = np.zeros(rev.shape, dtype=bool)
     reboot[:, 1:] = rev[:, :-1]
     hit = None
     if aux_prob > 0.0:
-        hit = (draws[:, :, 1] < aux_prob) & ~reboot
-        hit[:, 0] = False
+        hit = np.zeros(rev.shape, dtype=bool)
+        hit[:, 1:] = ~rev[:, :-1] & (draws[:, :-1, 2] - rate < aux_prob * (1.0 - rate))
         reboot |= hit
     return states, rev, reboot, hit
 
 
-# Bytes of per-stage work one play holds (2 MiB), at about 8d + 60 bytes a lane-stage with d
-# uniforms per stage: the uniforms, the signal uniform and the state path (8 each), coins and
-# cuts, and about 40 of segment arrays and step temporaries at rate 0.5. A chunk of lanes holds
-# as many lanes of its whole horizon as fit, and at least one.
+# Bytes of per-stage work one play holds (2 MiB), at about _LANE_STAGE_BYTES a lane-stage: three uniforms, the
+# signal uniform and the state path (8 each), coins and cuts, and about 40 of segment arrays and step
+# temporaries at rate 0.5. A chunk holds as many lanes of its whole horizon as fit, and at least one.
 _PLAY_BYTES = 2 << 20
+_LANE_STAGE_BYTES = 84
 # Replications an estimate seeds at once.
 _SEED_BLOCK = 1 << 14
 
@@ -463,7 +462,7 @@ class _Engine:
         self.fills += 1
 
     def play(self, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
-        """Play lane j on the uniforms draws[j], a (lanes, horizon, d) array, for horizon stages.
+        """Play lane j on the uniforms draws[j], a (lanes, horizon, 3) array, for horizon stages.
 
         Every lane starts at the start node, the scenario's prior. Returns
         (lanes, horizon) arrays, one row per lane: stage payoffs and
@@ -471,7 +470,7 @@ class _Engine:
         set (None otherwise).
         """
         k = self.sc.chain.k
-        lanes, horizon, d = draws.shape
+        lanes, horizon, _ = draws.shape
         states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.sc.prior), rate,
                                                          self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
@@ -480,7 +479,7 @@ class _Engine:
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
         segments = self._segments(reboot, states, hit if trace else None)
-        self._walk(segments, states, draws[:, :, d - 2], reveals, out)
+        self._walk(segments, states, draws[:, :, 1], reveals, out)
         return out
 
     def _segments(self, reboot, states, hit):
@@ -576,11 +575,10 @@ def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iter
     the whole horizon, at least one. A lane's generator fills its row of
     uniforms as the chunk is built, and is dropped then.
     """
-    d = engine.strat.draws_per_stage
-    size = max(1, _PLAY_BYTES // (horizon * (8 * d + 60)))
+    size = max(1, _PLAY_BYTES // (horizon * _LANE_STAGE_BYTES))
     rngs = iter(rngs)
     for first in range(0, lanes, size):
-        draws = np.empty((min(size, lanes - first), horizon, d))
+        draws = np.empty((min(size, lanes - first), horizon, 3))
         for row, rng in zip(draws, rngs):  # draws first, so zip takes no generator past the last row
             rng.random(out=row)
         del rng  # the play holds no generator
@@ -602,9 +600,9 @@ def _check_horizon(horizon: int, minimum: int = 1, source: str = "the given hori
     return horizon
 
 
-def _lane_draws(strat: Strategy, horizon: int, seed: int, rep: int) -> np.ndarray:
-    """Replication rep's uniforms over a checked horizon: (1, horizon, d), in the strategy's stage layout."""
-    return replication_rng(seed, rep).random((1, _check_horizon(horizon), strat.draws_per_stage))
+def _lane_draws(horizon: int, seed: int, rep: int) -> np.ndarray:
+    """Replication rep's uniforms over a checked horizon: (1, horizon, 3), in the stage layout."""
+    return replication_rng(seed, rep).random((1, _check_horizon(horizon), 3))
 
 
 def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = None,
@@ -615,7 +613,7 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     master seed (default: the scenario seed). This is the one-lane case of
     the engine the estimators run.
     """
-    draws = _lane_draws(strat, horizon, sc.seed if seed is None else seed, rep)
+    draws = _lane_draws(horizon, sc.seed if seed is None else seed, rep)
     play = _Engine(sc, strat).play(sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
                     posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
@@ -624,10 +622,10 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
 def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """States and revelation coins of run_policy(sc, strat, horizon), bit for bit, with no engine.
 
-    Replication 0 of the scenario seed, read in the strategy's stage layout; states and coins
-    depend only on the uniforms, so no belief node is built.
+    Replication 0 of the scenario seed; states and coins depend only on the uniforms, so no
+    belief node is built.
     """
-    draws = _lane_draws(strat, horizon, sc.seed, 0)
+    draws = _lane_draws(horizon, sc.seed, 0)
     states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
                                               sc.reveal_rate, strat.aux_prob)
     return states[0], reveals[0]

@@ -853,20 +853,13 @@ def test_simulate_bundled_reruns_are_bit_identical(tmp_path, name, strategy):
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_simulate_renewal_is_sigma_star_by_another_name(tmp_path, name):
+def test_simulate_renewal_is_an_unknown_strategy(capsys, name):
+    # sigma_star is the one name of the renewal-scored strategy
     path = str(ROOT / "scenarios" / f"{name}.json")
-    lines = {}
-    for strategy in ("sigma_star", "renewal"):
-        out = tmp_path / f"{strategy}.csv"
-        code = cli.main(["simulate", "--scenario", path, "--strategy", strategy,
-                         "--samples", "6", "--horizon", "40", "--out", str(out)])
-        assert code == cli.EXIT_PASS
-        lines[strategy] = out.read_text(encoding="utf-8").splitlines()
-    assert "# command: simulate --strategy sigma_star" in lines["sigma_star"]
-    renamed = ["# command: simulate --strategy renewal" if line.startswith("# command: ") else line
-               for line in lines["sigma_star"]]
-    assert lines["renewal"] == renamed
-    assert "# scoring: renewal_average" in renamed
+    code = cli.main(["simulate", "--scenario", path, "--strategy", "renewal", "--samples", "6", "--horizon", "40"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "error: unknown strategy 'renewal'; pick optimal, sigma_star, couple:Y, null or full\n")
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -946,6 +939,20 @@ def test_the_play_horizon_is_checked_before_any_strategy_solve(capsys, monkeypat
     monkeypatch.setattr(solver, "_sweep", no_solve)
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr() == ("", want)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_coupling_base_rate_is_checked_before_its_target_solve(capsys, monkeypatch, name):
+    # couple:Y at x = 0 is refused for its base rate before the game at Y is solved; with a raising
+    # solver._sweep that solve would exit 4
+    def no_solve(*args):
+        raise AssertionError("the coupling target was solved before its base rate was checked")
+
+    monkeypatch.setattr(solver, "_sweep", no_solve)
+    argv = ["simulate", "--scenario", str(ROOT / "scenarios" / f"{name}.json"), "--strategy", "couple:0.9",
+            "--x", "0", "--samples", "5"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: rates must lie in (0, 1], got base 0.0, target 0.9\n")
 
 
 def hard_chain(family: str, k: int, edges) -> list[list[float]]:

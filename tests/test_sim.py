@@ -623,17 +623,19 @@ class _ScalarEngine:
         payoffs = np.empty(horizon)
         rand = rng.random
         state = -1
-        revealed = False
+        revealed, rev_u = False, 1.0
         for n in range(horizon):
             prev = state
             state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
             aux_code = 0
-            if aux_prob > 0.0 and rand() < aux_prob and n > 0 and not revealed:
+            # the coupling coin reads the previous stage's revelation uniform
+            if aux_prob > 0.0 and n > 0 and not revealed and rev_u - rate < aux_prob * (1.0 - rate):
                 node = self.row(prev)
                 aux_code = 1 + prev
             s = _draw(node.row_cums[state], rand())
             payoffs[n] = node.payoffs[s]
-            revealed = rand() < rate
+            rev_u = rand()
+            revealed = rev_u < rate
             if trace_arrays is not None:
                 trace_arrays[0][n] = state
                 trace_arrays[1][n] = aux_code * node.width + s
@@ -715,7 +717,7 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
         # lanes per chunk at this horizon and replications per seeding block
-        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * strat.draws_per_stage + 60))
+        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * sim._LANE_STAGE_BYTES)
         monkeypatch.setattr(sim, "_SEED_BLOCK", lanes)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
@@ -745,8 +747,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     sc, made = strategies[name]
     strat = made["optimal"]
     horizon, samples = 20, 9
-    d = strat.draws_per_stage
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * (8 * d + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * sim._LANE_STAGE_BYTES)
     chunks = []
     play = _Engine.play
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(len(draws))
@@ -764,7 +765,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     for rate in (0.2, 1.0):
         sc_rate = replace(sc, reveal_rate=rate)
         longest = discount_horizon(replace(sc, discount=1.0 - rate))
-        monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * longest * (8 * d + 60))
+        monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * longest * sim._LANE_STAGE_BYTES)
         chunks.clear()
         est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), rate, strat)
         assert len(chunks) > 1 and sum(chunks) == samples
@@ -905,8 +906,8 @@ def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
     From its first reboot on, each lane also equals the reference played silent until that reboot:
     after a reboot both sit on a row node, whatever came before it.
     """
-    sc, strat, d = replace(engine.sc, reveal_rate=rate), engine.strat, engine.strat.draws_per_stage
-    draws = np.stack([replication_rng(seed, i).random((horizon, d)) for i in range(lanes)])
+    sc, strat = replace(engine.sc, reveal_rate=rate), engine.strat
+    draws = np.stack([replication_rng(seed, i).random((horizon, 3)) for i in range(lanes)])
     got = traced_plays(engine, rate, draws, chunk)
     reboot = np.zeros(horizon, dtype=bool)
     for i in range(lanes):
@@ -994,7 +995,7 @@ def test_renewal_bookkeeping_per_chunk_matches_each_lane_alone(lanes, strategies
     # and revelations on the first and the last stage
     sc, made = strategies["tent"]
     sc, strat, horizon, samples, seed = replace(sc, reveal_rate=0.3), made["renewal"], 6, 40, 2
-    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * (8 * strat.draws_per_stage + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * sim._LANE_STAGE_BYTES)
     est = estimate_renewal_average(sc, strat, horizon, samples=samples, seed=seed)
     values, reps, counts, stages = [], [], set(), set()
     for i in range(samples):
@@ -1043,7 +1044,7 @@ def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
 def test_state_reveal_scan_matches_the_stage_loop(name, horizon, strategies):
-    # for every strategy the CLI offers, couple:Y's four-slot layout included
+    # for every strategy the CLI offers, couple:Y included
     sc, made = strategies[name]
     for strategy in STRATEGIES:
         strat = made[strategy]
@@ -1070,15 +1071,63 @@ def test_state_reveal_path_builds_no_engine(name, strategies, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 1000])
-def test_coupling_reads_four_fixed_slots_per_stage(name, horizon, strategies):
-    # stage n reads u[4n] (state), u[4n + 1] (coupling coin, read on every stage), u[4n + 2]
-    # (signal) and u[4n + 3] (revelation coin) of its replication's stream
+def test_every_strategy_reads_three_fixed_slots_per_stage(name, horizon, strategies):
+    # stage n reads u[3n] (state), u[3n + 1] (signal) and u[3n + 2] (revelation coin) of its
+    # replication's stream, whatever the strategy. couple's coin reads stage n - 1's revelation
+    # uniform: stage n >= 1 carries the aux code 1 + (stage n - 1's state) exactly where u[3n - 1]
+    # did not reveal and u[3n - 1] - x < aux_prob * (1 - x)
     sc, made = strategies[name]
-    trace = run_policy(sc, made["couple"], horizon, rep=2)
-    u = replication_rng(sc.seed, 2).random(4 * horizon)
+    x = sc.reveal_rate
+    u = replication_rng(sc.seed, 2).random(3 * horizon)
     first = int((u[0] >= cum_rows(sc.prior)).sum())
-    assert_bit_equal(trace.states, scan_states(cum_rows(sc.chain.M), np.array([first]), u[None, 4::4])[0])
-    assert_bit_equal(trace.reveals, u[3::4] < sc.reveal_rate)
+    states = scan_states(cum_rows(sc.chain.M), np.array([first]), u[None, 3::3])[0]
+    prev_u = u[2:-1:3]  # the revelation uniforms of stages 0 .. horizon - 2
+    for strategy in STRATEGIES:
+        strat = made[strategy]
+        trace = run_policy(sc, strat, horizon, rep=2)
+        assert_bit_equal(trace.states, states)
+        assert_bit_equal(trace.reveals, u[2::3] < x)
+        hit = np.zeros(horizon, dtype=bool)
+        if strat.aux_prob > 0.0:
+            hit[1:] = (prev_u >= x) & (prev_u - x < strat.aux_prob * (1.0 - x))
+        if horizon == 1000:
+            assert hit.any() == (strategy == "couple")
+        width = _Engine(sc, strat).width
+        assert_bit_equal(trace.signals >= width, hit)
+        assert_bit_equal(trace.signals[hit] // width, 1 + states[np.flatnonzero(hit) - 1])
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_the_coupling_reboots_at_the_target_rate(name):
+    # at x = 0.3 coupled to Y = 0.7, stage n >= 1 reboots (stage n - 1 revealed, or the coin read
+    # off its revelation uniform hit) with chance Y, independently of every other stage: over a
+    # 200,000-stage play the share of rebooted stages lies within three standard errors of Y
+    sc = bundled(name, x=0.3)
+    strat = strategy_couple_down(solve(replace(sc, reveal_rate=0.7), "reveal").target, 0.3, 0.7, sc)
+    trace = run_policy(sc, strat, 200_000)
+    rebooted = trace.reveals[:-1] | (trace.signals[1:] >= _Engine(sc, strat).width)
+    assert abs(rebooted.mean() - 0.7) < 3.0 * math.sqrt(0.7 * 0.3 / rebooted.size)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_a_coupled_play_is_the_higher_rate_play_on_the_same_uniforms(name):
+    # the revelation and the coin read one uniform u, so at x = 0.3 a stage reboots where
+    # u < x + aux_prob * (1 - x), which is u < Y = 0.7 but for rounding: the coupled play's
+    # revelations are a subset of the rate-Y play's, it reboots where that play does, and it plays
+    # the same signals, posteriors and payoffs, so the discounted estimates agree lane by lane
+    sc = bundled(name, x=0.3)
+    sc_y = replace(sc, reveal_rate=0.7)
+    target = solve(sc_y, "reveal").target
+    coupled, plain = strategy_couple_down(target, 0.3, 0.7, sc), Strategy(target)
+    got, want = run_policy(sc, coupled, 2000), run_policy(sc_y, plain, 2000)
+    assert not (got.reveals & ~want.reveals).any()
+    assert_bit_equal(got.reveals[:-1] | (got.signals[1:] >= sc.chain.k), want.reveals[:-1])
+    assert_bit_equal(got.signals % sc.chain.k, want.signals)
+    for g, w in ((got.states, want.states), (got.posteriors, want.posteriors),
+                 (got.stage_payoffs, want.stage_payoffs)):
+        assert_bit_equal(g, w)
+    assert_bit_equal(estimate_discounted(sc, coupled, samples=200).values,
+                     estimate_discounted(sc_y, plain, samples=200).values)
 
 
 def test_estimates_report_the_node_table(monkeypatch):
@@ -1334,10 +1383,10 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
     run = ESTIMATORS[estimator]
     for name in ("tent", "cycle3"):
         sc, made = strategies[name]
-        strat = made["couple"]  # the widest stage layout: four uniforms per stage
+        strat = made["couple"]
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
-                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * (8 * strat.draws_per_stage + 60))
+                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * sim._LANE_STAGE_BYTES)
                 mp.setattr(sim, "_SEED_BLOCK", lanes)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
@@ -1425,7 +1474,7 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
         alive.append(sum(ref() is not None for ref in made_rngs))
         return play(self, *args, **kw)
 
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * want.horizon * (8 * strat.draws_per_stage + 60))
+    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * want.horizon * sim._LANE_STAGE_BYTES)
     monkeypatch.setattr(sim, "_generator", tracked)
     monkeypatch.setattr(_Engine, "play", playing)
     got = run(sc, strat, 20, 4)
@@ -1437,14 +1486,14 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, monkeypatch):
     # with _PLAY_BYTES cut to 20,000, no play holds more lanes than fit it over the play's horizon
-    # at 8d + 60 bytes a lane-stage, and the values equal those of the default chunks
+    # at _LANE_STAGE_BYTES a lane-stage, and the values equal those of the default chunks
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
     want = run(sc, strat, 40, 3)
     plays, play = [], _Engine.play
     monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(
-        (draws.shape[0], draws.shape[1] * (8 * self.strat.draws_per_stage + 60))) or play(self, rate, draws, **kw))
+        (draws.shape[0], draws.shape[1] * sim._LANE_STAGE_BYTES)) or play(self, rate, draws, **kw))
     got = run(sc, strat, 40, 3)
     assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
     assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)

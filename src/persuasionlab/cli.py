@@ -49,6 +49,7 @@ from .errors import (
 )
 from .payoff import ReceiverPayoff, TablePayoff, build_u
 from .solver import (
+    ENVELOPE_TOUCH_TOL,
     MODES,
     Scenario,
     asymptotic_value,
@@ -376,7 +377,7 @@ def _verify_lemma1(sc: Scenario, table: ResultTable) -> bool:
         raise RateBoundary("this check needs a positive revelation rate")
     envelope = cav_values(sc.u)
     u = sc.u.values
-    eligible = np.nonzero(envelope - u <= 1e-9)[0]
+    eligible = np.nonzero(envelope - u <= ENVELOPE_TOUCH_TOL)[0]
     table.add_meta("eligible_points", int(eligible.size))
     table.add_meta("tolerance", 2.0 * sc.tol)
     no_info = check_no_info_at_concave_point(sc, sc.grid.points[eligible], solve(sc, "reveal"))

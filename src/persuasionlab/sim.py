@@ -4,9 +4,9 @@ Reproducibility contract: replication i of a run with master seed s draws
 from numpy's default generator seeded with SeedSequence(s, spawn_key=(i,)).
 Stage n reads uniforms 3n, 3n + 1, 3n + 2 of that stream for every strategy:
 state transition, signal, revelation coin (read even at rate zero). At rate
-x the coupling coin of stage n >= 1 hits when stage n - 1's revelation
-uniform u did not reveal (u >= x) and u - x < aux_prob * (1 - x); given no
-revelation u is uniform on [x, 1), so it hits with chance aux_prob,
+x stage n >= 1 reboots where stage n - 1's revelation uniform u lies below
+x + aux_prob * (1 - x); below x that stage revealed. Given no revelation u
+is uniform on [x, 1), so the coupling coin hits with chance aux_prob,
 independent of states and signals: the law of a coin of its own.
 
 Estimators play a chunk of replications ("lanes") together over a table of
@@ -22,9 +22,8 @@ derives the seeds of its streams one block of replications at a time
 A chunk holds as many lanes as fit one play of its whole horizon in
 _PLAY_BYTES; each lane's generator fills its row in one call and is dropped
 before the play. States and coins depend only on the uniforms, so a play
-gets them first: states by a prefix scan, then revelation and coupling
-coins. Each revelation or coupling hit
-reboots the belief to a transition row and so starts a segment; the
+gets them first: states by a prefix scan, then revelations and reboots.
+Each reboot sets the belief to a transition row and so starts a segment; the
 segments of a play are walked in lock-step, one position per numpy step. A
 replication's value depends only on its own stream, never on the chunk or
 block it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
@@ -36,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, vali
 from .chain import cum_rows, scan_states
 from .envelope import cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary
-from .solver import Scenario, solve, solve_between_revelations
+from .solver import Scenario, _between_revelations, solve, solve_between_revelations
 
 # ---------------------------------------------------------------------------
 # randomness plumbing
@@ -144,16 +143,16 @@ class SimTrace:
 
     posteriors[n] is the receiver belief when acting at stage n, after the
     stage signal and before any revelation. stage_payoffs[n] is the payoff
-    table interpolated there. signals[n] encodes an extended alphabet as
-    aux_code * width + s when a strategy prepends a disclosure component
-    (aux_code = 1 + disclosed state, 0 otherwise), width being k for a policy
-    strategy and the kernel's column count otherwise. The engine returns the
-    same fields with one row per lane.
+    table interpolated there, and signals[n] the index of the signal drawn.
+    reboots[n] is set where stage n's belief is the transition row of
+    states[n - 1], disclosed by stage n - 1's revelation or by the coupling
+    coin. The engine returns the same fields with one row per lane.
     """
 
     states: np.ndarray
     signals: np.ndarray
     reveals: np.ndarray
+    reboots: np.ndarray
     posteriors: np.ndarray
     stage_payoffs: np.ndarray
 
@@ -309,23 +308,17 @@ def coupling_aux_prob(base_rate: float, target_rate: float) -> float:
 
 
 def _states_and_coins(M_cum, draws, prior_cum, rate, aux_prob):
-    """States, revelation coins, reboots and coupling hits, (lanes, stages) each, of a play's uniforms draws.
+    """States, revelation coins and reboots, (lanes, stages) each, of a play's uniforms draws.
 
-    A stage reboots when the stage before it revealed or its coupling coin,
-    read off that stage's revelation uniform, hit; stage 0 never does. hit is
-    None when aux_prob is 0.
+    Stage n >= 1 reboots where stage n - 1's revelation uniform lies below
+    rate + aux_prob * (1 - rate), which is rate itself when aux_prob is 0;
+    stage 0 never does.
     """
     first = (draws[:, 0, :1] < prior_cum).argmax(axis=1)
     states = scan_states(M_cum, first, draws[:, 1:, 0])
-    rev = draws[:, :, 2] < rate
-    reboot = np.zeros(rev.shape, dtype=bool)
-    reboot[:, 1:] = rev[:, :-1]
-    hit = None
-    if aux_prob > 0.0:
-        hit = np.zeros(rev.shape, dtype=bool)
-        hit[:, 1:] = ~rev[:, :-1] & (draws[:, :-1, 2] - rate < aux_prob * (1.0 - rate))
-        reboot |= hit
-    return states, rev, reboot, hit
+    reboots = np.zeros(draws.shape[:2], dtype=bool)
+    reboots[:, 1:] = draws[:, :-1, 2] < rate + aux_prob * (1.0 - rate)
+    return states, draws[:, :, 2] < rate, reboots
 
 
 # Bytes of per-stage work one play holds (2 MiB), at about _LANE_STAGE_BYTES a lane-stage: three uniforms, the
@@ -346,24 +339,25 @@ class _Engine:
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
     state's id is its node; a play starts at the start node, the scenario's
     prior `sc.prior`, built in the same first fill (`_reset`).
-    Other nodes are appended when first reached, and a non-revealing stage
-    follows the successor of (node, signal), filled once. A strategy whose
-    `plays` is a GridFn is a policy; anything else is a kernel, played as
-    `validate_kernel` returns it (`kernel`). A policy's posteriors are grid
-    points, so its payoffs come from `atom_pay`, the scenario's payoff at
-    each point of the target's grid: the payoff's own table when the target
-    shares its lattice, else the payoff interpolated once at each point.
+    Other nodes are appended when first reached, and a stage whose next
+    stage does not reboot follows the successor of (node, signal), filled
+    once. A strategy whose `plays` is a GridFn is a policy; anything else is
+    a kernel, played as `validate_kernel` returns it (`kernel`). A policy's
+    posteriors are grid points, so its payoffs come from `atom_pay`, the
+    scenario's payoff at each point of the target's grid: the payoff's own
+    table when the target shares its lattice, else the payoff interpolated
+    once at each point.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
-    and stage at once: states by one prefix scan, then the revelation and
-    coupling coins. A revelation, or a coupling hit, reboots the belief to
-    the previous state's row node, which cuts the lanes' stages into
-    segments; within a segment only the signals and the nodes remain. All
-    walked segments of a play go in lock-step, one position at a time, so
-    a play costs about as many steps as its longest such segment has
-    stages. Past the cap the table is cleared between steps and the nodes
-    still in use are built again, which yields the same values.
+    and stage at once: states by one prefix scan, then the revelations and
+    reboots. A reboot sets the belief to the previous state's row node,
+    which cuts the lanes' stages into segments; within a segment only the
+    signals and the nodes remain. All walked segments of a play go in
+    lock-step, one position at a time, so a play costs about as many steps
+    as its longest such segment has stages. Past the cap the table is
+    cleared between steps and the nodes still in use are built again, which
+    yields the same values.
     """
 
     _CACHE_CAP = 200_000
@@ -466,56 +460,53 @@ class _Engine:
 
         Every lane starts at the start node, the scenario's prior. Returns
         (lanes, horizon) arrays, one row per lane: stage payoffs and
-        revelation coins, plus states, signals and posteriors when trace is
-        set (None otherwise).
+        revelation coins, plus states, signals, reboots and posteriors when
+        trace is set (None otherwise).
         """
         k = self.sc.chain.k
         lanes, horizon, _ = draws.shape
-        states, reveals, reboot, hit = _states_and_coins(self.M_cum, draws, cum_rows(self.sc.prior), rate,
-                                                         self.strat.aux_prob)
+        states, reveals, reboots = _states_and_coins(self.M_cum, draws, cum_rows(self.sc.prior), rate,
+                                                     self.strat.aux_prob)
         out = SimTrace(states=states if trace else None,
                        signals=np.empty((lanes, horizon), dtype=np.int64) if trace else None,
                        reveals=reveals,
+                       reboots=reboots if trace else None,
                        posteriors=np.empty((lanes, horizon, k)) if trace else None,
                        stage_payoffs=np.empty((lanes, horizon)))
-        segments = self._segments(reboot, states, hit if trace else None)
-        self._walk(segments, states, draws[:, :, 1], reveals, out)
+        self._walk(self._segments(reboots, states), states, draws[:, :, 1], out)
         return out
 
-    def _segments(self, reboot, states, hit):
-        """Segments of a play, longest first: (starts, nodes, codes, live).
+    def _segments(self, reboots, states):
+        """Segments of a play, longest first: (starts, nodes, live).
 
         starts are flat (lane, stage) indices and nodes the nodes the
         segments start at: the previous state's row node after a reboot, else
-        the start node. codes hold width * (1 + previous state) where a
-        coupling hit starts the segment and 0 elsewhere (None without hit).
-        live[j] counts the segments longer than j.
+        the start node. live[j] counts the segments longer than j, up to
+        live[-1] = 0.
         """
-        a, b = reboot.shape
-        cut = reboot.copy()
+        a, b = reboots.shape
+        cut = reboots.copy()
         cut[:, 0] = True  # each lane's first stage starts a segment
         starts = np.flatnonzero(cut)
         length = np.diff(starts, append=a * b)
         # a lane's first stage never reboots, so the state read before it is never used
-        prev = states.reshape(-1)[starts - 1]
-        nodes = np.where(reboot.reshape(-1)[starts], prev, self.start)
+        nodes = np.where(reboots.reshape(-1)[starts], states.reshape(-1)[starts - 1], self.start)
         # a stable sort on the narrowest key is a radix sort
         by = np.argsort((b - length).astype(np.min_scalar_type(b)), kind="stable")
-        codes = None if hit is None else np.where(hit.reshape(-1)[starts], (prev + 1) * self.width, 0)[by]
         length = length[by]
-        live = np.searchsorted(-length, -np.arange(length[0]), side="left")
-        return starts[by], nodes[by], codes, live
+        live = np.searchsorted(-length, -np.arange(length[0] + 1), side="left")
+        return starts[by], nodes[by], live
 
-    def _walk(self, segments, states, sig_u, rev, out: SimTrace) -> None:
+    def _walk(self, segments, states, sig_u, out: SimTrace) -> None:
         """Play every segment in lock-step, one segment position per step, filling out's rows.
 
-        states, sig_u (signal uniforms) and rev are the play's (lanes, stages) arrays.
+        states and sig_u (signal uniforms) are the play's (lanes, stages) arrays.
         """
-        starts, nodes, codes, live = segments
+        starts, nodes, live = segments
         k, width = self.sc.chain.k, self.width
-        last = states.shape[1]
-        states, sig_u, rev = states.reshape(-1), sig_u.reshape(-1), rev.reshape(-1)
-        for j, alive in enumerate(live.tolist()):
+        states, sig_u = states.reshape(-1), sig_u.reshape(-1)
+        # step j plays position j of the first `alive` segments, of which the first `going_on` go on to j + 1
+        for j, (alive, going_on) in enumerate(itertools.pairwise(live.tolist())):
             if self.size >= self._CACHE_CAP:
                 beliefs = self.belief[nodes[:alive]]
                 self._reset()
@@ -533,23 +524,22 @@ class _Engine:
             ix = nd * width + s
             out.stage_payoffs.reshape(-1)[f] = self.pay.reshape(-1)[ix]
             if out.signals is not None:
-                out.signals.reshape(-1)[f] = s if j or codes is None else s + codes[:alive]
+                out.signals.reshape(-1)[f] = s
                 out.posteriors.reshape(-1, k)[f] = self.post.reshape(-1, k)[ix]
+            # a segment's last position, before a reboot or the play's end, needs no successor
+            ix = ix[:going_on]
             nxt = self.succ.reshape(-1)[ix]
             missing = nxt < 0
             if missing.any():
-                # a revealing stage, and the play's last one, need no successor
-                missing &= ~rev[f] & (f % last < last - 1)
-                if missing.any():
-                    # each missing (node, signal) pair is filled once
-                    pairs, inverse = np.unique(ix[missing], return_inverse=True)
-                    src, sig = np.divmod(pairs, width)
-                    # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
-                    beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
-                    fresh = self._intern(beliefs)
-                    self.succ[src, sig] = fresh
-                    nxt[missing] = fresh[inverse]
-            nodes[:alive] = nxt
+                # each missing (node, signal) pair is filled once
+                pairs, inverse = np.unique(ix[missing], return_inverse=True)
+                src, sig = np.divmod(pairs, width)
+                # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
+                beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
+                fresh = self._intern(beliefs)
+                self.succ[src, sig] = fresh
+                nxt[missing] = fresh[inverse]
+            nodes[:going_on] = nxt
 
 
 def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
@@ -616,7 +606,7 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
     draws = _lane_draws(horizon, sc.seed if seed is None else seed, rep)
     play = _Engine(sc, strat).play(sc.reveal_rate, draws, trace=True)
     return SimTrace(states=play.states[0], signals=play.signals[0], reveals=play.reveals[0],
-                    posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
+                    reboots=play.reboots[0], posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
 
 def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -626,8 +616,8 @@ def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.n
     belief node is built.
     """
     draws = _lane_draws(horizon, sc.seed, 0)
-    states, reveals, _, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
-                                              sc.reveal_rate, strat.aux_prob)
+    states, reveals, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
+                                           sc.reveal_rate, strat.aux_prob)
     return states[0], reveals[0]
 
 
@@ -680,11 +670,9 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> Esti
     1 - rate when no stage reveals; the result carries that horizon and the
     truncation (1 - rate)**horizon * max|u| / rate, at most 1e-6. Runs the
     scenario's samples on its seed. Raises RateBoundary for a rate outside
-    (0, 1] or whose 1 - rate rounds to 1.
+    (0, 1] or whose 1 - rate rounds to 1, as `solve_between_revelations` does.
     """
-    if not 0.0 < rate <= 1.0 or 1.0 - rate == 1.0:
-        raise RateBoundary(f"rate must lie in (0, 1] with 1 - rate below 1, got {rate}")
-    horizon = _check_horizon(discount_horizon(replace(sc, discount=1.0 - rate)),
+    horizon = _check_horizon(discount_horizon(_between_revelations(rate, sc)),
                              source=f"a geometric duration at rate {rate}")
     samples, streams = _replications(sc, None, None)
     engine = _Engine(sc, strat)

@@ -47,6 +47,8 @@ MAX_SWEEPS = 100_000
 HALF_WIDTHS_KEPT = 20
 # solve takes each next iterate as the Anderson combination of at most this many of the last sweeps
 ANDERSON_DEPTH = 3
+# the stage payoff touches its envelope at a belief where the two differ by at most this much
+ENVELOPE_TOUCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +321,12 @@ def asymptotic_value(rate: float, sc: Scenario) -> float:
 
 
 def solve_between_revelations(rate: float, sc: Scenario) -> SolverResult:
-    """The game played between revelations at a rate in (0, 1]: the no-revelation game at discount 1 - rate, solved.
+    """The game played between revelations at a rate in (0, 1], solved; raises RateBoundary as `_between_revelations`."""
+    return solve(_between_revelations(rate, sc), "no_reveal")
+
+
+def _between_revelations(rate: float, sc: Scenario) -> Scenario:
+    """sc at discount 1 - rate, whose no-revelation game is the game played between revelations at rate.
 
     Raises RateBoundary for a rate outside (0, 1], and where 1 - rate rounds to 1 (a rate below
     about 1.1e-16), which no discount may be.
@@ -328,7 +335,7 @@ def solve_between_revelations(rate: float, sc: Scenario) -> SolverResult:
         raise RateBoundary(f"revelation rate must lie in (0, 1], got {rate}")
     if 1.0 - rate == 1.0:
         raise RateBoundary(f"revelation rate {rate} is too small: 1 - rate rounds to 1 in floating point")
-    return solve(replace(sc, discount=1.0 - rate), "no_reveal")
+    return replace(sc, discount=1.0 - rate)
 
 
 def row_average_value(discount: float, sc: Scenario) -> float:
@@ -345,7 +352,7 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
 
     p is one belief (returns a bool) or an (m, k) batch (returns a bool per
     row), and solved is solve(sc, "reveal"). Precondition: the stage payoff
-    attains its envelope at every belief (within 1e-9), otherwise
+    attains its envelope at every belief (within ENVELOPE_TOUCH_TOL), otherwise
     PreconditionFailed. The check asks whether the degenerate split attains
     the stage optimum of the solved game within 2 * tol.
     """
@@ -353,7 +360,7 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     batch = np.atleast_2d(q)
     cav_u, u_at = cav_at(sc.u, batch)
     miss = np.abs(u_at - cav_u)
-    if (miss > 1e-9).any():
+    if (miss > ENVELOPE_TOUCH_TOL).any():
         raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
     _, lam, x = _operator(sc, True)
     # revealing nothing at q earns the target read at q; the stage optimum is its envelope

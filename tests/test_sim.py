@@ -452,22 +452,23 @@ def test_couple_down_guards(scenario):
 
 
 def test_couple_down_reboot_frequency_and_disclosure(scenario):
-    # the auxiliary coin must top the reboot frequency up to the target rate,
-    # and each auxiliary signal must name the previous state
+    # the auxiliary coin must top the reboot frequency up to the target rate, and each reboot
+    # must play the row node of the previous state, the state it discloses
     sc = scenario("tent", reveal_rate=0.3)
     target_y = solve(scenario("tent", reveal_rate=0.7), "reveal").target
     strat = strategy_couple_down(target_y, 0.3, 0.7, sc)
     horizon = 5000
     trace = run_policy(sc, strat, horizon=horizon, seed=11)
-    width = sc.chain.k  # a policy plays over k signals
-    aux = trace.signals >= width
-    assert not aux[0]
-    for n in np.nonzero(aux)[0]:
-        disclosed = int(trace.signals[n]) // width - 1
-        assert disclosed == trace.states[n - 1]
-        assert not trace.reveals[n - 1]
-    reboot = trace.reveals[:-1] | aux[1:]
-    freq = reboot.mean()
+    assert not trace.reboots[0]
+    # every revelation reboots the next stage, and so does the coin on some stages that did not reveal
+    assert (trace.reboots[1:] >= trace.reveals[:-1]).all()
+    assert (trace.reboots[1:] > trace.reveals[:-1]).any()
+    n = np.flatnonzero(trace.reboots)
+    row_node = (trace.states[n - 1], trace.signals[n])  # the row node of state i has id i
+    engine = _Engine(sc, strat)
+    assert_bit_equal(trace.posteriors[n], engine.post[row_node])
+    assert_bit_equal(trace.stage_payoffs[n], engine.pay[row_node])
+    freq = trace.reboots[1:].mean()
     assert abs(freq - 0.7) <= 4.0 * math.sqrt(0.21 / (horizon - 1))
 
 
@@ -566,11 +567,13 @@ class _Node:
 class _ScalarEngine:
     """Reference: the scalar stage loop the lock-step engine replaced, one play at a time.
 
-    Nodes are keyed by (silent, belief bytes). A non-revealing stage follows
-    the node's successor for the drawn signal; a revelation moves to the
-    row node of the revealed state. With silent set, a play sends one
-    uninformative signal until its first revelation and plays the strategy
-    after it.
+    Nodes are keyed by (silent, belief bytes). Stage n >= 1 reboots where
+    stage n - 1's revelation uniform lies below rate + aux_prob * (1 - rate),
+    and then plays the row node of stage n - 1's state, the state a
+    revelation (below rate) or the coupling coin (above it) disclosed;
+    otherwise it follows the node's successor for the signal drawn before.
+    With silent set, a play sends one uninformative signal until its first
+    reboot and plays the strategy after it.
     """
 
     _CACHE_CAP = 200_000
@@ -619,29 +622,24 @@ class _ScalarEngine:
         belief = np.ascontiguousarray(validate_belief(prior, self.sc.chain.k))
         node = self.node(self.silent, belief)
         prior_cum = tuple(np.cumsum(belief))
-        aux_prob = self.strat.aux_prob
+        threshold = rate + self.strat.aux_prob * (1.0 - rate)
         payoffs = np.empty(horizon)
         rand = rng.random
-        state = -1
-        revealed, rev_u = False, 1.0
+        state, rebooted = -1, False
         for n in range(horizon):
-            prev = state
             state = _draw(prior_cum if n == 0 else self.M_cums[state], rand())
-            aux_code = 0
-            # the coupling coin reads the previous stage's revelation uniform
-            if aux_prob > 0.0 and n > 0 and not revealed and rev_u - rate < aux_prob * (1.0 - rate):
-                node = self.row(prev)
-                aux_code = 1 + prev
             s = _draw(node.row_cums[state], rand())
             payoffs[n] = node.payoffs[s]
             rev_u = rand()
-            revealed = rev_u < rate
             if trace_arrays is not None:
                 trace_arrays[0][n] = state
-                trace_arrays[1][n] = aux_code * node.width + s
-                trace_arrays[2][n] = revealed
-                trace_arrays[3][n] = node.posteriors[s]
-            if revealed:
+                trace_arrays[1][n] = s
+                trace_arrays[2][n] = rev_u < rate
+                trace_arrays[3][n] = rebooted
+                trace_arrays[4][n] = node.posteriors[s]
+            # the next stage's reboot reads this stage's revelation uniform and discloses this state
+            rebooted = rev_u < threshold
+            if rebooted:
                 node = self.row(state)
             else:
                 nxt = node.succ[s]
@@ -652,11 +650,17 @@ class _ScalarEngine:
 
 
 def reference_trace(sc, strat, horizon, seed, rep, silent=False):
+    """The scalar play's traced fields, in trace_fields' order."""
     arrays = (np.empty(horizon, dtype=np.int64), np.empty(horizon, dtype=np.int64),
-              np.zeros(horizon, dtype=bool), np.empty((horizon, sc.chain.k)))
+              np.zeros(horizon, dtype=bool), np.zeros(horizon, dtype=bool), np.empty((horizon, sc.chain.k)))
     payoffs = _ScalarEngine(sc, strat, silent).run(sc.prior, horizon, sc.reveal_rate,
                                            replication_rng(seed, rep), trace_arrays=arrays)
     return (*arrays, payoffs)
+
+
+def trace_fields(trace):
+    """A trace's fields, in reference_trace's order."""
+    return trace.states, trace.signals, trace.reveals, trace.reboots, trace.posteriors, trace.stage_payoffs
 
 
 def reference_discounted(sc, strat, samples, seed, horizon):
@@ -671,7 +675,7 @@ def reference_duration(sc, rate, strat, samples, seed, horizon):
     # (over every stage when none reveals)
     totals = np.empty(samples)
     for i in range(samples):
-        _, _, reveals, _, payoffs = reference_trace(replace(sc, reveal_rate=rate), strat, horizon, seed, i)
+        _, _, reveals, _, _, payoffs = reference_trace(replace(sc, reveal_rate=rate), strat, horizon, seed, i)
         totals[i] = payoffs[: int(reveals.argmax()) + 1 if reveals.any() else horizon].sum()
     return totals, np.arange(samples)
 
@@ -679,7 +683,7 @@ def reference_duration(sc, rate, strat, samples, seed, horizon):
 def reference_renewal(sc, strat, horizon, samples, seed, silent=False):
     kept, reps = [], []
     for i in range(samples):
-        _, _, reveals, _, payoffs = reference_trace(sc, strat, horizon, seed, i, silent)
+        _, _, reveals, _, _, payoffs = reference_trace(sc, strat, horizon, seed, i, silent)
         stats = renewal_stats(reveals)
         if stats.revelations >= 2:
             kept.append(float(payoffs[int(stats.kappas[0]) : stats.last_stage].sum()) / horizon)
@@ -735,8 +739,7 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
 
     for rep in (0, 3):
         trace = run_policy(sc, strat, horizon, seed=seed, rep=rep)
-        got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
-        for g, w in zip(got, reference_trace(sc, strat, horizon, seed, rep)):
+        for g, w in zip(trace_fields(trace), reference_trace(sc, strat, horizon, seed, rep), strict=True):
             assert_bit_equal(g, w)
 
 
@@ -810,10 +813,9 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
         rngs = [replication_rng(seed, i) for i in reps]
         chunks = list(sim._lanes(engine, sc.reveal_rate, rngs, len(rngs), h))
         assert sum(len(payoffs) for payoffs, _ in chunks) == len(reps) and (budget is not None or len(plays) == 1)
-        fields = [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
-                                                            t.stage_payoffs) for t in plays))]
+        fields = [np.concatenate(field) for field in zip(*map(trace_fields, plays))]
         for lane, i in enumerate(reps):
-            for g, w in zip([field[lane] for field in fields], reference_trace(sc, strat, h, seed, i)):
+            for g, w in zip([field[lane] for field in fields], reference_trace(sc, strat, h, seed, i), strict=True):
                 assert_bit_equal(g, w)
 
 
@@ -825,8 +827,7 @@ def test_a_uniform_on_a_kernel_threshold_draws_the_next_signal(strategies):
     strat = Strategy(np.array([[t, 1.0 - t], [t, 1.0 - t]]))
     trace = run_policy(sc, strat, 4, rep=0)
     assert trace.signals[0] == 1
-    got = (trace.states, trace.signals, trace.reveals, trace.posteriors, trace.stage_payoffs)
-    for g, w in zip(got, reference_trace(sc, strat, 4, sc.seed, 0)):
+    for g, w in zip(trace_fields(trace), reference_trace(sc, strat, 4, sc.seed, 0), strict=True):
         assert_bit_equal(g, w)
 
 
@@ -893,11 +894,19 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
 
 
+def test_a_coupled_play_fills_no_successor_before_a_coupling_reboot():
+    # with aux_prob 1 every stage from 1 on reboots, by a revelation or by the coupling coin, so
+    # every segment is one stage long and no successor is filled, as at rate 1
+    sc = bundled("tent", x=0.5)
+    target = solve(replace(sc, reveal_rate=0.7), "reveal").target
+    est = estimate_discounted(sc, Strategy(target, 1.0), samples=300, horizon=50)
+    assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 1, 1, 1)
+
+
 def traced_plays(engine, rate, draws, chunk):
     """The traced fields of plays of draws, chunk lanes at a time, on one engine."""
     plays = [engine.play(rate, draws[i : i + chunk], trace=True) for i in range(0, len(draws), chunk)]
-    return [np.concatenate(field) for field in zip(*((t.states, t.signals, t.reveals, t.posteriors,
-                                                      t.stage_payoffs) for t in plays))]
+    return [np.concatenate(field) for field in zip(*map(trace_fields, plays))]
 
 
 def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
@@ -909,16 +918,13 @@ def assert_plays_like_the_reference(engine, rate, seed, lanes, horizon, chunk):
     sc, strat = replace(engine.sc, reveal_rate=rate), engine.strat
     draws = np.stack([replication_rng(seed, i).random((horizon, 3)) for i in range(lanes)])
     got = traced_plays(engine, rate, draws, chunk)
-    reboot = np.zeros(horizon, dtype=bool)
     for i in range(lanes):
         lane = [field[i] for field in got]
-        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i)):
+        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i), strict=True):
             assert_bit_equal(g, w)
-        # a stage reboots after a revelation, or when its coupling code (signal // width) is set
-        reboot[1:] = lane[2][:-1]
-        reboot |= lane[1] >= engine.width
-        cut = int(reboot.argmax()) if reboot.any() else horizon
-        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i, silent=True)):
+        reboots = lane[3]
+        cut = int(reboots.argmax()) if reboots.any() else horizon
+        for g, w in zip(lane, reference_trace(sc, strat, horizon, seed, i, silent=True), strict=True):
             assert_bit_equal(g[cut:], w[cut:])
 
 
@@ -1073,9 +1079,9 @@ def test_state_reveal_path_builds_no_engine(name, strategies, monkeypatch):
 @pytest.mark.parametrize("horizon", [1, 2, 1000])
 def test_every_strategy_reads_three_fixed_slots_per_stage(name, horizon, strategies):
     # stage n reads u[3n] (state), u[3n + 1] (signal) and u[3n + 2] (revelation coin) of its
-    # replication's stream, whatever the strategy. couple's coin reads stage n - 1's revelation
-    # uniform: stage n >= 1 carries the aux code 1 + (stage n - 1's state) exactly where u[3n - 1]
-    # did not reveal and u[3n - 1] - x < aux_prob * (1 - x)
+    # replication's stream, whatever the strategy. A reboot reads stage n - 1's revelation
+    # uniform: stage n >= 1 reboots exactly where u[3n - 1] < x + aux_prob * (1 - x), and plays the
+    # row node of stage n - 1's state
     sc, made = strategies[name]
     x = sc.reveal_rate
     u = replication_rng(sc.seed, 2).random(3 * horizon)
@@ -1087,14 +1093,15 @@ def test_every_strategy_reads_three_fixed_slots_per_stage(name, horizon, strateg
         trace = run_policy(sc, strat, horizon, rep=2)
         assert_bit_equal(trace.states, states)
         assert_bit_equal(trace.reveals, u[2::3] < x)
-        hit = np.zeros(horizon, dtype=bool)
-        if strat.aux_prob > 0.0:
-            hit[1:] = (prev_u >= x) & (prev_u - x < strat.aux_prob * (1.0 - x))
+        reboots = np.zeros(horizon, dtype=bool)
+        reboots[1:] = prev_u < x + strat.aux_prob * (1.0 - x)
+        assert_bit_equal(trace.reboots, reboots)
         if horizon == 1000:
-            assert hit.any() == (strategy == "couple")
-        width = _Engine(sc, strat).width
-        assert_bit_equal(trace.signals >= width, hit)
-        assert_bit_equal(trace.signals[hit] // width, 1 + states[np.flatnonzero(hit) - 1])
+            # a reboot after a stage that did not reveal is the coupling coin's
+            assert (reboots[1:] > trace.reveals[:-1]).any() == (strategy == "couple")
+        n = np.flatnonzero(reboots)
+        row_node = (states[n - 1], trace.signals[n])  # the row node of state i has id i
+        assert_bit_equal(trace.posteriors[n], _Engine(sc, strat).post[row_node])
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -1104,8 +1111,7 @@ def test_the_coupling_reboots_at_the_target_rate(name):
     # 200,000-stage play the share of rebooted stages lies within three standard errors of Y
     sc = bundled(name, x=0.3)
     strat = strategy_couple_down(solve(replace(sc, reveal_rate=0.7), "reveal").target, 0.3, 0.7, sc)
-    trace = run_policy(sc, strat, 200_000)
-    rebooted = trace.reveals[:-1] | (trace.signals[1:] >= _Engine(sc, strat).width)
+    rebooted = run_policy(sc, strat, 200_000).reboots[1:]
     assert abs(rebooted.mean() - 0.7) < 3.0 * math.sqrt(0.7 * 0.3 / rebooted.size)
 
 
@@ -1121,11 +1127,10 @@ def test_a_coupled_play_is_the_higher_rate_play_on_the_same_uniforms(name):
     coupled, plain = strategy_couple_down(target, 0.3, 0.7, sc), Strategy(target)
     got, want = run_policy(sc, coupled, 2000), run_policy(sc_y, plain, 2000)
     assert not (got.reveals & ~want.reveals).any()
-    assert_bit_equal(got.reveals[:-1] | (got.signals[1:] >= sc.chain.k), want.reveals[:-1])
-    assert_bit_equal(got.signals % sc.chain.k, want.signals)
-    for g, w in ((got.states, want.states), (got.posteriors, want.posteriors),
-                 (got.stage_payoffs, want.stage_payoffs)):
-        assert_bit_equal(g, w)
+    assert_bit_equal(want.reboots[1:], want.reveals[:-1])
+    for g, w in zip(trace_fields(got), trace_fields(want), strict=True):
+        if g is not got.reveals:
+            assert_bit_equal(g, w)
     assert_bit_equal(estimate_discounted(sc, coupled, samples=200).values,
                      estimate_discounted(sc_y, plain, samples=200).values)
 

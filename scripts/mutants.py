@@ -1,0 +1,108 @@
+"""Check that each mutant in MUTANTS is killed by the test meant to kill it.
+
+Run from the repository root, with pytest and hypothesis installed:
+
+    python3 scripts/mutants.py
+
+For each row it copies src, tests, scenarios, scripts, perfbench and
+pyproject.toml to a temporary directory, replaces the row's old text in its
+file by the new text, and runs `pytest -x` on the row's test node there
+(PYTHONPATH=src). A mutant is killed when a test there fails, and a run that
+passes or cannot start (an unknown node) kills nothing; first the killing
+tests must pass on an unmutated copy. It prints one line per run and exits 1
+if the unmutated run fails, any mutant was not killed, or any old text does
+not occur exactly once in its file; a change that rewrites a mutated line
+updates its row here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
+SIM, SOLVER, SIM_TESTS = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "tests/test_sim.py"
+
+# (name, file, exact old text, new text, killing test node)
+MUTANTS = (
+    ("reboot threshold without the no-revelation share", SIM,
+     "rate + aux_prob * (1.0 - rate)", "rate + aux_prob * rate",
+     f"{SIM_TESTS}::test_couple_down_reboot_frequency_and_disclosure"),
+    ("no Anderson step", SOLVER,
+     "else _anderson(images, residuals)", "else new",
+     "tests/test_solver.py::test_acceleration_takes_fewer_sweeps_than_plain_iteration"),
+    ("renewal score ends one stage early", SIM,
+     "last = horizon - reveals[:, ::-1].argmax(axis=1)[kept]",
+     "last = horizon - reveals[:, ::-1].argmax(axis=1)[kept] - 1",
+     f"{SIM_TESTS}::test_renewal_bookkeeping_per_chunk_matches_each_lane_alone"),
+    ("rep ids without the chunk offset", SIM,
+     "rep_ids.append(first + kept)", "rep_ids.append(kept)",
+     f"{SIM_TESTS}::test_renewal_bookkeeping_per_chunk_matches_each_lane_alone"),
+    ("every chunk seeded from replication 0", SIM,
+     "replication_rngs(seed, range(first, first + len(draws)))", "replication_rngs(seed, range(len(draws)))",
+     f"{SIM_TESTS}::test_each_chunk_seeds_its_own_lanes_once_in_order"),
+)
+
+# a test run that takes longer than this counts as killing its mutant
+TIMEOUT_S = 300
+
+
+def copy_tree(root: Path, dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info", "out")
+    for name in COPIED:
+        src = root / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def pytest_exit(root: Path, nodes: list[str], path: str | None = None, text: str = "") -> tuple[int | str, float]:
+    """pytest's exit code on nodes, and its seconds, in a copy of the tree whose file path (if any) holds text."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        dest = Path(tmp)
+        copy_tree(root, dest)
+        if path is not None:
+            (dest / path).write_text(text)
+        start = time.perf_counter()
+        try:
+            code = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes],
+                                  cwd=dest, env={**os.environ, "PYTHONPATH": "src"}, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            code = "timeout"
+        return code, time.perf_counter() - start
+
+
+def killed(root: Path, name: str, path: str, old: str, new: str, node: str) -> bool:
+    """Whether the node's tests fail on the mutant; False also when old does not occur exactly once."""
+    text = (root / path).read_text()
+    if text.count(old) != 1:
+        print(f"STALE     {name}: {path} holds the old text {text.count(old)} times, not once")
+        return False
+    code, seconds = pytest_exit(root, [node], path, text.replace(old, new))
+    # pytest exits 1 when a test failed; 0 means the mutant survived, and any other code (a node that
+    # does not exist, an error in collection) kills nothing
+    verdict = "killed" if code in (1, "timeout") else "SURVIVED" if code == 0 else "ERROR"
+    print(f"{verdict:9} {name} ({seconds:.1f} s, pytest exit {code}) by {node}", flush=True)
+    return verdict == "killed"
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent
+    # a mutant counts as killed only by tests that pass on the unmutated tree
+    code, seconds = pytest_exit(root, sorted({row[-1] for row in MUTANTS}))
+    print(f"{'passed' if code == 0 else 'FAILED':9} the killing tests on the unmutated tree ({seconds:.1f} s, "
+          f"pytest exit {code})", flush=True)
+    results = [killed(root, *row) for row in MUTANTS]
+    print(f"{sum(results)} of {len(results)} mutants killed")
+    return 0 if code == 0 and all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -460,7 +460,7 @@ def _verify_facts(sc: Scenario, table: ResultTable) -> bool:
     x = sc.reveal_rate
     if 0.0 < x < 1.0:
         horizon = 1_000_000
-        states, reveals = sim.state_reveal_path(sc, sim.strategy_null(sc), horizon)
+        states, reveals = sim.state_reveal_path(sc, horizon)
         stats = sim.renewal_stats(reveals)
 
         freq = stats.revelations / horizon
@@ -562,7 +562,7 @@ def cmd_simulate(args, sc: Scenario) -> tuple[ResultTable, int]:
     table.add_meta("horizon", est.horizon)
     table.add_meta("truncation", est.truncation)
 
-    _, reveals = sim.state_reveal_path(sc, strat, est.horizon)
+    _, reveals = sim.state_reveal_path(sc, est.horizon)
     stats = sim.renewal_stats(reveals)
     table.add_meta("rep0_revelations", stats.revelations)
     table.add_meta("rep0_last_stage", stats.last_stage)

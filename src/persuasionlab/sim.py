@@ -16,18 +16,18 @@ coins off its uniforms alone. Every lane of a play runs the same horizon,
 and every estimate reads its streams in the stage layout alone: the
 random-duration game ends at the replication's own first revelation. A
 policy strategy splits at the exact belief onto grid points, so its nodes
-are the prior, the transition rows and images grid.points @ M. An estimate
-derives the seeds of its streams one block of replications at a time
-(replication_rngs), bit for bit the SeedSequence definition above.
-A chunk holds as many lanes as fit one play of its whole horizon in
-_PLAY_BYTES; each lane's generator fills its row in one call and is dropped
-before the play. States and coins depend only on the uniforms, so a play
-gets them first: states by a prefix scan, then revelations and reboots.
-Each reboot sets the belief to a transition row and so starts a segment; the
-segments of a play are walked in lock-step, one position per numpy step. A
-replication's value depends only on its own stream, never on the chunk or
-block it falls in, so run_policy(rep=i) replays it bit for bit. Aggregation
-uses numpy's pairwise summation over the replication axis.
+are the prior, the transition rows and images grid.points @ M. A chunk, an
+estimate's only batch, holds as many lanes as fit _PLAY_STAGES lane-stages
+over its whole horizon and seeds their streams in one call when it is reached
+(replication_rngs), bit for bit the SeedSequence definition above; each
+lane's generator fills its row in one call and is dropped before the play.
+States and coins depend only on the uniforms, so a play gets them first:
+states by a prefix scan, then revelations and reboots. Each reboot sets the
+belief to a transition row and so starts a segment; the segments of a play
+are walked in lock-step, one position per numpy step. A replication's value
+depends only on its own stream, never on the chunk it falls in, so
+run_policy(rep=i) replays it bit for bit. Aggregation uses numpy's pairwise
+summation over the replication axis.
 """
 
 from __future__ import annotations
@@ -321,13 +321,10 @@ def _states_and_coins(M_cum, draws, prior_cum, rate, aux_prob):
     return states, draws[:, :, 2] < rate, reboots
 
 
-# Bytes of per-stage work one play holds (2 MiB), at about _LANE_STAGE_BYTES a lane-stage: three uniforms, the
-# signal uniform and the state path (8 each), coins and cuts, and about 40 of segment arrays and step
-# temporaries at rate 0.5. A chunk holds as many lanes of its whole horizon as fit, and at least one.
-_PLAY_BYTES = 2 << 20
-_LANE_STAGE_BYTES = 84
-# Replications an estimate seeds at once.
-_SEED_BLOCK = 1 << 14
+# Lane-stages one play holds: 2 MiB of per-stage work at about 84 bytes a lane-stage (three uniforms, the
+# signal uniform and the state path, 8 each; coins and cuts; and about 40 of segment arrays and step
+# temporaries at rate 0.5). A chunk holds as many lanes of its whole horizon as fit, and at least one.
+_PLAY_STAGES = (2 << 20) // 84
 
 
 class _Engine:
@@ -542,38 +539,45 @@ class _Engine:
             nodes[:going_on] = nxt
 
 
-def _replications(sc: Scenario, samples: int | None, seed: int | None) -> tuple[int, Iterator[np.random.Generator]]:
-    """samples (at least 1) and the streams of replications 0 .. samples-1; both default to the scenario's.
+def _lanes(engine: _Engine, rate: float, seed: int, reps: int, horizon: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(stage payoffs, revelation coins) of each chunk of replications 0 .. reps-1: (chunk lanes, horizon) each.
 
-    The streams are seeded one _SEED_BLOCK block at a time, as they are taken; none is kept once yielded.
+    A chunk holds max(1, _PLAY_STAGES // horizon) lanes, each on its own replication's stream, and is one
+    `_Engine.play` from the scenario's prior. Its streams are seeded in one call when the chunk is reached,
+    and each generator fills its lane's row of uniforms and is dropped before the play.
     """
-    samples = sc.samples if samples is None else samples
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    seed = sc.seed if seed is None else seed
-    blocks = (replication_rngs(seed, range(first, min(first + _SEED_BLOCK, samples)))
-              for first in range(0, samples, _SEED_BLOCK))
-    return samples, itertools.chain.from_iterable(blocks)
-
-
-def _lanes(engine: _Engine, rate: float, rngs, lanes: int, horizon: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(stage payoffs, revelation coins) of each chunk of lanes, (chunk lanes, horizon) arrays, one row per generator.
-
-    Every lane plays horizon stages from the scenario's prior on its own
-    generator of rngs (lanes of them). Lanes are played in chunks, one
-    `_Engine.play` each. A chunk holds as many lanes as fit _PLAY_BYTES over
-    the whole horizon, at least one. A lane's generator fills its row of
-    uniforms as the chunk is built, and is dropped then.
-    """
-    size = max(1, _PLAY_BYTES // (horizon * _LANE_STAGE_BYTES))
-    rngs = iter(rngs)
-    for first in range(0, lanes, size):
-        draws = np.empty((min(size, lanes - first), horizon, 3))
-        for row, rng in zip(draws, rngs):  # draws first, so zip takes no generator past the last row
+    size = max(1, _PLAY_STAGES // horizon)
+    for first in range(0, reps, size):
+        draws = np.empty((min(size, reps - first), horizon, 3))
+        for row, rng in zip(draws, replication_rngs(seed, range(first, first + len(draws)))):
             rng.random(out=row)
         del rng  # the play holds no generator
         play = engine.play(rate, draws)
         yield play.stage_payoffs, play.reveals
+
+
+def _estimate(sc: Scenario, strat: Strategy, rate: float, horizon: int, samples: int | None, seed: int | None,
+              score, **accounting) -> EstimateResult:
+    """The summary of what score(payoffs, reveals) keeps of each chunk: (kept lanes, their values).
+
+    Replications 0 .. samples-1 play at rate; samples (at least 1, else ValueError) and seed default to
+    the scenario's. The lanes score leaves out count as rejected, and AllRejected is raised if it keeps none.
+    """
+    samples = sc.samples if samples is None else samples
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    engine = _Engine(sc, strat)
+    values, rep_ids, first = [], [], 0
+    for payoffs, reveals in _lanes(engine, rate, sc.seed if seed is None else seed, samples, horizon):
+        kept, kept_values = score(payoffs, reveals)
+        values.append(kept_values)
+        rep_ids.append(first + kept)
+        first += len(payoffs)
+    values = np.concatenate(values)
+    if not values.size:
+        raise AllRejected(f"all {samples} replications had fewer than two revelations")
+    return _summary(values, np.concatenate(rep_ids), rejected=samples - values.size, horizon=horizon,
+                    **accounting, **engine.counters())
 
 
 # The most stages one play may run: one lane of this many stages peaks at 1 to 1.6 GiB (95 to 165 bytes
@@ -609,15 +613,14 @@ def run_policy(sc: Scenario, strat: Strategy, horizon: int, seed: int | None = N
                     reboots=play.reboots[0], posteriors=play.posteriors[0], stage_payoffs=play.stage_payoffs[0])
 
 
-def state_reveal_path(sc: Scenario, strat: Strategy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """States and revelation coins of run_policy(sc, strat, horizon), bit for bit, with no engine.
+def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """States and revelation coins of run_policy(sc, strat, horizon) for every strategy, bit for bit, with no engine.
 
     Replication 0 of the scenario seed; states and coins depend only on the uniforms, so no
     belief node is built.
     """
     draws = _lane_draws(horizon, sc.seed, 0)
-    states, reveals, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior),
-                                           sc.reveal_rate, strat.aux_prob)
+    states, reveals, _ = _states_and_coins(cum_rows(sc.chain.M), draws, cum_rows(sc.prior), sc.reveal_rate, 0.0)
     return states[0], reveals[0]
 
 
@@ -649,16 +652,15 @@ def estimate_discounted(sc: Scenario, strat: Strategy, samples: int | None = Non
     derived, outside [1, MAX_HORIZON].
     """
     horizon = play_horizon(sc, horizon)
-    samples, streams = _replications(sc, samples, seed)
     lam = sc.discount
     weights = (1.0 - lam) * lam ** np.arange(horizon)
-    engine = _Engine(sc, strat)
-    # one stacked (1, horizon) @ (horizon, 1) product per lane rounds like weights @ payoffs[i]
-    totals = np.concatenate([np.matmul(payoffs[:, None, :], weights[:, None])[:, 0, 0]
-                             for payoffs, _ in _lanes(engine, sc.reveal_rate, streams, samples, horizon)])
-    return _summary(totals, np.arange(samples), horizon=horizon,
-                    truncation=float(lam ** horizon * np.abs(sc.u.values).max()),
-                    **engine.counters())
+
+    def score(payoffs, reveals):
+        # one stacked (1, horizon) @ (horizon, 1) product per lane rounds like weights @ payoffs[i]
+        return np.arange(len(payoffs)), np.matmul(payoffs[:, None, :], weights[:, None])[:, 0, 0]
+
+    return _estimate(sc, strat, sc.reveal_rate, horizon, samples, seed, score,
+                     truncation=float(lam ** horizon * np.abs(sc.u.values).max()))
 
 
 def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> EstimateResult:
@@ -674,15 +676,13 @@ def random_duration_value_mc(sc: Scenario, rate: float, strat: Strategy) -> Esti
     """
     horizon = _check_horizon(discount_horizon(_between_revelations(rate, sc)),
                              source=f"a geometric duration at rate {rate}")
-    samples, streams = _replications(sc, None, None)
-    engine = _Engine(sc, strat)
-    totals = []
-    for payoffs, reveals in _lanes(engine, rate, streams, samples, horizon):
+
+    def score(payoffs, reveals):
         durations = np.where(reveals.any(axis=1), reveals.argmax(axis=1) + 1, horizon)
-        totals += [row[:w].sum() for row, w in zip(payoffs, durations.tolist())]
-    return _summary(np.array(totals), np.arange(samples), horizon=horizon,
-                    truncation=float((1.0 - rate) ** horizon * np.abs(sc.u.values).max() / rate),
-                    **engine.counters())
+        return np.arange(len(payoffs)), np.array([row[:w].sum() for row, w in zip(payoffs, durations.tolist())])
+
+    return _estimate(sc, strat, rate, horizon, None, None, score,
+                     truncation=float((1.0 - rate) ** horizon * np.abs(sc.u.values).max() / rate))
 
 
 def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
@@ -696,23 +696,17 @@ def estimate_renewal_average(sc: Scenario, strat: Strategy, horizon: int,
     nothing survives, and ValueError for a horizon below 2.
     """
     play_horizon(sc, horizon, minimum=2)  # two revelations take two stages
-    samples, streams = _replications(sc, samples, seed)
-    engine = _Engine(sc, strat)
-    values, rep_ids, lane = [], [], 0
-    for payoffs, reveals in _lanes(engine, sc.reveal_rate, streams, samples, horizon):
+
+    def score(payoffs, reveals):
         # renewal_stats of the chunk's lanes at once: the revelation count, and the 1-based stages
         # of the first and the last revelation
         kept = np.flatnonzero(reveals.sum(axis=1) >= 2)
         first = reveals.argmax(axis=1)[kept] + 1
         last = horizon - reveals[:, ::-1].argmax(axis=1)[kept]
-        values += [float(payoffs[j, a:b].sum()) / horizon
-                   for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())]
-        rep_ids.append(lane + kept)
-        lane += len(reveals)
-    if not values:
-        raise AllRejected(f"all {samples} replications had fewer than two revelations")
-    return _summary(np.asarray(values), np.concatenate(rep_ids), rejected=samples - len(values),
-                    horizon=horizon, **engine.counters())
+        return kept, np.array([float(payoffs[j, a:b].sum()) / horizon
+                               for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())])
+
+    return _estimate(sc, strat, sc.reveal_rate, horizon, samples, seed, score)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from persuasionlab import (
     strategy_renewal_optimal,
 )
 from persuasionlab.belief import SPLIT_BARYCENTER_TOL
-from persuasionlab.sim import state_reveal_path, strategy_null
+from persuasionlab.sim import state_reveal_path
 
 PAYOFFS = ("tent", "parabola")
 MID = [0.5, 0.5]
@@ -275,7 +275,7 @@ def test_criterion_10_tail_formulas_and_path_statistics(scenario):
 
     sc = scenario("tent", discount=0.9, reveal_rate=0.5)
     horizon = 1_000_000
-    states, reveals = state_reveal_path(sc, strategy_null(sc), horizon)
+    states, reveals = state_reveal_path(sc, horizon)
     stats = renewal_stats(reveals)
     freq_score = abs(stats.revelations / horizon - 0.5) / math.sqrt(0.25 / horizon)
     gap_se = math.sqrt((1.0 - 0.5) / 0.5**2 / stats.kappas.size)

@@ -627,8 +627,8 @@ def recast_path(states=lambda s: s, coins=lambda c: c):
     def patch(monkeypatch):
         path = sim.state_reveal_path
 
-        def recast(sc, strat, horizon):
-            path_states, path_coins = path(sc, strat, horizon)
+        def recast(sc, horizon):
+            path_states, path_coins = path(sc, horizon)
             return states(path_states), coins(path_coins)
 
         monkeypatch.setattr(sim, "state_reveal_path", recast)

@@ -251,7 +251,7 @@ def test_every_play_refuses_a_horizon_above_the_limit(scenario):
     sc = scenario("tent", samples=2)
     strat, over = strategy_null(sc), sim.MAX_HORIZON + 1
     assert sim._check_horizon(sim.MAX_HORIZON) == sim.MAX_HORIZON
-    for play in (run_policy, state_reveal_path, estimate_renewal_average,
+    for play in (run_policy, lambda sc, strat, horizon: state_reveal_path(sc, horizon), estimate_renewal_average,
                  lambda sc, strat, horizon: estimate_discounted(sc, strat, horizon=horizon)):
         with pytest.raises(ValueError, match=f"^the given horizon is {over} stages, above the {over - 1} stages"):
             play(sc, strat, over)
@@ -720,9 +720,8 @@ def test_lock_step_engine_matches_scalar_reference(name, strategy, lanes, strate
     strat = made[strategy]
     horizon, samples, seed = 40, 11, 5
     if lanes is not None:
-        # lanes per chunk at this horizon and replications per seeding block
-        monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * sim._LANE_STAGE_BYTES)
-        monkeypatch.setattr(sim, "_SEED_BLOCK", lanes)
+        # lanes per chunk at this horizon
+        monkeypatch.setattr(sim, "_PLAY_STAGES", lanes * horizon)
 
     est = estimate_discounted(sc, strat, samples=samples, seed=seed, horizon=horizon)
     for got, want in zip((est.values, est.rep_ids), reference_discounted(sc, strat, samples, seed, horizon)):
@@ -750,7 +749,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     sc, made = strategies[name]
     strat = made["optimal"]
     horizon, samples = 20, 9
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * horizon * sim._LANE_STAGE_BYTES)
+    monkeypatch.setattr(sim, "_PLAY_STAGES", 3 * horizon)
     chunks = []
     play = _Engine.play
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(len(draws))
@@ -768,7 +767,7 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
     for rate in (0.2, 1.0):
         sc_rate = replace(sc, reveal_rate=rate)
         longest = discount_horizon(replace(sc, discount=1.0 - rate))
-        monkeypatch.setattr(sim, "_PLAY_BYTES", 3 * longest * sim._LANE_STAGE_BYTES)
+        monkeypatch.setattr(sim, "_PLAY_STAGES", 3 * longest)
         chunks.clear()
         est = random_duration_value_mc(replace(sc, samples=samples, seed=seed), rate, strat)
         assert len(chunks) > 1 and sum(chunks) == samples
@@ -781,10 +780,13 @@ def test_estimates_replay_their_lanes_at_wide_master_seeds(name, seed, strategie
         assert_bit_equal(est.values, np.array(replays))
 
 
-# (_PLAY_BYTES, _CACHE_CAP): one lane per play; three lanes of one stage; three lanes of seven
+# (_PLAY_STAGES, _CACHE_CAP): one lane per play; three lanes of one stage; three lanes of seven
 # stages and two of two; every lane of a horizon in one play; and each of them with a node table
-# cleared before every step
-ENGINE_SETTINGS = [(1, None), (300, None), (2000, None), (None, None), (300, 3), (2000, 3), (None, 3)]
+# cleared before every step. Each id names its budget in bytes, at 84 a lane-stage as the README
+# sizes a chunk, and the budget holds bytes // 84 lane-stages.
+ENGINE_SETTINGS = [pytest.param(stages, cap, id=f"{size}-{cap}") for stages, size, cap in
+                   [(1, 1, None), (3, 300, None), (23, 2000, None), (None, None, None), (3, 300, 3), (23, 2000, 3),
+                    (None, None, 3)]]
 
 
 @pytest.mark.parametrize("budget,cap", ENGINE_SETTINGS)
@@ -800,7 +802,7 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
         sc = replace(sc, reveal_rate=rate)
     strat = made[strategy]
     if budget is not None:
-        monkeypatch.setattr(sim, "_PLAY_BYTES", budget)
+        monkeypatch.setattr(sim, "_PLAY_STAGES", budget)
     if cap is not None:
         monkeypatch.setattr(_Engine, "_CACHE_CAP", cap)
     horizons, seed = [1, 23, 7, 40, 2, 40, 15, 7, 1, 2, 1, 7], 5
@@ -810,8 +812,10 @@ def test_engine_edge_cases_match_scalar_reference(name, strategy, rate, budget, 
     for h in dict.fromkeys(horizons):
         reps = [i for i, hi in enumerate(horizons) if hi == h]
         plays.clear()
-        rngs = [replication_rng(seed, i) for i in reps]
-        chunks = list(sim._lanes(engine, sc.reveal_rate, rngs, len(rngs), h))
+        # lane i of the horizon's plays draws from replication reps[i]
+        monkeypatch.setattr(sim, "replication_rngs",
+                            lambda seed, lanes: (replication_rng(seed, reps[i]) for i in lanes))
+        chunks = list(sim._lanes(engine, sc.reveal_rate, seed, len(reps), h))
         assert sum(len(payoffs) for payoffs, _ in chunks) == len(reps) and (budget is not None or len(plays) == 1)
         fields = [np.concatenate(field) for field in zip(*map(trace_fields, plays))]
         for lane, i in enumerate(reps):
@@ -1001,7 +1005,7 @@ def test_renewal_bookkeeping_per_chunk_matches_each_lane_alone(lanes, strategies
     # and revelations on the first and the last stage
     sc, made = strategies["tent"]
     sc, strat, horizon, samples, seed = replace(sc, reveal_rate=0.3), made["renewal"], 6, 40, 2
-    monkeypatch.setattr(sim, "_PLAY_BYTES", lanes * horizon * sim._LANE_STAGE_BYTES)
+    monkeypatch.setattr(sim, "_PLAY_STAGES", lanes * horizon)
     est = estimate_renewal_average(sc, strat, horizon, samples=samples, seed=seed)
     values, reps, counts, stages = [], [], set(), set()
     for i in range(samples):
@@ -1050,12 +1054,11 @@ def test_a_belief_on_the_lattice_snap_plays_a_stochastic_kernel(grid2, tent):
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, 65537])
 def test_state_reveal_scan_matches_the_stage_loop(name, horizon, strategies):
-    # for every strategy the CLI offers, couple:Y included
+    # one path for every strategy the CLI offers, couple:Y included
     sc, made = strategies[name]
+    states, reveals = state_reveal_path(sc, horizon)
     for strategy in STRATEGIES:
-        strat = made[strategy]
-        trace = run_policy(sc, strat, horizon)
-        states, reveals = state_reveal_path(sc, strat, horizon)
+        trace = run_policy(sc, made[strategy], horizon)
         assert_bit_equal(states, trace.states)
         assert_bit_equal(reveals, trace.reveals)
 
@@ -1063,16 +1066,15 @@ def test_state_reveal_scan_matches_the_stage_loop(name, horizon, strategies):
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_state_reveal_path_builds_no_engine(name, strategies, monkeypatch):
     # states and coins depend only on the uniforms, so no strategy's nodes are built for them
-    sc, made = strategies[name]
-    want = [state_reveal_path(sc, made[strategy], 50) for strategy in STRATEGIES]
+    sc, _ = strategies[name]
+    want = state_reveal_path(sc, 50)
 
     def refuse(self, *args):
         raise AssertionError("state_reveal_path built an engine")
 
     monkeypatch.setattr(_Engine, "__init__", refuse)
-    for strategy, path in zip(STRATEGIES, want):
-        for got, w in zip(state_reveal_path(sc, made[strategy], 50), path):
-            assert_bit_equal(got, w)
+    for got, w in zip(state_reveal_path(sc, 50), want, strict=True):
+        assert_bit_equal(got, w)
 
 
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
@@ -1391,8 +1393,7 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
         strat = made["couple"]
         with pytest.MonkeyPatch.context() as mp:
             if lanes is not None:
-                mp.setattr(sim, "_PLAY_BYTES", lanes * 25 * sim._LANE_STAGE_BYTES)
-                mp.setattr(sim, "_SEED_BLOCK", lanes)
+                mp.setattr(sim, "_PLAY_STAGES", lanes * 25)
             small, large = run(sc, strat, n, seed), run(sc, strat, n + extra, seed)
         prefix = large.rep_ids < n
         assert_bit_equal(large.rep_ids[prefix], small.rep_ids)
@@ -1400,12 +1401,11 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 
 
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
-def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypatch):
-    # 20 samples are two and a half seeding blocks of 8: each block is seeded when it is reached,
-    # and the values equal those of an estimate whose 20 streams are one block
+def test_each_chunk_seeds_its_own_lanes_once_in_order(estimator, strategies, monkeypatch):
+    # 20 samples in one chunk seed all 20 lanes in one call; in chunks of 8 lanes they are two and
+    # a half chunks, each seeding its own lanes in one call when it is reached, with the same values
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
-    want = run(sc, strat, 20, 9)
     seeded, chunks = [], []
     seed_states, play = sim._seed_states, _Engine.play
 
@@ -1413,15 +1413,32 @@ def test_streams_are_seeded_one_block_at_a_time(estimator, strategies, monkeypat
         seeded.append(list(reps))
         return seed_states(seed, reps)
 
-    monkeypatch.setattr(sim, "_SEED_BLOCK", 8)
     monkeypatch.setattr(sim, "_seed_states", recording)
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[0])
                         or play(self, rate, draws, **kw))
+    want = run(sc, strat, 20, 9)
+    assert seeded == [list(range(20))] and chunks == [20]
+    seeded.clear()
+    chunks.clear()
+    monkeypatch.setattr(sim, "_PLAY_STAGES", 8 * want.horizon)
     got = run(sc, strat, 20, 9)
     assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
-    assert sum(chunks) == 20
+    assert chunks == [8, 8, 4]
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)
+
+
+def test_default_chunks_hold_the_lanes_of_one_lane_stage_budget(strategies, monkeypatch):
+    # 24,966 lane-stages a chunk: that many lanes of one stage, and 12 lanes of 2,000 stages
+    sc, made = strategies["tent"]
+    chunks, play = [], _Engine.play
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[:2])
+                        or play(self, rate, draws, **kw))
+    estimate_discounted(sc, made["null"], samples=24_967, seed=1, horizon=1)
+    assert chunks == [(24_966, 1), (1, 1)]
+    chunks.clear()
+    estimate_renewal_average(sc, made["renewal"], 2000, samples=13, seed=1)
+    assert chunks == [(12, 2000), (1, 2000)]
 
 
 class CountingRng:
@@ -1441,18 +1458,17 @@ def test_each_lane_draws_its_uniforms_in_one_call(strategies, monkeypatch):
     sc, made = strategies["tent"]
     strat = made["optimal"]
     want = estimate_discounted(sc, strat, samples=300, seed=1)
-    counted, plays, replications, play = [], [], sim._replications, _Engine.play
+    counted, plays, replication_rngs, play = [], [], sim.replication_rngs, _Engine.play
 
-    def counting(*args):
-        samples, streams = replications(*args)
-        return samples, (counted.append(CountingRng(rng)) or counted[-1] for rng in streams)
+    def counting(seed, reps):
+        return (counted.append(CountingRng(rng)) or counted[-1] for rng in replication_rngs(seed, reps))
 
-    monkeypatch.setattr(sim, "_replications", counting)
+    monkeypatch.setattr(sim, "replication_rngs", counting)
     monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(draws.shape)
                         or play(self, rate, draws, **kw))
     got = estimate_discounted(sc, strat, samples=300, seed=1)
     assert got.horizon == discount_horizon(sc) == 153
-    assert plays == [(163, 153, 3), (137, 153, 3)]  # 2 MiB // (153 * 84 B) = 163 lanes a chunk
+    assert plays == [(163, 153, 3), (137, 153, 3)]  # 24,966 lane-stages // 153 = 163 lanes a chunk
     assert [rng.calls for rng in counted] == [1] * 300
     assert_bit_equal(got.values, want.values)
 
@@ -1479,7 +1495,7 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
         alive.append(sum(ref() is not None for ref in made_rngs))
         return play(self, *args, **kw)
 
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 6 * want.horizon * sim._LANE_STAGE_BYTES)
+    monkeypatch.setattr(sim, "_PLAY_STAGES", 6 * want.horizon)
     monkeypatch.setattr(sim, "_generator", tracked)
     monkeypatch.setattr(_Engine, "play", playing)
     got = run(sc, strat, 20, 4)
@@ -1490,17 +1506,17 @@ def test_no_generator_is_alive_during_a_play(estimator, strategies, monkeypatch)
 
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_a_play_holds_only_the_lanes_that_fit_its_bytes(estimator, strategies, monkeypatch):
-    # with _PLAY_BYTES cut to 20,000, no play holds more lanes than fit it over the play's horizon
-    # at _LANE_STAGE_BYTES a lane-stage, and the values equal those of the default chunks
+    # with _PLAY_STAGES cut to 238 (20,000 bytes at 84 a lane-stage), no play holds more lanes than
+    # fit it over the play's horizon, and the values equal those of the default chunks
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
     want = run(sc, strat, 40, 3)
     plays, play = [], _Engine.play
-    monkeypatch.setattr(sim, "_PLAY_BYTES", 20_000)
-    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(
-        (draws.shape[0], draws.shape[1] * sim._LANE_STAGE_BYTES)) or play(self, rate, draws, **kw))
+    monkeypatch.setattr(sim, "_PLAY_STAGES", 238)
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: plays.append(draws.shape[:2])
+                        or play(self, rate, draws, **kw))
     got = run(sc, strat, 40, 3)
     assert len(plays) > 1 and sum(lanes for lanes, _ in plays) == 40
-    assert all(lanes <= max(1, 20_000 // lane_bytes) for lanes, lane_bytes in plays)
+    assert all(lanes <= max(1, 238 // horizon) for lanes, horizon in plays)
     assert_bit_equal(got.rep_ids, want.rep_ids)
     assert_bit_equal(got.values, want.values)

@@ -46,6 +46,12 @@ MUTANTS = (
     ("every chunk seeded from replication 0", SIM,
      "replication_rngs(seed, range(first, first + len(draws)))", "replication_rngs(seed, range(len(draws)))",
      f"{SIM_TESTS}::test_each_chunk_seeds_its_own_lanes_once_in_order"),
+    ("exact value without the reboot term", SIM,
+     "-lam * x * p[:, None] * engine.post[node, sig]", "0.0 * p[:, None] * engine.post[node, sig]",
+     f"{SIM_TESTS}::test_each_strategy_earns_its_exact_value"),
+    ("solve without the rounding floor's early stop", SOLVER,
+     "if floor > sc.tol:", "if False:",
+     "tests/test_solver.py::test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once"),
 )
 
 # a test run that takes longer than this counts as killing its mutant

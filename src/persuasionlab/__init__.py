@@ -32,6 +32,7 @@ from .sim import (
     clt_quantile_bound,
     estimate_discounted,
     estimate_renewal_average,
+    exact_played_value,
     nb_truncated_mean,
     random_duration_value_mc,
     renewal_stats,
@@ -84,6 +85,7 @@ __all__ = [
     "ergodic_frequency_se",
     "estimate_discounted",
     "estimate_renewal_average",
+    "exact_played_value",
     "full_reveal_closed_form",
     "interpolate",
     "kernel_from_split",

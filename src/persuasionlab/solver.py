@@ -49,6 +49,7 @@ HALF_WIDTHS_KEPT = 20
 ANDERSON_DEPTH = 3
 # the stage payoff touches its envelope at a belief where the two differ by at most this much
 ENVELOPE_TOUCH_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +218,9 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     so with d = Tf - f and c = discount / (1 - discount) the fixed point
     lies pointwise in [Tf + c min d, Tf + c max d] (Puterman 1994, section
     6.6). The sweep stops once half that interval's width,
-    c * (max d - min d) / 2, is at most tol, and returns its midpoint,
-    which is then within tol of the fixed point. The bounds hold whatever
+    c * (max d - min d) / 2, plus the rounding floor of its computation,
+    4 (1 + c) eps (max|Tf| + max|d|), is at most tol, and returns its
+    midpoint, which is then within tol of the fixed point. The bounds hold whatever
     f is. The first f is the full-disclosure value at the same discount
     (`full_reveal_closed_form`) less its minimum: the constant is the midpoint's to
     carry, and an iterate near zero keeps d's span from rounding away at c
@@ -231,7 +233,8 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     the chain's mixing rate rather than at the discount; the start and the
     combination cut the sweeps, and iterations still counts them. The
     result keeps the half-widths of the last HALF_WIDTHS_KEPT sweeps.
-    Raises NoConvergence at the sweep cap.
+    Raises NoConvergence at the sweep cap, and at once in a sweep whose
+    floor alone exceeds tol, which no sweep can certify.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -248,12 +251,17 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         bound = 0.5 * c * (hi - lo)
+        # bound is formed from rounded values; max|Tf| + max|d| bounds max|f| as well
+        floor = 4.0 * (1.0 + c) * _EPS * (float(np.abs(new).max()) + max(hi, -lo))
+        if floor > sc.tol:
+            raise NoConvergence(f"the certificate's rounding floor {floor:.3e} is above tol {sc.tol:.3e} at "
+                                f"discount {lam}, so no sweep can certify it")
         if half_widths and not bound < half_widths[-1]:
             images.clear()
             residuals.clear()
             restarted = True
         half_widths.append(bound)
-        if bound <= sc.tol:
+        if bound + floor <= sc.tol:
             f = new + 0.5 * c * (lo + hi)
             break
         images.append(new)

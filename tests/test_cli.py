@@ -93,6 +93,12 @@ def test_two_state_solve_and_verify_load_no_lazy_scipy_subpackage():
     assert loaded_after(["solve", "--scenario", tent], ["verify", "--which", "thm2", "--scenario", tent]) == [[0, 0], []]
 
 
+def test_two_state_simulate_loads_no_lazy_scipy_subpackage():
+    tent = ["--scenario", "scenarios/tent.json", "--samples", "50"]
+    assert loaded_after(["simulate", "--strategy", "optimal", *tent],
+                        ["simulate", "--strategy", "sigma_star", *tent]) == [[0, 0], []]
+
+
 def test_a_three_state_solve_loads_scipy_spatial_for_its_hull():
     codes, loaded = loaded_after(["solve", "--scenario", "scenarios/kink3.json"])
     assert codes == [0]

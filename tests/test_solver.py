@@ -562,8 +562,8 @@ def rate_one_sweep(f, stage, lam, sc):
 def accelerated(step, sc, zero_start=False):
     """solve's iteration written out for one Bellman step on value arrays: the certified midpoint and the trail.
 
-    It starts at the full-disclosure value less its minimum. Each sweep's half-width is checked
-    against tol first; otherwise the next iterate is the type-II Anderson combination of the last 3
+    It starts at the full-disclosure value less its minimum. Each sweep's half-width, plus the
+    rounding floor 4 (1 + c) eps (max|Tf| + max|d|), is checked against tol first; otherwise the next iterate is the type-II Anderson combination of the last 3
     sweeps, each residual less its mean, or the sweep itself where that combination cannot be formed.
     A half-width that did not shrink drops the earlier sweeps, and the iterates after it are plain
     sweeps until 3 are kept again. zero_start=True writes out the iteration solve made before: from
@@ -581,10 +581,11 @@ def accelerated(step, sc, zero_start=False):
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         width = 0.5 * c * (hi - lo)
+        floor = 4.0 * (1.0 + c) * EPS * (float(np.abs(new).max()) + max(hi, -lo))
         if trail and not width < trail[-1]:
             images, residuals, restarted = [], [], True
         trail.append(width)
-        if width <= sc.tol:
+        if width + floor <= sc.tol:
             return new + 0.5 * c * (lo + hi), trail
         images, residuals = (images + [new])[-3:], (residuals + [d - d.mean()])[-3:]
         f = new
@@ -723,6 +724,22 @@ def test_no_convergence_at_sweep_cap(scenario, monkeypatch):
     monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence):
         solve(scenario("tent", discount=0.9, reveal_rate=0.5), "reveal")
+
+
+def test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once():
+    # at 1 - 1e-7 the certificate's own rounding, 4 (1 + c) eps max|f| with c = 1e7, is about 9e-9 on
+    # periodic's values of size 1, above the default tol: no sweep can certify it, and solve says so in
+    # its first sweep rather than sweeping to the cap (about 10 s)
+    sc = bundled("periodic", discount=1.0 - 1e-7)
+    with pytest.raises(NoConvergence, match=r"rounding floor \d\.\d{3}e-09 is above tol 1\.000e-09"):
+        solve(sc, "no_reveal")
+    # one decade less patient the floor, about 8.9e-10 on values of size 1, fits under tol, and the stop
+    # passes over the third sweep, whose half-width is under tol but leaves no room for the floor
+    res = solve(replace(sc, discount=1.0 - 1e-6), "no_reveal")
+    floor = 4.0 * (1.0 + 1e6) * EPS
+    assert res.half_widths[2] <= sc.tol < res.half_widths[2] + floor
+    assert res.iterations > 3
+    assert res.residual + floor <= sc.tol
 
 
 def test_mode_and_rate_guards(scenario):

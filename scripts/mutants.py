@@ -26,7 +26,9 @@ import time
 from pathlib import Path
 
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
-SIM, SOLVER, SIM_TESTS = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "tests/test_sim.py"
+SIM, SOLVER, CLI = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "src/persuasionlab/cli.py"
+SIM_TESTS, CLI_TESTS = "tests/test_sim.py", "tests/test_cli.py"
+FAILS_ON = f"{CLI_TESTS}::test_every_verify_suite_fails_on_what_it_reads"
 
 # (name, file, exact old text, new text, killing test node)
 MUTANTS = (
@@ -52,6 +54,21 @@ MUTANTS = (
     ("solve without the rounding floor's early stop", SOLVER,
      "if floor > sc.tol:", "if False:",
      "tests/test_solver.py::test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once"),
+    ("facts oracle's tail starts at n, not n + 1", CLI,
+     "tails = np.asarray(ns) + 1", "tails = np.asarray(ns)",
+     f"{CLI_TESTS}::test_every_verify_suite_passes_on_bundled_scenarios[facts-tent]"),
+    ("facts verdict skips its last row", CLI,
+     "return all(row[2] == 0 for row in table.rows)", "return all(row[2] == 0 for row in table.rows[:-1])",
+     f"{FAILS_ON}[facts-occupation]"),
+    ("monotone_x reads the prior's column only", CLI,
+     "np.all(values[1:] <= values[:-1] + _MONOTONE_SLACK)", "np.all(values[1:, 0] <= values[:-1, 0] + _MONOTONE_SLACK)",
+     f"{FAILS_ON}[monotone_x-reboots]"),
+    ("thm1 without its monotone clause", CLI,
+     "passed &= all(gaps[i + 1] <= gaps[i] + _MONOTONE_SLACK for i in range(len(gaps) - 1))", "",
+     f"{FAILS_ON}[thm1-rising_gap]"),
+    ("reboot to the current state's row node", SIM,
+     "states.reshape(-1)[starts - 1]", "states.reshape(-1)[starts]",
+     f"{SIM_TESTS}::test_lock_step_engine_matches_scalar_reference[tent-optimal-None]"),
 )
 
 # a test run that takes longer than this counts as killing its mutant

@@ -827,8 +827,8 @@ def clt_quantile_bound(eps: float, rate: float) -> tuple[float, bool]:
         raise RateBoundary(f"rate must lie in (0, 1], got {rate}")
     if rate == 1.0:
         return 0.0, True
-    from scipy.stats import norm  # imported here: scipy.stats dominates the package import
+    from statistics import NormalDist  # imported here: a module-level import would add to the package import
 
     var = rate * (1.0 - rate)
-    z = math.sqrt(var) * float(norm.ppf(1.0 - eps / 2.0))
+    z = math.sqrt(var) * NormalDist().inv_cdf(1.0 - eps / 2.0)
     return z, z * eps <= math.sqrt(2.0 / var) * math.sqrt(eps)

@@ -61,7 +61,7 @@ def parse_csv(path):
 # ---------------------------------------------------------------------------
 # what a command imports
 
-# scipy subpackages the package imports only where a command needs them
+# scipy subpackages the package imports only where a command needs them (scipy.stats: never)
 LAZY = ("scipy.sparse", "scipy.spatial", "scipy.stats")
 
 LOADED_AFTER = """
@@ -90,7 +90,8 @@ def test_the_package_import_loads_no_lazy_scipy_subpackage():
 
 def test_two_state_solve_and_verify_load_no_lazy_scipy_subpackage():
     tent = "scenarios/tent.json"
-    assert loaded_after(["solve", "--scenario", tent], ["verify", "--which", "thm2", "--scenario", tent]) == [[0, 0], []]
+    assert loaded_after(["solve", "--scenario", tent], ["verify", "--which", "thm2", "--scenario", tent],
+                        ["verify", "--which", "facts", "--scenario", tent]) == [[0, 0, 0], []]
 
 
 def test_two_state_simulate_loads_no_lazy_scipy_subpackage():
@@ -510,7 +511,7 @@ def test_verify_lemma1_builds_each_envelope_once(tmp_path, monkeypatch, name):
     assert len(built) == len(set(built))
 
 
-SUITES = ["thm1", "thm2", "monotone_x", "disint", "lemma1", "obs1"]
+SUITES = sorted(cli._VERIFIERS)
 BUNDLED = ["tent", "parabola", "receiver", "cycle3", "kink3", "periodic", "slow"]
 
 # Pairs whose suite reports fail where its claim holds, with the ROADMAP item that mends each. The one map
@@ -554,10 +555,7 @@ def verdict_from_table(which, meta, header, rows):
     return "pass" if ok else "fail"
 
 
-# `facts` checks tail formulas that read only the chain and the rate; it takes
-# several seconds per scenario, so it runs on one k=2 and one k=3 scenario.
-@pytest.mark.parametrize("which, name", [(which, name) for which in SUITES for name in BUNDLED]
-                         + [("facts", "tent"), ("facts", "cycle3")])
+@pytest.mark.parametrize("which, name", [(which, name) for which in SUITES for name in BUNDLED])
 @pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
 def test_every_verify_suite_passes_on_bundled_scenarios(tmp_path, which, name):
     path = ROOT / "scenarios" / f"{name}.json"
@@ -619,8 +617,8 @@ def shift_duration_mean(monkeypatch):
 
 
 def offset_direct_tail_mean(monkeypatch):
-    direct = cli._nb_conditional_mean_direct
-    monkeypatch.setattr(cli, "_nb_conditional_mean_direct", lambda r, rate, n: direct(r, rate, n) + 1e-6)
+    direct = cli._nb_tail_means
+    monkeypatch.setattr(cli, "_nb_tail_means", lambda r, rate, ns: direct(r, rate, ns) + 1e-6)
 
 
 def deny_quantile_bound(monkeypatch):
@@ -977,18 +975,14 @@ def hard_chain(family: str, k: int, edges) -> list[list[float]]:
     return (cycle / cycle.sum(axis=1, keepdims=True)).tolist()
 
 
-# facts plays a million stages (about 1 s): to keep the test near 10 s the drawn examples never run it,
-# and the explicit one (slow_suites) does
 @settings(max_examples=5, deadline=None)
 @given(family=st.sampled_from(["cyclic", "slow", "sparse"]), k=st.sampled_from([2, 3]),
        edges=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(0.05, 1.0)), min_size=1, max_size=3),
        resolution=st.integers(1, 12), table=st.lists(st.floats(0.0, 1.0), min_size=91, max_size=91),
-       discount=st.sampled_from([0.5, 0.9, 0.99]), rate=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
-       slow_suites=st.just(False))
+       discount=st.sampled_from([0.5, 0.9, 0.99]), rate=st.sampled_from([0.0, 0.2, 0.5, 1.0]))
 @example(family="slow", k=3, edges=[], resolution=4, table=[0.3 * (i % 4) for i in range(91)], discount=0.9,
-         rate=0.5, slow_suites=True)
-def test_hard_chains_exit_cleanly_from_every_command(family, k, edges, resolution, table, discount, rate,
-                                                     slow_suites):
+         rate=0.5)
+def test_hard_chains_exit_cleanly_from_every_command(family, k, edges, resolution, table, discount, rate):
     # periodic, slowly mixing and sparse chains through every command: a verdict may fail (exit 1, verify
     # only), the input may be refused (2) or the numerics give up (3), but nothing crashes (4) or
     # prints a traceback
@@ -996,9 +990,8 @@ def test_hard_chains_exit_cleanly_from_every_command(family, k, edges, resolutio
     doc = tent_doc(resolution=resolution, transition=hard_chain(family, k, edges), x=rate,
                    payoff={"type": "table", "values": table[:points]})
     doc["lambda"] = discount
-    suites = SUITES + ["facts"] * slow_suites
     strategies = ("null", "full", "optimal", "sigma_star", "couple:0.9")
-    runs = ([["solve", "--mode", mode] for mode in cli.MODES] + [["verify", "--which", which] for which in suites]
+    runs = ([["solve", "--mode", mode] for mode in cli.MODES] + [["verify", "--which", which] for which in SUITES]
             + [["simulate", "--strategy", name, "--samples", "4"] for name in strategies])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hard.json"

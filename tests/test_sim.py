@@ -49,7 +49,7 @@ from persuasionlab.errors import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import sim
+from persuasionlab import cli, sim
 from persuasionlab.belief import bayes_update, make_grid, validate_belief
 from persuasionlab.chain import cum_rows, scan_states
 from persuasionlab.sim import _Engine, discount_horizon, replication_rng, state_reveal_path
@@ -126,6 +126,18 @@ def test_nb_memorylessness_exact(rate, n):
 def test_nb_matches_pmf_summation(r, rate, n):
     want = nb_conditional_mean_oracle(r, rate, n)
     assert nb_truncated_mean(r, rate, n) == pytest.approx(want, abs=1e-9)
+
+
+def test_verify_facts_oracle_matches_pmf_summation():
+    # check 0 of `verify --which facts` reads cli's closed-form pmf table; scipy's pmf is the external reference
+    ns = range(0, 51)
+    for r in range(1, 11):
+        for xi in range(1, 10):
+            rate = 0.1 * xi
+            want = [nb_conditional_mean_oracle(r, rate, n) for n in ns]
+            np.testing.assert_allclose(cli._nb_tail_means(r, rate, ns), want, rtol=0.0, atol=1e-12)
+    with pytest.raises(DegenerateTail):
+        cli._nb_tail_means(1, 0.999, range(151))
 
 
 def test_nb_guards():

@@ -51,6 +51,12 @@ MUTANTS = (
     ("exact value without the reboot term", SIM,
      "-lam * x * p[:, None] * engine.post[node, sig]", "0.0 * p[:, None] * engine.post[node, sig]",
      f"{SIM_TESTS}::test_each_strategy_earns_its_exact_value"),
+    ("start kept by discount alone", SOLVER,
+     "key = sc.u, sc.discount", "key = sc.discount",
+     "tests/test_solver.py::test_two_payoffs_on_one_chain_and_grid_keep_separate_starts"),
+    ("start's kept reads served to every sweep", SOLVER,
+     "start.reads if it == 1 else None", "start.reads",
+     "tests/test_solver.py::test_solves_that_reuse_a_kept_start_equal_a_fresh_chains"),
     ("solve without the rounding floor's early stop", SOLVER,
      "if floor > sc.tol:", "if False:",
      "tests/test_solver.py::test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once"),

@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .belief import SPLIT_BARYCENTER_TOL, interpolate, make_grid
+from .belief import SPLIT_BARYCENTER_TOL, _vertex_sum, interpolate, make_grid
 from .chain import ergodic_frequency_se, validate_chain
 from .envelope import cav_grid, cav_values
 from .errors import (
@@ -237,8 +237,10 @@ def canonical_json(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+def config_hash(cfg: dict | str) -> str:
+    """sha256 of a config's canonical JSON, given as the config or as that string already made."""
+    text = cfg if isinstance(cfg, str) else canonical_json(cfg)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -342,12 +344,14 @@ def _verify_monotone_x(sc: Scenario, table: ResultTable) -> bool:
     discounts = (0.5, 0.9)
     rates = [round(0.1 * i, 10) for i in range(1, 11)]
     table.add_meta("monotone_slack", _MONOTONE_SLACK)
+    # the prior's cell, located once: every value at the prior reads it as `interpolate` would
+    prior_cell = sc.grid._cells(sc.prior[None])[:2]
     passed = True
     for lam in discounts:
         rows = []
         for x in rates:
             res = solve(replace(sc, discount=lam, reveal_rate=x), "reveal")
-            rows.append([interpolate(res.value, sc.prior), *res.row_values.tolist()])
+            rows.append([float(_vertex_sum(res.value.values, *prior_cell)[0]), *res.row_values.tolist()])
             table.add_row(lam, x, *rows[-1])
         values = np.array(rows)  # one column per belief: the prior, then each reboot row
         passed &= bool(np.all(values[1:] <= values[:-1] + _MONOTONE_SLACK))
@@ -633,11 +637,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         table, code = command(args, scenario_from_config(cfg))
-        # every header leads with the stamp: versions, the command, the scenario and its effective config
+        # every header leads with the stamp: versions, the command, the scenario and its effective config,
+        # serialized once and hashed as written
+        effective = canonical_json(cfg)
         table.meta = {"tool": f"persuasionlab {__version__}", "numpy": np.__version__,
                       "scipy": scipy.__version__, "command": f"{args.command} --{option} {getattr(args, option)}",
-                      "scenario_file": args.scenario, "scenario_sha256": config_hash(cfg),
-                      "effective": canonical_json(cfg), **table.meta}
+                      "scenario_file": args.scenario, "scenario_sha256": config_hash(effective),
+                      "effective": effective, **table.meta}
         if args.out is None:
             table.write(sys.stdout)
             sys.stdout.flush()

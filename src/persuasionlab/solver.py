@@ -19,7 +19,11 @@ interpolation operators, which depend only on the chain and the grid: the
 containing cells of the next beliefs and of the transition rows, applied by
 the in-order vertex sum that `interpolate` uses. They are built on first use
 and kept with the chain, one set per grid, so the solves of a discount or
-rate sweep over one scenario share them.
+rate sweep over one scenario share them. Beside them each set keeps the
+starts of the latest STARTS_KEPT (payoff, discount) pairs: the weighted
+stage payoff, the full-disclosure start and the start's two continuation
+reads, none of which depends on the mode or the rate, so the solves of one
+payoff at one discount build them once.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ MAX_SWEEPS = 100_000
 HALF_WIDTHS_KEPT = 20
 # solve takes each next iterate as the Anderson combination of at most this many of the last sweeps
 ANDERSON_DEPTH = 3
+# each chain and grid keep the starts of this many (payoff, discount) pairs, the latest used
+STARTS_KEPT = 8
 # the stage payoff touches its envelope at a belief where the two differ by at most this much
 ENVELOPE_TOUCH_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -116,12 +122,14 @@ class _Dynamics:
     (m, k) with each vertex column contiguous, so `_vertex_sum(f, *shift)` equals
     `grid.interp_matrix(points @ M) @ f` bit for bit. Only `_dynamics` builds them; their arrays
     are read-only, so the operators it keeps cannot be changed through one solve under another.
+    `starts` maps (payoff, discount) to its `_Start`, oldest used first; only `_start` fills it.
     """
 
     def __init__(self, chain, grid: BeliefGrid) -> None:
         self.shift = _cell_table(grid, grid.points @ chain.M)
         self.rows = _cell_table(grid, chain.M)
         self.grid = grid
+        self.starts = {}
 
 
 def _cell_table(grid: BeliefGrid, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,33 +149,71 @@ def _dynamics(sc: Scenario) -> _Dynamics:
     return kept[sc.grid]
 
 
+class _Start:
+    """What every solve of one payoff at one discount reads before its first sweep, in either mode and at any rate.
+
+    `stage` is the weighted stage payoff (1 - discount) u, whose envelope, once a rate-1 sweep
+    builds it, stays on it; `f` is the full-disclosure value at the discount less its minimum, the
+    first iterate; `reads` is f read at the next beliefs and at the transition rows through the
+    chain's operators, which the first sweep takes in place of reading f again. Every array is
+    read-only, so no solve can change the start of another.
+    """
+
+    def __init__(self, sc: Scenario, dyn: _Dynamics) -> None:
+        self.stage = GridFn(sc.grid, (1.0 - sc.discount) * sc.u.values)
+        f = full_reveal_closed_form(sc).values
+        self.f = f - f.min()
+        self.reads = _vertex_sum(self.f, *dyn.shift), _vertex_sum(self.f, *dyn.rows)
+        for arr in (self.f, *self.reads):
+            arr.setflags(write=False)
+
+
+def _start(sc: Scenario) -> _Start:
+    """The start of sc's payoff at sc's discount, built on first use and kept with the chain's operators.
+
+    Keyed by the payoff object and the discount; the STARTS_KEPT latest used are kept, the oldest
+    used dropped first.
+    """
+    dyn = _dynamics(sc)
+    key = sc.u, sc.discount
+    start = dyn.starts.pop(key, None) or _Start(sc, dyn)
+    dyn.starts[key] = start
+    if len(dyn.starts) > STARTS_KEPT:
+        del dyn.starts[next(iter(dyn.starts))]
+    return start
+
+
 def _target(cont: np.ndarray, stage: np.ndarray, lam: float, x: float) -> np.ndarray:
     """Pre-concavification objective: stage payoff plus the continuation read at the next beliefs."""
     return stage + lam * (1.0 - x) * cont
 
 
-def _sweep(f: np.ndarray, stage: GridFn, lam: float, x: float, dyn: _Dynamics) -> np.ndarray:
+def _sweep(f: np.ndarray, stage: GridFn, lam: float, x: float, dyn: _Dynamics,
+           reads: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """One Bellman step: the target's envelope plus, at rate x, the rebooted continuation.
 
     At rate 1 the continuation drops out of the target (lam * 0 * cont adds a signed zero, whose
     sign the rebooted continuation erases), so the target is `stage` itself and the envelope kept
-    with it serves every sweep of a solve.
+    with it serves every sweep of every solve that shares the stage. reads, when given, are f read
+    at the next beliefs and at the rows (a `_Start`'s), and stand in for reading f.
     """
+    shift, rows = reads or (None, None)
     if x == 1.0:
         target = stage
     else:
-        target = GridFn(dyn.grid, _target(_vertex_sum(f, *dyn.shift), stage.values, lam, x))
+        cont = _vertex_sum(f, *dyn.shift) if shift is None else shift
+        target = GridFn(dyn.grid, _target(cont, stage.values, lam, x))
     out = cav_values(target)
     if x > 0.0:
-        out = out + lam * x * (dyn.grid.points @ _vertex_sum(f, *dyn.rows))
+        out = out + lam * x * (dyn.grid.points @ (_vertex_sum(f, *dyn.rows) if rows is None else rows))
     return out
 
 
-def _operator(sc: Scenario, reveal: bool) -> tuple[GridFn, float, float]:
-    """Weighted stage payoff, discount and revelation rate of one regime's operator."""
+def _operator(sc: Scenario, reveal: bool) -> tuple[_Start, float, float]:
+    """The kept start (whose stage is the weighted stage payoff), discount and revelation rate of one regime's operator."""
     if reveal and sc.reveal_rate <= 0.0:
         raise ValueError("reveal mode needs a positive reveal_rate")
-    return GridFn(sc.grid, (1.0 - sc.discount) * sc.u.values), sc.discount, sc.reveal_rate if reveal else 0.0
+    return _start(sc), sc.discount, sc.reveal_rate if reveal else 0.0
 
 
 def _bellman(f: GridFn, sc: Scenario, reveal: bool) -> GridFn:
@@ -177,7 +223,8 @@ def _bellman(f: GridFn, sc: Scenario, reveal: bool) -> GridFn:
             f"continuation on a k={f.grid.k}, R={f.grid.resolution} grid, "
             f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}"
         )
-    return GridFn(sc.grid, _sweep(f.values, *_operator(sc, reveal), _dynamics(sc)))
+    start, lam, x = _operator(sc, reveal)
+    return GridFn(sc.grid, _sweep(f.values, start.stage, lam, x, _dynamics(sc)))
 
 
 def bellman_no_reveal(f: GridFn, sc: Scenario) -> GridFn:
@@ -224,7 +271,11 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     f is. The first f is the full-disclosure value at the same discount
     (`full_reveal_closed_form`) less its minimum: the constant is the midpoint's to
     carry, and an iterate near zero keeps d's span from rounding away at c
-    near 1e7; with one state this is the zero start. Each next f is the
+    near 1e7; with one state this is the zero start. That start, its two
+    continuation reads, which the first sweep takes, and the weighted stage
+    payoff are kept with the chain's operators per payoff and discount
+    (`_start`), so a solve in the other mode or at another rate reuses
+    them and returns the same bits as on a fresh chain. Each next f is the
     Anderson combination of the last ANDERSON_DEPTH sweeps Tf
     (`_anderson`), not Tf alone: a half-width that did not shrink drops the
     earlier sweeps, the next iterates are then plain sweeps until
@@ -238,16 +289,14 @@ def solve(sc: Scenario, mode: str) -> SolverResult:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    stage, lam, x = _operator(sc, mode == "reveal")
-    dyn = _dynamics(sc)
+    start, lam, x = _operator(sc, mode == "reveal")
+    stage, f, dyn = start.stage, start.f, _dynamics(sc)
     c = lam / (1.0 - lam)
-    f = full_reveal_closed_form(sc).values
-    f = f - f.min()
     half_widths = deque(maxlen=HALF_WIDTHS_KEPT)
     images, residuals = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
     restarted = False
     for it in range(1, MAX_SWEEPS + 1):
-        new = _sweep(f, stage, lam, x, dyn)
+        new = _sweep(f, stage, lam, x, dyn, start.reads if it == 1 else None)
         d = new - f
         lo, hi = float(d.min()), float(d.max())
         bound = 0.5 * c * (hi - lo)
@@ -292,7 +341,7 @@ def full_reveal_closed_form(sc: Scenario) -> GridFn:
     the transition rows, which solve (I - lam M) xi = (1 - lam) cav(u)(rows).
     cav(u) is the envelope kept with sc.u, and the rows are read through the
     chain's kept operators, which equal `interpolate(., M)` bit for bit.
-    `solve` starts from this value at its own discount.
+    `solve` starts from this value at its own discount, built once per payoff and discount (`_start`).
     """
     lam, cavu = sc.discount, cav_values(sc.u)
     try:

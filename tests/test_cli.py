@@ -310,6 +310,29 @@ def test_solve_writes_reproducible_table(tmp_path):
     assert np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12))
 
 
+def test_one_command_serializes_its_config_once(tmp_path, monkeypatch):
+    path = write_doc(tmp_path, tent_doc())
+    made, canonical = [], cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda cfg: made.append(cfg) or canonical(cfg))
+    out = tmp_path / "solve.csv"
+    assert cli.main(["solve", "--scenario", path, "--out", str(out)]) == cli.EXIT_PASS
+    assert len(made) == 1
+    meta, _, _ = parse_csv(out)
+    assert meta["effective"] == canonical(made[0])
+    assert meta["scenario_sha256"] == cli.config_hash(made[0]) == cli.config_hash(meta["effective"])
+
+
+def test_monotone_x_reads_the_prior_as_interpolate_does(tmp_path):
+    cfg = cli.effective_config(tent_doc(prior=[0.337, 0.663]))
+    sc = cli.scenario_from_config(cfg)
+    table = cli.ResultTable(cli._VERIFIERS["monotone_x"][1](sc.chain.k))
+    cli._verify_monotone_x(sc, table)
+    assert len(table.rows) == 20
+    for lam, x, at_prior, *_ in table.rows:
+        want = interpolate(solve(replace(sc, discount=lam, reveal_rate=x), "reveal").value, sc.prior)
+        assert type(at_prior) is float and at_prior == want
+
+
 def test_solve_mode_and_overrides(tmp_path, capsys):
     path = write_doc(tmp_path, tent_doc())
     code = cli.main(["solve", "--scenario", path, "--mode", "no_reveal",

@@ -477,7 +477,9 @@ def test_replaced_scenarios_share_the_chains_operators(k, monkeypatch):
     sc = fresh_scenario(k)
     dyn = solver._dynamics(sc)
     seen, sweep = [], solver._sweep
-    monkeypatch.setattr(solver, "_sweep", lambda *args: seen.append(args[-1]) or sweep(*args))
+    # a solve's first sweep also takes its start's reads, after dyn
+    monkeypatch.setattr(solver, "_sweep", lambda f, stage, lam, x, dyn, *reads:
+                        seen.append(dyn) or sweep(f, stage, lam, x, dyn, *reads))
     built = []
     monkeypatch.setattr(solver, "_Dynamics", lambda *args: built.append(args))
     others = [replace(sc, discount=0.5), replace(sc, reveal_rate=0.2),
@@ -551,6 +553,111 @@ def test_a_warm_chain_solves_as_a_fresh_one(k, mode):
     assert (a.iterations, a.residual, a.half_widths) == (b.iterations, b.residual, b.half_widths)
 
 
+# ---------------------------------------------------------------------------
+# starts kept with the chain's operators, per payoff and discount
+
+
+def assert_same_result(got, want):
+    """Every SolverResult field equal, bit for bit."""
+    for a, b in ((got.value.values, want.value.values), (got.target.values, want.target.values),
+                 (got.row_values, want.row_values)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert (got.iterations, got.residual, got.half_widths) == (want.iterations, want.residual, want.half_widths)
+
+
+# (mode, discount, rate): both modes, rates x and 1, and at 0.99 the multi-sweep solves on the tent (k = 2)
+KEPT_START_SOLVES = [("no_reveal", 0.9, 0.5), ("reveal", 0.9, 0.5), ("reveal", 0.9, 1.0),
+                     ("reveal", 0.99, 0.5), ("no_reveal", 0.99, 0.5), ("reveal", 0.99, 1.0), ("reveal", 0.9, 0.2)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solves_that_reuse_a_kept_start_equal_a_fresh_chains(k):
+    warm = fresh_scenario(k)
+    firsts, multi_sweep = set(), 0
+    for mode, lam, x in KEPT_START_SOLVES:
+        sc = replace(warm, discount=lam, reveal_rate=x)
+        got = solve(sc, mode)
+        hit = lam in firsts
+        firsts.add(lam)
+        cold = replace(sc, chain=validate_chain(sc.chain.M))
+        assert_same_result(got, solve(cold, mode))
+        # and the same solve again on the warm chain, whose start is now kept
+        assert_same_result(solve(sc, mode), got)
+        # each is the iteration written out, whose every sweep reads its own iterate
+        op = bellman_reveal if mode == "reveal" else bellman_no_reveal
+        want, trail = accelerated(lambda f: op(GridFn(sc.grid, f), sc).values, sc)
+        assert np.array_equal(got.value.values, want) and got.half_widths == tuple(trail)
+        multi_sweep += hit and got.iterations > 1
+    assert multi_sweep >= 3
+    assert [key for key in solver._dynamics(warm).starts] == [(warm.u, 0.99), (warm.u, 0.9)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_closed_form_runs_once_per_payoff_and_discount(k, monkeypatch):
+    sc = fresh_scenario(k)
+    calls, closed_form = [], solver.full_reveal_closed_form
+    monkeypatch.setattr(solver, "full_reveal_closed_form",
+                        lambda other: calls.append((other.u, other.discount)) or closed_form(other))
+    for mode, lam, x in KEPT_START_SOLVES:
+        solve(replace(sc, discount=lam, reveal_rate=x), mode)
+    bellman_no_reveal(sc.u, sc)
+    bellman_reveal(sc.u, sc)
+    row_average_value(0.99, sc)
+    assert calls == [(sc.u, 0.9), (sc.u, 0.99)]
+    # the operators share the kept stage with the solves
+    start = solver._start(sc)
+    assert solver._operator(sc, True)[0] is start and solver._operator(sc, False)[0] is start
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_two_payoffs_on_one_chain_and_grid_keep_separate_starts(k):
+    sc = fresh_scenario(k)
+    other = replace(sc, u=GridFn(sc.grid, 0.5 + 0.25 * sc.grid.points[:, 0]))
+    a, b = solve(sc, "reveal"), solve(other, "reveal")
+    starts = solver._dynamics(sc).starts
+    assert list(starts) == [(sc.u, 0.9), (other.u, 0.9)]
+    assert starts[sc.u, 0.9] is not starts[other.u, 0.9]
+    assert_same_result(b, solve(replace(other, chain=validate_chain(sc.chain.M)), "reveal"))
+    assert_same_result(solve(sc, "no_reveal"), solve(replace(sc, chain=validate_chain(sc.chain.M)), "no_reveal"))
+    assert_same_result(solve(sc, "reveal"), a)
+
+
+def test_the_kept_starts_stay_within_their_bound():
+    sc = fresh_scenario(2)
+    starts = solver._dynamics(sc).starts
+    discounts = [round(0.05 * i, 2) for i in range(1, solver.STARTS_KEPT + 4)]
+    for i, lam in enumerate(discounts):
+        solve(replace(sc, discount=lam), "no_reveal")
+        assert len(starts) == min(i + 1, solver.STARTS_KEPT)
+    assert [key[1] for key in starts] == discounts[-solver.STARTS_KEPT:]
+    # a reused start becomes the latest used, and the oldest used is dropped first
+    oldest = discounts[-solver.STARTS_KEPT]
+    kept = starts[sc.u, oldest]
+    solve(replace(sc, discount=oldest), "reveal")
+    solve(replace(sc, discount=0.99), "reveal")
+    assert len(starts) == solver.STARTS_KEPT
+    assert [key[1] for key in starts][-2:] == [oldest, 0.99]
+    assert starts[sc.u, oldest] is kept and (sc.u, discounts[-solver.STARTS_KEPT + 1]) not in starts
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kept_starts_are_read_only(k):
+    sc = fresh_scenario(k)
+    for x in (0.5, 1.0):
+        solve(replace(sc, reveal_rate=x), "reveal")
+    (start,) = solver._dynamics(sc).starts.values()
+    v1 = full_reveal_closed_form(sc).values
+    assert np.array_equal(start.f, v1 - v1.min())
+    assert np.array_equal(start.stage.values, (1.0 - sc.discount) * sc.u.values)
+    assert [read.shape for read in start.reads] == [(sc.grid.n,), (k,)]
+    # the rate-1 solve left the stage's envelope on the kept stage
+    assert "_envelope" in vars(start.stage)
+    for arr in (start.stage.values, start.f, *start.reads, cav_values(start.stage)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def rate_one_sweep(f, stage, lam, sc):
     """One Bellman step at rate 1, written out: a fresh target stage + lam * 0 * cont and its own envelope."""
     grid, M = sc.grid, sc.chain.M
@@ -603,7 +710,8 @@ def accelerated(step, sc, zero_start=False):
 @pytest.mark.parametrize("k", [2, 3])
 def test_a_rate_one_solve_builds_two_envelopes(k, monkeypatch):
     # at rate 1 the continuation drops out of the target, so every sweep concavifies the same function,
-    # the stage; the start reads u's envelope, which is kept with u, so a second solve builds only the stage's
+    # the stage; the start reads u's envelope, which is kept with u, and the stage is kept with the chain's
+    # operators along with its envelope, so a second solve builds none
     sc = replace(fresh_scenario(k), reveal_rate=1.0)
     lam = sc.discount
     want_cesaro = np.zeros(sc.grid.n)
@@ -616,7 +724,7 @@ def test_a_rate_one_solve_builds_two_envelopes(k, monkeypatch):
     assert np.array_equal(built[1].values, (1.0 - lam) * sc.u.values)
     built.clear()
     again = solve(sc, "reveal")
-    assert len(built) == 1 and np.array_equal(built[0].values, (1.0 - lam) * sc.u.values)
+    assert built == []
     assert np.array_equal(again.value.values, res.value.values)
     # the start is the fixed point up to rounding, so the first sweep certifies
     want, trail = accelerated(lambda f: rate_one_sweep(f, (1.0 - lam) * sc.u.values, lam, sc), sc)

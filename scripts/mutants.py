@@ -27,7 +27,8 @@ from pathlib import Path
 
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 SIM, SOLVER, CLI = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "src/persuasionlab/cli.py"
-SIM_TESTS, CLI_TESTS = "tests/test_sim.py", "tests/test_cli.py"
+BELIEF = "src/persuasionlab/belief.py"
+SIM_TESTS, CLI_TESTS, BELIEF_TESTS = "tests/test_sim.py", "tests/test_cli.py", "tests/test_belief.py"
 FAILS_ON = f"{CLI_TESTS}::test_every_verify_suite_fails_on_what_it_reads"
 
 # (name, file, exact old text, new text, killing test node)
@@ -75,6 +76,16 @@ MUTANTS = (
     ("reboot to the current state's row node", SIM,
      "states.reshape(-1)[starts - 1]", "states.reshape(-1)[starts]",
      f"{SIM_TESTS}::test_lock_step_engine_matches_scalar_reference[tent-optimal-None]"),
+    ("locator's ties resolved toward the earlier axis", BELIEF,
+     'order = d - 1 - np.argsort(-frac[:, ::-1], axis=1, kind="stable")', 'order = np.argsort(-frac, axis=1, kind="stable")',
+     f"{BELIEF_TESTS}::test_the_cell_locator_matches_the_reference_bit_for_bit"),
+    ("stacked operator table split one row off", SOLVER,
+     "self.rows = tuple(_read_only(arr[grid.n :]) for arr in cells)",
+     "self.rows = tuple(_read_only(arr[grid.n + 1 :]) for arr in cells)",
+     "tests/test_solver.py::test_kept_operators_equal_a_fresh_build_and_are_read_only"),
+    ("grid-point cells with the weight in the last slot", BELIEF,
+     "w[:, 0] = 1.0", "w[:, -1] = 1.0",
+     f"{BELIEF_TESTS}::test_the_grid_points_own_cells_are_where_the_locator_puts_them"),
 )
 
 # a test run that takes longer than this counts as killing its mutant

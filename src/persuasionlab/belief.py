@@ -83,8 +83,11 @@ class BeliefGrid:
         The grid enumerates z lexicographically, so the points after a given one put more mass
         on some state i < k-1 and leave fewer than R - z_i units for the k-1-i states after it.
         """
-        beyond = self._pascal[np.arange(self.k - 2, -1, -1), self.resolution - z]
-        return self.n - 1 - beyond.sum(axis=-1)
+        d = self.k - 1
+        out = np.full(z.shape[:-1], self.n - 1, dtype=np.int64)
+        for j in range(d):  # one Pascal lookup per axis, each over the whole batch
+            out -= self._pascal[d - 1 - j][self.resolution - z[..., j]]
+        return out
 
     def index_of(self, counts):
         """Enumeration index of a lattice point given its counts (an int), or of each row of a batch."""
@@ -101,10 +104,16 @@ class BeliefGrid:
         Returns (m, k) grid indices and weights in vertex order, the extra slots of a cell with
         fewer than k vertices repeating its last vertex with weight 0, and the mask of real vertices.
         The weights are nonnegative, sum to one, and combine the vertices back to the query (up to
-        the lattice snapping tolerance).
+        the lattice snapping tolerance). Every step but the stable sort of the fractional parts and
+        the weights' row sum runs along the batch, one column at a time, so the cost of a call is a
+        fixed number of numpy calls per axis, whatever the batch size.
         """
         m, k, R = q.shape[0], self.k, self.resolution
-        z = np.cumsum(q * R, axis=1)[:, : k - 1]
+        d = k - 1
+        # cumulative coordinates, added column by column in the order np.cumsum adds them
+        z = q[:, :d] * R
+        for j in range(1, d):
+            z[:, j] += z[:, j - 1]
         nearest = np.rint(z)
         snap = np.abs(z - nearest) <= max(_SNAP, 4 * k * R * np.finfo(float).eps)
         base = np.where(snap, nearest, np.floor(z))
@@ -112,19 +121,33 @@ class BeliefGrid:
 
         # Descending fractional part; ties resolved toward the later axis so
         # every vertex keeps its cumulative coordinates nondecreasing.
-        order = k - 2 - np.argsort(-frac[:, ::-1], axis=1, kind="stable")
-        g = np.take_along_axis(frac, order, axis=1)
-        h = np.concatenate([np.ones((m, 1)), g, np.zeros((m, 1))], axis=1)
+        order = d - 1 - np.argsort(-frac[:, ::-1], axis=1, kind="stable")
+        flat = order + d * np.arange(m)[:, None]  # positions of the sorted fractions in frac.ravel()
+        h = np.empty((m, k + 1))
+        h[:, 0], h[:, k] = 1.0, 0.0
+        h[:, 1:k] = frac.ravel()[flat]
         real = h[:, :-1] > 0.0
         weights = np.maximum(h[:, :-1] - h[:, 1:], 0.0)
         weights /= weights.sum(axis=1, keepdims=True)
 
         # vertex t steps up every axis that comes before slot t in the order
-        stepped = (np.argsort(order, axis=1)[:, None, :] < np.arange(k)[:, None]) & (frac[:, None, :] > 0.0)
+        slot = np.empty_like(order)
+        slot.ravel()[flat] = np.arange(d)
+        stepped = (slot[:, None, :] < np.arange(k)[:, None]) & (frac[:, None, :] > 0.0)
         verts = np.clip(base, 0, R).astype(np.int64)[:, None, :] + stepped
         if (verts[:, :, 1:] < verts[:, :, :-1]).any() or (verts > R).any():
             raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
         return self._rank(verts), weights, real
+
+    def _point_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid points' own cells, as `_cells(points)[:2]` gives them: index i in every slot, weights (1, 0, ...).
+
+        Built on each call and kept by none, neither located nor validated; each column is contiguous.
+        """
+        idx = np.broadcast_to(np.arange(self.n)[:, None], (self.n, self.k))
+        w = np.zeros((self.n, self.k), order="F")
+        w[:, 0] = 1.0
+        return idx, w
 
     @cached_property
     def _corners(self) -> np.ndarray:

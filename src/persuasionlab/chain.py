@@ -7,10 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import BELIEF_SUM_TOL
 from .errors import NotIrreducible, NotStochastic, SingularSystem
 
-# Row sums may drift by this much before the matrix is rejected.
-ROW_SUM_TOL = 1e-9
+# Row sums may drift, and entries leave [0, 1], by this much before the matrix is rejected: half the
+# belief tolerance, so that after the entries are clipped into [0, 1] (which moves a row sum by at most
+# k times this) every row, and every rounded next belief points @ M of a grid, is still a belief.
+ROW_SUM_TOL = BELIEF_SUM_TOL / 2
 # Entries below this are treated as structural zeros for irreducibility.
 POSITIVITY_EPS = 1e-15
 # The stored stationary vector must satisfy pi @ M = pi to this accuracy.
@@ -52,7 +55,7 @@ def validate_chain(raw) -> Chain:
     row_err = np.abs(M.sum(axis=1) - 1.0)
     if np.any(row_err > ROW_SUM_TOL):
         bad = int(np.argmax(row_err))
-        raise NotStochastic(f"row {bad} sums to {M[bad].sum():.12g}, not 1")
+        raise NotStochastic(f"row {bad} sums to {M[bad].sum():.15g}, not 1")
 
     M = np.clip(M, 0.0, 1.0)
     reach = _reachable(M > POSITIVITY_EPS)

@@ -214,21 +214,28 @@ def cav_values(f: GridFn) -> np.ndarray:
 def cav_grid(f: GridFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`cav_splits` at every grid point: values (n,), atoms (n, k) and weights (n, k).
 
+    The grid points are read as their own cells (`BeliefGrid._point_cells`, what `_cells` locates
+    for them, built for this call) through the reader `cav_splits` uses, so the result equals
+    `cav_splits(f, f.grid.points)` bit for bit without locating or validating a point.
     `verify obs1` reads it to certify that these k-atom splits attain the envelope.
     """
-    return cav_splits(f, f.grid.points)
+    return _splits(f, f.grid.points, f.grid._point_cells())
 
 
-def _read(f: GridFn, q) -> tuple:
-    """Beliefs q as a validated (m, k) batch, f's envelope, its values and interpolated f at q, and q's cells.
-
-    `cav_at` and `cav_splits` both read through here, so each validates q and locates its cells once.
-    """
+def _located(f: GridFn, q) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Beliefs q as a validated (m, k) batch, and the (grid indices, weights) of their cells on f's grid."""
     q = np.atleast_2d(validate_belief(q, f.grid.k))
-    env = _envelope(f)
-    idx, w, _ = f.grid._cells(q)
-    fq = _vertex_sum(f.values, idx, w)
-    return q, env, env.at(q, fq), fq, idx, w
+    return q, f.grid._cells(q)[:2]
+
+
+def _read(f: GridFn, q: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope of f and interpolated f at each row of a validated (m, k) batch q, given q's cells.
+
+    `cav_at`, `cav_splits` and `cav_grid` read through here, so a batch read more than once (as
+    `check_no_info_at_concave_point` reads one batch on two functions) is located once.
+    """
+    fq = _vertex_sum(f.values, *cells)
+    return _envelope(f).at(q, fq), fq
 
 
 def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +245,7 @@ def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
     interpolated function. Each row depends on that row alone, never on the batch; at the grid
     points the values are `cav_values` bit for bit.
     """
-    return _read(f, q)[2:4]
+    return _read(f, *_located(f, q))
 
 
 def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,8 +255,14 @@ def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid point), a
     row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
-    q, env, values, fq, idx, w = _read(f, q)
-    atoms, weights = _packed(w > 0.0, idx, w)  # positive weights first, in vertex order
+    return _splits(f, *_located(f, q))
+
+
+def _splits(f: GridFn, q: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cav_splits` at a validated (m, k) batch q, given q's cells: the one split reader."""
+    values, fq = _read(f, q, cells)
+    atoms, weights = _packed(cells[1] > 0.0, *cells)  # positive weights first, in vertex order
+    env = _envelope(f)
     below = np.flatnonzero(fq < values - env.slack)
     if below.size:
         atoms[below], weights[below] = env.split(q[below], values[below])

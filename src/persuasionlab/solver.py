@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import BeliefGrid, GridFn, _vertex_sum, interpolate, validate_belief
-from .envelope import cav_at, cav_values
+from .envelope import _read, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -120,25 +120,26 @@ class _Dynamics:
     `shift` reads a grid function at every grid point's next belief (points @ M) and `rows` at
     each transition row. Each is the (grid indices, weights) pair of `BeliefGrid._cells`, both
     (m, k) with each vertex column contiguous, so `_vertex_sum(f, *shift)` equals
-    `grid.interp_matrix(points @ M) @ f` bit for bit. Only `_dynamics` builds them; their arrays
-    are read-only, so the operators it keeps cannot be changed through one solve under another.
-    `starts` maps (payoff, discount) to its `_Start`, oldest used first; only `_start` fills it.
+    `grid.interp_matrix(points @ M) @ f` bit for bit. Both come from one validated `_cells` call on
+    the stacked queries, whose rows are located each on its own, and are copied out of it; only
+    `_dynamics` builds them. Their arrays are read-only, so the operators it keeps cannot be
+    changed through one solve under another. `starts` maps (payoff, discount) to its `_Start`,
+    oldest used first; only `_start` fills it.
     """
 
     def __init__(self, chain, grid: BeliefGrid) -> None:
-        self.shift = _cell_table(grid, grid.points @ chain.M)
-        self.rows = _cell_table(grid, chain.M)
+        cells = grid._cells(validate_belief(np.vstack([grid.points @ chain.M, chain.M]), grid.k))[:2]
+        self.shift = tuple(_read_only(arr[: grid.n]) for arr in cells)
+        self.rows = tuple(_read_only(arr[grid.n :]) for arr in cells)
         self.grid = grid
         self.starts = {}
 
 
-def _cell_table(grid: BeliefGrid, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only, column-contiguous grid indices and weights of the queries' cells, validated as interp_matrix does."""
-    idx, w, _ = grid._cells(validate_belief(queries, grid.k))
-    table = np.asfortranarray(idx), np.asfortranarray(w)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of arr with each column contiguous."""
+    out = np.array(arr, order="F")
+    out.setflags(write=False)
+    return out
 
 
 def _dynamics(sc: Scenario) -> _Dynamics:
@@ -411,17 +412,25 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     row), and solved is solve(sc, "reveal"). Precondition: the stage payoff
     attains its envelope at every belief (within ENVELOPE_TOUCH_TOL), otherwise
     PreconditionFailed. The check asks whether the degenerate split attains
-    the stage optimum of the solved game within 2 * tol.
+    the stage optimum of the solved game within 2 * tol. The batch is located
+    once on sc's grid, and both envelope reads (of u and of the solved target)
+    take those cells, as `cav_at` would locate them for each.
     """
     q = validate_belief(p, sc.chain.k)
     batch = np.atleast_2d(q)
-    cav_u, u_at = cav_at(sc.u, batch)
+    if (solved.target.grid.k, solved.target.grid.resolution) != (sc.grid.k, sc.grid.resolution):
+        raise DimensionMismatch(
+            f"solved on a k={solved.target.grid.k}, R={solved.target.grid.resolution} grid, "
+            f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}"
+        )
+    cells = sc.grid._cells(batch)[:2]
+    cav_u, u_at = _read(sc.u, batch, cells)
     miss = np.abs(u_at - cav_u)
     if (miss > ENVELOPE_TOUCH_TOL).any():
         raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
     _, lam, x = _operator(sc, True)
     # revealing nothing at q earns the target read at q; the stage optimum is its envelope
-    best, _ = cav_at(solved.target, batch)
+    best, _ = _read(solved.target, batch, cells)
     degenerate = _target(interpolate(solved.value, batch @ sc.chain.M), (1.0 - lam) * u_at, lam, x)
     ok = degenerate >= best - 2.0 * sc.tol
     return bool(ok[0]) if q.ndim == 1 else ok

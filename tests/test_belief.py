@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persuasionlab
@@ -225,6 +225,95 @@ def test_interpolation_is_exact_at_the_points_of_a_near_cap_grid():
     f = GridFn(grid, rng.random(grid.n))
     at = rng.integers(0, grid.n, 20_000)
     assert interpolate(f, grid.points[at]).tobytes() == f.values[at].tobytes()
+
+
+def reference_rank(grid, z):
+    """`BeliefGrid._rank` as it was when it summed its Pascal lookups along the axis (reference)."""
+    beyond = grid._pascal[np.arange(grid.k - 2, -1, -1), grid.resolution - z]
+    return grid.n - 1 - beyond.sum(axis=-1)
+
+
+def reference_cells(grid, q):
+    """`BeliefGrid._cells` as it was with a cumsum, two argsorts and a concatenate along the axis (reference)."""
+    m, k, R = q.shape[0], grid.k, grid.resolution
+    z = np.cumsum(q * R, axis=1)[:, : k - 1]
+    nearest = np.rint(z)
+    snap = np.abs(z - nearest) <= max(belief._SNAP, 4 * k * R * np.finfo(float).eps)
+    base = np.where(snap, nearest, np.floor(z))
+    frac = np.where(snap, 0.0, z - base)
+    order = k - 2 - np.argsort(-frac[:, ::-1], axis=1, kind="stable")
+    g = np.take_along_axis(frac, order, axis=1)
+    h = np.concatenate([np.ones((m, 1)), g, np.zeros((m, 1))], axis=1)
+    real = h[:, :-1] > 0.0
+    weights = np.maximum(h[:, :-1] - h[:, 1:], 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    stepped = (np.argsort(order, axis=1)[:, None, :] < np.arange(k)[:, None]) & (frac[:, None, :] > 0.0)
+    verts = np.clip(base, 0, R).astype(np.int64)[:, None, :] + stepped
+    if (verts[:, :, 1:] < verts[:, :, :-1]).any() or (verts > R).any():
+        raise DimensionMismatch("query left the simplex lattice; belief too far off the simplex")
+    return reference_rank(grid, verts), weights, real
+
+
+def locator_queries(grid, rng, m):
+    """Random beliefs, grid points, beliefs with tied fractional parts and points near a lattice hyperplane.
+
+    Multiples of 1 / (4R) scale and add exactly when R is a power of two, so their cumulative
+    coordinates tie exactly at fractional parts 0.25, 0.5 and 0.75; moving up to 1e-9 / R of mass
+    off a grid point lands within the snap tolerance of its hyperplanes or just beyond it.
+    """
+    k, R = grid.k, grid.resolution
+    shares = rng.dirichlet(np.ones(k), m)
+    ties = rng.multinomial(4 * R, shares[0], m) / (4 * R)
+    a, b = rng.integers(0, grid.n, (2, m))
+    near = grid.points[a].copy()
+    src = np.argmax(near > 0.0, axis=1)  # a coordinate with mass to move
+    moved = 10.0 ** rng.uniform(-17, -9, m) / R * near[np.arange(m), src]
+    near[np.arange(m), src] -= moved
+    near[np.arange(m), rng.integers(0, k, m)] += moved
+    queries = np.vstack([shares, rng.dirichlet(np.full(k, 0.3), m), grid.points[a],
+                         (grid.points[a] + grid.points[b]) / 2, ties, near])
+    return validate_belief(queries, k)
+
+
+LOCATOR_GRIDS = [(1, 4), (1, 7), (2, 7), (2, 64), (3, 8), (3, 13), (4, 4), (4, 6), (5, 4), (5, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_size=st.sampled_from(LOCATOR_GRIDS), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(grid_size=(3, 8), m=30, seed=3)  # holds ties (see the next test), so a tie-order fault fails at once
+def test_the_cell_locator_matches_the_reference_bit_for_bit(grid_size, m, seed):
+    grid = make_grid(*grid_size)
+    q = locator_queries(grid, np.random.default_rng(seed), m)
+    for got, want in zip(grid._cells(q), reference_cells(grid, q), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_the_locator_queries_hold_exact_ties():
+    # the tie rows of a power-of-two grid repeat a positive fractional part exactly
+    grid = make_grid(3, 8)
+    q = locator_queries(grid, np.random.default_rng(3), 30)[4 * 30 : 5 * 30]
+    frac = np.cumsum(q * 8, axis=1)[:, :2] % 1.0
+    assert ((frac[:, 0] == frac[:, 1]) & (frac[:, 0] > 0.0)).sum() >= 3
+
+
+@pytest.mark.parametrize("q", [[1.55, -0.55], [0.5, 0.7, -0.2], [0.5, -0.3, 0.8], [0.1, 0.5, -0.4, 0.8]])
+def test_the_cell_locator_refuses_a_query_off_the_simplex(q):
+    grid = make_grid(len(q), 6)
+    for locate in (grid._cells, lambda batch: reference_cells(grid, batch)):
+        with pytest.raises(DimensionMismatch, match="off the simplex"):
+            locate(np.array([q]))
+
+
+@pytest.mark.parametrize("k, resolution", [(1, 5), (2, 200), (3, 12), (4, 6), (5, 4)])
+def test_the_grid_points_own_cells_are_where_the_locator_puts_them(k, resolution):
+    grid = make_grid(k, resolution)
+    cells = grid._point_cells()
+    for got, want in zip(cells, grid._cells(grid.points)[:2], strict=True):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert all(arr[:, j].flags.c_contiguous for arr in cells for j in range(k))
+    assert grid._point_cells()[1] is not cells[1]  # built on each call, kept by none
 
 
 def test_split_mean_and_size():

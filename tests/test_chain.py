@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import ergodic_frequency_se, sample_path, stationary, validate_chain
-from persuasionlab.chain import cum_rows, scan_states
+from persuasionlab import (GridFn, Scenario, ergodic_frequency_se, make_grid, sample_path, solve, solver,
+                           stationary, validate_chain)
+from persuasionlab.chain import ROW_SUM_TOL, cum_rows, scan_states
 from persuasionlab.errors import NotIrreducible, NotStochastic
 
 
@@ -49,6 +50,50 @@ def test_rejects_negative_entry():
 def test_rejects_non_square():
     with pytest.raises(NotStochastic):
         validate_chain(np.array([[0.5, 0.5]]))
+
+
+def near_stochastic(k, cycle, scale, rng):
+    """A stochastic matrix, cycle parts a k-cycle, with every entry moved by up to scale either way.
+
+    The cycle keeps the chain irreducible; at cycle = 1 the zeros off it turn slightly negative.
+    """
+    base = cycle * np.roll(np.eye(k), 1, axis=1) + (1.0 - cycle) * rng.dirichlet(np.ones(k), k)
+    return base + scale * rng.uniform(-1.0, 1.0, (k, k))
+
+
+def solves_on_its_chain(chain, rng):
+    """Build the chain's operators on a small grid and solve a random payoff there with revelations."""
+    grid = make_grid(chain.k, 20 if chain.k == 2 else 6)
+    sc = Scenario(chain=chain, u=GridFn(grid, rng.uniform(0.0, 1.0, grid.n)), discount=0.9, reveal_rate=0.5)
+    solver._dynamics(sc)
+    return solve(sc, "reveal")
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.sampled_from([2, 3]), cycle=st.sampled_from([0.0, 0.9, 1.0]), scale=st.floats(-16.0, -10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_matrix_the_chain_accepts_builds_its_operators_and_solves(k, cycle, scale, seed):
+    # neither NotBayesPlausible (a row or a next belief refused by validate_belief) nor SingularSystem
+    # (the stationary residual) may follow an accepted matrix
+    rng = np.random.default_rng(seed)
+    try:
+        chain = validate_chain(near_stochastic(k, cycle, 10.0**scale, rng))
+    except NotStochastic:
+        return
+    solves_on_its_chain(chain, rng)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rows_off_by_less_than_the_tolerance_are_accepted_and_solve(k):
+    rng = np.random.default_rng(k)
+    M = near_stochastic(k, 0.5, 0.0, rng)
+    M[:, 0] += 0.9 * ROW_SUM_TOL  # every row sum just inside the tolerance, above 1
+    solves_on_its_chain(validate_chain(M), rng)
+    M[:, 0] -= 1.8 * ROW_SUM_TOL  # and below it
+    solves_on_its_chain(validate_chain(M), rng)
+    M[0, 0] -= 0.2 * ROW_SUM_TOL
+    with pytest.raises(NotStochastic, match="row 0 sums to"):
+        validate_chain(M)
 
 
 def test_rejects_reducible():

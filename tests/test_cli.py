@@ -227,6 +227,19 @@ def test_a_config_prior_is_checked_by_the_scenario(tmp_path, capsys, prior, erro
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, row", [("tent", 0), ("cycle3", 1)])
+@pytest.mark.parametrize("excess", [3e-12, 5e-11, 5e-10])
+def test_a_transition_row_off_by_more_than_the_tolerance_exits_as_an_input_fault(tmp_path, capsys, name, row, excess):
+    # rows the chain once accepted and then refused as beliefs (exit 2) or a stationary residual (exit 3)
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    doc["transition"][row][-1] += excess
+    path = write_doc(tmp_path, doc)
+    for command in (["solve", "--mode", "reveal"], ["simulate", "--strategy", "optimal", "--samples", "10"],
+                    ["verify", "--which", "obs1"]):
+        assert cli.main([*command, "--scenario", path]) == cli.EXIT_INPUT
+        assert f"row {row} sums to 1.0000000" in capsys.readouterr().err
+
+
 def test_scenario_from_receiver_config():
     cfg = cli.effective_config({
         "version": 1,

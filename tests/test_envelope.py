@@ -1,5 +1,7 @@
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from persuasionlab import (GridFn, belief, cav_grid, cav_split_at, cav_splits, cav_values, envelope,
+from persuasionlab import (GridFn, belief, cav_grid, cli, cav_split_at, cav_splits, cav_values, envelope,
                           interpolate, make_grid, validate_split)
 from persuasionlab.belief import BeliefGrid
 from persuasionlab.errors import SingularSystem
@@ -497,6 +499,47 @@ def test_cav_splits_validates_and_locates_once(k, resolution, monkeypatch):
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert (want[0] > interpolate(f, q) + 1e-6).any()  # some rows lie below the envelope and split
+
+
+def kink3_payoff():
+    """The bundled kink3 scenario's stage payoff (k = 3, R = 12), whose envelope neither certificate names."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "kink3.json").read_text())
+    return cli.scenario_from_config(cli.effective_config(doc)).u
+
+
+def grid_split_table(k, kind):
+    """A k = 2 table (convex, concave or rough), a k = 3 one per envelope path, or a rough k = 4 one."""
+    if kind == "kink3":
+        return kink3_payoff()
+    grid = make_grid(k, {2: 60, 3: 10, 4: 5}[k])
+    if k == 3:
+        return certificate_table(kind, grid, 7)
+    bowl = (grid.points[:, 0] - 0.4) ** 2
+    rough = np.random.default_rng(k).uniform(0.0, 1.0, grid.n)
+    return GridFn(grid, {"convex": bowl, "concave": -bowl, "rough": rough}[kind])
+
+
+@pytest.mark.parametrize("k, kind", [(2, "convex"), (2, "concave"), (2, "rough"),
+                                     (3, "convex quadratic"), (3, "cell-concave quadratic"), (3, "kink3"),
+                                     (4, "rough")])
+def test_the_grid_split_reader_equals_the_general_one_without_locating(k, kind, monkeypatch):
+    f = grid_split_table(k, kind)
+    env = envelope._envelope(f)
+    if k == 3:  # each k = 3 table takes its own path: the certified plane, the grid's own cells, Qhull
+        assert (env.corners is not None, env.concave) == {"convex quadratic": (True, False),
+                                                          "cell-concave quadratic": (False, True),
+                                                          "kink3": (False, False)}[kind]
+    want = cav_splits(f, f.grid.points)
+    assert (want[2][:, 1] > 0.0).any() == ("concave" not in kind)  # grid points below the envelope split
+    located = []
+    monkeypatch.setattr(BeliefGrid, "_cells", lambda self, q: located.append(q))
+    monkeypatch.setattr(envelope, "validate_belief", lambda *args: located.append(args))
+    got = cav_grid(f)
+    assert located == []
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def certificate_table(kind, grid, seed):

@@ -460,6 +460,56 @@ def test_no_info_batch_rejects_a_row_off_the_envelope():
         check_no_info_at_concave_point(sc, q, solved=res)
 
 
+def bump_scenario():
+    """Three Gaussian bumps on the canonical k = 2 chain (R = 200): the envelope touches them in three arcs."""
+    grid = make_grid(2, 200)
+    q = grid.points[:, 1]
+    u = GridFn(grid, np.array([0.9, 1.0, 0.85]) @ np.exp(-0.5 * ((q - np.array([[0.2], [0.5], [0.8]])) / 0.09) ** 2))
+    return Scenario(chain=validate_chain(np.array([[0.7, 0.3], [0.4, 0.6]])), u=u, discount=0.9, reveal_rate=0.5)
+
+
+def two_location_no_info(sc, p, solved):
+    """`check_no_info_at_concave_point` reading both envelopes through `cav_at`, which locates the batch each time."""
+    batch = np.atleast_2d(p)
+    cav_u, u_at = cav_at(sc.u, batch)
+    if (np.abs(u_at - cav_u) > solver.ENVELOPE_TOUCH_TOL).any():
+        raise PreconditionFailed("off the envelope")
+    best, _ = cav_at(solved.target, batch)
+    cont = interpolate(solved.value, batch @ sc.chain.M)
+    return solver._target(cont, (1.0 - sc.discount) * u_at, sc.discount, sc.reveal_rate) >= best - 2.0 * sc.tol
+
+
+@pytest.mark.parametrize("name", ["bump", "kink3"])
+def test_the_no_info_check_locates_its_batch_once_and_reads_as_cav_at(name, monkeypatch):
+    sc = bump_scenario() if name == "bump" else bundled("kink3")
+    res = solve(sc, "reveal")
+    touching = np.flatnonzero(cav_values(sc.u) - sc.u.values <= 1e-9)
+    assert 0 < touching.size < sc.grid.n
+    # grid points and, between touching neighbours, off-grid beliefs on the envelope
+    q = sc.grid.points[touching]
+    q = np.vstack([q, 0.5 * (q[:-1] + q[1:])])
+    q = q[np.abs(cav_at(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
+    assert len(q) > touching.size
+    want = two_location_no_info(sc, q, res)
+    reads, located, read, cells = [], [], solver._read, type(sc.grid)._cells
+    monkeypatch.setattr(solver, "_read", lambda f, batch, c: reads.append(read(f, batch, c)) or reads[-1])
+    monkeypatch.setattr(type(sc.grid), "_cells", lambda grid, batch: located.append(len(batch)) or cells(grid, batch))
+    got = check_no_info_at_concave_point(sc, q, solved=res)
+    assert np.array_equal(got, want)
+    assert located == [len(q), len(q)]  # the batch once, and its next beliefs for the continuation
+    for (values, fq), f in zip(reads, (sc.u, res.target), strict=True):
+        for a, b in zip((values, fq), cav_at(f, q), strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_the_no_info_check_refuses_a_result_on_another_grid():
+    sc, _ = k3_touching_scenario(convex3)
+    coarse = make_grid(3, 3)
+    solved = solve(replace(sc, u=GridFn(coarse, convex3(coarse.points))), "reveal")
+    with pytest.raises(DimensionMismatch, match="R=3 grid"):
+        check_no_info_at_concave_point(sc, sc.grid.points[0], solved)
+
+
 # ---------------------------------------------------------------------------
 # dynamics operators kept with the chain
 

@@ -83,6 +83,9 @@ MUTANTS = (
      "self.rows = tuple(_read_only(arr[grid.n :]) for arr in cells)",
      "self.rows = tuple(_read_only(arr[grid.n + 1 :]) for arr in cells)",
      "tests/test_solver.py::test_kept_operators_equal_a_fresh_build_and_are_read_only"),
+    ("prefilled successors one image off", SIM,
+     "np.where(atom < 0, -1, first + atom)", "np.where(atom < 0, -1, first + 1 + atom)",
+     f"{SIM_TESTS}::test_a_prefilled_estimate_equals_a_lazily_filled_one[tent]"),
     ("grid-point cells with the weight in the last slot", BELIEF,
      "w[:, 0] = 1.0", "w[:, -1] = 1.0",
      f"{BELIEF_TESTS}::test_the_grid_points_own_cells_are_where_the_locator_puts_them"),

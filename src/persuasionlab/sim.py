@@ -16,11 +16,14 @@ coins off its uniforms alone. Every lane of a play runs the same horizon,
 and every estimate reads its streams in the stage layout alone: the
 random-duration game ends at the replication's own first revelation. A
 policy strategy splits at the exact belief onto grid points, so its nodes
-are the prior, the transition rows and images grid.points @ M. A chunk, an
-estimate's only batch, holds as many lanes as fit _PLAY_STAGES lane-stages
-over its whole horizon and seeds their streams in one call when it is reached
-(replication_rngs), bit for bit the SeedSequence definition above; each
-lane's generator fills its row in one call and is dropped before the play.
+are the prior, the transition rows and images grid.points @ M; an estimate
+builds all those images before its first play when the target grid has at
+most _PREFILL_POINTS points, and every other node when a walk first reaches
+it. A chunk, an estimate's only batch, holds as many lanes as fit
+_PLAY_STAGES lane-stages over its whole horizon and seeds their streams in
+one call when it is reached (replication_rngs), bit for bit the SeedSequence
+definition above; each lane's generator fills its row in one call and is
+dropped before the play.
 States and coins depend only on the uniforms, so a play gets them first:
 states by a prefix scan, then revelations and reboots. Each reboot sets the
 belief to a transition row and so starts a segment; the segments of a play
@@ -32,6 +35,7 @@ summation over the replication axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -102,20 +106,26 @@ def _seed_states(seed: int, reps: list[int]) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 the four uint64 words computed for it."""
+@functools.cache
+def _seed_state_type() -> type:
+    """The seed sequence class below, built on first use: it subclasses numpy.random's, which only a seeded stream loads."""
 
-    def __init__(self, state: np.ndarray) -> None:
-        self.state = state
+    class _SeedState(np.random.bit_generator.ISeedSequence):
+        """A seed sequence that hands PCG64 the four uint64 words computed for it."""
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds only the 4 uint64 words that seed PCG64")
-        return self.state
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the 4 uint64 words that seed PCG64")
+            return self.state
+
+    return _SeedState
 
 
-def _generator(state: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+def _generator(seed_state: np.random.bit_generator.ISeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed_state))
 
 
 def replication_rngs(seed: int, reps) -> Iterator[np.random.Generator]:
@@ -125,7 +135,8 @@ def replication_rngs(seed: int, reps) -> Iterator[np.random.Generator]:
     generator is built when the iterator reaches it. Raises ValueError for a
     negative seed or rep, as SeedSequence does.
     """
-    return map(_generator, _seed_states(int(seed), [int(r) for r in reps]))
+    states, seed_state = _seed_states(int(seed), [int(r) for r in reps]), _seed_state_type()
+    return (_generator(seed_state(state)) for state in states)
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -192,6 +203,10 @@ class EstimateResult:
     cap, steps the lock-step walk iterations over all chunks, and fills the
     batches of nodes built: the first holds the k row nodes and the start
     node at the scenario's prior, and each clear builds them again in one.
+    A policy on a target grid of at most _PREFILL_POINTS points builds its n
+    images in a second fill before its first play (k + 1 + n nodes, k + n
+    when the prior is a transition row); a later fill then only follows an
+    empty slot that rounding drew.
     """
 
     mean: float
@@ -340,15 +355,19 @@ class _Engine:
     The row nodes of the k transition rows hold ids 0..k-1, so a revealed
     state's id is its node; a play starts at the start node, the scenario's
     prior `sc.prior`, built in the same first fill (`_reset`).
-    Other nodes are appended when first reached, and a stage whose next
-    stage does not reboot follows the successor of (node, signal), filled
-    once by `_fill`: where the walk misses it, or ahead of any play when
-    `_close` fills the whole graph for `exact_played_value`. A strategy
-    whose `plays` is a GridFn is a policy; anything else is a kernel, played as `validate_kernel` returns it (`kernel`). A policy's
-    posteriors are grid points, so its payoffs come from `atom_pay`, the
-    scenario's payoff at each point of the target's grid: the payoff's own
-    table when the target shares its lattice, else the payoff interpolated
-    once at each point.
+    A stage whose next stage does not reboot follows the successor of
+    (node, signal), filled once: by `_prefill`, which builds every image
+    grid.points @ M of a policy's target grid in one second fill, for an
+    estimate on a grid of at most _PREFILL_POINTS points; else by `_fill`,
+    where the walk misses it, appending the nodes first reached, or ahead of
+    any play when `_close` fills the whole graph for `exact_played_value`.
+    A strategy whose `plays` is a GridFn is a policy; anything else is a
+    kernel, played as `validate_kernel` returns it (`kernel`). A policy's
+    posteriors are grid points, whose indices each node keeps per slot in
+    `atom` (-1 for an empty slot and for every slot of a kernel), so its
+    payoffs come from `atom_pay`, the scenario's payoff at each point of the
+    target's grid: the payoff's own table when the target shares its
+    lattice, else the payoff interpolated once at each point.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -402,7 +421,7 @@ class _Engine:
         k, w, size = self.sc.chain.k, self.width, self.size
         for name, shape, fill, dtype in (("cum", (k, w), np.inf, float), ("pay", (w,), 0.0, float),
                                          ("post", (w, k), 0.0, float), ("succ", (w,), -1, np.int64),
-                                         ("belief", (k,), 0.0, float)):
+                                         ("atom", (w,), -1, np.int64), ("belief", (k,), 0.0, float)):
             table = np.full((capacity, *shape), fill, dtype=dtype)
             if size:
                 table[:size] = getattr(self, name)[:size]
@@ -449,6 +468,7 @@ class _Engine:
             # the atoms are the posteriors, bit for bit, so every successor is a row of grid.points @ M
             post[:] = np.where(empty[..., None], beliefs[:, None], points)
             pay[:] = self.atom_pay[atoms]
+            self.atom[start:stop] = atoms
             gap = empty.any(axis=1)
             if gap.any():
                 pay[gap] = np.where(empty[gap], interpolate(self.sc.u, beliefs[gap])[:, None], pay[gap])
@@ -466,6 +486,19 @@ class _Engine:
         fresh = self._intern(beliefs)
         self.succ[src, sig] = fresh
         return fresh[inverse]
+
+    def _prefill(self) -> None:
+        """Builds the images points[a] @ M of the target grid's points in one fill, and every successor.
+
+        Called on a table that holds only the first fill. The posterior of (node, signal) is grid point
+        atom[node, signal] bit for bit, and these images are the same stacked (1, k) @ (k, k) products
+        `_fill` takes, so each successor is set in one assignment. The images get no index entry: only an
+        empty slot (atom -1), which rounding alone can draw, still misses, and `_fill` fills it.
+        """
+        first = self.size
+        self._build(np.matmul(self.strat.plays.grid.points[:, None, :], self.sc.chain.M)[:, 0])
+        atom = self.atom[: self.size]
+        self.succ[: self.size] = np.where(atom < 0, -1, first + atom)
 
     def _signal_probs(self, ids: np.ndarray) -> np.ndarray:
         """P(signal | node) for each node of ids: its belief times its kernel, read off the cumulative rows."""
@@ -569,6 +602,15 @@ class _Engine:
             nodes[:going_on] = nxt
 
 
+# The largest target grid whose images an estimate builds before its first play (`_Engine._prefill`). Sizes
+# swept on the benchmark's payoff families (300 discounted plays of the optimal policy and 20 renewal plays of
+# 2000 stages of sigma*, two seeds each, 2 cores) gave prefilled/lazy time ratios of 0.81-1.01 (median 0.88)
+# on k = 2 grids of 51 to 401 points and 0.85-0.93 on smooth k = 3 payoffs of 45 to 351, but 1.03-1.07 on
+# piecewise-linear k = 3 payoffs of 91 to 231 points and 1.14-1.18 at 861: k = 2's default 201 points are in,
+# k = 3's 861 out.
+_PREFILL_POINTS = 256
+
+
 def _lanes(engine: _Engine, rate: float, seed: int, reps: int, horizon: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(stage payoffs, revelation coins) of each chunk of replications 0 .. reps-1: (chunk lanes, horizon) each.
 
@@ -597,6 +639,8 @@ def _estimate(sc: Scenario, strat: Strategy, rate: float, horizon: int, samples:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     engine = _Engine(sc, strat)
+    if engine.kernel is None and strat.plays.grid.n <= _PREFILL_POINTS:
+        engine._prefill()
     values, rep_ids, first = [], [], 0
     for payoffs, reveals in _lanes(engine, rate, sc.seed if seed is None else seed, samples, horizon):
         kept, kept_values = score(payoffs, reveals)

@@ -877,18 +877,20 @@ def test_the_last_stage_fills_no_successor(strategies):
     assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 30, 30, 30)
 
 
-def test_the_row_nodes_and_the_start_node_are_one_fill(strategies):
-    # one stage fills no successor, so a policy's whole estimate builds its nodes in one fill
+def test_the_row_nodes_and_the_start_node_are_one_fill(strategies, monkeypatch):
+    # one stage fills no successor, so a lazily filled policy's whole estimate builds its nodes in one fill
+    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
     sc, made = strategies["tent"]
     est = estimate_discounted(sc, made["optimal"], samples=20, seed=1, horizon=1)
     assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 1, 1, 1)
 
 
-# (nodes, fills) of 50 stages at rate 0, where a lane never reboots: the first fill holds the k row
-# nodes and the start node, and each later fill adds the successors that step first reaches. On
-# tent the null belief moves on each of 30 stages before it is a fixed point bit for bit (3 + 30
-# nodes, one per step). The optimal policy's lanes reach 5 more beliefs, and so do the renewal
-# policy's, which reveals nothing at the uniform prior either.
+# (nodes, fills) of 50 stages at rate 0, where a lane never reboots, with every node filled lazily as
+# kernel strategies and large grids fill them: the first fill holds the k row nodes and the start
+# node, and each later fill adds the successors that step first reaches. On tent the null belief
+# moves on each of 30 stages before it is a fixed point bit for bit (3 + 30 nodes, one per step).
+# The optimal policy's lanes reach 5 more beliefs, and so do the renewal policy's, which reveals
+# nothing at the uniform prior either.
 # On cycle3 the doubly stochastic chain fixes the uniform prior, and the optimal policy there fully
 # discloses, so every successor is the start node or a row node.
 RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent", "renewal"): (8, 6),
@@ -897,7 +899,8 @@ RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent"
 
 @pytest.mark.parametrize("strategy", ["null", "optimal", "renewal"])
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
-def test_estimates_count_walk_steps(name, strategy, strategies):
+def test_estimates_count_walk_steps(name, strategy, strategies, monkeypatch):
+    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
     sc, made = strategies[name]
     strat = made[strategy]
     # at rate 1 every segment is one stage long: one step per play, and no successor is filled,
@@ -911,9 +914,10 @@ def test_estimates_count_walk_steps(name, strategy, strategies):
     assert (est.nodes, est.fills) == RATE_0_NODES[name, strategy]
 
 
-def test_a_coupled_play_fills_no_successor_before_a_coupling_reboot():
+def test_a_coupled_play_fills_no_successor_before_a_coupling_reboot(monkeypatch):
     # with aux_prob 1 every stage from 1 on reboots, by a revelation or by the coupling coin, so
-    # every segment is one stage long and no successor is filled, as at rate 1
+    # every segment is one stage long and no successor is filled, as at rate 1 (nodes filled lazily)
+    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
     sc = bundled("tent", x=0.5)
     target = solve(replace(sc, reveal_rate=0.7), "reveal").target
     est = estimate_discounted(sc, Strategy(target, 1.0), samples=300, horizon=50)
@@ -1151,6 +1155,8 @@ def test_a_coupled_play_is_the_higher_rate_play_on_the_same_uniforms(name):
 
 
 def test_estimates_report_the_node_table(monkeypatch):
+    # nodes filled lazily, as kernel strategies and large grids fill them
+    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
     sc = bundled("receiver")
     strat = strategy_optimal(sc)
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
@@ -1413,6 +1419,62 @@ def test_policy_nodes_are_the_grid_images(name, seed):
     est = estimate_renewal_average(sc, strategy_renewal_optimal(sc), 100, samples=300, seed=1)
     assert est.nodes <= sc.grid.n + sc.chain.k + 1
     assert est.cache_clears == 0
+
+
+@pytest.mark.parametrize("name", ["tent", "receiver", "kink3", "cycle3"])
+def test_a_prefilled_estimate_equals_a_lazily_filled_one(name, monkeypatch):
+    # tent's and receiver's 201 grid points and kink3's 91 are prefilled, cycle3's 861 are not; with
+    # the gate at 0 every node is filled lazily, as the walk first reaches it
+    sc = bundled(name)
+    rate = min(1.0, sc.reveal_rate + 0.2)
+    target_y = solve(replace(sc, reveal_rate=rate), "reveal").target
+    strats = (strategy_optimal(sc), strategy_renewal_optimal(sc),
+              strategy_couple_down(target_y, sc.reveal_rate, rate, sc))
+    runs = (lambda strat: estimate_discounted(sc, strat, samples=200, seed=3),
+            lambda strat: estimate_renewal_average(sc, strat, 200, samples=200, seed=3),
+            lambda strat: random_duration_value_mc(replace(sc, samples=200, seed=3), 0.3, strat))
+    prefilled = sc.grid.n <= sim._PREFILL_POINTS
+    assert prefilled == (name != "cycle3")
+    got = [run(strat) for strat in strats for run in runs]
+    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
+    for g, w in zip(got, [run(strat) for strat in strats for run in runs], strict=True):
+        assert_bit_equal(g.values, w.values)
+        assert_bit_equal(g.rep_ids, w.rep_ids)
+        assert g.steps == w.steps
+        if prefilled:
+            assert g.nodes >= sc.chain.k + sc.grid.n and g.fills >= 2
+        else:
+            assert (g.nodes, g.fills) == (w.nodes, w.fills)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+def test_a_prefilled_estimate_builds_its_nodes_in_two_fills(rate, strategies):
+    # the first fill holds the row nodes and the start node, the prefill the images of tent's 201
+    # grid points, and no walk step then misses a successor; a kernel strategy is filled lazily
+    sc, made = strategies["tent"]
+    sc = replace(sc, reveal_rate=rate)
+    for strategy in ("optimal", "renewal", "couple"):
+        est = estimate_discounted(sc, made[strategy], samples=20, seed=1, horizon=50)
+        assert (est.nodes, est.fills) == (sc.chain.k + 1 + sc.grid.n, 2)
+    if rate == 0.0:
+        est = estimate_discounted(sc, made["null"], samples=20, seed=1, horizon=50)
+        assert (est.nodes, est.fills) == RATE_0_NODES["tent", "null"]
+
+
+@pytest.mark.parametrize("name", ["tent", "receiver", "kink3"])
+def test_each_prefilled_successor_is_the_node_the_lazy_fill_builds(name):
+    # the posterior of each slot is its atom's grid point, and its successor's belief is the
+    # posterior's image as `_fill` computes it; only the empty slots (atom -1) are left unfilled
+    sc = bundled(name)
+    engine = _Engine(sc, strategy_optimal(sc))
+    engine._prefill()
+    atom, succ = engine.atom[: engine.size], engine.succ[: engine.size]
+    node, sig = np.nonzero(atom >= 0)
+    assert engine.post[node, sig].tobytes() == sc.grid.points[atom[node, sig]].tobytes()
+    images = np.matmul(engine.post[node, sig, None, :], sc.chain.M)[:, 0]
+    assert engine.belief[succ[node, sig]].tobytes() == images.tobytes()
+    assert np.array_equal(succ < 0, atom < 0)
+    assert (_Engine(sc, strategy_null(sc)).atom < 0).all()
 
 
 ESTIMATORS = {

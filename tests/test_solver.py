@@ -884,13 +884,24 @@ def test_no_convergence_at_sweep_cap(scenario, monkeypatch):
         solve(scenario("tent", discount=0.9, reveal_rate=0.5), "reveal")
 
 
-def test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once():
+def test_a_solve_whose_rounding_floor_exceeds_tol_stops_at_once(monkeypatch):
     # at 1 - 1e-7 the certificate's own rounding, 4 (1 + c) eps max|f| with c = 1e7, is about 9e-9 on
     # periodic's values of size 1, above the default tol: no sweep can certify it, and solve says so in
-    # its first sweep rather than sweeping to the cap (about 10 s)
+    # the third sweep, the first whose iterate is large enough for the floor to pass tol, rather than
+    # sweeping to the cap (about 10 s); a fourth sweep fails the test at once
     sc = bundled("periodic", discount=1.0 - 1e-7)
-    with pytest.raises(NoConvergence, match=r"rounding floor \d\.\d{3}e-09 is above tol 1\.000e-09"):
-        solve(sc, "no_reveal")
+    sweeps, sweep = [], solver._sweep
+
+    def three_sweeps_at_most(*args):
+        sweeps.append(len(sweeps) + 1)
+        assert len(sweeps) <= 3, "the solve went on past the sweep whose floor exceeds tol"
+        return sweep(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_sweep", three_sweeps_at_most)
+        with pytest.raises(NoConvergence, match=r"rounding floor \d\.\d{3}e-09 is above tol 1\.000e-09"):
+            solve(sc, "no_reveal")
+    assert sweeps == [1, 2, 3]
     # one decade less patient the floor, about 8.9e-10 on values of size 1, fits under tol, and the stop
     # passes over the third sweep, whose half-width is under tol but leaves no room for the floor
     res = solve(replace(sc, discount=1.0 - 1e-6), "no_reveal")

@@ -27,9 +27,10 @@ from pathlib import Path
 
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 SIM, SOLVER, CLI = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "src/persuasionlab/cli.py"
-BELIEF = "src/persuasionlab/belief.py"
+BELIEF, CHAIN = "src/persuasionlab/belief.py", "src/persuasionlab/chain.py"
 SIM_TESTS, CLI_TESTS, BELIEF_TESTS = "tests/test_sim.py", "tests/test_cli.py", "tests/test_belief.py"
 FAILS_ON = f"{CLI_TESTS}::test_every_verify_suite_fails_on_what_it_reads"
+CLOSED_FORM = "tests/test_chain.py::test_the_two_state_closed_form_equals_the_block_scan_bit_for_bit"
 
 # (name, file, exact old text, new text, killing test node)
 MUTANTS = (
@@ -46,9 +47,10 @@ MUTANTS = (
     ("rep ids without the chunk offset", SIM,
      "rep_ids.append(first + kept)", "rep_ids.append(kept)",
      f"{SIM_TESTS}::test_renewal_bookkeeping_per_chunk_matches_each_lane_alone"),
-    ("every chunk seeded from replication 0", SIM,
-     "replication_rngs(seed, range(first, first + len(draws)))", "replication_rngs(seed, range(len(draws)))",
-     f"{SIM_TESTS}::test_each_chunk_seeds_its_own_lanes_once_in_order"),
+    ("every seed block seeded from replication 0", SIM,
+     "replication_rngs(seed, range(first, min(first + _PLAY_STAGES, reps)))",
+     "replication_rngs(seed, range(min(_PLAY_STAGES, reps - first)))",
+     f"{SIM_TESTS}::test_an_estimate_seeds_its_lanes_once_in_order_in_blocks_of_the_lane_stage_budget"),
     ("exact value without the reboot term", SIM,
      "-lam * x * p[:, None] * engine.post[node, sig]", "0.0 * p[:, None] * engine.post[node, sig]",
      f"{SIM_TESTS}::test_each_strategy_earns_its_exact_value"),
@@ -89,6 +91,12 @@ MUTANTS = (
     ("grid-point cells with the weight in the last slot", BELIEF,
      "w[:, 0] = 1.0", "w[:, -1] = 1.0",
      f"{BELIEF_TESTS}::test_the_grid_points_own_cells_are_where_the_locator_puts_them"),
+    ("two-state reset value stored without the swap parity", CHAIN,
+     "np.bitwise_xor(low, parity[:, 1:], out=tag[:, 1:])", "np.copyto(tag[:, 1:], low)", CLOSED_FORM),
+    ("two-state start ignored when stage 0 does not reset", CHAIN,
+     "tag[:, 0] = starts", "tag[:, 0] = 0", CLOSED_FORM),
+    ("two-state reset tags without their positions", CHAIN,
+     "tag[:, 1:] += np.arange(2, 2 * b + 1, 2, dtype=tag.dtype)", "tag[:, 1:] += 2", CLOSED_FORM),
 )
 
 # a test run that takes longer than this counts as killing its mutant

@@ -123,14 +123,46 @@ def scan_states(cum: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarra
     """Paths from starts: state n + 1 of lane l is drawn from row cum[state n] with u[l, n].
 
     cum is a (k, k) table from :func:`cum_rows`. Takes (a,) start states and
-    (a, b) uniforms, giving (a, b + 1) states, each lane's start first. Each
-    uniform fixes a map from the current state to the next: the count of
-    thresholds u >= cum[i, j], j < k - 1 (the last column is +inf). The
-    scan has two levels: every block of ceil(sqrt(b)) stages is run from
-    all k states at once, the blocks are chained from the start, and each
-    path is read off by running its blocks again from their entry states,
-    about 3 sqrt(b) numpy passes in all. The maps are held in the narrowest
-    unsigned ints that hold a state.
+    (a, b) uniforms, giving (a, b + 1) int64 states, each lane's start first.
+    Each uniform fixes a map from the current state to the next: the count of
+    thresholds u >= cum[i, j], j < k - 1 (the last column is +inf).
+
+    With two states the map of a stage sends x to u >= cum[x, 0], so it is a
+    constant (a reset), the identity or the swap. A state is then the value
+    of the last reset at or before it, or else the lane's start, XOR the
+    parity of the swaps since: one XOR prefix scan gives the parities, and
+    one max prefix scan carries each reset's value forward, tagged by its
+    position. The comparisons are the block scan's and the rest is integer
+    logic, so the paths are the same. Other k run :func:`_block_scan`.
+    """
+    if cum.shape[0] != 2:
+        return _block_scan(cum, starts, u)
+    lanes, b = u.shape
+    low, high = u >= cum[0, 0], u >= cum[1, 0]  # where each stage sends state 0 and state 1
+    # column n + 1 of parity: the parity of the swaps (low and not high) in the first n + 1 stages
+    parity = np.zeros((lanes, b + 1), dtype=bool)
+    np.greater(low, high, out=parity[:, 1:])
+    np.bitwise_xor.accumulate(parity, axis=1, out=parity)
+    # a reset at stage n, to low, leaves state low ^ parity[n + 1] ^ parity[m] at column m > n: tag it
+    # 2 (n + 1) + (low ^ parity[n + 1]) there and 0 elsewhere, and the lane's start at column 0
+    tag = np.empty((lanes, b + 1), dtype=np.min_scalar_type(2 * b + 1))
+    tag[:, 0] = starts
+    np.bitwise_xor(low, parity[:, 1:], out=tag[:, 1:])
+    tag[:, 1:] += np.arange(2, 2 * b + 1, 2, dtype=tag.dtype)
+    tag[:, 1:] *= np.equal(low, high, out=high)  # the resets
+    np.maximum.accumulate(tag, axis=1, out=tag)
+    tag &= 1
+    return np.bitwise_xor(tag, parity, out=np.empty((lanes, b + 1), dtype=np.int64))
+
+
+def _block_scan(cum: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`scan_states` for any k, by a two-level scan.
+
+    Every block of ceil(sqrt(b)) stages is run from all k states at once,
+    the blocks are chained from the start, and each path is read off by
+    running its blocks again from their entry states, about 3 sqrt(b) numpy
+    passes in all. The maps are held in the narrowest unsigned ints that
+    hold a state.
     """
     lanes, b = u.shape
     k = cum.shape[0]

@@ -20,17 +20,18 @@ are the prior, the transition rows and images grid.points @ M; an estimate
 builds all those images before its first play when the target grid has at
 most _PREFILL_POINTS points, and every other node when a walk first reaches
 it. A chunk, an estimate's only batch, holds as many lanes as fit
-_PLAY_STAGES lane-stages over its whole horizon and seeds their streams in
-one call when it is reached (replication_rngs), bit for bit the SeedSequence
+_PLAY_STAGES lane-stages over its whole horizon. The streams are seeded
+_PLAY_STAGES replications at a time, each block in one call when the
+chunks reach it (replication_rngs), bit for bit the SeedSequence
 definition above; each lane's generator fills its row in one call and is
 dropped before the play.
 States and coins depend only on the uniforms, so a play gets them first:
-states by a prefix scan, then revelations and reboots. Each reboot sets the
-belief to a transition row and so starts a segment; the segments of a play
-are walked in lock-step, one position per numpy step. A replication's value
-depends only on its own stream, never on the chunk it falls in, so
-run_policy(rep=i) replays it bit for bit. Aggregation uses numpy's pairwise
-summation over the replication axis.
+states by `scan_states` (in closed form for two states), then revelations
+and reboots. Each reboot sets the belief to a transition row and so starts
+a segment; the segments of a play are walked in lock-step, one position per
+numpy step. A replication's value depends only on its own stream, never on
+the chunk it falls in, so run_policy(rep=i) replays it bit for bit.
+Aggregation uses numpy's pairwise summation over the replication axis.
 """
 
 from __future__ import annotations
@@ -615,13 +616,16 @@ def _lanes(engine: _Engine, rate: float, seed: int, reps: int, horizon: int) -> 
     """(stage payoffs, revelation coins) of each chunk of replications 0 .. reps-1: (chunk lanes, horizon) each.
 
     A chunk holds max(1, _PLAY_STAGES // horizon) lanes, each on its own replication's stream, and is one
-    `_Engine.play` from the scenario's prior. Its streams are seeded in one call when the chunk is reached,
-    and each generator fills its lane's row of uniforms and is dropped before the play.
+    `_Engine.play` from the scenario's prior. The chunks take their generators in turn from one iterator,
+    which seeds up to _PLAY_STAGES replications (at least one chunk's) in one `replication_rngs` call when
+    it reaches them; each generator fills its lane's row of uniforms and is dropped before the play.
     """
     size = max(1, _PLAY_STAGES // horizon)
+    rngs = itertools.chain.from_iterable(replication_rngs(seed, range(first, min(first + _PLAY_STAGES, reps)))
+                                         for first in range(0, reps, _PLAY_STAGES))
     for first in range(0, reps, size):
         draws = np.empty((min(size, reps - first), horizon, 3))
-        for row, rng in zip(draws, replication_rngs(seed, range(first, first + len(draws)))):
+        for row, rng in zip(draws, rngs):  # draws first, so that zip takes no generator past the chunk
             rng.random(out=row)
         del rng  # the play holds no generator
         play = engine.play(rate, draws)

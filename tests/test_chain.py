@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from persuasionlab import (GridFn, Scenario, ergodic_frequency_se, make_grid, sample_path, solve, solver,
                            stationary, validate_chain)
-from persuasionlab.chain import ROW_SUM_TOL, cum_rows, scan_states
+from persuasionlab.chain import ROW_SUM_TOL, _block_scan, cum_rows, scan_states
 from persuasionlab.errors import NotIrreducible, NotStochastic
 
 
@@ -186,21 +189,42 @@ def scan_oracle(cum, first, u):
     return path
 
 
+# two-state chains at the closed form's edges: the identity never resets, the swap (periodic.json's
+# chain) swaps at every stage, equal rows reset at every stage, and a row with a zero entry keeps
+# state 0 at every stage
+TWO_STATE_CHAINS = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.3, 0.7], [0.3, 0.7]],
+                    [[1.0, 0.0], [0.4, 0.6]])
+
+
+def edge_uniforms(cum):
+    """0, the largest uniform below 1, and the uniforms on, just below and just above each finite threshold."""
+    edges = cum[np.isfinite(cum) & (cum < 1.0)]
+    return sorted({0.0, float(np.nextafter(1.0, 0.0))} | {float(x) for x in np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]) if 0.0 <= x < 1.0})
+
+
+def mixed_uniforms(pool, shape, rng):
+    """Uniforms of the given shape, about half drawn from pool and the rest at random."""
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.random(shape))
+
+
 @st.composite
 def scan_cases(draw):
     k = draw(st.sampled_from([2, 3, 4]))
     weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0)
-    rows = [draw(st.one_of(st.sampled_from(DECIMAL_ROWS[k]), weights.map(lambda w: np.divide(w, sum(w)))))
-            for _ in range(k)]
+    if k == 2 and draw(st.booleans()):
+        rows = draw(st.sampled_from(TWO_STATE_CHAINS))
+    else:
+        rows = [draw(st.one_of(st.sampled_from(DECIMAL_ROWS[k]), weights.map(lambda w: np.divide(w, sum(w)))))
+                for _ in range(k)]
     cum = cum_rows(np.array(rows, dtype=float))
-    # uniforms on, just below and just above the finite thresholds, and the largest one below 1
-    edges = cum[np.isfinite(cum) & (cum < 1.0)]
-    pool = sorted({0.0, float(np.nextafter(1.0, 0.0))} | {float(x) for x in np.concatenate(
-        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]) if 0.0 <= x < 1.0})
+    pool = edge_uniforms(cum)
     m = draw(st.integers(1, 6))
-    b = draw(st.sampled_from([0, 1, m * m - 1, m * m, m * m + 1]))
+    b = draw(st.sampled_from([0, 1, m * m - 1, m * m, m * m + 1] + ([300, 701] if k == 2 else [])))
     lanes = draw(st.integers(1, 4))
     starts = draw(st.lists(st.integers(0, k - 1), min_size=lanes, max_size=lanes))
+    if b >= 300:  # too many uniforms to draw one by one
+        return cum, np.array(starts), mixed_uniforms(pool, (lanes, b), np.random.default_rng(draw(st.integers(0))))
     uniform = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0, exclude_max=True))
     u = draw(st.lists(uniform, min_size=lanes * b, max_size=lanes * b))
     return cum, np.array(starts), np.array(u, dtype=float).reshape(lanes, b)
@@ -216,3 +240,27 @@ def test_batched_scan_matches_a_scalar_loop(case):
         want = scan_oracle(cum, first, u[lane])
         assert got[lane].tolist() == want
         assert scan_states(cum, starts[lane : lane + 1], u[lane : lane + 1])[0].tolist() == want
+
+
+def bundled_chain(name):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json").read_text())
+    return validate_chain(doc["transition"])
+
+
+# the engine's play shapes: a chunk of the discounted estimate at tent's 153-stage horizon, and one of
+# sigma*'s renewal estimate at 2,000 stages (the scan runs the stages after the first)
+@pytest.mark.parametrize("shape", [(163, 152), (12, 1999)])
+@pytest.mark.parametrize("name", ["tent", "receiver", "parabola", "periodic", "slow", "mixed"])
+def test_the_two_state_closed_form_equals_the_block_scan_bit_for_bit(name, shape):
+    # the bundled chains either never swap (M[0, 0] >= M[1, 0]) or only swap (periodic), so "mixed"
+    # adds a chain whose stages swap (0.3 <= u < 0.6) and reset (elsewhere) in one path
+    chain = validate_chain([[0.3, 0.7], [0.6, 0.4]]) if name == "mixed" else bundled_chain(name)
+    assert chain.k == 2
+    cum = cum_rows(chain.M)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u = mixed_uniforms(edge_uniforms(cum), shape, rng)
+        starts = rng.integers(0, 2, shape[0])
+        got, want = scan_states(cum, starts, u), _block_scan(cum, starts, u)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)

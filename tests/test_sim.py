@@ -1512,31 +1512,50 @@ def test_estimates_do_not_depend_on_chunking(estimator, seed, n, extra, lanes, s
 
 
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
-def test_each_chunk_seeds_its_own_lanes_once_in_order(estimator, strategies, monkeypatch):
-    # 20 samples in one chunk seed all 20 lanes in one call; in chunks of 8 lanes they are two and
-    # a half chunks, each seeding its own lanes in one call when it is reached, with the same values
+def test_an_estimate_seeds_its_lanes_once_in_order_in_blocks_of_the_lane_stage_budget(estimator, strategies,
+                                                                                       monkeypatch):
+    # the seeds are derived _PLAY_STAGES replications at a time, each block in one call when the
+    # chunks reach it: 20 samples seed all 20 lanes at once, in one chunk or in chunks of 8 lanes, and
+    # a budget of 8 lane-stages seeds 8, 8 and 4 lanes; the values stay the same
     sc, made = strategies["cycle3"]
     run, strat = ESTIMATORS[estimator], made["couple"]
-    seeded, chunks = [], []
+    events = []
     seed_states, play = sim._seed_states, _Engine.play
 
     def recording(seed, reps):
-        seeded.append(list(reps))
+        events.append(("seed", list(reps)))
         return seed_states(seed, reps)
 
     monkeypatch.setattr(sim, "_seed_states", recording)
-    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[0])
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: events.append(("play", draws.shape[0]))
                         or play(self, rate, draws, **kw))
     want = run(sc, strat, 20, 9)
-    assert seeded == [list(range(20))] and chunks == [20]
-    seeded.clear()
-    chunks.clear()
-    monkeypatch.setattr(sim, "_PLAY_STAGES", 8 * want.horizon)
-    got = run(sc, strat, 20, 9)
-    assert seeded == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
-    assert chunks == [8, 8, 4]
-    assert_bit_equal(got.rep_ids, want.rep_ids)
-    assert_bit_equal(got.values, want.values)
+    assert events == [("seed", list(range(20))), ("play", 20)]
+    # with 8 lane-stages and a horizon above 8, each chunk holds one lane, and each block is seeded
+    # just before the chunk that takes its first generator
+    one_lane = [event for block in (range(0, 8), range(8, 16), range(16, 20))
+                for event in [("seed", list(block))] + [("play", 1)] * len(block)]
+    for budget, order in [(8 * want.horizon, [("seed", list(range(20))), ("play", 8), ("play", 8), ("play", 4)]),
+                          (8, one_lane)]:
+        events.clear()
+        monkeypatch.setattr(sim, "_PLAY_STAGES", budget)
+        got = run(sc, strat, 20, 9)
+        assert events == order
+        assert_bit_equal(got.rep_ids, want.rep_ids)
+        assert_bit_equal(got.values, want.values)
+
+
+def test_a_default_renewal_estimate_seeds_its_streams_in_one_call(strategies, monkeypatch):
+    # 10,000 samples of sigma* at 2,000 stages play in 834 chunks of at most 12 lanes, and all their
+    # seeds come from one call
+    sc, made = strategies["tent"]
+    seeded, chunks, seed_states, play = [], [], sim._seed_states, _Engine.play
+    monkeypatch.setattr(sim, "_seed_states", lambda seed, reps: seeded.append(len(reps)) or seed_states(seed, reps))
+    monkeypatch.setattr(_Engine, "play", lambda self, rate, draws, **kw: chunks.append(draws.shape[0])
+                        or play(self, rate, draws, **kw))
+    estimate_renewal_average(sc, made["renewal"], 2000, samples=10_000, seed=1)
+    assert seeded == [10_000]
+    assert len(chunks) == 834 and sum(chunks) == 10_000
 
 
 def test_default_chunks_hold_the_lanes_of_one_lane_stage_budget(strategies, monkeypatch):

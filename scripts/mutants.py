@@ -9,10 +9,11 @@ pyproject.toml to a temporary directory, replaces the row's old text in its
 file by the new text, and runs `pytest -x` on the row's test node there
 (PYTHONPATH=src). A mutant is killed when a test there fails, and a run that
 passes or cannot start (an unknown node) kills nothing; first the killing
-tests must pass on an unmutated copy. It prints one line per run and exits 1
-if the unmutated run fails, any mutant was not killed, or any old text does
-not occur exactly once in its file; a change that rewrites a mutated line
-updates its row here.
+tests must pass on an unmutated copy. The rows then run two at a time,
+since each waits on its pytest subprocess. It prints one line per run, in
+the table's order, then the wall time, and exits 1 if the unmutated run
+fails, any mutant was not killed, or any old text does not occur exactly once
+in its file; a change that rewrites a mutated line updates its row here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
@@ -85,9 +87,18 @@ MUTANTS = (
      "self.rows = tuple(_read_only(arr[grid.n :]) for arr in cells)",
      "self.rows = tuple(_read_only(arr[grid.n + 1 :]) for arr in cells)",
      "tests/test_solver.py::test_kept_operators_equal_a_fresh_build_and_are_read_only"),
-    ("prefilled successors one image off", SIM,
-     "np.where(atom < 0, -1, first + atom)", "np.where(atom < 0, -1, first + 1 + atom)",
-     f"{SIM_TESTS}::test_a_prefilled_estimate_equals_a_lazily_filled_one[tent]"),
+    ("first fill's successors one image off", SIM,
+     "image[self.touching] = ids", "image[self.touching] = np.roll(ids, 1)",
+     f"{SIM_TESTS}::test_each_prefilled_successor_is_the_node_the_lazy_fill_builds[tent]"),
+    ("images equal to a row or the prior built again", SIM,
+     "known = same.any(axis=1)", "known = same.any(axis=1) & False",
+     f"{SIM_TESTS}::test_a_policy_estimate_builds_its_nodes_in_one_fill[0.5]"),
+    ("images kept when they fill the table to its cap", SIM,
+     "if sc.chain.k + 1 + touching.size < self._CACHE_CAP:", "if sc.chain.k + 1 + touching.size <= self._CACHE_CAP:",
+     f"{SIM_TESTS}::test_images_that_would_reach_the_table_cap_are_left_out[tent]"),
+    ("exact solves over every table node", SIM,
+     "nodes = engine._close(EXACT_NODES) if x < 1.0", "nodes = np.arange(engine.size) if x < 1.0",
+     f"{SIM_TESTS}::test_the_exact_value_solves_over_the_nodes_a_play_reaches[tent-2000]"),
     ("grid-point cells with the weight in the last slot", BELIEF,
      "w[:, 0] = 1.0", "w[:, -1] = 1.0",
      f"{BELIEF_TESTS}::test_the_grid_points_own_cells_are_where_the_locator_puts_them"),
@@ -130,28 +141,33 @@ def pytest_exit(root: Path, nodes: list[str], path: str | None = None, text: str
         return code, time.perf_counter() - start
 
 
-def killed(root: Path, name: str, path: str, old: str, new: str, node: str) -> bool:
-    """Whether the node's tests fail on the mutant; False also when old does not occur exactly once."""
+def killed(root: Path, name: str, path: str, old: str, new: str, node: str) -> tuple[bool, str]:
+    """Whether the node's tests fail on the mutant, and the line that reports it; False also when old
+    does not occur exactly once."""
     text = (root / path).read_text()
     if text.count(old) != 1:
-        print(f"STALE     {name}: {path} holds the old text {text.count(old)} times, not once")
-        return False
+        return False, f"STALE     {name}: {path} holds the old text {text.count(old)} times, not once"
     code, seconds = pytest_exit(root, [node], path, text.replace(old, new))
     # pytest exits 1 when a test failed; 0 means the mutant survived, and any other code (a node that
     # does not exist, an error in collection) kills nothing
     verdict = "killed" if code in (1, "timeout") else "SURVIVED" if code == 0 else "ERROR"
-    print(f"{verdict:9} {name} ({seconds:.1f} s, pytest exit {code}) by {node}", flush=True)
-    return verdict == "killed"
+    return verdict == "killed", f"{verdict:9} {name} ({seconds:.1f} s, pytest exit {code}) by {node}"
 
 
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
     # a mutant counts as killed only by tests that pass on the unmutated tree
     code, seconds = pytest_exit(root, sorted({row[-1] for row in MUTANTS}))
     print(f"{'passed' if code == 0 else 'FAILED':9} the killing tests on the unmutated tree ({seconds:.1f} s, "
           f"pytest exit {code})", flush=True)
-    results = [killed(root, *row) for row in MUTANTS]
-    print(f"{sum(results)} of {len(results)} mutants killed")
+    results = []
+    # two rows at once, each thread waiting on its own pytest process: one per core of a 2-core machine
+    with ThreadPoolExecutor(2) as pool:
+        for result, line in pool.map(lambda row: killed(root, *row), MUTANTS):
+            print(line, flush=True)
+            results.append(result)
+    print(f"{sum(results)} of {len(results)} mutants killed in {time.perf_counter() - start:.1f} s wall time")
     return 0 if code == 0 and all(results) else 1
 
 

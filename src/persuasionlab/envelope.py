@@ -269,6 +269,12 @@ def _splits(f: GridFn, q: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> t
     return values, atoms, weights
 
 
+def _touching(f: GridFn) -> np.ndarray:
+    """Grid indices of the points that `_splits` reads as on the envelope: the atoms its splits put weight on."""
+    env = _envelope(f)
+    return np.flatnonzero(~(f.values < env.values - env.slack))
+
+
 def cav_split_at(f: GridFn, q) -> tuple[float, np.ndarray, np.ndarray]:
     """Envelope value, posteriors (grid points) and positive weights of an optimal split at one belief."""
     (value,), (atoms,), (weights,) = cav_splits(f, np.asarray(q, dtype=float)[None])  # a batch fails as 3-d

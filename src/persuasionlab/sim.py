@@ -15,16 +15,15 @@ case of the same engine, and state_reveal_path reads that play's states and
 coins off its uniforms alone. Every lane of a play runs the same horizon,
 and every estimate reads its streams in the stage layout alone: the
 random-duration game ends at the replication's own first revelation. A
-policy strategy splits at the exact belief onto grid points, so its nodes
-are the prior, the transition rows and images grid.points @ M; an estimate
-builds all those images before its first play when the target grid has at
-most _PREFILL_POINTS points, and every other node when a walk first reaches
-it. A chunk, an estimate's only batch, holds as many lanes as fit
-_PLAY_STAGES lane-stages over its whole horizon. The streams are seeded
-_PLAY_STAGES replications at a time, each block in one call when the
-chunks reach it (replication_rngs), bit for bit the SeedSequence
-definition above; each lane's generator fills its row in one call and is
-dropped before the play.
+policy strategy splits at the exact belief onto the grid points where its
+target touches its envelope, so an engine builds the prior, the transition
+rows and those points' images under M before its first play, and any other
+node when a walk first reaches it. A chunk, an estimate's only batch, holds
+as many lanes as fit _PLAY_STAGES lane-stages over its whole horizon. The
+streams are seeded _PLAY_STAGES replications at a time, each block in one
+call when the chunks reach it (replication_rngs), bit for bit the
+SeedSequence definition above; each lane's generator fills its row in one
+call and is dropped before the play.
 States and coins depend only on the uniforms, so a play gets them first:
 states by `scan_states` (in closed form for two states), then revelations
 and reboots. Each reboot sets the belief to a transition row and so starts
@@ -46,7 +45,7 @@ import numpy as np
 
 from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, validate_kernel
 from .chain import cum_rows, scan_states
-from .envelope import cav_splits
+from .envelope import _touching, cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary, SizeOverflow
 from .solver import Scenario, _between_revelations, solve, solve_between_revelations
 
@@ -202,12 +201,10 @@ class EstimateResult:
     keep only the accepted ones). nodes is the engine's final node-table
     size, cache_clears the number of walk steps at which the table hit its
     cap, steps the lock-step walk iterations over all chunks, and fills the
-    batches of nodes built: the first holds the k row nodes and the start
-    node at the scenario's prior, and each clear builds them again in one.
-    A policy on a target grid of at most _PREFILL_POINTS points builds its n
-    images in a second fill before its first play (k + 1 + n nodes, k + n
-    when the prior is a transition row); a later fill then only follows an
-    empty slot that rounding drew.
+    batches of nodes built: the first holds the k row nodes, the start node
+    at the scenario's prior and, for a policy, the images of the target's
+    touching points, and each clear builds them again in one. A policy's
+    later fill only follows an atom that rounding put off those points.
     """
 
     mean: float
@@ -353,15 +350,16 @@ class _Engine:
     A node is a reachable belief with its Bayes work done: the cumulative
     kernel row of each state (ending in +inf) and, per signal, the stage
     payoff and the posterior. Nodes are keyed by their belief's bytes.
-    The row nodes of the k transition rows hold ids 0..k-1, so a revealed
-    state's id is its node; a play starts at the start node, the scenario's
-    prior `sc.prior`, built in the same first fill (`_reset`).
-    A stage whose next stage does not reboot follows the successor of
-    (node, signal), filled once: by `_prefill`, which builds every image
-    grid.points @ M of a policy's target grid in one second fill, for an
-    estimate on a grid of at most _PREFILL_POINTS points; else by `_fill`,
-    where the walk misses it, appending the nodes first reached, or ahead of
-    any play when `_close` fills the whole graph for `exact_played_value`.
+    The first fill (`_reset`) holds the row nodes of the k transition rows,
+    ids 0..k-1, so a revealed state's id is its node; the start node at the
+    scenario's prior `sc.prior`, where a play starts; and a policy's images
+    under M of the points where its target touches its envelope, the atoms
+    its splits draw, with the successors set from the atoms (an image equal
+    to a row or the prior is that node). A stage whose next stage does not
+    reboot follows the successor of (node, signal); `_fill` builds a missing
+    one once, appending the nodes first reached: a kernel's, and a policy's
+    where rounding put an atom off the touching points. `_close` walks the
+    nodes a play reaches.
     A strategy whose `plays` is a GridFn is a policy; anything else is a
     kernel, played as `validate_kernel` returns it (`kernel`). A policy's
     posteriors are grid points, whose indices each node keeps per slot in
@@ -394,10 +392,16 @@ class _Engine:
         # a policy's posteriors are grid points of its target, so their payoffs are read off these: on
         # the payoff's own lattice its table, which interpolate reads back exactly but for the sign of
         # zero (its sum onto zero turns -0.0 into +0.0, and so does + 0.0)
-        self.atom_pay = None
+        self.atom_pay, self.touching, points = None, np.empty(0, dtype=np.int64), np.empty((0, sc.chain.k))
         if policy:
             grid = strat.plays.grid
             self.atom_pay = sc.u.values + 0.0 if grid is sc.u.grid else interpolate(sc.u, grid.points)
+            touching = _touching(strat.plays)
+            # images that would fill the table to its cap are left out, or each clear would rebuild a full table
+            if sc.chain.k + 1 + touching.size < self._CACHE_CAP:
+                self.touching, points = touching, grid.points[touching]
+        # the touching points' images, as the stacked (1, k) @ (k, k) products `_fill` takes
+        self.images = np.matmul(points[:, None, :], sc.chain.M)[:, 0]
         self.clears = self.steps = self.fills = 0
         self._reset()
 
@@ -406,16 +410,29 @@ class _Engine:
         return dict(nodes=self.size, cache_clears=self.clears, steps=self.steps, fills=self.fills)
 
     def _reset(self) -> None:
-        """Empties the table, then builds the k row nodes (ids 0..k-1) and the start node in one fill."""
+        """Empties the table, then builds the k row nodes (ids 0..k-1), the start node and the images in one fill."""
         rows, k = self.sc.chain.M, self.sc.chain.k
         self.index: dict[bytes, int] = {}
         for state, row in enumerate(rows):
             self.index.setdefault(row.tobytes(), state)
         # a start node equal to a row node is that row node
         self.start = self.index.setdefault(self.sc.prior.tobytes(), k)
+        heads = rows if self.start < k else np.vstack([rows, self.sc.prior])
+        self.heads = len(heads)
+        # an image whose bits (the index's keys) are a row's or the prior's is that node
+        same = (self.images.view(np.uint64)[:, None] == heads.view(np.uint64)).all(axis=2)
+        known = same.any(axis=1)
+        ids = np.where(known, same.argmax(axis=1), self.heads - 1 + np.cumsum(~known))
+        fresh = self.images[~known]
+        self.index.update(zip(map(np.ndarray.tobytes, fresh), range(self.heads, self.heads + len(fresh))))
         self.size = 0
         self._allocate(64)
-        self._build(rows if self.start < k else np.vstack([rows, self.sc.prior]))
+        self._build(np.vstack([heads, fresh]))
+        if len(ids):  # every successor whose atom touches is that atom's image
+            image = np.full(self.strat.plays.grid.n, -1)
+            image[self.touching] = ids
+            atom = self.atom[: self.size]
+            self.succ[: self.size] = np.where(atom < 0, -1, image[atom])
 
     def _allocate(self, capacity: int) -> None:
         """Node arrays for `capacity` nodes, keeping the first `size` rows."""
@@ -479,27 +496,17 @@ class _Engine:
         self.fills += 1
 
     def _fill(self, ix: np.ndarray) -> np.ndarray:
-        """Successor node ids of the flat (node, signal) indices ix, filling each distinct pair once."""
-        pairs, inverse = np.unique(ix, return_inverse=True)
-        src, sig = np.divmod(pairs, self.width)
-        # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
-        beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
-        fresh = self._intern(beliefs)
-        self.succ[src, sig] = fresh
-        return fresh[inverse]
-
-    def _prefill(self) -> None:
-        """Builds the images points[a] @ M of the target grid's points in one fill, and every successor.
-
-        Called on a table that holds only the first fill. The posterior of (node, signal) is grid point
-        atom[node, signal] bit for bit, and these images are the same stacked (1, k) @ (k, k) products
-        `_fill` takes, so each successor is set in one assignment. The images get no index entry: only an
-        empty slot (atom -1), which rounding alone can draw, still misses, and `_fill` fills it.
-        """
-        first = self.size
-        self._build(np.matmul(self.strat.plays.grid.points[:, None, :], self.sc.chain.M)[:, 0])
-        atom = self.atom[: self.size]
-        self.succ[: self.size] = np.where(atom < 0, -1, first + atom)
+        """Successor node ids of the flat (node, signal) indices ix, filling each distinct missing pair once."""
+        nxt = self.succ.reshape(-1)[ix]
+        missing = nxt < 0
+        if missing.any():
+            pairs, inverse = np.unique(ix[missing], return_inverse=True)
+            src, sig = np.divmod(pairs, self.width)
+            # one stacked (1, k) @ (k, k) product per pair rounds like posterior @ M
+            beliefs = np.matmul(self.post[src, sig, None, :], self.sc.chain.M)[:, 0]
+            fresh = self.succ[src, sig] = self._intern(beliefs)
+            nxt[missing] = fresh[inverse]
+        return nxt
 
     def _signal_probs(self, ids: np.ndarray) -> np.ndarray:
         """P(signal | node) for each node of ids: its belief times its kernel, read off the cumulative rows."""
@@ -507,21 +514,22 @@ class _Engine:
         cum[..., -1] = 1.0  # the +inf that ends each row
         return np.matmul(self.belief[ids, None, :], np.diff(cum, axis=-1, prepend=0.0))[:, 0]
 
-    def _close(self, cap: int) -> None:
-        """Fills the successor of every (node, signal) pair of positive probability, level by level.
+    def _close(self, cap: int) -> np.ndarray:
+        """Ids of the nodes a play reaches from the row nodes and the start node, in the order first reached.
 
-        Each level fills the pairs of the nodes the previous one added, so the
-        graph is closed once a level adds none. Raises SizeOverflow once the
-        table holds more than cap nodes.
+        Each next level is the successors (filled where missing) of the last one's pairs of positive
+        probability that no level reached. Raises SizeOverflow once more than cap nodes are reached.
         """
-        done = 0
-        while done < self.size:
-            ids = np.arange(done, self.size)
-            done = self.size
-            node, sig = np.nonzero(self._signal_probs(ids) > 0.0)
-            self._fill(ids[node] * self.width + sig)
-            if self.size > cap:
+        reached = level = np.arange(self.heads)
+        while level.size:
+            node, sig = np.nonzero(self._signal_probs(level) > 0.0)
+            nxt = self._fill(level[node] * self.width + sig)
+            nxt = nxt[np.sort(np.unique(nxt, return_index=True)[1])]
+            level = nxt[~np.isin(nxt, reached, kind="table")]  # by a table of ids: sorting them loads numpy.ma
+            reached = np.concatenate([reached, level])
+            if reached.size > cap:
                 raise SizeOverflow(f"the played node graph did not close within {cap} nodes")
+        return reached
 
     def play(self, rate: float, draws: np.ndarray, trace: bool = False) -> SimTrace:
         """Play lane j on the uniforms draws[j], a (lanes, horizon, 3) array, for horizon stages.
@@ -595,21 +603,7 @@ class _Engine:
                 out.signals.reshape(-1)[f] = s
                 out.posteriors.reshape(-1, k)[f] = self.post.reshape(-1, k)[ix]
             # a segment's last position, before a reboot or the play's end, needs no successor
-            ix = ix[:going_on]
-            nxt = self.succ.reshape(-1)[ix]
-            missing = nxt < 0
-            if missing.any():
-                nxt[missing] = self._fill(ix[missing])
-            nodes[:going_on] = nxt
-
-
-# The largest target grid whose images an estimate builds before its first play (`_Engine._prefill`). Sizes
-# swept on the benchmark's payoff families (300 discounted plays of the optimal policy and 20 renewal plays of
-# 2000 stages of sigma*, two seeds each, 2 cores) gave prefilled/lazy time ratios of 0.81-1.01 (median 0.88)
-# on k = 2 grids of 51 to 401 points and 0.85-0.93 on smooth k = 3 payoffs of 45 to 351, but 1.03-1.07 on
-# piecewise-linear k = 3 payoffs of 91 to 231 points and 1.14-1.18 at 861: k = 2's default 201 points are in,
-# k = 3's 861 out.
-_PREFILL_POINTS = 256
+            nodes[:going_on] = self._fill(ix[:going_on])
 
 
 def _lanes(engine: _Engine, rate: float, seed: int, reps: int, horizon: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -643,8 +637,6 @@ def _estimate(sc: Scenario, strat: Strategy, rate: float, horizon: int, samples:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     engine = _Engine(sc, strat)
-    if engine.kernel is None and strat.plays.grid.n <= _PREFILL_POINTS:
-        engine._prefill()
     values, rep_ids, first = [], [], 0
     for payoffs, reveals in _lanes(engine, rate, sc.seed if seed is None else seed, samples, horizon):
         kept, kept_values = score(payoffs, reveals)
@@ -698,30 +690,31 @@ EXACT_NODES = 2_000
 def exact_played_value(sc: Scenario, strat: Strategy) -> tuple[float, np.ndarray]:
     """Normalized discounted value of a strategy's play: at the scenario's prior, and at the k transition rows.
 
-    The engine's node graph is closed (`_Engine._close`), then one dense
-    linear solve gives, over its nodes (policy evaluation, Puterman 1994,
-    section 6.1),
+    The engine walks the nodes a play reaches (`_Engine._close`), then one
+    dense linear solve gives, over those nodes (policy evaluation, Puterman
+    1994, section 6.1),
     v(n) = sum_s P(s|n) [(1 - lam) pay(n, s) + lam (x' sum_st post(n, s)[st] v(st) + (1 - x') v(succ(n, s)))],
     where row node st holds id st and x' is the reboot rate: the scenario's
     revelation rate topped up by the coupling coin, which reboots to the same
-    row independently of states and signals. At x' = 1 no successor is read
-    and the graph is not closed. Raises SizeOverflow for a graph of more than
-    EXACT_NODES nodes.
+    row independently of states and signals. At x' = 1 no successor is read,
+    so the system holds the row nodes and the start node alone. Raises
+    SizeOverflow when a play reaches more than EXACT_NODES nodes.
     """
-    lam, x = sc.discount, _reboot_rate(sc.reveal_rate, strat.aux_prob)
+    lam, x, k = sc.discount, _reboot_rate(sc.reveal_rate, strat.aux_prob), sc.chain.k
     engine = _Engine(sc, strat)
+    nodes = engine._close(EXACT_NODES) if x < 1.0 else np.arange(engine.heads)
+    # unknown i is node nodes[i], so row node st is unknown st
+    at = np.empty(engine.size, dtype=np.int64)
+    at[nodes] = np.arange(len(nodes))
+    probs = engine._signal_probs(nodes)
+    unknown, sig = np.nonzero(probs > 0.0)
+    p, node = probs[unknown, sig], nodes[unknown]
+    A = np.eye(len(nodes))
     if x < 1.0:
-        engine._close(EXACT_NODES)
-    size, k = engine.size, sc.chain.k
-    probs = engine._signal_probs(np.arange(size))
-    node, sig = np.nonzero(probs > 0.0)
-    p = probs[node, sig]
-    A = np.eye(size)
-    if x < 1.0:
-        np.add.at(A, (node, engine.succ[node, sig]), -lam * (1.0 - x) * p)
-    np.add.at(A, (node[:, None], np.arange(k)), -lam * x * p[:, None] * engine.post[node, sig])
-    v = np.linalg.solve(A, np.bincount(node, weights=(1.0 - lam) * p * engine.pay[node, sig], minlength=size))
-    return float(v[engine.start]), v[:k]
+        np.add.at(A, (unknown, at[engine.succ[node, sig]]), -lam * (1.0 - x) * p)
+    np.add.at(A, (unknown[:, None], np.arange(k)), -lam * x * p[:, None] * engine.post[node, sig])
+    v = np.linalg.solve(A, np.bincount(unknown, weights=(1.0 - lam) * p * engine.pay[node, sig], minlength=len(nodes)))
+    return float(v[at[engine.start]]), v[:k]
 
 
 def state_reveal_path(sc: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:

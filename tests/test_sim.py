@@ -52,6 +52,7 @@ from hypothesis import strategies as st
 from persuasionlab import cli, sim
 from persuasionlab.belief import bayes_update, make_grid, validate_belief
 from persuasionlab.chain import cum_rows, scan_states
+from persuasionlab.envelope import _envelope, cav_values
 from persuasionlab.sim import _Engine, discount_horizon, replication_rng, state_reveal_path
 
 # ---------------------------------------------------------------------------
@@ -498,6 +499,24 @@ def bundled(name, **overrides):
         return cli.scenario_from_config(cli.effective_config(doc, overrides))
 
 
+def fill_lazily(monkeypatch):
+    """Leave every touching point out of a policy engine's first fill, so the walk fills each successor it reaches."""
+    monkeypatch.setattr(sim, "_touching", lambda f: np.empty(0, dtype=np.int64))
+
+
+def touching_oracle(target):
+    """Grid indices where the target is within the split slack of its envelope."""
+    return np.flatnonzero(target.values >= cav_values(target) - _envelope(target).slack)
+
+
+def first_fill_nodes(sc, target):
+    """k row nodes, the start node unless the prior is a row, and each touching point's image that is neither."""
+    rows = {row.tobytes() for row in sc.chain.M}
+    known = rows | {sc.prior.tobytes()}
+    fresh = [t for t in touching_oracle(target) if (target.grid.points[t] @ sc.chain.M).tobytes() not in known]
+    return sc.chain.k + (sc.prior.tobytes() not in rows) + len(fresh)
+
+
 def kernel_oracle(p, posteriors, weights, n_signals):
     """Kernel realizing a split, one state at a time: weight x posterior / prior, rows renormalized."""
     m = weights.size
@@ -879,14 +898,14 @@ def test_the_last_stage_fills_no_successor(strategies):
 
 def test_the_row_nodes_and_the_start_node_are_one_fill(strategies, monkeypatch):
     # one stage fills no successor, so a lazily filled policy's whole estimate builds its nodes in one fill
-    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
+    fill_lazily(monkeypatch)
     sc, made = strategies["tent"]
     est = estimate_discounted(sc, made["optimal"], samples=20, seed=1, horizon=1)
     assert (est.nodes, est.fills, est.steps) == (sc.chain.k + 1, 1, 1)
 
 
 # (nodes, fills) of 50 stages at rate 0, where a lane never reboots, with every node filled lazily as
-# kernel strategies and large grids fill them: the first fill holds the k row nodes and the start
+# a kernel strategy's are: the first fill holds the k row nodes and the start
 # node, and each later fill adds the successors that step first reaches. On tent the null belief
 # moves on each of 30 stages before it is a fixed point bit for bit (3 + 30 nodes, one per step).
 # The optimal policy's lanes reach 5 more beliefs, and so do the renewal policy's, which reveals
@@ -900,7 +919,7 @@ RATE_0_NODES = {("tent", "null"): (33, 31), ("tent", "optimal"): (8, 6), ("tent"
 @pytest.mark.parametrize("strategy", ["null", "optimal", "renewal"])
 @pytest.mark.parametrize("name", ["tent", "cycle3"])
 def test_estimates_count_walk_steps(name, strategy, strategies, monkeypatch):
-    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
+    fill_lazily(monkeypatch)
     sc, made = strategies[name]
     strat = made[strategy]
     # at rate 1 every segment is one stage long: one step per play, and no successor is filled,
@@ -917,7 +936,7 @@ def test_estimates_count_walk_steps(name, strategy, strategies, monkeypatch):
 def test_a_coupled_play_fills_no_successor_before_a_coupling_reboot(monkeypatch):
     # with aux_prob 1 every stage from 1 on reboots, by a revelation or by the coupling coin, so
     # every segment is one stage long and no successor is filled, as at rate 1 (nodes filled lazily)
-    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
+    fill_lazily(monkeypatch)
     sc = bundled("tent", x=0.5)
     target = solve(replace(sc, reveal_rate=0.7), "reveal").target
     est = estimate_discounted(sc, Strategy(target, 1.0), samples=300, horizon=50)
@@ -1155,8 +1174,8 @@ def test_a_coupled_play_is_the_higher_rate_play_on_the_same_uniforms(name):
 
 
 def test_estimates_report_the_node_table(monkeypatch):
-    # nodes filled lazily, as kernel strategies and large grids fill them
-    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
+    # nodes filled lazily, as a kernel strategy's are
+    fill_lazily(monkeypatch)
     sc = bundled("receiver")
     strat = strategy_optimal(sc)
     est = estimate_discounted(sc, strat, samples=50, seed=3, horizon=30)
@@ -1348,12 +1367,16 @@ def test_a_coupled_play_is_worth_its_target_played_at_the_higher_rate(name):
 
 
 @pytest.mark.parametrize("name", ["tent", "kink3", "slow"])
-def test_a_closed_graph_holds_every_node_a_play_reaches(name):
-    # the walk fills successors with the same _fill the closure runs, so a play on a closed table builds nothing
+def test_a_closed_graph_holds_every_node_a_play_reaches(name, monkeypatch):
+    # the walk fills successors with the same _fill the exact walk runs, so a play on a walked table builds
+    # nothing; filled lazily, the walked table holds just the nodes it reached
     sc = bundled(name)
-    for strat in (strategy_optimal(sc), strategy_renewal_optimal(sc)):
+    strats = (strategy_optimal(sc), strategy_renewal_optimal(sc))
+    reached = [len(_Engine(sc, strat)._close(sim.EXACT_NODES)) for strat in strats]
+    fill_lazily(monkeypatch)
+    for strat, count in zip(strats, reached):
         engine = _Engine(sc, strat)
-        engine._close(sim.EXACT_NODES)
+        assert len(engine._close(sim.EXACT_NODES)) == engine.size == count
         size, fills = engine.size, engine.fills
         draws = np.stack([replication_rng(3, i).random((200, 3)) for i in range(50)])
         for rate in (0.0, sc.reveal_rate):
@@ -1391,40 +1414,111 @@ def test_sigma_star_on_kink3_earns_at_least_the_asymptotic_value(x):
     assert sc.chain.pi @ rows >= asymptotic_value(rate, sc) - 2.0 * sc.tol
 
 
-def generated(family, seed):
-    """A benchmark scenario family's document for one seed, built by perfbench's generator (read only)."""
+def generated(family, seed, resolution=None):
+    """A benchmark scenario family's scenario for one seed, built by perfbench's generator (read only)."""
     spec = importlib.util.spec_from_file_location("scenario_gen", ROOT / "perfbench" / "scenario_gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PayoffDiscontinuityWarning)
-        return cli.scenario_from_config(cli.effective_config(gen.scenario_doc(seed, family), {}))
+        return cli.scenario_from_config(cli.effective_config(gen.scenario_doc(seed, family, resolution), {}))
 
 
-NODE_CASES = [(name, None) for name in ("tent", "parabola", "receiver", "cycle3", "kink3")] + [
+NODE_CASES = [(name, None) for name in ("tent", "parabola", "receiver", "cycle3", "kink3", "periodic", "slow")] + [
     (family, seed) for family in ("tent", "receiver", "bump", "pl3", "smooth3") for seed in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name,seed", NODE_CASES)
 def test_policy_nodes_are_the_grid_images(name, seed):
-    # every posterior is a grid point, so every node is the prior, a transition row or a row of
-    # grid.points @ M, for the optimal strategy, for couple:Y and for sigma_star
+    # every posterior is a grid point where the target touches its envelope, so every node is the prior, a
+    # transition row or a row of grid.points @ M, for the optimal strategy, for couple:Y and for sigma_star;
+    # the first fill builds all of them, and the walk fills nothing more
     sc = bundled(name) if seed is None else generated(name, seed)
-    rate = sc.reveal_rate + 0.2
+    rate = min(1.0, sc.reveal_rate + 0.2)
     target_y = solve(replace(sc, reveal_rate=rate), "reveal").target
     for strat in (strategy_optimal(sc), strategy_couple_down(target_y, sc.reveal_rate, rate, sc)):
         est = estimate_discounted(sc, strat, samples=300, seed=1)
         assert est.nodes <= sc.grid.n + sc.chain.k + 1
         assert est.cache_clears == 0
-    est = estimate_renewal_average(sc, strategy_renewal_optimal(sc), 100, samples=300, seed=1)
+        assert (est.nodes, est.fills) == (first_fill_nodes(sc, strat.plays), 1)
+    strat = strategy_renewal_optimal(sc)
+    est = estimate_renewal_average(sc, strat, 100, samples=300, seed=1)
     assert est.nodes <= sc.grid.n + sc.chain.k + 1
     assert est.cache_clears == 0
+    assert (est.nodes, est.fills) == (first_fill_nodes(sc, strat.plays), 1)
+
+
+@pytest.mark.parametrize("name", ["tent", "cycle3"])
+def test_images_that_would_reach_the_table_cap_are_left_out(name, monkeypatch):
+    # the first fill takes the images while the row nodes, the start node and one image per touching
+    # point stay below the cap; at the cap it leaves them out and the walk fills the few nodes it
+    # reaches, with no clear
+    sc = bundled(name)
+    strat = strategy_optimal(sc)
+    run = lambda: estimate_discounted(sc, strat, samples=200, seed=3, horizon=40)
+    want = run()
+    assert (want.fills, want.cache_clears) == (1, 0)
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", sc.chain.k + 2 + touching_oracle(strat.plays).size)
+    got = run()
+    assert_bit_equal(got.values, want.values)
+    assert (got.nodes, got.fills, got.cache_clears) == (want.nodes, 1, 0)
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", _Engine._CACHE_CAP - 1)
+    got = run()
+    assert_bit_equal(got.values, want.values)
+    assert got.cache_clears == 0 and got.nodes < want.nodes
+    # a cap that the row nodes and the start node reach clears the table before every step, and no more
+    monkeypatch.setattr(_Engine, "_CACHE_CAP", sc.chain.k + 1)
+    got = run()
+    assert_bit_equal(got.values, want.values)
+    assert got.cache_clears == got.steps == want.steps
+
+
+# the exact values (at the prior, and at the two or three rows) of the optimal policy on generated scenarios
+# whose every grid point, or nearly, touches the envelope, and the nodes a play reaches there: what a solve
+# over the closure gives when every node is filled lazily, level by level, as the walk reaches it
+LARGE_GRIDS = {
+    ("tent", 2000): (0.6950530448095334, [0.6948186712955804, 0.6730218873415774], 19),
+    ("smooth3", 80): (2.118834933264633, [2.1217256395504798, 2.119901557805725, 2.1228898588169725], 21),
+}
+
+
+@pytest.mark.parametrize("family,resolution", sorted(LARGE_GRIDS))
+def test_the_exact_value_solves_over_the_nodes_a_play_reaches(family, resolution, monkeypatch):
+    # the first fill holds thousands of images, but the dense system holds only the nodes a play reaches
+    sc = generated(family, 1, resolution)
+    strat = strategy_optimal(sc)
+    value, rows, reached = LARGE_GRIDS[family, resolution]
+    solve_linear, shapes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: shapes.append(A.shape) or solve_linear(A, b))
+    got, got_rows = exact_played_value(sc, strat)
+    assert shapes[-1] == (reached, reached)  # the splits' facet solves come before it
+    assert got == value and got_rows.tolist() == rows
+
+
+@pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3", "kink3", "periodic", "slow"])
+def test_the_exact_walk_reaches_the_lazily_filled_closure(name, monkeypatch):
+    # a lazily filled walk builds just the nodes it reaches, in the order it reaches them, so its solve is
+    # the one over the closure filled level by level; the walk over the first fill reaches as many nodes
+    # and gives the same bits
+    sc = bundled(name)
+    strats = [strategy_full(sc), strategy_optimal(sc), strategy_renewal_optimal(sc)]
+    if sc.reveal_rate < 0.9:
+        strats.append(made_strategy(sc, "couple"))
+    want = [(exact_played_value(sc, strat), len(_Engine(sc, strat)._close(sim.EXACT_NODES))) for strat in strats]
+    fill_lazily(monkeypatch)
+    for strat, ((value, rows), reached) in zip(strats, want):
+        engine = _Engine(sc, strat)
+        assert len(engine._close(sim.EXACT_NODES)) == engine.size == reached
+        got, got_rows = exact_played_value(sc, strat)
+        assert got == value
+        assert_bit_equal(got_rows, rows)
 
 
 @pytest.mark.parametrize("name", ["tent", "receiver", "kink3", "cycle3"])
 def test_a_prefilled_estimate_equals_a_lazily_filled_one(name, monkeypatch):
-    # tent's and receiver's 201 grid points and kink3's 91 are prefilled, cycle3's 861 are not; with
-    # the gate at 0 every node is filled lazily, as the walk first reaches it
+    # the first fill builds the images of the target's touching points, and no walk step then misses a
+    # successor; with the touching set forced empty every node is filled lazily, as the walk first reaches
+    # it, and no more of them than the first fill builds
     sc = bundled(name)
     rate = min(1.0, sc.reveal_rate + 0.2)
     target_y = solve(replace(sc, reveal_rate=rate), "reveal").target
@@ -1433,29 +1527,27 @@ def test_a_prefilled_estimate_equals_a_lazily_filled_one(name, monkeypatch):
     runs = (lambda strat: estimate_discounted(sc, strat, samples=200, seed=3),
             lambda strat: estimate_renewal_average(sc, strat, 200, samples=200, seed=3),
             lambda strat: random_duration_value_mc(replace(sc, samples=200, seed=3), 0.3, strat))
-    prefilled = sc.grid.n <= sim._PREFILL_POINTS
-    assert prefilled == (name != "cycle3")
     got = [run(strat) for strat in strats for run in runs]
-    monkeypatch.setattr(sim, "_PREFILL_POINTS", 0)
-    for g, w in zip(got, [run(strat) for strat in strats for run in runs], strict=True):
+    first = [first_fill_nodes(sc, strat.plays) for strat in strats for run in runs]
+    fill_lazily(monkeypatch)
+    for g, w, nodes in zip(got, [run(strat) for strat in strats for run in runs], first, strict=True):
         assert_bit_equal(g.values, w.values)
         assert_bit_equal(g.rep_ids, w.rep_ids)
         assert g.steps == w.steps
-        if prefilled:
-            assert g.nodes >= sc.chain.k + sc.grid.n and g.fills >= 2
-        else:
-            assert (g.nodes, g.fills) == (w.nodes, w.fills)
+        assert (g.nodes, g.fills, g.cache_clears) == (nodes, 1, 0)
+        assert w.nodes <= g.nodes
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
-def test_a_prefilled_estimate_builds_its_nodes_in_two_fills(rate, strategies):
-    # the first fill holds the row nodes and the start node, the prefill the images of tent's 201
-    # grid points, and no walk step then misses a successor; a kernel strategy is filled lazily
+def test_a_policy_estimate_builds_its_nodes_in_one_fill(rate, strategies):
+    # the first fill holds the row nodes, the start node and the images of tent's 201 grid points, all
+    # touching, but for the two pure states', which are the row nodes; no walk step then misses a
+    # successor. A kernel strategy is filled lazily
     sc, made = strategies["tent"]
     sc = replace(sc, reveal_rate=rate)
     for strategy in ("optimal", "renewal", "couple"):
         est = estimate_discounted(sc, made[strategy], samples=20, seed=1, horizon=50)
-        assert (est.nodes, est.fills) == (sc.chain.k + 1 + sc.grid.n, 2)
+        assert (est.nodes, est.fills) == (sc.chain.k + 1 + sc.grid.n - 2, 1)
     if rate == 0.0:
         est = estimate_discounted(sc, made["null"], samples=20, seed=1, horizon=50)
         assert (est.nodes, est.fills) == RATE_0_NODES["tent", "null"]
@@ -1463,18 +1555,23 @@ def test_a_prefilled_estimate_builds_its_nodes_in_two_fills(rate, strategies):
 
 @pytest.mark.parametrize("name", ["tent", "receiver", "kink3"])
 def test_each_prefilled_successor_is_the_node_the_lazy_fill_builds(name):
-    # the posterior of each slot is its atom's grid point, and its successor's belief is the
-    # posterior's image as `_fill` computes it; only the empty slots (atom -1) are left unfilled
+    # the posterior of each slot is its atom's grid point, and the successor the first fill sets is the
+    # node of the posterior's image as `_fill` computes it; only the slots whose atom does not touch the
+    # envelope (the empty slots, atom -1, among them) are left unfilled
     sc = bundled(name)
-    engine = _Engine(sc, strategy_optimal(sc))
-    engine._prefill()
+    target = strategy_optimal(sc).plays
+    engine = _Engine(sc, Strategy(target))
+    assert engine.fills == 1 and np.array_equal(engine.touching, touching_oracle(target))
     atom, succ = engine.atom[: engine.size], engine.succ[: engine.size]
-    node, sig = np.nonzero(atom >= 0)
+    assert np.array_equal(succ >= 0, np.isin(atom, touching_oracle(target)))
+    node, sig = np.nonzero(succ >= 0)
     assert engine.post[node, sig].tobytes() == sc.grid.points[atom[node, sig]].tobytes()
     images = np.matmul(engine.post[node, sig, None, :], sc.chain.M)[:, 0]
     assert engine.belief[succ[node, sig]].tobytes() == images.tobytes()
-    assert np.array_equal(succ < 0, atom < 0)
-    assert (_Engine(sc, strategy_null(sc)).atom < 0).all()
+    # a successor is the node the index holds for its belief
+    assert [engine.index[b.tobytes()] for b in images] == succ[node, sig].tolist()
+    null = _Engine(sc, strategy_null(sc))
+    assert (null.atom < 0).all() and (null.succ < 0).all() and null.size == max(sc.chain.k, null.start + 1)
 
 
 ESTIMATORS = {

@@ -88,11 +88,16 @@ MUTANTS = (
      "self.rows = tuple(_read_only(arr[grid.n + 1 :]) for arr in cells)",
      "tests/test_solver.py::test_kept_operators_equal_a_fresh_build_and_are_read_only"),
     ("first fill's successors one image off", SIM,
-     "image[self.touching] = ids", "image[self.touching] = np.roll(ids, 1)",
+     "image[self.touching] = ids[k + 1 :]", "image[self.touching] = np.roll(ids[k + 1 :], 1)",
      f"{SIM_TESTS}::test_each_prefilled_successor_is_the_node_the_lazy_fill_builds[tent]"),
     ("images equal to a row or the prior built again", SIM,
-     "known = same.any(axis=1)", "known = same.any(axis=1) & False",
+     "i = self.index.get(key) if j >= rows else None", "i = None",
      f"{SIM_TESTS}::test_a_policy_estimate_builds_its_nodes_in_one_fill[0.5]"),
+    ("node keys taken from the first coordinate only", SIM,
+     "np.dtype((np.void, beliefs.itemsize * beliefs.shape[1]))", "np.dtype((np.void, beliefs.itemsize))",
+     f"{SIM_TESTS}::test_a_batch_is_keyed_by_each_belief_s_bytes_in_any_layout[C]"),
+    ("equal rows deduplicated, so state st is no longer node st", SIM,
+     "rows=k)", "rows=0)", f"{SIM_TESTS}::test_equal_rows_keep_their_own_row_nodes"),
     ("images kept when they fill the table to its cap", SIM,
      "if sc.chain.k + 1 + touching.size < self._CACHE_CAP:", "if sc.chain.k + 1 + touching.size <= self._CACHE_CAP:",
      f"{SIM_TESTS}::test_images_that_would_reach_the_table_cap_are_left_out[tent]"),

@@ -18,8 +18,10 @@ random-duration game ends at the replication's own first revelation. A
 policy strategy splits at the exact belief onto the grid points where its
 target touches its envelope, so an engine builds the prior, the transition
 rows and those points' images under M before its first play, and any other
-node when a walk first reaches it. A chunk, an estimate's only batch, holds
-as many lanes as fit _PLAY_STAGES lane-stages over its whole horizon. The
+node when a walk first reaches it. Every fill keys beliefs by their bytes:
+one equal to a node already keyed is that node, but for the k rows. A chunk,
+an estimate's only batch, holds as many lanes as fit _PLAY_STAGES
+lane-stages over its whole horizon. The
 streams are seeded _PLAY_STAGES replications at a time, each block in one
 call when the chunks reach it (replication_rngs), bit for bit the
 SeedSequence definition above; each lane's generator fills its row in one
@@ -203,8 +205,9 @@ class EstimateResult:
     cap, steps the lock-step walk iterations over all chunks, and fills the
     batches of nodes built: the first holds the k row nodes, the start node
     at the scenario's prior and, for a policy, the images of the target's
-    touching points, and each clear builds them again in one. A policy's
-    later fill only follows an atom that rounding put off those points.
+    touching points, one node per distinct belief but for the rows, and each
+    clear builds them again in one. A policy's later fill only follows an
+    atom that rounding put off those points.
     """
 
     mean: float
@@ -349,15 +352,17 @@ class _Engine:
 
     A node is a reachable belief with its Bayes work done: the cumulative
     kernel row of each state (ending in +inf) and, per signal, the stage
-    payoff and the posterior. Nodes are keyed by their belief's bytes.
+    payoff and the posterior. `_intern` alone turns beliefs into nodes and
+    keys them, by their bytes, so every fill decides node identity alike.
     The first fill (`_reset`) holds the row nodes of the k transition rows,
-    ids 0..k-1, so a revealed state's id is its node; the start node at the
-    scenario's prior `sc.prior`, where a play starts; and a policy's images
-    under M of the points where its target touches its envelope, the atoms
-    its splits draw, with the successors set from the atoms (an image equal
-    to a row or the prior is that node). A stage whose next stage does not
-    reboot follows the successor of (node, signal); `_fill` builds a missing
-    one once, appending the nodes first reached: a kernel's, and a policy's
+    ids 0..k-1 even where two rows are equal, so a revealed state's id is
+    its node; the start node at the scenario's prior `sc.prior`, where a
+    play starts; and a policy's images under M of the points where its
+    target touches its envelope, the atoms its splits draw, with the
+    successors set from the atoms (an image equal to a row, the prior or an
+    earlier image is that node). A stage whose next stage does not reboot
+    follows the successor of (node, signal); `_fill` builds a missing one
+    once, appending the nodes first reached: a kernel's, and a policy's
     where rounding put an atom off the touching points. `_close` walks the
     nodes a play reaches.
     A strategy whose `plays` is a GridFn is a policy; anything else is a
@@ -411,26 +416,14 @@ class _Engine:
 
     def _reset(self) -> None:
         """Empties the table, then builds the k row nodes (ids 0..k-1), the start node and the images in one fill."""
-        rows, k = self.sc.chain.M, self.sc.chain.k
-        self.index: dict[bytes, int] = {}
-        for state, row in enumerate(rows):
-            self.index.setdefault(row.tobytes(), state)
-        # a start node equal to a row node is that row node
-        self.start = self.index.setdefault(self.sc.prior.tobytes(), k)
-        heads = rows if self.start < k else np.vstack([rows, self.sc.prior])
-        self.heads = len(heads)
-        # an image whose bits (the index's keys) are a row's or the prior's is that node
-        same = (self.images.view(np.uint64)[:, None] == heads.view(np.uint64)).all(axis=2)
-        known = same.any(axis=1)
-        ids = np.where(known, same.argmax(axis=1), self.heads - 1 + np.cumsum(~known))
-        fresh = self.images[~known]
-        self.index.update(zip(map(np.ndarray.tobytes, fresh), range(self.heads, self.heads + len(fresh))))
-        self.size = 0
+        k, self.index, self.size = self.sc.chain.k, {}, 0
         self._allocate(64)
-        self._build(np.vstack([heads, fresh]))
-        if len(ids):  # every successor whose atom touches is that atom's image
+        ids = self._intern(np.vstack([self.sc.chain.M, self.sc.prior, self.images]), rows=k)
+        self.start = int(ids[k])
+        self.heads = max(k, self.start + 1)  # the row nodes, and the start node unless it is a row node
+        if len(self.images):  # every successor whose atom touches is that atom's image
             image = np.full(self.strat.plays.grid.n, -1)
-            image[self.touching] = ids
+            image[self.touching] = ids[k + 1 :]
             atom = self.atom[: self.size]
             self.succ[: self.size] = np.where(atom < 0, -1, image[atom])
 
@@ -445,20 +438,25 @@ class _Engine:
                 table[:size] = getattr(self, name)[:size]
             setattr(self, name, table)
 
-    def _intern(self, beliefs: np.ndarray) -> np.ndarray:
-        """Node ids of beliefs, building the nodes not yet in the table."""
-        ids = np.empty(len(beliefs), dtype=np.int64)
-        fresh = []
-        for j, belief in enumerate(beliefs):
-            key = belief.tobytes()
-            i = self.index.get(key)
+    def _intern(self, beliefs: np.ndarray, rows: int = 0) -> np.ndarray:
+        """Node ids of beliefs, building in one fill the first `rows` and each whose key names no node yet.
+
+        A key is a belief's bytes, its `tobytes()`, and names the first node built for it.
+        """
+        beliefs = np.ascontiguousarray(beliefs)
+        # one void item per row, whose tolist() is the row's tobytes()
+        keys = beliefs.view(np.dtype((np.void, beliefs.itemsize * beliefs.shape[1])))[:, 0].tolist()
+        ids, fresh = [], []
+        for j, key in enumerate(keys):
+            i = self.index.get(key) if j >= rows else None
             if i is None:
-                i = self.index[key] = self.size + len(fresh)
+                i = self.size + len(fresh)
+                self.index.setdefault(key, i)
                 fresh.append(j)
-            ids[j] = i
+            ids.append(i)
         if fresh:
             self._build(beliefs[fresh])
-        return ids
+        return np.array(ids, dtype=np.int64)
 
     def _build(self, beliefs: np.ndarray) -> None:
         """Appends the nodes of beliefs, all in one fill.

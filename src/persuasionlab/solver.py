@@ -217,13 +217,16 @@ def _operator(sc: Scenario, reveal: bool) -> tuple[_Start, float, float]:
     return _start(sc), sc.discount, sc.reveal_rate if reveal else 0.0
 
 
+def _check_grid(f: GridFn, sc: Scenario, what: str) -> None:
+    """Raises DimensionMismatch, naming f as what, unless f lies on a grid of sc's k and R."""
+    if (f.grid.k, f.grid.resolution) != (sc.grid.k, sc.grid.resolution):
+        raise DimensionMismatch(f"{what} on a k={f.grid.k}, R={f.grid.resolution} grid, "
+                                f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}")
+
+
 def _bellman(f: GridFn, sc: Scenario, reveal: bool) -> GridFn:
     """One application of a regime's operator to a continuation value on sc's grid."""
-    if (f.grid.k, f.grid.resolution) != (sc.grid.k, sc.grid.resolution):
-        raise DimensionMismatch(
-            f"continuation on a k={f.grid.k}, R={f.grid.resolution} grid, "
-            f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}"
-        )
+    _check_grid(f, sc, "continuation")
     start, lam, x = _operator(sc, reveal)
     return GridFn(sc.grid, _sweep(f.values, start.stage, lam, x, _dynamics(sc)))
 
@@ -418,11 +421,7 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     """
     q = validate_belief(p, sc.chain.k)
     batch = np.atleast_2d(q)
-    if (solved.target.grid.k, solved.target.grid.resolution) != (sc.grid.k, sc.grid.resolution):
-        raise DimensionMismatch(
-            f"solved on a k={solved.target.grid.k}, R={solved.target.grid.resolution} grid, "
-            f"scenario grid is k={sc.grid.k}, R={sc.grid.resolution}"
-        )
+    _check_grid(solved.target, sc, "solved")
     cells = sc.grid._cells(batch)[:2]
     cav_u, u_at = _read(sc.u, batch, cells)
     miss = np.abs(u_at - cav_u)

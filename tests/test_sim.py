@@ -510,11 +510,10 @@ def touching_oracle(target):
 
 
 def first_fill_nodes(sc, target):
-    """k row nodes, the start node unless the prior is a row, and each touching point's image that is neither."""
+    """k row nodes, and each distinct belief among the prior and the touching points' images that is not a row."""
     rows = {row.tobytes() for row in sc.chain.M}
-    known = rows | {sc.prior.tobytes()}
-    fresh = [t for t in touching_oracle(target) if (target.grid.points[t] @ sc.chain.M).tobytes() not in known]
-    return sc.chain.k + (sc.prior.tobytes() not in rows) + len(fresh)
+    later = {sc.prior.tobytes()} | {(target.grid.points[t] @ sc.chain.M).tobytes() for t in touching_oracle(target)}
+    return sc.chain.k + len(later - rows)
 
 
 def kernel_oracle(p, posteriors, weights, n_signals):
@@ -1572,6 +1571,93 @@ def test_each_prefilled_successor_is_the_node_the_lazy_fill_builds(name):
     assert [engine.index[b.tobytes()] for b in images] == succ[node, sig].tolist()
     null = _Engine(sc, strategy_null(sc))
     assert (null.atom < 0).all() and (null.succ < 0).all() and null.size == max(sc.chain.k, null.start + 1)
+
+
+def rank_deficient(M):
+    """A chain with equal rows, under a tent in the last coordinate, at lambda 0.9 and rate 0.5 from the uniform prior."""
+    resolution = 200 if len(M) == 2 else 40
+    q = make_grid(len(M), resolution).points[:, -1]
+    doc = {"version": 1, "transition": M, "payoff": {"type": "table", "values": (1.0 - 2.0 * np.abs(q - 0.5)).tolist()},
+           "lambda": 0.9, "x": 0.5, "grid_resolution": resolution}
+    return cli.scenario_from_config(cli.effective_config(doc, {}))
+
+
+# chains whose transition rows coincide, so the touching points' images coincide with each other; per chain the
+# nodes, then (discounted values and steps, renewal values, rep ids and steps, exact value at the prior and at
+# the rows) of 3 replications, as a table that built one node per touching point's image gave them
+RANK_DEFICIENT = {
+    "two equal rows, k = 2": ([[0.3, 0.7], [0.3, 0.7]], 6, (
+        [0.6399999401236671] * 3, 13, [0.5550000000000003, 0.5850000000000003, 0.5700000000000003], [0, 1, 2], 7,
+        0.6400000000000001, [0.6000000000000001, 0.6000000000000002])),
+    "three equal rows": ([[0.2, 0.3, 0.5]] * 3, 15, (
+        [0.9699999002061117, 0.9649999002061117, 0.9699999002061117], 13, [0.925, 0.975, 0.95], [0, 1, 2], 7,
+        0.9666666666666665, [0.9999999999999997, 0.9999999999999999, 0.9999999999999999])),
+    "two equal rows, k = 3": ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]], 111, (
+        [0.7743569760086357, 0.7379378366094118, 0.7505552248923842], 13,
+        [0.7150000000000001, 0.76375, 0.7187499999999999], [0, 1, 2], 7,
+        0.7611548556430443, [0.7874015748031492, 0.7874015748031492, 0.7401574803149603])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_DEFICIENT))
+def test_images_that_coincide_are_one_node(case):
+    # every distinct belief among the prior and the touching points' images is built once, and its values are
+    # those of a table that built each image again
+    M, nodes, want = RANK_DEFICIENT[case]
+    sc = rank_deficient(M)
+    strat, sigma = strategy_optimal(sc), strategy_renewal_optimal(sc)
+    est = estimate_discounted(sc, strat, samples=3, seed=1)
+    renewal = estimate_renewal_average(sc, sigma, 40, samples=3, seed=1)
+    value, rows = exact_played_value(sc, strat)
+    assert (est.values.tolist(), est.steps, renewal.values.tolist(), renewal.rep_ids.tolist(), renewal.steps,
+            value, rows.tolist()) == want
+    assert est.nodes == first_fill_nodes(sc, strat.plays) == nodes
+    assert (renewal.nodes, renewal.fills) == (first_fill_nodes(sc, sigma.plays), 1)
+    # one node per key, and every touching point's successor is the node of its image
+    engine = _Engine(sc, strat)
+    assert len(engine.index) == engine.size - (sc.chain.k - len({row.tobytes() for row in sc.chain.M}))
+    node, sig = np.nonzero(engine.succ[: engine.size] >= 0)
+    images = np.matmul(engine.post[node, sig, None, :], sc.chain.M)[:, 0]
+    assert engine.belief[engine.succ[node, sig]].tobytes() == images.tobytes()
+
+
+def test_equal_rows_keep_their_own_row_nodes():
+    # row node st holds id st and state st's row, bit for bit, though two rows are equal; the key names the first
+    M = [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]
+    sc = rank_deficient(M)
+    for strat in (strategy_null(sc), strategy_full(sc)):
+        engine = _Engine(sc, strat)
+        assert engine.belief[: sc.chain.k].tobytes() == sc.chain.M.tobytes()
+        assert [engine.index[row.tobytes()] for row in sc.chain.M] == [0, 0, 2]
+        assert engine.start == 3 and engine.heads == 4
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided rows", "strided columns"])
+def test_a_batch_is_keyed_by_each_belief_s_bytes_in_any_layout(layout):
+    # each key is the belief's tobytes(), whatever the memory layout of the batch it came in: the index holds
+    # one key per node, and finds each belief it has built
+    sc = bundled("cycle3")
+    beliefs = np.random.default_rng(7).dirichlet(np.ones(3), 12)
+    batch = {"C": beliefs, "F": np.asfortranarray(beliefs), "strided rows": np.repeat(beliefs, 2, axis=0)[::2],
+             "strided columns": np.repeat(beliefs, 2, axis=1)[:, ::2]}[layout]
+    engine = _Engine(sc, strategy_full(sc))
+    ids = engine._intern(batch)
+    assert ids.tolist() == list(range(engine.size - 12, engine.size))
+    assert engine.belief[ids].tobytes() == beliefs.tobytes()
+    assert sorted(engine.index) == sorted(belief.tobytes() for belief in engine.belief[: engine.size])
+    assert [engine.index[belief.tobytes()] for belief in beliefs] == ids.tolist()
+    assert engine._intern(beliefs[::-1]).tolist() == ids[::-1].tolist() and engine.fills == 2
+
+
+def test_the_two_zeros_are_two_nodes():
+    # a key is the belief's bits, as at every fill: -0.0 and +0.0 are two nodes, whether met in one batch or two
+    sc = bundled("tent")
+    engine = _Engine(sc, strategy_full(sc))
+    pair = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    ids = engine._intern(pair)
+    assert ids.tolist() == [engine.size - 2, engine.size - 1]
+    assert engine._intern(pair[::-1]).tolist() == ids[::-1].tolist() and engine.fills == 2
+    assert np.signbit(engine.belief[ids, 0]).tolist() == [False, True]
 
 
 ESTIMATORS = {

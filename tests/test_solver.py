@@ -510,6 +510,18 @@ def test_the_no_info_check_refuses_a_result_on_another_grid():
         check_no_info_at_concave_point(sc, sc.grid.points[0], solved)
 
 
+def test_each_grid_mismatch_names_the_argument_on_the_wrong_grid():
+    # one grid check serves the operators and the no-information check, and names what it was handed
+    sc, _ = k3_touching_scenario(convex3)
+    coarse = make_grid(3, 3)
+    f = GridFn(coarse, convex3(coarse.points))
+    with pytest.raises(DimensionMismatch, match=r"^continuation on a k=3, R=3 grid, scenario grid is k=3, R=6$"):
+        bellman_reveal(f, sc)
+    solved = solve(replace(sc, u=f), "reveal")
+    with pytest.raises(DimensionMismatch, match=r"^solved on a k=3, R=3 grid, scenario grid is k=3, R=6$"):
+        check_no_info_at_concave_point(sc, sc.grid.points[0], solved)
+
+
 # ---------------------------------------------------------------------------
 # dynamics operators kept with the chain
 

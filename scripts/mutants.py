@@ -30,6 +30,7 @@ from pathlib import Path
 COPIED = ("src", "tests", "scenarios", "scripts", "perfbench", "pyproject.toml")
 SIM, SOLVER, CLI = "src/persuasionlab/sim.py", "src/persuasionlab/solver.py", "src/persuasionlab/cli.py"
 BELIEF, CHAIN = "src/persuasionlab/belief.py", "src/persuasionlab/chain.py"
+ENVELOPE = "src/persuasionlab/envelope.py"
 SIM_TESTS, CLI_TESTS, BELIEF_TESTS = "tests/test_sim.py", "tests/test_cli.py", "tests/test_belief.py"
 FAILS_ON = f"{CLI_TESTS}::test_every_verify_suite_fails_on_what_it_reads"
 CLOSED_FORM = "tests/test_chain.py::test_the_two_state_closed_form_equals_the_block_scan_bit_for_bit"
@@ -113,6 +114,15 @@ MUTANTS = (
      "tag[:, 0] = starts", "tag[:, 0] = 0", CLOSED_FORM),
     ("two-state reset tags without their positions", CHAIN,
      "tag[:, 1:] += np.arange(2, 2 * b + 1, 2, dtype=tag.dtype)", "tag[:, 1:] += 2", CLOSED_FORM),
+    ("lemma1 eligibility by an absolute 1e-9", CLI,
+     "eligible = _touching(sc.u)", "eligible = np.nonzero(cav_values(sc.u) - sc.u.values <= 1e-9)[0]",
+     f"{CLI_TESTS}::test_a_point_the_split_reader_splits_is_no_touching_point"),
+    ("Qhull lifts a table of any span unscaled", ENVELOPE,
+     "e = max(0, np.frexp(np.ptp(v))[1] - 1)", "e = 0",
+     "tests/test_envelope.py::test_a_qhull_envelope_scales_with_its_table_by_every_power_of_two"),
+    ("the optimal strategy plays the greedy split", SIM,
+     "return Strategy(solve(sc, mode).target)", "return Strategy(sc.u)",
+     f"{SIM_TESTS}::test_the_optimal_strategy_outearns_the_greedy_one_on_a_patient_switching_chain"),
 )
 
 # a test run that takes longer than this counts as killing its mutant

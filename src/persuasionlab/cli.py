@@ -36,7 +36,7 @@ import scipy
 from . import __version__
 from .belief import SPLIT_BARYCENTER_TOL, _vertex_sum, interpolate, make_grid
 from .chain import ergodic_frequency_se, validate_chain
-from .envelope import cav_grid, cav_values
+from .envelope import _touching, cav_grid, cav_values
 from .errors import (
     AllRejected,
     BadRates,
@@ -49,7 +49,6 @@ from .errors import (
 )
 from .payoff import ReceiverPayoff, TablePayoff, build_u
 from .solver import (
-    ENVELOPE_TOUCH_TOL,
     MODES,
     Scenario,
     asymptotic_value,
@@ -379,14 +378,12 @@ def _verify_lemma1(sc: Scenario, table: ResultTable) -> bool:
     """Where the stage payoff meets its envelope, revealing nothing is optimal."""
     if sc.reveal_rate <= 0.0:
         raise RateBoundary("this check needs a positive revelation rate")
-    envelope = cav_values(sc.u)
-    u = sc.u.values
-    eligible = np.nonzero(envelope - u <= ENVELOPE_TOUCH_TOL)[0]
+    eligible = _touching(sc.u)
     table.add_meta("eligible_points", int(eligible.size))
     table.add_meta("tolerance", 2.0 * sc.tol)
     no_info = check_no_info_at_concave_point(sc, sc.grid.points[eligible], solve(sc, "reveal"))
     for i, ok in zip(eligible, no_info):
-        table.add_row(*sc.grid.points[i], u[i], envelope[i], int(ok))
+        table.add_row(*sc.grid.points[i], sc.u.values[i], cav_values(sc.u)[i], int(ok))
     return bool(no_info.all())
 
 

@@ -18,14 +18,12 @@ kept with it, and read by every query.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .belief import GridFn, _vertex_sum, validate_belief
 from .errors import SingularSystem
 
-# Relative slack for "this atom already sits on the envelope" decisions.
+# `_below`'s slack, relative to 1 + max|f|: a belief within it of f's envelope touches it.
 _DEG_RTOL = 1e-11
 # Slack when matching candidate facets against the envelope value.
 _FACET_RTOL = 1e-9
@@ -72,6 +70,8 @@ class _Envelope:
         grid, v = f.grid, f.values
         self.grid, self.v = grid, v
         self.corners, self.concave = None, False
+        size = 1.0 + float(np.abs(v).max())
+        self.slack = _DEG_RTOL * size  # whether f touches its envelope follows f's scale
         if grid.k <= 2:
             self.hull = _upper_hull_indices(grid.points[:, 0], v)
         else:
@@ -79,7 +79,7 @@ class _Envelope:
             self.simplices, self.coef = grid._corners[None], v[grid._corners][None]
             top = self._planes(grid.points)[:, 0]
             # rounding in a certificate's sums cannot let a violated inequality pass
-            margin = _CERT_EPS * (1.0 + float(np.abs(v).max()))
+            margin = _CERT_EPS * size
             if np.all(v <= top + margin):
                 self.corners = grid._corners
                 self.values = np.maximum(top, v)  # what `at` gives at the grid points, from the one read above
@@ -94,25 +94,28 @@ class _Envelope:
 
     def _hull_facets(self, v: np.ndarray) -> None:
         """Qhull's upper facets of the lifted grid as the facet table: belief coefficients and vertex indices."""
-        from scipy.spatial import ConvexHull  # imported here: a certified or k = 2 run never loads scipy.spatial
+        from scipy.spatial import ConvexHull, QhullError  # here: a certified or k = 2 run never loads scipy.spatial
 
-        k = self.grid.k
-        vmin, vmax = float(v.min()), float(v.max())
-        floor = vmin - 1.0 - (vmax - vmin)
+        # Qhull's precision follows its largest coordinate, so a span past 2 would drown the simplex's unit width:
+        # it lifts f times the power of two 2^-e that brings the span into [1, 2), and 2^e scales the planes back
+        e = max(0, np.frexp(np.ptp(v))[1] - 1)
+        v, k = np.ldexp(v, -e), self.grid.k
+        span = float(np.ptp(v))
         lifted = np.column_stack([self.grid.points[:, : k - 1], v])
         # padding below the simplex corners closes the hull without touching its top
-        padding = np.column_stack([np.eye(k, k - 1), np.full(k, floor)])
-        hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
-        up = hull.equations[:, -2] > 1e-9
+        padding = np.column_stack([np.eye(k, k - 1), np.full(k, float(v.min()) - 1.0 - span)])
+        try:
+            hull = ConvexHull(np.vstack([lifted, padding]), qhull_options="Qt")
+        except QhullError as exc:  # heights far above their span, which Qhull can read as flat
+            raise SingularSystem(f"Qhull cannot build the envelope: {str(exc).splitlines()[0]}") from None
+        # an upper facet's unit normal has a height part of order 1 / (R span): the test follows the span
+        up = hull.equations[:, -2] > 1e-9 / (1.0 + span)
+        if not up.any():
+            raise SingularSystem("Qhull's hull of the lifted grid has no upper facet")
         n, h, c = hull.equations[up, :-2], hull.equations[up, -2:-1], hull.equations[up, -1:]
         # n . x + h y + c = 0 on the chart x = q[:-1], where 1 = sum(q): y = q . -[n + c, c] / h
-        self.coef = -np.hstack([n + c, c]) / h
+        self.coef = np.ldexp(-np.hstack([n + c, c]) / h, e)
         self.simplices = hull.simplices[up]
-
-    @cached_property
-    def slack(self) -> float:
-        """Absolute slack for deciding that the function attains the envelope."""
-        return _DEG_RTOL * (1.0 + float(np.abs(self.v).max()))
 
     def _planes(self, q: np.ndarray) -> np.ndarray:
         """Every facet plane at each row of q, (m, k) -> (m, facets).
@@ -258,21 +261,24 @@ def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _splits(f, *_located(f, q))
 
 
+def _below(f: GridFn, values: np.ndarray, fq: np.ndarray) -> np.ndarray:
+    """Where f, read as fq, lies below its envelope values by more than the slack: the one rule for touching."""
+    return fq < values - _envelope(f).slack
+
+
 def _splits(f: GridFn, q: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`cav_splits` at a validated (m, k) batch q, given q's cells: the one split reader."""
+    """`cav_splits` at a validated (m, k) batch q, given q's cells: the one split reader, splitting rows `_below`."""
     values, fq = _read(f, q, cells)
     atoms, weights = _packed(cells[1] > 0.0, *cells)  # positive weights first, in vertex order
-    env = _envelope(f)
-    below = np.flatnonzero(fq < values - env.slack)
+    below = np.flatnonzero(_below(f, values, fq))
     if below.size:
-        atoms[below], weights[below] = env.split(q[below], values[below])
+        atoms[below], weights[below] = _envelope(f).split(q[below], values[below])
     return values, atoms, weights
 
 
 def _touching(f: GridFn) -> np.ndarray:
-    """Grid indices of the points that `_splits` reads as on the envelope: the atoms its splits put weight on."""
-    env = _envelope(f)
-    return np.flatnonzero(~(f.values < env.values - env.slack))
+    """Grid indices of the points not `_below` f's envelope: the atoms of `_splits` and `verify lemma1`'s points."""
+    return np.flatnonzero(~_below(f, cav_values(f), f.values))
 
 
 def cav_split_at(f: GridFn, q) -> tuple[float, np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .belief import BeliefGrid, GridFn, _vertex_sum, interpolate, validate_belief
-from .envelope import _read, cav_values
+from .envelope import _below, _read, cav_values
 from .errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -53,8 +53,6 @@ HALF_WIDTHS_KEPT = 20
 ANDERSON_DEPTH = 3
 # each chain and grid keep the starts of this many (payoff, discount) pairs, the latest used
 STARTS_KEPT = 8
-# the stage payoff touches its envelope at a belief where the two differ by at most this much
-ENVELOPE_TOUCH_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -412,8 +410,8 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     """True when revealing nothing is optimal at a belief where u is concave.
 
     p is one belief (returns a bool) or an (m, k) batch (returns a bool per
-    row), and solved is solve(sc, "reveal"). Precondition: the stage payoff
-    attains its envelope at every belief (within ENVELOPE_TOUCH_TOL), otherwise
+    row), and solved is solve(sc, "reveal"). Precondition: no belief lies
+    `envelope._below` the stage payoff's envelope, otherwise
     PreconditionFailed. The check asks whether the degenerate split attains
     the stage optimum of the solved game within 2 * tol. The batch is located
     once on sc's grid, and both envelope reads (of u and of the solved target)
@@ -424,9 +422,8 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     _check_grid(solved.target, sc, "solved")
     cells = sc.grid._cells(batch)[:2]
     cav_u, u_at = _read(sc.u, batch, cells)
-    miss = np.abs(u_at - cav_u)
-    if (miss > ENVELOPE_TOUCH_TOL).any():
-        raise PreconditionFailed(f"stage payoff misses its envelope by {miss.max():.3e} at a queried belief")
+    if _below(sc.u, cav_u, u_at).any():
+        raise PreconditionFailed(f"stage payoff misses its envelope by {(cav_u - u_at).max():.3e} at a queried belief")
     _, lam, x = _operator(sc, True)
     # revealing nothing at q earns the target read at q; the stage optimum is its envelope
     best, _ = _read(solved.target, batch, cells)

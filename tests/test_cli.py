@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persuasionlab import GridFn, cav_split_at, cli, envelope, interpolate, make_grid, sim, solve, solver
-from persuasionlab.errors import DimensionMismatch, NotBayesPlausible, ParseError
+from persuasionlab import (GridFn, cav_split_at, cav_splits, check_no_info_at_concave_point, cli, envelope, interpolate,
+                           make_grid, sim, solve, solver)
+from persuasionlab.errors import DimensionMismatch, NotBayesPlausible, ParseError, PreconditionFailed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -547,6 +548,67 @@ def test_verify_lemma1_builds_each_envelope_once(tmp_path, monkeypatch, name):
     code = cli.main(["verify", "--scenario", str(path), "--which", "lemma1", "--out", str(tmp_path / "l.csv")])
     assert code in (cli.EXIT_PASS, cli.EXIT_FAIL)
     assert len(built) == len(set(built))
+
+
+def scaled_doc(name, j):
+    """A bundled scenario with its payoff table and its tolerance times 2^j, exactly."""
+    doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    doc["payoff"]["values"] = [v * 2.0**j for v in doc["payoff"]["values"]]
+    doc["tolerance"] *= 2.0**j
+    return doc
+
+
+@pytest.mark.parametrize("j", [0, 10, 20, 30])
+def test_lemma1_finds_every_touching_point_of_a_scaled_table(tmp_path, j):
+    # every tent point touches its envelope; an absolute 1e-9 would take 86 of 201 at 2^30, where rounding is 1e-7
+    out = tmp_path / "lemma1.csv"
+    path = write_doc(tmp_path, scaled_doc("tent", j))
+    assert cli.main(["verify", "--scenario", path, "--which", "lemma1", "--out", str(out)]) == cli.EXIT_PASS
+    meta, _, rows = parse_csv(out)
+    assert int(meta["eligible_points"]) == len(rows) == 201
+
+
+def test_a_point_the_split_reader_splits_is_no_touching_point(tmp_path):
+    # tent's point 50 lowered by 1e-10, five times the slack of a table of size 1: the split reader splits it,
+    # so the no-information check refuses it and lemma1 leaves it out
+    doc = json.loads((ROOT / "scenarios" / "tent.json").read_text(encoding="utf-8"))
+    doc["payoff"]["values"][50] -= 1e-10
+    sc = cli.scenario_from_config(cli.effective_config(doc))
+    p = sc.grid.points[50]
+    assert np.count_nonzero(cav_splits(sc.u, p)[2]) == 2
+    with pytest.raises(PreconditionFailed):
+        check_no_info_at_concave_point(sc, p, solve(sc, "reveal"))
+    out, path = tmp_path / "lemma1.csv", write_doc(tmp_path, doc)
+    assert cli.main(["verify", "--scenario", path, "--which", "lemma1", "--out", str(out)]) == cli.EXIT_PASS
+    meta, _, rows = parse_csv(out)
+    assert int(meta["eligible_points"]) == len(rows) == 200
+    assert not any(row[:2] == p.tolist() for row in rows)
+
+
+def test_a_qhull_table_times_two_to_the_fifty_solves_to_the_scaled_values(tmp_path):
+    # an absolute upper-facet test would keep none of kink3 * 2^50's facets, and Qhull reads its heights, unscaled,
+    # as flat. Each solve is within tol of the discretized fixed point, which scales with the table
+    tables = []
+    for j in (0, 50):
+        path = write_doc(tmp_path, scaled_doc("kink3", j), f"kink3-{j}.json")
+        for argv in (["verify", "--which", "obs1"], ["simulate", "--strategy", "optimal", "--samples", "10"]):
+            assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / "out.csv")]) == cli.EXIT_PASS
+        assert cli.main(["solve", "--scenario", path, "--out", str(tmp_path / f"{j}.csv")]) == cli.EXIT_PASS
+        tables.append(np.array(parse_csv(tmp_path / f"{j}.csv")[2]))
+    assert np.array_equal(tables[1][:, :-1], tables[0][:, :-1])
+    assert np.abs(tables[1][:, -1] / 2.0**50 - tables[0][:, -1]).max() <= 2e-9
+
+
+@pytest.mark.parametrize("offset, failure", [(52, "no upper facet"), (54, "QH6154")])
+def test_a_hull_qhull_cannot_build_is_a_numeric_failure(tmp_path, capsys, offset, failure):
+    # kink3's table times 64, lifted by 2^52 or 2^54: heights that far above their span read as flat to Qhull
+    doc = json.loads((ROOT / "scenarios" / "kink3.json").read_text(encoding="utf-8"))
+    doc["payoff"]["values"] = [64.0 * v + 2.0**offset for v in doc["payoff"]["values"]]
+    path = write_doc(tmp_path, doc)
+    for argv in (["solve"], ["verify", "--which", "obs1"], ["simulate", "--strategy", "optimal", "--samples", "10"]):
+        assert cli.main([*argv, "--scenario", path]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and failure in err and err.count("\n") == 1
 
 
 SUITES = sorted(cli._VERIFIERS)

@@ -1330,6 +1330,21 @@ def test_the_optimal_strategy_earns_its_grid_value(name):
     assert abs(est.mean - played) <= 4.0 * est.std_error + est.truncation + 1e-12
 
 
+def test_the_optimal_strategy_outearns_the_greedy_one_on_a_patient_switching_chain():
+    # the chain all but swaps its states each stage and reveals rarely, so the sender who splits for the
+    # stage payoff alone (the greedy one, who plays u's own envelope) gives up what the solved policy
+    # earns by holding information back
+    grid = make_grid(2, 10)
+    u = GridFn(grid, np.array([0.0, 0.2, 1.0, 0.6, 0.1, 0.0, 0.4, 0.4, 0.5, 0.7, 0.2]))
+    chain = validate_chain(np.array([[0.005, 0.995], [0.972, 0.028]]))
+    sc = Scenario(chain=chain, u=u, discount=0.999, reveal_rate=0.05)
+    played, _ = exact_played_value(sc, strategy_optimal(sc))
+    assert played == pytest.approx(0.54577234078, abs=1e-10)
+    assert abs(played - interpolate(solve(sc, "reveal").value, sc.prior)) <= 1e-10
+    greedy, _ = exact_played_value(sc, Strategy(sc.u))
+    assert greedy == pytest.approx(0.33502428, abs=1e-8)
+
+
 def made_strategy(sc, name):
     """null, full, or couple:0.9, the rate-0.9 optimal policy topped up to rate 0.9 by the coupling coin."""
     if name == "couple":

@@ -472,7 +472,7 @@ def two_location_no_info(sc, p, solved):
     """`check_no_info_at_concave_point` reading both envelopes through `cav_at`, which locates the batch each time."""
     batch = np.atleast_2d(p)
     cav_u, u_at = cav_at(sc.u, batch)
-    if (np.abs(u_at - cav_u) > solver.ENVELOPE_TOUCH_TOL).any():
+    if (u_at < cav_u - envelope._envelope(sc.u).slack).any():
         raise PreconditionFailed("off the envelope")
     best, _ = cav_at(solved.target, batch)
     cont = interpolate(solved.value, batch @ sc.chain.M)

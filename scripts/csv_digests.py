@@ -32,9 +32,7 @@ STRATEGIES = ("null", "full", "optimal", "sigma_star", "couple:0.9")
 # `test_every_verify_suite_passes_on_bundled_scenarios` in tests/test_cli.py hold that pair to a pass.
 # - kink3 is the k=3 scenario whose envelope is not affine: ROADMAP item 3, reading the continuation
 #   value through its concave envelope when k >= 3.
-# - slow relaxes over about 333 stages, beyond the 200-stage horizon of thm1's most patient discount
-#   0.995: ROADMAP item 4, the patient limit certified at lambda = 1.
-KNOWN_FAILURES = {("lemma1", "kink3"): 3, ("thm1", "slow"): 4}
+KNOWN_FAILURES = {("lemma1", "kink3"): 3}
 
 
 def commands(scenario: str) -> list[list[str]]:

@@ -34,6 +34,7 @@ ENVELOPE = "src/persuasionlab/envelope.py"
 SIM_TESTS, CLI_TESTS, BELIEF_TESTS = "tests/test_sim.py", "tests/test_cli.py", "tests/test_belief.py"
 FAILS_ON = f"{CLI_TESTS}::test_every_verify_suite_fails_on_what_it_reads"
 CLOSED_FORM = "tests/test_chain.py::test_the_two_state_closed_form_equals_the_block_scan_bit_for_bit"
+ORACLE = f"{SIM_TESTS}::test_on_two_states_solve_s_value_is_what_its_own_policy_earns[table]"
 
 # (name, file, exact old text, new text, killing test node)
 MUTANTS = (
@@ -73,11 +74,14 @@ MUTANTS = (
      "return all(row[2] == 0 for row in table.rows)", "return all(row[2] == 0 for row in table.rows[:-1])",
      f"{FAILS_ON}[facts-occupation]"),
     ("monotone_x reads the prior's column only", CLI,
-     "np.all(values[1:] <= values[:-1] + _MONOTONE_SLACK)", "np.all(values[1:, 0] <= values[:-1, 0] + _MONOTONE_SLACK)",
+     "passed &= _never_rises(rows)", "passed &= _never_rises(np.array(rows)[:, 0])",
      f"{FAILS_ON}[monotone_x-reboots]"),
     ("thm1 without its monotone clause", CLI,
-     "passed &= all(gaps[i + 1] <= gaps[i] + _MONOTONE_SLACK for i in range(len(gaps) - 1))", "",
+     "passed &= _never_rises(gaps)", "",
      f"{FAILS_ON}[thm1-rising_gap]"),
+    ("thm1's verdict reads its least patient row", CLI,
+     "passed &= gaps[-1] <= 0.05", "passed &= gaps[0] <= 0.05",
+     f"{CLI_TESTS}::test_every_verify_suite_passes_on_bundled_scenarios[thm1-slow]"),
     ("reboot to the current state's row node", SIM,
      "states.reshape(-1)[starts - 1]", "states.reshape(-1)[starts]",
      f"{SIM_TESTS}::test_lock_step_engine_matches_scalar_reference[tent-optimal-None]"),
@@ -123,6 +127,16 @@ MUTANTS = (
     ("the optimal strategy plays the greedy split", SIM,
      "return Strategy(solve(sc, mode).target)", "return Strategy(sc.u)",
      f"{SIM_TESTS}::test_the_optimal_strategy_outearns_the_greedy_one_on_a_patient_switching_chain"),
+    ("a policy target on another lattice played unchecked", SIM,
+     '_check_grid(strat.plays, sc, "policy target")', "",
+     f"{SIM_TESTS}::test_a_policy_target_on_another_lattice_is_refused[tent]"),
+    ("touching slack with an absolute floor", ENVELOPE,
+     "math.ldexp(1.0, math.frexp(peak)[1])", "(1.0 + peak)",
+     "tests/test_envelope.py::test_a_table_times_a_power_of_two_touches_its_envelope_where_the_table_does[cycle3]"),
+    ("reboot term without its rate", SOLVER,
+     "out = out + lam * x * (dyn.grid.points @", "out = out + lam * (dyn.grid.points @", ORACLE),
+    ("continuation read at the grid points, not at their next beliefs", SOLVER,
+     "np.vstack([grid.points @ chain.M, chain.M])", "np.vstack([grid.points, chain.M])", ORACLE),
 )
 
 # a test run that takes longer than this counts as killing its mutant

@@ -18,12 +18,15 @@ kept with it, and read by every query.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .belief import GridFn, _vertex_sum, validate_belief
 from .errors import SingularSystem
 
-# `_below`'s slack, relative to 1 + max|f|: a belief within it of f's envelope touches it.
+# `_below`'s slack, relative to the power of two just above max|f| (1 for f = 0): a belief within it of
+# f's envelope touches it, and f times any power of two touches at the same points.
 _DEG_RTOL = 1e-11
 # Slack when matching candidate facets against the envelope value.
 _FACET_RTOL = 1e-9
@@ -70,8 +73,8 @@ class _Envelope:
         grid, v = f.grid, f.values
         self.grid, self.v = grid, v
         self.corners, self.concave = None, False
-        size = 1.0 + float(np.abs(v).max())
-        self.slack = _DEG_RTOL * size  # whether f touches its envelope follows f's scale
+        peak = float(np.abs(v).max())
+        self.slack = _DEG_RTOL * math.ldexp(1.0, math.frexp(peak)[1])  # so f's touching points follow f's scale
         if grid.k <= 2:
             self.hull = _upper_hull_indices(grid.points[:, 0], v)
         else:
@@ -79,7 +82,7 @@ class _Envelope:
             self.simplices, self.coef = grid._corners[None], v[grid._corners][None]
             top = self._planes(grid.points)[:, 0]
             # rounding in a certificate's sums cannot let a violated inequality pass
-            margin = _CERT_EPS * size
+            margin = _CERT_EPS * (1.0 + peak)
             if np.all(v <= top + margin):
                 self.corners = grid._corners
                 self.values = np.maximum(top, v)  # what `at` gives at the grid points, from the one read above
@@ -225,40 +228,27 @@ def cav_grid(f: GridFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _splits(f, f.grid.points, f.grid._point_cells())
 
 
-def _located(f: GridFn, q) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Beliefs q as a validated (m, k) batch, and the (grid indices, weights) of their cells on f's grid."""
-    q = np.atleast_2d(validate_belief(q, f.grid.k))
-    return q, f.grid._cells(q)[:2]
-
-
 def _read(f: GridFn, q: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of f and interpolated f at each row of a validated (m, k) batch q, given q's cells.
 
-    `cav_at`, `cav_splits` and `cav_grid` read through here, so a batch read more than once (as
+    `cav_splits` and `cav_grid` read through here, so a batch read more than once (as
     `check_no_info_at_concave_point` reads one batch on two functions) is located once.
     """
     fq = _vertex_sum(f.values, *cells)
     return _envelope(f).at(q, fq), fq
 
 
-def cav_at(f: GridFn, q) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope of f and interpolated f at a belief or each row of an (m, k) batch, as arrays.
-
-    Off the grid the envelope is the larger of the hull, plane or facet reading and the
-    interpolated function. Each row depends on that row alone, never on the batch; at the grid
-    points the values are `cav_values` bit for bit.
-    """
-    return _read(f, *_located(f, q))
-
-
 def cav_splits(f: GridFn, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope values (`cav_at`) and optimal grid-supported splits at each row of an (m, k) batch of beliefs.
+    """Envelope values and optimal grid-supported splits at a belief or each row of an (m, k) batch.
 
-    Returns values (m,), atoms (m, k) grid indices and weights (m, k), positive weights first, then atom -1
-    with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid point), a
-    row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
+    The one reader of envelope values at beliefs. Off the grid the envelope is the larger of the hull,
+    plane or facet reading and the interpolated function; at the grid points it is `cav_values` bit for
+    bit. Returns values (m,), atoms (m, k) grid indices and weights (m, k), positive weights first, then
+    atom -1 with weight 0. A row on the envelope gets its containing-cell lottery (degenerate at a grid
+    point), a row below it `_Envelope.split`'s split; each row depends on that row alone, never on the batch.
     """
-    return _splits(f, *_located(f, q))
+    q = np.atleast_2d(validate_belief(q, f.grid.k))
+    return _splits(f, q, f.grid._cells(q)[:2])
 
 
 def _below(f: GridFn, values: np.ndarray, fq: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ from .belief import GridFn, bayes_update, interpolate, kernels_from_splits, vali
 from .chain import cum_rows, scan_states
 from .envelope import _touching, cav_splits
 from .errors import AllRejected, BadRates, DegenerateTail, RateBoundary, SizeOverflow
-from .solver import Scenario, _between_revelations, solve, solve_between_revelations
+from .solver import Scenario, _between_revelations, _check_grid, solve, solve_between_revelations
 
 # ---------------------------------------------------------------------------
 # randomness plumbing
@@ -251,10 +251,10 @@ class Strategy:
     that exact belief (`cav_splits`), realized by the kernel
     `kernels_from_splits` builds over k signals, one per atom (a split has at
     most k). Its posteriors are the atoms, grid points of the target's grid,
-    which may differ from the scenario's: the engine reads their payoffs off
-    the payoff's table, or off the payoff interpolated once at each point of
-    another grid. A kernel, which the engine checks with `validate_kernel`,
-    is played at every belief over its columns. With aux_prob > 0, on stages
+    which must be the scenario's lattice (else the engine raises
+    DimensionMismatch), so their payoffs are read off the payoff's table. A
+    kernel, which the engine checks with `validate_kernel`, is played at
+    every belief over its columns. With aux_prob > 0, on stages
     where the game did not just reveal, an auxiliary coin discloses the
     previous state with that chance and the strategy is played at its
     transition row. Raises BadRates for an aux_prob outside [0, 1].
@@ -369,9 +369,8 @@ class _Engine:
     kernel, played as `validate_kernel` returns it (`kernel`). A policy's
     posteriors are grid points, whose indices each node keeps per slot in
     `atom` (-1 for an empty slot and for every slot of a kernel), so its
-    payoffs come from `atom_pay`, the scenario's payoff at each point of the
-    target's grid: the payoff's own table when the target shares its
-    lattice, else the payoff interpolated once at each point.
+    payoffs come from `atom_pay`, the payoff's own table: a policy target
+    lies on the scenario's lattice, or the engine raises DimensionMismatch.
 
     Every lane of a play runs the same number of stages. States and coins
     depend only on the uniforms, so a play gets them first, for every lane
@@ -394,17 +393,17 @@ class _Engine:
         self.kernel = None if policy else validate_kernel(strat.plays, sc.chain.k)
         self.width = sc.chain.k if policy else self.kernel.shape[1]
         self.M_cum = cum_rows(sc.chain.M)
-        # a policy's posteriors are grid points of its target, so their payoffs are read off these: on
-        # the payoff's own lattice its table, which interpolate reads back exactly but for the sign of
-        # zero (its sum onto zero turns -0.0 into +0.0, and so does + 0.0)
+        # a policy's posteriors are points of the scenario's lattice, so their payoffs are read off the
+        # payoff's table, which interpolate reads back exactly but for the sign of zero (its sum onto
+        # zero turns -0.0 into +0.0, and so does + 0.0)
         self.atom_pay, self.touching, points = None, np.empty(0, dtype=np.int64), np.empty((0, sc.chain.k))
         if policy:
-            grid = strat.plays.grid
-            self.atom_pay = sc.u.values + 0.0 if grid is sc.u.grid else interpolate(sc.u, grid.points)
+            _check_grid(strat.plays, sc, "policy target")
+            self.atom_pay = sc.u.values + 0.0
             touching = _touching(strat.plays)
             # images that would fill the table to its cap are left out, or each clear would rebuild a full table
             if sc.chain.k + 1 + touching.size < self._CACHE_CAP:
-                self.touching, points = touching, grid.points[touching]
+                self.touching, points = touching, sc.grid.points[touching]
         # the touching points' images, as the stacked (1, k) @ (k, k) products `_fill` takes
         self.images = np.matmul(points[:, None, :], sc.chain.M)[:, 0]
         self.clears = self.steps = self.fills = 0

@@ -415,7 +415,7 @@ def check_no_info_at_concave_point(sc: Scenario, p, solved: SolverResult) -> boo
     PreconditionFailed. The check asks whether the degenerate split attains
     the stage optimum of the solved game within 2 * tol. The batch is located
     once on sc's grid, and both envelope reads (of u and of the solved target)
-    take those cells, as `cav_at` would locate them for each.
+    take those cells, as `cav_splits` would locate them for each.
     """
     q = validate_belief(p, sc.chain.k)
     batch = np.atleast_2d(q)

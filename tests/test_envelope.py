@@ -184,7 +184,7 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
     values[grid.index_of([10, 10, 20])] -= 0.01
     queries = np.random.default_rng(70).dirichlet(np.ones(3), 500)
     full = cav_values(GridFn(grid, values))
-    full_at = envelope.cav_at(GridFn(grid, values), queries)[0]
+    full_at = cav_splits(GridFn(grid, values), queries)[0]
     monkeypatch.setattr(envelope, "_PLANE_BUDGET", 1 << 12)
     f = GridFn(grid, values)
     tracemalloc.start()
@@ -196,7 +196,7 @@ def test_facet_planes_are_read_within_the_budget(monkeypatch):
     assert len(envelope._envelope(f).coef) == 1598
     assert peak < 1 << 20
     assert np.array_equal(blocked, full)
-    assert np.array_equal(envelope.cav_at(f, queries)[0], full_at)
+    assert np.array_equal(cav_splits(f, queries)[0], full_at)
 
 
 def test_split_at_grid_point_agrees(grid2, parabola):
@@ -446,17 +446,15 @@ def test_a_belief_reads_one_envelope_value_alone_in_a_batch_and_at_the_grid(k, k
     # a convex table lies below the plane through its pure states: that plane is its one-facet table
     assert (envelope._envelope(f).corners is not None) == (kind == "convex")
     q = rng.dirichlet(np.ones(k), m)
-    batch = envelope.cav_at(f, q)[0]
-    assert np.array_equal(batch, [envelope.cav_at(f, row)[0][0] for row in q])
-    assert np.array_equal(cav_splits(f, q)[0], batch)
+    batch = cav_splits(f, q)[0]
+    assert np.array_equal(batch, [cav_splits(f, row)[0][0] for row in q])
     assert np.array_equal(cav_splits(f, grid.points)[0], cav_values(f))
-    assert np.array_equal(envelope.cav_at(f, grid.points)[0], cav_values(f))
     for got, want in zip(cav_grid(f), cav_splits(f, grid.points)):
         assert np.array_equal(got, want)
 
 
 def composed_cav_splits(f, q):
-    """`cav_splits` as `cav_at` (interpolate) plus a second cell location for the containing-cell lottery."""
+    """`cav_splits` as the envelope at `interpolate`'s values plus a second cell location for the cell lottery."""
     q = np.atleast_2d(belief.validate_belief(q, f.grid.k))
     env = envelope._envelope(f)
     fq = interpolate(f, q)
@@ -501,10 +499,15 @@ def test_cav_splits_validates_and_locates_once(k, resolution, monkeypatch):
     assert (want[0] > interpolate(f, q) + 1e-6).any()  # some rows lie below the envelope and split
 
 
+def bundled_payoff(name):
+    """The stage payoff of the bundled scenario scenarios/<name>.json."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").read_text())
+    return cli.scenario_from_config(cli.effective_config(doc)).u
+
+
 def kink3_payoff():
     """The bundled kink3 scenario's stage payoff (k = 3, R = 12), whose envelope neither certificate names."""
-    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "kink3.json").read_text())
-    return cli.scenario_from_config(cli.effective_config(doc)).u
+    return bundled_payoff("kink3")
 
 
 def grid_split_table(k, kind):
@@ -611,3 +614,24 @@ def test_a_qhull_envelope_scales_with_its_table_by_every_power_of_two(f):
         scaled = cav_values(GridFn(f.grid, f.values * 2.0**j)) / 2.0**j
         # the tables of f and 2 f round apart: by at most 12 ulps of max|f| over 300 random tables
         assert np.abs(scaled - base).max() <= 16 * np.finfo(float).eps * np.abs(f.values).max()
+
+
+@pytest.mark.filterwarnings("ignore::persuasionlab.PayoffDiscontinuityWarning")
+@pytest.mark.parametrize("name", ["tent", "parabola", "receiver", "cycle3", "kink3"])
+def test_a_table_times_a_power_of_two_touches_its_envelope_where_the_table_does(name):
+    # the touching slack follows the power of two just above max|f|, which f * 2^j scales exactly; a slack
+    # with an absolute floor, 1e-11 (1 + max|f|), let receiver * 2^-30 touch at 103 points against 102,
+    # cycle3 * 2^-40 at all 861 against 42, and kink3 * 2^-40 at 91 against 65
+    f = bundled_payoff(name)
+    touching, base = envelope._touching(f), cav_values(f)
+    assert 0 < touching.size
+    for j in (-60, -50, -40, -30, -20, 20, 40, 60):
+        if name == "kink3" and j < -40:
+            continue  # the full-disclosure certificate's margin keeps an absolute "1 +" (ROADMAP item 29)
+        g = GridFn(f.grid, f.values * 2.0**j)
+        assert np.array_equal(envelope._touching(g), touching)
+        if name == "kink3" and j < 0:
+            # Qhull lifts a table whose span is below 2 unscaled, so its planes round apart by a few ulps
+            assert np.abs(cav_values(g) / 2.0**j - base).max() <= 16 * np.finfo(float).eps * np.abs(f.values).max()
+        else:
+            assert cav_values(g).tobytes() == (base * 2.0**j).tobytes()

@@ -32,7 +32,6 @@ from persuasionlab import (
     validate_split,
 )
 from persuasionlab.belief import _vertex_sum
-from persuasionlab.envelope import cav_at
 from persuasionlab.errors import (
     DimensionMismatch,
     NegativePayoff,
@@ -443,7 +442,7 @@ def test_no_info_batch_matches_single_beliefs(table):
     # grid points and, between neighbouring touching points, off-grid beliefs
     q = sc.grid.points[touching]
     q = np.vstack([q, 0.5 * (q[:-1] + q[1:])])
-    q = q[np.abs(cav_at(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
+    q = q[np.abs(cav_splits(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
     batch = check_no_info_at_concave_point(sc, q, solved=res)
     single = [check_no_info_at_concave_point(sc, p, solved=res) for p in q]
     assert batch.dtype == bool and all(type(s) is bool for s in single)
@@ -469,18 +468,18 @@ def bump_scenario():
 
 
 def two_location_no_info(sc, p, solved):
-    """`check_no_info_at_concave_point` reading both envelopes through `cav_at`, which locates the batch each time."""
+    """`check_no_info_at_concave_point` reading both envelopes through `cav_splits`, which locates each time."""
     batch = np.atleast_2d(p)
-    cav_u, u_at = cav_at(sc.u, batch)
+    cav_u, u_at = cav_splits(sc.u, batch)[0], interpolate(sc.u, batch)
     if (u_at < cav_u - envelope._envelope(sc.u).slack).any():
         raise PreconditionFailed("off the envelope")
-    best, _ = cav_at(solved.target, batch)
+    best = cav_splits(solved.target, batch)[0]
     cont = interpolate(solved.value, batch @ sc.chain.M)
     return solver._target(cont, (1.0 - sc.discount) * u_at, sc.discount, sc.reveal_rate) >= best - 2.0 * sc.tol
 
 
 @pytest.mark.parametrize("name", ["bump", "kink3"])
-def test_the_no_info_check_locates_its_batch_once_and_reads_as_cav_at(name, monkeypatch):
+def test_the_no_info_check_locates_its_batch_once_and_reads_as_cav_splits(name, monkeypatch):
     sc = bump_scenario() if name == "bump" else bundled("kink3")
     res = solve(sc, "reveal")
     touching = np.flatnonzero(cav_values(sc.u) - sc.u.values <= 1e-9)
@@ -488,7 +487,7 @@ def test_the_no_info_check_locates_its_batch_once_and_reads_as_cav_at(name, monk
     # grid points and, between touching neighbours, off-grid beliefs on the envelope
     q = sc.grid.points[touching]
     q = np.vstack([q, 0.5 * (q[:-1] + q[1:])])
-    q = q[np.abs(cav_at(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
+    q = q[np.abs(cav_splits(sc.u, q)[0] - interpolate(sc.u, q)) <= 1e-9]
     assert len(q) > touching.size
     want = two_location_no_info(sc, q, res)
     reads, located, read, cells = [], [], solver._read, type(sc.grid)._cells
@@ -498,7 +497,7 @@ def test_the_no_info_check_locates_its_batch_once_and_reads_as_cav_at(name, monk
     assert np.array_equal(got, want)
     assert located == [len(q), len(q)]  # the batch once, and its next beliefs for the continuation
     for (values, fq), f in zip(reads, (sc.u, res.target), strict=True):
-        for a, b in zip((values, fq), cav_at(f, q), strict=True):
+        for a, b in zip((values, fq), (cav_splits(f, q)[0], interpolate(f, q)), strict=True):
             assert np.array_equal(a, b)
 
 

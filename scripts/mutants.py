@@ -74,11 +74,14 @@ MUTANTS = (
      "return all(row[2] == 0 for row in table.rows)", "return all(row[2] == 0 for row in table.rows[:-1])",
      f"{FAILS_ON}[facts-occupation]"),
     ("monotone_x reads the prior's column only", CLI,
-     "passed &= _never_rises(rows)", "passed &= _never_rises(np.array(rows)[:, 0])",
+     "passed &= _never_rises(rows, slack)", "passed &= _never_rises(np.array(rows)[:, 0], slack)",
      f"{FAILS_ON}[monotone_x-reboots]"),
     ("thm1 without its monotone clause", CLI,
-     "passed &= _never_rises(gaps)", "",
+     "passed &= _never_rises(gaps, slack)", "",
      f"{FAILS_ON}[thm1-rising_gap]"),
+    ("monotone slack floored at 1e-3 again", CLI,
+     "values[:-1] + slack)", "values[:-1] + max(slack, 1e-3))",
+     f"{FAILS_ON}[monotone_x-cycle3_1e-6]"),
     ("thm1's verdict reads its least patient row", CLI,
      "passed &= gaps[-1] <= 0.05", "passed &= gaps[0] <= 0.05",
      f"{CLI_TESTS}::test_every_verify_suite_passes_on_bundled_scenarios[thm1-slow]"),
@@ -135,6 +138,9 @@ MUTANTS = (
      "tests/test_envelope.py::test_a_table_times_a_power_of_two_touches_its_envelope_where_the_table_does[cycle3]"),
     ("reboot term without its rate", SOLVER,
      "out = out + lam * x * (dyn.grid.points @", "out = out + lam * (dyn.grid.points @", ORACLE),
+    ("reboot term read in reversed state order", SOLVER,
+     "out = out + lam * x * (dyn.grid.points @", "out = out + lam * x * (dyn.grid.points[:, ::-1] @",
+     "tests/test_solver.py::test_renaming_the_states_permutes_the_values[cycle3]"),
     ("continuation read at the grid points, not at their next beliefs", SOLVER,
      "np.vstack([grid.points @ chain.M, chain.M])", "np.vstack([grid.points, chain.M])", ORACLE),
 )

@@ -666,6 +666,10 @@ def test_every_verify_suite_passes_on_bundled_scenarios(tmp_path, which, name):
     meta, header, rows = parse_csv(out)
     assert header and rows
     assert meta["verdict"] == ("fail" if known else "pass") == verdict_from_table(which, meta, header, rows)
+    if which in ("thm1", "thm2", "monotone_x"):
+        # twice the certified error of one compared number; a thm1 gap reads a solve and the limit
+        tol = json.loads(meta["effective"])["tolerance"]
+        assert float(meta["monotone_slack"]) == (4.0 if which == "thm1" else 2.0) * tol
 
 
 def shift_limit(monkeypatch):
@@ -693,17 +697,24 @@ def lift_solve(lift, value=True):
 # on this tent the sup gaps fall from about 0.1 at lambda 0.9 to 1e-4 at 0.9999 and 1e-5 at 0.99999; 0.02
 # more at 0.99999 keeps the last gap below the 0.05 tolerance, so only the rise fails
 raise_most_patient_values = lift_solve(lambda sc: 0.02 * (sc.discount == 0.99999))
+# parabola's gaps are flat, so 1e-6 at 0.99999, far above the slack 4 tol and far below 1e-3, fails only the rise
+nudge_most_patient_values = lift_solve(lambda sc: 1e-6 * (sc.discount == 0.99999))
 # on this tent each value falls 0.007-0.016 per 0.1 step in x, so 0.2 x rises past the slack, whether a
 # suite reads the value function or the reboot values
 raise_with_rate = lift_solve(lambda sc: 0.2 * sc.reveal_rate)
 # the prior's column is left as it was, so only a verdict that reads the reboot columns fails
 raise_reboot_values_with_rate = lift_solve(lambda sc: 0.2 * sc.reveal_rate, value=False)
+# cycle3's values are flat in x, so 1e-6 x rises 1e-7 a step, far above the slack 2 tol and far below 1e-3
+nudge_with_rate = lift_solve(lambda sc: 1e-6 * sc.reveal_rate)
 
 
-def lower_patient_average(monkeypatch):
-    # on this tent the row average rises 0.0086 from 0.9 to 0.95, so it then falls past the slack
-    average = cli.row_average_value
-    monkeypatch.setattr(cli, "row_average_value", lambda lam, sc: average(lam, sc) - 0.01 * (lam == 0.95))
+def lower_patient_average(drop):
+    """A patch that lowers the row average at lambda 0.95 by drop."""
+    def patch(monkeypatch):
+        average = cli.row_average_value
+        monkeypatch.setattr(cli, "row_average_value", lambda lam, sc: average(lam, sc) - drop * (lam == 0.95))
+
+    return patch
 
 
 def shift_duration_mean(monkeypatch):
@@ -748,26 +759,32 @@ bunch_revelations = recast_path(coins=lambda c: np.arange(c.size) < np.count_non
 pin_states_to_zero = recast_path(states=np.zeros_like)
 
 
-@pytest.mark.parametrize("which, patch, failing_checks", [
-    ("thm1", shift_limit, None),
-    ("thm1", raise_most_patient_values, None),
-    ("thm2", lower_patient_average, None),
-    ("monotone_x", raise_with_rate, None),
-    ("monotone_x", raise_reboot_values_with_rate, None),
-    ("disint", shift_duration_mean, None),
-    ("facts", offset_direct_tail_mean, [0]),
-    ("facts", deny_quantile_bound, [1]),
-    ("facts", halve_revelations, [2]),
-    ("facts", bunch_revelations, [3]),
-    ("facts", pin_states_to_zero, [4]),
-], ids=["thm1", "thm1-rising_gap", "thm2", "monotone_x", "monotone_x-reboots", "disint", "facts-tail_mean",
-        "facts-quantile", "facts-frequency", "facts-gaps", "facts-occupation"])
-def test_every_verify_suite_fails_on_what_it_reads(tmp_path, monkeypatch, which, patch, failing_checks):
+# each case runs on the tent at resolution 20 unless it names a bundled scenario
+@pytest.mark.parametrize("which, patch, failing_checks, name", [
+    ("thm1", shift_limit, None, None),
+    ("thm1", raise_most_patient_values, None, None),
+    ("thm1", nudge_most_patient_values, None, "parabola"),
+    # on this tent the row average rises 0.0086 from 0.9 to 0.95, so 0.01 less falls past the slack
+    ("thm2", lower_patient_average(0.01), None, None),
+    ("thm2", lower_patient_average(1e-6), None, "cycle3"),
+    ("monotone_x", raise_with_rate, None, None),
+    ("monotone_x", raise_reboot_values_with_rate, None, None),
+    ("monotone_x", nudge_with_rate, None, "cycle3"),
+    ("disint", shift_duration_mean, None, None),
+    ("facts", offset_direct_tail_mean, [0], None),
+    ("facts", deny_quantile_bound, [1], None),
+    ("facts", halve_revelations, [2], None),
+    ("facts", bunch_revelations, [3], None),
+    ("facts", pin_states_to_zero, [4], None),
+], ids=["thm1", "thm1-rising_gap", "thm1-parabola_1e-6", "thm2", "thm2-cycle3_1e-6", "monotone_x",
+        "monotone_x-reboots", "monotone_x-cycle3_1e-6", "disint", "facts-tail_mean", "facts-quantile",
+        "facts-frequency", "facts-gaps", "facts-occupation"])
+def test_every_verify_suite_fails_on_what_it_reads(tmp_path, monkeypatch, which, patch, failing_checks, name):
     # each patch breaks an input of the suite, never the suite itself
     patch(monkeypatch)
     out = tmp_path / f"{which}.csv"
-    code = cli.main(["verify", "--scenario", write_doc(tmp_path, tent_doc(resolution=20)), "--which", which,
-                     "--out", str(out)])
+    path = write_doc(tmp_path, tent_doc(resolution=20)) if name is None else str(ROOT / "scenarios" / f"{name}.json")
+    code = cli.main(["verify", "--scenario", path, "--which", which, "--out", str(out)])
     assert code == cli.EXIT_FAIL
     meta, header, rows = parse_csv(out)
     assert header and rows

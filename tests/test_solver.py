@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -272,6 +273,24 @@ def test_solve_is_certified_within_tol(name, mode, discount):
     assert res.residual <= sc.tol
     # the sup-norm rule took about log(1/tol) / (1 - discount) sweeps here
     assert res.iterations <= 100
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.filterwarnings("ignore::persuasionlab.payoff.PayoffDiscontinuityWarning")
+def test_renaming_the_states_permutes_the_values(name):
+    # the game has no preferred state order: new state i is old state perm[i], so the new lattice point with
+    # counts c is the old one with counts c[argsort(perm)], and each of two solves is within tol of its grid value
+    sc = bundled(name)
+    k = sc.chain.k
+    for discount in (0.9, 0.9999):
+        for mode in solver.MODES:
+            want = solve(replace(sc, discount=discount), mode).value.values
+            # permutations yields the identity first
+            for perm in map(np.array, itertools.islice(itertools.permutations(range(k)), 1, None)):
+                old = sc.grid.index_of(sc.grid.counts[:, np.argsort(perm)])
+                renamed = replace(sc, chain=validate_chain(sc.chain.M[perm][:, perm]),
+                                  u=GridFn(sc.grid, sc.u.values[old]), discount=discount, prior=sc.prior[perm])
+                assert np.abs(solve(renamed, mode).value.values - want[old]).max() <= 2.0 * sc.tol
 
 
 def test_row_values_read_off_the_value(scenario):
